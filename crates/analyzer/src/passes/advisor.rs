@@ -292,10 +292,11 @@ impl Counts {
 
 /// Symbolically replay the streaming reuse loop over `order` (entries
 /// failing `include` are skipped, as are out-of-range indices) and return
-/// its exact `ExecStats` counts. This mirrors `run_streaming_engine`
-/// frame-for-frame: a stack of `(depth, done)` pairs with in-place
-/// advances, clone-at-frontier below the shared depth, consume-top beyond
-/// it, and eager drops back to `keep`.
+/// its exact `ExecStats` counts. This mirrors the executor's reuse walk
+/// (`ReuseExecutor::walk`, dense or compressed) frame-for-frame: a stack
+/// of `(depth, done)` pairs with in-place advances, clone-at-frontier
+/// below the shared depth, consume-top beyond it, and eager drops back to
+/// `keep`.
 fn predict_stream(
     prefix: &PassPrefix,
     trials: &[Trial],
@@ -487,12 +488,13 @@ pub fn advise(plan: &ExecutionPlan<'_>) -> Advice {
         amplitude_passes: n_trials * total_fused + injection_count,
         msv_peak: 0,
     };
-    let reuse =
-        predict_stream(&prefix, &plan.trials, &plan.order, plan.n_layers, plan.budget, |_| true)
-            .prediction(Strategy::Reuse);
+    // Compressed storage runs the reuse walk itself, under the same budget.
+    let budgeted =
+        predict_stream(&prefix, &plan.trials, &plan.order, plan.n_layers, plan.budget, |_| true);
+    let reuse = budgeted.prediction(Strategy::Reuse);
+    let compressed = budgeted.prediction(Strategy::Compressed);
     let unbounded =
         predict_stream(&prefix, &plan.trials, &plan.order, plan.n_layers, usize::MAX, |_| true);
-    let compressed = unbounded.prediction(Strategy::Compressed);
 
     // The batched tree executor replays the same trie as unbounded reuse,
     // so its pass counts are identical; only residency differs. Buffer

@@ -4,6 +4,7 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use qsim_telemetry::NullRecorder;
 use redsim::exec::{BaselineExecutor, ReuseExecutor};
 use redsim::parallel::{run_baseline_parallel, run_reordered_parallel};
 use redsim_bench::suite::{yorktown_model, yorktown_suite};
@@ -22,19 +23,22 @@ fn executors(c: &mut Criterion) {
             .generate(512, 7);
         group.bench_with_input(BenchmarkId::new("baseline", name), &trials, |b, trials| {
             let exec = BaselineExecutor::new(&bench.layered);
-            b.iter(|| exec.run(trials.trials()).expect("execution succeeds"));
+            b.iter(|| exec.run(trials.trials(), &NullRecorder).expect("execution succeeds"));
         });
         group.bench_with_input(BenchmarkId::new("reuse", name), &trials, |b, trials| {
             let exec = ReuseExecutor::new(&bench.layered);
-            b.iter(|| exec.run(trials.trials()).expect("execution succeeds"));
+            b.iter(|| exec.run(trials.trials(), &NullRecorder).expect("execution succeeds"));
         });
         group.bench_with_input(BenchmarkId::new("reuse_budget_2", name), &trials, |b, trials| {
             let exec = ReuseExecutor::new(&bench.layered);
-            b.iter(|| exec.run_with_budget(trials.trials(), 2).expect("execution succeeds"));
+            b.iter(|| {
+                exec.with_budget(2).run(trials.trials(), &NullRecorder).expect("execution succeeds")
+            });
         });
         group.bench_with_input(BenchmarkId::new("reuse_compressed", name), &trials, |b, trials| {
             b.iter(|| {
-                redsim::compressed::run_reordered_compressed(&bench.layered, trials.trials())
+                ReuseExecutor::new(&bench.layered)
+                    .run_compressed(trials.trials(), &NullRecorder)
                     .expect("execution succeeds")
             });
         });
@@ -53,13 +57,13 @@ fn executors(c: &mut Criterion) {
     for threads in [1usize, 2, 4] {
         group.bench_with_input(BenchmarkId::new("baseline", threads), &trials, |b, trials| {
             b.iter(|| {
-                run_baseline_parallel(&bench.layered, trials.trials(), threads)
+                run_baseline_parallel(&bench.layered, trials.trials(), threads, &NullRecorder)
                     .expect("execution succeeds")
             });
         });
         group.bench_with_input(BenchmarkId::new("reuse", threads), &trials, |b, trials| {
             b.iter(|| {
-                run_reordered_parallel(&bench.layered, trials.trials(), threads)
+                run_reordered_parallel(&bench.layered, trials.trials(), threads, &NullRecorder)
                     .expect("execution succeeds")
             });
         });

@@ -4,6 +4,7 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use qsim_telemetry::NullRecorder;
 use redsim::exec::{BaselineExecutor, ReuseExecutor};
 use redsim_bench::suite::{yorktown_model, yorktown_suite};
 
@@ -25,7 +26,7 @@ fn fusion(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("baseline_fused", name), &trials, |b, t| {
             let exec = BaselineExecutor::new(&bench.layered);
-            b.iter(|| exec.run(t.trials()).expect("execution succeeds"));
+            b.iter(|| exec.run(t.trials(), &NullRecorder).expect("execution succeeds"));
         });
         group.bench_with_input(BenchmarkId::new("reuse_unfused", name), &trials, |b, t| {
             let exec = ReuseExecutor::new(&bench.layered);
@@ -33,7 +34,7 @@ fn fusion(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("reuse_fused", name), &trials, |b, t| {
             let exec = ReuseExecutor::new(&bench.layered);
-            b.iter(|| exec.run(t.trials()).expect("execution succeeds"));
+            b.iter(|| exec.run(t.trials(), &NullRecorder).expect("execution succeeds"));
         });
     }
     group.finish();

@@ -11,7 +11,7 @@
 
 use qsim_analyzer::{advise, ExecutionPlan, Strategy};
 use qsim_noise::TrialGenerator;
-use redsim::compressed::run_reordered_compressed;
+use qsim_telemetry::NullRecorder;
 use redsim::exec::{BaselineExecutor, ExecStats, ReuseExecutor};
 use redsim_bench::report::ResultsDoc;
 use redsim_bench::suite::{yorktown_model, yorktown_suite};
@@ -74,12 +74,14 @@ fn main() {
         let baseline = BaselineExecutor::new(&bench.layered);
         let seq = baseline.run_unfused(set.trials()).expect("sequential run");
         rows.push(Row::new(&bench.name, Strategy::Sequential, p(Strategy::Sequential), &seq.stats));
-        let fused = baseline.run(set.trials()).expect("fused run");
+        let fused = baseline.run(set.trials(), &NullRecorder).expect("fused run");
         rows.push(Row::new(&bench.name, Strategy::Fused, p(Strategy::Fused), &fused.stats));
-        let reuse = ReuseExecutor::new(&bench.layered).run(set.trials()).expect("reuse run");
+        let reuse =
+            ReuseExecutor::new(&bench.layered).run(set.trials(), &NullRecorder).expect("reuse run");
         rows.push(Row::new(&bench.name, Strategy::Reuse, p(Strategy::Reuse), &reuse.stats));
-        let (comp, _) =
-            run_reordered_compressed(&bench.layered, set.trials()).expect("compressed run");
+        let (comp, _) = ReuseExecutor::new(&bench.layered)
+            .run_compressed(set.trials(), &NullRecorder)
+            .expect("compressed run");
         rows.push(Row::new(
             &bench.name,
             Strategy::Compressed,

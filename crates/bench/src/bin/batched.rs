@@ -13,6 +13,7 @@
 
 use std::time::Instant;
 
+use qsim_telemetry::NullRecorder;
 use redsim::exec::ReuseExecutor;
 use redsim::TreeExecutor;
 use redsim_bench::report::ResultsDoc;
@@ -42,13 +43,13 @@ fn main() {
         let reuse = ReuseExecutor::new(&bench.layered);
         let tree = TreeExecutor::new(&bench.layered);
 
-        let reference = reuse.run(trial_slice).expect("reuse runs");
+        let reference = reuse.run(trial_slice, &NullRecorder).expect("reuse runs");
         let mut reuse_ms = f64::INFINITY;
         let mut tree_ms = f64::INFINITY;
         let mut tree_stats = None;
         for _ in 0..reps.max(1) {
             let start = Instant::now();
-            let sequential = reuse.run(trial_slice).expect("reuse runs");
+            let sequential = reuse.run(trial_slice, &NullRecorder).expect("reuse runs");
             reuse_ms = reuse_ms.min(start.elapsed().as_secs_f64() * 1e3);
             assert_eq!(
                 sequential.outcomes, reference.outcomes,
@@ -57,7 +58,7 @@ fn main() {
             );
 
             let start = Instant::now();
-            let batched = tree.run(trial_slice).expect("tree runs");
+            let batched = tree.run(trial_slice, &NullRecorder).expect("tree runs");
             tree_ms = tree_ms.min(start.elapsed().as_secs_f64() * 1e3);
             // The headline claim, asserted on every timed pass: batching
             // is observationally invisible — bitwise-identical histograms

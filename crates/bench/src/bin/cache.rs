@@ -15,8 +15,9 @@
 
 use std::time::Instant;
 
+use qsim_telemetry::NullRecorder;
 use redsim::testkit::vqa_sweep;
-use redsim::{RunResult, Simulation};
+use redsim::{RunResult, RunSpec, Simulation};
 use redsim_bench::report::ResultsDoc;
 use redsim_bench::table::Table;
 use redsim_bench::{arg_flag, arg_value, json, report};
@@ -61,8 +62,10 @@ fn main() {
         .collect();
 
     // Uncached reference: pins the bitwise contract for both cache passes.
-    let reference: Vec<RunResult> =
-        sims.iter().map(|sim| sim.run_reordered().expect("sweep point runs")).collect();
+    let reference: Vec<RunResult> = sims
+        .iter()
+        .map(|sim| sim.run(&RunSpec::default(), &NullRecorder).expect("sweep point runs").result)
+        .collect();
 
     let mut uncached_ms = vec![f64::INFINITY; sims.len()];
     let mut cold_ms = vec![f64::INFINITY; sims.len()];
@@ -72,14 +75,18 @@ fn main() {
     for rep in 0..reps.max(1) {
         for (i, sim) in sims.iter().enumerate() {
             let start = Instant::now();
-            let result = sim.run_reordered().expect("sweep point runs");
+            let result =
+                sim.run(&RunSpec::default(), &NullRecorder).expect("sweep point runs").result;
             uncached_ms[i] = uncached_ms[i].min(start.elapsed().as_secs_f64() * 1e3);
             assert_bitwise(&sweep[i].name, "uncached", &result, &reference[i]);
         }
         store.clear().expect("cache directory clears");
         for (i, sim) in sims.iter().enumerate() {
             let start = Instant::now();
-            let (result, cache) = sim.run_reordered_cached(&store).expect("sweep point runs");
+            let (result, cache) = sim
+                .run(&RunSpec { store: Some(&store), ..RunSpec::default() }, &NullRecorder)
+                .map(|o| (o.result, o.cache.expect("cached runs report the store")))
+                .expect("sweep point runs");
             cold_ms[i] = cold_ms[i].min(start.elapsed().as_secs_f64() * 1e3);
             assert_bitwise(&sweep[i].name, "cold", &result, &reference[i]);
             if rep == 0 {
@@ -89,7 +96,10 @@ fn main() {
         }
         for (i, sim) in sims.iter().enumerate() {
             let start = Instant::now();
-            let (result, cache) = sim.run_reordered_cached(&store).expect("sweep point runs");
+            let (result, cache) = sim
+                .run(&RunSpec { store: Some(&store), ..RunSpec::default() }, &NullRecorder)
+                .map(|o| (o.result, o.cache.expect("cached runs report the store")))
+                .expect("sweep point runs");
             warm_ms[i] = warm_ms[i].min(start.elapsed().as_secs_f64() * 1e3);
             assert_bitwise(&sweep[i].name, "warm", &result, &reference[i]);
             if rep == 0 {

@@ -11,6 +11,7 @@
 
 use std::time::Instant;
 
+use qsim_telemetry::NullRecorder;
 use redsim::exec::{ExecStats, RunResult};
 use redsim::SimError;
 use redsim_bench::report::ResultsDoc;
@@ -79,10 +80,11 @@ fn main() {
             let trials = set.trials();
             let reuse = redsim::exec::ReuseExecutor::new(&bench.layered);
             let baseline = redsim::exec::BaselineExecutor::new(&bench.layered);
-            let (fused_ms, stats) = time_best(reps, || reuse.run(trials));
+            let (fused_ms, stats) = time_best(reps, || reuse.run(trials, &NullRecorder));
             let (unfused_ms, unfused_stats) = time_best(reps, || reuse.run_unfused(trials));
             assert_eq!(stats.ops, unfused_stats.ops, "fusion changed the paper metric");
-            let (base_fused_ms, base_stats) = time_best(reps, || baseline.run(trials));
+            let (base_fused_ms, base_stats) =
+                time_best(reps, || baseline.run(trials, &NullRecorder));
             let (base_unfused_ms, _) = time_best(reps, || baseline.run_unfused(trials));
             rows.push(Row {
                 name: bench.name.clone(),

@@ -77,22 +77,22 @@ fn main() {
         let reuse = ReuseExecutor::new(&bench.layered);
 
         let plain_ms = time_best(reps, || {
-            reuse.run(trials).expect("execution succeeds");
+            reuse.run(trials, &NullRecorder).expect("execution succeeds");
         });
         let null_ms = time_best(reps, || {
-            reuse.run_traced(trials, &NullRecorder).expect("execution succeeds");
+            reuse.run(trials, &NullRecorder).expect("execution succeeds");
         });
         let aggregate_ms = time_best(reps, || {
             let recorder = AggregatingRecorder::new();
-            reuse.run_traced(trials, &recorder).expect("execution succeeds");
+            reuse.run(trials, &recorder).expect("execution succeeds");
         });
         let flight_ms = time_best(reps, || {
             let recorder = FlightRecorder::with_capacity(1024);
-            reuse.run_traced(trials, &recorder).expect("execution succeeds");
+            reuse.run(trials, &recorder).expect("execution succeeds");
         });
         let jsonl_ms = time_best(reps, || {
             let recorder = JsonlRecorder::new(Box::new(std::io::sink()), &TraceMeta::default());
-            reuse.run_traced(trials, &recorder).expect("execution succeeds");
+            reuse.run(trials, &recorder).expect("execution succeeds");
             recorder.flush().expect("sink never fails");
         });
         rows.push(Row {
@@ -121,11 +121,11 @@ fn main() {
     let gate_trials = gate_set.trials();
     let gate_reuse = ReuseExecutor::new(&gate_layered);
     let gate_plain_ms = time_best(reps, || {
-        gate_reuse.run(gate_trials).expect("execution succeeds");
+        gate_reuse.run(gate_trials, &NullRecorder).expect("execution succeeds");
     });
     let flight = FlightRecorder::with_capacity(1024);
     let gate_flight_ms = time_best(reps, || {
-        gate_reuse.run_traced(gate_trials, &flight).expect("execution succeeds");
+        gate_reuse.run(gate_trials, &flight).expect("execution succeeds");
     });
     let gate_pct = 100.0 * (gate_flight_ms - gate_plain_ms) / gate_plain_ms.max(1e-9);
 

@@ -8,10 +8,10 @@ use qsim_circuit::{to_qasm, Circuit, CouplingMap};
 use qsim_noise::NoiseModel;
 use qsim_observatory::{ExpectedStats, LiveView};
 use qsim_telemetry::{
-    AggregatingRecorder, JsonlRecorder, LivePublisher, MetricsReport, NullRecorder, Recorder,
-    TeeRecorder, TraceMeta,
+    names, AggregatingRecorder, JsonlRecorder, LivePublisher, MetricsReport, NullRecorder,
+    Recorder, TeeRecorder, TraceMeta,
 };
-use redsim::{ExecStats, RunResult, Simulation};
+use redsim::{ExecStats, RunResult, RunSpec, SimError, Simulation, Walk};
 use redsim_msvstore::MsvStore;
 
 use crate::args::{CacheAction, CliError, Command, DeviceSpec, HistoryAction, NoiseSpec, Options};
@@ -46,10 +46,10 @@ pub fn execute(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
             Ok(())
         }
         Command::Analyze => analyze(&prepared, opts, out),
-        Command::Run => run(&prepared, opts, out),
+        Command::Run => run_or_profile(&prepared, opts, None, out),
         Command::Verify => verify(&prepared, opts, out),
         Command::Advise => advise(&prepared, opts, out),
-        Command::Profile => profile(&prepared, opts, out),
+        Command::Profile => run_or_profile(&prepared, opts, Some(&AggregatingRecorder::new()), out),
         Command::Report | Command::History(_) | Command::Cache(_) | Command::Top => {
             unreachable!("offline commands return before circuit parsing")
         }
@@ -249,30 +249,44 @@ fn verify(prepared: &Circuit, opts: &Options, out: &mut dyn Write) -> Result<(),
     Ok(())
 }
 
-/// The strategy the flag combination declares, for the advisor's
-/// suboptimal-strategy lint (`--baseline` runs the fused program).
-fn declared_strategy(opts: &Options) -> qsim_analyzer::Strategy {
-    if opts.baseline {
-        qsim_analyzer::Strategy::Fused
-    } else if opts.compressed {
-        qsim_analyzer::Strategy::Compressed
-    } else if wants_tree(opts) {
-        qsim_analyzer::Strategy::Tree
-    } else {
-        qsim_analyzer::Strategy::Reuse
-    }
-}
-
-/// Whether the flags select the batched tree executor.
-fn wants_tree(opts: &Options) -> bool {
-    opts.strategy.as_deref() == Some("tree")
+/// The run the flags declare. `--strategy tree` with `--baseline` is the
+/// one pair a [`RunSpec`] cannot hold; [`RunSpec::validate`] rejects the
+/// rest, which `analyze`, `advise` and `verify` never call.
+fn run_spec<'s>(opts: &Options, store: Option<&'s MsvStore>) -> Result<RunSpec<'s>, CliError> {
+    let tree = opts.strategy.as_deref() == Some("tree");
+    let walk = match (opts.baseline, tree) {
+        (true, true) => {
+            let conflict =
+                SimError::ConflictingOptions { flag: "--strategy tree", with: "--baseline" };
+            return Err(CliError(conflict.to_string()));
+        }
+        (true, false) => Walk::Baseline,
+        (false, true) => Walk::Tree,
+        (false, false) => Walk::Reuse,
+    };
+    Ok(RunSpec {
+        walk,
+        budget: opts.budget,
+        compressed: opts.compressed,
+        threads: opts.threads,
+        store,
+    })
 }
 
 fn advise(prepared: &Circuit, opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     let sim = simulation(prepared, opts)?;
     let plan = compiled_plan(&sim, opts)?;
     let advice = qsim_analyzer::advise(&plan);
-    let plan = plan.with_strategy(declared_strategy(opts)).with_advice(advice);
+    // The strategy the flags select, for the suboptimal-strategy lint
+    // (`--baseline` runs the fused program).
+    let spec = run_spec(opts, None)?;
+    let declared = match spec.walk {
+        Walk::Baseline => qsim_analyzer::Strategy::Fused,
+        Walk::Tree => qsim_analyzer::Strategy::Tree,
+        Walk::Reuse if spec.compressed => qsim_analyzer::Strategy::Compressed,
+        Walk::Reuse => qsim_analyzer::Strategy::Reuse,
+    };
+    let plan = plan.with_strategy(declared).with_advice(advice);
     let diagnostics = qsim_analyzer::verify(&plan);
     let advice = plan.advice.as_ref().expect("advice just attached");
     let best = advice.best_executable();
@@ -341,9 +355,7 @@ fn advise(prepared: &Circuit, opts: &Options, out: &mut dyn Write) -> Result<(),
         if advice.predictions.iter().any(|p| !p.strategy.executable()) {
             writeln!(out, "  (* predicted only; no executor ships yet)").map_err(io_err)?;
         }
-        let declared = advice
-            .prediction(declared_strategy(opts))
-            .expect("declared strategies are always ranked");
+        let declared = advice.prediction(declared).expect("declared strategies are always ranked");
         write!(out, "\nrecommended: {}", best.strategy).map_err(io_err)?;
         if best.amplitude_passes < declared.amplitude_passes {
             writeln!(
@@ -369,53 +381,15 @@ fn advise(prepared: &Circuit, opts: &Options, out: &mut dyn Write) -> Result<(),
     Ok(())
 }
 
-/// The strategy name the flag combination selects; recorded in the trace
-/// meta header so offline analysis knows what it is looking at.
-fn strategy_name(opts: &Options) -> &'static str {
-    if opts.cache.is_some() && !opts.baseline && !opts.compressed {
-        "reuse-cached"
-    } else if wants_tree(opts) {
-        "tree"
-    } else if opts.baseline {
-        if opts.threads == 1 {
-            "baseline"
-        } else {
-            "parallel-baseline"
-        }
-    } else if opts.compressed {
-        "compressed"
-    } else if opts.budget != usize::MAX {
-        "reuse-budget"
-    } else if opts.threads == 1 {
-        "reuse"
-    } else {
-        "parallel-reuse"
-    }
-}
-
-/// Run-metadata header for a `--trace` file.
-fn trace_meta(sim: &Simulation, opts: &Options) -> TraceMeta {
+/// Run-metadata header for a `--trace` file and `--live` snapshots: the
+/// strategy name tells offline analysis what it is looking at.
+fn trace_meta(sim: &Simulation, opts: &Options, spec: &RunSpec<'_>) -> TraceMeta {
     TraceMeta {
         git_rev: qsim_observatory::git_rev(),
         seed: opts.seed,
         qubits: sim.layered().n_qubits() as u64,
-        strategy: strategy_name(opts).to_owned(),
+        strategy: spec.name().to_owned(),
     }
-}
-
-/// Build the `--live` snapshot publisher for this run, when requested.
-fn live_publisher(sim: &Simulation, opts: &Options) -> Result<Option<LivePublisher>, CliError> {
-    let Some(dir) = &opts.live else { return Ok(None) };
-    let trials_total = sim.trials().expect("trials just prepared").trials().len() as u64;
-    let interval_ns = opts.live_interval_ms.saturating_mul(1_000_000);
-    LivePublisher::create(
-        std::path::Path::new(dir),
-        &trace_meta(sim, opts),
-        trials_total,
-        interval_ns,
-    )
-    .map(Some)
-    .map_err(|e| CliError(format!("{dir}: live publisher: {e}")))
 }
 
 /// Post-run reconciliation of the published `live.json` against the
@@ -447,141 +421,99 @@ fn finalize_live(
     }
 }
 
-/// Execute the strategy selected by the flags under `recorder`. Shared by
-/// `run` (NullRecorder or a `--trace` sink) and `profile` (aggregating,
-/// possibly teed into a trace).
+/// Execute `spec` under `recorder`, reporting the compressed-storage or
+/// prefix-store accounting on stderr.
 fn run_strategy<R: Recorder + ?Sized>(
     sim: &Simulation,
-    opts: &Options,
+    spec: &RunSpec<'_>,
     recorder: &R,
 ) -> Result<RunResult, CliError> {
-    if wants_tree(opts)
-        && (opts.baseline
-            || opts.compressed
-            || opts.budget != usize::MAX
-            || opts.threads != 1
-            || opts.cache.is_some())
-    {
-        return Err(CliError(
-            "--strategy tree runs the batched tree executor; \
-             drop --baseline/--compressed/--budget/--threads/--cache"
-                .to_owned(),
-        ));
+    let output = sim.run(spec, recorder).map_err(|e| CliError(format!("execution: {e}")))?;
+    if let Some(comp) = output.compression {
+        eprintln!(
+            "compressed frontiers: peak {} B vs {} B dense ({}/{} sparse)",
+            comp.peak_stored_bytes, comp.peak_dense_bytes, comp.sparse_frames, comp.frames_stored
+        );
     }
-    if let Some(dir) = &opts.cache {
-        if opts.baseline || opts.compressed || opts.budget != usize::MAX || opts.threads != 1 {
-            return Err(CliError(
-                "--cache applies to the default reordered strategy; \
-                 drop --baseline/--compressed/--budget/--threads"
-                    .to_owned(),
-            ));
-        }
-        let store = open_store(dir, opts.cache_budget)?;
-        return sim
-            .run_reordered_cached_traced(&store, recorder)
-            .map(|(result, cache)| {
-                eprintln!(
-                    "semantic cache {} at layer {}: key {} ({} B read, {} B written)",
-                    if cache.hit { "hit" } else { "miss" },
-                    cache.prefix_layer,
-                    cache.key.as_deref().unwrap_or("-"),
-                    cache.bytes_read,
-                    cache.bytes_written
-                );
-                result
-            })
-            .map_err(|e| CliError(format!("execution: {e}")));
+    if let Some(cache) = output.cache {
+        eprintln!(
+            "semantic cache {} at layer {}: key {} ({} B read, {} B written)",
+            if cache.hit { "hit" } else { "miss" },
+            cache.prefix_layer,
+            cache.key.as_deref().unwrap_or("-"),
+            cache.bytes_read,
+            cache.bytes_written
+        );
     }
-    if opts.baseline {
-        if opts.threads == 1 {
-            sim.run_baseline_traced(recorder)
-        } else {
-            sim.run_baseline_parallel_traced(opts.threads, recorder)
-        }
-    } else if opts.compressed {
-        sim.run_reordered_compressed_traced(recorder).map(|(result, comp)| {
-            eprintln!(
-                "compressed frontiers: peak {} B vs {} B dense ({}/{} sparse)",
-                comp.peak_stored_bytes,
-                comp.peak_dense_bytes,
-                comp.sparse_frames,
-                comp.frames_stored
-            );
-            result
-        })
-    } else if wants_tree(opts) {
-        sim.run_tree_traced(recorder)
-    } else if opts.budget != usize::MAX {
-        sim.run_reordered_with_budget_traced(opts.budget, recorder)
-    } else if opts.threads == 1 {
-        sim.run_reordered_traced(recorder)
-    } else {
-        sim.run_reordered_parallel_traced(opts.threads, recorder)
-    }
-    .map_err(|e| CliError(format!("execution: {e}")))
+    Ok(output.result)
 }
 
-fn run(prepared: &Circuit, opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
+/// `run` and `profile`: execute the flags' [`RunSpec`] with `aggregate`
+/// (profile), the `--trace` file and the `--live` publisher teed together
+/// as requested, then print the stats line — plus, for `run`, the
+/// elapsed time and histogram, and for `profile`, the cross-checked
+/// metrics page.
+fn run_or_profile(
+    prepared: &Circuit,
+    opts: &Options,
+    aggregate: Option<&AggregatingRecorder>,
+    out: &mut dyn Write,
+) -> Result<(), CliError> {
     let sim = simulation(prepared, opts)?;
+    let store = opts.cache.as_deref().map(|dir| open_store(dir, opts.cache_budget)).transpose()?;
+    let spec = run_spec(opts, store.as_ref())?;
+    spec.validate().map_err(|e| CliError(e.to_string()))?;
     let started = std::time::Instant::now();
-    let live = live_publisher(&sim, opts)?;
-    let result = match (&opts.trace, &live) {
-        (Some(path), publisher) => {
-            let trace = JsonlRecorder::create(path, &trace_meta(&sim, opts))
-                .map_err(|e| CliError(format!("{path}: {e}")))?;
-            let result = match publisher {
-                Some(publisher) => {
-                    let tee = TeeRecorder::new(&trace, publisher);
-                    run_strategy(&sim, opts, &tee)?
-                }
-                None => run_strategy(&sim, opts, &trace)?,
-            };
-            trace.flush().map_err(|e| CliError(format!("{path}: {e}")))?;
-            result
-        }
-        (None, Some(publisher)) => run_strategy(&sim, opts, publisher)?,
-        (None, None) => run_strategy(&sim, opts, &NullRecorder)?,
+    // Only a trace or live header needs the metadata, whose git lookup
+    // spawns a process.
+    let meta = std::cell::OnceCell::new();
+    let meta = || meta.get_or_init(|| trace_meta(&sim, opts, &spec));
+    let live = opts
+        .live
+        .as_deref()
+        .map(|dir| {
+            let trials = sim.trials().expect("trials just prepared").trials().len() as u64;
+            let interval_ns = opts.live_interval_ms.saturating_mul(1_000_000);
+            LivePublisher::create(std::path::Path::new(dir), meta(), trials, interval_ns)
+                .map_err(|e| CliError(format!("{dir}: live publisher: {e}")))
+        })
+        .transpose()?;
+    let trace = opts
+        .trace
+        .as_deref()
+        .map(|path| {
+            JsonlRecorder::create(path, meta()).map_err(|e| CliError(format!("{path}: {e}")))
+        })
+        .transpose()?;
+    let sinks: Vec<&dyn Recorder> = [
+        aggregate.map(|r| r as &dyn Recorder),
+        trace.as_ref().map(|r| r as &dyn Recorder),
+        live.as_ref().map(|r| r as &dyn Recorder),
+    ]
+    .into_iter()
+    .flatten()
+    .collect();
+    let result = match sinks[..] {
+        [] => run_strategy(&sim, &spec, &NullRecorder)?,
+        [one] => run_strategy(&sim, &spec, one)?,
+        [a, b] => run_strategy(&sim, &spec, &TeeRecorder::new(a, b))?,
+        [a, b, c] => run_strategy(&sim, &spec, &TeeRecorder::new(&TeeRecorder::new(a, b), c))?,
+        _ => unreachable!("at most three sinks"),
     };
+    if let (Some(trace), Some(path)) = (&trace, &opts.trace) {
+        trace.flush().map_err(|e| CliError(format!("{path}: {e}")))?;
+    }
     if let Some(publisher) = &live {
         finalize_live(publisher, opts, &result.stats)?;
     }
-    let elapsed = started.elapsed();
-    let histogram = sim.histogram(&result);
-    writeln!(out, "{} ({elapsed:?})", result.stats).map_err(io_err)?;
-    writeln!(out, "{histogram}").map_err(io_err)?;
-    Ok(())
-}
-
-fn profile(prepared: &Circuit, opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
-    let sim = simulation(prepared, opts)?;
-    let aggregate = AggregatingRecorder::new();
-    let live = live_publisher(&sim, opts)?;
-    let result = match (&opts.trace, &live) {
-        (Some(path), publisher) => {
-            let trace = JsonlRecorder::create(path, &trace_meta(&sim, opts))
-                .map_err(|e| CliError(format!("{path}: {e}")))?;
-            let tee = TeeRecorder::new(&aggregate, &trace);
-            let result = match publisher {
-                Some(publisher) => {
-                    let tee = TeeRecorder::new(&tee, publisher);
-                    run_strategy(&sim, opts, &tee)?
-                }
-                None => run_strategy(&sim, opts, &tee)?,
-            };
-            trace.flush().map_err(|e| CliError(format!("{path}: {e}")))?;
-            result
-        }
-        (None, Some(publisher)) => {
-            let tee = TeeRecorder::new(&aggregate, publisher);
-            run_strategy(&sim, opts, &tee)?
-        }
-        (None, None) => run_strategy(&sim, opts, &aggregate)?,
+    let Some(aggregate) = aggregate else {
+        let elapsed = started.elapsed();
+        writeln!(out, "{} ({elapsed:?})", result.stats).map_err(io_err)?;
+        writeln!(out, "{}", sim.histogram(&result)).map_err(io_err)?;
+        return Ok(());
     };
-    if let Some(publisher) = &live {
-        finalize_live(publisher, opts, &result.stats)?;
-    }
     let report = aggregate.report();
-    cross_check(&sim, opts, &result.stats, &report)?;
+    cross_check(&sim, &spec, &result.stats, &report)?;
     if let Some(path) = &opts.folded {
         std::fs::write(path, report.render_folded())
             .map_err(|e| CliError(format!("{path}: {e}")))?;
@@ -602,7 +534,7 @@ fn profile(prepared: &Circuit, opts: &Options, out: &mut dyn Write) -> Result<()
 /// prediction too.
 fn cross_check(
     sim: &Simulation,
-    opts: &Options,
+    spec: &RunSpec<'_>,
     stats: &ExecStats,
     report: &MetricsReport,
 ) -> Result<(), CliError> {
@@ -617,7 +549,13 @@ fn cross_check(
         expect("ops", report.counter("ops"), stats.ops);
         expect("fused_ops", report.counter("fused_ops"), stats.fused_ops);
         expect("amplitude_passes", report.counter("amplitude_passes"), stats.amplitude_passes);
-        expect("kernel applications", report.total_kernel_count(), stats.amplitude_passes);
+        // A prefix-store hit credits the passes it skipped instead of
+        // timing them.
+        expect(
+            "kernel applications",
+            report.total_kernel_count() + report.counter(names::MSVSTORE_CREDITED_PASSES),
+            stats.amplitude_passes,
+        );
         // Zero on non-batched runs (neither side records them), exact on
         // tree runs.
         expect("batch_sweeps", report.counter("batch_sweeps"), stats.batch_sweeps);
@@ -633,7 +571,7 @@ fn cross_check(
             report.counter("fusion_bypassed"),
             recompiled.bypassed_segments() as u64,
         );
-        if opts.threads == 1 {
+        if spec.threads == 1 {
             // Sequential runs: live residency reproduces the MSV metric.
             expect("peak MSVs", report.peak_residency() as u64, stats.peak_msv as u64);
         } else if report.peak_residency() > stats.peak_msv {
@@ -648,17 +586,18 @@ fn cross_check(
     }
     // The static analyzer predicts sequential costs exactly; parallel
     // chunking changes the sharing structure, so it is exempt.
-    if opts.threads == 1 {
+    if spec.threads == 1 {
         let cost =
-            sim.analyze_with_budget(opts.budget).map_err(|e| CliError(format!("analysis: {e}")))?;
-        let predicted = if opts.baseline { cost.baseline_ops } else { cost.optimized_ops };
+            sim.analyze_with_budget(spec.budget).map_err(|e| CliError(format!("analysis: {e}")))?;
+        let baseline = spec.walk == Walk::Baseline;
+        let predicted = if baseline { cost.baseline_ops } else { cost.optimized_ops };
         if stats.ops != predicted {
             mismatches.push(format!(
                 "analyzer ops: executor did {}, analyzer says {predicted}",
                 stats.ops
             ));
         }
-        if wants_tree(opts) {
+        if spec.walk == Walk::Tree {
             // The tree frontier peaks at the number of distinct injection
             // lists (buffer stealing keeps it monotone until the final
             // boundary), not at the reuse stack depth the CostReport
@@ -679,7 +618,7 @@ fn cross_check(
                     lists.len()
                 ));
             }
-        } else if !opts.baseline && stats.peak_msv != cost.msv_peak {
+        } else if !baseline && stats.peak_msv != cost.msv_peak {
             mismatches.push(format!(
                 "analyzer MSV peak: executor held {}, analyzer says {}",
                 stats.peak_msv, cost.msv_peak
@@ -1222,11 +1161,6 @@ mod tests {
         let stats = run_cli(&["cache", "stats", "--cache", &dir_str]).unwrap();
         assert!(stats.contains("entries: 0"), "{stats}");
 
-        // Strategy combinations the cache does not cover fail loudly.
-        let mut bad: Vec<&str> = invocation.to_vec();
-        bad.push("--baseline");
-        let err = run_cli(&bad).unwrap_err();
-        assert!(err.to_string().contains("--cache applies"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1339,17 +1273,57 @@ mod tests {
     }
 
     #[test]
-    fn tree_strategy_rejects_conflicting_flags() {
+    fn run_and_profile_reject_every_flag_pair_no_executor_honours() {
         let circuit = bell_file();
-        for extra in
-            [["--baseline"].as_slice(), &["--compressed"], &["--budget", "2"], &["--threads", "2"]]
-        {
-            let path = circuit.path_str();
-            let mut parts = vec!["run", path.as_str(), "--trials", "16", "--strategy", "tree"];
-            parts.extend(extra.iter().copied());
-            let err = run_cli(&parts).unwrap_err();
-            assert!(err.to_string().contains("--strategy tree"), "{extra:?}: {err}");
+        let dir = std::env::temp_dir().join(format!("qsim-cli-conflict-{}", std::process::id()));
+        let dir_str = dir.to_string_lossy().into_owned();
+        let cache = ["--cache", dir_str.as_str()];
+        let tree = ["--strategy", "tree"];
+        for (first, second, flag, with) in [
+            (&tree[..], &["--baseline"][..], "--strategy tree", "--baseline"),
+            (&tree, &["--compressed"], "--strategy tree", "--compressed"),
+            (&tree, &["--budget", "2"], "--strategy tree", "--budget"),
+            (&tree, &["--threads", "2"], "--strategy tree", "--threads"),
+            (&tree, &cache, "--strategy tree", "--cache"),
+            (&["--baseline"], &["--budget", "2"], "--baseline", "--budget"),
+            (&["--baseline"], &["--compressed"], "--baseline", "--compressed"),
+            (&["--baseline"], &cache, "--baseline", "--cache"),
+            (&["--threads", "2"], &["--budget", "2"], "--threads", "--budget"),
+            (&["--threads", "0"], &["--compressed"], "--threads", "--compressed"),
+            (&cache, &["--threads", "2"], "--cache", "--threads"),
+            (&cache, &["--budget", "2"], "--cache", "--budget"),
+            (&cache, &["--compressed"], "--cache", "--compressed"),
+        ] {
+            for command in ["run", "profile"] {
+                let path = circuit.path_str();
+                let mut parts = vec![command, path.as_str(), "--trials", "16"];
+                parts.extend(first.iter().chain(second).copied());
+                let err = run_cli(&parts).unwrap_err();
+                assert_eq!(err.to_string(), format!("{flag} cannot be combined with {with}"));
+            }
         }
+        // The static commands keep taking a budget with any strategy flag.
+        for command in ["analyze", "advise", "verify"] {
+            let path = circuit.path_str();
+            for flag in ["--baseline", "--compressed"] {
+                let parts = [command, path.as_str(), "--trials", "16", "--budget", "2", flag];
+                run_cli(&parts).unwrap_or_else(|e| panic!("{command} {flag}: {e}"));
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn compressed_runs_honour_the_budget() {
+        let qft4 = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmarks/yorktown/qft4.qasm");
+        let flags = ["--trials", "4096", "--seed", "3", "--compressed", "--budget", "1"];
+        let mut parts = vec!["profile", qft4];
+        parts.extend(flags);
+        let profile = run_cli(&parts).unwrap_or_else(|e| panic!("profile cross-check: {e}"));
+        assert!(profile.contains(", 1 stored states at peak"), "{profile}");
+        parts[0] = "run";
+        let run = run_cli(&parts).unwrap();
+        assert!(run.contains(", 1 stored states at peak"), "{run}");
     }
 
     #[test]

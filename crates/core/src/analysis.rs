@@ -158,7 +158,7 @@ pub fn analyze_sorted(layered: &LayeredCircuit, trials: &[Trial]) -> Result<Cost
 
 /// Analyze the reordered execution under a hard cap of `budget`
 /// concurrently stored state vectors (see
-/// [`crate::exec::ReuseExecutor::run_with_budget`]): sharing deeper than
+/// [`crate::exec::ReuseExecutor::with_budget`]): sharing deeper than
 /// `budget − 1` injections is recomputed. This quantifies the
 /// memory/computation trade-off the paper's §IV motivates; with
 /// `budget = usize::MAX` it reproduces [`analyze_sorted`] exactly.

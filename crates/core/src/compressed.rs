@@ -1,29 +1,23 @@
-//! A storage-compressed variant of the reuse executor.
+//! Compressed at-rest storage for the reuse walk.
 //!
 //! The paper keeps the MSV count low because each cached frontier costs a
 //! full `2ⁿ` amplitude vector; its related work (compressed simulation,
 //! QuIDD/decision-diagram state storage) attacks the *per-state* cost
 //! instead. This module combines the two: the same reordered prefix-caching
-//! traversal, but frontiers at rest are held as
-//! [`qsim_statevec::StoredState`] (exact zero-elided sparse form when
+//! walk ([`crate::exec::ReuseExecutor::run_compressed`]), but frontiers at
+//! rest are held as [`StoredState`] (exact zero-elided sparse form when
 //! profitable). Structured circuits spend long prefixes in nearly-basis
 //! states, where a cached frontier shrinks from `2ⁿ` amplitudes to a
 //! handful of entries.
 //!
-//! Operation counts and measurement outcomes are identical to
-//! [`crate::exec::ReuseExecutor`]; only the at-rest representation differs.
-//! Like the dense executors, the traversal runs the trial set's shared
-//! [`qsim_circuit::FusedProgram`], so outcomes stay bitwise comparable
-//! across every execution strategy.
+//! Operation counts and measurement outcomes are identical to the dense
+//! walk's, under every stored-state budget; only the at-rest
+//! representation differs.
 
-use qsim_circuit::{FusedProgram, LayeredCircuit};
-use qsim_noise::Trial;
-use qsim_statevec::{MeasureOutcome, StateVector, StoredState};
-use qsim_telemetry::{Heartbeat, KernelClass, MsvEvent, NullRecorder, Recorder};
+use qsim_statevec::{StateVector, StoredState};
+use qsim_telemetry::Recorder;
 
-use crate::exec::{ExecStats, RunResult};
-use crate::order::{compare_trials, lcp};
-use crate::SimError;
+use crate::exec::AtRest;
 
 /// Memory accounting of one compressed run.
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -67,328 +61,104 @@ impl CompressionStats {
     }
 }
 
-struct Frame {
-    depth: usize,
-    done: i64,
-    stored: StoredState,
+/// Frontiers held at rest as [`StoredState`], with the memory accounting
+/// of every store.
+pub(crate) struct Compressed {
+    pub(crate) stats: CompressionStats,
+    dense_bytes: usize,
 }
 
-/// Bytes held by the cached frontiers in their at-rest (compressed) form
-/// — the compressed executor's resident-memory gauge for heartbeats.
-fn stored_resident_bytes(stack: &[Frame]) -> u64 {
-    stack.iter().map(|f| f.stored.stored_bytes() as u64).sum()
-}
-
-/// Advance through fused segments, observing per-kernel timings when the
-/// recorder is live (mirrors the dense executors' instrumentation,
-/// including the batched fallback for recorders that decline per-kernel
-/// timing).
-fn advance_traced<R: Recorder + ?Sized>(
-    program: &FusedProgram,
-    state: &mut StateVector,
-    done: &mut i64,
-    through: i64,
-    recorder: &R,
-    phase: &'static str,
-) -> Result<(u64, u64), SimError> {
-    if !recorder.enabled() {
-        return Ok(program.apply_through(state, done, through)?);
-    }
-    if !recorder.kernel_timing() {
-        let start = recorder.now_ns();
-        let counts = program.apply_through(state, done, through)?;
-        let ns = recorder.now_ns().saturating_sub(start);
-        if counts.1 > 0 {
-            recorder.kernel(phase, KernelClass::Unfused, through.max(0) as u64, counts.1, ns);
-        }
-        return Ok(counts);
-    }
-    Ok(program.apply_through_observed(state, done, through, &mut |op, layer, ns| {
-        let class = KernelClass::from_name(op.kernel_name()).unwrap_or(KernelClass::Unfused);
-        recorder.kernel(phase, class, layer as u64, 1, ns);
-    })?)
-}
-
-/// Run the reordered, prefix-cached execution with compressed at-rest
-/// frontiers. Returns the usual [`RunResult`] (outcomes in input order,
-/// ops/MSV identical to the dense executor) plus [`CompressionStats`].
-///
-/// # Errors
-///
-/// Returns [`SimError`] for trials whose injections do not fit the circuit.
-pub fn run_reordered_compressed(
-    layered: &LayeredCircuit,
-    trials: &[Trial],
-) -> Result<(RunResult, CompressionStats), SimError> {
-    run_reordered_compressed_traced(layered, trials, &NullRecorder)
-}
-
-/// [`run_reordered_compressed`] with instrumentation streamed into
-/// `recorder`: per-kernel timings (phases `"compressed/shared"`,
-/// `"compressed/remainder"`), MSV lifecycle and prefix-cache events
-/// matching the dense reuse executor, `compress.*` counters mirroring
-/// [`CompressionStats`], and a `"run/compressed"` span. With a
-/// [`NullRecorder`] this is exactly [`run_reordered_compressed`].
-///
-/// # Errors
-///
-/// As [`run_reordered_compressed`].
-pub fn run_reordered_compressed_traced<R: Recorder + ?Sized>(
-    layered: &LayeredCircuit,
-    trials: &[Trial],
-    recorder: &R,
-) -> Result<(RunResult, CompressionStats), SimError> {
-    let n_layers = layered.n_layers();
-    for trial in trials {
-        if let Some(inj) = trial.injections().last() {
-            if inj.layer() >= n_layers {
-                return Err(SimError::LayerOutOfRange { layer: inj.layer(), n_layers });
-            }
+impl Compressed {
+    pub(crate) fn new(n_qubits: usize) -> Self {
+        Compressed {
+            stats: CompressionStats::default(),
+            dense_bytes: StoredState::dense_bytes(n_qubits),
         }
     }
-    #[cfg(feature = "paranoid")]
-    crate::exec::paranoid_verify(layered, trials, usize::MAX)?;
-    let span_start = recorder.now_ns();
-    let last_layer = n_layers as i64 - 1;
-    let program = crate::exec::fuse_for_trials_traced(layered, trials, recorder);
-    let dense_bytes = StoredState::dense_bytes(layered.n_qubits());
-    let mut order: Vec<usize> = (0..trials.len()).collect();
-    order.sort_by(|&a, &b| compare_trials(&trials[a], &trials[b]));
+}
 
-    let mut outcomes: Vec<Option<MeasureOutcome>> = vec![None; trials.len()];
-    let mut ops: u64 = 0;
-    let mut fused_ops: u64 = 0;
-    let mut passes: u64 = 0;
-    let mut peak_msv = usize::from(!trials.is_empty());
-    let mut comp = CompressionStats::default();
-    let store = |comp: &mut CompressionStats, state: StateVector| -> StoredState {
+impl AtRest for Compressed {
+    type Held = StoredState;
+    const SPAN: &'static str = "run/compressed";
+    const PHASES: [&'static str; 3] =
+        ["compressed/shared", "compressed/branch", "compressed/remainder"];
+
+    fn store(&mut self, state: StateVector) -> StoredState {
         let stored = StoredState::compress_owned(state);
-        comp.frames_stored += 1;
+        self.stats.frames_stored += 1;
         if stored.is_sparse() {
-            comp.sparse_frames += 1;
+            self.stats.sparse_frames += 1;
         }
-        comp.total_stored_bytes += stored.stored_bytes() as u64;
-        comp.total_dense_bytes += dense_bytes as u64;
+        self.stats.total_stored_bytes += stored.stored_bytes() as u64;
+        self.stats.total_dense_bytes += self.dense_bytes as u64;
         stored
-    };
-
-    let mut stack: Vec<Frame> = vec![Frame {
-        depth: 0,
-        done: -1,
-        stored: store(&mut comp, StateVector::zero_state(layered.n_qubits())),
-    }];
-    let track_bytes = |comp: &mut CompressionStats, stack: &[Frame], msv_peak: usize| {
-        let bytes: usize = stack.iter().map(|f| f.stored.stored_bytes()).sum();
-        comp.peak_stored_bytes = comp.peak_stored_bytes.max(bytes);
-        comp.peak_dense_bytes = comp.peak_dense_bytes.max(msv_peak * dense_bytes);
-    };
-    track_bytes(&mut comp, &stack, peak_msv);
-    if recorder.enabled() && !trials.is_empty() {
-        recorder.msv(MsvEvent::Create, 0, 1);
     }
 
-    for (pos, &orig) in order.iter().enumerate() {
-        let cur = &trials[orig];
-        let injections = cur.injections();
-        let keep = match order.get(pos + 1) {
-            Some(&next) => lcp(cur, &trials[next]),
-            None => 0,
-        };
-        let mut d = stack.last().expect("stack holds the root").depth;
-        if recorder.enabled() {
-            recorder.cache(d, pos > 0);
-            if pos > 0 {
-                recorder.msv(MsvEvent::Reuse, d, stack.len());
-            }
-        }
-        loop {
-            if d == injections.len() {
-                // Terminal: finish the circuit on the node frontier.
-                let top = stack.last_mut().expect("nonempty stack");
-                let mut state = top.stored.to_state();
-                let (src, f) = advance_traced(
-                    &program,
-                    &mut state,
-                    &mut top.done,
-                    last_layer,
-                    recorder,
-                    "compressed/shared",
-                )?;
-                ops += src;
-                fused_ops += f;
-                passes += f;
-                outcomes[orig] = Some(crate::exec::measure(layered, &state, cur));
-                top.stored = store(&mut comp, state);
-                while stack.last().is_some_and(|f| f.depth > keep) {
-                    let frame = stack.pop().expect("checked nonempty");
-                    if recorder.enabled() {
-                        recorder.msv(MsvEvent::Drop, frame.depth, stack.len());
-                    }
-                }
-                track_bytes(&mut comp, &stack, peak_msv);
-                if recorder.enabled() {
-                    recorder.heartbeat(Heartbeat {
-                        completed: 1,
-                        depth: d as u64,
-                        resident_bytes: stored_resident_bytes(&stack),
-                    });
-                }
-                break;
-            }
-            let target = injections[d].layer() as i64;
-            {
-                let top = stack.last_mut().expect("nonempty stack");
-                if top.done < target {
-                    let mut state = top.stored.to_state();
-                    let (src, f) = advance_traced(
-                        &program,
-                        &mut state,
-                        &mut top.done,
-                        target,
-                        recorder,
-                        "compressed/shared",
-                    )?;
-                    ops += src;
-                    fused_ops += f;
-                    passes += f;
-                    top.stored = store(&mut comp, state);
-                }
-            }
-            if d < keep {
-                let mut child = stack.last().expect("nonempty stack").stored.to_state();
-                crate::exec::inject_traced(
-                    &injections[d],
-                    &mut child,
-                    recorder,
-                    "compressed/branch",
-                )?;
-                ops += 1;
-                passes += 1;
-                stack.push(Frame { depth: d + 1, done: target, stored: store(&mut comp, child) });
-                peak_msv = peak_msv.max(stack.len());
-                if recorder.enabled() {
-                    recorder.msv(MsvEvent::Fork, d + 1, stack.len());
-                }
-                track_bytes(&mut comp, &stack, peak_msv);
-                d += 1;
-            } else {
-                let mut working = if d <= keep {
-                    stack.last().expect("nonempty stack").stored.to_state()
-                } else {
-                    let frame = stack.pop().expect("nonempty stack");
-                    if recorder.enabled() {
-                        recorder.msv(MsvEvent::Drop, frame.depth, stack.len());
-                    }
-                    while stack.last().is_some_and(|f| f.depth > keep) {
-                        let dropped = stack.pop().expect("checked nonempty");
-                        if recorder.enabled() {
-                            recorder.msv(MsvEvent::Drop, dropped.depth, stack.len());
-                        }
-                    }
-                    frame.stored.into_state()
-                };
-                let mut done = target;
-                crate::exec::inject_traced(
-                    &injections[d],
-                    &mut working,
-                    recorder,
-                    "compressed/remainder",
-                )?;
-                ops += 1;
-                passes += 1;
-                for inj in &injections[d + 1..] {
-                    let (src, f) = advance_traced(
-                        &program,
-                        &mut working,
-                        &mut done,
-                        inj.layer() as i64,
-                        recorder,
-                        "compressed/remainder",
-                    )?;
-                    ops += src;
-                    fused_ops += f;
-                    passes += f;
-                    crate::exec::inject_traced(
-                        inj,
-                        &mut working,
-                        recorder,
-                        "compressed/remainder",
-                    )?;
-                    ops += 1;
-                    passes += 1;
-                }
-                let (src, f) = advance_traced(
-                    &program,
-                    &mut working,
-                    &mut done,
-                    last_layer,
-                    recorder,
-                    "compressed/remainder",
-                )?;
-                ops += src;
-                fused_ops += f;
-                passes += f;
-                outcomes[orig] = Some(crate::exec::measure(layered, &working, cur));
-                track_bytes(&mut comp, &stack, peak_msv);
-                if recorder.enabled() {
-                    recorder.heartbeat(Heartbeat {
-                        completed: 1,
-                        depth: d as u64,
-                        resident_bytes: stored_resident_bytes(&stack),
-                    });
-                }
-                break;
-            }
-        }
+    fn copy(&mut self, held: &StoredState) -> StateVector {
+        held.to_state()
     }
 
-    let stats = ExecStats {
-        ops,
-        fused_ops,
-        amplitude_passes: passes,
-        peak_msv: if trials.is_empty() { 0 } else { peak_msv },
-        n_trials: trials.len(),
-        ..ExecStats::default()
-    };
-    if recorder.enabled() {
-        crate::exec::record_stats_counters(recorder, &stats);
-        recorder.counter("compress.frames_stored", comp.frames_stored);
-        recorder.counter("compress.sparse_frames", comp.sparse_frames);
-        recorder.counter("compress.stored_bytes", comp.total_stored_bytes);
-        recorder.counter("compress.dense_bytes", comp.total_dense_bytes);
-        recorder.span("run/compressed", span_start, recorder.now_ns());
+    fn take(&mut self, held: StoredState) -> StateVector {
+        held.into_state()
     }
-    Ok((
-        RunResult {
-            outcomes: outcomes
-                .into_iter()
-                .map(|o| o.expect("every trial produced an outcome"))
-                .collect(),
-            stats,
-        },
-        comp,
-    ))
+
+    fn update<T>(&mut self, held: &mut StoredState, f: impl FnOnce(&mut StateVector) -> T) -> T {
+        let mut state = held.to_state();
+        let out = f(&mut state);
+        *held = self.store(state);
+        out
+    }
+
+    fn recycle(&mut self, _state: StateVector) {}
+
+    fn release(&mut self, _held: StoredState) {}
+
+    /// Bytes held by the cached frontiers in their at-rest form.
+    fn resident_bytes<'h>(&self, cached: impl ExactSizeIterator<Item = &'h StoredState>) -> u64 {
+        cached.map(|held| held.stored_bytes() as u64).sum()
+    }
+
+    fn settle<'h>(&mut self, cached: impl Iterator<Item = &'h StoredState>, peak_msv: usize) {
+        let bytes: usize = cached.map(StoredState::stored_bytes).sum();
+        self.stats.peak_stored_bytes = self.stats.peak_stored_bytes.max(bytes);
+        self.stats.peak_dense_bytes = self.stats.peak_dense_bytes.max(peak_msv * self.dense_bytes);
+    }
+
+    fn record<R: Recorder + ?Sized>(&self, recorder: &R) {
+        recorder.counter("compress.frames_stored", self.stats.frames_stored);
+        recorder.counter("compress.sparse_frames", self.stats.sparse_frames);
+        recorder.counter("compress.stored_bytes", self.stats.total_stored_bytes);
+        recorder.counter("compress.dense_bytes", self.stats.total_dense_bytes);
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::analysis::analyze;
-    use crate::exec::BaselineExecutor;
+    use crate::analysis::analyze_sorted_with_budget;
+    use crate::exec::{BaselineExecutor, ReuseExecutor};
     use crate::testkit::uniform_workload;
     use qsim_circuit::catalog;
+    use qsim_telemetry::NullRecorder;
 
     fn run_case(circuit: &qsim_circuit::Circuit, rate_scale: f64, n: usize) {
         let rates = ((1e-2 * rate_scale).min(1.0), (5e-2 * rate_scale).min(1.0), 1e-2);
         let (layered, set) = uniform_workload(circuit, rates, n, 3);
-        let baseline = BaselineExecutor::new(&layered).run(set.trials()).unwrap();
-        let (result, comp) = run_reordered_compressed(&layered, set.trials()).unwrap();
-        assert_eq!(result.outcomes, baseline.outcomes, "{}", circuit.name());
-        let report = analyze(&layered, &set).unwrap();
-        assert_eq!(result.stats.ops, report.optimized_ops, "{}", circuit.name());
-        assert_eq!(result.stats.peak_msv, report.msv_peak, "{}", circuit.name());
-        assert!(comp.peak_stored_bytes <= comp.peak_dense_bytes);
-        assert!(comp.frames_stored > 0);
+        let baseline = BaselineExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
+        let mut sorted = set.trials().to_vec();
+        crate::order::reorder(&mut sorted);
+        for budget in [1, 2, usize::MAX] {
+            let label = format!("{} budget {budget}", circuit.name());
+            let (result, comp) = ReuseExecutor::new(&layered)
+                .with_budget(budget)
+                .run_compressed(set.trials(), &NullRecorder)
+                .unwrap();
+            assert_eq!(result.outcomes, baseline.outcomes, "{label}");
+            let report = analyze_sorted_with_budget(&layered, &sorted, budget).unwrap();
+            assert_eq!(result.stats.ops, report.optimized_ops, "{label}");
+            assert_eq!(result.stats.peak_msv, report.msv_peak, "{label}");
+            assert!(comp.peak_stored_bytes <= comp.peak_dense_bytes);
+            assert!(comp.frames_stored > 0);
+        }
     }
 
     #[test]
@@ -402,7 +172,8 @@ mod tests {
     fn structured_circuits_compress_their_frontiers() {
         // BV frontiers before the final Hadamards are near-basis states.
         let (layered, set) = uniform_workload(&catalog::bv(5, 0b1111), (1e-2, 5e-2, 0.0), 500, 9);
-        let (_, comp) = run_reordered_compressed(&layered, set.trials()).unwrap();
+        let (_, comp) =
+            ReuseExecutor::new(&layered).run_compressed(set.trials(), &NullRecorder).unwrap();
         assert!(comp.sparse_frames > 0, "no frontier ever compressed");
         // BV's mid-circuit |±…±⟩ frontiers are fully dense, so the peak
         // *instant* cannot compress; the at-rest stores (terminal near-basis
@@ -415,7 +186,8 @@ mod tests {
     fn dense_random_circuits_fall_back_to_dense_storage() {
         let (layered, set) =
             uniform_workload(&catalog::quantum_volume(5, 3, 4), (1e-2, 5e-2, 0.0), 200, 2);
-        let (result, comp) = run_reordered_compressed(&layered, set.trials()).unwrap();
+        let (result, comp) =
+            ReuseExecutor::new(&layered).run_compressed(set.trials(), &NullRecorder).unwrap();
         // QV states are dense almost immediately: ratio ≈ 1 but never worse.
         assert!(comp.peak_ratio() <= 1.0);
         assert_eq!(result.outcomes.len(), 200);
@@ -427,7 +199,7 @@ mod tests {
         let (layered, set) = uniform_workload(&catalog::qft(4), (2e-2, 8e-2, 1e-2), 300, 17);
         let recorder = AggregatingRecorder::new();
         let (result, comp) =
-            run_reordered_compressed_traced(&layered, set.trials(), &recorder).unwrap();
+            ReuseExecutor::new(&layered).run_compressed(set.trials(), &recorder).unwrap();
         let report = recorder.report();
         assert_eq!(report.counter("ops"), result.stats.ops);
         assert_eq!(report.counter("fused_ops"), result.stats.fused_ops);
@@ -438,7 +210,8 @@ mod tests {
         assert_eq!(report.counter("compress.sparse_frames"), comp.sparse_frames);
         assert!(report.spans.contains_key("run/compressed"));
         // The traced run is bitwise identical to the untraced one.
-        let (plain, plain_comp) = run_reordered_compressed(&layered, set.trials()).unwrap();
+        let (plain, plain_comp) =
+            ReuseExecutor::new(&layered).run_compressed(set.trials(), &NullRecorder).unwrap();
         assert_eq!(plain, result);
         assert_eq!(plain_comp, comp);
     }
@@ -446,7 +219,8 @@ mod tests {
     #[test]
     fn empty_trials_compressed() {
         let layered = catalog::rb().layered().unwrap();
-        let (result, comp) = run_reordered_compressed(&layered, &[]).unwrap();
+        let (result, comp) =
+            ReuseExecutor::new(&layered).run_compressed(&[], &NullRecorder).unwrap();
         assert!(result.outcomes.is_empty());
         assert_eq!(comp.frames_stored, 1); // the root store
     }

@@ -8,6 +8,11 @@
 //! sampling seed. This realises the paper's claim that the optimization "is
 //! mathematically equivalent to the original simulation".
 //!
+//! The redundancy-eliminated executor's trie walk is the only per-state
+//! walk in the crate. It is generic over how a cached frontier is held at
+//! rest — dense with pooled buffers, or compressed ([`crate::compressed`]) —
+//! and drives the budgeted, parallel and cross-run-cached runs too.
+//!
 //! Since the fusion layer landed, both executors run the *same*
 //! [`FusedProgram`], compiled once per trial set with cut-points at the
 //! union of the set's injection layers (see `qsim_circuit::fuse`). Fusion
@@ -36,6 +41,7 @@ use qsim_telemetry::{Heartbeat, KernelClass, MsvEvent, NullRecorder, Recorder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::compressed::{Compressed, CompressionStats};
 use crate::order::{compare_trials, lcp};
 use crate::SimError;
 
@@ -109,7 +115,7 @@ pub struct RunResult {
 /// (the default) or the pre-fusion layer-by-layer path (kept as reference
 /// and benchmark comparator).
 #[derive(Clone, Copy, Debug)]
-enum Engine<'p> {
+pub(crate) enum Engine<'p> {
     Fused(&'p FusedProgram),
     Layers,
 }
@@ -306,6 +312,22 @@ pub(crate) fn validate_program(
     Ok(())
 }
 
+/// Run a streaming walk and gather its outcomes back into input order.
+pub(crate) fn collect(
+    n_trials: usize,
+    walk: impl FnOnce(&mut [Option<MeasureOutcome>]) -> Result<ExecStats, SimError>,
+) -> Result<RunResult, SimError> {
+    let mut outcomes = vec![None; n_trials];
+    let stats = walk(&mut outcomes)?;
+    Ok(RunResult {
+        outcomes: outcomes
+            .into_iter()
+            .map(|o| o.expect("every trial produced an outcome"))
+            .collect(),
+        stats,
+    })
+}
+
 /// The paper's baseline strategy (§V "Baseline"): run every error-injection
 /// trial independently from `|0…0⟩`, storing no intermediate state.
 #[derive(Clone, Copy, Debug)]
@@ -320,64 +342,22 @@ impl<'a> BaselineExecutor<'a> {
     }
 
     /// Execute `trials` in the given order, through a [`FusedProgram`]
-    /// compiled for this trial set.
+    /// compiled for this trial set. Instrumentation streams into
+    /// `recorder`: per-kernel timings (phase `"baseline"`), a
+    /// `"run/baseline"` span, and end-of-run counters mirroring the
+    /// returned [`ExecStats`]. Pass [`NullRecorder`] for none.
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] for trials whose injections do not fit the
     /// circuit.
-    pub fn run(&self, trials: &[Trial]) -> Result<RunResult, SimError> {
-        let program = fuse_for_trials(self.layered, trials);
-        self.run_with_program(&program, trials)
-    }
-
-    /// [`BaselineExecutor::run`] with instrumentation streamed into
-    /// `recorder`: per-kernel timings (phase `"baseline"`), a
-    /// `"run/baseline"` span, and end-of-run counters mirroring the
-    /// returned [`ExecStats`]. With a [`NullRecorder`] this is exactly
-    /// [`BaselineExecutor::run`].
-    ///
-    /// # Errors
-    ///
-    /// As [`BaselineExecutor::run`].
-    pub fn run_traced<R: Recorder + ?Sized>(
+    pub fn run<R: Recorder + ?Sized>(
         &self,
         trials: &[Trial],
         recorder: &R,
     ) -> Result<RunResult, SimError> {
         let program = fuse_for_trials_traced(self.layered, trials, recorder);
-        self.run_with_program_traced(&program, trials, recorder)
-    }
-
-    /// [`BaselineExecutor::run_with_program`] with instrumentation (see
-    /// [`BaselineExecutor::run_traced`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`BaselineExecutor::run_with_program`].
-    pub fn run_with_program_traced<R: Recorder + ?Sized>(
-        &self,
-        program: &FusedProgram,
-        trials: &[Trial],
-        recorder: &R,
-    ) -> Result<RunResult, SimError> {
-        self.run_engine(Engine::Fused(program), trials, recorder)
-    }
-
-    /// Execute through an externally compiled program (so several runs —
-    /// or several worker threads — share one fusion, which keeps their
-    /// outcomes bitwise comparable).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] for out-of-range injections and for injections
-    /// that do not land on one of `program`'s cut-points.
-    pub fn run_with_program(
-        &self,
-        program: &FusedProgram,
-        trials: &[Trial],
-    ) -> Result<RunResult, SimError> {
-        self.run_engine(Engine::Fused(program), trials, &NullRecorder)
+        self.run_engine(Engine::Fused(&program), trials, recorder)
     }
 
     /// Execute layer-by-layer without fusion — the pre-fusion reference
@@ -392,7 +372,10 @@ impl<'a> BaselineExecutor<'a> {
         self.run_engine(Engine::Layers, trials, &NullRecorder)
     }
 
-    fn run_engine<R: Recorder + ?Sized>(
+    /// Execute through `engine`; a shared program keeps several runs — or
+    /// several worker threads — bitwise comparable. Rejects injections
+    /// that do not land on one of the program's cut-points.
+    pub(crate) fn run_engine<R: Recorder + ?Sized>(
         &self,
         engine: Engine<'_>,
         trials: &[Trial],
@@ -462,185 +445,205 @@ impl<'a> BaselineExecutor<'a> {
 #[derive(Clone, Copy, Debug)]
 pub struct ReuseExecutor<'a> {
     layered: &'a LayeredCircuit,
+    budget: usize,
 }
 
-struct Frame {
+/// One cached frontier of the reuse walk: the state of the trie node
+/// `depth` injections deep, held at rest as `H`.
+pub(crate) struct Frame<H> {
     depth: usize,
-    /// Highest layer index already applied to `state` (−1 = none).
+    /// Highest layer index already applied to the state (−1 = none).
     done: i64,
-    state: StateVector,
+    held: H,
 }
 
-/// How one streaming execution interacts with the cross-run semantic
-/// prefix cache (`redsim-msvstore`).
+/// How the reuse walk holds a cached frontier at rest between uses. The
+/// walk itself — order, eager drop, budget, accounting, telemetry — is
+/// the same for every storage; only what a frame costs while it waits
+/// differs.
+pub(crate) trait AtRest {
+    /// A frontier at rest.
+    type Held;
+    /// The run's span name.
+    const SPAN: &'static str;
+    /// Kernel phases of the shared advance, the cached branch, and the
+    /// transient remainder.
+    const PHASES: [&'static str; 3];
+    /// Put a working state at rest.
+    fn store(&mut self, state: StateVector) -> Self::Held;
+    /// A working copy of a frontier that stays cached.
+    fn copy(&mut self, held: &Self::Held) -> StateVector;
+    /// The working state of a frontier no later trial reuses.
+    fn take(&mut self, held: Self::Held) -> StateVector;
+    /// Apply `f` to a cached frontier in place.
+    fn update<T>(&mut self, held: &mut Self::Held, f: impl FnOnce(&mut StateVector) -> T) -> T;
+    /// Give back a working state nothing reads again.
+    fn recycle(&mut self, state: StateVector);
+    /// Give back a frontier nothing reads again.
+    fn release(&mut self, held: Self::Held);
+    /// Resident bytes for the live plane's heartbeat gauge, given the
+    /// cached frontiers.
+    fn resident_bytes<'h>(&self, cached: impl ExactSizeIterator<Item = &'h Self::Held>) -> u64
+    where
+        Self::Held: 'h;
+    /// Observe the cached frontiers wherever the walk settles: after the
+    /// root store, after each fork, and at the end of each trial.
+    fn settle<'h>(&mut self, _cached: impl Iterator<Item = &'h Self::Held>, _peak_msv: usize)
+    where
+        Self::Held: 'h,
+    {
+    }
+    /// Emit the storage's end-of-run counters.
+    fn record<R: Recorder + ?Sized>(&self, recorder: &R);
+}
+
+/// Dense frontiers whose buffers recycle through a [`StatePool`] — the
+/// paper's layout.
+pub(crate) struct Dense {
+    pool: StatePool,
+    state_bytes: u64,
+}
+
+impl Dense {
+    pub(crate) fn new(n_qubits: usize) -> Self {
+        Dense { pool: StatePool::new(), state_bytes: amp_bytes(n_qubits) }
+    }
+}
+
+impl AtRest for Dense {
+    type Held = StateVector;
+    const SPAN: &'static str = "run/reuse";
+    const PHASES: [&'static str; 3] = ["reuse/shared", "reuse/branch", "reuse/remainder"];
+
+    fn store(&mut self, state: StateVector) -> StateVector {
+        state
+    }
+
+    fn copy(&mut self, held: &StateVector) -> StateVector {
+        self.pool.clone_state(held)
+    }
+
+    fn take(&mut self, held: StateVector) -> StateVector {
+        held
+    }
+
+    fn update<T>(&mut self, held: &mut StateVector, f: impl FnOnce(&mut StateVector) -> T) -> T {
+        f(held)
+    }
+
+    fn recycle(&mut self, state: StateVector) {
+        self.pool.recycle(state);
+    }
+
+    fn release(&mut self, held: StateVector) {
+        self.pool.recycle(held);
+    }
+
+    fn resident_bytes<'h>(&self, cached: impl ExactSizeIterator<Item = &'h StateVector>) -> u64 {
+        (cached.len() + self.pool.idle()) as u64 * self.state_bytes
+    }
+
+    fn record<R: Recorder + ?Sized>(&self, recorder: &R) {
+        recorder.counter("pool.reused", self.pool.reuse_count());
+        recorder.counter("pool.allocated", self.pool.alloc_count());
+    }
+}
+
+/// How one reuse walk interacts with the cross-run semantic prefix cache
+/// (`redsim-msvstore`; see [`crate::semcache`]).
 ///
-/// [`PrefixCache::Off`] is the behaviour of every pre-existing entry
-/// point. The other two variants exist for `Simulation::run_reordered_cached`:
-/// on a store hit the root frontier is *seeded* with the restored prefix
+/// On a store hit the root frontier is *seeded* with the restored prefix
 /// state (the first trial's shared advance becomes a no-op, and the
 /// skipped work is credited back into [`ExecStats`] so cached and
 /// uncached runs report identical accounting); on a miss the run proceeds
 /// bit-for-bit as [`PrefixCache::Off`] and merely *captures* a copy of
 /// the root frontier the moment it first reaches the publishable layer.
-pub enum PrefixCache<'c> {
+pub(crate) enum PrefixCache<'c> {
     /// No cross-run caching.
     Off,
     /// Start the root frontier from `state`, already advanced through
     /// `layer` (inclusive), crediting `ops` source gates and `passes`
-    /// amplitude passes for the skipped prefix.
-    Seed {
-        /// Layer the seeded state is advanced through (inclusive). Must
-        /// equal the first sorted trial's first injection layer (or the
-        /// last layer when every trial is error-free) — anything else is
-        /// rejected, because injecting into an over-advanced state would
-        /// silently corrupt outcomes.
-        layer: usize,
-        /// The restored prefix state.
-        state: StateVector,
-        /// Source-gate credit for the skipped prefix.
-        ops: u64,
-        /// Amplitude-pass credit for the skipped prefix.
-        passes: u64,
-    },
+    /// amplitude passes for the skipped prefix. `layer` must equal the
+    /// first sorted trial's first injection layer (or the last layer when
+    /// every trial is error-free) — anything else is rejected, because
+    /// injecting into an over-advanced state would silently corrupt
+    /// outcomes.
+    Seed { layer: usize, state: StateVector, ops: u64, passes: u64 },
     /// Run exactly as [`PrefixCache::Off`], additionally cloning the root
     /// frontier into `out` when its `done` first equals `layer`. If the
     /// run never parks the root at `layer` (a mis-computed capture
     /// layer), `out` stays `None` and nothing is published.
-    Capture {
-        /// Layer (inclusive) at which to capture the root frontier.
-        layer: usize,
-        /// Receives the captured state.
-        out: &'c mut Option<StateVector>,
-    },
-}
-
-/// Clone the root frontier into the capture slot the first time it parks
-/// exactly at the capture layer. The clone is a plain memcpy on the miss
-/// path; nothing else about the run observes it.
-fn maybe_capture(capture: &mut Option<(i64, &mut Option<StateVector>)>, frame: &Frame) {
-    let parked = matches!(capture, Some((layer, _)) if frame.depth == 0 && frame.done == *layer);
-    if parked {
-        if let Some((_, out)) = capture.take() {
-            *out = Some(frame.state.clone());
-        }
-    }
+    Capture { layer: usize, out: &'c mut Option<StateVector> },
 }
 
 impl<'a> ReuseExecutor<'a> {
-    /// Bind to a layered circuit.
+    /// Bind to a layered circuit, with no cap on stored state vectors.
     pub fn new(layered: &'a LayeredCircuit) -> Self {
-        ReuseExecutor { layered }
+        ReuseExecutor { layered, budget: usize::MAX }
     }
 
-    /// Execute `trials`, reordering internally; outcomes are returned in
-    /// the input order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] for trials whose injections do not fit the
-    /// circuit.
-    pub fn run(&self, trials: &[Trial]) -> Result<RunResult, SimError> {
-        self.run_with_budget(trials, usize::MAX)
-    }
-
-    /// [`ReuseExecutor::run`] with instrumentation streamed into
-    /// `recorder`: per-kernel timings (phases `"reuse/shared"`,
-    /// `"reuse/branch"`, `"reuse/remainder"`), MSV lifecycle events with
-    /// live residency, per-trial prefix-cache lookups, pool-reuse counters,
-    /// a `"run/reuse"` span, and end-of-run counters mirroring the returned
-    /// [`ExecStats`]. With a [`NullRecorder`] this is exactly
-    /// [`ReuseExecutor::run`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ReuseExecutor::run`].
-    pub fn run_traced<R: Recorder + ?Sized>(
-        &self,
-        trials: &[Trial],
-        recorder: &R,
-    ) -> Result<RunResult, SimError> {
-        self.run_with_budget_traced(trials, usize::MAX, recorder)
-    }
-
-    /// [`ReuseExecutor::run_with_budget`] with instrumentation (see
-    /// [`ReuseExecutor::run_traced`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`ReuseExecutor::run_with_budget`].
-    pub fn run_with_budget_traced<R: Recorder + ?Sized>(
-        &self,
-        trials: &[Trial],
-        budget: usize,
-        recorder: &R,
-    ) -> Result<RunResult, SimError> {
-        let mut outcomes: Vec<Option<MeasureOutcome>> = vec![None; trials.len()];
-        let program = fuse_for_trials_traced(self.layered, trials, recorder);
-        let stats = self.run_streaming_engine(
-            Engine::Fused(&program),
-            trials,
-            budget,
-            |index, outcome| {
-                outcomes[index] = Some(outcome);
-            },
-            recorder,
-        )?;
-        Ok(RunResult {
-            outcomes: outcomes
-                .into_iter()
-                .map(|o| o.expect("every trial produced an outcome"))
-                .collect(),
-            stats,
-        })
-    }
-
-    /// Execute with a hard cap on concurrently stored state vectors — the
+    /// Cap concurrently stored state vectors at `budget` — the
     /// memory-constrained regime the paper's §IV motivates ("the maximal
     /// number of state vectors we can store is limited since one state
     /// vector has 2ⁿ amplitudes"). Sharing deeper than `budget − 1`
     /// injections is recomputed instead of cached; outcomes remain bitwise
     /// identical to the baseline for **every** budget, only the operation
     /// count changes. `budget = 1` keeps just the error-free frontier.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Circuit`] for `budget == 0` and [`SimError`] for
-    /// trials whose injections do not fit the circuit.
-    pub fn run_with_budget(&self, trials: &[Trial], budget: usize) -> Result<RunResult, SimError> {
-        let mut outcomes: Vec<Option<MeasureOutcome>> = vec![None; trials.len()];
-        let stats = self.run_streaming(trials, budget, |index, outcome| {
-            outcomes[index] = Some(outcome);
-        })?;
-        Ok(RunResult {
-            outcomes: outcomes
-                .into_iter()
-                .map(|o| o.expect("every trial produced an outcome"))
-                .collect(),
-            stats,
-        })
+    pub fn with_budget(self, budget: usize) -> Self {
+        ReuseExecutor { budget, ..self }
     }
 
-    /// Like [`ReuseExecutor::run`], but through an externally compiled
-    /// program (shared fusion across runs or worker threads).
+    /// Execute `trials`, reordering internally; outcomes are returned in
+    /// the input order. Instrumentation streams into `recorder`:
+    /// per-kernel timings (phases `"reuse/shared"`, `"reuse/branch"`,
+    /// `"reuse/remainder"`), MSV lifecycle events with live residency,
+    /// per-trial prefix-cache lookups, pool-reuse counters, a
+    /// `"run/reuse"` span, and end-of-run counters mirroring the returned
+    /// [`ExecStats`]. Pass [`NullRecorder`] for none.
     ///
     /// # Errors
     ///
-    /// As [`BaselineExecutor::run_with_program`].
-    pub fn run_with_program(
+    /// Returns [`SimError::Circuit`] for a zero budget and [`SimError`]
+    /// for trials whose injections do not fit the circuit.
+    pub fn run<R: Recorder + ?Sized>(
         &self,
-        program: &FusedProgram,
         trials: &[Trial],
+        recorder: &R,
     ) -> Result<RunResult, SimError> {
-        let mut outcomes: Vec<Option<MeasureOutcome>> = vec![None; trials.len()];
-        let stats = self.run_streaming_with(program, trials, usize::MAX, |index, outcome| {
-            outcomes[index] = Some(outcome);
-        })?;
-        Ok(RunResult {
-            outcomes: outcomes
-                .into_iter()
-                .map(|o| o.expect("every trial produced an outcome"))
-                .collect(),
-            stats,
+        self.run_fused(trials, &mut Dense::new(self.layered.n_qubits()), recorder)
+    }
+
+    /// [`ReuseExecutor::run`] with cached frontiers held at rest as
+    /// [`qsim_statevec::StoredState`] (see [`crate::compressed`]). The
+    /// walk, outcomes and [`ExecStats`] are the dense run's; telemetry
+    /// uses the `"compressed/*"` phases, `compress.*` counters mirroring
+    /// the returned [`CompressionStats`], and a `"run/compressed"` span.
+    ///
+    /// # Errors
+    ///
+    /// As [`ReuseExecutor::run`].
+    pub fn run_compressed<R: Recorder + ?Sized>(
+        &self,
+        trials: &[Trial],
+        recorder: &R,
+    ) -> Result<(RunResult, CompressionStats), SimError> {
+        let mut storage = Compressed::new(self.layered.n_qubits());
+        let result = self.run_fused(trials, &mut storage, recorder)?;
+        Ok((result, storage.stats))
+    }
+
+    /// Walk `trials` through a program compiled for them, frontiers held
+    /// at rest by `storage`.
+    fn run_fused<S: AtRest, R: Recorder + ?Sized>(
+        &self,
+        trials: &[Trial],
+        storage: &mut S,
+        recorder: &R,
+    ) -> Result<RunResult, SimError> {
+        let program = fuse_for_trials_traced(self.layered, trials, recorder);
+        collect(trials.len(), |out| {
+            let sink = |index, outcome| out[index] = Some(outcome);
+            self.walk(Engine::Fused(&program), trials, PrefixCache::Off, storage, sink, recorder)
         })
     }
 
@@ -651,151 +654,33 @@ impl<'a> ReuseExecutor<'a> {
     ///
     /// As [`ReuseExecutor::run`].
     pub fn run_unfused(&self, trials: &[Trial]) -> Result<RunResult, SimError> {
-        let mut outcomes: Vec<Option<MeasureOutcome>> = vec![None; trials.len()];
-        let stats = self.run_streaming_engine(
-            Engine::Layers,
-            trials,
-            usize::MAX,
-            |index, outcome| {
-                outcomes[index] = Some(outcome);
-            },
-            &NullRecorder,
-        )?;
-        Ok(RunResult {
-            outcomes: outcomes
-                .into_iter()
-                .map(|o| o.expect("every trial produced an outcome"))
-                .collect(),
-            stats,
+        let mut dense = Dense::new(self.layered.n_qubits());
+        collect(trials.len(), |out| {
+            let sink = |index, outcome| out[index] = Some(outcome);
+            self.walk(Engine::Layers, trials, PrefixCache::Off, &mut dense, sink, &NullRecorder)
         })
     }
 
-    /// Streaming execution: like [`ReuseExecutor::run_with_budget`], but
-    /// outcomes are handed to `sink(original_trial_index, outcome)` as they
-    /// are produced (in reordered processing order) instead of being
-    /// collected — the right shape for 10⁶-trial runs where the outcome
-    /// vector itself is the memory bottleneck, or for online aggregation
-    /// into a [`crate::Histogram`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ReuseExecutor::run_with_budget`].
-    pub fn run_streaming<F>(
-        &self,
-        trials: &[Trial],
-        budget: usize,
-        sink: F,
-    ) -> Result<ExecStats, SimError>
-    where
-        F: FnMut(usize, MeasureOutcome),
-    {
-        let program = fuse_for_trials(self.layered, trials);
-        self.run_streaming_with(&program, trials, budget, sink)
-    }
-
-    /// Streaming execution through an externally compiled program.
-    ///
-    /// # Errors
-    ///
-    /// As [`ReuseExecutor::run_with_budget`], plus alignment failures (see
-    /// [`BaselineExecutor::run_with_program`]).
-    pub fn run_streaming_with<F>(
-        &self,
-        program: &FusedProgram,
-        trials: &[Trial],
-        budget: usize,
-        sink: F,
-    ) -> Result<ExecStats, SimError>
-    where
-        F: FnMut(usize, MeasureOutcome),
-    {
-        self.run_streaming_engine(Engine::Fused(program), trials, budget, sink, &NullRecorder)
-    }
-
-    /// [`ReuseExecutor::run_streaming_with`] with instrumentation (see
-    /// [`ReuseExecutor::run_traced`]). This is the variant parallel workers
-    /// use: one shared program, one shared recorder.
-    ///
-    /// # Errors
-    ///
-    /// As [`ReuseExecutor::run_streaming_with`].
-    pub fn run_streaming_with_traced<F, R>(
-        &self,
-        program: &FusedProgram,
-        trials: &[Trial],
-        budget: usize,
-        sink: F,
-        recorder: &R,
-    ) -> Result<ExecStats, SimError>
-    where
-        F: FnMut(usize, MeasureOutcome),
-        R: Recorder + ?Sized,
-    {
-        self.run_streaming_engine(Engine::Fused(program), trials, budget, sink, recorder)
-    }
-
-    /// [`ReuseExecutor::run_streaming_with_traced`] with an explicit
-    /// cross-run prefix-cache interaction — the entry point
-    /// `Simulation::run_reordered_cached` drives. With
-    /// [`PrefixCache::Off`] this is exactly
-    /// [`ReuseExecutor::run_streaming_with_traced`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ReuseExecutor::run_streaming_with`], plus
-    /// [`SimError::Circuit`] when a [`PrefixCache::Seed`] does not match
-    /// the trial set's actual shared-prefix layer or register width.
-    pub fn run_streaming_prefix_traced<F, R>(
-        &self,
-        program: &FusedProgram,
-        trials: &[Trial],
-        budget: usize,
-        prefix: PrefixCache<'_>,
-        sink: F,
-        recorder: &R,
-    ) -> Result<ExecStats, SimError>
-    where
-        F: FnMut(usize, MeasureOutcome),
-        R: Recorder + ?Sized,
-    {
-        self.run_streaming_engine_prefix(
-            Engine::Fused(program),
-            trials,
-            budget,
-            prefix,
-            sink,
-            recorder,
-        )
-    }
-
-    fn run_streaming_engine<F, R>(
+    /// The reuse walk, the only per-state trie walk: every executor that
+    /// caches frontiers runs it, with frontiers held at rest by `storage`.
+    /// Outcomes go to `sink(original_trial_index, outcome)` in processing
+    /// order. A [`PrefixCache::Seed`] that does not match the trial set's
+    /// shared-prefix layer or register width is rejected.
+    pub(crate) fn walk<S, F, R>(
         &self,
         engine: Engine<'_>,
         trials: &[Trial],
-        budget: usize,
-        sink: F,
-        recorder: &R,
-    ) -> Result<ExecStats, SimError>
-    where
-        F: FnMut(usize, MeasureOutcome),
-        R: Recorder + ?Sized,
-    {
-        self.run_streaming_engine_prefix(engine, trials, budget, PrefixCache::Off, sink, recorder)
-    }
-
-    fn run_streaming_engine_prefix<F, R>(
-        &self,
-        engine: Engine<'_>,
-        trials: &[Trial],
-        budget: usize,
         prefix: PrefixCache<'_>,
+        storage: &mut S,
         mut sink: F,
         recorder: &R,
     ) -> Result<ExecStats, SimError>
     where
+        S: AtRest,
         F: FnMut(usize, MeasureOutcome),
         R: Recorder + ?Sized,
     {
+        let budget = self.budget;
         if budget == 0 {
             return Err(SimError::Circuit(
                 "state-vector budget must be at least 1 (the working frontier)".to_owned(),
@@ -811,6 +696,7 @@ impl<'a> ReuseExecutor<'a> {
         }
         #[cfg(feature = "paranoid")]
         paranoid_verify(layered, trials, budget)?;
+        let [shared, branch, remainder] = S::PHASES;
         let span_start = recorder.now_ns();
         let last_layer = n_layers as i64 - 1;
         let mut order: Vec<usize> = (0..trials.len()).collect();
@@ -818,7 +704,6 @@ impl<'a> ReuseExecutor<'a> {
 
         let mut stats = ExecStats { n_trials: trials.len(), ..ExecStats::default() };
         let mut peak = usize::from(!trials.is_empty());
-        let mut pool = StatePool::new();
         // The layer the first sorted trial's shared advance stops at — the
         // only layer a seeded root may claim, and the layer a capture
         // watches for.
@@ -827,10 +712,8 @@ impl<'a> ReuseExecutor<'a> {
             .and_then(|&first| trials[first].injections().first())
             .map_or(last_layer, |inj| inj.layer() as i64);
         let mut capture: Option<(i64, &mut Option<StateVector>)> = None;
-        let root = match prefix {
-            PrefixCache::Off => {
-                Frame { depth: 0, done: -1, state: StateVector::zero_state(layered.n_qubits()) }
-            }
+        let (root_done, root_state) = match prefix {
+            PrefixCache::Off => (-1, StateVector::zero_state(layered.n_qubits())),
             PrefixCache::Seed { layer, state, ops, passes } => {
                 if trials.is_empty() || layer as i64 != shared_prefix_layer {
                     return Err(SimError::Circuit(format!(
@@ -848,14 +731,15 @@ impl<'a> ReuseExecutor<'a> {
                 stats.ops += ops;
                 stats.fused_ops += passes;
                 stats.amplitude_passes += passes;
-                Frame { depth: 0, done: layer as i64, state }
+                (layer as i64, state)
             }
             PrefixCache::Capture { layer, out } => {
                 capture = Some((layer as i64, out));
-                Frame { depth: 0, done: -1, state: StateVector::zero_state(layered.n_qubits()) }
+                (-1, StateVector::zero_state(layered.n_qubits()))
             }
         };
-        let mut stack: Vec<Frame> = vec![root];
+        let mut stack = vec![Frame { depth: 0, done: root_done, held: storage.store(root_state) }];
+        storage.settle(stack.iter().map(|f| &f.held), peak);
         if recorder.enabled() && !trials.is_empty() {
             recorder.msv(MsvEvent::Create, 0, 1);
         }
@@ -885,73 +769,64 @@ impl<'a> ReuseExecutor<'a> {
                 }
             }
             loop {
-                if d == injections.len() {
-                    // Terminal at this trie node: finish the circuit on the
-                    // node frontier in place and measure from it.
-                    let top = stack.last_mut().expect("nonempty stack");
-                    let (src, passes) = engine.advance_traced(
-                        layered,
-                        &mut top.state,
-                        &mut top.done,
-                        last_layer,
-                        recorder,
-                        "reuse/shared",
-                    )?;
-                    stats.ops += src;
-                    stats.fused_ops += passes;
-                    stats.amplitude_passes += passes;
-                    maybe_capture(&mut capture, top);
-                    sink(orig, measure(layered, &top.state, cur));
+                // Advance the node frontier in place to its next event: the
+                // next injection, or — for a trial terminal at this node —
+                // the end of the circuit, measuring from the frontier.
+                let terminal = d == injections.len();
+                let target = if terminal { last_layer } else { injections[d].layer() as i64 };
+                let top = stack.last_mut().expect("nonempty stack");
+                let mut outcome = None;
+                if terminal || top.done < target {
+                    outcome = storage.update(&mut top.held, |state| {
+                        let (src, passes) = engine.advance_traced(
+                            layered,
+                            state,
+                            &mut top.done,
+                            target,
+                            recorder,
+                            shared,
+                        )?;
+                        stats.ops += src;
+                        stats.fused_ops += passes;
+                        stats.amplitude_passes += passes;
+                        if top.depth == 0 {
+                            // The miss path's only extra work: a plain clone
+                            // of the root the first time it parks at the
+                            // capture layer.
+                            if let Some((_, out)) = capture.take_if(|(layer, _)| *layer == top.done)
+                            {
+                                *out = Some(state.clone());
+                            }
+                        }
+                        Ok::<_, SimError>(terminal.then(|| measure(layered, state, cur)))
+                    })?;
+                }
+                if let Some(outcome) = outcome {
+                    sink(orig, outcome);
                     while stack.last().is_some_and(|f| f.depth > keep) {
                         let frame = stack.pop().expect("checked nonempty");
                         if recorder.enabled() {
                             recorder.msv(MsvEvent::Drop, frame.depth, stack.len());
                         }
-                        pool.recycle(frame.state);
+                        storage.release(frame.held);
                     }
                     debug_assert!(
                         !stack.is_empty(),
                         "eager drop must never pop the root (error-free) frame"
                     );
-                    if recorder.enabled() {
-                        recorder.heartbeat(Heartbeat {
-                            completed: 1,
-                            depth: d as u64,
-                            resident_bytes: (stack.len() + pool.idle()) as u64
-                                * amp_bytes(layered.n_qubits()),
-                        });
-                    }
-                    break;
-                }
-                let target = injections[d].layer() as i64;
-                {
-                    let top = stack.last_mut().expect("nonempty stack");
-                    let (src, passes) = engine.advance_traced(
-                        layered,
-                        &mut top.state,
-                        &mut top.done,
-                        target,
-                        recorder,
-                        "reuse/shared",
-                    )?;
-                    stats.ops += src;
-                    stats.fused_ops += passes;
-                    stats.amplitude_passes += passes;
-                    maybe_capture(&mut capture, top);
-                }
-                if d < keep {
+                } else if d < keep {
                     // The post-injection state is itself a shared prefix of
                     // the next trial: persist it as a new frontier.
+                    let top = stack.last().expect("nonempty stack");
                     debug_assert_eq!(
-                        stack.last().expect("nonempty stack").depth,
-                        d,
+                        top.depth, d,
                         "cached clone must branch from the frontier at the shared depth"
                     );
-                    let mut child = pool.clone_state(&stack.last().expect("nonempty stack").state);
-                    inject_traced(&injections[d], &mut child, recorder, "reuse/branch")?;
+                    let mut child = storage.copy(&top.held);
+                    inject_traced(&injections[d], &mut child, recorder, branch)?;
                     stats.ops += 1;
                     stats.amplitude_passes += 1;
-                    stack.push(Frame { depth: d + 1, done: target, state: child });
+                    stack.push(Frame { depth: d + 1, done: target, held: storage.store(child) });
                     debug_assert!(
                         stack.len() <= budget,
                         "cache stack exceeded the state-vector budget"
@@ -960,13 +835,15 @@ impl<'a> ReuseExecutor<'a> {
                     if recorder.enabled() {
                         recorder.msv(MsvEvent::Fork, d + 1, stack.len());
                     }
+                    storage.settle(stack.iter().map(|f| &f.held), peak);
                     d += 1;
+                    continue;
                 } else {
                     // Transient remainder: nothing below depth d is reused
-                    // later. Clone the frontier if the node itself is still
+                    // later. Copy the frontier if the node itself is still
                     // needed, otherwise consume it (the eager drop).
                     let mut working = if d <= keep {
-                        pool.clone_state(&stack.last().expect("nonempty stack").state)
+                        storage.copy(&stack.last().expect("nonempty stack").held)
                     } else {
                         let frame = stack.pop().expect("nonempty stack");
                         // Consuming (not copying) is only sound because no
@@ -984,16 +861,16 @@ impl<'a> ReuseExecutor<'a> {
                             if recorder.enabled() {
                                 recorder.msv(MsvEvent::Drop, dropped.depth, stack.len());
                             }
-                            pool.recycle(dropped.state);
+                            storage.release(dropped.held);
                         }
                         debug_assert!(
                             stack.last().is_some_and(|f| f.depth <= keep),
                             "eager drop emptied the stack past the root frame"
                         );
-                        frame.state
+                        storage.take(frame.held)
                     };
                     let mut done = target;
-                    inject_traced(&injections[d], &mut working, recorder, "reuse/remainder")?;
+                    inject_traced(&injections[d], &mut working, recorder, remainder)?;
                     stats.ops += 1;
                     stats.amplitude_passes += 1;
                     for inj in &injections[d + 1..] {
@@ -1003,12 +880,12 @@ impl<'a> ReuseExecutor<'a> {
                             &mut done,
                             inj.layer() as i64,
                             recorder,
-                            "reuse/remainder",
+                            remainder,
                         )?;
                         stats.ops += src;
                         stats.fused_ops += passes;
                         stats.amplitude_passes += passes;
-                        inject_traced(inj, &mut working, recorder, "reuse/remainder")?;
+                        inject_traced(inj, &mut working, recorder, remainder)?;
                         stats.ops += 1;
                         stats.amplitude_passes += 1;
                     }
@@ -1018,32 +895,31 @@ impl<'a> ReuseExecutor<'a> {
                         &mut done,
                         last_layer,
                         recorder,
-                        "reuse/remainder",
+                        remainder,
                     )?;
                     stats.ops += src;
                     stats.fused_ops += passes;
                     stats.amplitude_passes += passes;
                     sink(orig, measure(layered, &working, cur));
-                    pool.recycle(working);
-                    if recorder.enabled() {
-                        recorder.heartbeat(Heartbeat {
-                            completed: 1,
-                            depth: d as u64,
-                            resident_bytes: (stack.len() + pool.idle()) as u64
-                                * amp_bytes(layered.n_qubits()),
-                        });
-                    }
-                    break;
+                    storage.recycle(working);
                 }
+                storage.settle(stack.iter().map(|f| &f.held), peak);
+                if recorder.enabled() {
+                    recorder.heartbeat(Heartbeat {
+                        completed: 1,
+                        depth: d as u64,
+                        resident_bytes: storage.resident_bytes(stack.iter().map(|f| &f.held)),
+                    });
+                }
+                break;
             }
         }
 
         stats.peak_msv = if trials.is_empty() { 0 } else { peak };
         if recorder.enabled() {
             record_stats_counters(recorder, &stats);
-            recorder.counter("pool.reused", pool.reuse_count());
-            recorder.counter("pool.allocated", pool.alloc_count());
-            recorder.span("run/reuse", span_start, recorder.now_ns());
+            storage.record(recorder);
+            recorder.span(S::SPAN, span_start, recorder.now_ns());
         }
         Ok(stats)
     }
@@ -1104,8 +980,9 @@ mod tests {
             (catalog::wstate_3q(), 5.0),
         ] {
             let (layered, set) = generate(&circuit, scale, 300, 11);
-            let baseline = BaselineExecutor::new(&layered).run(set.trials()).unwrap();
-            let reuse = ReuseExecutor::new(&layered).run(set.trials()).unwrap();
+            let baseline =
+                BaselineExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
+            let reuse = ReuseExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
             assert_eq!(baseline.outcomes, reuse.outcomes, "{}", circuit.name());
             assert!(reuse.stats.ops <= baseline.stats.ops);
             assert!(reuse.stats.amplitude_passes <= reuse.stats.ops);
@@ -1117,10 +994,11 @@ mod tests {
         for seed in [0u64, 1, 2, 3] {
             let (layered, set) = generate(&catalog::qft(4), 2.0, 250, seed);
             let report = analyze(&layered, &set).unwrap();
-            let reuse = ReuseExecutor::new(&layered).run(set.trials()).unwrap();
+            let reuse = ReuseExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
             assert_eq!(reuse.stats.ops, report.optimized_ops, "seed {seed}");
             assert_eq!(reuse.stats.peak_msv, report.msv_peak, "seed {seed}");
-            let baseline = BaselineExecutor::new(&layered).run(set.trials()).unwrap();
+            let baseline =
+                BaselineExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
             assert_eq!(baseline.stats.ops, report.baseline_ops, "seed {seed}");
         }
     }
@@ -1129,7 +1007,7 @@ mod tests {
     fn error_free_only_trials_share_everything() {
         let layered = catalog::bv(4, 0b101).layered().unwrap();
         let trials: Vec<Trial> = (0..50).map(Trial::error_free).collect();
-        let reuse = ReuseExecutor::new(&layered).run(&trials).unwrap();
+        let reuse = ReuseExecutor::new(&layered).run(&trials, &NullRecorder).unwrap();
         // One full pass of the circuit, everything else is re-measurement.
         assert_eq!(reuse.stats.ops, layered.total_gates() as u64);
         assert_eq!(reuse.stats.peak_msv, 1);
@@ -1150,7 +1028,7 @@ mod tests {
         let t_flip0 = Trial::new(vec![], 0b001, 2);
         let t_flip2 = Trial::new(vec![], 0b100, 3);
         let trials = vec![t_flip2, t_plain, t_flip0];
-        let result = ReuseExecutor::new(&layered).run(&trials).unwrap();
+        let result = ReuseExecutor::new(&layered).run(&trials, &NullRecorder).unwrap();
         assert_eq!(result.outcomes[0].to_index(), 0b100);
         assert_eq!(result.outcomes[1].to_index(), 0b000);
         assert_eq!(result.outcomes[2].to_index(), 0b001);
@@ -1159,11 +1037,11 @@ mod tests {
     #[test]
     fn empty_trial_set_is_fine() {
         let layered = catalog::rb().layered().unwrap();
-        let result = ReuseExecutor::new(&layered).run(&[]).unwrap();
+        let result = ReuseExecutor::new(&layered).run(&[], &NullRecorder).unwrap();
         assert!(result.outcomes.is_empty());
         assert_eq!(result.stats.peak_msv, 0);
         assert_eq!(result.stats.ops, 0);
-        let result = BaselineExecutor::new(&layered).run(&[]).unwrap();
+        let result = BaselineExecutor::new(&layered).run(&[], &NullRecorder).unwrap();
         assert_eq!(result.stats.ops, 0);
     }
 
@@ -1173,11 +1051,11 @@ mod tests {
         let bad =
             Trial::new(vec![qsim_noise::Injection::single(99, 0, qsim_noise::Pauli::X)], 0, 0);
         assert!(matches!(
-            ReuseExecutor::new(&layered).run(std::slice::from_ref(&bad)),
+            ReuseExecutor::new(&layered).run(std::slice::from_ref(&bad), &NullRecorder),
             Err(SimError::LayerOutOfRange { .. })
         ));
         assert!(matches!(
-            BaselineExecutor::new(&layered).run(&[bad]),
+            BaselineExecutor::new(&layered).run(&[bad], &NullRecorder),
             Err(SimError::LayerOutOfRange { .. })
         ));
     }
@@ -1190,9 +1068,18 @@ mod tests {
         let program = FusedProgram::new(&layered, &[]);
         let has_injection = set.trials().iter().any(|t| t.n_injections() > 0);
         assert!(has_injection, "workload too clean to exercise the check");
-        let result = BaselineExecutor::new(&layered).run_with_program(&program, set.trials());
+        let engine = Engine::Fused(&program);
+        let result =
+            BaselineExecutor::new(&layered).run_engine(engine, set.trials(), &NullRecorder);
         assert!(matches!(result, Err(SimError::Circuit(_))));
-        let result = ReuseExecutor::new(&layered).run_with_program(&program, set.trials());
+        let result = ReuseExecutor::new(&layered).walk(
+            engine,
+            set.trials(),
+            PrefixCache::Off,
+            &mut Dense::new(layered.n_qubits()),
+            |_, _| {},
+            &NullRecorder,
+        );
         assert!(matches!(result, Err(SimError::Circuit(_))));
     }
 
@@ -1205,7 +1092,7 @@ mod tests {
         let flip =
             Trial::new(vec![qsim_noise::Injection::single(last, 0, qsim_noise::Pauli::X)], 0, 7);
         let clean = Trial::error_free(8);
-        let result = BaselineExecutor::new(&layered).run(&[clean, flip]).unwrap();
+        let result = BaselineExecutor::new(&layered).run(&[clean, flip], &NullRecorder).unwrap();
         assert_eq!(result.outcomes[0].to_index(), 0b111);
         assert_eq!(result.outcomes[1].to_index(), 0b110);
     }
@@ -1213,17 +1100,25 @@ mod tests {
     #[test]
     fn streaming_matches_collected_execution_and_aggregates_online() {
         let (layered, set) = generate(&catalog::qft(4), 3.0, 400, 19);
-        let collected = ReuseExecutor::new(&layered).run(set.trials()).unwrap();
+        let collected = ReuseExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
         // Stream into a histogram without holding the outcome vector.
         let mut histogram = crate::Histogram::new(layered.n_cbits());
         let mut seen = vec![false; set.len()];
+        let program = fuse_for_trials(&layered, set.trials());
         let stats = ReuseExecutor::new(&layered)
-            .run_streaming(set.trials(), usize::MAX, |index, outcome| {
-                assert!(!seen[index], "outcome delivered twice for trial {index}");
-                seen[index] = true;
-                assert_eq!(outcome, collected.outcomes[index]);
-                histogram.record(&outcome);
-            })
+            .walk(
+                Engine::Fused(&program),
+                set.trials(),
+                PrefixCache::Off,
+                &mut Dense::new(layered.n_qubits()),
+                |index, outcome| {
+                    assert!(!seen[index], "outcome delivered twice for trial {index}");
+                    seen[index] = true;
+                    assert_eq!(outcome, collected.outcomes[index]);
+                    histogram.record(&outcome);
+                },
+                &NullRecorder,
+            )
             .unwrap();
         assert!(seen.iter().all(|&s| s), "some trial never produced an outcome");
         assert_eq!(stats, collected.stats);
@@ -1233,12 +1128,14 @@ mod tests {
     #[test]
     fn budgeted_execution_stays_bitwise_exact_and_matches_dry_run() {
         let (layered, set) = generate(&catalog::qft(4), 6.0, 300, 13);
-        let baseline = BaselineExecutor::new(&layered).run(set.trials()).unwrap();
+        let baseline = BaselineExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
         let mut sorted = set.trials().to_vec();
         crate::order::reorder(&mut sorted);
         for budget in [1usize, 2, 3, 5, usize::MAX] {
-            let result =
-                ReuseExecutor::new(&layered).run_with_budget(set.trials(), budget).unwrap();
+            let result = ReuseExecutor::new(&layered)
+                .with_budget(budget)
+                .run(set.trials(), &NullRecorder)
+                .unwrap();
             assert_eq!(result.outcomes, baseline.outcomes, "budget {budget}");
             assert!(result.stats.peak_msv <= budget, "budget {budget}");
             let dry =
@@ -1247,7 +1144,7 @@ mod tests {
             assert_eq!(result.stats.peak_msv, dry.msv_peak, "budget {budget}");
         }
         assert!(matches!(
-            ReuseExecutor::new(&layered).run_with_budget(set.trials(), 0),
+            ReuseExecutor::new(&layered).with_budget(0).run(set.trials(), &NullRecorder),
             Err(SimError::Circuit(_))
         ));
     }
@@ -1258,17 +1155,17 @@ mod tests {
         let (layered, set) = generate(&catalog::qft(5), 8.0, 400, 21);
         let report = analyze(&layered, &set).unwrap();
         assert!(report.msv_peak >= 3, "expected deep sharing, got {}", report.msv_peak);
-        let reuse = ReuseExecutor::new(&layered).run(set.trials()).unwrap();
+        let reuse = ReuseExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
         assert_eq!(reuse.stats.peak_msv, report.msv_peak);
         assert_eq!(reuse.stats.ops, report.optimized_ops);
-        let baseline = BaselineExecutor::new(&layered).run(set.trials()).unwrap();
+        let baseline = BaselineExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
         assert_eq!(baseline.outcomes, reuse.outcomes);
     }
 
     #[test]
     fn unfused_reference_agrees_up_to_tolerance_and_counts_every_pass() {
         let (layered, set) = generate(&catalog::qft(4), 3.0, 200, 23);
-        let fused = BaselineExecutor::new(&layered).run(set.trials()).unwrap();
+        let fused = BaselineExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
         let unfused = BaselineExecutor::new(&layered).run_unfused(set.trials()).unwrap();
         // Identical paper metric; fused never performs *more* passes (a
         // dense cut union can leave nothing to merge, so not strictly
@@ -1290,14 +1187,16 @@ mod tests {
     }
 
     #[test]
-    fn traced_run_with_null_recorder_is_bitwise_identical() {
+    fn traced_run_is_bitwise_identical_to_an_unrecorded_one() {
+        use qsim_telemetry::AggregatingRecorder;
         let (layered, set) = generate(&catalog::qft(4), 3.0, 200, 29);
-        let plain = ReuseExecutor::new(&layered).run(set.trials()).unwrap();
-        let traced = ReuseExecutor::new(&layered).run_traced(set.trials(), &NullRecorder).unwrap();
-        assert_eq!(plain, traced);
-        let plain = BaselineExecutor::new(&layered).run(set.trials()).unwrap();
+        let plain = ReuseExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
         let traced =
-            BaselineExecutor::new(&layered).run_traced(set.trials(), &NullRecorder).unwrap();
+            ReuseExecutor::new(&layered).run(set.trials(), &AggregatingRecorder::new()).unwrap();
+        assert_eq!(plain, traced);
+        let plain = BaselineExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
+        let traced =
+            BaselineExecutor::new(&layered).run(set.trials(), &AggregatingRecorder::new()).unwrap();
         assert_eq!(plain, traced);
     }
 
@@ -1307,7 +1206,7 @@ mod tests {
         for (circuit, scale) in [(catalog::qft(4), 4.0), (catalog::bv(4, 0b110), 2.0)] {
             let (layered, set) = generate(&circuit, scale, 300, 31);
             let recorder = AggregatingRecorder::new();
-            let result = ReuseExecutor::new(&layered).run_traced(set.trials(), &recorder).unwrap();
+            let result = ReuseExecutor::new(&layered).run(set.trials(), &recorder).unwrap();
             let report = recorder.report();
             assert_eq!(report.counter("ops"), result.stats.ops);
             assert_eq!(report.counter("fused_ops"), result.stats.fused_ops);
@@ -1328,7 +1227,7 @@ mod tests {
             assert_eq!(forks, drops, "{}", circuit.name());
             assert_eq!(report.msv_count(qsim_telemetry::MsvEvent::Create), 1);
             // Traced results stay bitwise identical to untraced ones.
-            let plain = ReuseExecutor::new(&layered).run(set.trials()).unwrap();
+            let plain = ReuseExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
             assert_eq!(plain, result);
         }
     }
@@ -1338,7 +1237,7 @@ mod tests {
         use qsim_telemetry::AggregatingRecorder;
         let (layered, set) = generate(&catalog::qft(4), 3.0, 150, 37);
         let recorder = AggregatingRecorder::new();
-        let result = BaselineExecutor::new(&layered).run_traced(set.trials(), &recorder).unwrap();
+        let result = BaselineExecutor::new(&layered).run(set.trials(), &recorder).unwrap();
         let report = recorder.report();
         assert_eq!(report.counter("ops"), result.stats.ops);
         assert_eq!(report.counter("amplitude_passes"), result.stats.amplitude_passes);
@@ -1354,7 +1253,8 @@ mod tests {
         for budget in [1usize, 2, 4] {
             let recorder = AggregatingRecorder::new();
             let result = ReuseExecutor::new(&layered)
-                .run_with_budget_traced(set.trials(), budget, &recorder)
+                .with_budget(budget)
+                .run(set.trials(), &recorder)
                 .unwrap();
             let report = recorder.report();
             assert_eq!(report.peak_residency(), result.stats.peak_msv, "budget {budget}");
@@ -1381,8 +1281,8 @@ mod tests {
                 100 + s,
             ));
         }
-        let fused = BaselineExecutor::new(&layered).run(&trials).unwrap();
-        let reuse = ReuseExecutor::new(&layered).run(&trials).unwrap();
+        let fused = BaselineExecutor::new(&layered).run(&trials, &NullRecorder).unwrap();
+        let reuse = ReuseExecutor::new(&layered).run(&trials, &NullRecorder).unwrap();
         assert_eq!(fused.outcomes, reuse.outcomes);
         assert!(fused.stats.amplitude_passes < fused.stats.ops);
         assert!(reuse.stats.amplitude_passes < reuse.stats.ops);

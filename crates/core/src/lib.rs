@@ -19,25 +19,31 @@
 //! 3. [`exec`] — real executors over `qsim-statevec`:
 //!    [`exec::BaselineExecutor`] (every trial from scratch — the paper's
 //!    baseline) and [`exec::ReuseExecutor`] (prefix-state caching with eager
-//!    dropping). Both produce **bitwise identical** measurement outcomes,
-//!    realising the paper's "mathematically equivalent" guarantee, and both
-//!    report operation counts that the static analyzer predicts exactly.
+//!    dropping, under an optional stored-state budget, with frontiers held
+//!    dense or [`compressed`]). The reuse walk is the only per-state trie
+//!    walk; [`parallel`], [`semcache`] and the batched [`tree`] executor
+//!    build on it or mirror it. All produce **bitwise identical**
+//!    measurement outcomes, realising the paper's "mathematically
+//!    equivalent" guarantee, and report operation counts that the static
+//!    analyzer predicts exactly.
 //! 4. [`Simulation`] — a builder-style façade tying circuit, noise model,
-//!    trial generation, analysis, and execution together.
+//!    trial generation, analysis, and execution together. Its one
+//!    [`Simulation::run`] executes whatever a [`RunSpec`] declares.
 //!
-//! Every execution strategy also has a `*_traced` variant taking a
-//! [`qsim_telemetry::Recorder`]: structured runtime telemetry (per-kernel
-//! timings, MSV lifecycle with live residency, prefix-cache hit rates)
-//! whose totals mirror [`ExecStats`] **exactly** — the observation plane
-//! never drifts from the accounting plane. Passing
-//! [`qsim_telemetry::NullRecorder`] compiles the instrumentation out.
+//! Every run entry point takes a [`qsim_telemetry::Recorder`]: structured
+//! runtime telemetry (per-kernel timings, MSV lifecycle with live
+//! residency, prefix-cache hit rates) whose totals mirror [`ExecStats`]
+//! **exactly** — the observation plane never drifts from the accounting
+//! plane. Passing [`qsim_telemetry::NullRecorder`] compiles the
+//! instrumentation out.
 //!
 //! # Quickstart
 //!
 //! ```
 //! use qsim_circuit::catalog;
 //! use qsim_noise::NoiseModel;
-//! use redsim::Simulation;
+//! use qsim_telemetry::NullRecorder;
+//! use redsim::{RunSpec, Simulation, Walk};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let circuit = catalog::bv(4, 0b111);
@@ -46,9 +52,9 @@
 //! let report = sim.analyze()?;
 //! assert!(report.optimized_ops < report.baseline_ops);
 //!
-//! let baseline = sim.run_baseline()?;
-//! let optimized = sim.run_reordered()?;
-//! assert_eq!(baseline.outcomes, optimized.outcomes); // bitwise identical
+//! let baseline = sim.run(&RunSpec::new(Walk::Baseline), &NullRecorder)?;
+//! let optimized = sim.run(&RunSpec::default(), &NullRecorder)?;
+//! assert_eq!(baseline.result.outcomes, optimized.result.outcomes); // bitwise identical
 //! # Ok(())
 //! # }
 //! ```
@@ -68,10 +74,10 @@ pub mod testkit;
 pub mod tree;
 
 pub use analysis::CostReport;
-pub use exec::{ExecStats, PrefixCache, RunResult};
+pub use exec::{ExecStats, RunResult};
 pub use histogram::Histogram;
 pub use order::{compare_trials, lcp, reorder, reorder_recursive};
 pub use semcache::CacheOutcome;
 pub use sim_error::SimError;
-pub use simulation::Simulation;
+pub use simulation::{RunOutput, RunSpec, Simulation, Walk};
 pub use tree::TreeExecutor;

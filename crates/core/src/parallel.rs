@@ -29,9 +29,12 @@
 use qsim_circuit::LayeredCircuit;
 use qsim_noise::Trial;
 use qsim_statevec::MeasureOutcome;
-use qsim_telemetry::{NullRecorder, Recorder};
+use qsim_telemetry::Recorder;
 
-use crate::exec::{fuse_for_trials_traced, BaselineExecutor, ExecStats, ReuseExecutor, RunResult};
+use crate::exec::{
+    collect, fuse_for_trials_traced, BaselineExecutor, Dense, Engine, ExecStats, PrefixCache,
+    ReuseExecutor, RunResult,
+};
 use crate::order::{compare_trials, lcp};
 use crate::SimError;
 
@@ -78,29 +81,15 @@ fn balanced_boundaries(costs: &[u64], threads: usize) -> Vec<usize> {
 /// Execute trials with the baseline strategy across `n_threads` threads
 /// (`0` = all available cores). Outcomes are in input order and bitwise
 /// identical to the sequential baseline (all workers share the full set's
-/// fused program).
+/// fused program). Every worker streams into the same shared `recorder`
+/// (the [`Recorder`] contract is `&self` + `Sync`), so counters and kernel
+/// timings are additive across workers; the coordinator brackets the whole
+/// run in a `"run/parallel-baseline"` span.
 ///
 /// # Errors
 ///
 /// Returns the first [`SimError`] any worker hits.
-pub fn run_baseline_parallel(
-    layered: &LayeredCircuit,
-    trials: &[Trial],
-    n_threads: usize,
-) -> Result<RunResult, SimError> {
-    run_baseline_parallel_traced(layered, trials, n_threads, &NullRecorder)
-}
-
-/// [`run_baseline_parallel`] with instrumentation: every worker streams
-/// into the same shared `recorder` (the [`Recorder`] contract is
-/// `&self` + `Sync`), so counters and kernel timings are additive across
-/// workers; the coordinator brackets the whole run in a
-/// `"run/parallel-baseline"` span.
-///
-/// # Errors
-///
-/// As [`run_baseline_parallel`].
-pub fn run_baseline_parallel_traced<R: Recorder + ?Sized>(
+pub fn run_baseline_parallel<R: Recorder + ?Sized>(
     layered: &LayeredCircuit,
     trials: &[Trial],
     n_threads: usize,
@@ -108,7 +97,7 @@ pub fn run_baseline_parallel_traced<R: Recorder + ?Sized>(
 ) -> Result<RunResult, SimError> {
     let threads = resolve_threads(n_threads, trials.len());
     if threads <= 1 || trials.is_empty() {
-        return BaselineExecutor::new(layered).run_traced(trials, recorder);
+        return BaselineExecutor::new(layered).run(trials, recorder);
     }
     // Verify the whole-set plan up front; workers re-verify their chunks as
     // sub-plans through the executors they call into.
@@ -123,7 +112,11 @@ pub fn run_baseline_parallel_traced<R: Recorder + ?Sized>(
             .map(|chunk| {
                 let program = &program;
                 scope.spawn(move || {
-                    BaselineExecutor::new(layered).run_with_program_traced(program, chunk, recorder)
+                    BaselineExecutor::new(layered).run_engine(
+                        Engine::Fused(program),
+                        chunk,
+                        recorder,
+                    )
                 })
             })
             .collect();
@@ -150,30 +143,18 @@ pub fn run_baseline_parallel_traced<R: Recorder + ?Sized>(
 /// its chunk, running the shared full-set fused program. Outcomes are in
 /// input order and bitwise identical to the baseline.
 ///
+/// Every worker streams into the same shared `recorder`, so counters and
+/// kernel timings are additive across workers. MSV events interleave from
+/// concurrent workers, which makes the recorder's *observed* peak residency
+/// the true global concurrent peak — at most the summed per-worker peak
+/// that [`ExecStats::peak_msv`] reports (the workers' caches coexist, but
+/// rarely all at their individual peaks simultaneously). The coordinator
+/// brackets the whole run in a `"run/parallel-reuse"` span.
+///
 /// # Errors
 ///
 /// Returns the first [`SimError`] any worker hits.
-pub fn run_reordered_parallel(
-    layered: &LayeredCircuit,
-    trials: &[Trial],
-    n_threads: usize,
-) -> Result<RunResult, SimError> {
-    run_reordered_parallel_traced(layered, trials, n_threads, &NullRecorder)
-}
-
-/// [`run_reordered_parallel`] with instrumentation: every worker streams
-/// into the same shared `recorder`, so counters and kernel timings are
-/// additive across workers. MSV events interleave from concurrent workers,
-/// which makes the recorder's *observed* peak residency the true global
-/// concurrent peak — at most the summed per-worker peak that
-/// [`ExecStats::peak_msv`] reports (the workers' caches coexist, but rarely
-/// all at their individual peaks simultaneously). The coordinator brackets
-/// the whole run in a `"run/parallel-reuse"` span.
-///
-/// # Errors
-///
-/// As [`run_reordered_parallel`].
-pub fn run_reordered_parallel_traced<R: Recorder + ?Sized>(
+pub fn run_reordered_parallel<R: Recorder + ?Sized>(
     layered: &LayeredCircuit,
     trials: &[Trial],
     n_threads: usize,
@@ -181,7 +162,7 @@ pub fn run_reordered_parallel_traced<R: Recorder + ?Sized>(
 ) -> Result<RunResult, SimError> {
     let threads = resolve_threads(n_threads, trials.len());
     if threads <= 1 || trials.is_empty() {
-        return ReuseExecutor::new(layered).run_traced(trials, recorder);
+        return ReuseExecutor::new(layered).run(trials, recorder);
     }
     // Verify the whole-set plan up front; workers re-verify their chunks as
     // sub-plans through the executors they call into.
@@ -214,25 +195,23 @@ pub fn run_reordered_parallel_traced<R: Recorder + ?Sized>(
                 let idx_chunk = &order[start..end];
                 let program = &program;
                 scope.spawn(move || -> ChunkResult {
-                    // The chunk is already sorted; ReuseExecutor re-sorts
+                    // The chunk is already sorted; the walk re-sorts
                     // internally (stable, already-ordered input = no-op
                     // permutation) and returns outcomes in chunk order.
                     let chunk_trials: Vec<Trial> =
                         idx_chunk.iter().map(|&i| trials[i].clone()).collect();
-                    let mut outcomes: Vec<Option<MeasureOutcome>> = vec![None; chunk_trials.len()];
-                    let stats = ReuseExecutor::new(layered).run_streaming_with_traced(
-                        program,
-                        &chunk_trials,
-                        usize::MAX,
-                        |index, outcome| outcomes[index] = Some(outcome),
-                        recorder,
-                    )?;
-                    let pairs = idx_chunk
-                        .iter()
-                        .copied()
-                        .zip(outcomes.into_iter().map(|o| o.expect("every trial executed")))
-                        .collect();
-                    Ok((pairs, stats))
+                    let mut dense = Dense::new(layered.n_qubits());
+                    let result = collect(chunk_trials.len(), |out| {
+                        ReuseExecutor::new(layered).walk(
+                            Engine::Fused(program),
+                            &chunk_trials,
+                            PrefixCache::Off,
+                            &mut dense,
+                            |index, outcome| out[index] = Some(outcome),
+                            recorder,
+                        )
+                    })?;
+                    Ok((idx_chunk.iter().copied().zip(result.outcomes).collect(), result.stats))
                 })
             })
             .collect();
@@ -268,6 +247,7 @@ mod tests {
     use crate::testkit::uniform_workload;
     use qsim_circuit::catalog;
     use qsim_noise::TrialSet;
+    use qsim_telemetry::NullRecorder;
 
     fn workload(n: usize) -> (LayeredCircuit, TrialSet) {
         uniform_workload(&catalog::qft(4), (2e-2, 8e-2, 2e-2), n, 5)
@@ -276,9 +256,10 @@ mod tests {
     #[test]
     fn parallel_baseline_matches_sequential_bitwise() {
         let (layered, set) = workload(500);
-        let sequential = BaselineExecutor::new(&layered).run(set.trials()).unwrap();
+        let sequential = BaselineExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
         for threads in [1usize, 2, 4, 7] {
-            let parallel = run_baseline_parallel(&layered, set.trials(), threads).unwrap();
+            let parallel =
+                run_baseline_parallel(&layered, set.trials(), threads, &NullRecorder).unwrap();
             assert_eq!(parallel.outcomes, sequential.outcomes, "{threads} threads");
             assert_eq!(parallel.stats.ops, sequential.stats.ops);
             assert_eq!(parallel.stats.amplitude_passes, sequential.stats.amplitude_passes);
@@ -288,10 +269,11 @@ mod tests {
     #[test]
     fn parallel_reuse_matches_baseline_bitwise() {
         let (layered, set) = workload(500);
-        let baseline = BaselineExecutor::new(&layered).run(set.trials()).unwrap();
-        let sequential = ReuseExecutor::new(&layered).run(set.trials()).unwrap();
+        let baseline = BaselineExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
+        let sequential = ReuseExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
         for threads in [1usize, 2, 4, 7] {
-            let parallel = run_reordered_parallel(&layered, set.trials(), threads).unwrap();
+            let parallel =
+                run_reordered_parallel(&layered, set.trials(), threads, &NullRecorder).unwrap();
             assert_eq!(parallel.outcomes, baseline.outcomes, "{threads} threads");
             // Chunking costs at most (threads−1) extra full-trial prefixes.
             assert!(parallel.stats.ops >= sequential.stats.ops);
@@ -308,8 +290,8 @@ mod tests {
     #[test]
     fn one_thread_is_exactly_sequential() {
         let (layered, set) = workload(120);
-        let sequential = ReuseExecutor::new(&layered).run(set.trials()).unwrap();
-        let parallel = run_reordered_parallel(&layered, set.trials(), 1).unwrap();
+        let sequential = ReuseExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
+        let parallel = run_reordered_parallel(&layered, set.trials(), 1, &NullRecorder).unwrap();
         assert_eq!(parallel.stats, sequential.stats);
         assert_eq!(parallel.outcomes, sequential.outcomes);
     }
@@ -317,24 +299,24 @@ mod tests {
     #[test]
     fn zero_threads_means_auto_and_still_correct() {
         let (layered, set) = workload(64);
-        let baseline = BaselineExecutor::new(&layered).run(set.trials()).unwrap();
-        let parallel = run_reordered_parallel(&layered, set.trials(), 0).unwrap();
+        let baseline = BaselineExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
+        let parallel = run_reordered_parallel(&layered, set.trials(), 0, &NullRecorder).unwrap();
         assert_eq!(parallel.outcomes, baseline.outcomes);
     }
 
     #[test]
     fn more_threads_than_trials_is_fine() {
         let (layered, set) = workload(3);
-        let parallel = run_baseline_parallel(&layered, set.trials(), 64).unwrap();
+        let parallel = run_baseline_parallel(&layered, set.trials(), 64, &NullRecorder).unwrap();
         assert_eq!(parallel.outcomes.len(), 3);
-        let parallel = run_reordered_parallel(&layered, set.trials(), 64).unwrap();
+        let parallel = run_reordered_parallel(&layered, set.trials(), 64, &NullRecorder).unwrap();
         assert_eq!(parallel.outcomes.len(), 3);
     }
 
     #[test]
     fn empty_trials_parallel() {
         let (layered, _) = workload(1);
-        let result = run_reordered_parallel(&layered, &[], 4).unwrap();
+        let result = run_reordered_parallel(&layered, &[], 4, &NullRecorder).unwrap();
         assert!(result.outcomes.is_empty());
         assert_eq!(result.stats.ops, 0);
     }
@@ -380,7 +362,7 @@ mod tests {
         for threads in [2usize, 4] {
             let recorder = AggregatingRecorder::new();
             let result =
-                run_reordered_parallel_traced(&layered, set.trials(), threads, &recorder).unwrap();
+                run_reordered_parallel(&layered, set.trials(), threads, &recorder).unwrap();
             let report = recorder.report();
             assert_eq!(report.counter("ops"), result.stats.ops, "{threads} threads");
             assert_eq!(report.counter("fused_ops"), result.stats.fused_ops);
@@ -393,7 +375,7 @@ mod tests {
             assert!(report.spans.contains_key("run/parallel-reuse"));
         }
         let recorder = AggregatingRecorder::new();
-        let result = run_baseline_parallel_traced(&layered, set.trials(), 3, &recorder).unwrap();
+        let result = run_baseline_parallel(&layered, set.trials(), 3, &recorder).unwrap();
         let report = recorder.report();
         assert_eq!(report.counter("ops"), result.stats.ops);
         assert_eq!(report.peak_residency(), 0);

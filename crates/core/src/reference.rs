@@ -123,7 +123,9 @@ mod tests {
     ) -> f64 {
         let exact = exact_distribution(layered, model).expect("oracle runs");
         let set = TrialGenerator::new(layered, model).expect("native").generate(trials, seed);
-        let result = ReuseExecutor::new(layered).run(set.trials()).expect("executes");
+        let result = ReuseExecutor::new(layered)
+            .run(set.trials(), &qsim_telemetry::NullRecorder)
+            .expect("executes");
         Histogram::from_outcomes(layered.n_cbits(), &result.outcomes).tv_distance(&exact)
     }
 

@@ -14,18 +14,21 @@
 //!   computed (equal keys ⇒ identical kernel sequence ⇒ identical f64
 //!   results), so every downstream per-trial float operation — and thus
 //!   every measurement outcome — is unchanged. The skipped prefix work is
-//!   credited back into [`ExecStats`], so accounting is also identical.
+//!   credited back into [`ExecStats`](crate::ExecStats), so accounting is
+//!   also identical.
 //! * **Miss**: the run proceeds exactly as the uncached executor; the only
 //!   addition is one state clone when the root frontier first parks at
 //!   the publishable layer, after all telemetry for that advance fired.
 
 use qsim_circuit::LayeredCircuit;
 use qsim_noise::{NoiseModel, Trial};
-use qsim_statevec::{MeasureOutcome, StateVector};
+use qsim_statevec::StateVector;
 use qsim_telemetry::{names, Recorder};
 use redsim_msvstore::{MsvStore, SemanticKey, DEFAULT_SEED_POLICY};
 
-use crate::exec::{fuse_for_trials_traced, ExecStats, PrefixCache, ReuseExecutor, RunResult};
+use crate::exec::{
+    collect, fuse_for_trials_traced, Dense, Engine, PrefixCache, ReuseExecutor, RunResult,
+};
 use crate::SimError;
 
 /// What the semantic prefix cache did for one run.
@@ -47,10 +50,10 @@ pub struct CacheOutcome {
     /// Entries evicted by the publish.
     pub evicted: u64,
     /// Source-gate work the hit skipped (still counted in
-    /// [`ExecStats::ops`]).
+    /// [`crate::ExecStats::ops`]).
     pub credited_ops: u64,
     /// Amplitude-pass work the hit skipped (still counted in
-    /// [`ExecStats::amplitude_passes`]).
+    /// [`crate::ExecStats::amplitude_passes`]).
     pub credited_passes: u64,
 }
 
@@ -68,15 +71,18 @@ pub fn cacheable_prefix_layer(trials: &[Trial], n_layers: usize) -> usize {
 }
 
 /// Reordered execution through the persistent prefix store: consult before
-/// computing, publish after a miss. Outcomes and [`ExecStats`] are bitwise
-/// identical to [`ReuseExecutor::run`] on both paths. Store I/O is
-/// best-effort — an unwritable store degrades to an unpublished run, never
-/// a failed one.
+/// computing, publish after a miss. Outcomes and
+/// [`ExecStats`](crate::ExecStats) are bitwise identical to
+/// [`ReuseExecutor::run`] on both paths. Instrumentation is
+/// the reuse walk's plus the `msvstore.*` counters (hit/miss/store/evict,
+/// bytes moved, and the pass/op credit that keeps trace cross-checks exact
+/// on hit runs). Store I/O is best-effort — an unwritable store degrades to
+/// an unpublished run, never a failed one.
 ///
 /// # Errors
 ///
 /// As [`ReuseExecutor::run`].
-pub fn run_reordered_cached_traced<R: Recorder + ?Sized>(
+pub fn run_reordered_cached<R: Recorder + ?Sized>(
     layered: &LayeredCircuit,
     model: &NoiseModel,
     trials: &[Trial],
@@ -85,8 +91,7 @@ pub fn run_reordered_cached_traced<R: Recorder + ?Sized>(
 ) -> Result<(RunResult, CacheOutcome), SimError> {
     let executor = ReuseExecutor::new(layered);
     if trials.is_empty() || layered.n_layers() == 0 {
-        let result = executor.run_traced(trials, recorder)?;
-        return Ok((result, CacheOutcome::default()));
+        return Ok((executor.run(trials, recorder)?, CacheOutcome::default()));
     }
     let prefix_layer = cacheable_prefix_layer(trials, layered.n_layers());
     let key = SemanticKey::compute(layered, prefix_layer, model, DEFAULT_SEED_POLICY);
@@ -102,9 +107,8 @@ pub fn run_reordered_cached_traced<R: Recorder + ?Sized>(
         recorder.counter(names::MSVSTORE_PREFIX_LAYER, prefix_layer as u64);
     }
 
-    let mut outcomes: Vec<Option<MeasureOutcome>> = vec![None; trials.len()];
-    let stats: ExecStats;
-    match restored {
+    let mut captured: Option<StateVector> = None;
+    let prefix = match restored {
         Some((state, bytes_read)) => {
             outcome.hit = true;
             outcome.bytes_read = bytes_read;
@@ -116,60 +120,34 @@ pub fn run_reordered_cached_traced<R: Recorder + ?Sized>(
                 recorder.counter(names::MSVSTORE_CREDITED_OPS, credit_ops);
                 recorder.counter(names::MSVSTORE_CREDITED_PASSES, credit_passes);
             }
-            stats = executor.run_streaming_prefix_traced(
-                &program,
-                trials,
-                usize::MAX,
-                PrefixCache::Seed {
-                    layer: prefix_layer,
-                    state,
-                    ops: credit_ops,
-                    passes: credit_passes,
-                },
-                |index, out| {
-                    outcomes[index] = Some(out);
-                },
-                recorder,
-            )?;
+            PrefixCache::Seed { layer: prefix_layer, state, ops: credit_ops, passes: credit_passes }
         }
         None => {
             if recorder.enabled() {
                 recorder.counter(names::MSVSTORE_MISS, 1);
             }
-            let mut captured: Option<StateVector> = None;
-            stats = executor.run_streaming_prefix_traced(
-                &program,
-                trials,
-                usize::MAX,
-                PrefixCache::Capture { layer: prefix_layer, out: &mut captured },
-                |index, out| {
-                    outcomes[index] = Some(out);
-                },
-                recorder,
-            )?;
-            if let Some(state) = captured {
-                if let Ok(put) = store.put(&key, state.amplitudes()) {
-                    outcome.stored = put.stored;
-                    outcome.bytes_written = put.bytes_written;
-                    outcome.evicted = put.evicted;
-                    if recorder.enabled() && put.stored {
-                        recorder.counter(names::MSVSTORE_STORE, 1);
-                        recorder.counter(names::MSVSTORE_BYTES_WRITTEN, put.bytes_written);
-                        if put.evicted > 0 {
-                            recorder.counter(names::MSVSTORE_EVICT, put.evicted);
-                        }
-                    }
+            PrefixCache::Capture { layer: prefix_layer, out: &mut captured }
+        }
+    };
+    let mut dense = Dense::new(layered.n_qubits());
+    let result = collect(trials.len(), |out| {
+        let sink = |index, outcome| out[index] = Some(outcome);
+        executor.walk(Engine::Fused(&program), trials, prefix, &mut dense, sink, recorder)
+    })?;
+    if let Some(state) = captured {
+        if let Ok(put) = store.put(&key, state.amplitudes()) {
+            outcome.stored = put.stored;
+            outcome.bytes_written = put.bytes_written;
+            outcome.evicted = put.evicted;
+            if recorder.enabled() && put.stored {
+                recorder.counter(names::MSVSTORE_STORE, 1);
+                recorder.counter(names::MSVSTORE_BYTES_WRITTEN, put.bytes_written);
+                if put.evicted > 0 {
+                    recorder.counter(names::MSVSTORE_EVICT, put.evicted);
                 }
             }
         }
     }
-    let result = RunResult {
-        outcomes: outcomes
-            .into_iter()
-            .map(|o| o.expect("every trial produced an outcome"))
-            .collect(),
-        stats,
-    };
     Ok((result, outcome))
 }
 
@@ -177,7 +155,7 @@ pub fn run_reordered_cached_traced<R: Recorder + ?Sized>(
 mod tests {
     use super::*;
     use crate::testkit::{scaled_rates, uniform_workload};
-    use crate::Simulation;
+    use crate::{RunSpec, Simulation};
     use qsim_circuit::catalog;
     use qsim_telemetry::AggregatingRecorder;
 
@@ -211,9 +189,10 @@ mod tests {
         let tmp = TempDir::new("matrix");
         let store = MsvStore::open(&tmp.0, 0).unwrap();
         let (layered, set, model) = workload();
-        let uncached = ReuseExecutor::new(&layered).run(set.trials()).unwrap();
+        let uncached =
+            ReuseExecutor::new(&layered).run(set.trials(), &qsim_telemetry::NullRecorder).unwrap();
 
-        let (cold, cold_outcome) = run_reordered_cached_traced(
+        let (cold, cold_outcome) = run_reordered_cached(
             &layered,
             &model,
             set.trials(),
@@ -226,7 +205,7 @@ mod tests {
         assert_eq!(cold.outcomes, uncached.outcomes, "miss path is bit-identical");
         assert_eq!(cold.stats, uncached.stats, "miss path accounting is identical");
 
-        let (warm, warm_outcome) = run_reordered_cached_traced(
+        let (warm, warm_outcome) = run_reordered_cached(
             &layered,
             &model,
             set.trials(),
@@ -249,7 +228,7 @@ mod tests {
         let (layered, set, model) = workload();
 
         let recorder = AggregatingRecorder::new();
-        run_reordered_cached_traced(&layered, &model, set.trials(), &store, &recorder).unwrap();
+        run_reordered_cached(&layered, &model, set.trials(), &store, &recorder).unwrap();
         let cold = recorder.report();
         assert_eq!(cold.counter(names::MSVSTORE_MISS), 1);
         assert_eq!(cold.counter(names::MSVSTORE_HIT), 0);
@@ -257,7 +236,7 @@ mod tests {
         assert!(cold.counter(names::MSVSTORE_BYTES_WRITTEN) > 0);
 
         let recorder = AggregatingRecorder::new();
-        run_reordered_cached_traced(&layered, &model, set.trials(), &store, &recorder).unwrap();
+        run_reordered_cached(&layered, &model, set.trials(), &store, &recorder).unwrap();
         let warm = recorder.report();
         assert_eq!(warm.counter(names::MSVSTORE_HIT), 1);
         assert_eq!(warm.counter(names::MSVSTORE_MISS), 0);
@@ -283,9 +262,12 @@ mod tests {
         )
         .unwrap();
         sim.generate_trials(300, 5).unwrap();
-        let plain = sim.run_reordered().unwrap();
-        let (cold, c1) = sim.run_reordered_cached(&store).unwrap();
-        let (warm, c2) = sim.run_reordered_cached(&store).unwrap();
+        let cached = RunSpec { store: Some(&store), ..RunSpec::default() };
+        let plain = sim.run_reordered_traced(&qsim_telemetry::NullRecorder).unwrap();
+        let cold = sim.run(&cached, &qsim_telemetry::NullRecorder).unwrap();
+        let warm = sim.run(&cached, &qsim_telemetry::NullRecorder).unwrap();
+        let (c1, c2) = (cold.cache.unwrap(), warm.cache.unwrap());
+        let (cold, warm) = (cold.result, warm.result);
         assert!(!c1.hit && c2.hit);
         let hist = |r: &RunResult| sim.histogram(r).iter().collect::<Vec<_>>();
         assert_eq!(hist(&plain), hist(&cold));
@@ -301,23 +283,14 @@ mod tests {
         let model = NoiseModel::uniform(4, 0.0, 0.0, 0.0);
         let trials: Vec<Trial> = (0..8).map(|seed| Trial::new(vec![], 0, seed)).collect();
         assert_eq!(cacheable_prefix_layer(&trials, layered.n_layers()), layered.n_layers() - 1);
-        let uncached = ReuseExecutor::new(&layered).run(&trials).unwrap();
-        let (cold, c1) = run_reordered_cached_traced(
-            &layered,
-            &model,
-            &trials,
-            &store,
-            &qsim_telemetry::NullRecorder,
-        )
-        .unwrap();
-        let (warm, c2) = run_reordered_cached_traced(
-            &layered,
-            &model,
-            &trials,
-            &store,
-            &qsim_telemetry::NullRecorder,
-        )
-        .unwrap();
+        let uncached =
+            ReuseExecutor::new(&layered).run(&trials, &qsim_telemetry::NullRecorder).unwrap();
+        let (cold, c1) =
+            run_reordered_cached(&layered, &model, &trials, &store, &qsim_telemetry::NullRecorder)
+                .unwrap();
+        let (warm, c2) =
+            run_reordered_cached(&layered, &model, &trials, &store, &qsim_telemetry::NullRecorder)
+                .unwrap();
         assert!(c1.stored && c2.hit);
         assert_eq!(cold.outcomes, uncached.outcomes);
         assert_eq!(warm.outcomes, uncached.outcomes);
@@ -329,14 +302,9 @@ mod tests {
         let tmp = TempDir::new("empty");
         let store = MsvStore::open(&tmp.0, 0).unwrap();
         let (layered, _, model) = workload();
-        let (result, outcome) = run_reordered_cached_traced(
-            &layered,
-            &model,
-            &[],
-            &store,
-            &qsim_telemetry::NullRecorder,
-        )
-        .unwrap();
+        let (result, outcome) =
+            run_reordered_cached(&layered, &model, &[], &store, &qsim_telemetry::NullRecorder)
+                .unwrap();
         assert!(result.outcomes.is_empty());
         assert_eq!(outcome.key, None);
         assert_eq!(store.stats().entries, 0);

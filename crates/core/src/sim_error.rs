@@ -30,6 +30,14 @@ pub enum SimError {
     Noise(NoiseError),
     /// Circuit-level validation failed.
     Circuit(String),
+    /// Two run options no executor honours together, named by their
+    /// `qsim run` flags.
+    ConflictingOptions {
+        /// The option that rules the other out.
+        flag: &'static str,
+        /// The option it cannot be combined with.
+        with: &'static str,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -47,6 +55,9 @@ impl fmt::Display for SimError {
             SimError::State(e) => write!(f, "state-vector failure: {e}"),
             SimError::Noise(e) => write!(f, "noise-model failure: {e}"),
             SimError::Circuit(message) => write!(f, "circuit failure: {message}"),
+            SimError::ConflictingOptions { flag, with } => {
+                write!(f, "{flag} cannot be combined with {with}")
+            }
         }
     }
 }

@@ -1,13 +1,131 @@
 use qsim_circuit::{Circuit, LayeredCircuit};
 use qsim_noise::{NoiseModel, TrialGenerator, TrialSet};
+use qsim_telemetry::Recorder;
+use redsim_msvstore::MsvStore;
 
 use crate::analysis::{self, CostReport};
-use crate::exec::{BaselineExecutor, ReuseExecutor, RunResult};
+use crate::compressed::CompressionStats;
+use crate::exec::{ReuseExecutor, RunResult};
 use crate::histogram::Histogram;
+use crate::parallel;
+use crate::semcache::CacheOutcome;
+use crate::tree::TreeExecutor;
 use crate::SimError;
 
+/// The walk a [`RunSpec`] selects.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Walk {
+    /// Every trial from `|0…0⟩` (the paper's baseline).
+    Baseline,
+    /// The reordered prefix-trie walk (the paper's optimization).
+    #[default]
+    Reuse,
+    /// The batched tree executor (see [`crate::tree`]).
+    Tree,
+}
+
+/// What [`Simulation::run`] executes: one walk and the knobs that
+/// configure it — the options of `qsim run`.
+#[derive(Clone, Copy, Debug)]
+pub struct RunSpec<'s> {
+    /// Which walk runs.
+    pub walk: Walk,
+    /// Stored-state cap for the reuse walk (`usize::MAX` = unbounded).
+    pub budget: usize,
+    /// Hold the reuse walk's cached frontiers compressed at rest.
+    pub compressed: bool,
+    /// Worker threads for the baseline or unbounded dense reuse walk
+    /// (`0` = all cores, `1` = sequential).
+    pub threads: usize,
+    /// Cross-run prefix store for the sequential, unbounded, dense reuse
+    /// walk (see [`crate::semcache`]).
+    pub store: Option<&'s MsvStore>,
+}
+
+impl Default for RunSpec<'_> {
+    fn default() -> Self {
+        RunSpec::new(Walk::Reuse)
+    }
+}
+
+impl RunSpec<'_> {
+    /// `walk` with every knob at its default: unbounded, dense,
+    /// sequential, uncached.
+    pub fn new(walk: Walk) -> Self {
+        RunSpec { walk, budget: usize::MAX, compressed: false, threads: 1, store: None }
+    }
+
+    /// Reject knob combinations no executor honours, naming the two
+    /// `qsim run` flags that conflict. The tree walk takes no knob and the
+    /// baseline only `--threads`; `--threads` and `--cache` each drive the
+    /// plain reuse walk and combine with nothing else.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::ConflictingOptions`] for the first conflict.
+    pub fn validate(&self) -> Result<(), SimError> {
+        let set: Vec<&'static str> = [
+            ("--budget", self.budget != usize::MAX),
+            ("--compressed", self.compressed),
+            ("--threads", self.threads != 1),
+            ("--cache", self.store.is_some()),
+        ]
+        .into_iter()
+        .filter_map(|(flag, on)| on.then_some(flag))
+        .collect();
+        let conflict = |flag, with| Err(SimError::ConflictingOptions { flag, with });
+        match self.walk {
+            Walk::Tree => {
+                if let Some(&with) = set.first() {
+                    return conflict("--strategy tree", with);
+                }
+            }
+            Walk::Baseline => {
+                if let Some(&with) = set.iter().find(|&&flag| flag != "--threads") {
+                    return conflict("--baseline", with);
+                }
+            }
+            Walk::Reuse => {}
+        }
+        for lead in ["--cache", "--threads"] {
+            if set.contains(&lead) {
+                if let Some(&with) = set.iter().find(|&&flag| flag != lead) {
+                    return conflict(lead, with);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The strategy name trace and live headers carry.
+    pub fn name(&self) -> &'static str {
+        match self.walk {
+            Walk::Tree => "tree",
+            Walk::Baseline if self.threads == 1 => "baseline",
+            Walk::Baseline => "parallel-baseline",
+            Walk::Reuse if self.store.is_some() => "reuse-cached",
+            Walk::Reuse if self.compressed => "compressed",
+            Walk::Reuse if self.budget != usize::MAX => "reuse-budget",
+            Walk::Reuse if self.threads == 1 => "reuse",
+            Walk::Reuse => "parallel-reuse",
+        }
+    }
+}
+
+/// What [`Simulation::run`] produced: the run itself plus the accounting
+/// of whichever at-rest storage or prefix store it used.
+#[derive(Clone, Debug, PartialEq)]
+pub struct RunOutput {
+    /// Outcomes and cost accounting.
+    pub result: RunResult,
+    /// Memory accounting of a compressed run.
+    pub compression: Option<CompressionStats>,
+    /// What the prefix store did for a cached run.
+    pub cache: Option<CacheOutcome>,
+}
+
 /// End-to-end façade: circuit + noise model + trial set, with analysis and
-/// both execution strategies.
+/// one [`Simulation::run`] for every execution strategy.
 ///
 /// ```
 /// use qsim_circuit::catalog;
@@ -133,81 +251,69 @@ impl Simulation {
         analysis::analyze_generation_order(&self.layered, trials.trials())
     }
 
-    /// Execute all trials with the baseline strategy.
+    /// Execute all trials as `spec` declares, streaming instrumentation
+    /// into `recorder` (pass [`qsim_telemetry::NullRecorder`] for none).
+    /// Every walk produces outcomes bitwise identical to the baseline's.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::NoTrials`] before trial generation, or execution
-    /// failures.
-    pub fn run_baseline(&self) -> Result<RunResult, SimError> {
-        let trials = self.trials.as_ref().ok_or(SimError::NoTrials)?;
-        BaselineExecutor::new(&self.layered).run(trials.trials())
+    /// Returns [`SimError::ConflictingOptions`] when `spec` fails
+    /// [`RunSpec::validate`], [`SimError::NoTrials`] before trial
+    /// generation, or execution failures. Store I/O problems degrade to an
+    /// uncached run, they never fail it.
+    pub fn run<R: Recorder + ?Sized>(
+        &self,
+        spec: &RunSpec<'_>,
+        recorder: &R,
+    ) -> Result<RunOutput, SimError> {
+        spec.validate()?;
+        let trials = self.trials.as_ref().ok_or(SimError::NoTrials)?.trials();
+        let layered = &self.layered;
+        let (mut compression, mut cache) = (None, None);
+        let result = match spec.walk {
+            Walk::Baseline => {
+                parallel::run_baseline_parallel(layered, trials, spec.threads, recorder)?
+            }
+            Walk::Tree => TreeExecutor::new(layered).run(trials, recorder)?,
+            Walk::Reuse if spec.threads != 1 => {
+                parallel::run_reordered_parallel(layered, trials, spec.threads, recorder)?
+            }
+            Walk::Reuse => match spec.store {
+                Some(store) => {
+                    let (result, outcome) = crate::semcache::run_reordered_cached(
+                        layered,
+                        &self.model,
+                        trials,
+                        store,
+                        recorder,
+                    )?;
+                    cache = Some(outcome);
+                    result
+                }
+                None if spec.compressed => {
+                    let reuse = ReuseExecutor::new(layered).with_budget(spec.budget);
+                    let (result, stats) = reuse.run_compressed(trials, recorder)?;
+                    compression = Some(stats);
+                    result
+                }
+                None => {
+                    ReuseExecutor::new(layered).with_budget(spec.budget).run(trials, recorder)?
+                }
+            },
+        };
+        Ok(RunOutput { result, compression, cache })
     }
 
-    /// [`Simulation::run_baseline`] with instrumentation streamed into
-    /// `recorder` (see [`BaselineExecutor::run_traced`]).
+    /// [`Simulation::run`] with the default reordered walk.
     ///
     /// # Errors
     ///
-    /// As [`Simulation::run_baseline`].
-    pub fn run_baseline_traced<R: qsim_telemetry::Recorder + ?Sized>(
+    /// As [`Simulation::run`].
+    pub fn run_reordered_traced<R: Recorder + ?Sized>(
         &self,
         recorder: &R,
     ) -> Result<RunResult, SimError> {
-        let trials = self.trials.as_ref().ok_or(SimError::NoTrials)?;
-        BaselineExecutor::new(&self.layered).run_traced(trials.trials(), recorder)
-    }
-
-    /// Execute all trials with trial reordering and prefix-state caching.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NoTrials`] before trial generation, or execution
-    /// failures.
-    pub fn run_reordered(&self) -> Result<RunResult, SimError> {
-        let trials = self.trials.as_ref().ok_or(SimError::NoTrials)?;
-        ReuseExecutor::new(&self.layered).run(trials.trials())
-    }
-
-    /// [`Simulation::run_reordered`] with instrumentation streamed into
-    /// `recorder` (see [`ReuseExecutor::run_traced`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Simulation::run_reordered`].
-    pub fn run_reordered_traced<R: qsim_telemetry::Recorder + ?Sized>(
-        &self,
-        recorder: &R,
-    ) -> Result<RunResult, SimError> {
-        let trials = self.trials.as_ref().ok_or(SimError::NoTrials)?;
-        ReuseExecutor::new(&self.layered).run_traced(trials.trials(), recorder)
-    }
-
-    /// Execute with reordering under a hard cap of `budget` stored state
-    /// vectors (see [`crate::exec::ReuseExecutor::run_with_budget`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NoTrials`] before trial generation, or execution
-    /// failures.
-    pub fn run_reordered_with_budget(&self, budget: usize) -> Result<RunResult, SimError> {
-        let trials = self.trials.as_ref().ok_or(SimError::NoTrials)?;
-        ReuseExecutor::new(&self.layered).run_with_budget(trials.trials(), budget)
-    }
-
-    /// [`Simulation::run_reordered_with_budget`] with instrumentation (see
-    /// [`ReuseExecutor::run_traced`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Simulation::run_reordered_with_budget`].
-    pub fn run_reordered_with_budget_traced<R: qsim_telemetry::Recorder + ?Sized>(
-        &self,
-        budget: usize,
-        recorder: &R,
-    ) -> Result<RunResult, SimError> {
-        let trials = self.trials.as_ref().ok_or(SimError::NoTrials)?;
-        ReuseExecutor::new(&self.layered).run_with_budget_traced(trials.trials(), budget, recorder)
+        Ok(self.run(&RunSpec::default(), recorder)?.result)
     }
 
     /// Static analysis under a stored-state budget.
@@ -222,250 +328,62 @@ impl Simulation {
         analysis::analyze_sorted_with_budget(&self.layered, &sorted, budget)
     }
 
-    /// Execute with reordering and compressed at-rest frontiers (see
-    /// [`crate::compressed`]); outcomes remain identical to the baseline.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NoTrials`] before trial generation, or execution
-    /// failures.
-    pub fn run_reordered_compressed(
-        &self,
-    ) -> Result<(RunResult, crate::compressed::CompressionStats), SimError> {
-        let trials = self.trials.as_ref().ok_or(SimError::NoTrials)?;
-        crate::compressed::run_reordered_compressed(&self.layered, trials.trials())
-    }
-
-    /// [`Simulation::run_reordered_compressed`] with instrumentation (see
-    /// [`crate::compressed::run_reordered_compressed_traced`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Simulation::run_reordered_compressed`].
-    pub fn run_reordered_compressed_traced<R: qsim_telemetry::Recorder + ?Sized>(
-        &self,
-        recorder: &R,
-    ) -> Result<(RunResult, crate::compressed::CompressionStats), SimError> {
-        let trials = self.trials.as_ref().ok_or(SimError::NoTrials)?;
-        crate::compressed::run_reordered_compressed_traced(&self.layered, trials.trials(), recorder)
-    }
-
-    /// Execute all trials with the batched tree executor (see
-    /// [`crate::tree::TreeExecutor`]): the reuse trie made explicit, with
-    /// every fused op swept across the whole sibling frontier. Outcomes
-    /// and pass accounting are bitwise identical to
-    /// [`Simulation::run_reordered`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NoTrials`] before trial generation, or execution
-    /// failures.
-    pub fn run_tree(&self) -> Result<RunResult, SimError> {
-        let trials = self.trials.as_ref().ok_or(SimError::NoTrials)?;
-        crate::tree::TreeExecutor::new(&self.layered).run(trials.trials())
-    }
-
-    /// [`Simulation::run_tree`] with instrumentation streamed into
-    /// `recorder` (see [`crate::tree::TreeExecutor::run_traced`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Simulation::run_tree`].
-    pub fn run_tree_traced<R: qsim_telemetry::Recorder + ?Sized>(
-        &self,
-        recorder: &R,
-    ) -> Result<RunResult, SimError> {
-        let trials = self.trials.as_ref().ok_or(SimError::NoTrials)?;
-        crate::tree::TreeExecutor::new(&self.layered).run_traced(trials.trials(), recorder)
-    }
-
-    /// [`Simulation::run_reordered`] through the persistent cross-run
-    /// prefix store (see [`crate::semcache`]): consult the store before
-    /// materializing the shared prefix, publish the frontier after a
-    /// miss. Outcomes and [`crate::exec::ExecStats`] are bitwise identical
-    /// to [`Simulation::run_reordered`] whether the lookup hits or
-    /// misses.
-    ///
-    /// # Errors
-    ///
-    /// As [`Simulation::run_reordered`]; store I/O problems degrade to an
-    /// uncached run, they never fail it.
-    pub fn run_reordered_cached(
-        &self,
-        store: &redsim_msvstore::MsvStore,
-    ) -> Result<(RunResult, crate::semcache::CacheOutcome), SimError> {
-        self.run_reordered_cached_traced(store, &qsim_telemetry::NullRecorder)
-    }
-
-    /// [`Simulation::run_reordered_cached`] with instrumentation: the
-    /// usual reuse-executor telemetry plus the `msvstore.*` counters
-    /// (hit/miss/store/evict, bytes moved, and the pass/op credit that
-    /// keeps trace cross-checks exact on hit runs).
-    ///
-    /// # Errors
-    ///
-    /// As [`Simulation::run_reordered_cached`].
-    pub fn run_reordered_cached_traced<R: qsim_telemetry::Recorder + ?Sized>(
-        &self,
-        store: &redsim_msvstore::MsvStore,
-        recorder: &R,
-    ) -> Result<(RunResult, crate::semcache::CacheOutcome), SimError> {
-        let trials = self.trials.as_ref().ok_or(SimError::NoTrials)?;
-        crate::semcache::run_reordered_cached_traced(
-            &self.layered,
-            &self.model,
-            trials.trials(),
-            store,
-            recorder,
-        )
-    }
-
     /// Compile the plan once, ask the static advisor for the cheapest
-    /// *executable* strategy (see [`qsim_analyzer::advise`]), and run it.
-    /// Returns the result together with the winning prediction so callers
-    /// can cross-check measured [`crate::exec::ExecStats`] against it.
+    /// *executable* strategy (see [`qsim_analyzer::advise`]), and run it,
+    /// consulting `store` when — and only when — the advisor selects the
+    /// reuse strategy. Records the advisor's verdict as
+    /// `advisor.predicted_passes`, `advisor.predicted_ops`,
+    /// `advisor.predicted_msv`, and an `advisor.selected.<strategy>`
+    /// counter before the selected executor streams its usual telemetry.
+    /// Returns the run together with the winning prediction so callers can
+    /// cross-check measured [`crate::exec::ExecStats`] against it.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::NoTrials`] before trial generation, or execution
     /// failures from the selected strategy.
     #[cfg(feature = "advisor")]
-    pub fn run_advised(&self) -> Result<(RunResult, qsim_analyzer::StrategyPrediction), SimError> {
-        self.run_advised_traced(&qsim_telemetry::NullRecorder)
-    }
-
-    /// [`Simulation::run_advised`] with instrumentation: records the
-    /// advisor's verdict as `advisor.predicted_passes`,
-    /// `advisor.predicted_ops`, `advisor.predicted_msv`, and an
-    /// `advisor.selected.<strategy>` counter before handing the run to the
-    /// selected executor (which streams its usual telemetry on top).
-    ///
-    /// # Errors
-    ///
-    /// As [`Simulation::run_advised`].
-    #[cfg(feature = "advisor")]
-    pub fn run_advised_traced<R: qsim_telemetry::Recorder + ?Sized>(
+    pub fn run_advised<R: Recorder + ?Sized>(
         &self,
+        store: Option<&MsvStore>,
         recorder: &R,
-    ) -> Result<(RunResult, qsim_analyzer::StrategyPrediction), SimError> {
+    ) -> Result<(RunOutput, qsim_analyzer::StrategyPrediction), SimError> {
         use qsim_analyzer::Strategy;
+        use qsim_telemetry::names;
         let trials = self.trials.as_ref().ok_or(SimError::NoTrials)?;
-        let chosen = self.advise_choice(trials, recorder);
-        let result = match chosen.strategy {
-            Strategy::Sequential => {
-                BaselineExecutor::new(&self.layered).run_unfused(trials.trials())?
-            }
-            Strategy::Fused => {
-                BaselineExecutor::new(&self.layered).run_traced(trials.trials(), recorder)?
-            }
-            Strategy::Reuse => {
-                ReuseExecutor::new(&self.layered).run_traced(trials.trials(), recorder)?
-            }
-            Strategy::Compressed => {
-                crate::compressed::run_reordered_compressed_traced(
-                    &self.layered,
-                    trials.trials(),
-                    recorder,
-                )?
-                .0
-            }
-            Strategy::Tree => crate::tree::TreeExecutor::new(&self.layered)
-                .run_traced(trials.trials(), recorder)?,
-            Strategy::FrameTracking => {
-                unreachable!("best_executable never returns a frame-tracking prediction")
-            }
-        };
-        Ok((result, chosen))
-    }
-
-    /// [`Simulation::run_advised_traced`] consulting the persistent
-    /// prefix store when — and only when — the advisor selects the reuse
-    /// strategy; every other strategy has no seedable root frontier and
-    /// runs uncached (`None` in the returned triple).
-    ///
-    /// # Errors
-    ///
-    /// As [`Simulation::run_advised`].
-    #[cfg(feature = "advisor")]
-    pub fn run_advised_cached_traced<R: qsim_telemetry::Recorder + ?Sized>(
-        &self,
-        store: &redsim_msvstore::MsvStore,
-        recorder: &R,
-    ) -> Result<
-        (RunResult, qsim_analyzer::StrategyPrediction, Option<crate::semcache::CacheOutcome>),
-        SimError,
-    > {
-        use qsim_analyzer::Strategy;
-        let trials = self.trials.as_ref().ok_or(SimError::NoTrials)?;
-        let chosen = self.advise_choice(trials, recorder);
-        if chosen.strategy == Strategy::Reuse {
-            let (result, cache) = crate::semcache::run_reordered_cached_traced(
-                &self.layered,
-                &self.model,
-                trials.trials(),
-                store,
-                recorder,
-            )?;
-            return Ok((result, chosen, Some(cache)));
-        }
-        let result = match chosen.strategy {
-            Strategy::Sequential => {
-                BaselineExecutor::new(&self.layered).run_unfused(trials.trials())?
-            }
-            Strategy::Fused => {
-                BaselineExecutor::new(&self.layered).run_traced(trials.trials(), recorder)?
-            }
-            Strategy::Compressed => {
-                crate::compressed::run_reordered_compressed_traced(
-                    &self.layered,
-                    trials.trials(),
-                    recorder,
-                )?
-                .0
-            }
-            Strategy::Tree => crate::tree::TreeExecutor::new(&self.layered)
-                .run_traced(trials.trials(), recorder)?,
-            Strategy::Reuse | Strategy::FrameTracking => {
-                unreachable!("reuse handled above; frame-tracking is never executable")
-            }
-        };
-        Ok((result, chosen, None))
-    }
-
-    /// Compile the execution plan, record the advisor's verdict counters,
-    /// and return the winning executable prediction.
-    #[cfg(feature = "advisor")]
-    fn advise_choice<R: qsim_telemetry::Recorder + ?Sized>(
-        &self,
-        trials: &TrialSet,
-        recorder: &R,
-    ) -> qsim_analyzer::StrategyPrediction {
-        use qsim_analyzer::Strategy;
         let plan = qsim_analyzer::ExecutionPlan::compile_traced(
             &self.layered,
             trials,
             usize::MAX,
             recorder,
         );
-        let advice = qsim_analyzer::advise(&plan);
-        let chosen = *advice.best_executable();
+        let chosen = *qsim_analyzer::advise(&plan).best_executable();
+        let (selected, walk) = match chosen.strategy {
+            Strategy::Sequential => (names::ADVISOR_SELECTED_SEQUENTIAL, None),
+            Strategy::Fused => (names::ADVISOR_SELECTED_FUSED, Some(Walk::Baseline)),
+            Strategy::Reuse => (names::ADVISOR_SELECTED_REUSE, Some(Walk::Reuse)),
+            Strategy::Compressed => (names::ADVISOR_SELECTED_COMPRESSED, Some(Walk::Reuse)),
+            Strategy::Tree => (names::ADVISOR_SELECTED_TREE, Some(Walk::Tree)),
+            Strategy::FrameTracking => {
+                unreachable!("best_executable never returns a frame-tracking prediction")
+            }
+        };
         if recorder.enabled() {
-            recorder.counter("advisor.predicted_passes", chosen.amplitude_passes);
-            recorder.counter("advisor.predicted_ops", chosen.ops);
-            recorder.counter("advisor.predicted_msv", chosen.msv_peak as u64);
-            recorder.counter(
-                match chosen.strategy {
-                    Strategy::Sequential => "advisor.selected.sequential",
-                    Strategy::Fused => "advisor.selected.fused",
-                    Strategy::Reuse => "advisor.selected.reuse",
-                    Strategy::Compressed => "advisor.selected.compressed",
-                    Strategy::Tree => "advisor.selected.tree",
-                    Strategy::FrameTracking => "advisor.selected.frame-tracking",
-                },
-                1,
-            );
+            recorder.counter(names::ADVISOR_PREDICTED_PASSES, chosen.amplitude_passes);
+            recorder.counter(names::ADVISOR_PREDICTED_OPS, chosen.ops);
+            recorder.counter(names::ADVISOR_PREDICTED_MSV, chosen.msv_peak as u64);
+            recorder.counter(selected, 1);
         }
-        chosen
+        let Some(walk) = walk else {
+            // The unfused reference path, exactly as the advisor models it.
+            let result =
+                crate::exec::BaselineExecutor::new(&self.layered).run_unfused(trials.trials())?;
+            return Ok((RunOutput { result, compression: None, cache: None }, chosen));
+        };
+        let compressed = chosen.strategy == Strategy::Compressed;
+        let store = store.filter(|_| chosen.strategy == Strategy::Reuse);
+        let spec = RunSpec { compressed, store, ..RunSpec::new(walk) };
+        Ok((self.run(&spec, recorder)?, chosen))
     }
 
     /// Analytic first-order prediction of the savings for `n_trials`
@@ -489,68 +407,6 @@ impl Simulation {
         crate::reference::exact_distribution(&self.layered, &self.model)
     }
 
-    /// Multi-threaded baseline execution (`0` threads = all cores).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NoTrials`] before trial generation, or execution
-    /// failures.
-    pub fn run_baseline_parallel(&self, n_threads: usize) -> Result<RunResult, SimError> {
-        let trials = self.trials.as_ref().ok_or(SimError::NoTrials)?;
-        crate::parallel::run_baseline_parallel(&self.layered, trials.trials(), n_threads)
-    }
-
-    /// Multi-threaded reordered execution (`0` threads = all cores).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NoTrials`] before trial generation, or execution
-    /// failures.
-    pub fn run_reordered_parallel(&self, n_threads: usize) -> Result<RunResult, SimError> {
-        let trials = self.trials.as_ref().ok_or(SimError::NoTrials)?;
-        crate::parallel::run_reordered_parallel(&self.layered, trials.trials(), n_threads)
-    }
-
-    /// [`Simulation::run_baseline_parallel`] with a shared recorder across
-    /// workers (see [`crate::parallel::run_baseline_parallel_traced`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Simulation::run_baseline_parallel`].
-    pub fn run_baseline_parallel_traced<R: qsim_telemetry::Recorder + ?Sized>(
-        &self,
-        n_threads: usize,
-        recorder: &R,
-    ) -> Result<RunResult, SimError> {
-        let trials = self.trials.as_ref().ok_or(SimError::NoTrials)?;
-        crate::parallel::run_baseline_parallel_traced(
-            &self.layered,
-            trials.trials(),
-            n_threads,
-            recorder,
-        )
-    }
-
-    /// [`Simulation::run_reordered_parallel`] with a shared recorder across
-    /// workers (see [`crate::parallel::run_reordered_parallel_traced`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Simulation::run_reordered_parallel`].
-    pub fn run_reordered_parallel_traced<R: qsim_telemetry::Recorder + ?Sized>(
-        &self,
-        n_threads: usize,
-        recorder: &R,
-    ) -> Result<RunResult, SimError> {
-        let trials = self.trials.as_ref().ok_or(SimError::NoTrials)?;
-        crate::parallel::run_reordered_parallel_traced(
-            &self.layered,
-            trials.trials(),
-            n_threads,
-            recorder,
-        )
-    }
-
     /// Aggregate a run's outcomes into a histogram over the classical
     /// register.
     pub fn histogram(&self, result: &RunResult) -> Histogram {
@@ -562,6 +418,11 @@ impl Simulation {
 mod tests {
     use super::*;
     use qsim_circuit::catalog;
+    use qsim_telemetry::NullRecorder;
+
+    fn run(s: &Simulation, spec: RunSpec<'_>) -> Result<RunOutput, SimError> {
+        s.run(&spec, &NullRecorder)
+    }
 
     fn sim() -> Simulation {
         Simulation::from_circuit(&catalog::bv(4, 0b111), NoiseModel::uniform(4, 5e-3, 5e-2, 2e-2))
@@ -572,8 +433,8 @@ mod tests {
     fn requires_trials_before_analysis_or_execution() {
         let s = sim();
         assert!(matches!(s.analyze(), Err(SimError::NoTrials)));
-        assert!(matches!(s.run_baseline(), Err(SimError::NoTrials)));
-        assert!(matches!(s.run_reordered(), Err(SimError::NoTrials)));
+        assert!(matches!(run(&s, RunSpec::new(Walk::Baseline)), Err(SimError::NoTrials)));
+        assert!(matches!(run(&s, RunSpec::default()), Err(SimError::NoTrials)));
     }
 
     #[test]
@@ -582,8 +443,8 @@ mod tests {
         s.generate_trials(400, 3).unwrap();
         let report = s.analyze().unwrap();
         assert!(report.savings() > 0.3, "saving {}", report.savings());
-        let baseline = s.run_baseline().unwrap();
-        let reordered = s.run_reordered().unwrap();
+        let baseline = run(&s, RunSpec::new(Walk::Baseline)).unwrap().result;
+        let reordered = run(&s, RunSpec::default()).unwrap().result;
         assert_eq!(baseline.outcomes, reordered.outcomes);
         assert_eq!(reordered.stats.ops, report.optimized_ops);
         assert_eq!(baseline.stats.ops, report.baseline_ops);
@@ -599,7 +460,7 @@ mod tests {
         s.generate_trials_fast(300, 9).unwrap();
         let report = s.analyze().unwrap();
         assert_eq!(report.n_trials, 300);
-        let result = s.run_reordered().unwrap();
+        let result = run(&s, RunSpec::default()).unwrap().result;
         assert_eq!(result.stats.ops, report.optimized_ops);
     }
 
@@ -628,14 +489,15 @@ mod tests {
     fn facade_budget_and_parallel_paths_agree() {
         let mut s = sim();
         s.generate_trials(300, 21).unwrap();
-        let baseline = s.run_baseline().unwrap();
-        let budgeted = s.run_reordered_with_budget(2).unwrap();
+        let baseline = run(&s, RunSpec::new(Walk::Baseline)).unwrap().result;
+        let budgeted = run(&s, RunSpec { budget: 2, ..RunSpec::default() }).unwrap().result;
         assert_eq!(budgeted.outcomes, baseline.outcomes);
         assert!(budgeted.stats.peak_msv <= 2);
         assert_eq!(s.analyze_with_budget(2).unwrap().optimized_ops, budgeted.stats.ops);
-        let par = s.run_reordered_parallel(3).unwrap();
+        let par = run(&s, RunSpec { threads: 3, ..RunSpec::default() }).unwrap().result;
         assert_eq!(par.outcomes, baseline.outcomes);
-        let par_base = s.run_baseline_parallel(3).unwrap();
+        let par_base =
+            run(&s, RunSpec { threads: 3, ..RunSpec::new(Walk::Baseline) }).unwrap().result;
         assert_eq!(par_base.outcomes, baseline.outcomes);
     }
 
@@ -643,8 +505,9 @@ mod tests {
     fn facade_compressed_and_oracle_paths() {
         let mut s = sim();
         s.generate_trials(400, 8).unwrap();
-        let baseline = s.run_baseline().unwrap();
-        let (compressed, stats) = s.run_reordered_compressed().unwrap();
+        let baseline = run(&s, RunSpec::new(Walk::Baseline)).unwrap().result;
+        let output = run(&s, RunSpec { compressed: true, ..RunSpec::default() }).unwrap();
+        let (compressed, stats) = (output.result, output.compression.unwrap());
         assert_eq!(compressed.outcomes, baseline.outcomes);
         assert!(stats.frames_stored > 0);
         let exact = s.exact_distribution().unwrap();

@@ -51,11 +51,11 @@
 use qsim_circuit::{FusedProgram, LayeredCircuit};
 use qsim_noise::{Injection, Trial};
 use qsim_statevec::{MeasureOutcome, StatePool, StateVector};
-use qsim_telemetry::{Heartbeat, KernelClass, MsvEvent, NullRecorder, Recorder};
+use qsim_telemetry::{Heartbeat, KernelClass, MsvEvent, Recorder};
 
 use crate::exec::{
-    amp_bytes, fuse_for_trials, fuse_for_trials_traced, inject_traced, measure,
-    record_stats_counters, validate, validate_program, ExecStats, RunResult,
+    amp_bytes, collect, fuse_for_trials_traced, inject_traced, measure, record_stats_counters,
+    validate, validate_program, ExecStats, RunResult,
 };
 use crate::order::{compare_trials, lcp};
 use crate::SimError;
@@ -171,91 +171,34 @@ impl<'a> TreeExecutor<'a> {
 
     /// Execute `trials`, reordering internally; outcomes are returned in
     /// the input order and are bitwise identical to
-    /// [`crate::exec::ReuseExecutor::run`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] for trials whose injections do not fit the
-    /// circuit.
-    pub fn run(&self, trials: &[Trial]) -> Result<RunResult, SimError> {
-        let program = fuse_for_trials(self.layered, trials);
-        self.run_with_program_traced(&program, trials, &NullRecorder)
-    }
-
-    /// [`TreeExecutor::run`] with instrumentation streamed into
+    /// [`crate::exec::ReuseExecutor::run`]. Instrumentation streams into
     /// `recorder`: per-sweep kernel timings (phase `"tree/sweep"`, one
     /// observation per fused op carrying the batch width), branch
     /// injections (phase `"tree/branch"`), MSV fork/drop lifecycle with
     /// live frontier width, one heartbeat per measured trial, a
     /// `"run/tree"` span, and end-of-run counters mirroring the returned
-    /// [`ExecStats`] (including `batch_sweeps` / `batch_width_max`). With
-    /// a [`NullRecorder`] this is exactly [`TreeExecutor::run`].
+    /// [`ExecStats`] (including `batch_sweeps` / `batch_width_max`). Pass
+    /// [`qsim_telemetry::NullRecorder`] for none.
     ///
     /// # Errors
     ///
-    /// As [`TreeExecutor::run`].
-    pub fn run_traced<R: Recorder + ?Sized>(
+    /// Returns [`SimError`] for trials whose injections do not fit the
+    /// circuit.
+    pub fn run<R: Recorder + ?Sized>(
         &self,
         trials: &[Trial],
         recorder: &R,
     ) -> Result<RunResult, SimError> {
         let program = fuse_for_trials_traced(self.layered, trials, recorder);
-        self.run_with_program_traced(&program, trials, recorder)
-    }
-
-    /// Like [`TreeExecutor::run`], but through an externally compiled
-    /// program (shared fusion across runs).
-    ///
-    /// # Errors
-    ///
-    /// As [`TreeExecutor::run`], plus cut-alignment failures when
-    /// `program` was not compiled for these trials.
-    pub fn run_with_program(
-        &self,
-        program: &FusedProgram,
-        trials: &[Trial],
-    ) -> Result<RunResult, SimError> {
-        self.run_with_program_traced(program, trials, &NullRecorder)
-    }
-
-    /// [`TreeExecutor::run_with_program`] with instrumentation (see
-    /// [`TreeExecutor::run_traced`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`TreeExecutor::run_with_program`].
-    pub fn run_with_program_traced<R: Recorder + ?Sized>(
-        &self,
-        program: &FusedProgram,
-        trials: &[Trial],
-        recorder: &R,
-    ) -> Result<RunResult, SimError> {
-        let mut outcomes: Vec<Option<MeasureOutcome>> = vec![None; trials.len()];
-        let stats = self.run_streaming_with_traced(
-            program,
-            trials,
-            |index, outcome| {
-                outcomes[index] = Some(outcome);
-            },
-            recorder,
-        )?;
-        Ok(RunResult {
-            outcomes: outcomes
-                .into_iter()
-                .map(|o| o.expect("every trial produced an outcome"))
-                .collect(),
-            stats,
+        collect(trials.len(), |out| {
+            self.walk(&program, trials, |index, outcome| out[index] = Some(outcome), recorder)
         })
     }
 
-    /// Streaming execution: outcomes are handed to
-    /// `sink(original_trial_index, outcome)` as the frontier walk measures
-    /// them (terminal order, not input order).
-    ///
-    /// # Errors
-    ///
-    /// As [`TreeExecutor::run_with_program`].
-    pub fn run_streaming_with_traced<F, R>(
+    /// The frontier walk: outcomes are handed to
+    /// `sink(original_trial_index, outcome)` as terminals are measured
+    /// (terminal order, not input order).
+    fn walk<F, R>(
         &self,
         program: &FusedProgram,
         trials: &[Trial],
@@ -515,6 +458,7 @@ mod tests {
     use crate::testkit::{scaled_rates, uniform_workload};
     use qsim_circuit::catalog;
     use qsim_noise::{Pauli, Trial};
+    use qsim_telemetry::NullRecorder;
 
     fn strip_batch(stats: &ExecStats) -> ExecStats {
         ExecStats { batch_sweeps: 0, batch_width_max: 0, peak_msv: 0, ..*stats }
@@ -529,8 +473,8 @@ mod tests {
             (catalog::wstate_3q(), 5.0),
         ] {
             let (layered, set) = uniform_workload(&circuit, scaled_rates(scale), 48, 11);
-            let tree = TreeExecutor::new(&layered).run(set.trials()).unwrap();
-            let reuse = ReuseExecutor::new(&layered).run(set.trials()).unwrap();
+            let tree = TreeExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
+            let reuse = ReuseExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
             assert_eq!(tree.outcomes, reuse.outcomes);
             assert_eq!(strip_batch(&tree.stats), strip_batch(&reuse.stats));
             assert!(tree.stats.batch_sweeps <= tree.stats.fused_ops);
@@ -553,7 +497,7 @@ mod tests {
             set.trials().iter().map(|t| t.injections()).collect();
         lists.sort();
         lists.dedup();
-        let tree = TreeExecutor::new(&layered).run(set.trials()).unwrap();
+        let tree = TreeExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
         assert_eq!(tree.stats.peak_msv, lists.len());
     }
 
@@ -562,19 +506,21 @@ mod tests {
         let circuit = catalog::ghz(3);
         let layered = LayeredCircuit::from_circuit(&circuit).unwrap();
         // Empty trial set.
-        let empty = TreeExecutor::new(&layered).run(&[]).unwrap();
+        let empty = TreeExecutor::new(&layered).run(&[], &NullRecorder).unwrap();
         assert_eq!(empty.stats, ExecStats::default());
         // Single error-free trial.
-        let single = TreeExecutor::new(&layered).run(&[Trial::new(vec![], 0, 7)]).unwrap();
-        let reuse = ReuseExecutor::new(&layered).run(&[Trial::new(vec![], 0, 7)]).unwrap();
+        let single =
+            TreeExecutor::new(&layered).run(&[Trial::new(vec![], 0, 7)], &NullRecorder).unwrap();
+        let reuse =
+            ReuseExecutor::new(&layered).run(&[Trial::new(vec![], 0, 7)], &NullRecorder).unwrap();
         assert_eq!(single.outcomes, reuse.outcomes);
         assert_eq!(single.stats.peak_msv, 1);
         // All trials diverge at layer 0.
         let diverge: Vec<Trial> = (0..6)
             .map(|i| Trial::new(vec![Injection::single(0, i % 3, Pauli::X)], 0, 100 + i as u64))
             .collect();
-        let tree = TreeExecutor::new(&layered).run(&diverge).unwrap();
-        let reuse = ReuseExecutor::new(&layered).run(&diverge).unwrap();
+        let tree = TreeExecutor::new(&layered).run(&diverge, &NullRecorder).unwrap();
+        let reuse = ReuseExecutor::new(&layered).run(&diverge, &NullRecorder).unwrap();
         assert_eq!(tree.outcomes, reuse.outcomes);
         assert_eq!(strip_batch(&tree.stats), strip_batch(&reuse.stats));
         // 3 distinct injection lists: two clones plus the root's buffer
@@ -604,10 +550,10 @@ mod tests {
                 start.elapsed().as_secs_f64() * 1e6 / reps as f64
             };
             let reuse_us = time(&mut || {
-                ReuseExecutor::new(&layered).run(trials).unwrap();
+                ReuseExecutor::new(&layered).run(trials, &NullRecorder).unwrap();
             });
             let tree_us = time(&mut || {
-                TreeExecutor::new(&layered).run(trials).unwrap();
+                TreeExecutor::new(&layered).run(trials, &NullRecorder).unwrap();
             });
             let fuse_us = time(&mut || {
                 std::hint::black_box(crate::exec::fuse_for_trials(&layered, trials));
@@ -643,8 +589,8 @@ mod tests {
             Trial::new(vec![Injection::single(0, 0, Pauli::X)], 0, 2),
             Trial::new(vec![], 0, 3),
         ];
-        let tree = TreeExecutor::new(&layered).run(&chain).unwrap();
-        let reuse = ReuseExecutor::new(&layered).run(&chain).unwrap();
+        let tree = TreeExecutor::new(&layered).run(&chain, &NullRecorder).unwrap();
+        let reuse = ReuseExecutor::new(&layered).run(&chain, &NullRecorder).unwrap();
         assert_eq!(tree.outcomes, reuse.outcomes);
         assert_eq!(strip_batch(&tree.stats), strip_batch(&reuse.stats));
     }

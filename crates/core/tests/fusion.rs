@@ -10,6 +10,7 @@
 use qsim_circuit::{catalog, Circuit, FusedProgram, LayeredCircuit};
 use qsim_noise::{injection_cut_layers, NoiseModel, Trial, TrialGenerator};
 use qsim_statevec::StateVector;
+use qsim_telemetry::NullRecorder;
 use redsim::exec::{BaselineExecutor, ReuseExecutor};
 
 fn catalog_suite() -> Vec<Circuit> {
@@ -121,8 +122,8 @@ fn fusion_properties_hold_across_the_catalog() {
             assert_eq!(program.total_source_gates(), layered.total_gates());
 
             // (1) Fused baseline ≡ fused reuse, bitwise.
-            let baseline = BaselineExecutor::new(&layered).run(trials).unwrap();
-            let reuse = ReuseExecutor::new(&layered).run(trials).unwrap();
+            let baseline = BaselineExecutor::new(&layered).run(trials, &NullRecorder).unwrap();
+            let reuse = ReuseExecutor::new(&layered).run(trials, &NullRecorder).unwrap();
             assert_eq!(
                 baseline.outcomes,
                 reuse.outcomes,
@@ -171,8 +172,8 @@ fn transpiled_circuits_fuse_correctly_too() {
         let layered = compiled.circuit.layered().unwrap();
         let model = NoiseModel::ibm_yorktown();
         let set = TrialGenerator::new(&layered, &model).unwrap().generate(200, 7);
-        let baseline = BaselineExecutor::new(&layered).run(set.trials()).unwrap();
-        let reuse = ReuseExecutor::new(&layered).run(set.trials()).unwrap();
+        let baseline = BaselineExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
+        let reuse = ReuseExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
         assert_eq!(baseline.outcomes, reuse.outcomes, "{}", circuit.name());
 
         let program = FusedProgram::new(&layered, &injection_cut_layers(set.trials()));

@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 use qsim_circuit::{Circuit, LayeredCircuit};
 use qsim_noise::{Injection, Pauli, Trial};
+use qsim_telemetry::NullRecorder;
 use redsim::analysis::{analyze_generation_order, analyze_sorted};
 use redsim::exec::{BaselineExecutor, ReuseExecutor};
 use redsim::order::{compare_trials, reorder, reorder_recursive};
@@ -91,8 +92,8 @@ proptest! {
         let mut sorted = trials.clone();
         reorder(&mut sorted);
         let report = analyze_sorted(&layered, &sorted).unwrap();
-        let reuse = ReuseExecutor::new(&layered).run(&trials).unwrap();
-        let baseline = BaselineExecutor::new(&layered).run(&trials).unwrap();
+        let reuse = ReuseExecutor::new(&layered).run(&trials, &NullRecorder).unwrap();
+        let baseline = BaselineExecutor::new(&layered).run(&trials, &NullRecorder).unwrap();
         prop_assert_eq!(reuse.stats.ops, report.optimized_ops);
         prop_assert_eq!(reuse.stats.peak_msv, report.msv_peak);
         prop_assert_eq!(baseline.stats.ops, report.baseline_ops);
@@ -101,8 +102,8 @@ proptest! {
     #[test]
     fn executors_agree_bitwise(trials in arb_trials()) {
         let (_, layered) = test_circuit();
-        let reuse = ReuseExecutor::new(&layered).run(&trials).unwrap();
-        let baseline = BaselineExecutor::new(&layered).run(&trials).unwrap();
+        let reuse = ReuseExecutor::new(&layered).run(&trials, &NullRecorder).unwrap();
+        let baseline = BaselineExecutor::new(&layered).run(&trials, &NullRecorder).unwrap();
         prop_assert_eq!(reuse.outcomes, baseline.outcomes);
     }
 
@@ -122,8 +123,8 @@ proptest! {
     #[test]
     fn budgeted_execution_is_exact_for_every_budget(trials in arb_trials(), budget in 1usize..6) {
         let (_, layered) = test_circuit();
-        let baseline = BaselineExecutor::new(&layered).run(&trials).unwrap();
-        let budgeted = ReuseExecutor::new(&layered).run_with_budget(&trials, budget).unwrap();
+        let baseline = BaselineExecutor::new(&layered).run(&trials, &NullRecorder).unwrap();
+        let budgeted = ReuseExecutor::new(&layered).with_budget(budget).run(&trials, &NullRecorder).unwrap();
         prop_assert_eq!(&budgeted.outcomes, &baseline.outcomes);
         prop_assert!(budgeted.stats.peak_msv <= budget);
         prop_assert!(budgeted.stats.ops <= baseline.stats.ops);
@@ -138,12 +139,12 @@ proptest! {
     #[test]
     fn compressed_execution_is_outcome_exact(trials in arb_trials()) {
         let (_, layered) = test_circuit();
-        let baseline = BaselineExecutor::new(&layered).run(&trials).unwrap();
+        let baseline = BaselineExecutor::new(&layered).run(&trials, &NullRecorder).unwrap();
         let (compressed, stats) =
-            redsim::compressed::run_reordered_compressed(&layered, &trials).unwrap();
+            ReuseExecutor::new(&layered).run_compressed(&trials, &NullRecorder).unwrap();
         prop_assert_eq!(&compressed.outcomes, &baseline.outcomes);
         // Same op accounting as the dense reuse executor.
-        let dense = ReuseExecutor::new(&layered).run(&trials).unwrap();
+        let dense = ReuseExecutor::new(&layered).run(&trials, &NullRecorder).unwrap();
         prop_assert_eq!(compressed.stats.ops, dense.stats.ops);
         prop_assert_eq!(compressed.stats.peak_msv, dense.stats.peak_msv);
         // Compressed storage never exceeds what the same number of dense
@@ -157,10 +158,10 @@ proptest! {
     #[test]
     fn parallel_execution_is_exact(trials in arb_trials(), threads in 1usize..5) {
         let (_, layered) = test_circuit();
-        let baseline = BaselineExecutor::new(&layered).run(&trials).unwrap();
-        let par_base = redsim::parallel::run_baseline_parallel(&layered, &trials, threads).unwrap();
+        let baseline = BaselineExecutor::new(&layered).run(&trials, &NullRecorder).unwrap();
+        let par_base = redsim::parallel::run_baseline_parallel(&layered, &trials, threads, &NullRecorder).unwrap();
         prop_assert_eq!(&par_base.outcomes, &baseline.outcomes);
-        let par_reuse = redsim::parallel::run_reordered_parallel(&layered, &trials, threads).unwrap();
+        let par_reuse = redsim::parallel::run_reordered_parallel(&layered, &trials, threads, &NullRecorder).unwrap();
         prop_assert_eq!(&par_reuse.outcomes, &baseline.outcomes);
     }
 
@@ -175,8 +176,8 @@ proptest! {
         let k = rotate % trials.len();
         let mut rotated = trials.clone();
         rotated.rotate_left(k);
-        let a = ReuseExecutor::new(&layered).run(&trials).unwrap();
-        let b = ReuseExecutor::new(&layered).run(&rotated).unwrap();
+        let a = ReuseExecutor::new(&layered).run(&trials, &NullRecorder).unwrap();
+        let b = ReuseExecutor::new(&layered).run(&rotated, &NullRecorder).unwrap();
         for (i, outcome) in a.outcomes.iter().enumerate() {
             let j = (i + trials.len() - k) % trials.len();
             prop_assert_eq!(outcome, &b.outcomes[j]);
@@ -212,7 +213,7 @@ fn monte_carlo_converges_to_density_matrix_ground_truth() {
 
     // Monte-Carlo with the redundancy-eliminated executor.
     let trials = TrialGenerator::new(&layered, &model).unwrap().generate(60_000, 1234);
-    let result = ReuseExecutor::new(&layered).run(trials.trials()).unwrap();
+    let result = ReuseExecutor::new(&layered).run(trials.trials(), &NullRecorder).unwrap();
     let hist = Histogram::from_outcomes(2, &result.outcomes);
     let tv = hist.tv_distance(&exact);
     assert!(tv < 0.01, "total-variation distance {tv} too large");

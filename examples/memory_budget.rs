@@ -8,10 +8,11 @@
 use noisy_qsim::circuit::transpile::{transpile, TranspileOptions};
 use noisy_qsim::circuit::{catalog, CouplingMap};
 use noisy_qsim::noise::NoiseModel;
-use noisy_qsim::redsim::compressed::run_reordered_compressed;
+use noisy_qsim::redsim::exec::ReuseExecutor;
 use noisy_qsim::redsim::order::reorder;
-use noisy_qsim::redsim::Simulation;
+use noisy_qsim::redsim::{RunSpec, Simulation, Walk};
 use noisy_qsim::statevec::StoredState;
+use noisy_qsim::telemetry::NullRecorder;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let compiled =
@@ -19,11 +20,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut sim = Simulation::from_circuit(&compiled.circuit, NoiseModel::ibm_yorktown())?;
     sim.generate_trials(8192, 1)?;
 
-    let baseline = sim.run_baseline()?;
+    let baseline = sim.run(&RunSpec::new(Walk::Baseline), &NullRecorder)?.result;
     println!("baseline:            {:>9} ops, 0 cached states", baseline.stats.ops);
 
     for budget in [1usize, 2, 3, usize::MAX] {
-        let result = sim.run_reordered_with_budget(budget)?;
+        let result = sim.run(&RunSpec { budget, ..RunSpec::default() }, &NullRecorder)?.result;
         assert_eq!(result.outcomes, baseline.outcomes, "budget run diverged");
         let label = if budget == usize::MAX { "∞".to_owned() } else { budget.to_string() };
         println!(
@@ -35,7 +36,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Compressed at-rest frontiers: identical outcomes, byte-level stats.
     let mut trials = sim.trials().expect("generated").trials().to_vec();
     reorder(&mut trials);
-    let (result, comp) = run_reordered_compressed(sim.layered(), &trials)?;
+    let (result, comp) =
+        ReuseExecutor::new(sim.layered()).run_compressed(&trials, &NullRecorder)?;
     let dense_unit = StoredState::dense_bytes(sim.layered().n_qubits());
     println!(
         "compressed frontiers: {:>8} ops, peak {} B vs {} B dense ({}/{} frames sparse)",
@@ -47,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Threads: identical outcomes again, chunked caching.
-    let par = sim.run_reordered_parallel(0)?;
+    let par = sim.run(&RunSpec { threads: 0, ..RunSpec::default() }, &NullRecorder)?.result;
     assert_eq!(par.outcomes, baseline.outcomes, "parallel run diverged");
     println!(
         "parallel (all cores): {:>8} ops across workers, {} cached states summed",

@@ -10,7 +10,8 @@ use std::time::Instant;
 use noisy_qsim::circuit::transpile::{transpile, TranspileOptions};
 use noisy_qsim::circuit::{catalog, CouplingMap};
 use noisy_qsim::noise::NoiseModel;
-use noisy_qsim::redsim::Simulation;
+use noisy_qsim::redsim::{RunSpec, Simulation, Walk};
+use noisy_qsim::telemetry::NullRecorder;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Grover with 2 iterations finds |111⟩ with probability ≈ 0.945
@@ -33,10 +34,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("static analysis: {report}");
 
     let t0 = Instant::now();
-    let baseline = sim.run_baseline()?;
+    let baseline = sim.run(&RunSpec::new(Walk::Baseline), &NullRecorder)?.result;
     let t_baseline = t0.elapsed();
     let t0 = Instant::now();
-    let optimized = sim.run_reordered()?;
+    let optimized = sim.run(&RunSpec::default(), &NullRecorder)?.result;
     let t_optimized = t0.elapsed();
     assert_eq!(baseline.outcomes, optimized.outcomes);
 

@@ -10,6 +10,7 @@ use noisy_qsim::noise::{Injection, Pauli, Trial};
 use noisy_qsim::redsim::analysis::analyze_sorted;
 use noisy_qsim::redsim::exec::{BaselineExecutor, ReuseExecutor};
 use noisy_qsim::redsim::order::reorder;
+use noisy_qsim::telemetry::NullRecorder;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A 2-qubit circuit with three layers, in the spirit of Fig. 2: the
@@ -58,8 +59,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // And the executors agree bitwise, as §IV.B promises ("mathematically
     // equivalent to the original simulation").
-    let baseline = BaselineExecutor::new(&layered).run(&inefficient)?;
-    let optimized = ReuseExecutor::new(&layered).run(&inefficient)?;
+    let baseline = BaselineExecutor::new(&layered).run(&inefficient, &NullRecorder)?;
+    let optimized = ReuseExecutor::new(&layered).run(&inefficient, &NullRecorder)?;
     assert_eq!(baseline.outcomes, optimized.outcomes);
     println!(
         "\nexecutors agree bitwise; reuse executor spent {} ops vs {} baseline",

@@ -6,7 +6,8 @@
 use noisy_qsim::circuit::transpile::{transpile, TranspileOptions};
 use noisy_qsim::circuit::CouplingMap;
 use noisy_qsim::noise::NoiseModel;
-use noisy_qsim::redsim::Simulation;
+use noisy_qsim::redsim::{RunSpec, Simulation};
+use noisy_qsim::telemetry::NullRecorder;
 
 /// A GHZ-state preparation with a user-defined gate, as it might arrive
 /// from an external toolchain.
@@ -40,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let report = sim.analyze()?;
     println!("analysis: {report}");
 
-    let result = sim.run_reordered()?;
+    let result = sim.run(&RunSpec::default(), &NullRecorder)?.result;
     let histogram = sim.histogram(&result);
     println!("\nnoisy GHZ distribution (ideal: 50/50 between 000 and 111):\n{histogram}");
     Ok(())

@@ -5,7 +5,8 @@
 
 use noisy_qsim::circuit::catalog;
 use noisy_qsim::noise::NoiseModel;
-use noisy_qsim::redsim::Simulation;
+use noisy_qsim::redsim::{RunSpec, Simulation, Walk};
+use noisy_qsim::telemetry::NullRecorder;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A 4-qubit Bernstein–Vazirani circuit with hidden string 101.
@@ -26,8 +27,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("analysis: {report}");
 
     // Actually run both strategies. Outcomes are bitwise identical.
-    let baseline = sim.run_baseline()?;
-    let optimized = sim.run_reordered()?;
+    let baseline = sim.run(&RunSpec::new(Walk::Baseline), &NullRecorder)?.result;
+    let optimized = sim.run(&RunSpec::default(), &NullRecorder)?.result;
     assert_eq!(baseline.outcomes, optimized.outcomes);
     println!(
         "baseline ops: {}, optimized ops: {} ({:.1}% saved), {} states cached at peak",

@@ -7,7 +7,8 @@
 
 use noisy_qsim::circuit::catalog::rb_sequence;
 use noisy_qsim::noise::NoiseModel;
-use noisy_qsim::redsim::Simulation;
+use noisy_qsim::redsim::{RunSpec, Simulation};
+use noisy_qsim::telemetry::NullRecorder;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -30,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             sim.generate_trials(shots / sequences_per_length, rng.random::<u64>())?;
             let report = sim.analyze()?;
             saving += report.savings();
-            let result = sim.run_reordered()?;
+            let result = sim.run(&RunSpec::default(), &NullRecorder)?.result;
             p_total += sim.histogram(&result).probability(0);
         }
         let p = p_total / sequences_per_length as f64;

@@ -8,6 +8,7 @@
 //! Run with: `cargo run --release --example rare_events`
 
 use noisy_qsim::prelude::*;
+use noisy_qsim::redsim::exec::ReuseExecutor;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let circuit = catalog::bv(5, 0b1011);
@@ -23,8 +24,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         generator.expected_injections()
     );
 
-    let exec = noisy_qsim::redsim::exec::ReuseExecutor::new(&layered);
-    let run = exec.run(conditional.trials())?;
+    let exec = ReuseExecutor::new(&layered);
+    let run = exec.run(conditional.trials(), &NullRecorder)?;
     let histogram = Histogram::from_outcomes(layered.n_cbits(), &run.outcomes);
     let fail_given_tail = 1.0 - histogram.probability(0b1011);
     println!("P(wrong answer | ≥{min_errors} errors) = {fail_given_tail:.4}");

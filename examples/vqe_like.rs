@@ -90,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let compiled = transpile(&circuit, &TranspileOptions::for_device(CouplingMap::yorktown()))?;
         let mut sim = Simulation::from_circuit(&compiled.circuit, model.clone())?;
         sim.generate_trials(shots, 5)?;
-        let run = sim.run_reordered()?;
+        let run = sim.run(&RunSpec::default(), &NullRecorder)?.result;
         let histogram = sim.histogram(&run);
         if weight_zz {
             noisy_energy -= histogram.expectation_parity(&[0, 1]);

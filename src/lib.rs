@@ -15,7 +15,7 @@
 //! * [`analyzer`] — static plan verifier: proves trial plans, cache
 //!   schedules, and fused programs sound before execution.
 //! * [`telemetry`] — structured runtime tracing and metrics; every
-//!   executor has a `*_traced` variant whose totals mirror its
+//!   executor takes a recorder whose totals mirror its
 //!   [`redsim::ExecStats`] exactly.
 //!
 //! # Quickstart
@@ -43,5 +43,6 @@ pub mod prelude {
     pub use qsim_circuit::{catalog, Circuit, CouplingMap, Gate, LayeredCircuit};
     pub use qsim_noise::{NoiseModel, PauliWeights, TrialGenerator, TrialSet};
     pub use qsim_statevec::{MeasureOutcome, Pauli, PauliString, StateVector};
-    pub use redsim::{CostReport, Histogram, RunResult, Simulation};
+    pub use qsim_telemetry::NullRecorder;
+    pub use redsim::{CostReport, Histogram, RunOutput, RunResult, RunSpec, Simulation, Walk};
 }

@@ -1,4 +1,4 @@
-//! The advisor auto-select hook: `Simulation::run_advised_traced` compiles
+//! The advisor auto-select hook: `Simulation::run_advised` compiles
 //! the plan once, records its predictions into telemetry, and executes the
 //! cheapest executable strategy — whose measured [`ExecStats`] must then
 //! match the recorded prediction bitwise.
@@ -6,8 +6,9 @@
 use noisy_qsim::circuit::transpile::{transpile, TranspileOptions};
 use noisy_qsim::circuit::{catalog, Circuit};
 use noisy_qsim::noise::NoiseModel;
-use noisy_qsim::redsim::Simulation;
-use noisy_qsim::telemetry::AggregatingRecorder;
+use noisy_qsim::redsim::{RunSpec, Simulation, Walk};
+use noisy_qsim::telemetry::NullRecorder;
+use noisy_qsim::telemetry::{names, AggregatingRecorder};
 
 fn simulation(circuit: &Circuit, seed: u64) -> Simulation {
     let layered = transpile(circuit, &TranspileOptions::logical())
@@ -36,11 +37,12 @@ fn catalog_circuits() -> Vec<(&'static str, Circuit)> {
 }
 
 const SELECTED: &[&str] = &[
-    "advisor.selected.sequential",
-    "advisor.selected.fused",
-    "advisor.selected.reuse",
-    "advisor.selected.compressed",
-    "advisor.selected.frame-tracking",
+    names::ADVISOR_SELECTED_SEQUENTIAL,
+    names::ADVISOR_SELECTED_FUSED,
+    names::ADVISOR_SELECTED_REUSE,
+    names::ADVISOR_SELECTED_COMPRESSED,
+    names::ADVISOR_SELECTED_TREE,
+    names::ADVISOR_SELECTED_FRAME_TRACKING,
 ];
 
 #[test]
@@ -49,7 +51,8 @@ fn advised_runs_match_their_recorded_predictions() {
         for seed in [1u64, 2, 3] {
             let sim = simulation(&circuit, seed);
             let recorder = AggregatingRecorder::new();
-            let (result, chosen) = sim.run_advised_traced(&recorder).expect("advised run");
+            let (output, chosen) = sim.run_advised(None, &recorder).expect("advised run");
+            let result = output.result;
             let report = recorder.report();
 
             // The prediction the advisor committed to is the one measured.
@@ -78,7 +81,7 @@ fn advised_runs_match_their_recorded_predictions() {
             let selections: u64 = SELECTED.iter().map(|s| report.counter(s)).sum();
             assert_eq!(selections, 1, "{label}: exactly one strategy selected");
             assert_eq!(
-                report.counter("advisor.selected.frame-tracking"),
+                report.counter(names::ADVISOR_SELECTED_FRAME_TRACKING),
                 0,
                 "{label}: frame tracking is never executable"
             );
@@ -89,9 +92,13 @@ fn advised_runs_match_their_recorded_predictions() {
 #[test]
 fn advised_run_agrees_with_baseline_outcomes() {
     let sim = simulation(&catalog::qft(4), 9);
-    let (advised, _) = sim.run_advised().expect("advised run");
-    let baseline = sim.run_baseline().expect("baseline run");
-    assert_eq!(advised.outcomes, baseline.outcomes, "advised run changed measurement outcomes");
+    let (advised, _) = sim.run_advised(None, &NullRecorder).expect("advised run");
+    let baseline =
+        sim.run(&RunSpec::new(Walk::Baseline), &NullRecorder).expect("baseline run").result;
+    assert_eq!(
+        advised.result.outcomes, baseline.outcomes,
+        "advised run changed measurement outcomes"
+    );
 }
 
 #[test]

@@ -11,9 +11,9 @@ use noisy_qsim::analyzer::{advise, commute_frame, ExecutionPlan, Strategy, Strat
 use noisy_qsim::circuit::transpile::{transpile, TranspileOptions};
 use noisy_qsim::circuit::{catalog, Circuit, LayeredCircuit};
 use noisy_qsim::noise::{NoiseModel, TrialGenerator, TrialSet};
-use noisy_qsim::redsim::compressed::run_reordered_compressed;
 use noisy_qsim::redsim::exec::{BaselineExecutor, ExecStats, ReuseExecutor};
 use noisy_qsim::redsim::testkit::shipped_benchmarks;
+use noisy_qsim::telemetry::NullRecorder;
 
 fn native(circuit: &Circuit) -> LayeredCircuit {
     transpile(circuit, &TranspileOptions::logical())
@@ -70,26 +70,40 @@ fn catalog_predictions_match_measured_execstats_bitwise() {
             let sequential = baseline.run_unfused(set.trials()).expect("sequential run");
             assert_prediction(&label("sequential"), p(Strategy::Sequential), &sequential.stats);
 
-            let fused = baseline.run(set.trials()).expect("fused run");
+            let fused = baseline.run(set.trials(), &NullRecorder).expect("fused run");
             assert_prediction(&label("fused"), p(Strategy::Fused), &fused.stats);
 
             let reuse_exec = ReuseExecutor::new(&layered);
-            let reuse = reuse_exec.run(set.trials()).expect("reuse run");
+            let reuse = reuse_exec.run(set.trials(), &NullRecorder).expect("reuse run");
             assert_prediction(&label("reuse"), p(Strategy::Reuse), &reuse.stats);
 
-            let (compressed, _) =
-                run_reordered_compressed(&layered, set.trials()).expect("compressed run");
+            let (compressed, _) = ReuseExecutor::new(&layered)
+                .run_compressed(set.trials(), &NullRecorder)
+                .expect("compressed run");
             assert_prediction(&label("compressed"), p(Strategy::Compressed), &compressed.stats);
 
-            // Budgeted reuse: the prediction tracks the plan's budget.
+            // Budgeted reuse, dense or compressed: the prediction tracks
+            // the plan's budget.
             for budget in [1usize, 2, 3] {
                 let plan = ExecutionPlan::compile(&layered, &set, budget);
                 let advice = advise(&plan);
-                let run = reuse_exec.run_with_budget(set.trials(), budget).expect("budgeted run");
+                let run = reuse_exec
+                    .with_budget(budget)
+                    .run(set.trials(), &NullRecorder)
+                    .expect("budgeted run");
                 assert_prediction(
                     &label(&format!("reuse budget {budget}")),
                     advice.prediction(Strategy::Reuse).expect("ranked"),
                     &run.stats,
+                );
+                let (compressed, _) = reuse_exec
+                    .with_budget(budget)
+                    .run_compressed(set.trials(), &NullRecorder)
+                    .expect("budgeted compressed run");
+                assert_prediction(
+                    &label(&format!("compressed budget {budget}")),
+                    advice.prediction(Strategy::Compressed).expect("ranked"),
+                    &compressed.stats,
                 );
             }
         }
@@ -125,19 +139,22 @@ fn shipped_benchmark_lattice_is_sound_and_predictions_match() {
                 p(Strategy::Sequential),
                 &seq.stats,
             );
-            let fused = baseline.run(set.trials()).expect("fused");
+            let fused = baseline.run(set.trials(), &NullRecorder).expect("fused");
             assert_prediction(
                 &format!("{name} seed {seed} fused"),
                 p(Strategy::Fused),
                 &fused.stats,
             );
-            let reuse = ReuseExecutor::new(&layered).run(set.trials()).expect("reuse");
+            let reuse =
+                ReuseExecutor::new(&layered).run(set.trials(), &NullRecorder).expect("reuse");
             assert_prediction(
                 &format!("{name} seed {seed} reuse"),
                 p(Strategy::Reuse),
                 &reuse.stats,
             );
-            let (comp, _) = run_reordered_compressed(&layered, set.trials()).expect("compressed");
+            let (comp, _) = ReuseExecutor::new(&layered)
+                .run_compressed(set.trials(), &NullRecorder)
+                .expect("compressed");
             assert_prediction(
                 &format!("{name} seed {seed} compressed"),
                 p(Strategy::Compressed),

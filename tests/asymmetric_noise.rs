@@ -7,6 +7,7 @@ use noisy_qsim::noise::{NoiseModel, PauliWeights, TrialGenerator};
 use noisy_qsim::redsim::exec::{BaselineExecutor, ReuseExecutor};
 use noisy_qsim::redsim::Histogram;
 use noisy_qsim::statevec::{DensityMatrix, Matrix2};
+use noisy_qsim::telemetry::NullRecorder;
 
 #[test]
 fn dephasing_channel_monte_carlo_matches_exact_channel() {
@@ -30,7 +31,7 @@ fn dephasing_channel_monte_carlo_matches_exact_channel() {
     assert!((exact[1] - pz).abs() < 1e-12);
 
     let trials = TrialGenerator::new(&layered, &model).expect("native").generate(60_000, 3);
-    let result = ReuseExecutor::new(&layered).run(trials.trials()).expect("runs");
+    let result = ReuseExecutor::new(&layered).run(trials.trials(), &NullRecorder).expect("runs");
     let hist = Histogram::from_outcomes(1, &result.outcomes);
     assert!((hist.probability(1) - pz).abs() < 0.01, "P(1) = {}", hist.probability(1));
 }
@@ -54,8 +55,9 @@ fn idle_errors_affect_waiting_qubits_and_stay_exact() {
     assert_eq!(generator.n_positions(), 6 + 6);
     let trials = generator.generate(40_000, 9);
 
-    let baseline = BaselineExecutor::new(&layered).run(trials.trials()).expect("runs");
-    let reuse = ReuseExecutor::new(&layered).run(trials.trials()).expect("runs");
+    let baseline =
+        BaselineExecutor::new(&layered).run(trials.trials(), &NullRecorder).expect("runs");
+    let reuse = ReuseExecutor::new(&layered).run(trials.trials(), &NullRecorder).expect("runs");
     assert_eq!(baseline.outcomes, reuse.outcomes, "equivalence holds with idle errors");
     assert!(reuse.stats.ops < baseline.stats.ops);
 
@@ -80,8 +82,9 @@ fn biased_noise_preserves_bitwise_equivalence_and_savings() {
     }
     model.set_idle_weights_all(PauliWeights::dephasing(0.01));
     let trials = TrialGenerator::new(&layered, &model).expect("native").generate(2_000, 17);
-    let baseline = BaselineExecutor::new(&layered).run(trials.trials()).expect("runs");
-    let reuse = ReuseExecutor::new(&layered).run(trials.trials()).expect("runs");
+    let baseline =
+        BaselineExecutor::new(&layered).run(trials.trials(), &NullRecorder).expect("runs");
+    let reuse = ReuseExecutor::new(&layered).run(trials.trials(), &NullRecorder).expect("runs");
     assert_eq!(baseline.outcomes, reuse.outcomes);
     let saving = 1.0 - reuse.stats.ops as f64 / baseline.stats.ops as f64;
     assert!(saving > 0.3, "saving {saving}");

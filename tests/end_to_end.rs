@@ -5,7 +5,8 @@
 use noisy_qsim::circuit::transpile::{transpile, TranspileOptions};
 use noisy_qsim::circuit::{catalog, to_qasm, CouplingMap};
 use noisy_qsim::noise::NoiseModel;
-use noisy_qsim::redsim::Simulation;
+use noisy_qsim::redsim::{RunSpec, Simulation, Walk};
+use noisy_qsim::telemetry::NullRecorder;
 
 /// Compile + noisy-simulate every Table-I benchmark; baseline and reordered
 /// executors must agree bitwise and the analyzer must predict both costs.
@@ -18,8 +19,9 @@ fn whole_suite_executes_equivalently_under_yorktown_noise() {
             .expect("model covers device");
         sim.generate_trials(200, 1).expect("generates");
         let report = sim.analyze().expect("analyzes");
-        let baseline = sim.run_baseline().expect("baseline runs");
-        let optimized = sim.run_reordered().expect("reordered runs");
+        let baseline =
+            sim.run(&RunSpec::new(Walk::Baseline), &NullRecorder).expect("baseline runs").result;
+        let optimized = sim.run(&RunSpec::default(), &NullRecorder).expect("reordered runs").result;
         assert_eq!(baseline.outcomes, optimized.outcomes, "{}", logical.name());
         assert_eq!(baseline.stats.ops, report.baseline_ops, "{}", logical.name());
         assert_eq!(optimized.stats.ops, report.optimized_ops, "{}", logical.name());
@@ -38,7 +40,7 @@ fn qasm_source_to_noisy_histogram() {
     let mut sim = Simulation::from_circuit(&compiled.circuit, NoiseModel::ibm_yorktown())
         .expect("model covers device");
     sim.generate_trials(2048, 5).expect("generates");
-    let result = sim.run_reordered().expect("runs");
+    let result = sim.run(&RunSpec::default(), &NullRecorder).expect("runs").result;
     let histogram = sim.histogram(&result);
     // Noise is weak enough that the hidden string still dominates.
     assert!(
@@ -60,7 +62,7 @@ fn modular_multiplication_modal_outcome_is_seven() {
     let mut sim = Simulation::from_circuit(&compiled.circuit, NoiseModel::ibm_yorktown())
         .expect("model covers device");
     sim.generate_trials(2048, 9).expect("generates");
-    let result = sim.run_reordered().expect("runs");
+    let result = sim.run(&RunSpec::default(), &NullRecorder).expect("runs").result;
     let histogram = sim.histogram(&result);
     let modal = (0..16u64)
         .max_by(|&a, &b| {

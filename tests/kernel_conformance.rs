@@ -8,11 +8,11 @@
 //! the target. Amplitude deviation must stay within `1e-12`; measurement
 //! outcomes through the full executor stack must be bitwise identical.
 
-use noisy_qsim::redsim::compressed::run_reordered_compressed;
 use noisy_qsim::redsim::exec::{BaselineExecutor, ReuseExecutor};
 use noisy_qsim::redsim::parallel::run_reordered_parallel;
 use noisy_qsim::redsim::testkit::{random_circuit, random_state, uniform_workload, XorShift64};
 use noisy_qsim::statevec::{FusedOp, Matrix2, Matrix4, StateVector, C64};
+use noisy_qsim::telemetry::NullRecorder;
 
 const TOL: f64 = 1e-12;
 
@@ -242,10 +242,14 @@ fn executor_stack_outcomes_are_bitwise_identical_on_random_circuits() {
     for seed in [1u64, 2, 3, 4] {
         let circuit = random_circuit(5, 60, seed);
         let (layered, set) = uniform_workload(&circuit, (1e-2, 5e-2, 2e-2), 200, seed);
-        let baseline = BaselineExecutor::new(&layered).run(set.trials()).expect("baseline");
-        let reuse = ReuseExecutor::new(&layered).run(set.trials()).expect("reuse");
-        let (compressed, _) = run_reordered_compressed(&layered, set.trials()).expect("compressed");
-        let parallel = run_reordered_parallel(&layered, set.trials(), 3).expect("parallel");
+        let baseline =
+            BaselineExecutor::new(&layered).run(set.trials(), &NullRecorder).expect("baseline");
+        let reuse = ReuseExecutor::new(&layered).run(set.trials(), &NullRecorder).expect("reuse");
+        let (compressed, _) = ReuseExecutor::new(&layered)
+            .run_compressed(set.trials(), &NullRecorder)
+            .expect("compressed");
+        let parallel =
+            run_reordered_parallel(&layered, set.trials(), 3, &NullRecorder).expect("parallel");
         assert_eq!(reuse.outcomes, baseline.outcomes, "seed {seed}: reuse diverged");
         assert_eq!(compressed.outcomes, baseline.outcomes, "seed {seed}: compressed diverged");
         assert_eq!(parallel.outcomes, baseline.outcomes, "seed {seed}: parallel diverged");

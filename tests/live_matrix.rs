@@ -12,10 +12,9 @@ use std::path::Path;
 
 use noisy_qsim::msvstore::MsvStore;
 use noisy_qsim::noise::TrialGenerator;
-use noisy_qsim::redsim::compressed::run_reordered_compressed_traced;
 use noisy_qsim::redsim::exec::{BaselineExecutor, ExecStats, ReuseExecutor};
-use noisy_qsim::redsim::parallel::{run_baseline_parallel_traced, run_reordered_parallel_traced};
-use noisy_qsim::redsim::semcache::run_reordered_cached_traced;
+use noisy_qsim::redsim::parallel::{run_baseline_parallel, run_reordered_parallel};
+use noisy_qsim::redsim::semcache::run_reordered_cached;
 use noisy_qsim::redsim::testkit;
 use noisy_qsim::telemetry::{
     AggregatingRecorder, LiveRecorder, LiveSnapshot, Recorder, TeeRecorder, TraceMeta,
@@ -98,14 +97,14 @@ fn final_snapshots_reconcile_bitwise_with_exec_stats_across_all_strategies() {
                 "baseline",
                 true,
                 Box::new(|r: &dyn Recorder| {
-                    BaselineExecutor::new(&layered).run_traced(trials, r).expect("baseline").stats
+                    BaselineExecutor::new(&layered).run(trials, r).expect("baseline").stats
                 }),
             ),
             (
                 "reuse",
                 true,
                 Box::new(|r: &dyn Recorder| {
-                    ReuseExecutor::new(&layered).run_traced(trials, r).expect("reuse").stats
+                    ReuseExecutor::new(&layered).run(trials, r).expect("reuse").stats
                 }),
             ),
             (
@@ -113,7 +112,8 @@ fn final_snapshots_reconcile_bitwise_with_exec_stats_across_all_strategies() {
                 true,
                 Box::new(|r: &dyn Recorder| {
                     ReuseExecutor::new(&layered)
-                        .run_with_budget_traced(trials, 2, r)
+                        .with_budget(2)
+                        .run(trials, r)
                         .expect("budget")
                         .stats
                 }),
@@ -122,7 +122,8 @@ fn final_snapshots_reconcile_bitwise_with_exec_stats_across_all_strategies() {
                 "compressed",
                 true,
                 Box::new(|r: &dyn Recorder| {
-                    run_reordered_compressed_traced(&layered, trials, r)
+                    ReuseExecutor::new(&layered)
+                        .run_compressed(trials, r)
                         .expect("compressed")
                         .0
                         .stats
@@ -132,14 +133,14 @@ fn final_snapshots_reconcile_bitwise_with_exec_stats_across_all_strategies() {
                 "parallel-baseline",
                 false,
                 Box::new(|r: &dyn Recorder| {
-                    run_baseline_parallel_traced(&layered, trials, 3, r).expect("parallel").stats
+                    run_baseline_parallel(&layered, trials, 3, r).expect("parallel").stats
                 }),
             ),
             (
                 "parallel-reuse",
                 false,
                 Box::new(|r: &dyn Recorder| {
-                    run_reordered_parallel_traced(&layered, trials, 3, r).expect("parallel").stats
+                    run_reordered_parallel(&layered, trials, 3, r).expect("parallel").stats
                 }),
             ),
         ];
@@ -195,7 +196,7 @@ fn cached_runs_reconcile_credited_passes_cold_and_warm() {
         let aggregate = AggregatingRecorder::new();
         let tee = TeeRecorder::new(&aggregate, &live);
         let (cold, cold_outcome) =
-            run_reordered_cached_traced(&layered, &model, trials, &store, &tee).expect("cold run");
+            run_reordered_cached(&layered, &model, trials, &store, &tee).expect("cold run");
         let snapshot = live.snapshot();
         assert!(!cold_outcome.hit, "{name}: cold run must miss");
         assert_eq!((snapshot.store_hits, snapshot.store_misses), (0, 1), "{name}: cold store");
@@ -209,7 +210,7 @@ fn cached_runs_reconcile_credited_passes_cold_and_warm() {
         let aggregate = AggregatingRecorder::new();
         let tee = TeeRecorder::new(&aggregate, &live);
         let (warm, warm_outcome) =
-            run_reordered_cached_traced(&layered, &model, trials, &store, &tee).expect("warm run");
+            run_reordered_cached(&layered, &model, trials, &store, &tee).expect("warm run");
         let snapshot = live.snapshot();
         assert!(warm_outcome.hit, "{name}: warm run must hit");
         assert_eq!((snapshot.store_hits, snapshot.store_misses), (1, 0), "{name}: warm store");

@@ -5,8 +5,9 @@
 use noisy_qsim::circuit::{catalog, Circuit};
 use noisy_qsim::noise::{NoiseModel, TrialGenerator};
 use noisy_qsim::redsim::exec::ReuseExecutor;
-use noisy_qsim::redsim::{Histogram, Simulation};
+use noisy_qsim::redsim::{Histogram, RunSpec, Simulation};
 use noisy_qsim::statevec::{DensityMatrix, Matrix2};
+use noisy_qsim::telemetry::NullRecorder;
 
 /// Monte-Carlo over the reuse executor vs exact density-matrix channel for a
 /// 3-qubit GHZ circuit with per-gate depolarizing + readout noise.
@@ -30,7 +31,7 @@ fn ghz_monte_carlo_matches_exact_channel() {
 
     let trials =
         TrialGenerator::new(&layered, &model).expect("native circuit").generate(80_000, 99);
-    let result = ReuseExecutor::new(&layered).run(trials.trials()).expect("runs");
+    let result = ReuseExecutor::new(&layered).run(trials.trials(), &NullRecorder).expect("runs");
     let histogram = Histogram::from_outcomes(3, &result.outcomes);
     let tv = histogram.tv_distance(&exact);
     assert!(tv < 0.01, "total-variation distance {tv}");
@@ -46,7 +47,7 @@ fn success_probability_degrades_smoothly_with_noise() {
         let model = NoiseModel::uniform(4, 1e-3 * scale, 1e-2 * scale, 1e-2 * scale);
         let mut sim = Simulation::from_circuit(&circuit, model).expect("valid model");
         sim.generate_trials(6000, 11).expect("generates");
-        let result = sim.run_reordered().expect("runs");
+        let result = sim.run(&RunSpec::default(), &NullRecorder).expect("runs").result;
         let histogram = sim.histogram(&result);
         let success = histogram.probability(0b111);
         assert!(
@@ -71,7 +72,7 @@ fn zero_noise_reduces_to_born_sampling() {
     let report = sim.analyze().expect("analyzes");
     // One shared execution: gates are computed exactly once.
     assert_eq!(report.optimized_ops, report.gates_per_trial);
-    let result = sim.run_reordered().expect("runs");
+    let result = sim.run(&RunSpec::default(), &NullRecorder).expect("runs").result;
     let histogram = sim.histogram(&result);
     for idx in [0b001u64, 0b010, 0b100] {
         let p = histogram.probability(idx);
@@ -88,7 +89,7 @@ fn readout_errors_flip_bits_at_the_modeled_rate() {
     let model = NoiseModel::uniform(4, 0.0, 0.0, flip);
     let mut sim = Simulation::from_circuit(&circuit, model).expect("valid model");
     sim.generate_trials(40_000, 13).expect("generates");
-    let result = sim.run_reordered().expect("runs");
+    let result = sim.run(&RunSpec::default(), &NullRecorder).expect("runs").result;
     let histogram = sim.histogram(&result);
     // Each data bit flips independently: P(exactly one specific bit set)
     // = 0.2 · 0.8² = 0.128; P(000) = 0.8³ = 0.512.

@@ -42,7 +42,7 @@ fn trace_analysis_matches_exec_stats_and_analyzer_on_all_shipped_benchmarks() {
         };
         let run = {
             let recorder = JsonlRecorder::create(trace_path, &meta).expect("trace file");
-            ReuseExecutor::new(&layered).run_traced(set.trials(), &recorder).expect("reuse run")
+            ReuseExecutor::new(&layered).run(set.trials(), &recorder).expect("reuse run")
         };
 
         let trace = Trace::load(trace_path).unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -104,7 +104,7 @@ fn tree_traces_satisfy_every_conservation_law() {
         let run = {
             let recorder = JsonlRecorder::create(trace_path, &meta).expect("trace file");
             noisy_qsim::redsim::TreeExecutor::new(&workload.layered)
-                .run_traced(workload.trials.trials(), &recorder)
+                .run(workload.trials.trials(), &recorder)
                 .expect("tree run")
         };
 
@@ -155,7 +155,7 @@ fn html_report_is_self_contained_and_json_counters_match_stats() {
     let run = {
         let recorder =
             JsonlRecorder::create(trace_path, &TraceMeta::default()).expect("trace file");
-        ReuseExecutor::new(&layered).run_traced(set.trials(), &recorder).expect("reuse run")
+        ReuseExecutor::new(&layered).run(set.trials(), &recorder).expect("reuse run")
     };
 
     let trace = Trace::load(trace_path).expect("trace parses");

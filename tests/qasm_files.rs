@@ -4,6 +4,8 @@
 use std::path::Path;
 
 use noisy_qsim::circuit::{catalog, Circuit};
+use noisy_qsim::redsim::RunSpec;
+use noisy_qsim::telemetry::NullRecorder;
 
 fn load(path: &Path) -> Circuit {
     let source = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -63,7 +65,7 @@ fn compiled_files_respect_yorktown_and_simulate_noisily() {
     let mut sim = Simulation::from_circuit(&circuit, NoiseModel::ibm_yorktown())
         .expect("compiled file is native");
     sim.generate_trials(512, 1).expect("generates");
-    let result = sim.run_reordered().expect("runs");
+    let result = sim.run(&RunSpec::default(), &NullRecorder).expect("runs").result;
     let histogram = sim.histogram(&result);
     assert!(histogram.probability(0b111) > 0.5);
 }

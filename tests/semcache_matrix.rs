@@ -10,7 +10,8 @@ use std::path::Path;
 use noisy_qsim::msvstore::MsvStore;
 use noisy_qsim::noise::NoiseModel;
 use noisy_qsim::redsim::testkit;
-use noisy_qsim::redsim::{RunResult, Simulation};
+use noisy_qsim::redsim::{RunResult, RunSpec, Simulation};
+use noisy_qsim::telemetry::NullRecorder;
 
 const SEEDS: [u64; 3] = [2020, 7, 99];
 const TRIALS: usize = 48;
@@ -37,11 +38,18 @@ fn cached_runs_are_bitwise_identical_across_shipped_catalog_and_seeds() {
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             sim.generate_trials(TRIALS, seed).unwrap_or_else(|e| panic!("{name}: {e}"));
 
-            let uncached = sim.run_reordered().unwrap_or_else(|e| panic!("{name}: {e}"));
-            let (cold, cold_cache) =
-                sim.run_reordered_cached(&store).unwrap_or_else(|e| panic!("{name}: {e}"));
-            let (warm, warm_cache) =
-                sim.run_reordered_cached(&store).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let uncached = sim
+                .run(&RunSpec::default(), &NullRecorder)
+                .unwrap_or_else(|e| panic!("{name}: {e}"))
+                .result;
+            let (cold, cold_cache) = sim
+                .run(&RunSpec { store: Some(&store), ..RunSpec::default() }, &NullRecorder)
+                .map(|o| (o.result, o.cache.expect("cached runs report the store")))
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let (warm, warm_cache) = sim
+                .run(&RunSpec { store: Some(&store), ..RunSpec::default() }, &NullRecorder)
+                .map(|o| (o.result, o.cache.expect("cached runs report the store")))
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
 
             assert_identical(&name, seed, "cold", &cold, &uncached);
             assert_identical(&name, seed, "warm", &warm, &uncached);
@@ -81,9 +89,16 @@ fn sweep_points_share_their_prefix_across_runs() {
     for point in &points {
         let mut sim = Simulation::new(point.layered.clone(), model.clone()).expect("valid model");
         sim.set_trials(point.trials.clone()).expect("trial geometry matches");
-        let uncached = sim.run_reordered().expect("sweep point runs");
-        let (cold, cold_cache) = sim.run_reordered_cached(&store).expect("sweep point runs");
-        let (warm, warm_cache) = sim.run_reordered_cached(&store).expect("sweep point runs");
+        let uncached =
+            sim.run(&RunSpec::default(), &NullRecorder).expect("sweep point runs").result;
+        let (cold, cold_cache) = sim
+            .run(&RunSpec { store: Some(&store), ..RunSpec::default() }, &NullRecorder)
+            .map(|o| (o.result, o.cache.expect("cached runs report the store")))
+            .expect("sweep point runs");
+        let (warm, warm_cache) = sim
+            .run(&RunSpec { store: Some(&store), ..RunSpec::default() }, &NullRecorder)
+            .map(|o| (o.result, o.cache.expect("cached runs report the store")))
+            .expect("sweep point runs");
         assert_identical(&point.name, 11, "cold", &cold, &uncached);
         assert_identical(&point.name, 11, "warm", &warm, &uncached);
         assert!(!cold_cache.hit, "{}: distinct angles must not collide", point.name);

@@ -4,8 +4,9 @@
 use noisy_qsim::analyzer::{DiagCode, Diagnostic, Location, Severity};
 use noisy_qsim::circuit::{catalog, Circuit, CouplingMap, LayeredCircuit};
 use noisy_qsim::noise::{NoiseModel, PauliWeights, TrialGenerator, TrialSet};
-use noisy_qsim::redsim::{CostReport, Simulation};
+use noisy_qsim::redsim::{CostReport, RunSpec, Simulation};
 use noisy_qsim::statevec::{MeasureOutcome, Pauli, PauliString, StateVector, StoredState};
+use noisy_qsim::telemetry::NullRecorder;
 
 fn roundtrip<T>(value: &T) -> T
 where
@@ -66,7 +67,7 @@ fn reports_roundtrip_and_replay_is_exact() {
     sim.generate_trials(200, 9).expect("generates");
     let report: CostReport = sim.analyze().expect("analyzes");
     assert_eq!(roundtrip(&report), report);
-    let result = sim.run_reordered().expect("runs");
+    let result = sim.run(&RunSpec::default(), &NullRecorder).expect("runs").result;
     assert_eq!(roundtrip(&result.stats), result.stats);
     // Full replay through JSON: serialize trials, reload, re-run, identical
     // outcomes.
@@ -76,7 +77,7 @@ fn reports_roundtrip_and_replay_is_exact() {
         Simulation::from_circuit(&catalog::bv(4, 0b111), NoiseModel::uniform(4, 1e-2, 5e-2, 1e-2))
             .expect("valid model");
     sim2.set_trials(reloaded).expect("geometry matches");
-    let replayed = sim2.run_reordered().expect("runs");
+    let replayed = sim2.run(&RunSpec::default(), &NullRecorder).expect("runs").result;
     assert_eq!(replayed.outcomes, result.outcomes);
 }
 

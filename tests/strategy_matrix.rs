@@ -8,12 +8,12 @@
 
 use noisy_qsim::circuit::LayeredCircuit;
 use noisy_qsim::noise::{NoiseModel, Trial, TrialGenerator};
-use noisy_qsim::redsim::compressed::run_reordered_compressed;
 use noisy_qsim::redsim::exec::{BaselineExecutor, ReuseExecutor};
 use noisy_qsim::redsim::parallel::run_reordered_parallel;
 use noisy_qsim::redsim::testkit;
 use noisy_qsim::redsim::TreeExecutor;
 use noisy_qsim::statevec::MeasureOutcome;
+use noisy_qsim::telemetry::NullRecorder;
 
 /// Every non-baseline strategy's outcomes for one workload, labelled.
 fn all_strategies(
@@ -21,18 +21,45 @@ fn all_strategies(
     trials: &[Trial],
 ) -> Vec<(&'static str, Vec<MeasureOutcome>)> {
     vec![
-        ("reuse", ReuseExecutor::new(layered).run(trials).expect("reuse").outcomes),
+        ("reuse", ReuseExecutor::new(layered).run(trials, &NullRecorder).expect("reuse").outcomes),
         (
             "budget-1",
-            ReuseExecutor::new(layered).run_with_budget(trials, 1).expect("budget").outcomes,
+            ReuseExecutor::new(layered)
+                .with_budget(1)
+                .run(trials, &NullRecorder)
+                .expect("budget")
+                .outcomes,
         ),
         (
             "budget-2",
-            ReuseExecutor::new(layered).run_with_budget(trials, 2).expect("budget").outcomes,
+            ReuseExecutor::new(layered)
+                .with_budget(2)
+                .run(trials, &NullRecorder)
+                .expect("budget")
+                .outcomes,
         ),
-        ("compressed", run_reordered_compressed(layered, trials).expect("compressed").0.outcomes),
-        ("tree", TreeExecutor::new(layered).run(trials).expect("tree").outcomes),
-        ("parallel-3", run_reordered_parallel(layered, trials, 3).expect("parallel").outcomes),
+        (
+            "compressed",
+            ReuseExecutor::new(layered)
+                .run_compressed(trials, &NullRecorder)
+                .expect("compressed")
+                .0
+                .outcomes,
+        ),
+        (
+            "compressed-budget-1",
+            ReuseExecutor::new(layered)
+                .with_budget(1)
+                .run_compressed(trials, &NullRecorder)
+                .expect("compressed budget")
+                .0
+                .outcomes,
+        ),
+        ("tree", TreeExecutor::new(layered).run(trials, &NullRecorder).expect("tree").outcomes),
+        (
+            "parallel-3",
+            run_reordered_parallel(layered, trials, 3, &NullRecorder).expect("parallel").outcomes,
+        ),
     ]
 }
 
@@ -45,7 +72,8 @@ fn every_strategy_agrees_on_every_benchmark() {
         for (label, set) in
             [("direct", generator.generate(150, 3)), ("fast", generator.generate_fast(150, 3))]
         {
-            let reference = BaselineExecutor::new(&layered).run(set.trials()).expect("baseline");
+            let reference =
+                BaselineExecutor::new(&layered).run(set.trials(), &NullRecorder).expect("baseline");
             for (strategy, outcomes) in all_strategies(&layered, set.trials()) {
                 assert_eq!(
                     outcomes, reference.outcomes,
@@ -55,8 +83,8 @@ fn every_strategy_agrees_on_every_benchmark() {
             }
         }
     }
-    // 12 benchmarks × 2 generators × 6 strategies.
-    assert_eq!(checked, 144);
+    // 12 benchmarks × 2 generators × 7 strategies.
+    assert_eq!(checked, 168);
 }
 
 #[test]
@@ -64,7 +92,7 @@ fn every_strategy_agrees_on_every_tree_shape() {
     let mut checked = 0usize;
     for workload in testkit::tree_workloads(96, 2020) {
         let reference = BaselineExecutor::new(&workload.layered)
-            .run(workload.trials.trials())
+            .run(workload.trials.trials(), &NullRecorder)
             .expect("baseline");
         for (strategy, outcomes) in all_strategies(&workload.layered, workload.trials.trials()) {
             assert_eq!(
@@ -75,6 +103,6 @@ fn every_strategy_agrees_on_every_tree_shape() {
             checked += 1;
         }
     }
-    // 6 shapes × 6 strategies.
-    assert_eq!(checked, 36);
+    // 6 shapes × 7 strategies.
+    assert_eq!(checked, 42);
 }

@@ -11,6 +11,7 @@ use noisy_qsim::redsim::analysis::analyze;
 use noisy_qsim::redsim::exec::{BaselineExecutor, ReuseExecutor};
 use noisy_qsim::redsim::testkit;
 use noisy_qsim::redsim::TreeExecutor;
+use noisy_qsim::telemetry::NullRecorder;
 use noisy_qsim::telemetry::{AggregatingRecorder, MsvEvent};
 
 const TRIALS: usize = 64;
@@ -28,7 +29,7 @@ fn telemetry_matches_exec_stats_and_analyzer_on_all_shipped_benchmarks() {
 
         // Reordered execution under an aggregating recorder.
         let recorder = AggregatingRecorder::new();
-        let run = ReuseExecutor::new(&layered).run_traced(trials, &recorder).expect("reuse run");
+        let run = ReuseExecutor::new(&layered).run(trials, &recorder).expect("reuse run");
         let report = recorder.report();
 
         // Telemetry ↔ ExecStats: counter-for-counter equality.
@@ -67,9 +68,8 @@ fn telemetry_matches_exec_stats_and_analyzer_on_all_shipped_benchmarks() {
         // Baseline under the same contract: analyzer predicts its cost
         // exactly too, and it stores no intermediate states.
         let base_recorder = AggregatingRecorder::new();
-        let base = BaselineExecutor::new(&layered)
-            .run_traced(trials, &base_recorder)
-            .expect("baseline run");
+        let base =
+            BaselineExecutor::new(&layered).run(trials, &base_recorder).expect("baseline run");
         let base_report = base_recorder.report();
         assert_eq!(base_report.counter("ops"), base.stats.ops, "{name}: baseline ops");
         assert_eq!(base.stats.ops, cost.baseline_ops, "{name}: analyzer baseline ops");
@@ -88,8 +88,7 @@ fn tree_telemetry_preserves_the_exactness_contract_on_every_shape() {
         let name = workload.name;
         let trials = workload.trials.trials();
         let recorder = AggregatingRecorder::new();
-        let run =
-            TreeExecutor::new(&workload.layered).run_traced(trials, &recorder).expect("tree run");
+        let run = TreeExecutor::new(&workload.layered).run(trials, &recorder).expect("tree run");
         let report = recorder.report();
 
         // Batching must not loosen the exactness contract: recorded
@@ -130,7 +129,8 @@ fn tree_telemetry_preserves_the_exactness_contract_on_every_shape() {
         );
 
         // And batching never perturbs the physics or the pass counts.
-        let reuse = ReuseExecutor::new(&workload.layered).run(trials).expect("reuse run");
+        let reuse =
+            ReuseExecutor::new(&workload.layered).run(trials, &NullRecorder).expect("reuse run");
         assert_eq!(run.outcomes, reuse.outcomes, "{name}: tree diverged from reuse");
         assert_eq!(
             (run.stats.ops, run.stats.fused_ops, run.stats.amplitude_passes),

@@ -12,7 +12,8 @@ use noisy_qsim::circuit::transpile::{transpile, TranspileOptions};
 use noisy_qsim::circuit::{catalog, Circuit, LayeredCircuit};
 use noisy_qsim::msvstore::MsvStore;
 use noisy_qsim::noise::{Injection, NoiseModel, Trial};
-use noisy_qsim::redsim::{RunResult, Simulation};
+use noisy_qsim::redsim::{RunResult, RunSpec, Simulation, Walk};
+use noisy_qsim::telemetry::NullRecorder;
 
 const SEEDS: [u64; 3] = [2020, 7, 99];
 const TRIALS: usize = 64;
@@ -75,15 +76,30 @@ fn tree_runs_are_bitwise_identical_across_catalog_seeds_and_cache_passes() {
             sim.generate_trials(TRIALS, seed).unwrap_or_else(|e| panic!("{name}: {e}"));
             let label = |s: &str| format!("{name} seed {seed} vs {s}");
 
-            let tree = sim.run_tree().unwrap_or_else(|e| panic!("{name}: {e}"));
-            let fused = sim.run_baseline().unwrap_or_else(|e| panic!("{name}: {e}"));
-            let reuse = sim.run_reordered().unwrap_or_else(|e| panic!("{name}: {e}"));
-            let (compressed, _) =
-                sim.run_reordered_compressed().unwrap_or_else(|e| panic!("{name}: {e}"));
-            let (cold, cold_cache) =
-                sim.run_reordered_cached(&store).unwrap_or_else(|e| panic!("{name}: {e}"));
-            let (warm, warm_cache) =
-                sim.run_reordered_cached(&store).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let tree = sim
+                .run(&RunSpec::new(Walk::Tree), &NullRecorder)
+                .unwrap_or_else(|e| panic!("{name}: {e}"))
+                .result;
+            let fused = sim
+                .run(&RunSpec::new(Walk::Baseline), &NullRecorder)
+                .unwrap_or_else(|e| panic!("{name}: {e}"))
+                .result;
+            let reuse = sim
+                .run(&RunSpec::default(), &NullRecorder)
+                .unwrap_or_else(|e| panic!("{name}: {e}"))
+                .result;
+            let compressed = sim
+                .run(&RunSpec { compressed: true, ..RunSpec::default() }, &NullRecorder)
+                .unwrap_or_else(|e| panic!("{name}: {e}"))
+                .result;
+            let (cold, cold_cache) = sim
+                .run(&RunSpec { store: Some(&store), ..RunSpec::default() }, &NullRecorder)
+                .map(|o| (o.result, o.cache.expect("cached runs report the store")))
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let (warm, warm_cache) = sim
+                .run(&RunSpec { store: Some(&store), ..RunSpec::default() }, &NullRecorder)
+                .map(|o| (o.result, o.cache.expect("cached runs report the store")))
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
 
             // Bitwise physics: batching changes which state is touched
             // next, never what happens to it.

@@ -18,6 +18,7 @@ use noisy_qsim::redsim::exec::{BaselineExecutor, ReuseExecutor};
 use noisy_qsim::redsim::testkit::{random_circuit, random_state, scaled_rates};
 use noisy_qsim::redsim::TreeExecutor;
 use noisy_qsim::statevec::StateVector;
+use noisy_qsim::telemetry::NullRecorder;
 
 const NORM_TOL: f64 = 1e-12;
 
@@ -68,9 +69,9 @@ proptest! {
     ) {
         let (layered, set) =
             workload(n_qubits, n_gates, circuit_seed, scale, trials, trial_seed);
-        let tree = TreeExecutor::new(&layered).run(set.trials()).unwrap();
-        let reuse = ReuseExecutor::new(&layered).run(set.trials()).unwrap();
-        let baseline = BaselineExecutor::new(&layered).run(set.trials()).unwrap();
+        let tree = TreeExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
+        let reuse = ReuseExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
+        let baseline = BaselineExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
         prop_assert_eq!(&tree.outcomes, &reuse.outcomes, "tree diverged from reuse");
         prop_assert_eq!(&tree.outcomes, &baseline.outcomes, "tree diverged from baseline");
         prop_assert_eq!(
@@ -99,7 +100,7 @@ proptest! {
     ) {
         let (layered, set) =
             workload(n_qubits, n_gates, circuit_seed, scale, trials, trial_seed);
-        let run = TreeExecutor::new(&layered).run(set.trials()).unwrap();
+        let run = TreeExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
         // Buffer-steal theorem: the frontier peaks at exactly one state
         // per distinct injection list, never at the trial count.
         let distinct = distinct_injection_lists(set.trials());
