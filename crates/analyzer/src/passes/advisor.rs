@@ -52,10 +52,6 @@ pub enum Strategy {
     Reuse,
     /// Prefix-reuse with compressed stored states (unbounded cache).
     Compressed,
-    /// Batched tree execution: the reuse trie made explicit, sibling
-    /// states swept as one frontier per fused op (same passes as
-    /// unbounded reuse; peak residency = distinct injection lists).
-    Tree,
     /// Pauli-frame tracking for fully trackable trials (predicted only;
     /// no executor ships yet — see ROADMAP item 2).
     FrameTracking,
@@ -63,12 +59,11 @@ pub enum Strategy {
 
 impl Strategy {
     /// Every strategy the advisor costs, in declaration order.
-    pub const ALL: [Strategy; 6] = [
+    pub const ALL: [Strategy; 5] = [
         Strategy::Sequential,
         Strategy::Fused,
         Strategy::Reuse,
         Strategy::Compressed,
-        Strategy::Tree,
         Strategy::FrameTracking,
     ];
 
@@ -79,7 +74,6 @@ impl Strategy {
             Strategy::Fused => "fused",
             Strategy::Reuse => "reuse",
             Strategy::Compressed => "compressed",
-            Strategy::Tree => "tree",
             Strategy::FrameTracking => "frame-tracking",
         }
     }
@@ -99,11 +93,10 @@ impl Strategy {
     fn tie_rank(self) -> u8 {
         match self {
             Strategy::Reuse => 0,
-            Strategy::Tree => 1,
-            Strategy::Compressed => 2,
-            Strategy::Fused => 3,
-            Strategy::Sequential => 4,
-            Strategy::FrameTracking => 5,
+            Strategy::Compressed => 1,
+            Strategy::Fused => 2,
+            Strategy::Sequential => 3,
+            Strategy::FrameTracking => 4,
         }
     }
 }
@@ -493,18 +486,6 @@ pub fn advise(plan: &ExecutionPlan<'_>) -> Advice {
         predict_stream(&prefix, &plan.trials, &plan.order, plan.n_layers, plan.budget, |_| true);
     let reuse = budgeted.prediction(Strategy::Reuse);
     let compressed = budgeted.prediction(Strategy::Compressed);
-    let unbounded =
-        predict_stream(&prefix, &plan.trials, &plan.order, plan.n_layers, usize::MAX, |_| true);
-
-    // The batched tree executor replays the same trie as unbounded reuse,
-    // so its pass counts are identical; only residency differs. Buffer
-    // stealing keeps the frontier monotone until the final measurement
-    // boundary, so the peak is exactly the number of distinct injection
-    // lists in the trial set (each distinct list ends as one live leaf).
-    let mut lists: Vec<&[Injection]> = plan.trials.iter().map(|t| t.injections()).collect();
-    lists.sort_unstable();
-    lists.dedup();
-    let tree = StrategyPrediction { msv_peak: lists.len(), ..unbounded.prediction(Strategy::Tree) };
 
     // Frame-tracking model (predicted only): fully trackable trials ride on
     // one shared reference pass and cost no amplitude work of their own;
@@ -527,7 +508,7 @@ pub fn advise(plan: &ExecutionPlan<'_>) -> Advice {
     }
     let frame_tracking = ft_counts.prediction(Strategy::FrameTracking);
 
-    let mut predictions = vec![sequential, fused, reuse, compressed, tree, frame_tracking];
+    let mut predictions = vec![sequential, fused, reuse, compressed, frame_tracking];
     predictions.sort_by_key(|p| (p.amplitude_passes, p.strategy.tie_rank()));
 
     Advice {
@@ -744,44 +725,9 @@ mod tests {
         let p = |s| advice.prediction(s).expect("present").amplitude_passes;
         assert!(p(Strategy::Reuse) <= p(Strategy::Fused));
         assert!(p(Strategy::Fused) <= p(Strategy::Sequential));
-        // Unbounded reuse, compressed, and the batched tree replay the
-        // identical trie, so their pass predictions coincide.
+        // Unbounded reuse and compressed replay the identical trie, so
+        // their pass predictions coincide.
         assert_eq!(p(Strategy::Reuse), p(Strategy::Compressed));
-        assert_eq!(p(Strategy::Reuse), p(Strategy::Tree));
-    }
-
-    #[test]
-    fn tree_prediction_counts_distinct_injection_lists() {
-        let (layered, set) = plan_for(&catalog::rb_sequence(6, 17), 64, 23);
-        let plan = ExecutionPlan::compile(&layered, &set, usize::MAX);
-        let advice = advise(&plan);
-        let tree = advice.prediction(Strategy::Tree).expect("ranked");
-        let compressed = advice.prediction(Strategy::Compressed).expect("ranked");
-        // Same trie, same passes — only residency differs.
-        assert_eq!(
-            (tree.ops, tree.fused_ops, tree.amplitude_passes),
-            (compressed.ops, compressed.fused_ops, compressed.amplitude_passes)
-        );
-        let mut lists: Vec<&[Injection]> = set.trials().iter().map(|t| t.injections()).collect();
-        lists.sort_unstable();
-        lists.dedup();
-        assert!(lists.len() > 1, "workload must actually branch");
-        assert_eq!(tree.msv_peak, lists.len());
-        // On exact pass ties the sequential-reuse machinery outranks the
-        // batched frontier (tie ranks 0 vs 1).
-        let reuse_pos =
-            advice.predictions.iter().position(|p| p.strategy == Strategy::Reuse).unwrap();
-        let tree_pos =
-            advice.predictions.iter().position(|p| p.strategy == Strategy::Tree).unwrap();
-        if compressed.amplitude_passes
-            == advice.prediction(Strategy::Reuse).unwrap().amplitude_passes
-        {
-            assert!(reuse_pos < tree_pos);
-        }
-        // An empty trial set predicts zero residency for the tree.
-        let empty = qsim_noise::TrialSet::new(layered.n_qubits(), layered.n_layers(), vec![]);
-        let plan = ExecutionPlan::compile(&layered, &empty, usize::MAX);
-        assert_eq!(advise(&plan).prediction(Strategy::Tree).unwrap().msv_peak, 0);
     }
 
     #[test]

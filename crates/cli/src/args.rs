@@ -187,8 +187,7 @@ OPTIONS:
     --save-trials <P>   write the generated trial set to a file
     --load-trials <P>   replay a saved trial set (ignores --trials/--seed)
     --compressed        store cached frontiers in zero-elided sparse form
-    --strategy <S>      execution strategy for run: reuse | tree (batched
-                        sibling-frontier sweeps; bitwise-identical outcomes)
+    --strategy <S>      execution strategy for run: reuse
     --alap              schedule layers as-late-as-possible (moves idle errors)
     --json              machine-readable output (verify, advise, report)
     --trace <P>         stream a JSONL telemetry trace to a file (run, profile)
@@ -291,9 +290,9 @@ impl Options {
                         "--live" => opts.live = Some(value.clone()),
                         "--live-interval" => opts.live_interval_ms = parse_num(value, arg)?,
                         "--strategy" => {
-                            if !matches!(value.as_str(), "reuse" | "tree") {
+                            if value != "reuse" {
                                 return Err(CliError(format!(
-                                    "unknown strategy {value:?} (reuse, tree)"
+                                    "unknown strategy {value:?} (reuse)"
                                 )));
                             }
                             opts.strategy = Some(value.clone());
@@ -639,15 +638,16 @@ mod tests {
 
     #[test]
     fn parses_strategy() {
-        let opts = parse(&["run", "f.qasm", "--strategy", "tree"]).unwrap();
-        assert_eq!(opts.strategy.as_deref(), Some("tree"));
         assert_eq!(
             parse(&["run", "f.qasm", "--strategy", "reuse"]).unwrap().strategy.as_deref(),
             Some("reuse")
         );
         assert_eq!(parse(&["run", "f.qasm"]).unwrap().strategy, None);
         assert!(parse(&["run", "f.qasm", "--strategy"]).is_err());
-        assert!(parse(&["run", "f.qasm", "--strategy", "frobnicate"]).is_err());
+        for retired in ["tree", "frobnicate"] {
+            let err = parse(&["run", "f.qasm", "--strategy", retired]).unwrap_err();
+            assert_eq!(err.0, format!("unknown strategy {retired:?} (reuse)"));
+        }
     }
 
     #[test]

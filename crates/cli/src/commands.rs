@@ -11,7 +11,7 @@ use qsim_telemetry::{
     names, AggregatingRecorder, JsonlRecorder, LivePublisher, MetricsReport, NullRecorder,
     Recorder, TeeRecorder, TraceMeta,
 };
-use redsim::{ExecStats, RunResult, RunSpec, SimError, Simulation, Walk};
+use redsim::{ExecStats, RunResult, RunSpec, Simulation, Walk};
 use redsim_msvstore::MsvStore;
 
 use crate::args::{CacheAction, CliError, Command, DeviceSpec, HistoryAction, NoiseSpec, Options};
@@ -249,28 +249,16 @@ fn verify(prepared: &Circuit, opts: &Options, out: &mut dyn Write) -> Result<(),
     Ok(())
 }
 
-/// The run the flags declare. `--strategy tree` with `--baseline` is the
-/// one pair a [`RunSpec`] cannot hold; [`RunSpec::validate`] rejects the
-/// rest, which `analyze`, `advise` and `verify` never call.
-fn run_spec<'s>(opts: &Options, store: Option<&'s MsvStore>) -> Result<RunSpec<'s>, CliError> {
-    let tree = opts.strategy.as_deref() == Some("tree");
-    let walk = match (opts.baseline, tree) {
-        (true, true) => {
-            let conflict =
-                SimError::ConflictingOptions { flag: "--strategy tree", with: "--baseline" };
-            return Err(CliError(conflict.to_string()));
-        }
-        (true, false) => Walk::Baseline,
-        (false, true) => Walk::Tree,
-        (false, false) => Walk::Reuse,
-    };
-    Ok(RunSpec {
-        walk,
+/// The run the flags declare. [`RunSpec::validate`] rejects the flag pairs
+/// no executor honours; `analyze`, `advise` and `verify` never call it.
+fn run_spec<'s>(opts: &Options, store: Option<&'s MsvStore>) -> RunSpec<'s> {
+    RunSpec {
+        walk: if opts.baseline { Walk::Baseline } else { Walk::Reuse },
         budget: opts.budget,
         compressed: opts.compressed,
         threads: opts.threads,
         store,
-    })
+    }
 }
 
 fn advise(prepared: &Circuit, opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
@@ -279,10 +267,9 @@ fn advise(prepared: &Circuit, opts: &Options, out: &mut dyn Write) -> Result<(),
     let advice = qsim_analyzer::advise(&plan);
     // The strategy the flags select, for the suboptimal-strategy lint
     // (`--baseline` runs the fused program).
-    let spec = run_spec(opts, None)?;
+    let spec = run_spec(opts, None);
     let declared = match spec.walk {
         Walk::Baseline => qsim_analyzer::Strategy::Fused,
-        Walk::Tree => qsim_analyzer::Strategy::Tree,
         Walk::Reuse if spec.compressed => qsim_analyzer::Strategy::Compressed,
         Walk::Reuse => qsim_analyzer::Strategy::Reuse,
     };
@@ -461,7 +448,7 @@ fn run_or_profile(
 ) -> Result<(), CliError> {
     let sim = simulation(prepared, opts)?;
     let store = opts.cache.as_deref().map(|dir| open_store(dir, opts.cache_budget)).transpose()?;
-    let spec = run_spec(opts, store.as_ref())?;
+    let spec = run_spec(opts, store.as_ref());
     spec.validate().map_err(|e| CliError(e.to_string()))?;
     let started = std::time::Instant::now();
     // Only a trace or live header needs the metadata, whose git lookup
@@ -556,10 +543,6 @@ fn cross_check(
             report.total_kernel_count() + report.counter(names::MSVSTORE_CREDITED_PASSES),
             stats.amplitude_passes,
         );
-        // Zero on non-batched runs (neither side records them), exact on
-        // tree runs.
-        expect("batch_sweeps", report.counter("batch_sweeps"), stats.batch_sweeps);
-        expect("batch_width_max", report.counter("batch_width_max"), stats.batch_width_max);
         // The bypassed-segment count is a pure function of the compiled
         // program, so telemetry must reproduce an independent recompile.
         let recompiled = redsim::exec::fuse_for_trials(
@@ -597,28 +580,7 @@ fn cross_check(
                 stats.ops
             ));
         }
-        if spec.walk == Walk::Tree {
-            // The tree frontier peaks at the number of distinct injection
-            // lists (buffer stealing keeps it monotone until the final
-            // boundary), not at the reuse stack depth the CostReport
-            // models — check it against its own closed form.
-            let mut lists: Vec<_> = sim
-                .trials()
-                .expect("trials prepared before execution")
-                .trials()
-                .iter()
-                .map(qsim_noise::Trial::injections)
-                .collect();
-            lists.sort_unstable();
-            lists.dedup();
-            if stats.peak_msv != lists.len() {
-                mismatches.push(format!(
-                    "tree frontier peak: executor held {}, {} distinct injection lists",
-                    stats.peak_msv,
-                    lists.len()
-                ));
-            }
-        } else if !baseline && stats.peak_msv != cost.msv_peak {
+        if !baseline && stats.peak_msv != cost.msv_peak {
             mismatches.push(format!(
                 "analyzer MSV peak: executor held {}, analyzer says {}",
                 stats.peak_msv, cost.msv_peak
@@ -1250,42 +1212,13 @@ mod tests {
     }
 
     #[test]
-    fn tree_strategy_reproduces_the_reuse_histogram() {
-        let circuit = bell_file();
-        let base =
-            run_cli(&["run", &circuit.path_str(), "--trials", "256", "--seed", "5"]).unwrap();
-        let tree = run_cli(&[
-            "run",
-            &circuit.path_str(),
-            "--trials",
-            "256",
-            "--seed",
-            "5",
-            "--strategy",
-            "tree",
-        ])
-        .unwrap();
-        // The stats line differs (frontier peak, batch sweeps, timing);
-        // the histogram itself must be bitwise identical.
-        let hist = |s: &str| s.lines().skip(1).collect::<Vec<_>>().join("\n");
-        assert_eq!(hist(&base), hist(&tree), "batched execution must be observationally invisible");
-        assert!(tree.contains("batch sweeps"), "{tree}");
-    }
-
-    #[test]
     fn run_and_profile_reject_every_flag_pair_no_executor_honours() {
         let circuit = bell_file();
         let dir = std::env::temp_dir().join(format!("qsim-cli-conflict-{}", std::process::id()));
         let dir_str = dir.to_string_lossy().into_owned();
         let cache = ["--cache", dir_str.as_str()];
-        let tree = ["--strategy", "tree"];
         for (first, second, flag, with) in [
-            (&tree[..], &["--baseline"][..], "--strategy tree", "--baseline"),
-            (&tree, &["--compressed"], "--strategy tree", "--compressed"),
-            (&tree, &["--budget", "2"], "--strategy tree", "--budget"),
-            (&tree, &["--threads", "2"], "--strategy tree", "--threads"),
-            (&tree, &cache, "--strategy tree", "--cache"),
-            (&["--baseline"], &["--budget", "2"], "--baseline", "--budget"),
+            (&["--baseline"][..], &["--budget", "2"][..], "--baseline", "--budget"),
             (&["--baseline"], &["--compressed"], "--baseline", "--compressed"),
             (&["--baseline"], &cache, "--baseline", "--cache"),
             (&["--threads", "2"], &["--budget", "2"], "--threads", "--budget"),
@@ -1324,28 +1257,6 @@ mod tests {
         parts[0] = "run";
         let run = run_cli(&parts).unwrap();
         assert!(run.contains(", 1 stored states at peak"), "{run}");
-    }
-
-    #[test]
-    fn profile_tree_passes_the_telemetry_cross_check() {
-        // `profile` fails loudly when telemetry, ExecStats, and the
-        // frontier-peak closed form disagree, so a clean run is the gate.
-        let circuit = bell_file();
-        let text = run_cli(&[
-            "profile",
-            &circuit.path_str(),
-            "--trials",
-            "200",
-            "--seed",
-            "13",
-            "--strategy",
-            "tree",
-            "--json",
-        ])
-        .unwrap();
-        assert!(text.contains("batch sweeps"), "{text}");
-        assert!(text.contains("\"batch_sweeps\""), "{text}");
-        assert!(text.contains("\"batch_width_max\""), "{text}");
     }
 
     #[test]
@@ -1408,7 +1319,7 @@ mod tests {
         let file = bell_file();
         let text =
             run_cli(&["advise", &file.path_str(), "--trials", "128", "--seed", "4"]).unwrap();
-        for name in ["sequential", "fused", "reuse", "compressed", "tree", "frame-tracking"] {
+        for name in ["sequential", "fused", "reuse", "compressed", "frame-tracking"] {
             assert!(text.contains(name), "missing {name}:\n{text}");
         }
         assert!(text.contains("recommended:"), "{text}");

@@ -68,16 +68,6 @@ pub struct ExecStats {
     pub peak_msv: usize,
     /// Trials executed.
     pub n_trials: usize,
-    /// Batched frontier sweeps performed (one per fused op applied to a
-    /// whole frontier batch by the tree executor). Zero for every
-    /// per-state executor; defaults to zero so legacy serialized stats
-    /// load.
-    #[cfg_attr(feature = "serde", serde(default))]
-    pub batch_sweeps: u64,
-    /// Widest frontier batch a single sweep covered. Zero when no batched
-    /// sweeps ran; defaults to zero so legacy serialized stats load.
-    #[cfg_attr(feature = "serde", serde(default))]
-    pub batch_width_max: u64,
 }
 
 impl fmt::Display for ExecStats {
@@ -86,17 +76,7 @@ impl fmt::Display for ExecStats {
             f,
             "{} trials: {} basic ops, {} fused kernels, {} amplitude passes, {} stored states at peak",
             self.n_trials, self.ops, self.fused_ops, self.amplitude_passes, self.peak_msv
-        )?;
-        // Batch counters only exist for the tree executor; keep every
-        // per-state executor's rendering byte-stable.
-        if self.batch_sweeps > 0 {
-            write!(
-                f,
-                ", {} batch sweeps ({} states at widest)",
-                self.batch_sweeps, self.batch_width_max
-            )?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -189,7 +169,7 @@ impl Engine<'_> {
 
 /// Apply one injected error operator, timed under the `error` kernel class
 /// when the recorder is live.
-pub(crate) fn inject_traced<R: Recorder + ?Sized>(
+fn inject_traced<R: Recorder + ?Sized>(
     injection: &Injection,
     state: &mut StateVector,
     recorder: &R,
@@ -209,14 +189,14 @@ pub(crate) fn inject_traced<R: Recorder + ?Sized>(
 /// Bytes of one dense amplitude vector for an `n_qubits` register (each
 /// amplitude is a 16-byte complex double) — the unit of the live plane's
 /// resident-memory gauge.
-pub(crate) fn amp_bytes(n_qubits: usize) -> u64 {
+fn amp_bytes(n_qubits: usize) -> u64 {
     (1u64 << n_qubits) * 16
 }
 
 /// Emit the end-of-run counters every executor shares. These mirror
 /// [`ExecStats`] field-for-field, which is what lets the profiler
 /// cross-check telemetry against the executors' own accounting exactly.
-pub(crate) fn record_stats_counters<R: Recorder + ?Sized>(recorder: &R, stats: &ExecStats) {
+fn record_stats_counters<R: Recorder + ?Sized>(recorder: &R, stats: &ExecStats) {
     recorder.counter("trials", stats.n_trials as u64);
     recorder.counter("ops", stats.ops);
     recorder.counter("fused_ops", stats.fused_ops);
@@ -285,7 +265,7 @@ pub(crate) fn paranoid_verify(
 
 /// Check that `program` fits `layered` and that every injection of every
 /// trial lands on a segment boundary.
-pub(crate) fn validate_program(
+fn validate_program(
     program: &FusedProgram,
     layered: &LayeredCircuit,
     trials: &[Trial],
@@ -928,11 +908,7 @@ impl<'a> ReuseExecutor<'a> {
 /// Sample the trial's measurement outcome: Born-rule sampling with the
 /// trial's private seed, classical readout flips, then mapping measured
 /// qubits onto the classical register.
-pub(crate) fn measure(
-    layered: &LayeredCircuit,
-    state: &StateVector,
-    trial: &Trial,
-) -> MeasureOutcome {
+fn measure(layered: &LayeredCircuit, state: &StateVector, trial: &Trial) -> MeasureOutcome {
     let mut rng = StdRng::seed_from_u64(trial.seed());
     let mut qubit_outcome = state.sample(&mut rng);
     trial.apply_meas_flips(&mut qubit_outcome);
@@ -945,7 +921,7 @@ pub(crate) fn measure(
     classical
 }
 
-pub(crate) fn validate(trial: &Trial, n_layers: usize) -> Result<(), SimError> {
+fn validate(trial: &Trial, n_layers: usize) -> Result<(), SimError> {
     if let Some(inj) = trial.injections().last() {
         if inj.layer() >= n_layers {
             return Err(SimError::LayerOutOfRange { layer: inj.layer(), n_layers });

@@ -20,9 +20,8 @@
 //!    [`exec::BaselineExecutor`] (every trial from scratch — the paper's
 //!    baseline) and [`exec::ReuseExecutor`] (prefix-state caching with eager
 //!    dropping, under an optional stored-state budget, with frontiers held
-//!    dense or [`compressed`]). The reuse walk is the only per-state trie
-//!    walk; [`parallel`], [`semcache`] and the batched [`tree`] executor
-//!    build on it or mirror it. All produce **bitwise identical**
+//!    dense or [`compressed`]). The reuse walk is the only trie walk;
+//!    [`parallel`] and [`semcache`] build on it. All produce **bitwise identical**
 //!    measurement outcomes, realising the paper's "mathematically
 //!    equivalent" guarantee, and report operation counts that the static
 //!    analyzer predicts exactly.
@@ -71,7 +70,6 @@ pub mod semcache;
 mod sim_error;
 mod simulation;
 pub mod testkit;
-pub mod tree;
 
 pub use analysis::CostReport;
 pub use exec::{ExecStats, RunResult};
@@ -80,4 +78,3 @@ pub use order::{compare_trials, lcp, reorder, reorder_recursive};
 pub use semcache::CacheOutcome;
 pub use sim_error::SimError;
 pub use simulation::{RunOutput, RunSpec, Simulation, Walk};
-pub use tree::TreeExecutor;

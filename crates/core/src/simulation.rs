@@ -1,5 +1,6 @@
 use qsim_circuit::{Circuit, LayeredCircuit};
 use qsim_noise::{NoiseModel, TrialGenerator, TrialSet};
+use qsim_statevec::StateVector;
 use qsim_telemetry::Recorder;
 use redsim_msvstore::MsvStore;
 
@@ -9,7 +10,6 @@ use crate::exec::{ReuseExecutor, RunResult};
 use crate::histogram::Histogram;
 use crate::parallel;
 use crate::semcache::CacheOutcome;
-use crate::tree::TreeExecutor;
 use crate::SimError;
 
 /// The walk a [`RunSpec`] selects.
@@ -20,8 +20,6 @@ pub enum Walk {
     /// The reordered prefix-trie walk (the paper's optimization).
     #[default]
     Reuse,
-    /// The batched tree executor (see [`crate::tree`]).
-    Tree,
 }
 
 /// What [`Simulation::run`] executes: one walk and the knobs that
@@ -56,9 +54,9 @@ impl RunSpec<'_> {
     }
 
     /// Reject knob combinations no executor honours, naming the two
-    /// `qsim run` flags that conflict. The tree walk takes no knob and the
-    /// baseline only `--threads`; `--threads` and `--cache` each drive the
-    /// plain reuse walk and combine with nothing else.
+    /// `qsim run` flags that conflict. The baseline takes only
+    /// `--threads`; `--threads` and `--cache` each drive the plain reuse
+    /// walk and combine with nothing else.
     ///
     /// # Errors
     ///
@@ -74,18 +72,10 @@ impl RunSpec<'_> {
         .filter_map(|(flag, on)| on.then_some(flag))
         .collect();
         let conflict = |flag, with| Err(SimError::ConflictingOptions { flag, with });
-        match self.walk {
-            Walk::Tree => {
-                if let Some(&with) = set.first() {
-                    return conflict("--strategy tree", with);
-                }
+        if self.walk == Walk::Baseline {
+            if let Some(&with) = set.iter().find(|&&flag| flag != "--threads") {
+                return conflict("--baseline", with);
             }
-            Walk::Baseline => {
-                if let Some(&with) = set.iter().find(|&&flag| flag != "--threads") {
-                    return conflict("--baseline", with);
-                }
-            }
-            Walk::Reuse => {}
         }
         for lead in ["--cache", "--threads"] {
             if set.contains(&lead) {
@@ -100,7 +90,6 @@ impl RunSpec<'_> {
     /// The strategy name trace and live headers carry.
     pub fn name(&self) -> &'static str {
         match self.walk {
-            Walk::Tree => "tree",
             Walk::Baseline if self.threads == 1 => "baseline",
             Walk::Baseline => "parallel-baseline",
             Walk::Reuse if self.store.is_some() => "reuse-cached",
@@ -259,8 +248,9 @@ impl Simulation {
     ///
     /// Returns [`SimError::ConflictingOptions`] when `spec` fails
     /// [`RunSpec::validate`], [`SimError::NoTrials`] before trial
-    /// generation, or execution failures. Store I/O problems degrade to an
-    /// uncached run, they never fail it.
+    /// generation, [`SimError::State`] for a register wider than a dense
+    /// state vector holds, or execution failures. Store I/O problems
+    /// degrade to an uncached run, they never fail it.
     pub fn run<R: Recorder + ?Sized>(
         &self,
         spec: &RunSpec<'_>,
@@ -268,13 +258,13 @@ impl Simulation {
     ) -> Result<RunOutput, SimError> {
         spec.validate()?;
         let trials = self.trials.as_ref().ok_or(SimError::NoTrials)?.trials();
+        StateVector::check_width(self.layered.n_qubits())?;
         let layered = &self.layered;
         let (mut compression, mut cache) = (None, None);
         let result = match spec.walk {
             Walk::Baseline => {
                 parallel::run_baseline_parallel(layered, trials, spec.threads, recorder)?
             }
-            Walk::Tree => TreeExecutor::new(layered).run(trials, recorder)?,
             Walk::Reuse if spec.threads != 1 => {
                 parallel::run_reordered_parallel(layered, trials, spec.threads, recorder)?
             }
@@ -340,8 +330,9 @@ impl Simulation {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::NoTrials`] before trial generation, or execution
-    /// failures from the selected strategy.
+    /// Returns [`SimError::NoTrials`] before trial generation,
+    /// [`SimError::State`] for a register wider than a dense state vector
+    /// holds, or execution failures from the selected strategy.
     #[cfg(feature = "advisor")]
     pub fn run_advised<R: Recorder + ?Sized>(
         &self,
@@ -351,6 +342,7 @@ impl Simulation {
         use qsim_analyzer::Strategy;
         use qsim_telemetry::names;
         let trials = self.trials.as_ref().ok_or(SimError::NoTrials)?;
+        StateVector::check_width(self.layered.n_qubits())?;
         let plan = qsim_analyzer::ExecutionPlan::compile_traced(
             &self.layered,
             trials,
@@ -363,7 +355,6 @@ impl Simulation {
             Strategy::Fused => (names::ADVISOR_SELECTED_FUSED, Some(Walk::Baseline)),
             Strategy::Reuse => (names::ADVISOR_SELECTED_REUSE, Some(Walk::Reuse)),
             Strategy::Compressed => (names::ADVISOR_SELECTED_COMPRESSED, Some(Walk::Reuse)),
-            Strategy::Tree => (names::ADVISOR_SELECTED_TREE, Some(Walk::Tree)),
             Strategy::FrameTracking => {
                 unreachable!("best_executable never returns a frame-tracking prediction")
             }
@@ -418,6 +409,7 @@ impl Simulation {
 mod tests {
     use super::*;
     use qsim_circuit::catalog;
+    use qsim_statevec::StateVecError;
     use qsim_telemetry::NullRecorder;
 
     fn run(s: &Simulation, spec: RunSpec<'_>) -> Result<RunOutput, SimError> {
@@ -514,6 +506,32 @@ mod tests {
         assert!((exact.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         let hist = s.histogram(&compressed);
         assert!(hist.tv_distance(&exact) < 0.15); // coarse at 400 trials
+    }
+
+    #[test]
+    fn registers_wider_than_a_state_vector_fail_before_any_walk_allocates() {
+        let mut wide = Circuit::new("wide", 31, 31);
+        wide.h(0).cx(0, 1).measure_all();
+        let mut s =
+            Simulation::from_circuit(&wide, NoiseModel::uniform(31, 1e-3, 1e-2, 1e-2)).unwrap();
+        s.generate_trials(2, 0).unwrap();
+        let dir = std::env::temp_dir().join(format!("redsim-wide-{}", std::process::id()));
+        let store = MsvStore::open(&dir, 0).unwrap();
+        let too_wide = SimError::State(StateVecError::TooManyQubits { n_qubits: 31, max: 30 });
+        for spec in [
+            RunSpec::new(Walk::Baseline),
+            RunSpec { threads: 2, ..RunSpec::new(Walk::Baseline) },
+            RunSpec::default(),
+            RunSpec { budget: 1, ..RunSpec::default() },
+            RunSpec { compressed: true, ..RunSpec::default() },
+            RunSpec { threads: 2, ..RunSpec::default() },
+            RunSpec { store: Some(&store), ..RunSpec::default() },
+        ] {
+            assert_eq!(run(&s, spec).unwrap_err(), too_wide, "{}", spec.name());
+        }
+        #[cfg(feature = "advisor")]
+        assert_eq!(s.run_advised(None, &NullRecorder).unwrap_err(), too_wide);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -131,8 +131,8 @@ pub fn vqa_sweep(
     (model, points)
 }
 
-/// One named prefix-trie shape for the batched tree executor's
-/// differential harness: a layered circuit plus a trial set whose
+/// One named prefix-trie shape for the strategy, telemetry and
+/// observatory matrices: a layered circuit plus a trial set whose
 /// injection structure forces that shape.
 #[derive(Clone, Debug)]
 pub struct TreeWorkload {
@@ -145,12 +145,12 @@ pub struct TreeWorkload {
     pub trials: TrialSet,
 }
 
-/// The canonical execution-tree shapes the tree-executor suites sweep:
-/// three generated sets whose noise scale controls how early and how wide
-/// the prefix trie branches (`deep` at 0.2× the base rates, `balanced` at
-/// 1×, `shallow` at 8×), a hand-built `skewed` set of chains of varying
+/// The canonical prefix-trie shapes the matrices sweep through every
+/// strategy: three generated sets whose noise scale controls how early and
+/// how wide the trie branches (`deep` at 0.2× the base rates, `balanced`
+/// at 1×, `shallow` at 8×), a hand-built `skewed` set of chains of varying
 /// depth sharing one spine, and the two degenerate shapes — a
-/// `single-trial` set (the frontier never exceeds one state) and
+/// `single-trial` set (one root-to-leaf path) and
 /// `diverge-0`, where every trial branches off the root at layer 0.
 /// Deterministic in `(trials, seed)`; every call produces bitwise-equal
 /// trial sets.

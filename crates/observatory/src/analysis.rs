@@ -270,21 +270,6 @@ impl TraceAnalysis {
                 self.counter("amplitude_passes"),
             );
         }
-        // Batched sweeps bound the passes they account for: each sweep
-        // covers at least one state and at most the widest frontier, so
-        // fused_ops (one per state per sweep) must land inside
-        // [batch_sweeps, batch_sweeps * batch_width_max].
-        let sweeps = self.counter("batch_sweeps");
-        if sweeps > 0 {
-            let width_max = self.counter("batch_width_max");
-            let fused = self.counter("fused_ops");
-            if fused < sweeps || fused > sweeps.saturating_mul(width_max) {
-                problems.push(format!(
-                    "fused_ops ({fused}) outside batched bounds [{sweeps}, {}]",
-                    sweeps.saturating_mul(width_max)
-                ));
-            }
-        }
         // Heartbeats claim one completed trial per beat; when present they
         // must account for exactly the recorded trial count.
         if self.heartbeats > 0 {
@@ -428,33 +413,6 @@ mod tests {
             a.cross_check().iter().any(|p| p.contains("without a hit")),
             "{:?}",
             a.cross_check()
-        );
-    }
-
-    #[test]
-    fn cross_check_bounds_fused_ops_by_batched_sweeps() {
-        // 3 sweeps at frontier width <= 4 performing 9 fused ops: inside
-        // the [3, 12] envelope, so the trace reconciles.
-        let base = concat!(
-            "{\"ev\":\"meta\",\"version\":2,\"git_rev\":\"abc\",\"seed\":1,\"qubits\":4,\"strategy\":\"tree\"}\n",
-            "{\"ev\":\"kernel\",\"phase\":\"tree/sweep\",\"class\":\"dense2\",\"layer\":2,\"count\":9,\"ns\":90}\n",
-            "{\"ev\":\"counter\",\"name\":\"trials\",\"delta\":4}\n",
-            "{\"ev\":\"counter\",\"name\":\"ops\",\"delta\":9}\n",
-            "{\"ev\":\"counter\",\"name\":\"fused_ops\",\"delta\":9}\n",
-            "{\"ev\":\"counter\",\"name\":\"amplitude_passes\",\"delta\":9}\n",
-            "{\"ev\":\"counter\",\"name\":\"batch_sweeps\",\"delta\":3}\n",
-            "{\"ev\":\"counter\",\"name\":\"batch_width_max\",\"delta\":4}\n",
-        );
-        let a = TraceAnalysis::from_trace(&Trace::parse(base).unwrap());
-        assert_eq!(a.cross_check(), Vec::<String>::new(), "batched run must reconcile");
-        // Claiming a narrower widest frontier (2) caps the envelope at
-        // 3 * 2 = 6 < 9 fused ops: the law must flag it.
-        let broken =
-            base.replace("\"batch_width_max\",\"delta\":4", "\"batch_width_max\",\"delta\":2");
-        let problems = TraceAnalysis::from_trace(&Trace::parse(&broken).unwrap()).cross_check();
-        assert!(
-            problems.iter().any(|p| p.contains("batched bounds")),
-            "expected a batched-bounds discrepancy, got {problems:?}"
         );
     }
 

@@ -315,48 +315,6 @@ impl StateVector {
     }
 }
 
-impl FusedOp {
-    /// Apply this operator to a whole batch of sibling states in one
-    /// sweep, via the cross-state kernels of `crate::batch`: the operator
-    /// is matched and validated **once**, the operand indices are
-    /// enumerated **once**, and each per-state update runs back-to-back
-    /// over the batch — amortizing dispatch, mask/stride setup, and the
-    /// strided enumeration over every state while the per-state float
-    /// sequence stays bitwise-identical to [`StateVector::apply_fused`]
-    /// (the batched kernels repeat the scalar kernels' arithmetic
-    /// expressions verbatim).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StateVecError`] for invalid operands (validated against
-    /// the first state) or mixed register widths, before touching any
-    /// amplitudes. Empty batches are a no-op.
-    pub fn apply_batch(&self, states: &mut [StateVector]) -> Result<(), StateVecError> {
-        match self {
-            FusedOp::Phase1 { d1, qubit } => crate::batch::phase1(states, *d1, *qubit),
-            FusedOp::Diag1 { d, qubit } => crate::batch::diag1(states, d, *qubit),
-            FusedOp::Perm1 { phase, qubit } => crate::batch::perm1(states, phase, *qubit),
-            FusedOp::Dense1 { m, qubit } => crate::batch::dense1(states, m, *qubit),
-            FusedOp::CPhase2 { p, low, high } => crate::batch::cphase2(states, *p, *low, *high),
-            FusedOp::CDiag1 { d, control, target } => {
-                crate::batch::cdiag1(states, d, *control, *target)
-            }
-            FusedOp::Diag2 { d, low, high } => crate::batch::diag2(states, d, *low, *high),
-            FusedOp::Cx { control, target } => crate::batch::cx(states, *control, *target),
-            FusedOp::Ctrl1 { u, control, target } => {
-                crate::batch::ctrl1(states, u, *control, *target)
-            }
-            FusedOp::Perm2 { src, phase, low, high } => {
-                crate::batch::perm2(states, src, phase, *low, *high)
-            }
-            FusedOp::Dense2 { m, low, high } => crate::batch::dense2(states, m, *low, *high),
-            FusedOp::Ccx { control_a, control_b, target } => {
-                crate::batch::ccx(states, *control_a, *control_b, *target)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -485,62 +443,5 @@ mod tests {
         let mut s = StateVector::zero_state(2);
         assert!(s.apply_fused(&FusedOp::Cx { control: 5, target: 0 }).is_err());
         assert!(s.apply_fused(&FusedOp::Diag2 { d: [ONE; 4], low: 1, high: 1 }).is_err());
-    }
-
-    #[test]
-    fn apply_batch_is_bitwise_identical_to_sequential_apply_fused() {
-        // Every kernel class, applied to a batch of distinct states, must
-        // produce bit-for-bit the same amplitudes as applying the same op
-        // to each state individually — the batch path reuses the exact
-        // per-state kernels, so any divergence is a dispatch bug.
-        let ops = vec![
-            FusedOp::classify_1q(&Matrix2::s(), 0),
-            FusedOp::classify_1q(&Matrix2::rz(0.3), 1),
-            FusedOp::classify_1q(&Matrix2::x(), 2),
-            FusedOp::classify_1q(&Matrix2::h(), 3),
-            FusedOp::classify_2q(&Matrix4::cphase(0.9), 0, 2),
-            FusedOp::classify_2q(&Matrix4::controlled(&Matrix2::rz(0.7)), 1, 2),
-            FusedOp::classify_2q(&Matrix4::kron(&Matrix2::rz(0.2), &Matrix2::rz(1.3)), 3, 1),
-            FusedOp::classify_2q(&Matrix4::cx(), 1, 3),
-            FusedOp::classify_2q(&Matrix4::controlled(&Matrix2::rx(0.5)), 0, 1),
-            FusedOp::classify_2q(&Matrix4::swap(), 2, 0),
-            FusedOp::classify_2q(&Matrix4::kron(&Matrix2::h(), &Matrix2::u(0.2, 0.4, 0.6)), 0, 3),
-            FusedOp::Ccx { control_a: 0, control_b: 1, target: 2 },
-        ];
-        // All 12 kernel classes must be exercised — a class silently
-        // falling back to a broader one would dodge its batched kernel.
-        let classes: std::collections::BTreeSet<&str> =
-            ops.iter().map(FusedOp::kernel_name).collect();
-        assert_eq!(classes.len(), 12, "op list covers every kernel class: {classes:?}");
-        for op in &ops {
-            for width in [1usize, 5] {
-                let mut batched: Vec<StateVector> =
-                    (0..width as u64).map(|i| random_state(4, i)).collect();
-                let mut sequential = batched.clone();
-                op.apply_batch(&mut batched).unwrap();
-                for s in &mut sequential {
-                    s.apply_fused(op).unwrap();
-                }
-                for (b, s) in batched.iter().zip(&sequential) {
-                    assert!(b.approx_eq(s, 0.0), "batch diverged for {}", op.kernel_name());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn apply_batch_rejects_bad_operands_before_touching_amplitudes() {
-        let mut states = vec![StateVector::zero_state(2), StateVector::zero_state(2)];
-        assert!(FusedOp::Cx { control: 5, target: 0 }.apply_batch(&mut states).is_err());
-        assert!(FusedOp::Ccx { control_a: 0, control_b: 1, target: 1 }
-            .apply_batch(&mut states)
-            .is_err());
-        let pristine = StateVector::zero_state(2);
-        assert!(states.iter().all(|s| s.approx_eq(&pristine, 0.0)));
-        // Mixed register widths are rejected up front.
-        let mut mixed = vec![StateVector::zero_state(2), StateVector::zero_state(3)];
-        assert!(FusedOp::Cx { control: 1, target: 0 }.apply_batch(&mut mixed).is_err());
-        // An empty batch is a no-op even for an invalid op.
-        assert!(FusedOp::Cx { control: 5, target: 0 }.apply_batch(&mut []).is_ok());
     }
 }

@@ -32,7 +32,6 @@
 //! # }
 //! ```
 
-mod batch;
 mod buffer;
 mod density;
 mod eigen;

@@ -36,6 +36,20 @@ pub struct StateVector {
 }
 
 impl StateVector {
+    /// Check that a dense state vector can hold an `n_qubits` register,
+    /// before anything allocates one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StateVecError::TooManyQubits`] beyond the supported
+    /// maximum (30).
+    pub fn check_width(n_qubits: usize) -> Result<(), StateVecError> {
+        if n_qubits > MAX_QUBITS {
+            return Err(StateVecError::TooManyQubits { n_qubits, max: MAX_QUBITS });
+        }
+        Ok(())
+    }
+
     /// The all-zeros computational basis state `|0…0⟩`.
     ///
     /// # Panics
@@ -58,9 +72,7 @@ impl StateVector {
     /// Returns [`StateVecError::DimensionMismatch`] if `index >= 2^n_qubits`,
     /// or [`StateVecError::TooManyQubits`] for oversized registers.
     pub fn basis_state(n_qubits: usize, index: usize) -> Result<Self, StateVecError> {
-        if n_qubits > MAX_QUBITS {
-            return Err(StateVecError::TooManyQubits { n_qubits, max: MAX_QUBITS });
-        }
+        Self::check_width(n_qubits)?;
         let dim = 1usize << n_qubits;
         if index >= dim {
             return Err(StateVecError::DimensionMismatch { expected: dim, actual: index });
@@ -694,13 +706,6 @@ impl StateVector {
     pub(crate) fn from_amps_unchecked(n_qubits: usize, amps: AmpBuf) -> Self {
         debug_assert_eq!(amps.len(), 1usize << n_qubits);
         StateVector { n_qubits, amps }
-    }
-
-    /// Mutable amplitude slice for the crate-internal batched kernels
-    /// (`crate::batch`), which stream one operator across many sibling
-    /// states and need direct index access into each buffer.
-    pub(crate) fn amps_mut(&mut self) -> &mut [C64] {
-        &mut self.amps
     }
 
     pub(crate) fn check_qubit(&self, qubit: usize) -> Result<(), StateVecError> {

@@ -93,14 +93,6 @@ pub const ADVISOR_SELECTED_REUSE: &str = "advisor.selected.reuse";
 pub const ADVISOR_SELECTED_COMPRESSED: &str = "advisor.selected.compressed";
 /// Advisor selected the frame-tracking strategy.
 pub const ADVISOR_SELECTED_FRAME_TRACKING: &str = "advisor.selected.frame-tracking";
-/// Advisor selected the batched tree strategy.
-pub const ADVISOR_SELECTED_TREE: &str = "advisor.selected.tree";
-/// Batched executor: fused-op sweeps over the sibling frontier (mirrors
-/// `ExecStats::batch_sweeps`).
-pub const BATCH_SWEEPS: &str = "batch_sweeps";
-/// Batched executor: widest frontier any sweep covered (mirrors
-/// `ExecStats::batch_width_max`).
-pub const BATCH_WIDTH_MAX: &str = "batch_width_max";
 
 /// Every counter name any emitter in the workspace may use.
 pub const COUNTERS_ALL: &[&str] = &[
@@ -124,9 +116,6 @@ pub const COUNTERS_ALL: &[&str] = &[
     ADVISOR_SELECTED_REUSE,
     ADVISOR_SELECTED_COMPRESSED,
     ADVISOR_SELECTED_FRAME_TRACKING,
-    ADVISOR_SELECTED_TREE,
-    BATCH_SWEEPS,
-    BATCH_WIDTH_MAX,
     MSVSTORE_HIT,
     MSVSTORE_MISS,
     MSVSTORE_STORE,
@@ -148,8 +137,6 @@ pub const SPAN_RUN_COMPRESSED: &str = "run/compressed";
 pub const SPAN_RUN_PARALLEL_BASELINE: &str = "run/parallel-baseline";
 /// Parallel reuse run span (covers all workers).
 pub const SPAN_RUN_PARALLEL_REUSE: &str = "run/parallel-reuse";
-/// Batched tree executor run span.
-pub const SPAN_RUN_TREE: &str = "run/tree";
 
 /// Every span path any emitter in the workspace may use.
 pub const SPANS_ALL: &[&str] = &[
@@ -158,7 +145,6 @@ pub const SPANS_ALL: &[&str] = &[
     SPAN_RUN_COMPRESSED,
     SPAN_RUN_PARALLEL_BASELINE,
     SPAN_RUN_PARALLEL_REUSE,
-    SPAN_RUN_TREE,
 ];
 
 #[cfg(test)]

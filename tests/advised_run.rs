@@ -41,7 +41,6 @@ const SELECTED: &[&str] = &[
     names::ADVISOR_SELECTED_FUSED,
     names::ADVISOR_SELECTED_REUSE,
     names::ADVISOR_SELECTED_COMPRESSED,
-    names::ADVISOR_SELECTED_TREE,
     names::ADVISOR_SELECTED_FRAME_TRACKING,
 ];
 

@@ -103,13 +103,19 @@ fn diagnostics_roundtrip() {
 fn legacy_reports_without_new_fields_still_load() {
     // JSON captured before `fused_ops`/`amplitude_passes` (ExecStats) and
     // `msv_path_peak` (CostReport) existed must still deserialize, with the
-    // missing fields defaulting to zero.
-    let stats: noisy_qsim::redsim::ExecStats =
-        serde_json::from_str(r#"{"ops":120,"peak_msv":3,"n_trials":40}"#).expect("legacy stats");
-    assert_eq!(stats.ops, 120);
-    assert_eq!(stats.fused_ops, 0);
-    assert_eq!(stats.amplitude_passes, 0);
-    assert_eq!(stats.peak_msv, 3);
+    // missing fields defaulting to zero — and so must stats that carry the
+    // retired tree executor's `batch_sweeps`/`batch_width_max`.
+    for legacy in [
+        r#"{"ops":120,"peak_msv":3,"n_trials":40}"#,
+        r#"{"ops":120,"peak_msv":3,"n_trials":40,"batch_sweeps":7,"batch_width_max":3}"#,
+    ] {
+        let stats: noisy_qsim::redsim::ExecStats =
+            serde_json::from_str(legacy).expect("legacy stats");
+        assert_eq!(stats.ops, 120);
+        assert_eq!(stats.fused_ops, 0);
+        assert_eq!(stats.amplitude_passes, 0);
+        assert_eq!(stats.peak_msv, 3);
+    }
     let report: CostReport = serde_json::from_str(
         r#"{"n_trials":40,"gates_per_trial":12,"baseline_ops":520,"optimized_ops":260,"msv_peak":3}"#,
     )
