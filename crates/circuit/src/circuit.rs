@@ -92,6 +92,13 @@ impl Circuit {
 
     /// Append an instruction with validation.
     ///
+    /// The terminal-measurement check is amortized O(1), so building a
+    /// circuit of `N` instructions costs O(N). It rests on the invariant
+    /// `push` itself keeps: no gate ever follows a measurement, so the
+    /// circuit holds a measurement exactly when its last non-barrier
+    /// instruction is one. Finding that instruction skips only the
+    /// trailing barriers, and a gate that is accepted ends their run.
+    ///
     /// # Errors
     ///
     /// Returns a [`CircuitError`] if operands are out of range, a gate
@@ -103,7 +110,8 @@ impl Circuit {
                 for &q in &op.qubits {
                     self.check_qubit(q)?;
                 }
-                if self.instrs.iter().any(|i| matches!(i, Instruction::Measure { .. })) {
+                let last = self.instrs.iter().rev().find(|i| !matches!(i, Instruction::Barrier(_)));
+                if matches!(last, Some(Instruction::Measure { .. })) {
                     return Err(CircuitError::GateAfterMeasure { position: self.instrs.len() });
                 }
             }
@@ -364,6 +372,7 @@ impl fmt::Display for Circuit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn builder_chains_and_counts() {
@@ -391,10 +400,88 @@ mod tests {
 
     #[test]
     fn gates_after_measure_are_rejected() {
+        // Barriers between the measurement and the gate do not hide it.
+        for barriers in 0..3 {
+            let mut qc = Circuit::new("t", 2, 2);
+            qc.h(0).measure(0, 0);
+            for _ in 0..barriers {
+                qc.barrier();
+            }
+            let position = qc.instructions().len();
+            assert_eq!(
+                qc.push_gate(Gate::X, vec![1]),
+                Err(CircuitError::GateAfterMeasure { position }),
+                "{barriers} barriers"
+            );
+            assert_eq!(qc.instructions().len(), position, "a rejected gate is not appended");
+        }
+    }
+
+    #[test]
+    fn gates_after_a_barrier_without_measurement_are_accepted() {
         let mut qc = Circuit::new("t", 2, 2);
-        qc.h(0).measure(0, 0);
-        let err = qc.push_gate(Gate::X, vec![1]).unwrap_err();
-        assert!(matches!(err, CircuitError::GateAfterMeasure { .. }));
+        qc.barrier();
+        assert_eq!(qc.push_gate(Gate::H, vec![0]), Ok(()));
+        assert_eq!(qc.gate_count(), 1);
+    }
+
+    #[test]
+    fn measurements_may_follow_a_barrier_after_a_measurement() {
+        let mut qc = Circuit::new("t", 2, 2);
+        qc.measure(0, 0).barrier();
+        assert_eq!(qc.push(Instruction::Measure { qubit: 1, cbit: 1 }), Ok(()));
+        assert_eq!(qc.measurements(), vec![(0, 0), (1, 1)]);
+    }
+
+    /// The terminal-measurement rule as a scan of the whole history: a
+    /// gate is rejected if any earlier instruction is a measurement.
+    /// Appends `instr` to `history` when it is accepted.
+    fn push_by_full_scan(
+        history: &mut Vec<Instruction>,
+        instr: Instruction,
+    ) -> Result<(), CircuitError> {
+        if matches!(instr, Instruction::Gate(_))
+            && history.iter().any(|i| matches!(i, Instruction::Measure { .. }))
+        {
+            return Err(CircuitError::GateAfterMeasure { position: history.len() });
+        }
+        history.push(instr);
+        Ok(())
+    }
+
+    /// Gates, measurements and barriers on three qubits, all with
+    /// in-range operands so only the measurement rule can reject them.
+    fn arb_instruction() -> impl Strategy<Value = Instruction> {
+        (0usize..6, 0usize..3, 0usize..3).prop_map(|(kind, a, b)| match kind {
+            0 => Instruction::Gate(GateOp::new(Gate::H, vec![a]).unwrap()),
+            1 if a != b => Instruction::Gate(GateOp::new(Gate::Cx, vec![a, b]).unwrap()),
+            1 => Instruction::Gate(GateOp::new(Gate::Rz(0.5), vec![a]).unwrap()),
+            2 => Instruction::Measure { qubit: a, cbit: b },
+            3 => Instruction::Barrier(Vec::new()),
+            _ => Instruction::Barrier(vec![a]),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Every `push` result, error position included, and the final
+        /// instruction list match the full-history scan.
+        #[test]
+        fn push_agrees_with_a_full_history_scan(
+            seq in proptest::collection::vec(arb_instruction(), 0..32)
+        ) {
+            let mut qc = Circuit::new("prop", 3, 3);
+            let mut history = Vec::new();
+            for (i, instr) in seq.into_iter().enumerate() {
+                prop_assert_eq!(
+                    qc.push(instr.clone()),
+                    push_by_full_scan(&mut history, instr),
+                    "push {}", i
+                );
+            }
+            prop_assert_eq!(qc.instructions(), &history[..]);
+        }
     }
 
     #[test]

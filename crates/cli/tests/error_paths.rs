@@ -34,3 +34,22 @@ fn registers_wider_than_a_state_vector_fail_with_a_typed_error() {
         assert!(!stderr.contains("panicked"), "{extra:?}: {stderr}");
     }
 }
+
+#[test]
+fn a_gate_after_a_measurement_and_a_barrier_is_a_positioned_error() {
+    let program = "OPENQASM 2.0; include \"qelib1.inc\"; qreg q[2]; creg c[2]; \
+                   h q[0]; measure q[0] -> c[0]; barrier q; h q[1];";
+    for command in ["run", "transpile"] {
+        let out = qsim(&[command, "-"], program);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command}: {stderr}");
+        assert!(stderr.starts_with("qsim: <stdin>:"), "{command}: {stderr}");
+        assert!(
+            stderr.contains(
+                "instruction 3 applies a gate after measurement; measurements must be terminal"
+            ),
+            "{command}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{command}: {stderr}");
+    }
+}
