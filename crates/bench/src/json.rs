@@ -1,32 +1,11 @@
 //! Minimal JSON emission for experiment results (plot-friendly output via
-//! `--json`), hand-rolled to keep the dependency set pure.
+//! `--json`), built on the telemetry crate's codec ([`qsim_telemetry::json`]).
+
+pub use qsim_telemetry::json::number;
 
 /// Escape and quote a JSON string.
 pub fn string(value: &str) -> String {
-    let mut out = String::with_capacity(value.len() + 2);
-    out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Format a float as JSON (finite values only; NaN/∞ become `null`).
-pub fn number(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value}")
-    } else {
-        "null".to_owned()
-    }
+    format!("\"{}\"", qsim_telemetry::json::escape(value))
 }
 
 /// `{"k": v, ...}` from already-rendered values.

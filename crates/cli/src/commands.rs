@@ -7,6 +7,7 @@ use qsim_circuit::transpile::{transpile, TranspileOptions};
 use qsim_circuit::{to_qasm, Circuit, CouplingMap};
 use qsim_noise::NoiseModel;
 use qsim_observatory::{ExpectedStats, LiveView};
+use qsim_telemetry::json::escape;
 use qsim_telemetry::{
     names, AggregatingRecorder, JsonlRecorder, LivePublisher, MetricsReport, NullRecorder,
     Recorder, TeeRecorder, TraceMeta,
@@ -649,8 +650,10 @@ fn report(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
         }
         let metrics = obs::flatten_metrics(&doc);
         if opts.json {
-            let rows: Vec<String> =
-                metrics.iter().map(|(name, value)| format!("\"{name}\": {value}")).collect();
+            let rows: Vec<String> = metrics
+                .iter()
+                .map(|(name, value)| format!("\"{}\": {value}", escape(name)))
+                .collect();
             writeln!(out, "{{\"metrics\": {{{}}}}}", rows.join(", ")).map_err(io_err)?;
         } else {
             writeln!(out, "bench metrics ({}):", opts.input).map_err(io_err)?;
@@ -759,11 +762,6 @@ fn open_store(dir: &str, budget: u64) -> Result<MsvStore, CliError> {
     MsvStore::open(std::path::Path::new(dir), budget).map_err(|e| CliError(format!("{dir}: {e}")))
 }
 
-/// Minimal JSON string escaping for paths embedded in reports.
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn cache_cmd(opts: &Options, action: CacheAction, out: &mut dyn Write) -> Result<(), CliError> {
     let dir = opts.cache.as_deref().unwrap_or(DEFAULT_CACHE_DIR);
     let store = open_store(dir, opts.cache_budget)?;
@@ -785,7 +783,7 @@ fn cache_cmd(opts: &Options, action: CacheAction, out: &mut dyn Write) -> Result
                     out,
                     "{{\"dir\": \"{}\", \"entries\": {}, \"bytes\": {}, \"budget_bytes\": {}, \
                      \"hits\": {}, \"by_layer\": [{}]}}",
-                    json_escape(dir),
+                    escape(dir),
                     stats.entries,
                     stats.bytes,
                     stats.budget_bytes,
@@ -823,7 +821,7 @@ fn cache_cmd(opts: &Options, action: CacheAction, out: &mut dyn Write) -> Result
                     out,
                     "{{\"dir\": \"{}\", \"dead_entries\": {}, \"orphan_files\": {}, \
                      \"entries\": {}, \"bytes\": {}}}",
-                    json_escape(dir),
+                    escape(dir),
                     report.dead_entries,
                     report.orphan_files,
                     report.entries,
@@ -851,7 +849,7 @@ fn cache_cmd(opts: &Options, action: CacheAction, out: &mut dyn Write) -> Result
                 writeln!(
                     out,
                     "{{\"dir\": \"{}\", \"cleared_entries\": {}, \"cleared_bytes\": {}}}",
-                    json_escape(dir),
+                    escape(dir),
                     stats.entries,
                     stats.bytes
                 )

@@ -53,3 +53,66 @@ fn a_gate_after_a_measurement_and_a_barrier_is_a_positioned_error() {
         assert!(!stderr.contains("panicked"), "{command}: {stderr}");
     }
 }
+
+/// Assert a clean failure: exit 1 and a `qsim:` message, with no panic and
+/// no stack overflow. Returns stderr.
+fn assert_clean_failure(out: &Output, what: &str) -> String {
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(1), "{what}: {stderr}");
+    assert!(stderr.starts_with("qsim:"), "{what}: {stderr}");
+    assert!(!stderr.contains("panicked") && !stderr.contains("overflowed"), "{what}: {stderr}");
+    stderr
+}
+
+/// A fresh per-test scratch directory under the system temp dir.
+fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("qsim-error-paths-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    dir
+}
+
+#[test]
+fn a_trace_with_a_repeated_meta_header_is_a_line_error() {
+    let meta = "{\"ev\":\"meta\",\"version\":2,\"git_rev\":\"x\",\"seed\":1,\"qubits\":2,\
+                \"strategy\":\"reuse\"}";
+    let trace = format!("{meta}\n{{\"ev\":\"counter\",\"name\":\"trials\",\"delta\":1}}\n{meta}\n");
+    let stderr = assert_clean_failure(&qsim(&["report", "-"], &trace), "report");
+    assert!(stderr.contains("line 3: repeated meta header"), "{stderr}");
+}
+
+#[test]
+fn deeply_nested_documents_are_offset_errors_not_stack_overflows() {
+    let dir = scratch_dir("deep");
+    let history = dir.join("history.jsonl");
+    let history = history.to_str().expect("utf-8 temp path");
+    let deep = "[".repeat(200_000);
+    let cap = qsim_telemetry::json::MAX_DEPTH;
+    for args in [&["report", "-"][..], &["history", "record", "-", "--history", history]] {
+        let stderr = assert_clean_failure(&qsim(args, &deep), &args.join(" "));
+        assert!(stderr.contains(&format!("offset {cap}: nesting deeper than {cap}")), "{stderr}");
+    }
+    assert!(!std::path::Path::new(history).exists(), "a failed record wrote history");
+    std::fs::remove_dir_all(&dir).expect("scratch cleanup");
+}
+
+#[test]
+fn a_non_finite_number_never_reaches_the_history_file() {
+    let dir = scratch_dir("inf");
+    let history = dir.join("history.jsonl");
+    let history_arg = history.to_str().expect("utf-8 temp path");
+    let record = |doc: &str| qsim(&["history", "record", "-", "--history", history_arg], doc);
+    assert!(record(r#"{"benchmark": "k", "rows": {"a": {"v": 1}}}"#).status.success());
+    let before = std::fs::read(&history).expect("history written");
+    let stderr = assert_clean_failure(
+        &record(r#"{"benchmark": "k", "rows": {"a": {"v": 1e999}}}"#),
+        "history record",
+    );
+    assert!(stderr.contains("1e999 is out of range"), "{stderr}");
+    assert_eq!(std::fs::read(&history).expect("history kept"), before);
+    for action in ["show", "check"] {
+        let out = qsim(&["history", action, "--history", history_arg], "");
+        assert!(out.status.success(), "{action}: {}", String::from_utf8_lossy(&out.stderr));
+    }
+    std::fs::remove_dir_all(&dir).expect("scratch cleanup");
+}

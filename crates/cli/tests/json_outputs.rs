@@ -1,0 +1,60 @@
+//! `qsim` JSON outputs, driven through the real binary: what a command
+//! writes parses back with the workspace's JSON reader, with strings and
+//! integers intact.
+
+use std::io::Write;
+use std::process::{Command, Output, Stdio};
+
+use qsim_telemetry::json::Json;
+
+/// Run `qsim` with `stdin` piped in; panics unless it succeeds.
+fn qsim(args: &[&str], stdin: &str) -> String {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_qsim"))
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("qsim starts");
+    child.stdin.take().expect("stdin is piped").write_all(stdin.as_bytes()).expect("qsim reads");
+    let Output { status, stdout, stderr } = child.wait_with_output().expect("qsim exits");
+    assert!(status.success(), "{args:?}: {}", String::from_utf8_lossy(&stderr));
+    String::from_utf8(stdout).expect("utf-8 stdout")
+}
+
+/// A fresh per-test scratch directory under the system temp dir.
+fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("qsim-json-outputs-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    dir
+}
+
+#[test]
+fn a_seed_beyond_f64_precision_round_trips_through_trace_and_report() {
+    let dir = scratch_dir("seed");
+    let trace = dir.join("t.jsonl");
+    let trace = trace.to_str().expect("utf-8 temp path");
+    let seed = ((1u64 << 53) + 1).to_string();
+    let bell = "OPENQASM 2.0; include \"qelib1.inc\"; qreg q[2]; creg c[2]; \
+                h q[0]; cx q[0],q[1]; measure q -> c;";
+    let run = ["run", "-", "--device", "none", "--noise", "uniform:0.01,0.05,0.02"];
+    qsim(&[&run[..], &["--trials", "16", "--seed", &seed, "--trace", trace]].concat(), bell);
+    let report = Json::parse(&qsim(&["report", trace, "--json"], "")).expect("report parses");
+    let written = report.get("meta").and_then(|m| m.get("seed")).and_then(Json::as_u64);
+    assert_eq!(written.map(|s| s.to_string()), Some(seed));
+    std::fs::remove_dir_all(&dir).expect("scratch cleanup");
+}
+
+#[test]
+fn cache_json_outputs_escape_control_characters_in_the_path() {
+    let root = scratch_dir("cache");
+    let dir = root.join("ca\tche\u{1}");
+    let dir = dir.to_str().expect("utf-8 temp path");
+    for action in ["stats", "gc", "clear"] {
+        let out = qsim(&["cache", action, "--json", "--cache", dir], "");
+        let doc = Json::parse(out.trim()).unwrap_or_else(|e| panic!("{action}: {e}: {out}"));
+        assert_eq!(doc.get("dir").and_then(Json::as_str), Some(dir), "{action}");
+    }
+    std::fs::remove_dir_all(&root).expect("scratch cleanup");
+}

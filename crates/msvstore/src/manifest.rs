@@ -21,6 +21,8 @@
 //! {"ev":"clear"}
 //! ```
 
+use qsim_telemetry::json::Json;
+
 /// File name of the manifest inside a store directory.
 pub const MANIFEST_NAME: &str = "manifest.jsonl";
 
@@ -66,38 +68,25 @@ impl ManifestEvent {
     }
 
     /// Parse one manifest line; `None` for anything malformed (the replay
-    /// skips it).
+    /// skips it). The line is read with the workspace's JSON codec
+    /// ([`Json::parse`]), whose nesting cap keeps even a hostile line an
+    /// ordinary parse failure; the event's fields are then checked by type,
+    /// integers exactly.
     pub fn parse(line: &str) -> Option<ManifestEvent> {
-        let fields = parse_flat_object(line.trim())?;
-        let get = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-        let key_of = |fields: &dyn Fn(&str) -> Option<FlatValue>| -> Option<String> {
-            match fields("key")? {
-                FlatValue::Str(s) if is_key_hex(&s) => Some(s),
-                _ => None,
-            }
-        };
-        let fetch = |name: &str| get(name).cloned();
-        match get("ev")? {
-            FlatValue::Str(ev) => match ev.as_str() {
-                "put" => {
-                    let key = key_of(&fetch)?;
-                    let num = |name: &str| match fetch(name)? {
-                        FlatValue::Num(n) => Some(n),
-                        FlatValue::Str(_) => None,
-                    };
-                    Some(ManifestEvent::Put {
-                        key,
-                        qubits: num("qubits")?,
-                        layer: num("layer")?,
-                        bytes: num("bytes")?,
-                    })
-                }
-                "touch" => Some(ManifestEvent::Touch { key: key_of(&fetch)? }),
-                "evict" => Some(ManifestEvent::Evict { key: key_of(&fetch)? }),
-                "clear" => Some(ManifestEvent::Clear),
-                _ => None,
-            },
-            FlatValue::Num(_) => None,
+        let v = Json::parse(line).ok()?;
+        let key = || v.get("key")?.as_str().filter(|k| is_key_hex(k)).map(str::to_owned);
+        let num = |name: &str| v.get(name)?.as_u64();
+        match v.get("ev")?.as_str()? {
+            "put" => Some(ManifestEvent::Put {
+                key: key()?,
+                qubits: num("qubits")?,
+                layer: num("layer")?,
+                bytes: num("bytes")?,
+            }),
+            "touch" => Some(ManifestEvent::Touch { key: key()? }),
+            "evict" => Some(ManifestEvent::Evict { key: key()? }),
+            "clear" => Some(ManifestEvent::Clear),
+            _ => None,
         }
     }
 }
@@ -107,90 +96,6 @@ impl ManifestEvent {
 /// parse time.
 pub(crate) fn is_key_hex(s: &str) -> bool {
     s.len() == 32 && s.bytes().all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase())
-}
-
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum FlatValue {
-    Str(String),
-    Num(u64),
-}
-
-/// Parse a flat JSON object of string and unsigned-integer values — the
-/// only shape the manifest writer emits. Hand-rolled to keep this crate
-/// dependency-free; anything outside the shape returns `None`.
-fn parse_flat_object(line: &str) -> Option<Vec<(String, FlatValue)>> {
-    let bytes = line.as_bytes();
-    let mut i = 0usize;
-    let mut out = Vec::new();
-    let skip_ws = |i: &mut usize| {
-        while *i < bytes.len() && (bytes[*i] as char).is_ascii_whitespace() {
-            *i += 1;
-        }
-    };
-    skip_ws(&mut i);
-    if i >= bytes.len() || bytes[i] != b'{' {
-        return None;
-    }
-    i += 1;
-    skip_ws(&mut i);
-    if i < bytes.len() && bytes[i] == b'}' {
-        return if i + 1 == bytes.len() { Some(out) } else { None };
-    }
-    loop {
-        skip_ws(&mut i);
-        let key = parse_string(bytes, &mut i)?;
-        skip_ws(&mut i);
-        if i >= bytes.len() || bytes[i] != b':' {
-            return None;
-        }
-        i += 1;
-        skip_ws(&mut i);
-        let value = if i < bytes.len() && bytes[i] == b'"' {
-            FlatValue::Str(parse_string(bytes, &mut i)?)
-        } else {
-            let start = i;
-            while i < bytes.len() && bytes[i].is_ascii_digit() {
-                i += 1;
-            }
-            if i == start {
-                return None;
-            }
-            FlatValue::Num(line[start..i].parse().ok()?)
-        };
-        out.push((key, value));
-        skip_ws(&mut i);
-        match bytes.get(i) {
-            Some(b',') => i += 1,
-            Some(b'}') => {
-                i += 1;
-                skip_ws(&mut i);
-                return if i == bytes.len() { Some(out) } else { None };
-            }
-            _ => return None,
-        }
-    }
-}
-
-/// Parse a JSON string without escapes (keys and key-hex values never
-/// contain any); a string containing `\` fails the line.
-fn parse_string(bytes: &[u8], i: &mut usize) -> Option<String> {
-    if *i >= bytes.len() || bytes[*i] != b'"' {
-        return None;
-    }
-    *i += 1;
-    let start = *i;
-    while *i < bytes.len() && bytes[*i] != b'"' {
-        if bytes[*i] == b'\\' {
-            return None;
-        }
-        *i += 1;
-    }
-    if *i >= bytes.len() {
-        return None;
-    }
-    let s = std::str::from_utf8(&bytes[start..*i]).ok()?.to_owned();
-    *i += 1;
-    Some(s)
 }
 
 #[cfg(test)]
@@ -228,6 +133,22 @@ mod tests {
             "{\"ev\":\"put\",\"key\":\"0123456789abcdef0123456789abcdef\",\"qubits\":4,\"layer\":3,\"by", // torn mid-field
         ] {
             assert_eq!(ManifestEvent::parse(bad), None, "accepted: {bad}");
+        }
+    }
+
+    #[test]
+    fn put_fields_read_back_exactly() {
+        let put = ManifestEvent::Put {
+            key: KEY.into(),
+            qubits: 30,
+            layer: (1 << 53) + 1,
+            bytes: u64::MAX,
+        };
+        assert_eq!(ManifestEvent::parse(&put.render()), Some(put));
+        for bytes in ["-1", "2.0", "18446744073709551616"] {
+            let line =
+                format!(r#"{{"ev":"put","key":"{KEY}","qubits":4,"layer":3,"bytes":{bytes}}}"#);
+            assert_eq!(ManifestEvent::parse(&line), None, "accepted: {line}");
         }
     }
 

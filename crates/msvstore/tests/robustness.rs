@@ -85,6 +85,24 @@ fn truncated_manifest_recovers_to_valid_entries() {
 }
 
 #[test]
+fn deeply_nested_manifest_line_is_skipped() {
+    let tmp = TempDir::new("nested");
+    let keys = keys();
+    {
+        let store = MsvStore::open(&tmp.0, 0).unwrap();
+        store.put(&keys[0], &amps_for(0)).unwrap();
+    }
+    // A hostile line ahead of the valid history: 200,000 unclosed arrays
+    // must be an ordinary parse failure, not a stack overflow.
+    let manifest = tmp.0.join(redsim_msvstore::MANIFEST_NAME);
+    let text = fs::read_to_string(&manifest).unwrap();
+    fs::write(&manifest, format!("{}\n{text}", "[".repeat(200_000))).unwrap();
+    let store = MsvStore::open(&tmp.0, 0).unwrap();
+    assert_eq!(store.stats().entries, 1, "the valid put still replays");
+    assert_bitwise(&store.get(&keys[0]).expect("entry survives").amps, &amps_for(0));
+}
+
+#[test]
 fn corrupt_and_short_snapshots_miss_then_rebuild() {
     let tmp = TempDir::new("snapshot");
     let store = MsvStore::open(&tmp.0, 0).unwrap();

@@ -6,8 +6,8 @@
 //! confidence interval of the mean difference excludes zero.
 
 use crate::analysis::TraceAnalysis;
-use crate::jsonv::Json;
 use crate::trace::Trace;
+use qsim_telemetry::json::Json;
 
 /// Bootstrap resamples per confidence interval.
 const BOOTSTRAP_ITERS: usize = 600;
@@ -192,7 +192,6 @@ pub fn flatten_metrics(doc: &Json) -> Vec<(String, f64)> {
     }
     fn walk(prefix: &str, value: &Json, out: &mut Vec<(String, f64)>) {
         match value {
-            Json::Num(n) => out.push((prefix.to_owned(), *n)),
             Json::Obj(pairs) => {
                 for (key, v) in pairs {
                     let path =
@@ -208,7 +207,7 @@ pub fn flatten_metrics(doc: &Json) -> Vec<(String, f64)> {
                     walk(&path, item, out);
                 }
             }
-            _ => {}
+            leaf => out.extend(leaf.as_num().map(|n| (prefix.to_owned(), n))),
         }
     }
     let mut out = Vec::new();

@@ -12,7 +12,7 @@ use std::io::Write;
 
 use crate::compare::higher_is_better;
 use crate::env::EnvFingerprint;
-use crate::jsonv::Json;
+use qsim_telemetry::json::{escape, number, Json};
 
 /// Current history record schema version.
 pub const HISTORY_VERSION: u64 = 1;
@@ -39,28 +39,6 @@ pub struct HistoryRecord {
     pub metrics: BTreeMap<String, f64>,
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
-fn render_f64(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
-    }
-}
-
 impl HistoryRecord {
     /// Render the record as one JSON line (no trailing newline).
     pub fn render(&self) -> String {
@@ -69,7 +47,7 @@ impl HistoryRecord {
             if i > 0 {
                 metrics.push_str(", ");
             }
-            metrics.push_str(&format!("\"{}\": {}", escape(name), render_f64(*value)));
+            metrics.push_str(&format!("\"{}\": {}", escape(name), number(*value)));
         }
         format!(
             "{{\"schema_version\": {}, \"timestamp\": {}, \"git_rev\": \"{}\", \"seed\": {}, \
@@ -94,8 +72,10 @@ impl HistoryRecord {
     /// Returns a diagnostic on malformed lines or unknown schema versions.
     pub fn parse(line: &str) -> Result<HistoryRecord, String> {
         let v = Json::parse(line)?;
-        let num = |key: &str| -> Result<f64, String> {
-            v.get(key).and_then(Json::as_num).ok_or_else(|| format!("missing number {key:?}"))
+        let uint = |key: &str| -> Result<u64, String> {
+            v.get(key)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("missing unsigned integer {key:?}"))
         };
         let text = |key: &str| -> Result<String, String> {
             v.get(key)
@@ -103,7 +83,7 @@ impl HistoryRecord {
                 .map(str::to_owned)
                 .ok_or_else(|| format!("missing string {key:?}"))
         };
-        let schema_version = num("schema_version")? as u64;
+        let schema_version = uint("schema_version")?;
         if schema_version != HISTORY_VERSION {
             return Err(format!(
                 "unsupported history schema version {schema_version} (expected {HISTORY_VERSION})"
@@ -113,7 +93,7 @@ impl HistoryRecord {
         let env = EnvFingerprint {
             os: env.get("os").and_then(Json::as_str).unwrap_or("unknown").to_owned(),
             arch: env.get("arch").and_then(Json::as_str).unwrap_or("unknown").to_owned(),
-            cpus: env.get("cpus").and_then(Json::as_num).unwrap_or(0.0) as u64,
+            cpus: env.get("cpus").and_then(Json::as_u64).unwrap_or(0),
         };
         let mut metrics = BTreeMap::new();
         for (name, value) in
@@ -126,9 +106,9 @@ impl HistoryRecord {
         }
         Ok(HistoryRecord {
             schema_version,
-            timestamp: num("timestamp")? as u64,
+            timestamp: uint("timestamp")?,
             git_rev: text("git_rev")?,
-            seed: num("seed")? as u64,
+            seed: uint("seed")?,
             source: text("source")?,
             env,
             metrics,
@@ -147,7 +127,7 @@ pub fn record_from_bench(doc: &Json, fallback_source: &str, timestamp: u64) -> H
         .or_else(|| doc.get("figure").and_then(Json::as_str))
         .unwrap_or(fallback_source)
         .to_owned();
-    let seed = doc.get("seed").and_then(Json::as_num).unwrap_or(0.0) as u64;
+    let seed = doc.get("seed").and_then(Json::as_u64).unwrap_or(0);
     let metrics = crate::compare::flatten_metrics(doc)
         .into_iter()
         .filter(|(name, _)| name != "seed" && name != "reps")

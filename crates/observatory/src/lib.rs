@@ -11,8 +11,9 @@
 //! runtime's live plane publishes (`live.json`) and reconciles final
 //! snapshots bitwise against executor counters.
 //!
-//! Everything is dependency-free by design: the crate carries its own
-//! small JSON reader ([`jsonv`]) and RNG ([`compare::Xorshift`]).
+//! Everything is dependency-free by design: JSON is read and escaped with
+//! the telemetry crate's codec ([`qsim_telemetry::json`], re-exported as
+//! [`Json`]) and the RNG is the crate's own ([`compare::Xorshift`]).
 
 #![warn(missing_docs)]
 
@@ -20,7 +21,6 @@ pub mod analysis;
 pub mod compare;
 pub mod env;
 pub mod history;
-pub mod jsonv;
 pub mod live;
 pub mod report;
 pub mod trace;
@@ -34,7 +34,7 @@ pub use env::{git_rev, EnvFingerprint};
 pub use history::{
     check, record_from_bench, HistoryRecord, Regression, DEFAULT_WINDOW, HISTORY_VERSION,
 };
-pub use jsonv::Json;
 pub use live::{ExpectedStats, LiveView, LIVE_VIEW_VERSION};
+pub use qsim_telemetry::json::Json;
 pub use report::{render_deltas_json, render_deltas_tty, render_html, render_json, render_tty};
 pub use trace::{Trace, TraceEvent, TraceMetaInfo};

@@ -10,7 +10,7 @@
 //! reconciliation automatically at the end of every `--live` run, and the
 //! live matrix test pins it across the shipped benchmark catalog.
 
-use crate::jsonv::Json;
+use qsim_telemetry::json::Json;
 
 /// The snapshot schema version this reader understands (must match the
 /// telemetry crate's `LIVE_VERSION`).
@@ -116,15 +116,11 @@ pub struct ExpectedStats {
 }
 
 fn uint(value: &Json, key: &str) -> Result<u64, String> {
-    let n = value
-        .get(key)
-        .ok_or_else(|| format!("missing field {key:?}"))?
-        .as_num()
-        .ok_or_else(|| format!("field {key:?} is not a number"))?;
-    if n < 0.0 || n.fract() != 0.0 || n > u64::MAX as f64 {
-        return Err(format!("field {key:?} is not an unsigned integer: {n}"));
-    }
-    Ok(n as u64)
+    let field = value.get(key).ok_or_else(|| format!("missing field {key:?}"))?;
+    field.as_u64().ok_or_else(|| match field.as_num() {
+        Some(n) => format!("field {key:?} is not an unsigned integer: {n}"),
+        None => format!("field {key:?} is not a number"),
+    })
 }
 
 impl LiveView {

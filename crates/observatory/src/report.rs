@@ -4,6 +4,7 @@
 use crate::analysis::TraceAnalysis;
 use crate::compare::MetricDelta;
 use crate::trace::Trace;
+use qsim_telemetry::json::escape;
 
 fn pad(s: &str, width: usize) -> String {
     format!("{s:<width$}")
@@ -173,20 +174,6 @@ pub fn render_tty(trace: &Trace, analysis: &TraceAnalysis) -> String {
     out
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
 /// Render the machine-readable JSON report.
 pub fn render_json(trace: &Trace, analysis: &TraceAnalysis) -> String {
     let mut out = String::from("{\n");
@@ -194,16 +181,16 @@ pub fn render_json(trace: &Trace, analysis: &TraceAnalysis) -> String {
     out.push_str(&format!(
         "  \"meta\": {{\"version\": {}, \"git_rev\": \"{}\", \"seed\": {}, \"qubits\": {}, \"strategy\": \"{}\"}},\n",
         m.version,
-        json_escape(&m.git_rev),
+        escape(&m.git_rev),
         m.seed,
         m.qubits,
-        json_escape(&m.strategy)
+        escape(&m.strategy)
     ));
 
     let counters: Vec<String> = analysis
         .counters
         .iter()
-        .map(|(name, value)| format!("\"{}\": {}", json_escape(name), value))
+        .map(|(name, value)| format!("\"{}\": {}", escape(name), value))
         .collect();
     out.push_str(&format!("  \"counters\": {{{}}},\n", counters.join(", ")));
 
@@ -276,8 +263,7 @@ pub fn render_json(trace: &Trace, analysis: &TraceAnalysis) -> String {
     out.push_str(&format!("  \"trials\": [{}],\n", trials.join(", ")));
 
     let problems = analysis.cross_check();
-    let rendered: Vec<String> =
-        problems.iter().map(|p| format!("\"{}\"", json_escape(p))).collect();
+    let rendered: Vec<String> = problems.iter().map(|p| format!("\"{}\"", escape(p))).collect();
     out.push_str(&format!(
         "  \"cross_check\": {{\"ok\": {}, \"problems\": [{}]}}\n",
         problems.is_empty(),
@@ -466,7 +452,7 @@ pub fn render_deltas_json(deltas: &[MetricDelta]) -> String {
         .map(|d| {
             format!(
                 "{{\"name\": \"{}\", \"before\": {}, \"after\": {}, \"change_pct\": {:.4}, \"verdict\": \"{}\"}}",
-                json_escape(&d.name),
+                escape(&d.name),
                 d.before,
                 d.after,
                 d.change_pct,
@@ -560,9 +546,9 @@ mod tests {
     fn json_report_is_parseable_and_consistent() {
         let (trace, analysis) = sample();
         let out = render_json(&trace, &analysis);
-        let v = crate::jsonv::Json::parse(&out).unwrap();
+        let v = crate::Json::parse(&out).unwrap();
         assert_eq!(v.get("counters").unwrap().get("amplitude_passes").unwrap().as_num(), Some(1.0));
-        assert_eq!(v.get("cross_check").unwrap().get("ok"), Some(&crate::jsonv::Json::Bool(true)));
+        assert_eq!(v.get("cross_check").unwrap().get("ok"), Some(&crate::Json::Bool(true)));
         assert_eq!(v.get("meta").unwrap().get("strategy").unwrap().as_str(), Some("reuse"));
     }
 
@@ -592,7 +578,7 @@ mod tests {
         let tty = render_deltas_tty(&deltas);
         assert!(tty.contains("regressed"), "{tty}");
         let json = render_deltas_json(&deltas);
-        let v = crate::jsonv::Json::parse(&json).unwrap();
+        let v = crate::Json::parse(&json).unwrap();
         assert_eq!(
             v.get("comparison").unwrap().as_arr().unwrap()[0].get("verdict").unwrap().as_str(),
             Some("regressed")

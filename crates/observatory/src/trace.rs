@@ -1,12 +1,11 @@
 //! Loading validated JSONL traces into typed events.
 //!
-//! Parsing runs the telemetry schema validator first, so every trace the
-//! observatory analyzes is known well-formed; the typed extraction below
-//! can then be straightforward.
+//! Parsing goes through the telemetry schema validator, which hands on
+//! each line's parsed JSON once it is known well-formed; the typed
+//! extraction below can then be straightforward.
 
+use qsim_telemetry::json::Json;
 use qsim_telemetry::{schema, KernelClass, MsvEvent};
-
-use crate::jsonv::Json;
 
 /// The run metadata from the trace's meta header line.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -92,66 +91,64 @@ pub struct Trace {
 }
 
 fn num(value: &Json, key: &str) -> u64 {
-    value.get(key).and_then(Json::as_num).map(|n| n as u64).expect("validated field")
+    value.get(key).and_then(Json::as_u64).expect("validated field")
 }
 
-fn text(value: &Json, key: &str) -> String {
-    value.get(key).and_then(Json::as_str).expect("validated field").to_owned()
+fn text<'a>(value: &'a Json, key: &str) -> &'a str {
+    value.get(key).and_then(Json::as_str).expect("validated field")
 }
 
 impl Trace {
-    /// Parse a JSONL trace, validating it against the telemetry schema
-    /// first.
+    /// Parse a JSONL trace, validating it against the telemetry schema as
+    /// each line is read (every line is parsed once).
     ///
     /// # Errors
     ///
     /// Returns the validator's or parser's diagnostic (with line numbers)
     /// on malformed input.
     pub fn parse(textual: &str) -> Result<Trace, String> {
-        schema::validate_jsonl(textual)?;
-        let mut lines = textual.lines().filter(|l| !l.trim().is_empty());
-        let header = Json::parse(lines.next().expect("validator requires a header"))?;
-        let meta = TraceMetaInfo {
-            version: num(&header, "version"),
-            git_rev: text(&header, "git_rev"),
-            seed: num(&header, "seed"),
-            qubits: num(&header, "qubits"),
-            strategy: text(&header, "strategy"),
-        };
+        let mut meta = None;
         let mut events = Vec::new();
-        for line in lines {
-            let v = Json::parse(line)?;
-            let ev = v.get("ev").and_then(Json::as_str).expect("validated field");
-            events.push(match ev {
+        schema::visit_jsonl(textual, |v| {
+            events.push(match text(&v, "ev") {
+                "meta" => {
+                    meta = Some(TraceMetaInfo {
+                        version: num(&v, "version"),
+                        git_rev: text(&v, "git_rev").to_owned(),
+                        seed: num(&v, "seed"),
+                        qubits: num(&v, "qubits"),
+                        strategy: text(&v, "strategy").to_owned(),
+                    });
+                    return;
+                }
                 "span" => TraceEvent::Span {
-                    path: text(&v, "path"),
+                    path: text(&v, "path").to_owned(),
                     start_ns: num(&v, "start_ns"),
                     end_ns: num(&v, "end_ns"),
                 },
                 "kernel" => TraceEvent::Kernel {
-                    phase: text(&v, "phase"),
-                    class: KernelClass::from_name(
-                        v.get("class").and_then(Json::as_str).expect("validated"),
-                    )
-                    .expect("validator checked the class"),
+                    phase: text(&v, "phase").to_owned(),
+                    class: KernelClass::from_name(text(&v, "class"))
+                        .expect("validator checked the class"),
                     layer: num(&v, "layer"),
                     count: num(&v, "count"),
                     ns: num(&v, "ns"),
                 },
-                "counter" => {
-                    TraceEvent::Counter { name: text(&v, "name"), delta: num(&v, "delta") }
-                }
+                "counter" => TraceEvent::Counter {
+                    name: text(&v, "name").to_owned(),
+                    delta: num(&v, "delta"),
+                },
                 "msv" => TraceEvent::Msv {
                     kind: MsvEvent::ALL
                         .into_iter()
-                        .find(|e| Some(e.name()) == v.get("kind").and_then(Json::as_str))
+                        .find(|e| e.name() == text(&v, "kind"))
                         .expect("validator checked the kind"),
                     depth: num(&v, "depth"),
                     residency: num(&v, "residency"),
                 },
                 "cache" => TraceEvent::Cache {
                     depth: num(&v, "depth"),
-                    hit: matches!(v.get("hit"), Some(Json::Bool(true))),
+                    hit: v.get("hit").and_then(Json::as_bool).expect("validated field"),
                 },
                 "heartbeat" => TraceEvent::Heartbeat {
                     completed: num(&v, "completed"),
@@ -160,7 +157,8 @@ impl Trace {
                 },
                 other => unreachable!("validator admitted unknown event {other:?}"),
             });
-        }
+        })?;
+        let meta = meta.expect("the validator requires a meta header");
         Ok(Trace { meta, events })
     }
 

@@ -4,6 +4,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Mutex;
 
+use crate::json::escape;
 use crate::recorder::{KernelClass, MsvEvent, Recorder};
 use crate::Clock;
 
@@ -272,31 +273,19 @@ impl MetricsReport {
         out
     }
 
-    /// Render as a single JSON object (hand-rolled; keys are controlled
-    /// identifiers, so no escaping surprises).
+    /// Render as a single JSON object (hand-rolled; names pass through
+    /// [`escape`]).
     pub fn render_json(&self) -> String {
-        fn quoted(s: &str) -> String {
-            let escaped: String = s
-                .chars()
-                .map(|c| match c {
-                    '"' => "\\\"".to_owned(),
-                    '\\' => "\\\\".to_owned(),
-                    c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32),
-                    c => c.to_string(),
-                })
-                .collect();
-            format!("\"{escaped}\"")
-        }
         let counters: Vec<String> =
-            self.counters.iter().map(|(k, v)| format!("{}: {v}", quoted(k))).collect();
+            self.counters.iter().map(|(k, v)| format!("\"{}\": {v}", escape(k))).collect();
         let kernels: Vec<String> = self
             .kernels
             .iter()
             .map(|((phase, class), s)| {
                 format!(
-                    "{{\"phase\": {}, \"class\": {}, \"count\": {}, \"total_ns\": {}, \"mean_ns\": {:.1}}}",
-                    quoted(phase),
-                    quoted(class.name()),
+                    "{{\"phase\": \"{}\", \"class\": \"{}\", \"count\": {}, \"total_ns\": {}, \"mean_ns\": {:.1}}}",
+                    escape(phase),
+                    class.name(),
                     s.count,
                     s.total_ns,
                     s.mean_ns()
@@ -308,15 +297,15 @@ impl MetricsReport {
             .iter()
             .map(|(path, s)| {
                 format!(
-                    "{{\"path\": {}, \"count\": {}, \"total_ns\": {}}}",
-                    quoted(path),
+                    "{{\"path\": \"{}\", \"count\": {}, \"total_ns\": {}}}",
+                    escape(path),
                     s.count,
                     s.total_ns
                 )
             })
             .collect();
         let msv: Vec<String> =
-            self.msv_events.iter().map(|(e, c)| format!("{}: {c}", quoted(e.name()))).collect();
+            self.msv_events.iter().map(|(e, c)| format!("\"{}\": {c}", e.name())).collect();
         let cache: Vec<String> = self
             .cache
             .iter()

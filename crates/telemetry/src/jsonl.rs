@@ -4,6 +4,7 @@
 use std::io::Write;
 use std::sync::Mutex;
 
+use crate::json::escape;
 use crate::recorder::{KernelClass, MsvEvent, Recorder};
 use crate::Clock;
 
@@ -42,21 +43,6 @@ impl Default for TraceMeta {
             strategy: "unknown".to_owned(),
         }
     }
-}
-
-/// Escape a metadata string for embedding in a JSON string literal.
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The destination a [`Sink`] drains into. Files are kept as a distinct

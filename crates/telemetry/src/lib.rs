@@ -23,6 +23,11 @@
 //! * [`JsonlRecorder`] — a buffered streaming sink writing one JSON object
 //!   per event line; [`schema`] validates such traces (used by tests and
 //!   the `trace-check` binary in CI).
+//! * [`json`] — the workspace's one JSON codec: a strict reader with exact
+//!   unsigned integers and a nesting cap, plus the shared string
+//!   [`json::escape`] and [`json::number`] every hand-formatted writer
+//!   uses. Traces, `live.json`, the bench history, bench documents and the
+//!   prefix-cache manifest are all read through it.
 //! * [`TeeRecorder`] — fan out one instrumentation stream to two sinks
 //!   (e.g. aggregate *and* trace in the same run).
 //! * [`FlightRecorder`] — a lock-free bounded ring buffer retaining the
@@ -44,6 +49,7 @@
 mod aggregate;
 mod clock;
 mod flight;
+pub mod json;
 mod jsonl;
 mod live;
 pub mod names;

@@ -18,8 +18,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::clock::Clock;
-use crate::jsonl::{escape, TraceMeta};
 use crate::recorder::{Heartbeat, KernelClass, MsvEvent, Recorder};
+use crate::{json::escape, jsonl::TraceMeta};
 
 /// Version stamped into every published [`LiveSnapshot`].
 ///
@@ -34,8 +34,8 @@ pub const LIVE_VERSION: u64 = 1;
 const ORD: Ordering = Ordering::Relaxed;
 
 /// A point-in-time view of a run, either mid-flight (racy-coherent) or
-/// final (exact). Publishes as flat JSON so the observatory's flat-object
-/// parsers can validate it.
+/// final (exact). Publishes as one flat JSON object, which the
+/// observatory's `LiveView::parse` checks key by key.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LiveSnapshot {
     /// Snapshot schema version ([`LIVE_VERSION`]).

@@ -2,136 +2,38 @@
 //!
 //! A trace is one JSON object per line: a `meta` header followed by
 //! `span` / `kernel` / `counter` / `msv` / `cache` / `heartbeat` events.
-//! The validator
-//! parses each line with a small built-in JSON reader (flat objects of
-//! strings, integers, and booleans — exactly what [`crate::JsonlRecorder`]
-//! emits) and checks the per-event field schema, so CI can prove a
-//! `--trace` artifact well-formed without external dependencies.
+//! Each line is parsed once with the crate's JSON reader ([`Json`]) and
+//! its fields are checked by type against the per-event schema (integers
+//! must be exact unsigned literals), so CI can prove a `--trace` artifact
+//! well-formed without external dependencies. [`visit_jsonl`] hands the
+//! validated events on, which lets the observatory load a trace without
+//! parsing it twice.
 
-use std::collections::BTreeMap;
-
+use crate::json::Json;
 use crate::recorder::{KernelClass, MsvEvent};
 
-/// A parsed flat JSON value.
-#[derive(Clone, Debug, PartialEq)]
-enum Value {
-    Str(String),
-    Int(u64),
-    Bool(bool),
+fn field<'a>(event: &'a Json, key: &str) -> Result<&'a Json, String> {
+    event.get(key).ok_or_else(|| format!("missing field {key:?}"))
 }
 
-/// Parse one flat JSON object (string/integer/boolean values only).
-fn parse_object(line: &str) -> Result<BTreeMap<String, Value>, String> {
-    let mut chars = line.trim().char_indices().peekable();
-    let mut fields = BTreeMap::new();
-    let err = |at: usize, what: &str| format!("offset {at}: {what}");
-
-    let expect =
-        |chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>, want: char| match chars.next()
-        {
-            Some((_, c)) if c == want => Ok(()),
-            Some((at, c)) => Err(format!("offset {at}: expected '{want}', found '{c}'")),
-            None => Err(format!("unexpected end of line (expected '{want}')")),
-        };
-    let parse_string = |chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>| {
-        expect(chars, '"')?;
-        let mut s = String::new();
-        loop {
-            match chars.next() {
-                Some((_, '"')) => return Ok(s),
-                Some((at, '\\')) => match chars.next() {
-                    Some((_, '"')) => s.push('"'),
-                    Some((_, '\\')) => s.push('\\'),
-                    Some((_, 'n')) => s.push('\n'),
-                    Some((_, 't')) => s.push('\t'),
-                    _ => return Err(err(at, "unsupported escape")),
-                },
-                Some((_, c)) => s.push(c),
-                None => return Err("unterminated string".to_owned()),
-            }
-        }
-    };
-
-    expect(&mut chars, '{')?;
-    if chars.peek().is_some_and(|&(_, c)| c == '}') {
-        chars.next();
-    } else {
-        loop {
-            let key = parse_string(&mut chars)?;
-            expect(&mut chars, ':')?;
-            let value = match chars.peek() {
-                Some(&(_, '"')) => Value::Str(parse_string(&mut chars)?),
-                Some(&(_, 't')) | Some(&(_, 'f')) => {
-                    let mut word = String::new();
-                    while chars.peek().is_some_and(|&(_, c)| c.is_ascii_alphabetic()) {
-                        word.push(chars.next().expect("peeked").1);
-                    }
-                    match word.as_str() {
-                        "true" => Value::Bool(true),
-                        "false" => Value::Bool(false),
-                        other => return Err(format!("bad literal {other:?}")),
-                    }
-                }
-                Some(&(at, c)) if c.is_ascii_digit() => {
-                    let mut digits = String::new();
-                    while chars.peek().is_some_and(|&(_, c)| c.is_ascii_digit()) {
-                        digits.push(chars.next().expect("peeked").1);
-                    }
-                    Value::Int(digits.parse().map_err(|_| err(at, "integer out of range"))?)
-                }
-                Some(&(at, c)) => return Err(format!("offset {at}: unexpected value start '{c}'")),
-                None => return Err("unexpected end of line (expected value)".to_owned()),
-            };
-            if fields.insert(key.clone(), value).is_some() {
-                return Err(format!("duplicate key {key:?}"));
-            }
-            match chars.next() {
-                Some((_, ',')) => continue,
-                Some((_, '}')) => break,
-                Some((at, c)) => {
-                    return Err(err(at, &format!("expected ',' or '}}', found '{c}'")))
-                }
-                None => return Err("unterminated object".to_owned()),
-            }
-        }
-    }
-    if let Some((at, c)) = chars.next() {
-        return Err(err(at, &format!("trailing content starting with '{c}'")));
-    }
-    Ok(fields)
+fn str_field<'a>(event: &'a Json, key: &str) -> Result<&'a str, String> {
+    field(event, key)?.as_str().ok_or_else(|| format!("field {key:?} must be a string"))
 }
 
-fn str_field<'a>(fields: &'a BTreeMap<String, Value>, key: &str) -> Result<&'a str, String> {
-    match fields.get(key) {
-        Some(Value::Str(s)) => Ok(s),
-        Some(_) => Err(format!("field {key:?} must be a string")),
-        None => Err(format!("missing field {key:?}")),
-    }
+fn int_field(event: &Json, key: &str) -> Result<u64, String> {
+    field(event, key)?.as_u64().ok_or_else(|| format!("field {key:?} must be an unsigned integer"))
 }
 
-fn int_field(fields: &BTreeMap<String, Value>, key: &str) -> Result<u64, String> {
-    match fields.get(key) {
-        Some(Value::Int(n)) => Ok(*n),
-        Some(_) => Err(format!("field {key:?} must be an unsigned integer")),
-        None => Err(format!("missing field {key:?}")),
-    }
+fn bool_field(event: &Json, key: &str) -> Result<bool, String> {
+    field(event, key)?.as_bool().ok_or_else(|| format!("field {key:?} must be a boolean"))
 }
 
-fn bool_field(fields: &BTreeMap<String, Value>, key: &str) -> Result<bool, String> {
-    match fields.get(key) {
-        Some(Value::Bool(b)) => Ok(*b),
-        Some(_) => Err(format!("field {key:?} must be a boolean")),
-        None => Err(format!("missing field {key:?}")),
+fn check_exact_keys(event: &Json, allowed: &[&str]) -> Result<(), String> {
+    let pairs = event.as_obj().ok_or("a trace event must be a JSON object")?;
+    match pairs.iter().find(|(key, _)| !allowed.contains(&key.as_str())) {
+        Some((key, _)) => Err(format!("unexpected field {key:?}")),
+        None => Ok(()),
     }
-}
-
-fn check_exact_keys(fields: &BTreeMap<String, Value>, allowed: &[&str]) -> Result<(), String> {
-    for key in fields.keys() {
-        if !allowed.contains(&key.as_str()) {
-            return Err(format!("unexpected field {key:?}"));
-        }
-    }
-    Ok(())
 }
 
 /// Validate one trace line against the event schema.
@@ -140,90 +42,112 @@ fn check_exact_keys(fields: &BTreeMap<String, Value>, allowed: &[&str]) -> Resul
 ///
 /// Returns a human-readable description of the first violation.
 pub fn validate_line(line: &str) -> Result<(), String> {
-    let fields = parse_object(line)?;
-    match str_field(&fields, "ev")? {
+    validate_event(&Json::parse(line)?).map(drop)
+}
+
+/// Check one parsed event against the schema; returns its event type.
+fn validate_event(event: &Json) -> Result<&str, String> {
+    let ev = str_field(event, "ev")?;
+    match ev {
         "meta" => {
-            check_exact_keys(&fields, &["ev", "version", "git_rev", "seed", "qubits", "strategy"])?;
-            let version = int_field(&fields, "version")?;
+            check_exact_keys(event, &["ev", "version", "git_rev", "seed", "qubits", "strategy"])?;
+            let version = int_field(event, "version")?;
             if version != crate::jsonl::TRACE_VERSION {
                 return Err(format!("unsupported trace version {version}"));
             }
-            str_field(&fields, "git_rev")?;
-            int_field(&fields, "seed")?;
-            int_field(&fields, "qubits")?;
-            str_field(&fields, "strategy")?;
+            str_field(event, "git_rev")?;
+            int_field(event, "seed")?;
+            int_field(event, "qubits")?;
+            str_field(event, "strategy")?;
         }
         "span" => {
-            check_exact_keys(&fields, &["ev", "path", "start_ns", "end_ns"])?;
-            str_field(&fields, "path")?;
-            let start = int_field(&fields, "start_ns")?;
-            let end = int_field(&fields, "end_ns")?;
+            check_exact_keys(event, &["ev", "path", "start_ns", "end_ns"])?;
+            str_field(event, "path")?;
+            let start = int_field(event, "start_ns")?;
+            let end = int_field(event, "end_ns")?;
             if end < start {
                 return Err(format!("span ends ({end}) before it starts ({start})"));
             }
         }
         "kernel" => {
-            check_exact_keys(&fields, &["ev", "phase", "class", "layer", "count", "ns"])?;
-            str_field(&fields, "phase")?;
-            let class = str_field(&fields, "class")?;
+            check_exact_keys(event, &["ev", "phase", "class", "layer", "count", "ns"])?;
+            str_field(event, "phase")?;
+            let class = str_field(event, "class")?;
             if KernelClass::from_name(class).is_none() {
                 return Err(format!("unknown kernel class {class:?}"));
             }
-            int_field(&fields, "layer")?;
-            int_field(&fields, "count")?;
-            int_field(&fields, "ns")?;
+            int_field(event, "layer")?;
+            int_field(event, "count")?;
+            int_field(event, "ns")?;
         }
         "counter" => {
-            check_exact_keys(&fields, &["ev", "name", "delta"])?;
-            str_field(&fields, "name")?;
-            int_field(&fields, "delta")?;
+            check_exact_keys(event, &["ev", "name", "delta"])?;
+            str_field(event, "name")?;
+            int_field(event, "delta")?;
         }
         "msv" => {
-            check_exact_keys(&fields, &["ev", "kind", "depth", "residency"])?;
-            let kind = str_field(&fields, "kind")?;
+            check_exact_keys(event, &["ev", "kind", "depth", "residency"])?;
+            let kind = str_field(event, "kind")?;
             if !MsvEvent::ALL.iter().any(|e| e.name() == kind) {
                 return Err(format!("unknown msv event kind {kind:?}"));
             }
-            int_field(&fields, "depth")?;
-            int_field(&fields, "residency")?;
+            int_field(event, "depth")?;
+            int_field(event, "residency")?;
         }
         "cache" => {
-            check_exact_keys(&fields, &["ev", "depth", "hit"])?;
-            int_field(&fields, "depth")?;
-            bool_field(&fields, "hit")?;
+            check_exact_keys(event, &["ev", "depth", "hit"])?;
+            int_field(event, "depth")?;
+            bool_field(event, "hit")?;
         }
         "heartbeat" => {
-            check_exact_keys(&fields, &["ev", "completed", "depth", "resident"])?;
-            int_field(&fields, "completed")?;
-            int_field(&fields, "depth")?;
-            int_field(&fields, "resident")?;
+            check_exact_keys(event, &["ev", "completed", "depth", "resident"])?;
+            int_field(event, "completed")?;
+            int_field(event, "depth")?;
+            int_field(event, "resident")?;
         }
         other => return Err(format!("unknown event type {other:?}")),
     }
-    Ok(())
+    Ok(ev)
 }
 
-/// Validate a whole JSONL trace: the first line must be the `meta` header,
-/// every following non-empty line a valid event.
+/// Validate a whole JSONL trace: the first non-empty line must be the
+/// `meta` header and every following one a valid event other than `meta`.
 ///
 /// # Errors
 ///
 /// Returns `line number (1-based) + description` of the first violation.
 pub fn validate_jsonl(text: &str) -> Result<(), String> {
-    let mut lines = text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
-    match lines.next() {
-        Some((index, line)) => {
-            validate_line(line).map_err(|e| format!("line {}: {e}", index + 1))?;
-            if !line.contains("\"ev\":\"meta\"") {
-                return Err(format!("line {}: trace must start with the meta header", index + 1));
+    visit_jsonl(text, drop)
+}
+
+/// [`validate_jsonl`], handing each validated event to `visit` in file
+/// order (the header first). Every line is parsed exactly once.
+///
+/// # Errors
+///
+/// As [`validate_jsonl`]; events before the violation have been visited.
+pub fn visit_jsonl(text: &str, mut visit: impl FnMut(Json)) -> Result<(), String> {
+    let mut header_seen = false;
+    for (index, line) in text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty()) {
+        let at_line = |e: String| format!("line {}: {e}", index + 1);
+        let event = Json::parse(line).map_err(at_line)?;
+        let is_meta = validate_event(&event).map_err(at_line)? == "meta";
+        match (header_seen, is_meta) {
+            (false, false) => return Err(at_line("trace must start with the meta header".into())),
+            (true, true) => {
+                return Err(at_line(
+                    "repeated meta header (only the first event may be one)".into(),
+                ))
             }
+            _ => header_seen = true,
         }
-        None => return Err("empty trace".to_owned()),
+        visit(event);
     }
-    for (index, line) in lines {
-        validate_line(line).map_err(|e| format!("line {}: {e}", index + 1))?;
+    if header_seen {
+        Ok(())
+    } else {
+        Err("empty trace".to_owned())
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -252,10 +176,10 @@ mod tests {
     #[test]
     fn rejects_malformed_lines() {
         for (line, fragment) in [
-            ("not json", "expected '{'"),
+            ("not json", "bad literal"),
             ("{\"ev\":\"nope\"}", "unknown event type"),
             ("{\"ev\":\"counter\",\"name\":\"ops\"}", "missing field \"delta\""),
-            ("{\"ev\":\"counter\",\"name\":\"ops\",\"delta\":-1}", "unexpected value start"),
+            ("{\"ev\":\"counter\",\"name\":\"ops\",\"delta\":-1}", "must be an unsigned integer"),
             ("{\"ev\":\"counter\",\"name\":\"ops\",\"delta\":1,\"extra\":2}", "unexpected field"),
             (
                 "{\"ev\":\"kernel\",\"phase\":\"p\",\"class\":\"warp\",\"layer\":0,\"count\":1,\"ns\":1}",
@@ -284,6 +208,29 @@ mod tests {
             let err = validate_line(line).expect_err(line);
             assert!(err.contains(fragment), "{line}: got {err:?}, wanted {fragment:?}");
         }
+    }
+
+    #[test]
+    fn integers_must_be_exact_unsigned_literals() {
+        for delta in ["18446744073709551616", "-1", "2.0", "1e3"] {
+            let line = format!("{{\"ev\":\"counter\",\"name\":\"ops\",\"delta\":{delta}}}");
+            let err = validate_line(&line).expect_err(&line);
+            assert!(err.contains("\"delta\" must be an unsigned integer"), "{line}: {err}");
+        }
+        let max = format!("{{\"ev\":\"counter\",\"name\":\"ops\",\"delta\":{}}}", u64::MAX);
+        validate_line(&max).unwrap();
+    }
+
+    #[test]
+    fn only_the_first_event_may_be_the_meta_header() {
+        let err = validate_jsonl(&format!("{META}\n\n{META}\n")).unwrap_err();
+        assert!(err.starts_with("line 3: repeated meta header"), "{err}");
+        let mut visited = Vec::new();
+        let trace = format!("\n{META}\n{{\"ev\":\"counter\",\"name\":\"ops\",\"delta\":1}}\n");
+        visit_jsonl(&trace, |event| visited.push(event)).unwrap();
+        assert_eq!(visited.len(), 2);
+        assert_eq!(visited[0].get("ev").and_then(Json::as_str), Some("meta"));
+        assert_eq!(visited[1].get("delta").and_then(Json::as_u64), Some(1));
     }
 
     #[test]
