@@ -12,8 +12,8 @@
 //!    non-Clifford operator is a conservative bail-out.
 //! 2. **Pass prediction** ([`advise`]): closed forms for the sequential and
 //!    fused-baseline executors, and a symbolic replay of the streaming
-//!    reuse loop for the reuse/compressed executors. The replay walks the
-//!    same `(depth, done)` stack with the same `keep = lcp(cur, next)`
+//!    reuse loop for the reuse executor. The replay walks the same
+//!    `(depth, done)` stack with the same `keep = lcp(cur, next)`
 //!    discipline, charging segment passes from prefix sums instead of
 //!    touching amplitudes — because the trial order sorts extensions
 //!    *before* their prefixes, the walk is bitwise-faithful to
@@ -50,8 +50,6 @@ pub enum Strategy {
     Fused,
     /// Prefix-reuse streaming executor (under the plan's MSV budget).
     Reuse,
-    /// Prefix-reuse with compressed stored states (unbounded cache).
-    Compressed,
     /// Pauli-frame tracking for fully trackable trials (predicted only;
     /// no executor ships yet — see ROADMAP item 2).
     FrameTracking,
@@ -59,13 +57,8 @@ pub enum Strategy {
 
 impl Strategy {
     /// Every strategy the advisor costs, in declaration order.
-    pub const ALL: [Strategy; 5] = [
-        Strategy::Sequential,
-        Strategy::Fused,
-        Strategy::Reuse,
-        Strategy::Compressed,
-        Strategy::FrameTracking,
-    ];
+    pub const ALL: [Strategy; 4] =
+        [Strategy::Sequential, Strategy::Fused, Strategy::Reuse, Strategy::FrameTracking];
 
     /// Stable lower-case name (reports, JSON, CLI).
     pub fn name(self) -> &'static str {
@@ -73,7 +66,6 @@ impl Strategy {
             Strategy::Sequential => "sequential",
             Strategy::Fused => "fused",
             Strategy::Reuse => "reuse",
-            Strategy::Compressed => "compressed",
             Strategy::FrameTracking => "frame-tracking",
         }
     }
@@ -93,10 +85,9 @@ impl Strategy {
     fn tie_rank(self) -> u8 {
         match self {
             Strategy::Reuse => 0,
-            Strategy::Compressed => 1,
-            Strategy::Fused => 2,
-            Strategy::Sequential => 3,
-            Strategy::FrameTracking => 4,
+            Strategy::Fused => 1,
+            Strategy::Sequential => 2,
+            Strategy::FrameTracking => 3,
         }
     }
 }
@@ -286,10 +277,9 @@ impl Counts {
 /// Symbolically replay the streaming reuse loop over `order` (entries
 /// failing `include` are skipped, as are out-of-range indices) and return
 /// its exact `ExecStats` counts. This mirrors the executor's reuse walk
-/// (`ReuseExecutor::walk`, dense or compressed) frame-for-frame: a stack
-/// of `(depth, done)` pairs with in-place advances, clone-at-frontier
-/// below the shared depth, consume-top beyond it, and eager drops back to
-/// `keep`.
+/// (`ReuseExecutor::walk`) frame-for-frame: a stack of `(depth, done)`
+/// pairs with in-place advances, clone-at-frontier below the shared depth,
+/// consume-top beyond it, and eager drops back to `keep`.
 fn predict_stream(
     prefix: &PassPrefix,
     trials: &[Trial],
@@ -481,11 +471,9 @@ pub fn advise(plan: &ExecutionPlan<'_>) -> Advice {
         amplitude_passes: n_trials * total_fused + injection_count,
         msv_peak: 0,
     };
-    // Compressed storage runs the reuse walk itself, under the same budget.
-    let budgeted =
-        predict_stream(&prefix, &plan.trials, &plan.order, plan.n_layers, plan.budget, |_| true);
-    let reuse = budgeted.prediction(Strategy::Reuse);
-    let compressed = budgeted.prediction(Strategy::Compressed);
+    let reuse =
+        predict_stream(&prefix, &plan.trials, &plan.order, plan.n_layers, plan.budget, |_| true)
+            .prediction(Strategy::Reuse);
 
     // Frame-tracking model (predicted only): fully trackable trials ride on
     // one shared reference pass and cost no amplitude work of their own;
@@ -508,7 +496,7 @@ pub fn advise(plan: &ExecutionPlan<'_>) -> Advice {
     }
     let frame_tracking = ft_counts.prediction(Strategy::FrameTracking);
 
-    let mut predictions = vec![sequential, fused, reuse, compressed, frame_tracking];
+    let mut predictions = vec![sequential, fused, reuse, frame_tracking];
     predictions.sort_by_key(|p| (p.amplitude_passes, p.strategy.tie_rank()));
 
     Advice {
@@ -725,9 +713,6 @@ mod tests {
         let p = |s| advice.prediction(s).expect("present").amplitude_passes;
         assert!(p(Strategy::Reuse) <= p(Strategy::Fused));
         assert!(p(Strategy::Fused) <= p(Strategy::Sequential));
-        // Unbounded reuse and compressed replay the identical trie, so
-        // their pass predictions coincide.
-        assert_eq!(p(Strategy::Reuse), p(Strategy::Compressed));
     }
 
     #[test]

@@ -35,13 +35,6 @@ fn executors(c: &mut Criterion) {
                 exec.with_budget(2).run(trials.trials(), &NullRecorder).expect("execution succeeds")
             });
         });
-        group.bench_with_input(BenchmarkId::new("reuse_compressed", name), &trials, |b, trials| {
-            b.iter(|| {
-                ReuseExecutor::new(&bench.layered)
-                    .run_compressed(trials.trials(), &NullRecorder)
-                    .expect("execution succeeds")
-            });
-        });
     }
     group.finish();
 

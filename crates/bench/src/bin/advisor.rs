@@ -79,15 +79,6 @@ fn main() {
         let reuse =
             ReuseExecutor::new(&bench.layered).run(set.trials(), &NullRecorder).expect("reuse run");
         rows.push(Row::new(&bench.name, Strategy::Reuse, p(Strategy::Reuse), &reuse.stats));
-        let (comp, _) = ReuseExecutor::new(&bench.layered)
-            .run_compressed(set.trials(), &NullRecorder)
-            .expect("compressed run");
-        rows.push(Row::new(
-            &bench.name,
-            Strategy::Compressed,
-            p(Strategy::Compressed),
-            &comp.stats,
-        ));
 
         recommendations.push(json::object(&[
             ("bench", json::string(&bench.name)),

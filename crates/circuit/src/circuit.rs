@@ -348,8 +348,10 @@ impl Circuit {
     ///
     /// # Errors
     ///
-    /// Propagates [`StateVecError`] (cannot occur for validated circuits).
+    /// Returns [`StateVecError::TooManyQubits`] for a register wider than
+    /// a dense state vector holds; no gate of a validated circuit fails.
     pub fn simulate(&self) -> Result<StateVector, StateVecError> {
+        StateVector::check_width(self.n_qubits)?;
         let mut state = StateVector::zero_state(self.n_qubits);
         for op in self.gate_ops() {
             op.apply_to(&mut state)?;

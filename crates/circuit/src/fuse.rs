@@ -18,8 +18,8 @@
 //!   ([`qsim_statevec::FusedOp`]): diagonal, permutation, or dense.
 //!
 //! Because the cut set is the union over the **whole** trial set, every
-//! executor strategy (baseline, reuse, budgeted, parallel, compressed)
-//! can share one program and stop at any injection point any trial needs —
+//! executor strategy (baseline, reuse, budgeted, parallel, cached) can
+//! share one program and stop at any injection point any trial needs —
 //! which keeps their outcomes bitwise identical to each other: every trial
 //! sees the same floating-point operator sequence regardless of strategy.
 //!
@@ -305,8 +305,10 @@ impl FusedProgram {
     ///
     /// # Errors
     ///
-    /// Propagates [`StateVecError`].
+    /// Returns [`StateVecError::TooManyQubits`] for a register wider than
+    /// a dense state vector holds, and propagates kernel failures.
     pub fn simulate(&self) -> Result<StateVector, StateVecError> {
+        StateVector::check_width(self.n_qubits)?;
         let mut state = StateVector::zero_state(self.n_qubits);
         let mut done = -1i64;
         self.apply_through(&mut state, &mut done, self.n_layers as i64 - 1)?;

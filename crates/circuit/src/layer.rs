@@ -287,8 +287,10 @@ impl LayeredCircuit {
     ///
     /// # Errors
     ///
-    /// Propagates [`StateVecError`].
+    /// Returns [`StateVecError::TooManyQubits`] for a register wider than
+    /// a dense state vector holds, and propagates kernel failures.
     pub fn simulate(&self) -> Result<StateVector, StateVecError> {
+        StateVector::check_width(self.n_qubits)?;
         let mut state = StateVector::zero_state(self.n_qubits);
         for l in 0..self.n_layers() {
             self.apply_layer(l, &mut state)?;

@@ -105,10 +105,11 @@ pub struct Options {
     pub save_trials: Option<String>,
     /// Replay a previously saved trial set instead of generating.
     pub load_trials: Option<String>,
-    /// Use compressed at-rest frontiers for the reordered run.
+    /// Always `false`: no flag sets it. Kept because the end-to-end
+    /// benchmark's traced pass (`bench-e2e/src/traced.rs`) reads it.
     pub compressed: bool,
-    /// Explicit execution strategy for `run` (`None` = reordered reuse,
-    /// or whatever `--baseline`/`--compressed` select).
+    /// Always `None`: no flag sets it. Kept because the end-to-end
+    /// benchmark's traced pass (`bench-e2e/src/traced.rs`) reads it.
     pub strategy: Option<String>,
     /// Layer scheduling: ALAP instead of the default ASAP.
     pub alap: bool,
@@ -186,8 +187,6 @@ OPTIONS:
     --no-transpile      input is already device-native; skip lowering
     --save-trials <P>   write the generated trial set to a file
     --load-trials <P>   replay a saved trial set (ignores --trials/--seed)
-    --compressed        store cached frontiers in zero-elided sparse form
-    --strategy <S>      execution strategy for run: reuse
     --alap              schedule layers as-late-as-possible (moves idle errors)
     --json              machine-readable output (verify, advise, report)
     --trace <P>         stream a JSONL telemetry trace to a file (run, profile)
@@ -253,7 +252,6 @@ impl Options {
             match arg.as_str() {
                 "--baseline" => opts.baseline = true,
                 "--no-transpile" => opts.no_transpile = true,
-                "--compressed" => opts.compressed = true,
                 "--alap" => opts.alap = true,
                 "--json" => opts.json = true,
                 "--fail" => opts.fail = true,
@@ -261,7 +259,7 @@ impl Options {
                 "--device" | "--noise" | "--trials" | "--seed" | "--threads" | "--budget"
                 | "--save-trials" | "--load-trials" | "--trace" | "--folded" | "--html"
                 | "--against" | "--history" | "--threshold" | "--window" | "--cache"
-                | "--cache-budget" | "--live" | "--live-interval" | "--strategy" => {
+                | "--cache-budget" | "--live" | "--live-interval" => {
                     let value =
                         args.get(i + 1).ok_or_else(|| CliError(format!("{arg} needs a value")))?;
                     match arg.as_str() {
@@ -289,14 +287,6 @@ impl Options {
                         "--cache-budget" => opts.cache_budget = parse_num(value, arg)?,
                         "--live" => opts.live = Some(value.clone()),
                         "--live-interval" => opts.live_interval_ms = parse_num(value, arg)?,
-                        "--strategy" => {
-                            if value != "reuse" {
-                                return Err(CliError(format!(
-                                    "unknown strategy {value:?} (reuse)"
-                                )));
-                            }
-                            opts.strategy = Some(value.clone());
-                        }
                         _ => unreachable!(),
                     }
                     i += 1;
@@ -637,16 +627,14 @@ mod tests {
     }
 
     #[test]
-    fn parses_strategy() {
-        assert_eq!(
-            parse(&["run", "f.qasm", "--strategy", "reuse"]).unwrap().strategy.as_deref(),
-            Some("reuse")
-        );
-        assert_eq!(parse(&["run", "f.qasm"]).unwrap().strategy, None);
-        assert!(parse(&["run", "f.qasm", "--strategy"]).is_err());
-        for retired in ["tree", "frobnicate"] {
-            let err = parse(&["run", "f.qasm", "--strategy", retired]).unwrap_err();
-            assert_eq!(err.0, format!("unknown strategy {retired:?} (reuse)"));
+    fn retired_strategy_flags_are_unknown_options() {
+        for args in [
+            &["run", "f.qasm", "--strategy", "reuse"][..],
+            &["run", "f.qasm", "--strategy", "tree"],
+            &["run", "f.qasm", "--compressed"],
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.0.starts_with(&format!("unknown option {}\n", args[2])), "{}", err.0);
         }
     }
 

@@ -256,7 +256,6 @@ fn run_spec<'s>(opts: &Options, store: Option<&'s MsvStore>) -> RunSpec<'s> {
     RunSpec {
         walk: if opts.baseline { Walk::Baseline } else { Walk::Reuse },
         budget: opts.budget,
-        compressed: opts.compressed,
         threads: opts.threads,
         store,
     }
@@ -268,10 +267,8 @@ fn advise(prepared: &Circuit, opts: &Options, out: &mut dyn Write) -> Result<(),
     let advice = qsim_analyzer::advise(&plan);
     // The strategy the flags select, for the suboptimal-strategy lint
     // (`--baseline` runs the fused program).
-    let spec = run_spec(opts, None);
-    let declared = match spec.walk {
+    let declared = match run_spec(opts, None).walk {
         Walk::Baseline => qsim_analyzer::Strategy::Fused,
-        Walk::Reuse if spec.compressed => qsim_analyzer::Strategy::Compressed,
         Walk::Reuse => qsim_analyzer::Strategy::Reuse,
     };
     let plan = plan.with_strategy(declared).with_advice(advice);
@@ -409,20 +406,14 @@ fn finalize_live(
     }
 }
 
-/// Execute `spec` under `recorder`, reporting the compressed-storage or
-/// prefix-store accounting on stderr.
+/// Execute `spec` under `recorder`, reporting the prefix-store accounting
+/// on stderr.
 fn run_strategy<R: Recorder + ?Sized>(
     sim: &Simulation,
     spec: &RunSpec<'_>,
     recorder: &R,
 ) -> Result<RunResult, CliError> {
     let output = sim.run(spec, recorder).map_err(|e| CliError(format!("execution: {e}")))?;
-    if let Some(comp) = output.compression {
-        eprintln!(
-            "compressed frontiers: peak {} B vs {} B dense ({}/{} sparse)",
-            comp.peak_stored_bytes, comp.peak_dense_bytes, comp.sparse_frames, comp.frames_stored
-        );
-    }
     if let Some(cache) = output.cache {
         eprintln!(
             "semantic cache {} at layer {}: key {} ({} B read, {} B written)",
@@ -1217,13 +1208,10 @@ mod tests {
         let cache = ["--cache", dir_str.as_str()];
         for (first, second, flag, with) in [
             (&["--baseline"][..], &["--budget", "2"][..], "--baseline", "--budget"),
-            (&["--baseline"], &["--compressed"], "--baseline", "--compressed"),
             (&["--baseline"], &cache, "--baseline", "--cache"),
             (&["--threads", "2"], &["--budget", "2"], "--threads", "--budget"),
-            (&["--threads", "0"], &["--compressed"], "--threads", "--compressed"),
             (&cache, &["--threads", "2"], "--cache", "--threads"),
             (&cache, &["--budget", "2"], "--cache", "--budget"),
-            (&cache, &["--compressed"], "--cache", "--compressed"),
         ] {
             for command in ["run", "profile"] {
                 let path = circuit.path_str();
@@ -1233,21 +1221,19 @@ mod tests {
                 assert_eq!(err.to_string(), format!("{flag} cannot be combined with {with}"));
             }
         }
-        // The static commands keep taking a budget with any strategy flag.
+        // The static commands keep taking a budget with --baseline.
         for command in ["analyze", "advise", "verify"] {
             let path = circuit.path_str();
-            for flag in ["--baseline", "--compressed"] {
-                let parts = [command, path.as_str(), "--trials", "16", "--budget", "2", flag];
-                run_cli(&parts).unwrap_or_else(|e| panic!("{command} {flag}: {e}"));
-            }
+            let parts = [command, path.as_str(), "--trials", "16", "--budget", "2", "--baseline"];
+            run_cli(&parts).unwrap_or_else(|e| panic!("{command} --baseline: {e}"));
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn compressed_runs_honour_the_budget() {
+    fn budgeted_runs_honour_the_budget() {
         let qft4 = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmarks/yorktown/qft4.qasm");
-        let flags = ["--trials", "4096", "--seed", "3", "--compressed", "--budget", "1"];
+        let flags = ["--trials", "4096", "--seed", "3", "--budget", "1"];
         let mut parts = vec!["profile", qft4];
         parts.extend(flags);
         let profile = run_cli(&parts).unwrap_or_else(|e| panic!("profile cross-check: {e}"));
@@ -1285,15 +1271,11 @@ mod tests {
     }
 
     #[test]
-    fn compressed_and_alap_flags_run() {
+    fn alap_flag_runs() {
         let file = bell_file();
-        for extra in [vec!["--compressed"], vec!["--alap"], vec!["--compressed", "--alap"]] {
-            let path = file.path_str();
-            let mut parts = vec!["run", path.as_str(), "--trials", "128"];
-            parts.extend(extra.iter().copied());
-            let text = run_cli(&parts).unwrap_or_else(|e| panic!("{extra:?}: {e}"));
-            assert!(text.contains("128 trials"), "{extra:?}: {text}");
-        }
+        let text = run_cli(&["run", &file.path_str(), "--trials", "128", "--alap"])
+            .unwrap_or_else(|e| panic!("--alap: {e}"));
+        assert!(text.contains("128 trials"), "--alap: {text}");
     }
 
     #[test]
@@ -1317,7 +1299,7 @@ mod tests {
         let file = bell_file();
         let text =
             run_cli(&["advise", &file.path_str(), "--trials", "128", "--seed", "4"]).unwrap();
-        for name in ["sequential", "fused", "reuse", "compressed", "frame-tracking"] {
+        for name in ["sequential", "fused", "reuse", "frame-tracking"] {
             assert!(text.contains(name), "missing {name}:\n{text}");
         }
         assert!(text.contains("recommended:"), "{text}");
@@ -1427,7 +1409,6 @@ mod tests {
             vec![],
             vec!["--baseline"],
             vec!["--budget", "1"],
-            vec!["--compressed"],
             vec!["--threads", "2"],
             vec!["--baseline", "--threads", "2"],
         ] {
@@ -1563,7 +1544,6 @@ mod tests {
             vec![],
             vec!["--baseline"],
             vec!["--budget", "1"],
-            vec!["--compressed"],
             vec!["--threads", "2"],
             vec!["--baseline", "--threads", "2"],
         ] {

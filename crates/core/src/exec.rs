@@ -9,9 +9,9 @@
 //! mathematically equivalent to the original simulation".
 //!
 //! The redundancy-eliminated executor's trie walk is the only per-state
-//! walk in the crate. It is generic over how a cached frontier is held at
-//! rest — dense with pooled buffers, or compressed ([`crate::compressed`]) —
-//! and drives the budgeted, parallel and cross-run-cached runs too.
+//! walk in the crate. It holds each cached frontier as a dense state whose
+//! buffer recycles through a [`StatePool`], and drives the budgeted,
+//! parallel and cross-run-cached runs too.
 //!
 //! Since the fusion layer landed, both executors run the *same*
 //! [`FusedProgram`], compiled once per trial set with cut-points at the
@@ -20,7 +20,7 @@
 //! results match the unfused path only up to numerical tolerance — but
 //! every strategy sharing one program still replays identical float
 //! sequences per trial, preserving the bitwise-identity guarantee between
-//! baseline and reuse (and budgeted, parallel, compressed) runs.
+//! baseline and reuse (and budgeted, parallel, cached) runs.
 //!
 //! Cost accounting is two-metric:
 //!
@@ -41,7 +41,6 @@ use qsim_telemetry::{Heartbeat, KernelClass, MsvEvent, NullRecorder, Recorder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::compressed::{Compressed, CompressionStats};
 use crate::order::{compare_trials, lcp};
 use crate::SimError;
 
@@ -329,8 +328,9 @@ impl<'a> BaselineExecutor<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] for trials whose injections do not fit the
-    /// circuit.
+    /// Returns [`SimError::State`] for a register wider than a dense state
+    /// vector holds and [`SimError`] for trials whose injections do not
+    /// fit the circuit.
     pub fn run<R: Recorder + ?Sized>(
         &self,
         trials: &[Trial],
@@ -346,8 +346,7 @@ impl<'a> BaselineExecutor<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] for trials whose injections do not fit the
-    /// circuit.
+    /// As [`BaselineExecutor::run`].
     pub fn run_unfused(&self, trials: &[Trial]) -> Result<RunResult, SimError> {
         self.run_engine(Engine::Layers, trials, &NullRecorder)
     }
@@ -362,6 +361,7 @@ impl<'a> BaselineExecutor<'a> {
         recorder: &R,
     ) -> Result<RunResult, SimError> {
         let layered = self.layered;
+        StateVector::check_width(layered.n_qubits())?;
         let n_layers = layered.n_layers();
         for trial in trials {
             validate(trial, n_layers)?;
@@ -429,104 +429,12 @@ pub struct ReuseExecutor<'a> {
 }
 
 /// One cached frontier of the reuse walk: the state of the trie node
-/// `depth` injections deep, held at rest as `H`.
-pub(crate) struct Frame<H> {
+/// `depth` injections deep.
+struct Frame {
     depth: usize,
     /// Highest layer index already applied to the state (−1 = none).
     done: i64,
-    held: H,
-}
-
-/// How the reuse walk holds a cached frontier at rest between uses. The
-/// walk itself — order, eager drop, budget, accounting, telemetry — is
-/// the same for every storage; only what a frame costs while it waits
-/// differs.
-pub(crate) trait AtRest {
-    /// A frontier at rest.
-    type Held;
-    /// The run's span name.
-    const SPAN: &'static str;
-    /// Kernel phases of the shared advance, the cached branch, and the
-    /// transient remainder.
-    const PHASES: [&'static str; 3];
-    /// Put a working state at rest.
-    fn store(&mut self, state: StateVector) -> Self::Held;
-    /// A working copy of a frontier that stays cached.
-    fn copy(&mut self, held: &Self::Held) -> StateVector;
-    /// The working state of a frontier no later trial reuses.
-    fn take(&mut self, held: Self::Held) -> StateVector;
-    /// Apply `f` to a cached frontier in place.
-    fn update<T>(&mut self, held: &mut Self::Held, f: impl FnOnce(&mut StateVector) -> T) -> T;
-    /// Give back a working state nothing reads again.
-    fn recycle(&mut self, state: StateVector);
-    /// Give back a frontier nothing reads again.
-    fn release(&mut self, held: Self::Held);
-    /// Resident bytes for the live plane's heartbeat gauge, given the
-    /// cached frontiers.
-    fn resident_bytes<'h>(&self, cached: impl ExactSizeIterator<Item = &'h Self::Held>) -> u64
-    where
-        Self::Held: 'h;
-    /// Observe the cached frontiers wherever the walk settles: after the
-    /// root store, after each fork, and at the end of each trial.
-    fn settle<'h>(&mut self, _cached: impl Iterator<Item = &'h Self::Held>, _peak_msv: usize)
-    where
-        Self::Held: 'h,
-    {
-    }
-    /// Emit the storage's end-of-run counters.
-    fn record<R: Recorder + ?Sized>(&self, recorder: &R);
-}
-
-/// Dense frontiers whose buffers recycle through a [`StatePool`] — the
-/// paper's layout.
-pub(crate) struct Dense {
-    pool: StatePool,
-    state_bytes: u64,
-}
-
-impl Dense {
-    pub(crate) fn new(n_qubits: usize) -> Self {
-        Dense { pool: StatePool::new(), state_bytes: amp_bytes(n_qubits) }
-    }
-}
-
-impl AtRest for Dense {
-    type Held = StateVector;
-    const SPAN: &'static str = "run/reuse";
-    const PHASES: [&'static str; 3] = ["reuse/shared", "reuse/branch", "reuse/remainder"];
-
-    fn store(&mut self, state: StateVector) -> StateVector {
-        state
-    }
-
-    fn copy(&mut self, held: &StateVector) -> StateVector {
-        self.pool.clone_state(held)
-    }
-
-    fn take(&mut self, held: StateVector) -> StateVector {
-        held
-    }
-
-    fn update<T>(&mut self, held: &mut StateVector, f: impl FnOnce(&mut StateVector) -> T) -> T {
-        f(held)
-    }
-
-    fn recycle(&mut self, state: StateVector) {
-        self.pool.recycle(state);
-    }
-
-    fn release(&mut self, held: StateVector) {
-        self.pool.recycle(held);
-    }
-
-    fn resident_bytes<'h>(&self, cached: impl ExactSizeIterator<Item = &'h StateVector>) -> u64 {
-        (cached.len() + self.pool.idle()) as u64 * self.state_bytes
-    }
-
-    fn record<R: Recorder + ?Sized>(&self, recorder: &R) {
-        recorder.counter("pool.reused", self.pool.reuse_count());
-        recorder.counter("pool.allocated", self.pool.alloc_count());
-    }
+    state: StateVector,
 }
 
 /// How one reuse walk interacts with the cross-run semantic prefix cache
@@ -583,47 +491,18 @@ impl<'a> ReuseExecutor<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Circuit`] for a zero budget and [`SimError`]
-    /// for trials whose injections do not fit the circuit.
+    /// Returns [`SimError::State`] for a register wider than a dense state
+    /// vector holds, [`SimError::Circuit`] for a zero budget and
+    /// [`SimError`] for trials whose injections do not fit the circuit.
     pub fn run<R: Recorder + ?Sized>(
         &self,
         trials: &[Trial],
         recorder: &R,
     ) -> Result<RunResult, SimError> {
-        self.run_fused(trials, &mut Dense::new(self.layered.n_qubits()), recorder)
-    }
-
-    /// [`ReuseExecutor::run`] with cached frontiers held at rest as
-    /// [`qsim_statevec::StoredState`] (see [`crate::compressed`]). The
-    /// walk, outcomes and [`ExecStats`] are the dense run's; telemetry
-    /// uses the `"compressed/*"` phases, `compress.*` counters mirroring
-    /// the returned [`CompressionStats`], and a `"run/compressed"` span.
-    ///
-    /// # Errors
-    ///
-    /// As [`ReuseExecutor::run`].
-    pub fn run_compressed<R: Recorder + ?Sized>(
-        &self,
-        trials: &[Trial],
-        recorder: &R,
-    ) -> Result<(RunResult, CompressionStats), SimError> {
-        let mut storage = Compressed::new(self.layered.n_qubits());
-        let result = self.run_fused(trials, &mut storage, recorder)?;
-        Ok((result, storage.stats))
-    }
-
-    /// Walk `trials` through a program compiled for them, frontiers held
-    /// at rest by `storage`.
-    fn run_fused<S: AtRest, R: Recorder + ?Sized>(
-        &self,
-        trials: &[Trial],
-        storage: &mut S,
-        recorder: &R,
-    ) -> Result<RunResult, SimError> {
         let program = fuse_for_trials_traced(self.layered, trials, recorder);
         collect(trials.len(), |out| {
             let sink = |index, outcome| out[index] = Some(outcome);
-            self.walk(Engine::Fused(&program), trials, PrefixCache::Off, storage, sink, recorder)
+            self.walk(Engine::Fused(&program), trials, PrefixCache::Off, sink, recorder)
         })
     }
 
@@ -634,39 +513,37 @@ impl<'a> ReuseExecutor<'a> {
     ///
     /// As [`ReuseExecutor::run`].
     pub fn run_unfused(&self, trials: &[Trial]) -> Result<RunResult, SimError> {
-        let mut dense = Dense::new(self.layered.n_qubits());
         collect(trials.len(), |out| {
             let sink = |index, outcome| out[index] = Some(outcome);
-            self.walk(Engine::Layers, trials, PrefixCache::Off, &mut dense, sink, &NullRecorder)
+            self.walk(Engine::Layers, trials, PrefixCache::Off, sink, &NullRecorder)
         })
     }
 
     /// The reuse walk, the only per-state trie walk: every executor that
-    /// caches frontiers runs it, with frontiers held at rest by `storage`.
-    /// Outcomes go to `sink(original_trial_index, outcome)` in processing
-    /// order. A [`PrefixCache::Seed`] that does not match the trial set's
-    /// shared-prefix layer or register width is rejected.
-    pub(crate) fn walk<S, F, R>(
+    /// caches frontiers runs it, recycling their buffers through one
+    /// [`StatePool`]. Outcomes go to `sink(original_trial_index, outcome)`
+    /// in processing order. A [`PrefixCache::Seed`] that does not match
+    /// the trial set's shared-prefix layer or register width is rejected.
+    pub(crate) fn walk<F, R>(
         &self,
         engine: Engine<'_>,
         trials: &[Trial],
         prefix: PrefixCache<'_>,
-        storage: &mut S,
         mut sink: F,
         recorder: &R,
     ) -> Result<ExecStats, SimError>
     where
-        S: AtRest,
         F: FnMut(usize, MeasureOutcome),
         R: Recorder + ?Sized,
     {
+        let layered = self.layered;
+        StateVector::check_width(layered.n_qubits())?;
         let budget = self.budget;
         if budget == 0 {
             return Err(SimError::Circuit(
                 "state-vector budget must be at least 1 (the working frontier)".to_owned(),
             ));
         }
-        let layered = self.layered;
         let n_layers = layered.n_layers();
         for trial in trials {
             validate(trial, n_layers)?;
@@ -676,7 +553,8 @@ impl<'a> ReuseExecutor<'a> {
         }
         #[cfg(feature = "paranoid")]
         paranoid_verify(layered, trials, budget)?;
-        let [shared, branch, remainder] = S::PHASES;
+        let mut pool = StatePool::new();
+        let state_bytes = amp_bytes(layered.n_qubits());
         let span_start = recorder.now_ns();
         let last_layer = n_layers as i64 - 1;
         let mut order: Vec<usize> = (0..trials.len()).collect();
@@ -718,8 +596,7 @@ impl<'a> ReuseExecutor<'a> {
                 (-1, StateVector::zero_state(layered.n_qubits()))
             }
         };
-        let mut stack = vec![Frame { depth: 0, done: root_done, held: storage.store(root_state) }];
-        storage.settle(stack.iter().map(|f| &f.held), peak);
+        let mut stack = vec![Frame { depth: 0, done: root_done, state: root_state }];
         if recorder.enabled() && !trials.is_empty() {
             recorder.msv(MsvEvent::Create, 0, 1);
         }
@@ -757,29 +634,26 @@ impl<'a> ReuseExecutor<'a> {
                 let top = stack.last_mut().expect("nonempty stack");
                 let mut outcome = None;
                 if terminal || top.done < target {
-                    outcome = storage.update(&mut top.held, |state| {
-                        let (src, passes) = engine.advance_traced(
-                            layered,
-                            state,
-                            &mut top.done,
-                            target,
-                            recorder,
-                            shared,
-                        )?;
-                        stats.ops += src;
-                        stats.fused_ops += passes;
-                        stats.amplitude_passes += passes;
-                        if top.depth == 0 {
-                            // The miss path's only extra work: a plain clone
-                            // of the root the first time it parks at the
-                            // capture layer.
-                            if let Some((_, out)) = capture.take_if(|(layer, _)| *layer == top.done)
-                            {
-                                *out = Some(state.clone());
-                            }
+                    let (src, passes) = engine.advance_traced(
+                        layered,
+                        &mut top.state,
+                        &mut top.done,
+                        target,
+                        recorder,
+                        "reuse/shared",
+                    )?;
+                    stats.ops += src;
+                    stats.fused_ops += passes;
+                    stats.amplitude_passes += passes;
+                    if top.depth == 0 {
+                        // The miss path's only extra work: a plain clone of
+                        // the root the first time it parks at the capture
+                        // layer.
+                        if let Some((_, out)) = capture.take_if(|(layer, _)| *layer == top.done) {
+                            *out = Some(top.state.clone());
                         }
-                        Ok::<_, SimError>(terminal.then(|| measure(layered, state, cur)))
-                    })?;
+                    }
+                    outcome = terminal.then(|| measure(layered, &top.state, cur));
                 }
                 if let Some(outcome) = outcome {
                     sink(orig, outcome);
@@ -788,7 +662,7 @@ impl<'a> ReuseExecutor<'a> {
                         if recorder.enabled() {
                             recorder.msv(MsvEvent::Drop, frame.depth, stack.len());
                         }
-                        storage.release(frame.held);
+                        pool.recycle(frame.state);
                     }
                     debug_assert!(
                         !stack.is_empty(),
@@ -802,11 +676,11 @@ impl<'a> ReuseExecutor<'a> {
                         top.depth, d,
                         "cached clone must branch from the frontier at the shared depth"
                     );
-                    let mut child = storage.copy(&top.held);
-                    inject_traced(&injections[d], &mut child, recorder, branch)?;
+                    let mut child = pool.clone_state(&top.state);
+                    inject_traced(&injections[d], &mut child, recorder, "reuse/branch")?;
                     stats.ops += 1;
                     stats.amplitude_passes += 1;
-                    stack.push(Frame { depth: d + 1, done: target, held: storage.store(child) });
+                    stack.push(Frame { depth: d + 1, done: target, state: child });
                     debug_assert!(
                         stack.len() <= budget,
                         "cache stack exceeded the state-vector budget"
@@ -815,7 +689,6 @@ impl<'a> ReuseExecutor<'a> {
                     if recorder.enabled() {
                         recorder.msv(MsvEvent::Fork, d + 1, stack.len());
                     }
-                    storage.settle(stack.iter().map(|f| &f.held), peak);
                     d += 1;
                     continue;
                 } else {
@@ -823,7 +696,7 @@ impl<'a> ReuseExecutor<'a> {
                     // later. Copy the frontier if the node itself is still
                     // needed, otherwise consume it (the eager drop).
                     let mut working = if d <= keep {
-                        storage.copy(&stack.last().expect("nonempty stack").held)
+                        pool.clone_state(&stack.last().expect("nonempty stack").state)
                     } else {
                         let frame = stack.pop().expect("nonempty stack");
                         // Consuming (not copying) is only sound because no
@@ -841,16 +714,16 @@ impl<'a> ReuseExecutor<'a> {
                             if recorder.enabled() {
                                 recorder.msv(MsvEvent::Drop, dropped.depth, stack.len());
                             }
-                            storage.release(dropped.held);
+                            pool.recycle(dropped.state);
                         }
                         debug_assert!(
                             stack.last().is_some_and(|f| f.depth <= keep),
                             "eager drop emptied the stack past the root frame"
                         );
-                        storage.take(frame.held)
+                        frame.state
                     };
                     let mut done = target;
-                    inject_traced(&injections[d], &mut working, recorder, remainder)?;
+                    inject_traced(&injections[d], &mut working, recorder, "reuse/remainder")?;
                     stats.ops += 1;
                     stats.amplitude_passes += 1;
                     for inj in &injections[d + 1..] {
@@ -860,12 +733,12 @@ impl<'a> ReuseExecutor<'a> {
                             &mut done,
                             inj.layer() as i64,
                             recorder,
-                            remainder,
+                            "reuse/remainder",
                         )?;
                         stats.ops += src;
                         stats.fused_ops += passes;
                         stats.amplitude_passes += passes;
-                        inject_traced(inj, &mut working, recorder, remainder)?;
+                        inject_traced(inj, &mut working, recorder, "reuse/remainder")?;
                         stats.ops += 1;
                         stats.amplitude_passes += 1;
                     }
@@ -875,20 +748,19 @@ impl<'a> ReuseExecutor<'a> {
                         &mut done,
                         last_layer,
                         recorder,
-                        remainder,
+                        "reuse/remainder",
                     )?;
                     stats.ops += src;
                     stats.fused_ops += passes;
                     stats.amplitude_passes += passes;
                     sink(orig, measure(layered, &working, cur));
-                    storage.recycle(working);
+                    pool.recycle(working);
                 }
-                storage.settle(stack.iter().map(|f| &f.held), peak);
                 if recorder.enabled() {
                     recorder.heartbeat(Heartbeat {
                         completed: 1,
                         depth: d as u64,
-                        resident_bytes: storage.resident_bytes(stack.iter().map(|f| &f.held)),
+                        resident_bytes: (stack.len() + pool.idle()) as u64 * state_bytes,
                     });
                 }
                 break;
@@ -898,8 +770,9 @@ impl<'a> ReuseExecutor<'a> {
         stats.peak_msv = if trials.is_empty() { 0 } else { peak };
         if recorder.enabled() {
             record_stats_counters(recorder, &stats);
-            storage.record(recorder);
-            recorder.span(S::SPAN, span_start, recorder.now_ns());
+            recorder.counter("pool.reused", pool.reuse_count());
+            recorder.counter("pool.allocated", pool.alloc_count());
+            recorder.span("run/reuse", span_start, recorder.now_ns());
         }
         Ok(stats)
     }
@@ -1052,7 +925,6 @@ mod tests {
             engine,
             set.trials(),
             PrefixCache::Off,
-            &mut Dense::new(layered.n_qubits()),
             |_, _| {},
             &NullRecorder,
         );
@@ -1086,7 +958,6 @@ mod tests {
                 Engine::Fused(&program),
                 set.trials(),
                 PrefixCache::Off,
-                &mut Dense::new(layered.n_qubits()),
                 |index, outcome| {
                     assert!(!seen[index], "outcome delivered twice for trial {index}");
                     seen[index] = true;

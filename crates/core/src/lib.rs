@@ -19,12 +19,11 @@
 //! 3. [`exec`] — real executors over `qsim-statevec`:
 //!    [`exec::BaselineExecutor`] (every trial from scratch — the paper's
 //!    baseline) and [`exec::ReuseExecutor`] (prefix-state caching with eager
-//!    dropping, under an optional stored-state budget, with frontiers held
-//!    dense or [`compressed`]). The reuse walk is the only trie walk;
-//!    [`parallel`] and [`semcache`] build on it. All produce **bitwise identical**
-//!    measurement outcomes, realising the paper's "mathematically
-//!    equivalent" guarantee, and report operation counts that the static
-//!    analyzer predicts exactly.
+//!    dropping, under an optional stored-state budget). The reuse walk is
+//!    the only trie walk; [`parallel`] and [`semcache`] build on it. All
+//!    produce **bitwise identical** measurement outcomes, realising the
+//!    paper's "mathematically equivalent" guarantee, and report operation
+//!    counts that the static analyzer predicts exactly.
 //! 4. [`Simulation`] — a builder-style façade tying circuit, noise model,
 //!    trial generation, analysis, and execution together. Its one
 //!    [`Simulation::run`] executes whatever a [`RunSpec`] declares.
@@ -59,7 +58,6 @@
 //! ```
 
 pub mod analysis;
-pub mod compressed;
 pub mod estimate;
 pub mod exec;
 mod histogram;

@@ -32,7 +32,7 @@ use qsim_statevec::MeasureOutcome;
 use qsim_telemetry::Recorder;
 
 use crate::exec::{
-    collect, fuse_for_trials_traced, BaselineExecutor, Dense, Engine, ExecStats, PrefixCache,
+    collect, fuse_for_trials_traced, BaselineExecutor, Engine, ExecStats, PrefixCache,
     ReuseExecutor, RunResult,
 };
 use crate::order::{compare_trials, lcp};
@@ -200,13 +200,11 @@ pub fn run_reordered_parallel<R: Recorder + ?Sized>(
                     // permutation) and returns outcomes in chunk order.
                     let chunk_trials: Vec<Trial> =
                         idx_chunk.iter().map(|&i| trials[i].clone()).collect();
-                    let mut dense = Dense::new(layered.n_qubits());
                     let result = collect(chunk_trials.len(), |out| {
                         ReuseExecutor::new(layered).walk(
                             Engine::Fused(program),
                             &chunk_trials,
                             PrefixCache::Off,
-                            &mut dense,
                             |index, outcome| out[index] = Some(outcome),
                             recorder,
                         )

@@ -26,9 +26,7 @@ use qsim_statevec::StateVector;
 use qsim_telemetry::{names, Recorder};
 use redsim_msvstore::{MsvStore, SemanticKey, DEFAULT_SEED_POLICY};
 
-use crate::exec::{
-    collect, fuse_for_trials_traced, Dense, Engine, PrefixCache, ReuseExecutor, RunResult,
-};
+use crate::exec::{collect, fuse_for_trials_traced, Engine, PrefixCache, ReuseExecutor, RunResult};
 use crate::SimError;
 
 /// What the semantic prefix cache did for one run.
@@ -129,10 +127,9 @@ pub fn run_reordered_cached<R: Recorder + ?Sized>(
             PrefixCache::Capture { layer: prefix_layer, out: &mut captured }
         }
     };
-    let mut dense = Dense::new(layered.n_qubits());
     let result = collect(trials.len(), |out| {
         let sink = |index, outcome| out[index] = Some(outcome);
-        executor.walk(Engine::Fused(&program), trials, prefix, &mut dense, sink, recorder)
+        executor.walk(Engine::Fused(&program), trials, prefix, sink, recorder)
     })?;
     if let Some(state) = captured {
         if let Ok(put) = store.put(&key, state.amplitudes()) {

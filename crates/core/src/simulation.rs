@@ -5,7 +5,6 @@ use qsim_telemetry::Recorder;
 use redsim_msvstore::MsvStore;
 
 use crate::analysis::{self, CostReport};
-use crate::compressed::CompressionStats;
 use crate::exec::{ReuseExecutor, RunResult};
 use crate::histogram::Histogram;
 use crate::parallel;
@@ -30,13 +29,11 @@ pub struct RunSpec<'s> {
     pub walk: Walk,
     /// Stored-state cap for the reuse walk (`usize::MAX` = unbounded).
     pub budget: usize,
-    /// Hold the reuse walk's cached frontiers compressed at rest.
-    pub compressed: bool,
-    /// Worker threads for the baseline or unbounded dense reuse walk
-    /// (`0` = all cores, `1` = sequential).
+    /// Worker threads for the baseline or unbounded reuse walk (`0` = all
+    /// cores, `1` = sequential).
     pub threads: usize,
-    /// Cross-run prefix store for the sequential, unbounded, dense reuse
-    /// walk (see [`crate::semcache`]).
+    /// Cross-run prefix store for the sequential, unbounded reuse walk
+    /// (see [`crate::semcache`]).
     pub store: Option<&'s MsvStore>,
 }
 
@@ -47,10 +44,10 @@ impl Default for RunSpec<'_> {
 }
 
 impl RunSpec<'_> {
-    /// `walk` with every knob at its default: unbounded, dense,
-    /// sequential, uncached.
+    /// `walk` with every knob at its default: unbounded, sequential,
+    /// uncached.
     pub fn new(walk: Walk) -> Self {
-        RunSpec { walk, budget: usize::MAX, compressed: false, threads: 1, store: None }
+        RunSpec { walk, budget: usize::MAX, threads: 1, store: None }
     }
 
     /// Reject knob combinations no executor honours, naming the two
@@ -64,7 +61,6 @@ impl RunSpec<'_> {
     pub fn validate(&self) -> Result<(), SimError> {
         let set: Vec<&'static str> = [
             ("--budget", self.budget != usize::MAX),
-            ("--compressed", self.compressed),
             ("--threads", self.threads != 1),
             ("--cache", self.store.is_some()),
         ]
@@ -93,7 +89,6 @@ impl RunSpec<'_> {
             Walk::Baseline if self.threads == 1 => "baseline",
             Walk::Baseline => "parallel-baseline",
             Walk::Reuse if self.store.is_some() => "reuse-cached",
-            Walk::Reuse if self.compressed => "compressed",
             Walk::Reuse if self.budget != usize::MAX => "reuse-budget",
             Walk::Reuse if self.threads == 1 => "reuse",
             Walk::Reuse => "parallel-reuse",
@@ -102,13 +97,11 @@ impl RunSpec<'_> {
 }
 
 /// What [`Simulation::run`] produced: the run itself plus the accounting
-/// of whichever at-rest storage or prefix store it used.
+/// of the prefix store, if it used one.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunOutput {
     /// Outcomes and cost accounting.
     pub result: RunResult,
-    /// Memory accounting of a compressed run.
-    pub compression: Option<CompressionStats>,
     /// What the prefix store did for a cached run.
     pub cache: Option<CacheOutcome>,
 }
@@ -260,7 +253,7 @@ impl Simulation {
         let trials = self.trials.as_ref().ok_or(SimError::NoTrials)?.trials();
         StateVector::check_width(self.layered.n_qubits())?;
         let layered = &self.layered;
-        let (mut compression, mut cache) = (None, None);
+        let mut cache = None;
         let result = match spec.walk {
             Walk::Baseline => {
                 parallel::run_baseline_parallel(layered, trials, spec.threads, recorder)?
@@ -280,18 +273,12 @@ impl Simulation {
                     cache = Some(outcome);
                     result
                 }
-                None if spec.compressed => {
-                    let reuse = ReuseExecutor::new(layered).with_budget(spec.budget);
-                    let (result, stats) = reuse.run_compressed(trials, recorder)?;
-                    compression = Some(stats);
-                    result
-                }
                 None => {
                     ReuseExecutor::new(layered).with_budget(spec.budget).run(trials, recorder)?
                 }
             },
         };
-        Ok(RunOutput { result, compression, cache })
+        Ok(RunOutput { result, cache })
     }
 
     /// [`Simulation::run`] with the default reordered walk.
@@ -316,65 +303,6 @@ impl Simulation {
         let mut sorted = trials.trials().to_vec();
         crate::order::reorder(&mut sorted);
         analysis::analyze_sorted_with_budget(&self.layered, &sorted, budget)
-    }
-
-    /// Compile the plan once, ask the static advisor for the cheapest
-    /// *executable* strategy (see [`qsim_analyzer::advise`]), and run it,
-    /// consulting `store` when — and only when — the advisor selects the
-    /// reuse strategy. Records the advisor's verdict as
-    /// `advisor.predicted_passes`, `advisor.predicted_ops`,
-    /// `advisor.predicted_msv`, and an `advisor.selected.<strategy>`
-    /// counter before the selected executor streams its usual telemetry.
-    /// Returns the run together with the winning prediction so callers can
-    /// cross-check measured [`crate::exec::ExecStats`] against it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NoTrials`] before trial generation,
-    /// [`SimError::State`] for a register wider than a dense state vector
-    /// holds, or execution failures from the selected strategy.
-    #[cfg(feature = "advisor")]
-    pub fn run_advised<R: Recorder + ?Sized>(
-        &self,
-        store: Option<&MsvStore>,
-        recorder: &R,
-    ) -> Result<(RunOutput, qsim_analyzer::StrategyPrediction), SimError> {
-        use qsim_analyzer::Strategy;
-        use qsim_telemetry::names;
-        let trials = self.trials.as_ref().ok_or(SimError::NoTrials)?;
-        StateVector::check_width(self.layered.n_qubits())?;
-        let plan = qsim_analyzer::ExecutionPlan::compile_traced(
-            &self.layered,
-            trials,
-            usize::MAX,
-            recorder,
-        );
-        let chosen = *qsim_analyzer::advise(&plan).best_executable();
-        let (selected, walk) = match chosen.strategy {
-            Strategy::Sequential => (names::ADVISOR_SELECTED_SEQUENTIAL, None),
-            Strategy::Fused => (names::ADVISOR_SELECTED_FUSED, Some(Walk::Baseline)),
-            Strategy::Reuse => (names::ADVISOR_SELECTED_REUSE, Some(Walk::Reuse)),
-            Strategy::Compressed => (names::ADVISOR_SELECTED_COMPRESSED, Some(Walk::Reuse)),
-            Strategy::FrameTracking => {
-                unreachable!("best_executable never returns a frame-tracking prediction")
-            }
-        };
-        if recorder.enabled() {
-            recorder.counter(names::ADVISOR_PREDICTED_PASSES, chosen.amplitude_passes);
-            recorder.counter(names::ADVISOR_PREDICTED_OPS, chosen.ops);
-            recorder.counter(names::ADVISOR_PREDICTED_MSV, chosen.msv_peak as u64);
-            recorder.counter(selected, 1);
-        }
-        let Some(walk) = walk else {
-            // The unfused reference path, exactly as the advisor models it.
-            let result =
-                crate::exec::BaselineExecutor::new(&self.layered).run_unfused(trials.trials())?;
-            return Ok((RunOutput { result, compression: None, cache: None }, chosen));
-        };
-        let compressed = chosen.strategy == Strategy::Compressed;
-        let store = store.filter(|_| chosen.strategy == Strategy::Reuse);
-        let spec = RunSpec { compressed, store, ..RunSpec::new(walk) };
-        Ok((self.run(&spec, recorder)?, chosen))
     }
 
     /// Analytic first-order prediction of the savings for `n_trials`
@@ -494,22 +422,21 @@ mod tests {
     }
 
     #[test]
-    fn facade_compressed_and_oracle_paths() {
+    fn facade_reuse_and_oracle_paths() {
         let mut s = sim();
         s.generate_trials(400, 8).unwrap();
         let baseline = run(&s, RunSpec::new(Walk::Baseline)).unwrap().result;
-        let output = run(&s, RunSpec { compressed: true, ..RunSpec::default() }).unwrap();
-        let (compressed, stats) = (output.result, output.compression.unwrap());
-        assert_eq!(compressed.outcomes, baseline.outcomes);
-        assert!(stats.frames_stored > 0);
+        let reuse = run(&s, RunSpec::default()).unwrap().result;
+        assert_eq!(reuse.outcomes, baseline.outcomes);
         let exact = s.exact_distribution().unwrap();
         assert!((exact.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        let hist = s.histogram(&compressed);
+        let hist = s.histogram(&reuse);
         assert!(hist.tv_distance(&exact) < 0.15); // coarse at 400 trials
     }
 
     #[test]
     fn registers_wider_than_a_state_vector_fail_before_any_walk_allocates() {
+        use crate::exec::{fuse_for_trials, BaselineExecutor};
         let mut wide = Circuit::new("wide", 31, 31);
         wide.h(0).cx(0, 1).measure_all();
         let mut s =
@@ -517,20 +444,45 @@ mod tests {
         s.generate_trials(2, 0).unwrap();
         let dir = std::env::temp_dir().join(format!("redsim-wide-{}", std::process::id()));
         let store = MsvStore::open(&dir, 0).unwrap();
-        let too_wide = SimError::State(StateVecError::TooManyQubits { n_qubits: 31, max: 30 });
+        let state_error = StateVecError::TooManyQubits { n_qubits: 31, max: 30 };
+        let too_wide = SimError::State(state_error.clone());
         for spec in [
             RunSpec::new(Walk::Baseline),
             RunSpec { threads: 2, ..RunSpec::new(Walk::Baseline) },
             RunSpec::default(),
             RunSpec { budget: 1, ..RunSpec::default() },
-            RunSpec { compressed: true, ..RunSpec::default() },
             RunSpec { threads: 2, ..RunSpec::default() },
             RunSpec { store: Some(&store), ..RunSpec::default() },
         ] {
             assert_eq!(run(&s, spec).unwrap_err(), too_wide, "{}", spec.name());
         }
-        #[cfg(feature = "advisor")]
-        assert_eq!(s.run_advised(None, &NullRecorder).unwrap_err(), too_wide);
+        // The executors check the width themselves, whoever calls them.
+        let (layered, trials) = (s.layered(), s.trials().unwrap().trials());
+        assert_eq!(
+            BaselineExecutor::new(layered).run(trials, &NullRecorder),
+            Err(too_wide.clone())
+        );
+        assert_eq!(ReuseExecutor::new(layered).run(trials, &NullRecorder), Err(too_wide.clone()));
+        assert_eq!(
+            parallel::run_baseline_parallel(layered, trials, 2, &NullRecorder),
+            Err(too_wide.clone())
+        );
+        assert_eq!(
+            parallel::run_reordered_parallel(layered, trials, 2, &NullRecorder),
+            Err(too_wide.clone())
+        );
+        let cached = crate::semcache::run_reordered_cached(
+            layered,
+            s.model(),
+            trials,
+            &store,
+            &NullRecorder,
+        );
+        assert_eq!(cached.unwrap_err(), too_wide);
+        // So do the noiseless references.
+        assert_eq!(wide.simulate().unwrap_err(), state_error);
+        assert_eq!(layered.simulate().unwrap_err(), state_error);
+        assert_eq!(fuse_for_trials(layered, trials).simulate().unwrap_err(), state_error);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -137,25 +137,6 @@ proptest! {
     }
 
     #[test]
-    fn compressed_execution_is_outcome_exact(trials in arb_trials()) {
-        let (_, layered) = test_circuit();
-        let baseline = BaselineExecutor::new(&layered).run(&trials, &NullRecorder).unwrap();
-        let (compressed, stats) =
-            ReuseExecutor::new(&layered).run_compressed(&trials, &NullRecorder).unwrap();
-        prop_assert_eq!(&compressed.outcomes, &baseline.outcomes);
-        // Same op accounting as the dense reuse executor.
-        let dense = ReuseExecutor::new(&layered).run(&trials, &NullRecorder).unwrap();
-        prop_assert_eq!(compressed.stats.ops, dense.stats.ops);
-        prop_assert_eq!(compressed.stats.peak_msv, dense.stats.peak_msv);
-        // Compressed storage never exceeds what the same number of dense
-        // frontiers would cost (the root frame is held even with no trials).
-        let dense_unit = qsim_statevec::StoredState::dense_bytes(layered.n_qubits());
-        prop_assert!(
-            stats.peak_stored_bytes <= compressed.stats.peak_msv.max(1) * dense_unit
-        );
-    }
-
-    #[test]
     fn parallel_execution_is_exact(trials in arb_trials(), threads in 1usize..5) {
         let (_, layered) = test_circuit();
         let baseline = BaselineExecutor::new(&layered).run(&trials, &NullRecorder).unwrap();

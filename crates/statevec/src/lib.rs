@@ -44,7 +44,6 @@ mod pauli;
 mod pool;
 pub mod snapshot;
 mod state;
-mod stored;
 
 pub use buffer::{AmpBuf, AMP_ALIGN};
 pub use density::DensityMatrix;
@@ -57,7 +56,6 @@ pub use observable::{Observable, ParsePauliStringError, PauliString};
 pub use pauli::Pauli;
 pub use pool::{PoolStats, StatePool};
 pub use state::StateVector;
-pub use stored::StoredState;
 
 /// Complex amplitude type used throughout the workspace.
 pub type C64 = num_complex::Complex64;

@@ -67,32 +67,8 @@ pub const FUSION_BYPASSED: &str = "fusion_bypassed";
 pub const POOL_REUSED: &str = "pool.reused";
 /// State-pool clones that had to allocate fresh.
 pub const POOL_ALLOCATED: &str = "pool.allocated";
-/// Compressed executor: frontier stores performed.
-pub const COMPRESS_FRAMES_STORED: &str = "compress.frames_stored";
-/// Compressed executor: stores that chose the sparse representation.
-pub const COMPRESS_SPARSE_FRAMES: &str = "compress.sparse_frames";
-/// Compressed executor: bytes written across all stores, compressed.
-pub const COMPRESS_STORED_BYTES: &str = "compress.stored_bytes";
-/// Compressed executor: bytes the same stores would have written dense.
-pub const COMPRESS_DENSE_BYTES: &str = "compress.dense_bytes";
 /// Fused-program compilations performed by the execution planner.
 pub const PLAN_FUSE_COMPILE: &str = "plan.fuse_compile";
-/// Advisor: predicted amplitude passes of the selected strategy.
-pub const ADVISOR_PREDICTED_PASSES: &str = "advisor.predicted_passes";
-/// Advisor: predicted basic ops of the selected strategy.
-pub const ADVISOR_PREDICTED_OPS: &str = "advisor.predicted_ops";
-/// Advisor: predicted peak MSV residency of the selected strategy.
-pub const ADVISOR_PREDICTED_MSV: &str = "advisor.predicted_msv";
-/// Advisor selected the sequential (baseline, unfused) strategy.
-pub const ADVISOR_SELECTED_SEQUENTIAL: &str = "advisor.selected.sequential";
-/// Advisor selected the fused baseline strategy.
-pub const ADVISOR_SELECTED_FUSED: &str = "advisor.selected.fused";
-/// Advisor selected the reordered reuse strategy.
-pub const ADVISOR_SELECTED_REUSE: &str = "advisor.selected.reuse";
-/// Advisor selected the compressed-frontier strategy.
-pub const ADVISOR_SELECTED_COMPRESSED: &str = "advisor.selected.compressed";
-/// Advisor selected the frame-tracking strategy.
-pub const ADVISOR_SELECTED_FRAME_TRACKING: &str = "advisor.selected.frame-tracking";
 
 /// Every counter name any emitter in the workspace may use.
 pub const COUNTERS_ALL: &[&str] = &[
@@ -103,19 +79,7 @@ pub const COUNTERS_ALL: &[&str] = &[
     FUSION_BYPASSED,
     POOL_REUSED,
     POOL_ALLOCATED,
-    COMPRESS_FRAMES_STORED,
-    COMPRESS_SPARSE_FRAMES,
-    COMPRESS_STORED_BYTES,
-    COMPRESS_DENSE_BYTES,
     PLAN_FUSE_COMPILE,
-    ADVISOR_PREDICTED_PASSES,
-    ADVISOR_PREDICTED_OPS,
-    ADVISOR_PREDICTED_MSV,
-    ADVISOR_SELECTED_SEQUENTIAL,
-    ADVISOR_SELECTED_FUSED,
-    ADVISOR_SELECTED_REUSE,
-    ADVISOR_SELECTED_COMPRESSED,
-    ADVISOR_SELECTED_FRAME_TRACKING,
     MSVSTORE_HIT,
     MSVSTORE_MISS,
     MSVSTORE_STORE,
@@ -131,21 +95,14 @@ pub const COUNTERS_ALL: &[&str] = &[
 pub const SPAN_RUN_BASELINE: &str = "run/baseline";
 /// Reuse executor run span.
 pub const SPAN_RUN_REUSE: &str = "run/reuse";
-/// Compressed executor run span.
-pub const SPAN_RUN_COMPRESSED: &str = "run/compressed";
 /// Parallel baseline run span (covers all workers).
 pub const SPAN_RUN_PARALLEL_BASELINE: &str = "run/parallel-baseline";
 /// Parallel reuse run span (covers all workers).
 pub const SPAN_RUN_PARALLEL_REUSE: &str = "run/parallel-reuse";
 
 /// Every span path any emitter in the workspace may use.
-pub const SPANS_ALL: &[&str] = &[
-    SPAN_RUN_BASELINE,
-    SPAN_RUN_REUSE,
-    SPAN_RUN_COMPRESSED,
-    SPAN_RUN_PARALLEL_BASELINE,
-    SPAN_RUN_PARALLEL_REUSE,
-];
+pub const SPANS_ALL: &[&str] =
+    &[SPAN_RUN_BASELINE, SPAN_RUN_REUSE, SPAN_RUN_PARALLEL_BASELINE, SPAN_RUN_PARALLEL_REUSE];
 
 #[cfg(test)]
 mod tests {

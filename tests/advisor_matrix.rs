@@ -13,7 +13,7 @@ use noisy_qsim::circuit::{catalog, Circuit, LayeredCircuit};
 use noisy_qsim::noise::{NoiseModel, TrialGenerator, TrialSet};
 use noisy_qsim::redsim::exec::{BaselineExecutor, ExecStats, ReuseExecutor};
 use noisy_qsim::redsim::testkit::shipped_benchmarks;
-use noisy_qsim::telemetry::NullRecorder;
+use noisy_qsim::telemetry::{AggregatingRecorder, NullRecorder};
 
 fn native(circuit: &Circuit) -> LayeredCircuit {
     transpile(circuit, &TranspileOptions::logical())
@@ -77,13 +77,7 @@ fn catalog_predictions_match_measured_execstats_bitwise() {
             let reuse = reuse_exec.run(set.trials(), &NullRecorder).expect("reuse run");
             assert_prediction(&label("reuse"), p(Strategy::Reuse), &reuse.stats);
 
-            let (compressed, _) = ReuseExecutor::new(&layered)
-                .run_compressed(set.trials(), &NullRecorder)
-                .expect("compressed run");
-            assert_prediction(&label("compressed"), p(Strategy::Compressed), &compressed.stats);
-
-            // Budgeted reuse, dense or compressed: the prediction tracks
-            // the plan's budget.
+            // Budgeted reuse: the prediction tracks the plan's budget.
             for budget in [1usize, 2, 3] {
                 let plan = ExecutionPlan::compile(&layered, &set, budget);
                 let advice = advise(&plan);
@@ -95,15 +89,6 @@ fn catalog_predictions_match_measured_execstats_bitwise() {
                     &label(&format!("reuse budget {budget}")),
                     advice.prediction(Strategy::Reuse).expect("ranked"),
                     &run.stats,
-                );
-                let (compressed, _) = reuse_exec
-                    .with_budget(budget)
-                    .run_compressed(set.trials(), &NullRecorder)
-                    .expect("budgeted compressed run");
-                assert_prediction(
-                    &label(&format!("compressed budget {budget}")),
-                    advice.prediction(Strategy::Compressed).expect("ranked"),
-                    &compressed.stats,
                 );
             }
         }
@@ -151,14 +136,6 @@ fn shipped_benchmark_lattice_is_sound_and_predictions_match() {
                 &format!("{name} seed {seed} reuse"),
                 p(Strategy::Reuse),
                 &reuse.stats,
-            );
-            let (comp, _) = ReuseExecutor::new(&layered)
-                .run_compressed(set.trials(), &NullRecorder)
-                .expect("compressed");
-            assert_prediction(
-                &format!("{name} seed {seed} compressed"),
-                p(Strategy::Compressed),
-                &comp.stats,
             );
         }
     }
@@ -223,4 +200,25 @@ fn frame_commutation_is_sound_at_state_level() {
         }
     }
     assert!(verified > 50, "expected many trackable injections, verified {verified}");
+}
+
+#[test]
+fn advise_and_verify_share_one_plan_compilation() {
+    // Regression for the duplicated-compile bug: asking for advice and
+    // verifying the same plan must compile the fused program exactly once.
+    let layered = native(&catalog::bv(5, 0b1011));
+    let set = generate(&layered, 3);
+    let recorder = AggregatingRecorder::new();
+    let plan =
+        noisy_qsim::analyzer::ExecutionPlan::compile_traced(&layered, &set, usize::MAX, &recorder);
+    let advice = noisy_qsim::analyzer::advise(&plan);
+    let plan = plan.with_advice(advice);
+    let diags = noisy_qsim::analyzer::verify(&plan);
+    assert!(diags.is_empty(), "{}", noisy_qsim::analyzer::render_tty(&diags));
+    assert!(plan.advice.is_some());
+    assert_eq!(
+        recorder.report().counter("plan.fuse_compile"),
+        1,
+        "advise + verify re-compiled the fused program"
+    );
 }

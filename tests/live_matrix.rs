@@ -119,17 +119,6 @@ fn final_snapshots_reconcile_bitwise_with_exec_stats_across_all_strategies() {
                 }),
             ),
             (
-                "compressed",
-                true,
-                Box::new(|r: &dyn Recorder| {
-                    ReuseExecutor::new(&layered)
-                        .run_compressed(trials, r)
-                        .expect("compressed")
-                        .0
-                        .stats
-                }),
-            ),
-            (
                 "parallel-baseline",
                 false,
                 Box::new(|r: &dyn Recorder| {
@@ -169,8 +158,8 @@ fn final_snapshots_reconcile_bitwise_with_exec_stats_across_all_strategies() {
             checked += 1;
         }
     }
-    // 12 benchmarks x 6 strategies.
-    assert_eq!(checked, 72);
+    // 12 benchmarks x 5 strategies.
+    assert_eq!(checked, 60);
 }
 
 #[test]

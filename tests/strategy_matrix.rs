@@ -45,23 +45,6 @@ fn all_strategies(
                 .outcomes,
         ),
         (
-            "compressed",
-            ReuseExecutor::new(layered)
-                .run_compressed(trials, &NullRecorder)
-                .expect("compressed")
-                .0
-                .outcomes,
-        ),
-        (
-            "compressed-budget-1",
-            ReuseExecutor::new(layered)
-                .with_budget(1)
-                .run_compressed(trials, &NullRecorder)
-                .expect("compressed budget")
-                .0
-                .outcomes,
-        ),
-        (
             "parallel-3",
             run_reordered_parallel(layered, trials, 3, &NullRecorder).expect("parallel").outcomes,
         ),
@@ -88,8 +71,8 @@ fn every_strategy_agrees_on_every_benchmark() {
             }
         }
     }
-    // 12 benchmarks × 2 generators × 6 strategies.
-    assert_eq!(checked, 144);
+    // 12 benchmarks × 2 generators × 4 strategies.
+    assert_eq!(checked, 96);
 }
 
 #[test]
@@ -108,8 +91,8 @@ fn every_strategy_agrees_on_every_tree_shape() {
             checked += 1;
         }
     }
-    // 6 shapes × 6 strategies.
-    assert_eq!(checked, 36);
+    // 6 shapes × 4 strategies.
+    assert_eq!(checked, 24);
 }
 
 /// The 13-circuit catalog the advisor matrix sweeps.
@@ -162,12 +145,10 @@ fn catalog_runs_are_bitwise_identical_across_seeds_and_cache_passes() {
 
             let fused = run(RunSpec::new(Walk::Baseline)).result;
             let reuse = run(RunSpec::default()).result;
-            let compressed = run(RunSpec { compressed: true, ..RunSpec::default() }).result;
             let cold = run(RunSpec { store: Some(&store), ..RunSpec::default() });
             let warm = run(RunSpec { store: Some(&store), ..RunSpec::default() });
 
             assert_bitwise(&label("reuse"), &sim, &reuse, &fused);
-            assert_bitwise(&label("compressed"), &sim, &compressed, &fused);
             assert_bitwise(&label("cold msvstore"), &sim, &cold.result, &fused);
             assert_bitwise(&label("warm msvstore"), &sim, &warm.result, &fused);
             let (cold, warm) = (cold.cache.expect("cached"), warm.cache.expect("cached"));
