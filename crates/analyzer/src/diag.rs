@@ -117,7 +117,7 @@ diag_codes! {
     FrameVerdictMismatch => ("A202", Error, "a claimed Pauli-frame trackability verdict disagrees with symbolic recommutation"),
     CostPredictionMismatch => ("A203", Error, "a claimed strategy cost prediction disagrees with the analytic cost model"),
     SuboptimalStrategy => ("A204", Warning, "the declared strategy is predicted to cost more amplitude passes than the ranked best"),
-    FrameTrackableSet => ("A205", Warning, "most trials are fully frame-trackable but the declared strategy does not track frames"),
+    FrameTrackableSet => ("A205", Warning, "most trials are fully frame-trackable; tracking their Pauli frames (no executor does) is predicted to save amplitude passes over the declared strategy"),
 }
 
 impl fmt::Display for DiagCode {

@@ -4,12 +4,12 @@
 //!
 //! Three analyses feed the recommendation:
 //!
-//! 1. **Frame commutation** ([`commute_injection`]): each injected Pauli is
+//! 1. **Frame commutation** ([`commute_frame`]): each injected Pauli is
 //!    conjugated forward through every fused operator after its cut. While
-//!    the suffix is Clifford the error stays a Pauli product, so a
-//!    hypothetical frame-tracking executor (TUSQ-style, ROADMAP item 2)
-//!    could absorb the trial into classical bookkeeping; the first
-//!    non-Clifford operator is a conservative bail-out.
+//!    the suffix is Clifford the error stays a Pauli product, so an
+//!    executor that tracks Pauli frames (TUSQ-style; none ships) could
+//!    absorb the trial into classical bookkeeping; the first non-Clifford
+//!    operator is a conservative bail-out.
 //! 2. **Pass prediction** ([`advise`]): closed forms for the sequential and
 //!    fused-baseline executors, and a symbolic replay of the streaming
 //!    reuse loop for the reuse executor. The replay walks the same
@@ -18,15 +18,14 @@
 //!    touching amplitudes — because the trial order sorts extensions
 //!    *before* their prefixes, the walk is bitwise-faithful to
 //!    `ExecStats` (the exactness suites assert equality, not closeness).
-//! 3. **Ranking**: strategies sorted by predicted amplitude passes, ties
-//!    broken toward implemented strategies ([`Advice::best_executable`]
-//!    additionally skips the predicted-only frame-tracking mode).
+//! 3. **Ranking**: the strategies that run, sorted by predicted amplitude
+//!    passes, exact ties broken toward reuse ([`Advice::best`]).
 //!
 //! The pass itself ([`check`]) re-derives all three analyses and flags any
 //! divergence from the claims a plan carries (`A202`/`A203` errors), plus
 //! advisory warnings when a *declared* strategy is predicted suboptimal
 //! (`A204`) or leaves a mostly frame-trackable trial set untracked
-//! (`A205`).
+//! (`A205`, which quotes the passes tracking frames would save).
 
 use std::collections::BTreeMap;
 
@@ -50,15 +49,11 @@ pub enum Strategy {
     Fused,
     /// Prefix-reuse streaming executor (under the plan's MSV budget).
     Reuse,
-    /// Pauli-frame tracking for fully trackable trials (predicted only;
-    /// no executor ships yet — see ROADMAP item 2).
-    FrameTracking,
 }
 
 impl Strategy {
     /// Every strategy the advisor costs, in declaration order.
-    pub const ALL: [Strategy; 4] =
-        [Strategy::Sequential, Strategy::Fused, Strategy::Reuse, Strategy::FrameTracking];
+    pub const ALL: [Strategy; 3] = [Strategy::Sequential, Strategy::Fused, Strategy::Reuse];
 
     /// Stable lower-case name (reports, JSON, CLI).
     pub fn name(self) -> &'static str {
@@ -66,28 +61,16 @@ impl Strategy {
             Strategy::Sequential => "sequential",
             Strategy::Fused => "fused",
             Strategy::Reuse => "reuse",
-            Strategy::FrameTracking => "frame-tracking",
         }
     }
 
-    /// Parse the stable name back; `None` for unknown strategies.
-    pub fn parse(text: &str) -> Option<Self> {
-        Strategy::ALL.into_iter().find(|s| s.name() == text)
-    }
-
-    /// Whether an executor for this strategy actually ships.
-    pub fn executable(self) -> bool {
-        !matches!(self, Strategy::FrameTracking)
-    }
-
     /// Tie-break rank: equal-cost strategies prefer the lower rank, so
-    /// implemented, cheaper-machinery strategies win exact ties.
+    /// cheaper-machinery strategies win exact ties.
     fn tie_rank(self) -> u8 {
         match self {
             Strategy::Reuse => 0,
             Strategy::Fused => 1,
             Strategy::Sequential => 2,
-            Strategy::FrameTracking => 3,
         }
     }
 }
@@ -99,8 +82,7 @@ impl std::fmt::Display for Strategy {
 }
 
 /// The cost model's prediction for one strategy — field-for-field what the
-/// matching executor reports in `ExecStats` (for the shipped strategies;
-/// frame tracking is a documented model, not a measurement contract).
+/// matching executor reports in `ExecStats`.
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StrategyPrediction {
@@ -161,17 +143,9 @@ pub struct Advice {
 }
 
 impl Advice {
-    /// The ranked-best prediction (frame tracking included).
+    /// The ranked-best prediction.
     pub fn best(&self) -> &StrategyPrediction {
         &self.predictions[0]
-    }
-
-    /// The best prediction whose executor actually ships.
-    pub fn best_executable(&self) -> &StrategyPrediction {
-        self.predictions
-            .iter()
-            .find(|p| p.strategy.executable())
-            .expect("the ranked set always contains executable strategies")
     }
 
     /// Look up one strategy's prediction.
@@ -347,12 +321,7 @@ fn predict_stream(
 /// Commute one injected Pauli forward through every fused operator after
 /// its cut. Returns the verdict plus the suffix pass count the injection's
 /// frame-tracked execution would eliminate.
-pub fn commute_injection(program: &FusedProgram, injection: &Injection) -> InjectionVerdict {
-    let prefix = PassPrefix::new(program);
-    commute_injection_with(program, &prefix, injection)
-}
-
-fn commute_injection_with(
+fn commute_injection(
     program: &FusedProgram,
     prefix: &PassPrefix,
     injection: &Injection,
@@ -437,7 +406,7 @@ pub fn advise(plan: &ExecutionPlan<'_>) -> Advice {
         for injection in trial.injections() {
             let verdict = *verdict_map
                 .entry(*injection)
-                .or_insert_with(|| commute_injection_with(program, &prefix, injection));
+                .or_insert_with(|| commute_injection(program, &prefix, injection));
             total_injections += 1;
             if verdict.trackable {
                 trackable_injections += 1;
@@ -475,28 +444,7 @@ pub fn advise(plan: &ExecutionPlan<'_>) -> Advice {
         predict_stream(&prefix, &plan.trials, &plan.order, plan.n_layers, plan.budget, |_| true)
             .prediction(Strategy::Reuse);
 
-    // Frame-tracking model (predicted only): fully trackable trials ride on
-    // one shared reference pass and cost no amplitude work of their own;
-    // the untracked remainder still streams with prefix reuse.
-    let tracked: Vec<bool> = plan
-        .trials
-        .iter()
-        .map(|t| t.injections().iter().all(|inj| verdict_map.get(inj).is_some_and(|v| v.trackable)))
-        .collect();
-    let any_tracked = tracked.iter().any(|&t| t);
-    let mut ft_counts =
-        predict_stream(&prefix, &plan.trials, &plan.order, plan.n_layers, plan.budget, |orig| {
-            !tracked.get(orig).copied().unwrap_or(false)
-        });
-    if any_tracked {
-        ft_counts.ops += total_source;
-        ft_counts.fused_ops += total_fused;
-        ft_counts.passes += total_fused;
-        ft_counts.peak = ft_counts.peak.max(1);
-    }
-    let frame_tracking = ft_counts.prediction(Strategy::FrameTracking);
-
-    let mut predictions = vec![sequential, fused, reuse, frame_tracking];
+    let mut predictions = vec![sequential, fused, reuse];
     predictions.sort_by_key(|p| (p.amplitude_passes, p.strategy.tie_rank()));
 
     Advice {
@@ -527,7 +475,7 @@ pub fn check(plan: &ExecutionPlan<'_>) -> Vec<Diagnostic> {
     if let Some(strategy) = plan.strategy {
         // Advisory findings judge the declared strategy against the model;
         // use the recomputed advice so corrupt claims cannot mask them.
-        check_declared_strategy(strategy, &recomputed, &mut diags);
+        check_declared_strategy(plan, strategy, &recomputed, &mut diags);
     }
     diags
 }
@@ -598,7 +546,38 @@ fn check_predictions(claimed: &Advice, recomputed: &Advice, diags: &mut Vec<Diag
     diags.push(Diagnostic::new(DiagCode::CostPredictionMismatch, Location::none(), detail));
 }
 
-fn check_declared_strategy(strategy: Strategy, advice: &Advice, diags: &mut Vec<Diagnostic>) {
+/// Amplitude passes if trackable trials tracked their Pauli frames, the
+/// figure `A205` quotes. Fully trackable trials ride on one shared
+/// reference pass and cost no amplitude work of their own; the untracked
+/// remainder still streams with prefix reuse. No executor tracks frames.
+fn frame_tracked_passes(plan: &ExecutionPlan<'_>, advice: &Advice) -> u64 {
+    let prefix = PassPrefix::new(&plan.program);
+    let trackable = |inj: &Injection| {
+        advice
+            .verdicts
+            .binary_search_by_key(inj, |v| v.injection)
+            .is_ok_and(|at| advice.verdicts[at].trackable)
+    };
+    let tracked =
+        |orig: usize| plan.trials.get(orig).is_some_and(|t| t.injections().iter().all(trackable));
+    let untracked =
+        predict_stream(&prefix, &plan.trials, &plan.order, plan.n_layers, plan.budget, |orig| {
+            !tracked(orig)
+        });
+    let reference = if advice.trackable_trials > 0 {
+        prefix.through(plan.program.n_layers() as i64 - 1).1
+    } else {
+        0
+    };
+    untracked.passes + reference
+}
+
+fn check_declared_strategy(
+    plan: &ExecutionPlan<'_>,
+    strategy: Strategy,
+    advice: &Advice,
+    diags: &mut Vec<Diagnostic>,
+) {
     let Some(declared) = advice.prediction(strategy) else {
         return;
     };
@@ -613,16 +592,13 @@ fn check_declared_strategy(strategy: Strategy, advice: &Advice, diags: &mut Vec<
             ),
         ));
     }
-    let tracking = advice.prediction(Strategy::FrameTracking);
-    if strategy != Strategy::FrameTracking
-        && advice.n_trials > 0
-        && 2 * advice.trackable_trials >= advice.n_trials
-        && tracking.is_some_and(|t| t.amplitude_passes < declared.amplitude_passes)
-    {
+    if advice.n_trials == 0 || 2 * advice.trackable_trials < advice.n_trials {
+        return;
+    }
+    let tracked = frame_tracked_passes(plan, advice);
+    if tracked < declared.amplitude_passes {
         let pct = (100.0 * advice.trackable_fraction()).round() as u64;
-        let saved = declared
-            .amplitude_passes
-            .saturating_sub(tracking.expect("checked above").amplitude_passes);
+        let saved = declared.amplitude_passes - tracked;
         diags.push(Diagnostic::new(
             DiagCode::FrameTrackableSet,
             Location::none(),
@@ -631,12 +607,6 @@ fn check_declared_strategy(strategy: Strategy, advice: &Advice, diags: &mut Vec<
             ),
         ));
     }
-}
-
-/// Convenience: recompute the structure pass's claims alongside the
-/// advisor's — what `ExecutionPlan::with_advice` callers attach.
-pub fn advice_for(plan: &ExecutionPlan<'_>) -> Advice {
-    advise(plan)
 }
 
 #[cfg(test)]
@@ -673,11 +643,10 @@ mod tests {
         assert!(advice.verdicts.iter().all(|v| v.trackable));
         assert_eq!(advice.trackable_trials, advice.n_trials);
         assert_eq!(advice.trackable_injections, advice.total_injections);
-        // With everything tracked, the model predicts one reference pass.
-        let ft = advice.prediction(Strategy::FrameTracking).expect("ranked");
-        assert_eq!(ft.fused_ops, plan.program.total_fused_ops() as u64);
-        assert_eq!(advice.best().strategy, Strategy::FrameTracking);
-        assert!(advice.best_executable().strategy.executable());
+        // With everything tracked, the A205 model charges one reference
+        // pass; the ranking only holds strategies that run.
+        assert_eq!(frame_tracked_passes(&plan, &advice), plan.program.total_fused_ops() as u64);
+        assert_eq!(advice.best().strategy, Strategy::Reuse);
     }
 
     #[test]
@@ -755,5 +724,11 @@ mod tests {
         assert!(diags.iter().any(|d| d.code == DiagCode::SuboptimalStrategy));
         assert!(diags.iter().any(|d| d.code == DiagCode::FrameTrackableSet));
         assert!(!crate::has_errors(&diags), "advisory findings are warnings");
+        // Reuse is the ranked best, so declaring it draws no A204; the set
+        // stays frame-trackable, so A205 still fires.
+        let plan = plan.with_strategy(Strategy::Reuse);
+        let diags = check(&plan);
+        assert!(!diags.iter().any(|d| d.code == DiagCode::SuboptimalStrategy), "{diags:?}");
+        assert!(diags.iter().any(|d| d.code == DiagCode::FrameTrackableSet));
     }
 }

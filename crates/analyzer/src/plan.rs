@@ -153,8 +153,8 @@ impl<'a> ExecutionPlan<'a> {
 
     /// [`ExecutionPlan::compile`] with telemetry: bumps the
     /// `"plan.fuse_compile"` counter once per fused-program compilation,
-    /// so callers sharing one plan across consumers (`qsim verify` +
-    /// `qsim advise`, the auto-select hook) can prove fuse work is not
+    /// so a caller sharing one plan across consumers (`qsim advise` both
+    /// advises and verifies from one plan) can prove fuse work is not
     /// repeated.
     pub fn compile_traced<R: Recorder + ?Sized>(
         layered: &'a LayeredCircuit,

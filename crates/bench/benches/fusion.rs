@@ -1,11 +1,13 @@
 //! Wall-clock comparison of fused vs unfused execution — the gate-fusion
-//! layer's speedup on the heavier Yorktown benchmarks.
+//! layer's speedup on the heavier Yorktown benchmarks. The unfused side is
+//! the layer-by-layer reference, `redsim::testkit::run_unfused`.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qsim_telemetry::NullRecorder;
 use redsim::exec::{BaselineExecutor, ReuseExecutor};
+use redsim::testkit::run_unfused;
 use redsim_bench::suite::{yorktown_model, yorktown_suite};
 
 fn fusion(c: &mut Criterion) {
@@ -21,16 +23,11 @@ fn fusion(c: &mut Criterion) {
             .expect("valid model")
             .generate(256, 2020);
         group.bench_with_input(BenchmarkId::new("baseline_unfused", name), &trials, |b, t| {
-            let exec = BaselineExecutor::new(&bench.layered);
-            b.iter(|| exec.run_unfused(t.trials()).expect("execution succeeds"));
+            b.iter(|| run_unfused(&bench.layered, t.trials()).expect("execution succeeds"));
         });
         group.bench_with_input(BenchmarkId::new("baseline_fused", name), &trials, |b, t| {
             let exec = BaselineExecutor::new(&bench.layered);
             b.iter(|| exec.run(t.trials(), &NullRecorder).expect("execution succeeds"));
-        });
-        group.bench_with_input(BenchmarkId::new("reuse_unfused", name), &trials, |b, t| {
-            let exec = ReuseExecutor::new(&bench.layered);
-            b.iter(|| exec.run_unfused(t.trials()).expect("execution succeeds"));
         });
         group.bench_with_input(BenchmarkId::new("reuse_fused", name), &trials, |b, t| {
             let exec = ReuseExecutor::new(&bench.layered);

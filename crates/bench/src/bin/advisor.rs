@@ -1,6 +1,8 @@
 //! Advisor accuracy: the static cost model's per-strategy predictions
-//! against the stats every shipped executor actually measures, across the
-//! Yorktown suite. Results are written to `BENCH_advisor.json`.
+//! against measured stats across the Yorktown suite: the fused baseline
+//! and reuse executors, and the unfused reference
+//! `redsim::testkit::run_unfused` for the sequential row. Results are
+//! written to `BENCH_advisor.json`.
 //!
 //! Each row covers one (benchmark, strategy) pair: predicted and measured
 //! amplitude passes plus the relative error. The model is designed to be
@@ -13,6 +15,7 @@ use qsim_analyzer::{advise, ExecutionPlan, Strategy};
 use qsim_noise::TrialGenerator;
 use qsim_telemetry::NullRecorder;
 use redsim::exec::{BaselineExecutor, ExecStats, ReuseExecutor};
+use redsim::testkit::run_unfused;
 use redsim_bench::report::ResultsDoc;
 use redsim_bench::suite::{yorktown_model, yorktown_suite};
 use redsim_bench::table::Table;
@@ -71,10 +74,11 @@ fn main() {
             (p.amplitude_passes, p.msv_peak)
         };
 
-        let baseline = BaselineExecutor::new(&bench.layered);
-        let seq = baseline.run_unfused(set.trials()).expect("sequential run");
+        let seq = run_unfused(&bench.layered, set.trials()).expect("sequential run");
         rows.push(Row::new(&bench.name, Strategy::Sequential, p(Strategy::Sequential), &seq.stats));
-        let fused = baseline.run(set.trials(), &NullRecorder).expect("fused run");
+        let fused = BaselineExecutor::new(&bench.layered)
+            .run(set.trials(), &NullRecorder)
+            .expect("fused run");
         rows.push(Row::new(&bench.name, Strategy::Fused, p(Strategy::Fused), &fused.stats));
         let reuse =
             ReuseExecutor::new(&bench.layered).run(set.trials(), &NullRecorder).expect("reuse run");
@@ -82,7 +86,7 @@ fn main() {
 
         recommendations.push(json::object(&[
             ("bench", json::string(&bench.name)),
-            ("recommended", json::string(advice.best_executable().strategy.name())),
+            ("recommended", json::string(advice.best().strategy.name())),
             ("trackable_fraction", json::number(advice.trackable_fraction())),
         ]));
     }

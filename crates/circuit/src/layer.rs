@@ -261,28 +261,6 @@ impl LayeredCircuit {
         Ok(self.layers[l].len())
     }
 
-    /// Apply layers `from..=to` (inclusive bounds, `from <= to`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`StateVecError`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bounds are out of range.
-    pub fn apply_layer_range(
-        &self,
-        from: usize,
-        to: usize,
-        state: &mut StateVector,
-    ) -> Result<usize, StateVecError> {
-        let mut ops = 0;
-        for l in from..=to {
-            ops += self.apply_layer(l, state)?;
-        }
-        Ok(ops)
-    }
-
     /// Run all layers on `|0…0⟩` (noiseless reference).
     ///
     /// # Errors
@@ -387,16 +365,6 @@ mod tests {
         let direct = qc.simulate().unwrap();
         let layered = qc.layered().unwrap().simulate().unwrap();
         assert!(direct.fidelity(&layered).unwrap() > 1.0 - 1e-12);
-    }
-
-    #[test]
-    fn apply_layer_range_counts_ops() {
-        let mut qc = Circuit::new("t", 2, 2);
-        qc.h(0).h(1).cx(0, 1).x(1);
-        let layered = qc.layered().unwrap();
-        let mut s = qsim_statevec::StateVector::zero_state(2);
-        let ops = layered.apply_layer_range(0, layered.n_layers() - 1, &mut s).unwrap();
-        assert_eq!(ops, 4);
     }
 
     #[test]

@@ -274,7 +274,7 @@ fn advise(prepared: &Circuit, opts: &Options, out: &mut dyn Write) -> Result<(),
     let plan = plan.with_strategy(declared).with_advice(advice);
     let diagnostics = qsim_analyzer::verify(&plan);
     let advice = plan.advice.as_ref().expect("advice just attached");
-    let best = advice.best_executable();
+    let best = advice.best();
 
     if opts.json {
         let advice_json = serde_json::to_string(advice)
@@ -321,14 +321,10 @@ fn advise(prepared: &Circuit, opts: &Options, out: &mut dyn Write) -> Result<(),
         let n_qubits = sim.layered().n_qubits();
         for p in &advice.predictions {
             let marker = if p.strategy == best.strategy { '>' } else { ' ' };
-            let name = if p.strategy.executable() {
-                p.strategy.name().to_owned()
-            } else {
-                format!("{}*", p.strategy)
-            };
             writeln!(
                 out,
-                "{marker} {name:<16} {:>14} {:>14} {:>14} {:>5} {:>12.3e}",
+                "{marker} {:<16} {:>14} {:>14} {:>14} {:>5} {:>12.3e}",
+                p.strategy.name(),
                 p.amplitude_passes,
                 p.ops,
                 p.fused_ops,
@@ -336,9 +332,6 @@ fn advise(prepared: &Circuit, opts: &Options, out: &mut dyn Write) -> Result<(),
                 p.amplitude_updates(n_qubits),
             )
             .map_err(io_err)?;
-        }
-        if advice.predictions.iter().any(|p| !p.strategy.executable()) {
-            writeln!(out, "  (* predicted only; no executor ships yet)").map_err(io_err)?;
         }
         let declared = advice.prediction(declared).expect("declared strategies are always ranked");
         write!(out, "\nrecommended: {}", best.strategy).map_err(io_err)?;
@@ -1299,7 +1292,7 @@ mod tests {
         let file = bell_file();
         let text =
             run_cli(&["advise", &file.path_str(), "--trials", "128", "--seed", "4"]).unwrap();
-        for name in ["sequential", "fused", "reuse", "frame-tracking"] {
+        for name in ["sequential", "fused", "reuse"] {
             assert!(text.contains(name), "missing {name}:\n{text}");
         }
         assert!(text.contains("recommended:"), "{text}");
@@ -1319,7 +1312,7 @@ mod tests {
 
     #[test]
     fn advise_warns_when_a_declared_strategy_is_suboptimal() {
-        // Bell is all-Clifford, so frame tracking dominates, and reuse
+        // Bell is all-Clifford, so every trial is frame-trackable, and reuse
         // beats the fused baseline: declaring --baseline draws both the
         // suboptimal-strategy and trackable-set warnings.
         let file = bell_file();
@@ -1328,6 +1321,34 @@ mod tests {
                 .unwrap();
         assert!(text.contains("A204"), "expected suboptimal-strategy warning:\n{text}");
         assert!(text.contains("A205"), "expected frame-trackable-set warning:\n{text}");
+    }
+
+    #[test]
+    fn advise_ranks_only_strategies_that_run() {
+        // Reuse is the ranked best, so the default (reuse) declaration
+        // draws no A204 and no row names a strategy without an executor;
+        // declaring the fused baseline draws an A204 that names reuse.
+        let bv5 = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmarks/yorktown/bv5.qasm");
+        let args = ["advise", bv5, "--no-transpile", "--trials", "512", "--seed", "3"];
+        let text = run_cli(&args).unwrap();
+        assert!(!text.contains("A204"), "{text}");
+        let mut rows: Vec<&str> = text
+            .lines()
+            .skip_while(|line| !line.trim_start().starts_with("strategy"))
+            .skip(1)
+            .take_while(|line| !line.is_empty())
+            .filter_map(|line| line[1..].split_whitespace().next())
+            .collect();
+        rows.sort_unstable();
+        assert_eq!(rows, ["fused", "reuse", "sequential"], "{text}");
+        assert!(text.contains("recommended: reuse"), "{text}");
+        let text = run_cli(&[&args[..], &["--baseline"]].concat()).unwrap();
+        let a204 = text
+            .lines()
+            .find(|line| line.contains("A204"))
+            .unwrap_or_else(|| panic!("expected an A204 under --baseline:\n{text}"));
+        assert!(a204.contains("strategy=fused"), "{a204}");
+        assert!(a204.contains("; reuse is predicted to take"), "{a204}");
     }
 
     #[test]

@@ -13,14 +13,15 @@
 //! buffer recycles through a [`StatePool`], and drives the budgeted,
 //! parallel and cross-run-cached runs too.
 //!
-//! Since the fusion layer landed, both executors run the *same*
-//! [`FusedProgram`], compiled once per trial set with cut-points at the
-//! union of the set's injection layers (see `qsim_circuit::fuse`). Fusion
-//! changes which floating-point operations produce a final state — so fused
-//! results match the unfused path only up to numerical tolerance — but
-//! every strategy sharing one program still replays identical float
-//! sequences per trial, preserving the bitwise-identity guarantee between
-//! baseline and reuse (and budgeted, parallel, cached) runs.
+//! A [`FusedProgram`] is the only way either executor advances a state.
+//! It is compiled once per trial set with cut-points at the union of the
+//! set's injection layers (see `qsim_circuit::fuse`). Fusion changes which
+//! floating-point operations produce a final state, so fused results match
+//! the layer-by-layer reference ([`crate::testkit::run_unfused`]) only up
+//! to numerical tolerance. Every strategy sharing one program still replays
+//! identical float sequences per trial, preserving the bitwise-identity
+//! guarantee between baseline and reuse (and budgeted, parallel, cached)
+//! runs.
 //!
 //! Cost accounting is two-metric:
 //!
@@ -37,7 +38,7 @@ use std::fmt;
 use qsim_circuit::{FusedProgram, LayeredCircuit};
 use qsim_noise::{injection_cut_layers, Injection, Trial};
 use qsim_statevec::{MeasureOutcome, StatePool, StateVector};
-use qsim_telemetry::{Heartbeat, KernelClass, MsvEvent, NullRecorder, Recorder};
+use qsim_telemetry::{Heartbeat, KernelClass, MsvEvent, Recorder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -90,80 +91,42 @@ pub struct RunResult {
     pub stats: ExecStats,
 }
 
-/// How an executor advances a state through the circuit: fused segments
-/// (the default) or the pre-fusion layer-by-layer path (kept as reference
-/// and benchmark comparator).
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Engine<'p> {
-    Fused(&'p FusedProgram),
-    Layers,
-}
-
-impl Engine<'_> {
-    /// Apply layers `done+1 ..= through`, returning `(source_gates,
-    /// amplitude_passes)` performed.
-    fn advance(
-        &self,
-        layered: &LayeredCircuit,
-        state: &mut StateVector,
-        done: &mut i64,
-        through: i64,
-    ) -> Result<(u64, u64), SimError> {
-        match self {
-            Engine::Fused(program) => Ok(program.apply_through(state, done, through)?),
-            Engine::Layers => {
-                let mut ops = 0u64;
-                while *done < through {
-                    *done += 1;
-                    ops += layered.apply_layer(*done as usize, state)? as u64;
-                }
-                Ok((ops, ops))
-            }
-        }
+/// Apply layers `done+1 ..= through` of `program`, returning
+/// `(source_gates, amplitude_passes)` performed. Each fused op is
+/// individually timed and attributed to `phase`; a recorder that declines
+/// per-kernel timing gets one batched `unfused` observation instead.
+/// Disabled recorders short-circuit to the unobserved path (no clock
+/// reads).
+fn advance_traced<R: Recorder + ?Sized>(
+    program: &FusedProgram,
+    state: &mut StateVector,
+    done: &mut i64,
+    through: i64,
+    recorder: &R,
+    phase: &'static str,
+) -> Result<(u64, u64), SimError> {
+    if !recorder.enabled() {
+        return Ok(program.apply_through(state, done, through)?);
     }
-
-    /// [`Engine::advance`] with per-kernel telemetry: each fused op is
-    /// individually timed and attributed to `phase`; the layer-by-layer
-    /// engine — and any engine observed by a recorder that declines
-    /// per-kernel timing — reports one batched `unfused` observation.
-    /// Disabled recorders short-circuit to the unobserved path (no clock
-    /// reads).
-    fn advance_traced<R: Recorder + ?Sized>(
-        &self,
-        layered: &LayeredCircuit,
-        state: &mut StateVector,
-        done: &mut i64,
-        through: i64,
-        recorder: &R,
-        phase: &'static str,
-    ) -> Result<(u64, u64), SimError> {
-        if !recorder.enabled() {
-            return self.advance(layered, state, done, through);
-        }
-        match self {
-            Engine::Fused(program) if recorder.kernel_timing() => Ok(program
-                .apply_through_observed(state, done, through, &mut |op, layer, ns| {
-                    let class =
-                        KernelClass::from_name(op.kernel_name()).unwrap_or(KernelClass::Unfused);
-                    recorder.kernel(phase, class, layer as u64, 1, ns);
-                })?),
-            Engine::Fused(_) | Engine::Layers => {
-                let start = recorder.now_ns();
-                let counts = self.advance(layered, state, done, through)?;
-                let ns = recorder.now_ns().saturating_sub(start);
-                if counts.1 > 0 {
-                    recorder.kernel(
-                        phase,
-                        KernelClass::Unfused,
-                        through.max(0) as u64,
-                        counts.1,
-                        ns,
-                    );
-                }
-                Ok(counts)
-            }
-        }
+    if recorder.kernel_timing() {
+        return Ok(program.apply_through_observed(
+            state,
+            done,
+            through,
+            &mut |op, layer, ns| {
+                let class =
+                    KernelClass::from_name(op.kernel_name()).unwrap_or(KernelClass::Unfused);
+                recorder.kernel(phase, class, layer as u64, 1, ns);
+            },
+        )?);
     }
+    let start = recorder.now_ns();
+    let counts = program.apply_through(state, done, through)?;
+    let ns = recorder.now_ns().saturating_sub(start);
+    if counts.1 > 0 {
+        recorder.kernel(phase, KernelClass::Unfused, through.max(0) as u64, counts.1, ns);
+    }
+    Ok(counts)
 }
 
 /// Apply one injected error operator, timed under the `error` kernel class
@@ -324,7 +287,8 @@ impl<'a> BaselineExecutor<'a> {
     /// compiled for this trial set. Instrumentation streams into
     /// `recorder`: per-kernel timings (phase `"baseline"`), a
     /// `"run/baseline"` span, and end-of-run counters mirroring the
-    /// returned [`ExecStats`]. Pass [`NullRecorder`] for none.
+    /// returned [`ExecStats`]. Pass
+    /// [`NullRecorder`](qsim_telemetry::NullRecorder) for none.
     ///
     /// # Errors
     ///
@@ -337,26 +301,15 @@ impl<'a> BaselineExecutor<'a> {
         recorder: &R,
     ) -> Result<RunResult, SimError> {
         let program = fuse_for_trials_traced(self.layered, trials, recorder);
-        self.run_engine(Engine::Fused(&program), trials, recorder)
+        self.run_engine(&program, trials, recorder)
     }
 
-    /// Execute layer-by-layer without fusion — the pre-fusion reference
-    /// path (unfused results differ from fused ones by float rounding
-    /// only).
-    ///
-    /// # Errors
-    ///
-    /// As [`BaselineExecutor::run`].
-    pub fn run_unfused(&self, trials: &[Trial]) -> Result<RunResult, SimError> {
-        self.run_engine(Engine::Layers, trials, &NullRecorder)
-    }
-
-    /// Execute through `engine`; a shared program keeps several runs — or
+    /// Execute through `program`; a shared program keeps several runs — or
     /// several worker threads — bitwise comparable. Rejects injections
     /// that do not land on one of the program's cut-points.
     pub(crate) fn run_engine<R: Recorder + ?Sized>(
         &self,
-        engine: Engine<'_>,
+        program: &FusedProgram,
         trials: &[Trial],
         recorder: &R,
     ) -> Result<RunResult, SimError> {
@@ -366,9 +319,7 @@ impl<'a> BaselineExecutor<'a> {
         for trial in trials {
             validate(trial, n_layers)?;
         }
-        if let Engine::Fused(program) = engine {
-            validate_program(program, layered, trials)?;
-        }
+        validate_program(program, layered, trials)?;
         #[cfg(feature = "paranoid")]
         paranoid_verify(layered, trials, usize::MAX)?;
         let span_start = recorder.now_ns();
@@ -386,8 +337,8 @@ impl<'a> BaselineExecutor<'a> {
                 } else {
                     last_layer
                 };
-                let (src, passes) = engine
-                    .advance_traced(layered, &mut state, &mut done, target, recorder, "baseline")?;
+                let (src, passes) =
+                    advance_traced(program, &mut state, &mut done, target, recorder, "baseline")?;
                 stats.ops += src;
                 stats.fused_ops += passes;
                 stats.amplitude_passes += passes;
@@ -487,7 +438,8 @@ impl<'a> ReuseExecutor<'a> {
     /// `"reuse/remainder"`), MSV lifecycle events with live residency,
     /// per-trial prefix-cache lookups, pool-reuse counters, a
     /// `"run/reuse"` span, and end-of-run counters mirroring the returned
-    /// [`ExecStats`]. Pass [`NullRecorder`] for none.
+    /// [`ExecStats`]. Pass [`NullRecorder`](qsim_telemetry::NullRecorder)
+    /// for none.
     ///
     /// # Errors
     ///
@@ -502,31 +454,19 @@ impl<'a> ReuseExecutor<'a> {
         let program = fuse_for_trials_traced(self.layered, trials, recorder);
         collect(trials.len(), |out| {
             let sink = |index, outcome| out[index] = Some(outcome);
-            self.walk(Engine::Fused(&program), trials, PrefixCache::Off, sink, recorder)
-        })
-    }
-
-    /// Execute layer-by-layer without fusion — the pre-fusion reference
-    /// path (kept for benchmarks and numerical cross-checks).
-    ///
-    /// # Errors
-    ///
-    /// As [`ReuseExecutor::run`].
-    pub fn run_unfused(&self, trials: &[Trial]) -> Result<RunResult, SimError> {
-        collect(trials.len(), |out| {
-            let sink = |index, outcome| out[index] = Some(outcome);
-            self.walk(Engine::Layers, trials, PrefixCache::Off, sink, &NullRecorder)
+            self.walk(&program, trials, PrefixCache::Off, sink, recorder)
         })
     }
 
     /// The reuse walk, the only per-state trie walk: every executor that
-    /// caches frontiers runs it, recycling their buffers through one
-    /// [`StatePool`]. Outcomes go to `sink(original_trial_index, outcome)`
-    /// in processing order. A [`PrefixCache::Seed`] that does not match
-    /// the trial set's shared-prefix layer or register width is rejected.
+    /// caches frontiers runs it over `program`, recycling their buffers
+    /// through one [`StatePool`]. Outcomes go to
+    /// `sink(original_trial_index, outcome)` in processing order. A
+    /// [`PrefixCache::Seed`] that does not match the trial set's
+    /// shared-prefix layer or register width is rejected.
     pub(crate) fn walk<F, R>(
         &self,
-        engine: Engine<'_>,
+        program: &FusedProgram,
         trials: &[Trial],
         prefix: PrefixCache<'_>,
         mut sink: F,
@@ -548,9 +488,7 @@ impl<'a> ReuseExecutor<'a> {
         for trial in trials {
             validate(trial, n_layers)?;
         }
-        if let Engine::Fused(program) = engine {
-            validate_program(program, layered, trials)?;
-        }
+        validate_program(program, layered, trials)?;
         #[cfg(feature = "paranoid")]
         paranoid_verify(layered, trials, budget)?;
         let mut pool = StatePool::new();
@@ -634,8 +572,8 @@ impl<'a> ReuseExecutor<'a> {
                 let top = stack.last_mut().expect("nonempty stack");
                 let mut outcome = None;
                 if terminal || top.done < target {
-                    let (src, passes) = engine.advance_traced(
-                        layered,
+                    let (src, passes) = advance_traced(
+                        program,
                         &mut top.state,
                         &mut top.done,
                         target,
@@ -727,8 +665,8 @@ impl<'a> ReuseExecutor<'a> {
                     stats.ops += 1;
                     stats.amplitude_passes += 1;
                     for inj in &injections[d + 1..] {
-                        let (src, passes) = engine.advance_traced(
-                            layered,
+                        let (src, passes) = advance_traced(
+                            program,
                             &mut working,
                             &mut done,
                             inj.layer() as i64,
@@ -742,8 +680,8 @@ impl<'a> ReuseExecutor<'a> {
                         stats.ops += 1;
                         stats.amplitude_passes += 1;
                     }
-                    let (src, passes) = engine.advance_traced(
-                        layered,
+                    let (src, passes) = advance_traced(
+                        program,
                         &mut working,
                         &mut done,
                         last_layer,
@@ -781,7 +719,11 @@ impl<'a> ReuseExecutor<'a> {
 /// Sample the trial's measurement outcome: Born-rule sampling with the
 /// trial's private seed, classical readout flips, then mapping measured
 /// qubits onto the classical register.
-fn measure(layered: &LayeredCircuit, state: &StateVector, trial: &Trial) -> MeasureOutcome {
+pub(crate) fn measure(
+    layered: &LayeredCircuit,
+    state: &StateVector,
+    trial: &Trial,
+) -> MeasureOutcome {
     let mut rng = StdRng::seed_from_u64(trial.seed());
     let mut qubit_outcome = state.sample(&mut rng);
     trial.apply_meas_flips(&mut qubit_outcome);
@@ -794,7 +736,8 @@ fn measure(layered: &LayeredCircuit, state: &StateVector, trial: &Trial) -> Meas
     classical
 }
 
-fn validate(trial: &Trial, n_layers: usize) -> Result<(), SimError> {
+/// Reject a trial that injects after the circuit's last layer.
+pub(crate) fn validate(trial: &Trial, n_layers: usize) -> Result<(), SimError> {
     if let Some(inj) = trial.injections().last() {
         if inj.layer() >= n_layers {
             return Err(SimError::LayerOutOfRange { layer: inj.layer(), n_layers });
@@ -810,6 +753,7 @@ mod tests {
     use crate::testkit::{scaled_rates, uniform_workload};
     use qsim_circuit::catalog;
     use qsim_noise::TrialSet;
+    use qsim_telemetry::NullRecorder;
 
     fn generate(
         circuit: &qsim_circuit::Circuit,
@@ -904,7 +848,11 @@ mod tests {
             Err(SimError::LayerOutOfRange { .. })
         ));
         assert!(matches!(
-            BaselineExecutor::new(&layered).run(&[bad], &NullRecorder),
+            BaselineExecutor::new(&layered).run(std::slice::from_ref(&bad), &NullRecorder),
+            Err(SimError::LayerOutOfRange { .. })
+        ));
+        assert!(matches!(
+            crate::testkit::run_unfused(&layered, &[bad]),
             Err(SimError::LayerOutOfRange { .. })
         ));
     }
@@ -917,12 +865,11 @@ mod tests {
         let program = FusedProgram::new(&layered, &[]);
         let has_injection = set.trials().iter().any(|t| t.n_injections() > 0);
         assert!(has_injection, "workload too clean to exercise the check");
-        let engine = Engine::Fused(&program);
         let result =
-            BaselineExecutor::new(&layered).run_engine(engine, set.trials(), &NullRecorder);
+            BaselineExecutor::new(&layered).run_engine(&program, set.trials(), &NullRecorder);
         assert!(matches!(result, Err(SimError::Circuit(_))));
         let result = ReuseExecutor::new(&layered).walk(
-            engine,
+            &program,
             set.trials(),
             PrefixCache::Off,
             |_, _| {},
@@ -955,7 +902,7 @@ mod tests {
         let program = fuse_for_trials(&layered, set.trials());
         let stats = ReuseExecutor::new(&layered)
             .walk(
-                Engine::Fused(&program),
+                &program,
                 set.trials(),
                 PrefixCache::Off,
                 |index, outcome| {
@@ -1013,7 +960,7 @@ mod tests {
     fn unfused_reference_agrees_up_to_tolerance_and_counts_every_pass() {
         let (layered, set) = generate(&catalog::qft(4), 3.0, 200, 23);
         let fused = BaselineExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
-        let unfused = BaselineExecutor::new(&layered).run_unfused(set.trials()).unwrap();
+        let unfused = crate::testkit::run_unfused(&layered, set.trials()).unwrap();
         // Identical paper metric; fused never performs *more* passes (a
         // dense cut union can leave nothing to merge, so not strictly
         // fewer here — see below for a sparse-cut workload).
@@ -1029,8 +976,6 @@ mod tests {
             diff += (fused_hist.probability(index) - unfused_hist.probability(index)).abs();
         }
         assert!(diff / 2.0 < 0.15, "fused/unfused histograms diverged: tv {diff}");
-        let reuse_unfused = ReuseExecutor::new(&layered).run_unfused(set.trials()).unwrap();
-        assert_eq!(reuse_unfused.outcomes, unfused.outcomes, "unfused paths stay bitwise equal");
     }
 
     #[test]

@@ -32,8 +32,8 @@ use qsim_statevec::MeasureOutcome;
 use qsim_telemetry::Recorder;
 
 use crate::exec::{
-    collect, fuse_for_trials_traced, BaselineExecutor, Engine, ExecStats, PrefixCache,
-    ReuseExecutor, RunResult,
+    collect, fuse_for_trials_traced, BaselineExecutor, ExecStats, PrefixCache, ReuseExecutor,
+    RunResult,
 };
 use crate::order::{compare_trials, lcp};
 use crate::SimError;
@@ -112,11 +112,7 @@ pub fn run_baseline_parallel<R: Recorder + ?Sized>(
             .map(|chunk| {
                 let program = &program;
                 scope.spawn(move || {
-                    BaselineExecutor::new(layered).run_engine(
-                        Engine::Fused(program),
-                        chunk,
-                        recorder,
-                    )
+                    BaselineExecutor::new(layered).run_engine(program, chunk, recorder)
                 })
             })
             .collect();
@@ -202,7 +198,7 @@ pub fn run_reordered_parallel<R: Recorder + ?Sized>(
                         idx_chunk.iter().map(|&i| trials[i].clone()).collect();
                     let result = collect(chunk_trials.len(), |out| {
                         ReuseExecutor::new(layered).walk(
-                            Engine::Fused(program),
+                            program,
                             &chunk_trials,
                             PrefixCache::Off,
                             |index, outcome| out[index] = Some(outcome),

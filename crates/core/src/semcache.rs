@@ -26,7 +26,7 @@ use qsim_statevec::StateVector;
 use qsim_telemetry::{names, Recorder};
 use redsim_msvstore::{MsvStore, SemanticKey, DEFAULT_SEED_POLICY};
 
-use crate::exec::{collect, fuse_for_trials_traced, Engine, PrefixCache, ReuseExecutor, RunResult};
+use crate::exec::{collect, fuse_for_trials_traced, PrefixCache, ReuseExecutor, RunResult};
 use crate::SimError;
 
 /// What the semantic prefix cache did for one run.
@@ -129,7 +129,7 @@ pub fn run_reordered_cached<R: Recorder + ?Sized>(
     };
     let result = collect(trials.len(), |out| {
         let sink = |index, outcome| out[index] = Some(outcome);
-        executor.walk(Engine::Fused(&program), trials, prefix, sink, recorder)
+        executor.walk(&program, trials, prefix, sink, recorder)
     })?;
     if let Some(state) = captured {
         if let Ok(put) = store.put(&key, state.amplitudes()) {

@@ -479,7 +479,8 @@ mod tests {
             &NullRecorder,
         );
         assert_eq!(cached.unwrap_err(), too_wide);
-        // So do the noiseless references.
+        // So do the unfused oracle and the noiseless references.
+        assert_eq!(crate::testkit::run_unfused(layered, trials), Err(too_wide.clone()));
         assert_eq!(wide.simulate().unwrap_err(), state_error);
         assert_eq!(layered.simulate().unwrap_err(), state_error);
         assert_eq!(fuse_for_trials(layered, trials).simulate().unwrap_err(), state_error);

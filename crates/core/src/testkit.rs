@@ -8,6 +8,11 @@
 //! own ad-hoc copy; this module is the single seeded source. Everything
 //! here is deterministic (xorshift, fixed seeds threaded through) so the
 //! bitwise-identity contracts the tests state stay meaningful.
+//!
+//! It also holds the one unfused reference executor, [`run_unfused`]: every
+//! trial from scratch, layer by layer, with no fusion. The executors never
+//! run it; tests and benches use it as the numerical oracle and to measure
+//! the advisor's `sequential` row.
 
 use std::path::Path;
 
@@ -15,6 +20,9 @@ use qsim_circuit::transpile::{transpile, TranspileOptions};
 use qsim_circuit::{catalog, Circuit, CouplingMap, LayeredCircuit};
 use qsim_noise::{Injection, NoiseModel, Trial, TrialGenerator, TrialSet};
 use qsim_statevec::{Pauli, StateVector, C64};
+
+use crate::exec::{measure, validate, ExecStats, RunResult};
+use crate::SimError;
 
 /// Deterministic xorshift64* generator — reproducible across platforms,
 /// zero dependencies. Used wherever a test needs "random" data.
@@ -66,6 +74,57 @@ pub fn uniform_workload(
     let model = NoiseModel::uniform(circuit.n_qubits(), rates.0, rates.1, rates.2);
     let set = TrialGenerator::new(&layered, &model).expect("native circuit").generate(trials, seed);
     (layered, set)
+}
+
+/// Advance `trial` from `|0…0⟩` through every layer of `layered`, gate by
+/// gate and without fusion, applying each injection right after its layer.
+///
+/// # Errors
+///
+/// Returns [`SimError::State`] for a register wider than a dense state
+/// vector holds and [`SimError::LayerOutOfRange`] for an injection after
+/// the last layer.
+pub fn unfused_final_state(
+    layered: &LayeredCircuit,
+    trial: &Trial,
+) -> Result<StateVector, SimError> {
+    StateVector::check_width(layered.n_qubits())?;
+    validate(trial, layered.n_layers())?;
+    let mut state = StateVector::zero_state(layered.n_qubits());
+    let mut injections = trial.injections().iter().peekable();
+    for layer in 0..layered.n_layers() {
+        layered.apply_layer(layer, &mut state)?;
+        while let Some(injection) = injections.next_if(|inj| inj.layer() == layer) {
+            injection.apply_to(&mut state)?;
+        }
+    }
+    Ok(state)
+}
+
+/// The unfused reference run: every trial of `trials` from scratch through
+/// [`unfused_final_state`], measured exactly as the executors measure.
+/// Every gate and every injection is one amplitude pass, so `ops` equals
+/// `amplitude_passes` and `fused_ops` counts every gate; nothing is cached
+/// (`peak_msv` is 0). Outcomes match the fused executors only up to float
+/// rounding.
+///
+/// # Errors
+///
+/// As [`unfused_final_state`].
+pub fn run_unfused(layered: &LayeredCircuit, trials: &[Trial]) -> Result<RunResult, SimError> {
+    StateVector::check_width(layered.n_qubits())?;
+    let mut stats = ExecStats { n_trials: trials.len(), ..ExecStats::default() };
+    let mut outcomes = Vec::with_capacity(trials.len());
+    let gates = layered.total_gates() as u64;
+    for trial in trials {
+        let state = unfused_final_state(layered, trial)?;
+        let passes = gates + trial.n_injections() as u64;
+        stats.ops += passes;
+        stats.fused_ops += gates;
+        stats.amplitude_passes += passes;
+        outcomes.push(measure(layered, &state, trial));
+    }
+    Ok(RunResult { outcomes, stats })
 }
 
 /// One point of a VQA parameter sweep: the ansatz evaluated at this

@@ -12,6 +12,7 @@ use qsim_noise::{injection_cut_layers, NoiseModel, Trial, TrialGenerator};
 use qsim_statevec::StateVector;
 use qsim_telemetry::NullRecorder;
 use redsim::exec::{BaselineExecutor, ReuseExecutor};
+use redsim::testkit::unfused_final_state;
 
 fn catalog_suite() -> Vec<Circuit> {
     vec![
@@ -48,21 +49,6 @@ fn prepare(circuit: &Circuit) -> LayeredCircuit {
     .circuit
     .layered()
     .unwrap()
-}
-
-/// Final state of one trial via the unfused layer-by-layer path.
-fn final_state_unfused(layered: &LayeredCircuit, trial: &Trial) -> StateVector {
-    let mut state = StateVector::zero_state(layered.n_qubits());
-    let injections = trial.injections();
-    let mut next = 0usize;
-    for layer in 0..layered.n_layers() {
-        layered.apply_layer(layer, &mut state).unwrap();
-        while next < injections.len() && injections[next].layer() == layer {
-            injections[next].apply_to(&mut state).unwrap();
-            next += 1;
-        }
-    }
-    state
 }
 
 /// Final state of one trial via whole fused segments.
@@ -145,7 +131,7 @@ fn fusion_properties_hold_across_the_catalog() {
             for index in probe {
                 let trial = &trials[index];
                 let fused = final_state_fused(&layered, &program, trial);
-                let unfused = final_state_unfused(&layered, trial);
+                let unfused = unfused_final_state(&layered, trial).unwrap();
                 let fidelity = fused.fidelity(&unfused).unwrap();
                 assert!(
                     fidelity >= 1.0 - 1e-10,
@@ -180,7 +166,7 @@ fn transpiled_circuits_fuse_correctly_too() {
         for index in [0usize, 1, 50, 199] {
             let trial = &set.trials()[index];
             let fused = final_state_fused(&layered, &program, trial);
-            let unfused = final_state_unfused(&layered, trial);
+            let unfused = unfused_final_state(&layered, trial).unwrap();
             assert!(fused.fidelity(&unfused).unwrap() >= 1.0 - 1e-10);
         }
     }

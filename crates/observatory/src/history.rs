@@ -378,6 +378,18 @@ mod tests {
     }
 
     #[test]
+    fn metrics_missing_from_the_newest_record_are_not_compared() {
+        // A bench that stops emitting a column must not trip the gate on
+        // the older records that still carry it.
+        let records = vec![
+            record("fusion", 0, &[("rows.rb.ops", 23.0), ("rows.rb.reuse_speedup", 1.3)]),
+            record("fusion", 1, &[("rows.rb.ops", 23.0), ("rows.rb.reuse_speedup", 1.3)]),
+            record("fusion", 2, &[("rows.rb.ops", 23.0)]),
+        ];
+        assert_eq!(check(&records, DEFAULT_WINDOW, 5.0), Vec::new());
+    }
+
+    #[test]
     fn single_record_sources_never_fail() {
         let records = vec![record("fresh", 0, &[("run_ms", 100.0)])];
         assert_eq!(check(&records, DEFAULT_WINDOW, 5.0), Vec::new());

@@ -31,9 +31,9 @@ pub enum KernelClass {
     Ccx,
     /// An injected error operator (one amplitude pass).
     Error,
-    /// A batched multi-op advance not attributed to a single kernel: the
-    /// layer-by-layer engine, or a fused advance observed by a recorder
-    /// that declines per-kernel timing ([`Recorder::kernel_timing`]).
+    /// A batched multi-op advance not attributed to a single kernel: a
+    /// fused advance observed by a recorder that declines per-kernel
+    /// timing ([`Recorder::kernel_timing`]).
     Unfused,
 }
 

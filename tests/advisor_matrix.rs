@@ -12,7 +12,7 @@ use noisy_qsim::circuit::transpile::{transpile, TranspileOptions};
 use noisy_qsim::circuit::{catalog, Circuit, LayeredCircuit};
 use noisy_qsim::noise::{NoiseModel, TrialGenerator, TrialSet};
 use noisy_qsim::redsim::exec::{BaselineExecutor, ExecStats, ReuseExecutor};
-use noisy_qsim::redsim::testkit::shipped_benchmarks;
+use noisy_qsim::redsim::testkit::{run_unfused, shipped_benchmarks};
 use noisy_qsim::telemetry::{AggregatingRecorder, NullRecorder};
 
 fn native(circuit: &Circuit) -> LayeredCircuit {
@@ -66,10 +66,10 @@ fn catalog_predictions_match_measured_execstats_bitwise() {
             let label = |s: &str| format!("{name} seed {seed} {s}");
             let p = |s: Strategy| advice.prediction(s).expect("all strategies ranked");
 
-            let baseline = BaselineExecutor::new(&layered);
-            let sequential = baseline.run_unfused(set.trials()).expect("sequential run");
+            let sequential = run_unfused(&layered, set.trials()).expect("sequential run");
             assert_prediction(&label("sequential"), p(Strategy::Sequential), &sequential.stats);
 
+            let baseline = BaselineExecutor::new(&layered);
             let fused = baseline.run(set.trials(), &NullRecorder).expect("fused run");
             assert_prediction(&label("fused"), p(Strategy::Fused), &fused.stats);
 
@@ -118,7 +118,7 @@ fn shipped_benchmark_lattice_is_sound_and_predictions_match() {
             // Prediction exactness on the shipped strategies.
             let baseline = BaselineExecutor::new(&layered);
             let p = |s: Strategy| advice.prediction(s).expect("ranked");
-            let seq = baseline.run_unfused(set.trials()).expect("sequential");
+            let seq = run_unfused(&layered, set.trials()).expect("sequential");
             assert_prediction(
                 &format!("{name} seed {seed} sequential"),
                 p(Strategy::Sequential),
