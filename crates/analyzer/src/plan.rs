@@ -9,9 +9,7 @@
 //! checker can prove lifetime soundness without touching an amplitude.
 
 use qsim_circuit::{CouplingMap, FusedProgram, LayeredCircuit};
-use qsim_noise::{
-    compare_trials, injection_cut_layers, lcp, Injection, NoiseModel, Trial, TrialSet,
-};
+use qsim_noise::{injection_cut_layers, lcp, sorted_order, Injection, NoiseModel, Trial, TrialSet};
 use qsim_telemetry::{NullRecorder, Recorder};
 
 use crate::passes::advisor::{Advice, Strategy};
@@ -163,9 +161,9 @@ impl<'a> ExecutionPlan<'a> {
         recorder: &R,
     ) -> Self {
         let trials = set.trials().to_vec();
-        let mut order: Vec<usize> = (0..trials.len()).collect();
-        order.sort_by(|&a, &b| compare_trials(&trials[a], &trials[b]));
-        let program = FusedProgram::new(layered, &injection_cut_layers(&trials));
+        let order: Vec<usize> = sorted_order(&trials).into_iter().map(|i| i as usize).collect();
+        let program =
+            FusedProgram::new(layered, &injection_cut_layers(&trials, layered.n_layers()));
         if recorder.enabled() {
             recorder.counter("plan.fuse_compile", 1);
         }

@@ -2,8 +2,7 @@
 
 use qsim_circuit::LayeredCircuit;
 use qsim_noise::{NoiseModel, TrialGenerator};
-use redsim::analysis::{analyze_generation_order, analyze_sorted};
-use redsim::order::reorder;
+use redsim::analysis::{analyze, analyze_generation_order};
 use redsim::CostReport;
 
 use crate::suite::{
@@ -151,10 +150,7 @@ pub fn ablation_sweep(n_trials: usize, seed: u64) -> Vec<AblationRow> {
             let set = generator.generate(n_trials, seed);
             let naive = analyze_generation_order(&bench.layered, set.trials())
                 .expect("trials fit the circuit");
-            let mut trials = set.into_trials();
-            reorder(&mut trials);
-            let reordered =
-                analyze_sorted(&bench.layered, &trials).expect("trials fit the circuit");
+            let reordered = analyze(&bench.layered, &set).expect("trials fit the circuit");
             AblationRow { name: bench.name, reordered, generation_order: naive }
         })
         .collect()
@@ -166,9 +162,7 @@ fn analyze_trials(
     n: usize,
     seed: u64,
 ) -> CostReport {
-    let mut trials = generator.generate(n, seed).into_trials();
-    reorder(&mut trials);
-    analyze_sorted(layered, &trials).expect("generated trials fit their circuit")
+    analyze(layered, &generator.generate(n, seed)).expect("generated trials fit their circuit")
 }
 
 fn analyze_trials_fast(
@@ -177,9 +171,7 @@ fn analyze_trials_fast(
     n: usize,
     seed: u64,
 ) -> CostReport {
-    let mut trials = generator.generate_fast(n, seed).into_trials();
-    reorder(&mut trials);
-    analyze_sorted(layered, &trials).expect("generated trials fit their circuit")
+    analyze(layered, &generator.generate_fast(n, seed)).expect("generated trials fit their circuit")
 }
 
 #[cfg(test)]

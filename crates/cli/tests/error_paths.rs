@@ -116,3 +116,53 @@ fn a_non_finite_number_never_reaches_the_history_file() {
     }
     std::fs::remove_dir_all(&dir).expect("scratch cleanup");
 }
+
+#[test]
+fn classical_registers_wider_than_an_outcome_fail_with_a_typed_error() {
+    // Bits 1 and 68 would alias onto bits 1 and 4 of a 64-bit outcome.
+    let program = "OPENQASM 2.0; qreg q[2]; creg c[70]; x q[0]; x q[1]; \
+                   measure q[0] -> c[68]; measure q[1] -> c[1];";
+    let dir = scratch_dir("wide-creg");
+    let cache = dir.to_str().expect("utf-8 temp path");
+    let runs: [&[&str]; 5] =
+        [&[], &["--baseline"], &["--threads", "2"], &["--budget", "2"], &["--cache", cache]];
+    for extra in runs {
+        let mut args = vec!["run", "-", "--device", "none", "--noise", "artificial:0"];
+        args.extend(extra);
+        let stderr = assert_clean_failure(&qsim(&args, program), &format!("run {extra:?}"));
+        assert!(
+            stderr.contains("a 70-bit classical register exceeds the 64-bit outcome limit"),
+            "{extra:?}: {stderr}"
+        );
+    }
+    // The static commands never build an outcome and keep working.
+    for command in ["info", "analyze", "verify", "advise"] {
+        let out = qsim(&[command, "-", "--device", "none", "--noise", "artificial:0"], program);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{command}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).expect("scratch cleanup");
+}
+
+#[test]
+fn hostile_trial_files_are_line_errors_not_panics() {
+    let program = "OPENQASM 2.0; qreg q[2]; creg c[2]; h q[0]; cx q[0],q[1]; measure q -> c;";
+    let dir = scratch_dir("trials");
+    let path = dir.join("hostile.trials");
+    let path_arg = path.to_str().expect("utf-8 temp path");
+    for (geometry, trial, message) in [
+        ("qubits 2 layers 2", "s:0:0:X s:0:0:Z", "line 3: duplicate error position L0:X@q0"),
+        ("qubits 2 layers 2", "s:0:70000:X", "line 3: injection qubit 70000 beyond the declared 2"),
+        ("qubits 2 layers 2", "s:0:2:X", "line 3: injection qubit 2 beyond the declared 2 qubits"),
+        ("qubits 100000 layers 2", "s:0:70000:X", "line 3: injection qubit 70000 too large"),
+        ("qubits 2 layers 2", "s:99999999999:0:X", "line 3: injection layer 99999999999 beyond"),
+        ("qubits 2 layers 999999999999", "s:99999999999:0:X", "layer 99999999999 too large"),
+    ] {
+        std::fs::write(&path, format!("trialset v1\n{geometry}\ntrial f=0 s=1 {trial}\n"))
+            .expect("trial file written");
+        let out = qsim(&["run", "-", "--device", "none", "--load-trials", path_arg], program);
+        let stderr = assert_clean_failure(&out, trial);
+        assert!(stderr.contains(message), "{geometry} / {trial}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).expect("scratch cleanup");
+}

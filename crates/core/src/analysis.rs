@@ -21,7 +21,7 @@
 use qsim_circuit::LayeredCircuit;
 use qsim_noise::{Trial, TrialSet};
 
-use crate::order::{compare_trials, lcp, reorder};
+use crate::order::{compare_trials, lcp, sorted_order};
 use crate::SimError;
 
 /// The static analyzer's verdict for one circuit + trial set.
@@ -86,7 +86,8 @@ impl std::fmt::Display for CostReport {
     }
 }
 
-/// Analyze a trial set, reordering a copy internally.
+/// Analyze a trial set in its [`sorted_order`]; the set itself is neither
+/// copied nor reordered.
 ///
 /// # Errors
 ///
@@ -94,9 +95,7 @@ impl std::fmt::Display for CostReport {
 /// the trials do not belong to this circuit.
 pub fn analyze(layered: &LayeredCircuit, set: &TrialSet) -> Result<CostReport, SimError> {
     check_geometry(layered, set)?;
-    let mut trials = set.trials().to_vec();
-    reorder(&mut trials);
-    analyze_sorted(layered, &trials)
+    analyze_order(layered, set.trials(), &sorted_order(set.trials()))
 }
 
 /// Analyze an **already reordered** trial slice.
@@ -107,6 +106,21 @@ pub fn analyze(layered: &LayeredCircuit, set: &TrialSet) -> Result<CostReport, S
 /// depth, or [`SimError::Circuit`] if the slice is not sorted under the
 /// reorder key.
 pub fn analyze_sorted(layered: &LayeredCircuit, trials: &[Trial]) -> Result<CostReport, SimError> {
+    analyze_order(layered, trials, &identity_order(trials))
+}
+
+/// The order that runs `trials` as they stand.
+fn identity_order(trials: &[Trial]) -> Vec<u32> {
+    (0..u32::try_from(trials.len()).expect("at most 2^32 trials are analyzed")).collect()
+}
+
+/// [`analyze_sorted`] over `trials` in `order`.
+fn analyze_order(
+    layered: &LayeredCircuit,
+    trials: &[Trial],
+    order: &[u32],
+) -> Result<CostReport, SimError> {
+    let trial = |pos: usize| &trials[order[pos] as usize];
     let gates = layered.total_gates() as u64;
     let n_layers = layered.n_layers();
     let mut baseline: u64 = 0;
@@ -114,7 +128,8 @@ pub fn analyze_sorted(layered: &LayeredCircuit, trials: &[Trial]) -> Result<Cost
     let mut msv: usize = 0;
     let mut msv_path: usize = 0;
 
-    for (i, cur) in trials.iter().enumerate() {
+    for i in 0..order.len() {
+        let cur = trial(i);
         validate_layers(cur, n_layers)?;
         let len = cur.n_injections() as u64;
         baseline += gates + len;
@@ -122,7 +137,7 @@ pub fn analyze_sorted(layered: &LayeredCircuit, trials: &[Trial]) -> Result<Cost
         if i == 0 {
             optimized += gates + len;
         } else {
-            let prev = &trials[i - 1];
+            let prev = trial(i - 1);
             if compare_trials(prev, cur) == std::cmp::Ordering::Greater {
                 return Err(SimError::Circuit(format!(
                     "trials are not in reorder order at index {i}; call reorder first"
@@ -139,20 +154,20 @@ pub fn analyze_sorted(layered: &LayeredCircuit, trials: &[Trial]) -> Result<Cost
                 optimized += (gates - reused_gates) + (len - k as u64);
             }
         }
-        if i + 1 < trials.len() {
-            msv = msv.max(lcp(cur, &trials[i + 1]) + 1);
+        if i + 1 < order.len() {
+            msv = msv.max(lcp(cur, trial(i + 1)) + 1);
         }
     }
-    if !trials.is_empty() {
+    if !order.is_empty() {
         msv = msv.max(1); // the root (error-free) frontier is always held
     }
     Ok(CostReport {
-        n_trials: trials.len(),
+        n_trials: order.len(),
         gates_per_trial: gates,
         baseline_ops: baseline,
         optimized_ops: optimized,
         msv_peak: msv,
-        msv_path_peak: if trials.is_empty() { 0 } else { msv_path },
+        msv_path_peak: if order.is_empty() { 0 } else { msv_path },
     })
 }
 
@@ -173,6 +188,21 @@ pub fn analyze_sorted(layered: &LayeredCircuit, trials: &[Trial]) -> Result<Cost
 pub fn analyze_sorted_with_budget(
     layered: &LayeredCircuit,
     trials: &[Trial],
+    budget: usize,
+) -> Result<CostReport, SimError> {
+    analyze_order_with_budget(layered, trials, &identity_order(trials), budget)
+}
+
+/// [`analyze_sorted_with_budget`] over `trials` in `order`, their
+/// [`sorted_order`].
+///
+/// # Errors
+///
+/// As [`analyze_sorted_with_budget`].
+pub(crate) fn analyze_order_with_budget(
+    layered: &LayeredCircuit,
+    trials: &[Trial],
+    order: &[u32],
     budget: usize,
 ) -> Result<CostReport, SimError> {
     if budget == 0 {
@@ -200,9 +230,11 @@ pub fn analyze_sorted_with_budget(
     // Dry-run frame stack: (depth, highest layer applied).
     let mut stack: Vec<(usize, i64)> = vec![(0, -1)];
 
-    for (i, cur) in trials.iter().enumerate() {
+    let trial = |pos: usize| &trials[order[pos] as usize];
+    for i in 0..order.len() {
+        let cur = trial(i);
         validate_layers(cur, n_layers)?;
-        if i > 0 && compare_trials(&trials[i - 1], cur) == std::cmp::Ordering::Greater {
+        if i > 0 && compare_trials(trial(i - 1), cur) == std::cmp::Ordering::Greater {
             return Err(SimError::Circuit(format!(
                 "trials are not in reorder order at index {i}; call reorder first"
             )));
@@ -210,10 +242,7 @@ pub fn analyze_sorted_with_budget(
         let injections = cur.injections();
         msv_path = msv_path.max(injections.len() + 1);
         baseline += gates + injections.len() as u64;
-        let keep = match trials.get(i + 1) {
-            Some(next) => lcp(cur, next).min(budget - 1),
-            None => 0,
-        };
+        let keep = if i + 1 < order.len() { lcp(cur, trial(i + 1)).min(budget - 1) } else { 0 };
         let mut d = stack.last().expect("root frame").0;
         loop {
             if d == injections.len() {
@@ -256,12 +285,12 @@ pub fn analyze_sorted_with_budget(
         }
     }
     Ok(CostReport {
-        n_trials: trials.len(),
+        n_trials: order.len(),
         gates_per_trial: gates,
         baseline_ops: baseline,
         optimized_ops: optimized,
-        msv_peak: if trials.is_empty() { 0 } else { msv.max(1) },
-        msv_path_peak: if trials.is_empty() { 0 } else { msv_path },
+        msv_peak: if order.is_empty() { 0 } else { msv.max(1) },
+        msv_path_peak: if order.is_empty() { 0 } else { msv_path },
     })
 }
 

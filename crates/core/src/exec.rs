@@ -37,12 +37,12 @@ use std::fmt;
 
 use qsim_circuit::{FusedProgram, LayeredCircuit};
 use qsim_noise::{injection_cut_layers, Injection, Trial};
-use qsim_statevec::{MeasureOutcome, StatePool, StateVector};
+use qsim_statevec::{sample_index, MeasureOutcome, StatePool, StateVector};
 use qsim_telemetry::{Heartbeat, KernelClass, MsvEvent, Recorder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::order::{compare_trials, lcp};
+use crate::order::{compare_trials, lcp, sorted_order};
 use crate::SimError;
 
 /// Operation counts and memory high-water marks of one execution.
@@ -168,7 +168,7 @@ fn record_stats_counters<R: Recorder + ?Sized>(recorder: &R, stats: &ExecStats) 
 /// Compile the fused program an executor shares across a whole trial set:
 /// cut at the union of the set's injection layers.
 pub fn fuse_for_trials(layered: &LayeredCircuit, trials: &[Trial]) -> FusedProgram {
-    FusedProgram::new(layered, &injection_cut_layers(trials))
+    FusedProgram::new(layered, &injection_cut_layers(trials, layered.n_layers()))
 }
 
 /// [`fuse_for_trials`] with compilation telemetry: records the
@@ -204,10 +204,10 @@ pub(crate) fn paranoid_verify(
     trials: &[Trial],
     budget: usize,
 ) -> Result<(), SimError> {
+    let order = sorted_order(trials);
+    let report =
+        crate::analysis::analyze_order_with_budget(layered, trials, &order, budget.max(1))?;
     let set = qsim_noise::TrialSet::new(layered.n_qubits(), layered.n_layers(), trials.to_vec());
-    let mut sorted = trials.to_vec();
-    crate::order::reorder(&mut sorted);
-    let report = crate::analysis::analyze_sorted_with_budget(layered, &sorted, budget.max(1))?;
     let plan = qsim_analyzer::ExecutionPlan::compile(layered, &set, budget).with_expectations(
         qsim_analyzer::PlanExpectations {
             baseline_ops: report.baseline_ops,
@@ -225,13 +225,18 @@ pub(crate) fn paranoid_verify(
     }
 }
 
-/// Check that `program` fits `layered` and that every injection of every
-/// trial lands on a segment boundary.
-fn validate_program(
-    program: &FusedProgram,
-    layered: &LayeredCircuit,
-    trials: &[Trial],
-) -> Result<(), SimError> {
+/// Reject a register the executors cannot run: more qubits than a dense
+/// state vector holds, or more classical bits than a
+/// [`MeasureOutcome`] packs. Every run entry point checks this before it
+/// builds a state or an outcome.
+pub(crate) fn check_register(layered: &LayeredCircuit) -> Result<(), SimError> {
+    StateVector::check_width(layered.n_qubits())?;
+    MeasureOutcome::check_width(layered.n_cbits())?;
+    Ok(())
+}
+
+/// Check that `program` fits `layered`.
+fn validate_program(program: &FusedProgram, layered: &LayeredCircuit) -> Result<(), SimError> {
     if program.n_layers() != layered.n_layers() || program.n_qubits() != layered.n_qubits() {
         return Err(SimError::Circuit(format!(
             "fused program geometry ({} qubits, {} layers) does not match the circuit ({}, {})",
@@ -241,20 +246,24 @@ fn validate_program(
             layered.n_layers()
         )));
     }
-    for trial in trials {
-        for inj in trial.injections() {
-            if !program.is_cut_aligned(inj.layer()) {
-                return Err(SimError::Circuit(format!(
-                    "injection after layer {} does not land on a fusion cut-point",
-                    inj.layer()
-                )));
-            }
-        }
-    }
     Ok(())
 }
 
+/// Check that `trial` injects within the circuit and only on `program`'s
+/// cut-points.
+fn validate_on(program: &FusedProgram, trial: &Trial, n_layers: usize) -> Result<(), SimError> {
+    validate(trial, n_layers)?;
+    match trial.injections().iter().find(|inj| !program.is_cut_aligned(inj.layer())) {
+        Some(inj) => Err(SimError::Circuit(format!(
+            "injection after layer {} does not land on a fusion cut-point",
+            inj.layer()
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Run a streaming walk and gather its outcomes back into input order.
+/// Outcomes are `Copy`, so gathering touches no heap per trial.
 pub(crate) fn collect(
     n_trials: usize,
     walk: impl FnOnce(&mut [Option<MeasureOutcome>]) -> Result<ExecStats, SimError>,
@@ -293,8 +302,9 @@ impl<'a> BaselineExecutor<'a> {
     /// # Errors
     ///
     /// Returns [`SimError::State`] for a register wider than a dense state
-    /// vector holds and [`SimError`] for trials whose injections do not
-    /// fit the circuit.
+    /// vector holds or a classical register wider than a
+    /// [`MeasureOutcome`] packs, and [`SimError`] for trials whose
+    /// injections do not fit the circuit.
     pub fn run<R: Recorder + ?Sized>(
         &self,
         trials: &[Trial],
@@ -314,12 +324,12 @@ impl<'a> BaselineExecutor<'a> {
         recorder: &R,
     ) -> Result<RunResult, SimError> {
         let layered = self.layered;
-        StateVector::check_width(layered.n_qubits())?;
+        check_register(layered)?;
         let n_layers = layered.n_layers();
+        validate_program(program, layered)?;
         for trial in trials {
-            validate(trial, n_layers)?;
+            validate_on(program, trial, n_layers)?;
         }
-        validate_program(program, layered, trials)?;
         #[cfg(feature = "paranoid")]
         paranoid_verify(layered, trials, usize::MAX)?;
         let span_start = recorder.now_ns();
@@ -444,30 +454,35 @@ impl<'a> ReuseExecutor<'a> {
     /// # Errors
     ///
     /// Returns [`SimError::State`] for a register wider than a dense state
-    /// vector holds, [`SimError::Circuit`] for a zero budget and
-    /// [`SimError`] for trials whose injections do not fit the circuit.
+    /// vector holds or a classical register wider than a
+    /// [`MeasureOutcome`] packs, [`SimError::Circuit`] for a zero budget
+    /// and [`SimError`] for trials whose injections do not fit the circuit.
     pub fn run<R: Recorder + ?Sized>(
         &self,
         trials: &[Trial],
         recorder: &R,
     ) -> Result<RunResult, SimError> {
         let program = fuse_for_trials_traced(self.layered, trials, recorder);
+        let order = sorted_order(trials);
         collect(trials.len(), |out| {
             let sink = |index, outcome| out[index] = Some(outcome);
-            self.walk(&program, trials, PrefixCache::Off, sink, recorder)
+            self.walk(&program, trials, &order, PrefixCache::Off, sink, recorder)
         })
     }
 
     /// The reuse walk, the only per-state trie walk: every executor that
     /// caches frontiers runs it over `program`, recycling their buffers
-    /// through one [`StatePool`]. Outcomes go to
-    /// `sink(original_trial_index, outcome)` in processing order. A
-    /// [`PrefixCache::Seed`] that does not match the trial set's
+    /// through one [`StatePool`]. It runs the trials `order` names, in
+    /// that order, which must be the reorder ([`sorted_order`]) of those
+    /// trials — a contiguous slice of a whole set's order qualifies.
+    /// Outcomes go to `sink(original_trial_index, outcome)` in processing
+    /// order. A [`PrefixCache::Seed`] that does not match the trials'
     /// shared-prefix layer or register width is rejected.
     pub(crate) fn walk<F, R>(
         &self,
         program: &FusedProgram,
         trials: &[Trial],
+        order: &[u32],
         prefix: PrefixCache<'_>,
         mut sink: F,
         recorder: &R,
@@ -477,7 +492,7 @@ impl<'a> ReuseExecutor<'a> {
         R: Recorder + ?Sized,
     {
         let layered = self.layered;
-        StateVector::check_width(layered.n_qubits())?;
+        check_register(layered)?;
         let budget = self.budget;
         if budget == 0 {
             return Err(SimError::Circuit(
@@ -485,33 +500,35 @@ impl<'a> ReuseExecutor<'a> {
             ));
         }
         let n_layers = layered.n_layers();
-        for trial in trials {
-            validate(trial, n_layers)?;
+        validate_program(program, layered)?;
+        for &index in order {
+            validate_on(program, &trials[index as usize], n_layers)?;
         }
-        validate_program(program, layered, trials)?;
         #[cfg(feature = "paranoid")]
-        paranoid_verify(layered, trials, budget)?;
+        {
+            let walked: Vec<Trial> = order.iter().map(|&i| trials[i as usize].clone()).collect();
+            paranoid_verify(layered, &walked, budget)?;
+        }
         let mut pool = StatePool::new();
         let state_bytes = amp_bytes(layered.n_qubits());
         let span_start = recorder.now_ns();
         let last_layer = n_layers as i64 - 1;
-        let mut order: Vec<usize> = (0..trials.len()).collect();
-        order.sort_by(|&a, &b| compare_trials(&trials[a], &trials[b]));
+        let trial = |pos: usize| &trials[order[pos] as usize];
 
-        let mut stats = ExecStats { n_trials: trials.len(), ..ExecStats::default() };
-        let mut peak = usize::from(!trials.is_empty());
+        let mut stats = ExecStats { n_trials: order.len(), ..ExecStats::default() };
+        let mut peak = usize::from(!order.is_empty());
         // The layer the first sorted trial's shared advance stops at — the
         // only layer a seeded root may claim, and the layer a capture
         // watches for.
         let shared_prefix_layer = order
             .first()
-            .and_then(|&first| trials[first].injections().first())
+            .and_then(|&first| trials[first as usize].injections().first())
             .map_or(last_layer, |inj| inj.layer() as i64);
         let mut capture: Option<(i64, &mut Option<StateVector>)> = None;
         let (root_done, root_state) = match prefix {
             PrefixCache::Off => (-1, StateVector::zero_state(layered.n_qubits())),
             PrefixCache::Seed { layer, state, ops, passes } => {
-                if trials.is_empty() || layer as i64 != shared_prefix_layer {
+                if order.is_empty() || layer as i64 != shared_prefix_layer {
                     return Err(SimError::Circuit(format!(
                         "seeded prefix layer {layer} does not match the trial set's shared \
                          prefix layer {shared_prefix_layer}"
@@ -535,24 +552,26 @@ impl<'a> ReuseExecutor<'a> {
             }
         };
         let mut stack = vec![Frame { depth: 0, done: root_done, state: root_state }];
-        if recorder.enabled() && !trials.is_empty() {
+        if recorder.enabled() && !order.is_empty() {
             recorder.msv(MsvEvent::Create, 0, 1);
         }
 
         for (pos, &orig) in order.iter().enumerate() {
-            let cur = &trials[orig];
+            let (orig, cur) = (orig as usize, trial(pos));
             let injections = cur.injections();
-            let keep = match order.get(pos + 1) {
-                Some(&next) => lcp(cur, &trials[next]).min(budget - 1),
-                None => 0,
-            };
+            let keep =
+                if pos + 1 < order.len() { lcp(cur, trial(pos + 1)).min(budget - 1) } else { 0 };
             // Under an unbounded budget the top frame sits exactly at the
             // shared prefix; under a cap it may be shallower, in which case
             // the injections between the stored depth and the true LCP are
             // recomputed below.
             let mut d = stack.last().expect("stack holds the root").depth;
             debug_assert!(
-                d <= if pos == 0 { 0 } else { lcp(&trials[order[pos - 1]], cur) },
+                pos == 0 || compare_trials(trial(pos - 1), cur).is_le(),
+                "the walk order is not the reorder"
+            );
+            debug_assert!(
+                d <= if pos == 0 { 0 } else { lcp(trial(pos - 1), cur) },
                 "frontier stack lost sync with the trial order"
             );
             if recorder.enabled() {
@@ -705,7 +724,7 @@ impl<'a> ReuseExecutor<'a> {
             }
         }
 
-        stats.peak_msv = if trials.is_empty() { 0 } else { peak };
+        stats.peak_msv = if order.is_empty() { 0 } else { peak };
         if recorder.enabled() {
             record_stats_counters(recorder, &stats);
             recorder.counter("pool.reused", pool.reuse_count());
@@ -718,22 +737,21 @@ impl<'a> ReuseExecutor<'a> {
 
 /// Sample the trial's measurement outcome: Born-rule sampling with the
 /// trial's private seed, classical readout flips, then mapping measured
-/// qubits onto the classical register.
+/// qubits onto the classical register — all on integer masks. The caller
+/// has passed [`check_register`], so the register fits a `u64`.
 pub(crate) fn measure(
     layered: &LayeredCircuit,
     state: &StateVector,
     trial: &Trial,
 ) -> MeasureOutcome {
     let mut rng = StdRng::seed_from_u64(trial.seed());
-    let mut qubit_outcome = state.sample(&mut rng);
-    trial.apply_meas_flips(&mut qubit_outcome);
-    let mut classical = MeasureOutcome::from_index(0, layered.n_cbits());
-    for &(qubit, cbit) in layered.measurements() {
-        if qubit_outcome.bit(qubit) {
-            classical.flip(cbit);
-        }
-    }
-    classical
+    let register = (1u64 << state.n_qubits()) - 1;
+    let qubits = sample_index(state, &mut rng) as u64 ^ (trial.meas_flip_mask() & register);
+    let classical = layered
+        .measurements()
+        .iter()
+        .fold(0u64, |bits, &(qubit, cbit)| bits ^ (qubits >> qubit & 1) << cbit);
+    MeasureOutcome::from_index(classical as usize, layered.n_cbits())
 }
 
 /// Reject a trial that injects after the circuit's last layer.
@@ -871,6 +889,7 @@ mod tests {
         let result = ReuseExecutor::new(&layered).walk(
             &program,
             set.trials(),
+            &sorted_order(set.trials()),
             PrefixCache::Off,
             |_, _| {},
             &NullRecorder,
@@ -904,6 +923,7 @@ mod tests {
             .walk(
                 &program,
                 set.trials(),
+                &sorted_order(set.trials()),
                 PrefixCache::Off,
                 |index, outcome| {
                     assert!(!seen[index], "outcome delivered twice for trial {index}");
@@ -917,6 +937,37 @@ mod tests {
         assert!(seen.iter().all(|&s| s), "some trial never produced an outcome");
         assert_eq!(stats, collected.stats);
         assert_eq!(histogram.total(), set.len() as u64);
+    }
+
+    #[test]
+    fn walking_a_slice_of_the_set_order_matches_the_self_sorted_walk() {
+        let (layered, set) = generate(&catalog::qft(4), 4.0, 600, 43);
+        let trials = set.trials();
+        let order = sorted_order(trials);
+        let program = fuse_for_trials(&layered, trials);
+        let executor = ReuseExecutor::new(&layered);
+        let walk = |trials: &[Trial], order: &[u32]| {
+            let mut outcomes = Vec::new();
+            let sink = |index, outcome| outcomes.push((index, outcome));
+            let stats =
+                executor.walk(&program, trials, order, PrefixCache::Off, sink, &NullRecorder);
+            (outcomes, stats.unwrap())
+        };
+        let whole = walk(trials, &order);
+        let run = executor.run(trials, &NullRecorder).unwrap();
+        assert_eq!(whole.1, run.stats);
+        assert!(whole.0.iter().all(|&(index, outcome)| run.outcomes[index] == outcome));
+        for (start, end) in [(0, 200), (150, 451), (451, order.len())] {
+            let slice = &order[start..end];
+            let (outcomes, stats) = walk(trials, slice);
+            // The slice's trials as a set of their own, sorted afresh.
+            let own: Vec<Trial> = slice.iter().map(|&i| trials[i as usize].clone()).collect();
+            let (own_outcomes, own_stats) = walk(&own, &sorted_order(&own));
+            let own_outcomes: Vec<(usize, MeasureOutcome)> =
+                own_outcomes.into_iter().map(|(i, o)| (slice[i] as usize, o)).collect();
+            assert_eq!(outcomes, own_outcomes, "slice {start}..{end}");
+            assert_eq!(stats, own_stats, "slice {start}..{end}");
+        }
     }
 
     #[test]

@@ -7,23 +7,39 @@
 //! trial with one at the same depth (paper §IV.B: trials with earlier first
 //! errors run first and the error-free prefix execution is interleaved), so
 //! the whole procedure equals one lexicographic sort under a
-//! missing-injection = +∞ key — which is how production use sorts millions
-//! of trials in `O(n log n)` comparisons. [`reorder_recursive`] implements
-//! the literal algorithm; a test in this module proves the two agree.
+//! missing-injection = +∞ key. [`compare_trials`] defines that order;
+//! [`sorted_order`] executes it for millions of trials with one packed-key
+//! sort, and every executor, the analyzer and the plan verifier order
+//! trials through it. [`reorder_recursive`] implements the literal
+//! algorithm; a test in this module proves the two agree.
 
 use std::cmp::Ordering;
 
 use qsim_noise::Trial;
-// The comparison primitives live beside `Trial` in `qsim-noise` so the
-// static plan verifier (`qsim-analyzer`) shares the executors' definition
-// of the reorder key; re-exported here unchanged for compatibility.
-pub use qsim_noise::{compare_injections, compare_trials, lcp};
+// The comparison primitives and the keyed sort live beside `Trial` in
+// `qsim-noise` so the static plan verifier (`qsim-analyzer`) shares the
+// executors' definition of the reorder key; re-exported here unchanged.
+pub use qsim_noise::{compare_injections, compare_trials, lcp, sorted_order};
 
 /// Reorder trials in place to maximise overlapped computation between
-/// consecutive trials (one stable lexicographic sort — the scalable
-/// equivalent of the paper's Algorithm 1).
+/// consecutive trials: the [`sorted_order`] permutation (the scalable
+/// equivalent of the paper's Algorithm 1), applied by swapping along its
+/// cycles.
 pub fn reorder(trials: &mut [Trial]) {
-    trials.sort_by(compare_trials);
+    let mut order = sorted_order(trials);
+    for start in 0..order.len() {
+        // Position `k` takes the trial at `order[k]`; a visited position
+        // is marked as its own source.
+        let mut k = start;
+        while order[k] as usize != k {
+            let source = order[k] as usize;
+            order[k] = k as u32;
+            if source != start {
+                trials.swap(k, source);
+            }
+            k = source;
+        }
+    }
 }
 
 /// The literal Algorithm 1 of the paper: order by the `n`-th injected

@@ -32,10 +32,10 @@ use qsim_statevec::MeasureOutcome;
 use qsim_telemetry::Recorder;
 
 use crate::exec::{
-    collect, fuse_for_trials_traced, BaselineExecutor, ExecStats, PrefixCache, ReuseExecutor,
-    RunResult,
+    check_register, collect, fuse_for_trials_traced, BaselineExecutor, ExecStats, PrefixCache,
+    ReuseExecutor, RunResult,
 };
-use crate::order::{compare_trials, lcp};
+use crate::order::{lcp, sorted_order};
 use crate::SimError;
 
 /// Resolve a thread-count request: 0 means "use available parallelism".
@@ -95,6 +95,7 @@ pub fn run_baseline_parallel<R: Recorder + ?Sized>(
     n_threads: usize,
     recorder: &R,
 ) -> Result<RunResult, SimError> {
+    check_register(layered)?;
     let threads = resolve_threads(n_threads, trials.len());
     if threads <= 1 || trials.is_empty() {
         return BaselineExecutor::new(layered).run(trials, recorder);
@@ -156,6 +157,7 @@ pub fn run_reordered_parallel<R: Recorder + ?Sized>(
     n_threads: usize,
     recorder: &R,
 ) -> Result<RunResult, SimError> {
+    check_register(layered)?;
     let threads = resolve_threads(n_threads, trials.len());
     if threads <= 1 || trials.is_empty() {
         return ReuseExecutor::new(layered).run(trials, recorder);
@@ -165,21 +167,11 @@ pub fn run_reordered_parallel<R: Recorder + ?Sized>(
     #[cfg(feature = "paranoid")]
     crate::exec::paranoid_verify(layered, trials, usize::MAX)?;
     let span_start = recorder.now_ns();
-    // Global sort once, then hand contiguous sorted slices to workers. Each
-    // worker receives (original_index, trial) pairs so it can report
-    // outcomes against the caller's order.
-    let mut order: Vec<usize> = (0..trials.len()).collect();
-    order.sort_by(|&a, &b| compare_trials(&trials[a], &trials[b]));
+    // Sort once, then hand each worker a contiguous slice of the order;
+    // the walk reports outcomes against the caller's trial indices.
+    let order = sorted_order(trials);
     let program = fuse_for_trials_traced(layered, trials, recorder);
-    let costs: Vec<u64> = order
-        .iter()
-        .enumerate()
-        .map(|(pos, &orig)| {
-            let prev = pos.checked_sub(1).map(|p| &trials[order[p]]);
-            estimate_marginal_cost(layered, prev, &trials[orig])
-        })
-        .collect();
-    let bounds = balanced_boundaries(&costs, threads);
+    let bounds = balanced_boundaries(&order_costs(layered, trials, &order), threads);
 
     type ChunkResult = Result<(Vec<(usize, MeasureOutcome)>, ExecStats), SimError>;
     let results: Vec<ChunkResult> = std::thread::scope(|scope| {
@@ -188,50 +180,53 @@ pub fn run_reordered_parallel<R: Recorder + ?Sized>(
             .enumerate()
             .map(|(k, &start)| {
                 let end = bounds.get(k + 1).copied().unwrap_or(order.len());
-                let idx_chunk = &order[start..end];
+                let chunk = &order[start..end];
                 let program = &program;
                 scope.spawn(move || -> ChunkResult {
-                    // The chunk is already sorted; the walk re-sorts
-                    // internally (stable, already-ordered input = no-op
-                    // permutation) and returns outcomes in chunk order.
-                    let chunk_trials: Vec<Trial> =
-                        idx_chunk.iter().map(|&i| trials[i].clone()).collect();
-                    let result = collect(chunk_trials.len(), |out| {
-                        ReuseExecutor::new(layered).walk(
-                            program,
-                            &chunk_trials,
-                            PrefixCache::Off,
-                            |index, outcome| out[index] = Some(outcome),
-                            recorder,
-                        )
-                    })?;
-                    Ok((idx_chunk.iter().copied().zip(result.outcomes).collect(), result.stats))
+                    let mut outcomes = Vec::with_capacity(chunk.len());
+                    let stats = ReuseExecutor::new(layered).walk(
+                        program,
+                        trials,
+                        chunk,
+                        PrefixCache::Off,
+                        |index, outcome| outcomes.push((index, outcome)),
+                        recorder,
+                    )?;
+                    Ok((outcomes, stats))
                 })
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
     });
 
-    let mut outcomes: Vec<Option<MeasureOutcome>> = vec![None; trials.len()];
-    let mut stats = ExecStats { n_trials: trials.len(), ..ExecStats::default() };
-    for result in results {
-        let (pairs, part_stats) = result?;
-        for (index, outcome) in pairs {
-            outcomes[index] = Some(outcome);
+    let result = collect(trials.len(), |out| {
+        let mut stats = ExecStats { n_trials: trials.len(), ..ExecStats::default() };
+        for result in results {
+            let (outcomes, part_stats) = result?;
+            for (index, outcome) in outcomes {
+                out[index] = Some(outcome);
+            }
+            stats.ops += part_stats.ops;
+            stats.fused_ops += part_stats.fused_ops;
+            stats.amplitude_passes += part_stats.amplitude_passes;
+            // Workers hold their caches concurrently: peak memory is the sum.
+            stats.peak_msv += part_stats.peak_msv;
         }
-        stats.ops += part_stats.ops;
-        stats.fused_ops += part_stats.fused_ops;
-        stats.amplitude_passes += part_stats.amplitude_passes;
-        // Workers hold their caches concurrently: peak memory is the sum.
-        stats.peak_msv += part_stats.peak_msv;
-    }
+        Ok(stats)
+    })?;
     if recorder.enabled() {
         recorder.span("run/parallel-reuse", span_start, recorder.now_ns());
     }
-    Ok(RunResult {
-        outcomes: outcomes.into_iter().map(|o| o.expect("every trial executed")).collect(),
-        stats,
-    })
+    Ok(result)
+}
+
+/// [`estimate_marginal_cost`] of every trial in `order`, each priced after
+/// its predecessor.
+fn order_costs(layered: &LayeredCircuit, trials: &[Trial], order: &[u32]) -> Vec<u64> {
+    let trial = |pos: usize| &trials[order[pos] as usize];
+    (0..order.len())
+        .map(|pos| estimate_marginal_cost(layered, pos.checked_sub(1).map(trial), trial(pos)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -322,16 +317,7 @@ mod tests {
         // trials than the expensive half.
         let (layered, set) = workload(600);
         let trials = set.trials();
-        let mut order: Vec<usize> = (0..trials.len()).collect();
-        order.sort_by(|&a, &b| compare_trials(&trials[a], &trials[b]));
-        let costs: Vec<u64> = order
-            .iter()
-            .enumerate()
-            .map(|(pos, &orig)| {
-                let prev = pos.checked_sub(1).map(|p| &trials[order[p]]);
-                estimate_marginal_cost(&layered, prev, &trials[orig])
-            })
-            .collect();
+        let costs = order_costs(&layered, trials, &sorted_order(trials));
         let bounds = balanced_boundaries(&costs, 4);
         assert!(!bounds.is_empty() && bounds[0] == 0);
         assert!(bounds.len() <= 4);

@@ -26,7 +26,10 @@ use qsim_statevec::StateVector;
 use qsim_telemetry::{names, Recorder};
 use redsim_msvstore::{MsvStore, SemanticKey, DEFAULT_SEED_POLICY};
 
-use crate::exec::{collect, fuse_for_trials_traced, PrefixCache, ReuseExecutor, RunResult};
+use crate::exec::{
+    check_register, collect, fuse_for_trials_traced, PrefixCache, ReuseExecutor, RunResult,
+};
+use crate::order::sorted_order;
 use crate::SimError;
 
 /// What the semantic prefix cache did for one run.
@@ -87,6 +90,7 @@ pub fn run_reordered_cached<R: Recorder + ?Sized>(
     store: &MsvStore,
     recorder: &R,
 ) -> Result<(RunResult, CacheOutcome), SimError> {
+    check_register(layered)?;
     let executor = ReuseExecutor::new(layered);
     if trials.is_empty() || layered.n_layers() == 0 {
         return Ok((executor.run(trials, recorder)?, CacheOutcome::default()));
@@ -127,9 +131,10 @@ pub fn run_reordered_cached<R: Recorder + ?Sized>(
             PrefixCache::Capture { layer: prefix_layer, out: &mut captured }
         }
     };
+    let order = sorted_order(trials);
     let result = collect(trials.len(), |out| {
         let sink = |index, outcome| out[index] = Some(outcome);
-        executor.walk(&program, trials, prefix, sink, recorder)
+        executor.walk(&program, trials, &order, prefix, sink, recorder)
     })?;
     if let Some(state) = captured {
         if let Ok(put) = store.put(&key, state.amplitudes()) {

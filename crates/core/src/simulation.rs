@@ -1,11 +1,10 @@
 use qsim_circuit::{Circuit, LayeredCircuit};
 use qsim_noise::{NoiseModel, TrialGenerator, TrialSet};
-use qsim_statevec::StateVector;
 use qsim_telemetry::Recorder;
 use redsim_msvstore::MsvStore;
 
 use crate::analysis::{self, CostReport};
-use crate::exec::{ReuseExecutor, RunResult};
+use crate::exec::{check_register, ReuseExecutor, RunResult};
 use crate::histogram::Histogram;
 use crate::parallel;
 use crate::semcache::CacheOutcome;
@@ -242,7 +241,8 @@ impl Simulation {
     /// Returns [`SimError::ConflictingOptions`] when `spec` fails
     /// [`RunSpec::validate`], [`SimError::NoTrials`] before trial
     /// generation, [`SimError::State`] for a register wider than a dense
-    /// state vector holds, or execution failures. Store I/O problems
+    /// state vector holds or a classical register wider than a packed
+    /// outcome, or execution failures. Store I/O problems
     /// degrade to an uncached run, they never fail it.
     pub fn run<R: Recorder + ?Sized>(
         &self,
@@ -251,7 +251,7 @@ impl Simulation {
     ) -> Result<RunOutput, SimError> {
         spec.validate()?;
         let trials = self.trials.as_ref().ok_or(SimError::NoTrials)?.trials();
-        StateVector::check_width(self.layered.n_qubits())?;
+        check_register(&self.layered)?;
         let layered = &self.layered;
         let mut cache = None;
         let result = match spec.walk {
@@ -299,10 +299,9 @@ impl Simulation {
     ///
     /// Returns [`SimError::NoTrials`] before trial generation.
     pub fn analyze_with_budget(&self, budget: usize) -> Result<CostReport, SimError> {
-        let trials = self.trials.as_ref().ok_or(SimError::NoTrials)?;
-        let mut sorted = trials.trials().to_vec();
-        crate::order::reorder(&mut sorted);
-        analysis::analyze_sorted_with_budget(&self.layered, &sorted, budget)
+        let trials = self.trials.as_ref().ok_or(SimError::NoTrials)?.trials();
+        let order = crate::order::sorted_order(trials);
+        analysis::analyze_order_with_budget(&self.layered, trials, &order, budget)
     }
 
     /// Analytic first-order prediction of the savings for `n_trials`
@@ -484,6 +483,52 @@ mod tests {
         assert_eq!(wide.simulate().unwrap_err(), state_error);
         assert_eq!(layered.simulate().unwrap_err(), state_error);
         assert_eq!(fuse_for_trials(layered, trials).simulate().unwrap_err(), state_error);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn classical_registers_wider_than_an_outcome_fail_at_every_entry_point() {
+        use crate::exec::BaselineExecutor;
+        let mut wide = Circuit::new("wide-creg", 2, 70);
+        wide.x(0).x(1).measure(0, 68).measure(1, 1);
+        let mut s = Simulation::from_circuit(&wide, NoiseModel::uniform(2, 0.0, 0.0, 0.0)).unwrap();
+        s.generate_trials(4, 0).unwrap();
+        let dir = std::env::temp_dir().join(format!("redsim-wide-creg-{}", std::process::id()));
+        let store = MsvStore::open(&dir, 0).unwrap();
+        let too_wide = SimError::State(StateVecError::TooManyBits { n_bits: 70, max: 64 });
+        for spec in [
+            RunSpec::new(Walk::Baseline),
+            RunSpec { threads: 2, ..RunSpec::new(Walk::Baseline) },
+            RunSpec::default(),
+            RunSpec { budget: 1, ..RunSpec::default() },
+            RunSpec { threads: 2, ..RunSpec::default() },
+            RunSpec { store: Some(&store), ..RunSpec::default() },
+        ] {
+            assert_eq!(run(&s, spec).unwrap_err(), too_wide, "{}", spec.name());
+        }
+        let (layered, trials) = (s.layered(), s.trials().unwrap().trials());
+        assert_eq!(
+            BaselineExecutor::new(layered).run(trials, &NullRecorder),
+            Err(too_wide.clone())
+        );
+        assert_eq!(ReuseExecutor::new(layered).run(trials, &NullRecorder), Err(too_wide.clone()));
+        for threads in [1, 2] {
+            let baseline = parallel::run_baseline_parallel(layered, trials, threads, &NullRecorder);
+            assert_eq!(baseline, Err(too_wide.clone()));
+            let reuse = parallel::run_reordered_parallel(layered, trials, threads, &NullRecorder);
+            assert_eq!(reuse, Err(too_wide.clone()));
+        }
+        let cached = crate::semcache::run_reordered_cached(
+            layered,
+            s.model(),
+            trials,
+            &store,
+            &NullRecorder,
+        );
+        assert_eq!(cached.unwrap_err(), too_wide);
+        assert_eq!(crate::testkit::run_unfused(layered, trials), Err(too_wide));
+        // Nothing that builds no outcome minds the width.
+        assert_eq!(s.analyze().unwrap().n_trials, 4);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

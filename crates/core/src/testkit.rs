@@ -21,7 +21,7 @@ use qsim_circuit::{catalog, Circuit, CouplingMap, LayeredCircuit};
 use qsim_noise::{Injection, NoiseModel, Trial, TrialGenerator, TrialSet};
 use qsim_statevec::{Pauli, StateVector, C64};
 
-use crate::exec::{measure, validate, ExecStats, RunResult};
+use crate::exec::{check_register, measure, validate, ExecStats, RunResult};
 use crate::SimError;
 
 /// Deterministic xorshift64* generator — reproducible across platforms,
@@ -110,9 +110,10 @@ pub fn unfused_final_state(
 ///
 /// # Errors
 ///
-/// As [`unfused_final_state`].
+/// As [`unfused_final_state`], plus [`SimError::State`] for a classical
+/// register wider than a packed outcome.
 pub fn run_unfused(layered: &LayeredCircuit, trials: &[Trial]) -> Result<RunResult, SimError> {
-    StateVector::check_width(layered.n_qubits())?;
+    check_register(layered)?;
     let mut stats = ExecStats { n_trials: trials.len(), ..ExecStats::default() };
     let mut outcomes = Vec::with_capacity(trials.len());
     let gates = layered.total_gates() as u64;

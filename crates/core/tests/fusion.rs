@@ -82,7 +82,7 @@ fn fusion_properties_hold_across_the_catalog() {
         for seed in [1u64, 2, 3] {
             let set = TrialGenerator::new(&layered, &model).unwrap().generate(150, seed);
             let trials = set.trials();
-            let cuts = injection_cut_layers(trials);
+            let cuts = injection_cut_layers(trials, layered.n_layers());
             let program = FusedProgram::new(&layered, &cuts);
 
             // (3) Every cut layer ends a segment, and no segment spans one.
@@ -162,7 +162,8 @@ fn transpiled_circuits_fuse_correctly_too() {
         let reuse = ReuseExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
         assert_eq!(baseline.outcomes, reuse.outcomes, "{}", circuit.name());
 
-        let program = FusedProgram::new(&layered, &injection_cut_layers(set.trials()));
+        let program =
+            FusedProgram::new(&layered, &injection_cut_layers(set.trials(), layered.n_layers()));
         for index in [0usize, 1, 50, 199] {
             let trial = &set.trials()[index];
             let fused = final_state_fused(&layered, &program, trial);

@@ -4,7 +4,13 @@ use qsim_statevec::{Pauli, StateVecError, StateVector};
 
 /// Marker for "no qubit" in the packed high-qubit slot of a single-qubit
 /// injection.
-const NO_QUBIT: u16 = u16::MAX;
+pub(crate) const NO_QUBIT: u16 = u16::MAX;
+
+/// The largest qubit index an [`Injection`] packs.
+pub(crate) const MAX_PACKED_QUBIT: usize = NO_QUBIT as usize - 1;
+
+/// The largest layer index an [`Injection`] packs.
+pub(crate) const MAX_PACKED_LAYER: usize = u32::MAX as usize;
 
 /// Where an error strikes: a single qubit or a coupled pair (the operands of
 /// the gate that triggered it).
@@ -45,12 +51,14 @@ impl fmt::Display for Site {
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Injection {
-    layer: u32,
-    low: u16,
-    high: u16,
+    pub(crate) layer: u32,
+    pub(crate) low: u16,
+    /// The pair's high qubit, or [`NO_QUBIT`] for a single site (which
+    /// therefore sorts after every pair at the same `(layer, low)`).
+    pub(crate) high: u16,
     /// Single site: Pauli code 0..=2. Pair site: `4·high_code + low_code`
     /// with 0 = identity factor, never both zero.
-    op: u8,
+    pub(crate) op: u8,
 }
 
 impl Injection {

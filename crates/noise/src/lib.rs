@@ -50,7 +50,7 @@ pub use binomial::Binomial;
 pub use error::NoiseError;
 pub use injection::{Injection, Site};
 pub use model::NoiseModel;
-pub use order::{compare_injections, compare_trials, lcp};
+pub use order::{compare_injections, compare_trials, lcp, sorted_order};
 pub use trial::{injection_cut_layers, Trial, TrialSet};
 pub use trialgen::{PositionInfo, TrialGenerator};
 pub use weights::PauliWeights;

@@ -1,6 +1,6 @@
 use std::fmt;
-
-use qsim_statevec::MeasureOutcome;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use crate::Injection;
 
@@ -12,12 +12,42 @@ use crate::Injection;
 /// itself rather than of execution order — which is what lets the reordered
 /// executor produce **bitwise identical** results to the baseline (the
 /// paper's "mathematically equivalent to the original simulation").
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+///
+/// The injection list is a range of an injection arena shared by every
+/// trial of a generated or parsed [`TrialSet`], so a set of millions of
+/// trials is a handful of allocations, not one per trial. Cloning a trial
+/// shares the arena; equality, hashing and serialization see only the list.
+/// (The arena is the generator's own buffer, moved behind the `Arc` rather
+/// than copied into an `Arc<[Injection]>`: a copy would double the peak
+/// memory of a large set just as it is finished.)
+#[derive(Clone)]
 pub struct Trial {
-    injections: Vec<Injection>,
+    arena: Arc<Vec<Injection>>,
+    start: u32,
+    len: u32,
     meas_flips: u64,
     seed: u64,
+}
+
+/// Sort one trial's injections into canonical (layer, site, operator)
+/// order in place; a repeated error position comes back as `Err`.
+fn canonicalize(injections: &mut [Injection]) -> Result<(), Injection> {
+    injections.sort_unstable();
+    let same_position =
+        |a: &Injection, b: &Injection| (a.layer, a.low, a.high) == (b.layer, b.low, b.high);
+    match injections.windows(2).find(|pair| same_position(&pair[0], &pair[1])) {
+        Some(pair) => Err(pair[0]),
+        None => Ok(()),
+    }
+}
+
+/// `n` as an arena index.
+///
+/// # Panics
+///
+/// Panics past 2³² injections (48 GiB of them).
+fn arena_index(n: usize) -> u32 {
+    u32::try_from(n).expect("an injection arena holds at most 2^32 injections")
 }
 
 impl Trial {
@@ -28,32 +58,38 @@ impl Trial {
     ///
     /// Panics if two injections share the same error position — the
     /// depolarizing channel injects at most one operator per position.
-    pub fn new(mut injections: Vec<Injection>, meas_flips: u64, seed: u64) -> Self {
-        injections.sort_unstable();
-        for pair in injections.windows(2) {
-            assert!(
-                !(pair[0].layer() == pair[1].layer() && pair[0].site() == pair[1].site()),
-                "duplicate error position {} in one trial",
-                pair[0]
-            );
-        }
-        Trial { injections, meas_flips, seed }
+    pub fn new(injections: Vec<Injection>, meas_flips: u64, seed: u64) -> Self {
+        Trial::owning(injections, meas_flips, seed)
+            .unwrap_or_else(|inj| panic!("duplicate error position {inj} in one trial"))
+    }
+
+    /// A trial that is its own arena; a repeated error position comes back
+    /// as `Err`.
+    fn owning(
+        mut injections: Vec<Injection>,
+        meas_flips: u64,
+        seed: u64,
+    ) -> Result<Self, Injection> {
+        canonicalize(&mut injections)?;
+        let len = arena_index(injections.len());
+        Ok(Trial { arena: Arc::new(injections), start: 0, len, meas_flips, seed })
     }
 
     /// A trial with no injected errors (the error-free execution of the
     /// paper's Fig. 2a).
     pub fn error_free(seed: u64) -> Self {
-        Trial { injections: Vec::new(), meas_flips: 0, seed }
+        Trial { arena: Arc::new(Vec::new()), start: 0, len: 0, meas_flips: 0, seed }
     }
 
     /// The sorted injection list.
     pub fn injections(&self) -> &[Injection] {
-        &self.injections
+        let start = self.start as usize;
+        &self.arena[start..start + self.len as usize]
     }
 
     /// Number of injected errors.
     pub fn n_injections(&self) -> usize {
-        self.injections.len()
+        self.len as usize
     }
 
     /// Whether the readout of `qubit` flips classically.
@@ -70,22 +106,123 @@ impl Trial {
     pub fn seed(&self) -> u64 {
         self.seed
     }
+}
 
-    /// Apply this trial's readout errors to a sampled outcome in place
-    /// (paper §III.B.1 "we directly flip the measurement result bit").
-    pub fn apply_meas_flips(&self, outcome: &mut MeasureOutcome) {
-        for q in 0..outcome.n_qubits().min(64) {
-            if self.flips_qubit(q) {
-                outcome.flip(q);
-            }
+impl PartialEq for Trial {
+    fn eq(&self, other: &Self) -> bool {
+        self.injections() == other.injections()
+            && self.meas_flips == other.meas_flips
+            && self.seed == other.seed
+    }
+}
+
+impl Eq for Trial {}
+
+impl Hash for Trial {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.injections().hash(state);
+        self.meas_flips.hash(state);
+        self.seed.hash(state);
+    }
+}
+
+impl fmt::Debug for Trial {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Trial")
+            .field("injections", &self.injections())
+            .field("meas_flips", &self.meas_flips)
+            .field("seed", &self.seed)
+            .finish()
+    }
+}
+
+/// Serialized as `{"injections": [...], "meas_flips": u64, "seed": u64}`.
+#[cfg(feature = "serde")]
+impl serde::Serialize for Trial {
+    fn to_value(&self) -> serde::value::Value {
+        serde::value::Value::Map(vec![
+            ("injections".to_owned(), self.injections().to_value()),
+            ("meas_flips".to_owned(), self.meas_flips.to_value()),
+            ("seed".to_owned(), self.seed.to_value()),
+        ])
+    }
+}
+
+/// Deserializing sorts the injection list and rejects a repeated error
+/// position, as [`Trial::new`] does.
+#[cfg(feature = "serde")]
+impl<'de> serde::Deserialize<'de> for Trial {
+    fn from_value(value: &serde::value::Value) -> Result<Self, serde::de::DeError> {
+        use serde::de::{field, DeError};
+        let entries = value.as_map().ok_or_else(|| DeError::expected("object", value))?;
+        let (meas_flips, seed) = (field(entries, "meas_flips")?, field(entries, "seed")?);
+        Trial::owning(field(entries, "injections")?, meas_flips, seed)
+            .map_err(|inj| DeError::new(format!("duplicate error position {inj} in one trial")))
+    }
+}
+
+/// Builds a trial set's trials over one shared injection arena: a trial's
+/// injections are appended, then sorted and checked in place when the trial
+/// closes. The generators and the trial-file parser fill one of these, so
+/// producing a set allocates independently of its trial count.
+pub(crate) struct TrialArena {
+    injections: Vec<Injection>,
+    /// `(start, len, flips, seed)` of every closed trial.
+    trials: Vec<(u32, u32, u64, u64)>,
+    /// Where the open trial's injections start.
+    open: usize,
+}
+
+impl TrialArena {
+    /// An empty arena sized for `n_trials` trials carrying about
+    /// `n_injections` injections in total.
+    pub(crate) fn with_capacity(n_trials: usize, n_injections: usize) -> Self {
+        TrialArena {
+            injections: Vec::with_capacity(n_injections),
+            trials: Vec::with_capacity(n_trials),
+            open: 0,
         }
+    }
+
+    /// Append an injection to the open trial.
+    pub(crate) fn push(&mut self, injection: Injection) {
+        self.injections.push(injection);
+    }
+
+    /// Close the open trial: sort its injections into canonical order and
+    /// record its readout flips and seed. A repeated error position comes
+    /// back as `Err`.
+    pub(crate) fn close(&mut self, meas_flips: u64, seed: u64) -> Result<(), Injection> {
+        canonicalize(&mut self.injections[self.open..])?;
+        let start = arena_index(self.open);
+        let end = arena_index(self.injections.len());
+        self.trials.push((start, end - start, meas_flips, seed));
+        self.open = self.injections.len();
+        Ok(())
+    }
+
+    /// The closed trials, each a view of the shared arena.
+    pub(crate) fn finish(mut self) -> Vec<Trial> {
+        self.injections.truncate(self.open);
+        self.injections.shrink_to_fit();
+        let arena = Arc::new(self.injections);
+        self.trials
+            .into_iter()
+            .map(|(start, len, meas_flips, seed)| Trial {
+                arena: Arc::clone(&arena),
+                start,
+                len,
+                meas_flips,
+                seed,
+            })
+            .collect()
     }
 }
 
 impl fmt::Display for Trial {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Trial[")?;
-        for (i, inj) in self.injections.iter().enumerate() {
+        for (i, inj) in self.injections().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -204,7 +341,7 @@ impl TrialSet {
     /// Gate fusion (see `qsim-circuit`'s `fuse` module) is free to merge
     /// across every other layer boundary.
     pub fn injection_layers(&self) -> Vec<usize> {
-        injection_cut_layers(&self.trials)
+        injection_cut_layers(&self.trials, self.n_layers)
     }
 
     /// Fraction of trials with no injected error at all — the paper's
@@ -218,15 +355,19 @@ impl TrialSet {
     }
 }
 
-/// Sorted, deduplicated union of injection layers across `trials` (see
-/// [`TrialSet::injection_layers`]; this form serves executors that work on
-/// bare trial slices).
-pub fn injection_cut_layers(trials: &[Trial]) -> Vec<usize> {
-    let mut layers: Vec<usize> =
-        trials.iter().flat_map(|t| t.injections().iter().map(|inj| inj.layer())).collect();
-    layers.sort_unstable();
-    layers.dedup();
-    layers
+/// Sorted, deduplicated union of the injection layers below `n_layers`
+/// across `trials` (see [`TrialSet::injection_layers`]; this form serves
+/// executors that work on bare trial slices). One pass marks a flag per
+/// layer of the circuit; an injection past its last layer cuts nothing
+/// (the executors reject it).
+pub fn injection_cut_layers(trials: &[Trial], n_layers: usize) -> Vec<usize> {
+    let mut cut = vec![false; n_layers];
+    for inj in trials.iter().flat_map(Trial::injections) {
+        if let Some(flag) = cut.get_mut(inj.layer()) {
+            *flag = true;
+        }
+    }
+    cut.iter().enumerate().filter_map(|(layer, &c)| c.then_some(layer)).collect()
 }
 
 impl fmt::Display for TrialSet {
@@ -274,15 +415,58 @@ mod tests {
     }
 
     #[test]
+    fn arena_trials_view_one_shared_buffer() {
+        let mut arena = TrialArena::with_capacity(3, 0);
+        arena.push(Injection::single(2, 0, Pauli::X));
+        arena.push(Injection::single(0, 1, Pauli::Z));
+        arena.close(0b1, 7).unwrap();
+        arena.close(0, 8).unwrap();
+        arena.push(Injection::single(1, 0, Pauli::Y));
+        arena.push(Injection::single(1, 0, Pauli::X));
+        assert_eq!(arena.close(0, 9), Err(Injection::single(1, 0, Pauli::X)));
+        let trials = arena.finish();
+        assert_eq!(
+            trials,
+            vec![
+                Trial::new(
+                    vec![Injection::single(0, 1, Pauli::Z), Injection::single(2, 0, Pauli::X)],
+                    0b1,
+                    7
+                ),
+                Trial::error_free(8),
+            ],
+            "sorted in place; the trial that failed to close is dropped"
+        );
+        assert!(Arc::ptr_eq(&trials[0].arena, &trials[1].arena));
+        assert_eq!(trials[0].arena.len(), 2);
+    }
+
+    #[test]
+    fn cut_layers_are_bounded_by_the_circuit() {
+        let trials = [
+            Trial::new(vec![Injection::single(3, 0, Pauli::X)], 0, 0),
+            Trial::new(
+                vec![
+                    Injection::single(1, 0, Pauli::Z),
+                    Injection::single(u32::MAX as usize, 1, Pauli::Y),
+                ],
+                0,
+                1,
+            ),
+            Trial::new(vec![Injection::single(3, 1, Pauli::X)], 0, 2),
+        ];
+        assert_eq!(injection_cut_layers(&trials, 5), vec![1, 3]);
+        assert_eq!(injection_cut_layers(&trials, 2), vec![1]);
+        assert!(injection_cut_layers(&trials, 0).is_empty());
+    }
+
+    #[test]
     fn meas_flips_round_trip() {
         let t = Trial::new(vec![], 0b101, 9);
         assert!(t.flips_qubit(0));
         assert!(!t.flips_qubit(1));
         assert!(t.flips_qubit(2));
         assert!(!t.flips_qubit(63));
-        let mut outcome = qsim_statevec::MeasureOutcome::from_index(0b000, 3);
-        t.apply_meas_flips(&mut outcome);
-        assert_eq!(outcome.to_index(), 0b101);
     }
 
     #[test]

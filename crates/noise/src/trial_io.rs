@@ -16,7 +16,9 @@
 
 use qsim_statevec::Pauli;
 
-use crate::{Injection, NoiseError, Site, Trial, TrialSet};
+use crate::injection::{MAX_PACKED_LAYER, MAX_PACKED_QUBIT};
+use crate::trial::TrialArena;
+use crate::{Injection, NoiseError, Site, TrialSet};
 
 /// Render a trial set (round-trips through [`parse`]).
 pub fn emit(set: &TrialSet) -> String {
@@ -52,11 +54,14 @@ pub fn emit(set: &TrialSet) -> String {
     out
 }
 
-/// Parse a serialized trial set.
+/// Parse a serialized trial set. Every trial lands in one shared
+/// injection arena.
 ///
 /// # Errors
 ///
-/// Returns [`NoiseError::Calibration`] with the offending 1-based line.
+/// Returns [`NoiseError::Calibration`] with the offending 1-based line for
+/// malformed syntax, an injection outside the declared `qubits`/`layers`
+/// or the packed index ranges, and a repeated error position in one trial.
 pub fn parse(source: &str) -> Result<TrialSet, NoiseError> {
     let mut lines = source.lines().enumerate();
     let err = |line: usize, message: String| NoiseError::Calibration { line, message };
@@ -76,7 +81,7 @@ pub fn parse(source: &str) -> Result<TrialSet, NoiseError> {
         _ => return Err(err(2, format!("expected `qubits N layers M`, found {geometry:?}"))),
     };
 
-    let mut trials = Vec::new();
+    let mut arena = TrialArena::with_capacity(0, 0);
     for (idx, line) in lines {
         let line_no = idx + 1;
         let line = line.trim();
@@ -89,7 +94,6 @@ pub fn parse(source: &str) -> Result<TrialSet, NoiseError> {
         }
         let mut flips: Option<u64> = None;
         let mut seed: Option<u64> = None;
-        let mut injections = Vec::new();
         for word in words {
             if let Some(hex) = word.strip_prefix("f=") {
                 flips = Some(
@@ -99,28 +103,36 @@ pub fn parse(source: &str) -> Result<TrialSet, NoiseError> {
             } else if let Some(v) = word.strip_prefix("s=") {
                 seed = Some(v.parse().map_err(|e| err(line_no, format!("invalid seed: {e}")))?);
             } else {
-                injections.push(parse_injection(word, line_no)?);
+                arena.push(parse_injection(word, line_no, n_qubits, n_layers)?);
             }
         }
         let flips = flips.ok_or_else(|| err(line_no, "missing f= flip mask".to_owned()))?;
         let seed = seed.ok_or_else(|| err(line_no, "missing s= seed".to_owned()))?;
-        for inj in &injections {
-            if inj.layer() >= n_layers {
-                return Err(err(
-                    line_no,
-                    format!(
-                        "injection layer {} beyond the declared {n_layers} layers",
-                        inj.layer()
-                    ),
-                ));
-            }
-        }
-        trials.push(Trial::new(injections, flips, seed));
+        arena
+            .close(flips, seed)
+            .map_err(|inj| err(line_no, format!("duplicate error position {inj} in one trial")))?;
     }
-    Ok(TrialSet::new(n_qubits, n_layers, trials))
+    Ok(TrialSet::new(n_qubits, n_layers, arena.finish()))
 }
 
-fn parse_injection(word: &str, line: usize) -> Result<Injection, NoiseError> {
+/// Reject an injection `what` index (layer or qubit) outside the declared
+/// count or the packed range, before anything is packed.
+fn check_index(what: &str, index: usize, declared: usize, packed: usize) -> Result<(), String> {
+    if index >= declared {
+        return Err(format!("injection {what} {index} beyond the declared {declared} {what}s"));
+    }
+    if index > packed {
+        return Err(format!("injection {what} {index} too large to pack"));
+    }
+    Ok(())
+}
+
+fn parse_injection(
+    word: &str,
+    line: usize,
+    n_qubits: usize,
+    n_layers: usize,
+) -> Result<Injection, NoiseError> {
     let err = |message: String| NoiseError::Calibration { line, message };
     let parts: Vec<&str> = word.split(':').collect();
     let parse_pauli = |text: &str| -> Result<Option<Pauli>, NoiseError> {
@@ -129,18 +141,26 @@ fn parse_injection(word: &str, line: usize) -> Result<Injection, NoiseError> {
             other => other.parse::<Pauli>().map(Some).map_err(|e| err(e.to_string())),
         }
     };
+    let parse_layer = |text: &str| -> Result<usize, NoiseError> {
+        let layer = text.parse().map_err(|e| err(format!("invalid layer: {e}")))?;
+        check_index("layer", layer, n_layers, MAX_PACKED_LAYER).map_err(err)?;
+        Ok(layer)
+    };
+    let parse_qubit = |text: &str| -> Result<usize, NoiseError> {
+        let qubit = text.parse().map_err(|e| err(format!("invalid qubit: {e}")))?;
+        check_index("qubit", qubit, n_qubits, MAX_PACKED_QUBIT).map_err(err)?;
+        Ok(qubit)
+    };
     match parts.as_slice() {
         ["s", layer, qubit, op] => {
-            let layer: usize = layer.parse().map_err(|e| err(format!("invalid layer: {e}")))?;
-            let qubit: usize = qubit.parse().map_err(|e| err(format!("invalid qubit: {e}")))?;
+            let (layer, qubit) = (parse_layer(layer)?, parse_qubit(qubit)?);
             let pauli = parse_pauli(op)?
                 .ok_or_else(|| err("single injection cannot be identity".to_owned()))?;
             Ok(Injection::single(layer, qubit, pauli))
         }
         ["p", layer, low, high, low_op, high_op] => {
-            let layer: usize = layer.parse().map_err(|e| err(format!("invalid layer: {e}")))?;
-            let low: usize = low.parse().map_err(|e| err(format!("invalid qubit: {e}")))?;
-            let high: usize = high.parse().map_err(|e| err(format!("invalid qubit: {e}")))?;
+            let layer = parse_layer(layer)?;
+            let (low, high) = (parse_qubit(low)?, parse_qubit(high)?);
             if low >= high {
                 return Err(err(format!("pair qubits must be low<high, found {low},{high}")));
             }
@@ -210,6 +230,42 @@ mod tests {
         assert!(e.to_string().contains("expected X, Y, or Z"), "{e}");
         let e = parse("trialset v1\nqubits 2 layers 2\ntrial f=0 s=1 wat\n").unwrap_err();
         assert!(e.to_string().contains("unrecognized injection"), "{e}");
+    }
+
+    #[test]
+    fn hostile_injections_are_positioned_errors_not_panics() {
+        let parse_err = |body: &str, declared: &str| {
+            parse(&format!("trialset v1\n{declared}\n# hostile\n{body}\n")).unwrap_err()
+        };
+        let geometry = "qubits 2 layers 2";
+        let e = parse_err("trial f=0 s=1 s:0:0:X s:0:0:Z", geometry);
+        assert_eq!(
+            e.to_string(),
+            "calibration line 4: duplicate error position L0:X@q0 in one trial"
+        );
+        let e = parse_err("trial f=0 s=1 p:1:0:1:X:I s:0:1:Y p:1:0:1:Z:Z", geometry);
+        assert!(e.to_string().contains("line 4: duplicate error position L1:"), "{e}");
+        let e = parse_err("trial f=0 s=1 s:0:2:X", geometry);
+        assert!(e.to_string().contains("line 4: injection qubit 2 beyond the declared 2"), "{e}");
+        let e = parse_err("trial f=0 s=1 p:0:0:5:X:X", geometry);
+        assert!(e.to_string().contains("injection qubit 5 beyond the declared 2"), "{e}");
+        let e = parse_err("trial f=0 s=1 s:0:70000:X", geometry);
+        assert!(e.to_string().contains("qubit 70000 beyond the declared"), "{e}");
+        let e = parse_err("trial f=0 s=1 s:0:70000:X", "qubits 100000 layers 2");
+        assert!(e.to_string().contains("qubit 70000 too large to pack"), "{e}");
+        let e = parse_err("trial f=0 s=1 s:99999999999:0:X", geometry);
+        assert!(e.to_string().contains("layer 99999999999 beyond the declared 2"), "{e}");
+        let e = parse_err("trial f=0 s=1 s:99999999999:0:X", "qubits 2 layers 999999999999");
+        assert!(e.to_string().contains("layer 99999999999 too large to pack"), "{e}");
+    }
+
+    #[test]
+    fn parsed_sets_emit_byte_identically() {
+        let set = sample_set();
+        let text = emit(&set);
+        let parsed = parse(&text).unwrap();
+        assert_eq!(emit(&parsed), text);
+        assert_eq!(parsed.total_injections(), set.total_injections());
     }
 
     #[test]

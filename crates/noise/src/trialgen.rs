@@ -1,4 +1,4 @@
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use qsim_circuit::LayeredCircuit;
 use rand::rngs::StdRng;
@@ -6,7 +6,8 @@ use rand::{Rng, RngExt, SeedableRng};
 
 use qsim_statevec::Pauli;
 
-use crate::{Binomial, Injection, NoiseError, NoiseModel, PauliWeights, Trial, TrialSet};
+use crate::trial::TrialArena;
+use crate::{Binomial, Injection, NoiseError, NoiseModel, PauliWeights, TrialSet};
 
 /// Public summary of one error position, for analytic cost models.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -146,18 +147,31 @@ impl TrialGenerator {
     /// Deterministic in `seed`.
     pub fn generate(&self, n_trials: usize, seed: u64) -> TrialSet {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut trials = Vec::with_capacity(n_trials);
+        let mut arena = self.arena(n_trials, 0);
         for _ in 0..n_trials {
-            let mut injections = Vec::new();
             for pos in &self.positions {
                 if rng.random::<f64>() < pos.rate {
-                    injections.push(sample_operator(pos, &mut rng));
+                    arena.push(sample_operator(pos, &mut rng));
                 }
             }
             let flips = self.sample_flips_direct(&mut rng);
-            trials.push(Trial::new(injections, flips, rng.random::<u64>()));
+            close(&mut arena, flips, rng.random::<u64>());
         }
-        TrialSet::new(self.n_qubits, self.n_layers, trials)
+        self.set(arena)
+    }
+
+    /// An empty arena for `n_trials` trials whose injection buffer will
+    /// almost surely never regrow: the injection total is a sum of
+    /// independent Bernoulli draws, so its variance is at most its mean,
+    /// and eight standard deviations of slack cover it. `floor` adds the
+    /// conditional sampler's per-trial minimum on top of the mean.
+    fn arena(&self, n_trials: usize, floor: usize) -> TrialArena {
+        let mean = (self.expected_injections() + floor as f64) * n_trials as f64;
+        TrialArena::with_capacity(n_trials, (mean + 8.0 * mean.sqrt()).ceil() as usize + 64)
+    }
+
+    fn set(&self, arena: TrialArena) -> TrialSet {
+        TrialSet::new(self.n_qubits, self.n_layers, arena.finish())
     }
 
     /// Binomial fast path: per rate class, draw the number of injected
@@ -198,28 +212,28 @@ impl TrialGenerator {
             .map(|(rate, qs)| (Binomial::new(qs.len() as u64, *rate), qs.as_slice()))
             .collect();
 
-        let mut trials = Vec::with_capacity(n_trials);
+        let mut arena = self.arena(n_trials, 0);
         let mut scratch: Vec<usize> = Vec::new();
+        let mut seen = HashSet::new();
         for _ in 0..n_trials {
-            let mut injections = Vec::new();
             for (dist, idxs) in &binomials {
                 let k = dist.sample(&mut rng) as usize;
-                choose_distinct(idxs, k, &mut rng, &mut scratch);
+                choose_distinct(idxs, k, &mut rng, &mut scratch, &mut seen);
                 for &pos_idx in scratch.iter() {
-                    injections.push(sample_operator(&self.positions[pos_idx], &mut rng));
+                    arena.push(sample_operator(&self.positions[pos_idx], &mut rng));
                 }
             }
             let mut flips = 0u64;
             for (dist, qs) in &readout_binomials {
                 let k = dist.sample(&mut rng) as usize;
-                choose_distinct(qs, k, &mut rng, &mut scratch);
+                choose_distinct(qs, k, &mut rng, &mut scratch, &mut seen);
                 for &q in scratch.iter() {
                     flips |= 1u64 << q;
                 }
             }
-            trials.push(Trial::new(injections, flips, rng.random::<u64>()));
+            close(&mut arena, flips, rng.random::<u64>());
         }
-        TrialSet::new(self.n_qubits, self.n_layers, trials)
+        self.set(arena)
     }
 
     /// Exact conditional sampling: generate `n_trials` trials **given at
@@ -273,9 +287,8 @@ impl TrialGenerator {
         );
 
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut trials = Vec::with_capacity(n_trials);
+        let mut arena = self.arena(n_trials, min_errors);
         for _ in 0..n_trials {
-            let mut injections = Vec::new();
             let mut needed = min_errors;
             for (i, pos) in positions.iter().enumerate() {
                 let hit = if needed == 0 {
@@ -286,15 +299,15 @@ impl TrialGenerator {
                     rng.random::<f64>() < p_hit
                 };
                 if hit {
-                    injections.push(sample_operator(pos, &mut rng));
+                    arena.push(sample_operator(pos, &mut rng));
                     needed = needed.saturating_sub(1);
                 }
             }
-            debug_assert!(injections.len() >= min_errors);
+            debug_assert_eq!(needed, 0, "the conditional sampler met its minimum");
             let flips = self.sample_flips_direct(&mut rng);
-            trials.push(Trial::new(injections, flips, rng.random::<u64>()));
+            close(&mut arena, flips, rng.random::<u64>());
         }
-        (TrialSet::new(self.n_qubits, self.n_layers, trials), event_probability)
+        (self.set(arena), event_probability)
     }
 
     fn sample_flips_direct(&self, rng: &mut StdRng) -> u64 {
@@ -305,6 +318,14 @@ impl TrialGenerator {
             }
         }
         flips
+    }
+}
+
+/// Close a generated trial. Generator positions are distinct, so a repeated
+/// error position is a bug.
+fn close(arena: &mut TrialArena, meas_flips: u64, seed: u64) {
+    if let Err(inj) = arena.close(meas_flips, seed) {
+        panic!("duplicate error position {inj} in one trial");
     }
 }
 
@@ -323,11 +344,19 @@ fn sample_operator<R: Rng>(pos: &Position, rng: &mut R) -> Injection {
     }
 }
 
-/// Sample `k` distinct elements of `pool` into `out` (unordered). Uses
-/// rejection via a partial Fisher–Yates over indices when `k` is a large
-/// fraction of the pool, plain rejection otherwise (`k` is almost always
-/// tiny compared to the pool in this workload).
-fn choose_distinct<R: Rng>(pool: &[usize], k: usize, rng: &mut R, out: &mut Vec<usize>) {
+/// Sample `k` distinct elements of `pool` into `out`, in the order they
+/// were drawn, so the result is a pure function of the generator state.
+/// Uses a partial Fisher–Yates over indices when `k` is a large fraction of
+/// the pool, plain rejection otherwise (`k` is almost always tiny compared
+/// to the pool in this workload); `seen` is the rejection path's membership
+/// scratch, never iterated.
+fn choose_distinct<R: Rng>(
+    pool: &[usize],
+    k: usize,
+    rng: &mut R,
+    out: &mut Vec<usize>,
+    seen: &mut HashSet<usize>,
+) {
     out.clear();
     let n = pool.len();
     if k == 0 {
@@ -339,11 +368,13 @@ fn choose_distinct<R: Rng>(pool: &[usize], k: usize, rng: &mut R, out: &mut Vec<
     }
     if k * 4 <= n {
         // Rejection sampling.
-        let mut chosen = std::collections::HashSet::with_capacity(k * 2);
-        while chosen.len() < k {
-            chosen.insert(rng.random_range(0..n));
+        seen.clear();
+        while out.len() < k {
+            let i = rng.random_range(0..n);
+            if seen.insert(i) {
+                out.push(pool[i]);
+            }
         }
-        out.extend(chosen.into_iter().map(|i| pool[i]));
     } else {
         // Partial Fisher–Yates.
         let mut indices: Vec<usize> = (0..n).collect();
@@ -380,6 +411,11 @@ mod tests {
         assert_eq!(generator.generate(50, 7), generator.generate(50, 7));
         assert_ne!(generator.generate(50, 7), generator.generate(50, 8));
         assert_eq!(generator.generate_fast(50, 7), generator.generate_fast(50, 7));
+        // Pools far larger than the draw count take the rejection path,
+        // whose draw order fixes which operator each chosen position gets.
+        let layered = catalog::quantum_volume(10, 10, 2020).layered().unwrap();
+        let generator = TrialGenerator::new(&layered, &NoiseModel::artificial(10, 1e-3)).unwrap();
+        assert_eq!(generator.generate_fast(20_000, 2020), generator.generate_fast(20_000, 2020));
     }
 
     #[test]
@@ -479,9 +515,9 @@ mod tests {
     fn choose_distinct_returns_unique_elements() {
         let pool: Vec<usize> = (100..150).collect();
         let mut rng = StdRng::seed_from_u64(0);
-        let mut out = Vec::new();
+        let (mut out, mut seen) = (Vec::new(), HashSet::new());
         for k in [0usize, 1, 5, 25, 49, 50, 60] {
-            choose_distinct(&pool, k, &mut rng, &mut out);
+            choose_distinct(&pool, k, &mut rng, &mut out, &mut seen);
             let expected = k.min(pool.len());
             assert_eq!(out.len(), expected);
             let unique: std::collections::HashSet<_> = out.iter().collect();

@@ -38,6 +38,14 @@ pub enum StateVecError {
         /// Maximum supported by this type.
         max: usize,
     },
+    /// A classical register of this many bits does not fit a packed
+    /// measurement outcome.
+    TooManyBits {
+        /// Requested bit count.
+        n_bits: usize,
+        /// Widest outcome a `MeasureOutcome` packs.
+        max: usize,
+    },
 }
 
 impl fmt::Display for StateVecError {
@@ -57,6 +65,9 @@ impl fmt::Display for StateVecError {
             }
             StateVecError::TooManyQubits { n_qubits, max } => {
                 write!(f, "{n_qubits} qubits exceeds the supported maximum of {max}")
+            }
+            StateVecError::TooManyBits { n_bits, max } => {
+                write!(f, "a {n_bits}-bit classical register exceeds the {max}-bit outcome limit")
             }
         }
     }

@@ -1,18 +1,60 @@
 use rand::{Rng, RngExt};
 
-use crate::StateVector;
+use crate::{StateVecError, StateVector};
 
-/// The classical result of measuring every qubit of a register once.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+/// The classical result of measuring a register once, packed into a `u64`
+/// mask (bit *q* = qubit or classical bit *q*) plus its width. The packing
+/// makes an outcome `Copy` and free of heap memory, so aggregating millions
+/// of Monte-Carlo trials allocates nothing per trial.
+///
+/// An outcome holds at most [`MeasureOutcome::MAX_BITS`] = 64 bits; a
+/// simulator checks a wider register up front with
+/// [`MeasureOutcome::check_width`] instead of building one.
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct MeasureOutcome {
-    bits: Vec<bool>,
+    mask: u64,
+    width: u32,
+}
+
+/// The mask of the low `width` bits (`width <= 64`).
+fn low_bits(width: usize) -> u64 {
+    if width >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << width) - 1
+    }
 }
 
 impl MeasureOutcome {
-    /// Construct from a basis index, least-significant bit = qubit 0.
+    /// The widest register an outcome packs.
+    pub const MAX_BITS: usize = 64;
+
+    /// Reject a register of `n_bits` bits that an outcome cannot pack.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StateVecError::TooManyBits`] when `n_bits` exceeds
+    /// [`MeasureOutcome::MAX_BITS`].
+    pub fn check_width(n_bits: usize) -> Result<(), StateVecError> {
+        if n_bits > Self::MAX_BITS {
+            return Err(StateVecError::TooManyBits { n_bits, max: Self::MAX_BITS });
+        }
+        Ok(())
+    }
+
+    /// Construct from a basis index, least-significant bit = qubit 0. Bits
+    /// of `index` at or above `n_qubits` are dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_qubits` exceeds [`MeasureOutcome::MAX_BITS`].
     pub fn from_index(index: usize, n_qubits: usize) -> Self {
-        MeasureOutcome { bits: (0..n_qubits).map(|q| index >> q & 1 == 1).collect() }
+        assert!(
+            n_qubits <= Self::MAX_BITS,
+            "{n_qubits} bits exceed the {}-bit outcome limit",
+            Self::MAX_BITS
+        );
+        MeasureOutcome { mask: index as u64 & low_bits(n_qubits), width: n_qubits as u32 }
     }
 
     /// The measured bit for `qubit`.
@@ -21,7 +63,8 @@ impl MeasureOutcome {
     ///
     /// Panics if `qubit` is out of range.
     pub fn bit(&self, qubit: usize) -> bool {
-        self.bits[qubit]
+        self.check(qubit);
+        self.mask >> qubit & 1 == 1
     }
 
     /// Flip the recorded bit for `qubit` (models a classical readout error).
@@ -30,30 +73,59 @@ impl MeasureOutcome {
     ///
     /// Panics if `qubit` is out of range.
     pub fn flip(&mut self, qubit: usize) {
-        self.bits[qubit] = !self.bits[qubit];
+        self.check(qubit);
+        self.mask ^= 1 << qubit;
+    }
+
+    fn check(&self, qubit: usize) {
+        assert!(
+            qubit < self.n_qubits(),
+            "bit {qubit} out of range for a {}-bit outcome",
+            self.width
+        );
     }
 
     /// Number of measured qubits.
     pub fn n_qubits(&self) -> usize {
-        self.bits.len()
+        self.width as usize
     }
 
     /// Re-pack into a basis index.
     pub fn to_index(&self) -> usize {
-        self.bits.iter().enumerate().fold(0usize, |acc, (q, &b)| acc | (usize::from(b) << q))
+        self.mask as usize
     }
 
     /// Bits as a vector, index = qubit.
     pub fn to_bits(&self) -> Vec<bool> {
-        self.bits.clone()
+        (0..self.n_qubits()).map(|q| self.mask >> q & 1 == 1).collect()
+    }
+}
+
+/// Serialized as `{"bits": [bool, …]}`, index = qubit.
+#[cfg(feature = "serde")]
+impl serde::Serialize for MeasureOutcome {
+    fn to_value(&self) -> serde::value::Value {
+        serde::value::Value::Map(vec![("bits".to_owned(), self.to_bits().to_value())])
+    }
+}
+
+#[cfg(feature = "serde")]
+impl<'de> serde::Deserialize<'de> for MeasureOutcome {
+    fn from_value(value: &serde::value::Value) -> Result<Self, serde::de::DeError> {
+        let entries =
+            value.as_map().ok_or_else(|| serde::de::DeError::expected("object", value))?;
+        let bits: Vec<bool> = serde::de::field(entries, "bits")?;
+        Self::check_width(bits.len()).map_err(serde::de::DeError::new)?;
+        let mask = bits.iter().enumerate().fold(0u64, |acc, (q, &b)| acc | u64::from(b) << q);
+        Ok(MeasureOutcome { mask, width: bits.len() as u32 })
     }
 }
 
 impl std::fmt::Display for MeasureOutcome {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // Most-significant qubit first, ket style.
-        for &b in self.bits.iter().rev() {
-            write!(f, "{}", u8::from(b))?;
+        for q in (0..self.n_qubits()).rev() {
+            write!(f, "{}", self.mask >> q & 1)?;
         }
         Ok(())
     }
@@ -121,6 +193,31 @@ mod tests {
         assert_eq!(o.to_index(), 0b0111);
         o.flip(1);
         assert_eq!(o.to_index(), 0b0101);
+    }
+
+    #[test]
+    fn outcome_packs_up_to_sixty_four_bits() {
+        let mut o = MeasureOutcome::from_index(usize::MAX, 64);
+        assert_eq!(o.n_qubits(), 64);
+        assert!(o.bit(63));
+        o.flip(63);
+        assert_eq!(o.to_index(), usize::MAX >> 1);
+        assert_eq!(o.to_bits().len(), 64);
+        // Bits above the width are dropped.
+        assert_eq!(MeasureOutcome::from_index(0b1111, 2).to_index(), 0b11);
+        assert_eq!(MeasureOutcome::from_index(7, 0).to_string(), "");
+        assert!(MeasureOutcome::check_width(64).is_ok());
+        assert_eq!(
+            MeasureOutcome::check_width(70),
+            Err(StateVecError::TooManyBits { n_bits: 70, max: 64 })
+        );
+        assert!(MeasureOutcome::check_width(70).unwrap_err().to_string().contains("64-bit"));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn outcome_rejects_bits_past_its_width() {
+        let _ = MeasureOutcome::from_index(0, 3).bit(3);
     }
 
     #[test]
