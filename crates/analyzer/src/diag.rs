@@ -87,7 +87,7 @@ diag_codes! {
     UseAfterDrop => ("MSV001", Error, "a schedule op uses a frame after it was dropped (or never created)"),
     LeakedFrame => ("MSV002", Error, "a non-root frame is still alive when the schedule ends"),
     PeakMsvMismatch => ("MSV003", Error, "the schedule's peak cached-frame count disagrees with the cost report"),
-    FrontierDesync => ("MSV004", Error, "a frame's layer frontier moves backwards, an injection misses its frontier, or cache-stack discipline is violated"),
+    FrontierDesync => ("MSV004", Error, "a frame's layer frontier moves backwards or differs from an advance's claimed start, an injection misses its frontier, or cache-stack discipline is violated"),
     MeasurementCoverage => ("MSV005", Error, "a trial is measured zero times, more than once, or before its circuit completes"),
     OpsMismatch => ("MSV006", Error, "the schedule's total gate+injection work disagrees with the cost report"),
     // ---- Fusion-cut soundness ----

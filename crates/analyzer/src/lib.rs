@@ -13,7 +13,9 @@
 //!
 //! * [`ExecutionPlan`] captures one compiled run — circuit, trials,
 //!   order, fused program, and an explicit prefix-cache [`ScheduleOp`]
-//!   stream produced by symbolically replaying `redsim`'s streaming loop.
+//!   stream produced by [`replay_schedule`], the one symbolic replay of
+//!   `redsim`'s streaming loop; [`CostReport::replayed`] folds it into the
+//!   paper's metrics, the advisor into pass counts.
 //! * [`verify`] runs six passes — the MSV borrow checker, fusion-cut
 //!   soundness, trial-set lints, circuit lints, structure-classification
 //!   cross-checks, and the strategy advisor — and returns structured
@@ -42,21 +44,21 @@
 //! ```
 
 pub mod canon;
+mod cost;
 mod diag;
 pub mod mutate;
 pub mod passes;
 mod plan;
 
 pub use canon::{model_digest, prefix_fingerprint, StableHasher};
+pub use cost::CostReport;
 pub use diag::{has_errors, render_tty, DiagCode, Diagnostic, Location, Severity};
 pub use mutate::Mutation;
 pub use passes::advisor::{
     advise, commute_frame, Advice, CommutedFrame, InjectionVerdict, Strategy, StrategyPrediction,
 };
 pub use passes::structure::{SegmentClass, SegmentStructure};
-pub use plan::{
-    compile_schedule, ExecutionPlan, FrameId, PlanExpectations, ScheduleOp, ROOT_FRAME,
-};
+pub use plan::{compile_schedule, replay_schedule, ExecutionPlan, FrameId, ScheduleOp, ROOT_FRAME};
 
 /// Run every verifier pass over `plan` and collect the findings, in pass
 /// order (borrow checker, fusion, trial set, circuit, structure, advisor).

@@ -32,6 +32,8 @@ pub enum Mutation {
     PrematureDrop,
     /// Delete a frame's drop entirely.
     LeakFrame,
+    /// Misstate the starting frontier (`from`) of one advance.
+    MisstateAdvanceOrigin,
     /// Overstate the claimed peak MSV by one.
     PeakMsvLie,
     /// Retarget an injection at a qubit outside the register.
@@ -57,6 +59,7 @@ impl Mutation {
         Mutation::MisclassifyKernel,
         Mutation::PrematureDrop,
         Mutation::LeakFrame,
+        Mutation::MisstateAdvanceOrigin,
         Mutation::PeakMsvLie,
         Mutation::BadPauliTarget,
         Mutation::OutOfRangeLayer,
@@ -75,6 +78,7 @@ impl Mutation {
             Mutation::MisclassifyKernel => DiagCode::KernelMismatch,
             Mutation::PrematureDrop => DiagCode::UseAfterDrop,
             Mutation::LeakFrame => DiagCode::LeakedFrame,
+            Mutation::MisstateAdvanceOrigin => DiagCode::FrontierDesync,
             Mutation::PeakMsvLie => DiagCode::PeakMsvMismatch,
             Mutation::BadPauliTarget => DiagCode::QubitOutOfRange,
             Mutation::OutOfRangeLayer => DiagCode::LayerOutOfRange,
@@ -91,7 +95,7 @@ impl Mutation {
         match self {
             Mutation::SwapAdjacentTrials => {
                 for pos in 0..plan.order.len().saturating_sub(1) {
-                    let (a, b) = (plan.order[pos], plan.order[pos + 1]);
+                    let (a, b) = (plan.order[pos] as usize, plan.order[pos + 1] as usize);
                     if compare_trials(&plan.trials[a], &plan.trials[b]) == std::cmp::Ordering::Less
                     {
                         plan.order.swap(pos, pos + 1);
@@ -182,6 +186,13 @@ impl Mutation {
                     return true;
                 }
                 false
+            }
+            Mutation::MisstateAdvanceOrigin => {
+                let advance = plan.schedule.iter_mut().find_map(|op| match op {
+                    ScheduleOp::Advance { from, .. } => Some(from),
+                    _ => None,
+                });
+                advance.map(|from| *from -= 1).is_some()
             }
             Mutation::PeakMsvLie => match plan.expectations.as_mut() {
                 Some(exp) => {

@@ -11,13 +11,13 @@
 //!    absorb the trial into classical bookkeeping; the first non-Clifford
 //!    operator is a conservative bail-out.
 //! 2. **Pass prediction** ([`advise`]): closed forms for the sequential and
-//!    fused-baseline executors, and a symbolic replay of the streaming
-//!    reuse loop for the reuse executor. The replay walks the same
-//!    `(depth, done)` stack with the same `keep = lcp(cur, next)`
-//!    discipline, charging segment passes from prefix sums instead of
-//!    touching amplitudes — because the trial order sorts extensions
-//!    *before* their prefixes, the walk is bitwise-faithful to
-//!    `ExecStats` (the exactness suites assert equality, not closeness).
+//!    fused-baseline executors, and for the reuse executor a fold of the
+//!    plan's replay ([`crate::replay_schedule`]): each advance is charged
+//!    its segment passes from prefix sums, each injection one pass, and
+//!    the replay's peak is the MSV figure. No amplitude is touched, and
+//!    because the replay follows the walk frame for frame, the fold is
+//!    bitwise-faithful to `ExecStats` (the exactness suites assert
+//!    equality, not closeness).
 //! 3. **Ranking**: the strategies that run, sorted by predicted amplitude
 //!    passes, exact ties broken toward reuse ([`Advice::best`]).
 //!
@@ -30,14 +30,14 @@
 use std::collections::BTreeMap;
 
 use qsim_circuit::FusedProgram;
-use qsim_noise::{lcp, Injection, Site, Trial};
+use qsim_noise::{Injection, Site};
 use qsim_statevec::Pauli;
 
 use crate::diag::{DiagCode, Diagnostic, Location};
 use crate::passes::structure::{
     classify_program, conjugate, local_op, PauliProduct, SegmentStructure, STRUCTURE_TOL,
 };
-use crate::plan::ExecutionPlan;
+use crate::plan::{replay_schedule, ExecutionPlan, ScheduleOp};
 
 /// One execution strategy the advisor can cost.
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -163,9 +163,9 @@ impl Advice {
     }
 }
 
-/// Per-layer-boundary prefix sums of the fused program's work, so the
-/// symbolic replay can charge an advance `done → through` in O(1) exactly
-/// as `FusedProgram::apply_through` would.
+/// Per-layer-boundary prefix sums of the fused program's work, so a fold
+/// of the replay can charge an advance `from → through` in O(1) exactly as
+/// `FusedProgram::apply_through` would.
 struct PassPrefix {
     /// `fused[l + 1]` = kernel ops of all segments ending at or before
     /// layer `l`; index 0 is the pre-circuit boundary.
@@ -202,120 +202,39 @@ impl PassPrefix {
         let idx = (l + 1).clamp(0, self.fused.len() as i64 - 1) as usize;
         (self.source[idx], self.fused[idx])
     }
-
-    /// Charge an advance of a frontier from `*done` to `through`, exactly
-    /// mirroring `apply_through`'s `while done < through` loop.
-    fn advance(&self, done: &mut i64, through: i64) -> (u64, u64) {
-        if through <= *done {
-            return (0, 0);
-        }
-        let (s0, f0) = self.through(*done);
-        let (s1, f1) = self.through(through);
-        *done = through;
-        (s1 - s0, f1 - f0)
-    }
 }
 
-/// Accumulator matching the `ExecStats` fields the predictions cover.
-#[derive(Default)]
-struct Counts {
-    ops: u64,
-    fused_ops: u64,
-    passes: u64,
-    peak: usize,
-}
-
-impl Counts {
-    fn charge_advance(&mut self, (src, fused): (u64, u64)) {
-        self.ops += src;
-        self.fused_ops += fused;
-        self.passes += fused;
-    }
-
-    fn charge_injection(&mut self) {
-        self.ops += 1;
-        self.passes += 1;
-    }
-
-    fn prediction(&self, strategy: Strategy) -> StrategyPrediction {
-        StrategyPrediction {
-            strategy,
-            ops: self.ops,
-            fused_ops: self.fused_ops,
-            amplitude_passes: self.passes,
-            msv_peak: self.peak,
-        }
-    }
-}
-
-/// Symbolically replay the streaming reuse loop over `order` (entries
-/// failing `include` are skipped, as are out-of-range indices) and return
-/// its exact `ExecStats` counts. This mirrors the executor's reuse walk
-/// (`ReuseExecutor::walk`) frame-for-frame: a stack of `(depth, done)`
-/// pairs with in-place advances, clone-at-frontier below the shared depth,
-/// consume-top beyond it, and eager drops back to `keep`.
-fn predict_stream(
+/// The reuse walk's `ExecStats` counts over `order`: a fold of the plan's
+/// replay. An advance costs the source gates and fused kernels between its
+/// `from` and `through` boundaries (kernels are passes), an injection one
+/// op and one pass; the replay's peak is the MSV figure.
+fn replayed_reuse(
+    plan: &ExecutionPlan<'_>,
     prefix: &PassPrefix,
-    trials: &[Trial],
-    order: &[usize],
-    n_layers: usize,
-    budget: usize,
-    include: impl Fn(usize) -> bool,
-) -> Counts {
-    let budget = budget.max(1);
-    let last_layer = n_layers as i64 - 1;
-    let included: Vec<&Trial> =
-        order.iter().filter(|&&orig| include(orig)).filter_map(|&orig| trials.get(orig)).collect();
-    let mut counts = Counts::default();
-    let mut peak = usize::from(!included.is_empty());
-    // (depth, done) per cached frame; the root is never dropped.
-    let mut stack: Vec<(usize, i64)> = vec![(0, -1)];
-    for (pos, cur) in included.iter().enumerate() {
-        let injections = cur.injections();
-        let keep = match included.get(pos + 1) {
-            Some(next) => lcp(cur, next).min(budget - 1),
-            None => 0,
-        };
-        let mut d = stack.last().expect("root frame is never dropped").0;
-        loop {
-            if d == injections.len() {
-                let top = stack.last_mut().expect("nonempty stack");
-                counts.charge_advance(prefix.advance(&mut top.1, last_layer));
-                while stack.last().is_some_and(|&(depth, _)| depth > keep) {
-                    stack.pop();
-                }
-                break;
+    order: &[u32],
+) -> StrategyPrediction {
+    let (mut ops, mut fused_ops, mut passes) = (0u64, 0u64, 0u64);
+    let msv_peak =
+        replay_schedule(&plan.trials, order, plan.n_layers, plan.budget, |op| match op {
+            ScheduleOp::Advance { from, through, .. } => {
+                let ((s0, f0), (s1, f1)) = (prefix.through(from), prefix.through(through));
+                ops += s1.saturating_sub(s0);
+                fused_ops += f1.saturating_sub(f0);
+                passes += f1.saturating_sub(f0);
             }
-            let target = (injections[d].layer() as i64).min(last_layer.max(0));
-            {
-                let top = stack.last_mut().expect("nonempty stack");
-                counts.charge_advance(prefix.advance(&mut top.1, target));
+            ScheduleOp::CloneInject { .. } | ScheduleOp::InjectInPlace { .. } => {
+                ops += 1;
+                passes += 1;
             }
-            counts.charge_injection();
-            if d < keep {
-                stack.push((d + 1, target));
-                peak = peak.max(stack.len());
-                d += 1;
-            } else {
-                if d > keep {
-                    stack.pop();
-                    while stack.last().is_some_and(|&(depth, _)| depth > keep) {
-                        stack.pop();
-                    }
-                }
-                let mut done = target;
-                for inj in &injections[d + 1..] {
-                    let inj_target = (inj.layer() as i64).min(last_layer.max(0));
-                    counts.charge_advance(prefix.advance(&mut done, inj_target));
-                    counts.charge_injection();
-                }
-                counts.charge_advance(prefix.advance(&mut done, last_layer));
-                break;
-            }
-        }
+            ScheduleOp::Detach { .. } | ScheduleOp::Measure { .. } | ScheduleOp::Drop { .. } => {}
+        });
+    StrategyPrediction {
+        strategy: Strategy::Reuse,
+        ops,
+        fused_ops,
+        amplitude_passes: passes,
+        msv_peak,
     }
-    counts.peak = if included.is_empty() { 0 } else { peak };
-    counts
 }
 
 /// Commute one injected Pauli forward through every fused operator after
@@ -440,9 +359,7 @@ pub fn advise(plan: &ExecutionPlan<'_>) -> Advice {
         amplitude_passes: n_trials * total_fused + injection_count,
         msv_peak: 0,
     };
-    let reuse =
-        predict_stream(&prefix, &plan.trials, &plan.order, plan.n_layers, plan.budget, |_| true)
-            .prediction(Strategy::Reuse);
+    let reuse = replayed_reuse(plan, &prefix, &plan.order);
 
     let mut predictions = vec![sequential, fused, reuse];
     predictions.sort_by_key(|p| (p.amplitude_passes, p.strategy.tie_rank()));
@@ -549,7 +466,8 @@ fn check_predictions(claimed: &Advice, recomputed: &Advice, diags: &mut Vec<Diag
 /// Amplitude passes if trackable trials tracked their Pauli frames, the
 /// figure `A205` quotes. Fully trackable trials ride on one shared
 /// reference pass and cost no amplitude work of their own; the untracked
-/// remainder still streams with prefix reuse. No executor tracks frames.
+/// remainder still streams with prefix reuse, so its cost folds the replay
+/// of the order filtered to untracked trials. No executor tracks frames.
 fn frame_tracked_passes(plan: &ExecutionPlan<'_>, advice: &Advice) -> u64 {
     let prefix = PassPrefix::new(&plan.program);
     let trackable = |inj: &Injection| {
@@ -558,18 +476,16 @@ fn frame_tracked_passes(plan: &ExecutionPlan<'_>, advice: &Advice) -> u64 {
             .binary_search_by_key(inj, |v| v.injection)
             .is_ok_and(|at| advice.verdicts[at].trackable)
     };
-    let tracked =
-        |orig: usize| plan.trials.get(orig).is_some_and(|t| t.injections().iter().all(trackable));
-    let untracked =
-        predict_stream(&prefix, &plan.trials, &plan.order, plan.n_layers, plan.budget, |orig| {
-            !tracked(orig)
-        });
+    let tracked = |orig: u32| {
+        plan.trials.get(orig as usize).is_some_and(|t| t.injections().iter().all(trackable))
+    };
+    let untracked: Vec<u32> = plan.order.iter().copied().filter(|&orig| !tracked(orig)).collect();
     let reference = if advice.trackable_trials > 0 {
         prefix.through(plan.program.n_layers() as i64 - 1).1
     } else {
         0
     };
-    untracked.passes + reference
+    replayed_reuse(plan, &prefix, &untracked).amplitude_passes + reference
 }
 
 fn check_declared_strategy(

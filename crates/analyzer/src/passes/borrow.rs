@@ -3,13 +3,15 @@
 //! Symbolically executes the prefix-cache schedule, tracking every frame's
 //! lifetime (created → cached/working → dropped), its layer frontier, and
 //! the cache-stack discipline. Rejects use-after-drop (`MSV001`), leaked
-//! frames (`MSV002`), frontier desyncs (`MSV004`), and bad measurement
-//! coverage (`MSV005`), and cross-checks the schedule's peak cached-frame
-//! count and total work against the claimed cost report (`MSV003`,
-//! `MSV006`).
+//! frames (`MSV002`), frontier desyncs (`MSV004`, including an advance
+//! whose claimed starting layer `from` is not the frame's frontier), and
+//! bad measurement coverage (`MSV005`), and cross-checks the schedule's
+//! peak cached-frame count and total work against the claimed cost report
+//! (`MSV003`, `MSV006`).
 
 use std::collections::BTreeMap;
 
+use crate::cost::advance_gates;
 use crate::diag::{DiagCode, Diagnostic, Location};
 use crate::plan::{ExecutionPlan, FrameId, ScheduleOp, ROOT_FRAME};
 
@@ -25,14 +27,6 @@ pub fn check(plan: &ExecutionPlan<'_>) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let layered = plan.layered;
     let last_layer = layered.n_layers() as i64 - 1;
-    // Cumulative gates through layer `l` (inclusive); -1 = nothing yet.
-    let gates_through = |l: i64| -> u64 {
-        if l < 0 || last_layer < 0 {
-            0
-        } else {
-            layered.gates_through(l.min(last_layer) as usize) as u64
-        }
-    };
 
     let mut frames: BTreeMap<FrameId, FrameState> = BTreeMap::new();
     let mut cache_stack: Vec<FrameId> = Vec::new();
@@ -58,8 +52,18 @@ pub fn check(plan: &ExecutionPlan<'_>) -> Vec<Diagnostic> {
             continue;
         }
         match *op {
-            ScheduleOp::Advance { frame, through } => {
+            ScheduleOp::Advance { frame, from, through } => {
                 let st = frames.get_mut(&frame).expect("liveness checked above");
+                if from != st.done {
+                    diags.push(Diagnostic::new(
+                        DiagCode::FrontierDesync,
+                        at,
+                        format!(
+                            "advance of frame {frame} claims to start at layer {from} but the frame is at layer {}",
+                            st.done
+                        ),
+                    ));
+                }
                 if through < st.done {
                     diags.push(Diagnostic::new(
                         DiagCode::FrontierDesync,
@@ -78,7 +82,7 @@ pub fn check(plan: &ExecutionPlan<'_>) -> Vec<Diagnostic> {
                         ),
                     ));
                 }
-                ops_total += gates_through(through).saturating_sub(gates_through(st.done));
+                ops_total += advance_gates(layered, st.done, through);
                 st.done = st.done.max(through.min(last_layer));
             }
             ScheduleOp::CloneInject { parent, child, injection, cached } => {

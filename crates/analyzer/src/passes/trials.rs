@@ -46,7 +46,7 @@ pub fn check(plan: &ExecutionPlan<'_>) -> Vec<Diagnostic> {
     // and out-of-range entries are reported per entry; a missing trial is
     // then implied by the length check (or by a reported duplicate).
     let mut seen = vec![false; plan.trials.len()];
-    for &idx in &plan.order {
+    for idx in plan.order.iter().map(|&idx| idx as usize) {
         match seen.get_mut(idx) {
             Some(slot) if !*slot => *slot = true,
             Some(_) => diags.push(Diagnostic::new(
@@ -75,13 +75,15 @@ pub fn check(plan: &ExecutionPlan<'_>) -> Vec<Diagnostic> {
 
     // TRL001: consecutive trials must respect the reorder key.
     for pair in plan.order.windows(2) {
-        let (Some(a), Some(b)) = (plan.trials.get(pair[0]), plan.trials.get(pair[1])) else {
+        let (Some(a), Some(b)) =
+            (plan.trials.get(pair[0] as usize), plan.trials.get(pair[1] as usize))
+        else {
             continue;
         };
         if compare_trials(a, b) == Ordering::Greater {
             diags.push(Diagnostic::new(
                 DiagCode::NotSorted,
-                Location::trial(pair[1]),
+                Location::trial(pair[1] as usize),
                 format!(
                     "trial {} runs after trial {} but sorts before it under the reorder key; prefix reuse would read a cache that was never built",
                     pair[1], pair[0]

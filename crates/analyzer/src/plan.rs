@@ -2,16 +2,19 @@
 //! program, and an explicit prefix-cache [`ScheduleOp`] stream.
 //!
 //! `redsim`'s `ReuseExecutor` never materializes its schedule — frame
-//! lifetimes are implicit in its streaming loop. [`compile_schedule`]
+//! lifetimes are implicit in its streaming loop. [`replay_schedule`]
 //! reproduces that loop symbolically (same `keep = lcp(cur, next)`
 //! clamped to `budget - 1`, same clone-at-frontier / consume-top /
-//! eager-drop discipline) and records every frame event, so the borrow
-//! checker can prove lifetime soundness without touching an amplitude.
+//! eager-drop discipline) and streams every frame event. Collected
+//! ([`compile_schedule`]), the stream lets the borrow checker prove
+//! lifetime soundness without touching an amplitude; folded, it prices the
+//! walk ([`CostReport::replayed`], the advisor's reuse prediction).
 
 use qsim_circuit::{CouplingMap, FusedProgram, LayeredCircuit};
 use qsim_noise::{injection_cut_layers, lcp, sorted_order, Injection, NoiseModel, Trial, TrialSet};
 use qsim_telemetry::{NullRecorder, Recorder};
 
+use crate::cost::CostReport;
 use crate::passes::advisor::{Advice, Strategy};
 
 /// Identifier of one multi-state-vector frame. Frames are allocated
@@ -25,12 +28,16 @@ pub const ROOT_FRAME: FrameId = 0;
 /// One event of the prefix-cache schedule, in execution order.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ScheduleOp {
-    /// Apply circuit layers to bring `frame`'s frontier up to (and
-    /// including) layer `through` (`-1` means "before layer 0", i.e. a
-    /// no-op for a fresh state).
+    /// Apply circuit layers to bring `frame`'s frontier from layer `from`
+    /// up to (and including) layer `through` (`-1` means "before layer 0",
+    /// the frontier of a fresh state).
     Advance {
         /// Frame whose frontier moves.
         frame: FrameId,
+        /// The frame's frontier before the advance, so a fold charges
+        /// `table(through) - table(from)` from a cumulative table and keeps
+        /// no per-frame state.
+        from: i64,
         /// Target layer, inclusive.
         through: i64,
     },
@@ -90,18 +97,6 @@ impl ScheduleOp {
     }
 }
 
-/// Cost figures the plan claims; the borrow checker cross-checks them
-/// (`MSV003`, `MSV006`). Take them from `redsim`'s `CostReport`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PlanExpectations {
-    /// Paper `ops` metric for running every trial from scratch.
-    pub baseline_ops: u64,
-    /// Paper `ops` metric under prefix reuse — what the schedule must cost.
-    pub optimized_ops: u64,
-    /// Peak number of simultaneously cached state vectors (root included).
-    pub msv_peak: usize,
-}
-
 /// Everything the verifier needs about one compiled run, with every field
 /// public so tests (and the mutation harness) can corrupt any layer.
 #[derive(Clone, Debug)]
@@ -115,16 +110,18 @@ pub struct ExecutionPlan<'a> {
     /// The Monte-Carlo trials, in original generation order.
     pub trials: Vec<Trial>,
     /// Execution order: `order[k]` = index into `trials` of the k-th trial
-    /// to run. Must be a permutation sorted under the reorder key.
-    pub order: Vec<usize>,
+    /// to run, as `sorted_order` returns it. Must be a permutation sorted
+    /// under the reorder key.
+    pub order: Vec<u32>,
     /// MSV budget the schedule was compiled for (`usize::MAX` = unbounded).
     pub budget: usize,
     /// The fused program shared by all trials.
     pub program: FusedProgram,
     /// The explicit prefix-cache schedule.
     pub schedule: Vec<ScheduleOp>,
-    /// Claimed cost figures, if any.
-    pub expectations: Option<PlanExpectations>,
+    /// Claimed cost report, if any (`MSV003`/`MSV006` compare its
+    /// `msv_peak` and `optimized_ops` with the schedule).
+    pub expectations: Option<CostReport>,
     /// The noise model the trials were drawn from, if available.
     pub model: Option<NoiseModel>,
     /// The device coupling map the circuit was transpiled to, if any.
@@ -161,7 +158,7 @@ impl<'a> ExecutionPlan<'a> {
         recorder: &R,
     ) -> Self {
         let trials = set.trials().to_vec();
-        let order: Vec<usize> = sorted_order(&trials).into_iter().map(|i| i as usize).collect();
+        let order = sorted_order(&trials);
         let program =
             FusedProgram::new(layered, &injection_cut_layers(&trials, layered.n_layers()));
         if recorder.enabled() {
@@ -185,8 +182,8 @@ impl<'a> ExecutionPlan<'a> {
         }
     }
 
-    /// Attach claimed cost figures for `MSV003`/`MSV006` cross-checks.
-    pub fn with_expectations(mut self, expectations: PlanExpectations) -> Self {
+    /// Attach a claimed cost report for `MSV003`/`MSV006` cross-checks.
+    pub fn with_expectations(mut self, expectations: CostReport) -> Self {
         self.expectations = Some(expectations);
         self
     }
@@ -217,65 +214,76 @@ impl<'a> ExecutionPlan<'a> {
     }
 }
 
-/// Symbolically replay `redsim`'s streaming reuse loop and record every
-/// frame event. `order[k]` indexes into `trials`; out-of-range order
-/// entries are skipped here (the trial-set pass reports them).
-pub fn compile_schedule(
+/// Replay `redsim`'s reuse walk symbolically over `trials` in `order`,
+/// handing each frame event to `emit` in execution order; return the peak
+/// number of cached frames (root included; 0 when no trial runs).
+///
+/// The one symbolic copy of the walk's rule: `keep = lcp(cur, next)`
+/// clamped to `budget - 1`; clone below `keep`, consume above it,
+/// eager-drop back to it. It holds at most `budget` frames. Order entries
+/// naming no trial are skipped (the trial-set pass reports them).
+pub fn replay_schedule(
     trials: &[Trial],
-    order: &[usize],
+    order: &[u32],
     n_layers: usize,
     budget: usize,
-) -> Vec<ScheduleOp> {
+    mut emit: impl FnMut(ScheduleOp),
+) -> usize {
     let budget = budget.max(1);
     let last_layer = n_layers as i64 - 1;
-    let mut ops = Vec::new();
-    // Cache stack of (frame, depth): depth = number of injections applied.
-    // The root (error-free prefix, depth 0) is never dropped.
-    let mut stack: Vec<(FrameId, usize)> = vec![(ROOT_FRAME, 0)];
+    // Advance `frame` from its frontier `done` through layer `through`.
+    let advance = |frame, done: &mut i64, through: i64| {
+        let from = std::mem::replace(done, (*done).max(through.min(last_layer)));
+        ScheduleOp::Advance { frame, from, through }
+    };
+    // Cache stack of (frame, depth, frontier): depth = number of injections
+    // applied, frontier = last layer applied. The root (error-free prefix,
+    // depth 0) is never dropped.
+    let mut stack: Vec<(FrameId, usize, i64)> = vec![(ROOT_FRAME, 0, -1)];
     let mut next_frame: FrameId = ROOT_FRAME + 1;
     let mut alloc = || {
         let id = next_frame;
         next_frame += 1;
         id
     };
+    let mut peak = 0;
+    let mut queue = order
+        .iter()
+        .filter_map(|&orig| trials.get(orig as usize).map(|trial| (orig as usize, trial)))
+        .peekable();
 
-    for (pos, &orig) in order.iter().enumerate() {
-        let Some(cur) = trials.get(orig) else { continue };
+    while let Some((orig, cur)) = queue.next() {
+        peak = peak.max(stack.len());
         let injections = cur.injections();
         // How many leading injections the *next* trial shares — that many
         // frames stay cached; a budget of B caps the stack at B frames
         // (root included), so at most B - 1 injected prefixes survive.
-        let keep = match order.get(pos + 1).and_then(|&n| trials.get(n)) {
-            Some(next) => lcp(cur, next).min(budget - 1),
-            None => 0,
-        };
+        let keep = queue.peek().map_or(0, |&(_, next)| lcp(cur, next).min(budget - 1));
         let mut d = stack.last().expect("root frame is never dropped").1;
         loop {
-            let &(top, _) = stack.last().expect("root frame is never dropped");
+            let (top, _, done) = stack.last_mut().expect("root frame is never dropped");
+            let top = *top;
             if d == injections.len() {
                 // All injections applied: finish the circuit on the shared
                 // frame, measure, then eagerly drop what the next trial
                 // cannot reuse.
-                ops.push(ScheduleOp::Advance { frame: top, through: last_layer });
-                ops.push(ScheduleOp::Measure { frame: top, trial: orig });
-                while stack.last().is_some_and(|&(_, depth)| depth > keep) {
-                    let (frame, _) = stack.pop().expect("non-empty by loop condition");
-                    ops.push(ScheduleOp::Drop { frame });
+                emit(advance(top, done, last_layer));
+                emit(ScheduleOp::Measure { frame: top, trial: orig });
+                while stack.last().is_some_and(|&(_, depth, _)| depth > keep) {
+                    let (frame, ..) = stack.pop().expect("non-empty by loop condition");
+                    emit(ScheduleOp::Drop { frame });
                 }
                 break;
             }
-            let target = injections[d].layer() as i64;
-            ops.push(ScheduleOp::Advance { frame: top, through: target });
+            let injection = injections[d];
+            emit(advance(top, done, injection.layer() as i64));
+            let top_done = *done;
             if d < keep {
                 // Shared prefix the next trial also needs: cache a copy.
                 let child = alloc();
-                ops.push(ScheduleOp::CloneInject {
-                    parent: top,
-                    child,
-                    injection: injections[d],
-                    cached: true,
-                });
-                stack.push((child, d + 1));
+                emit(ScheduleOp::CloneInject { parent: top, child, injection, cached: true });
+                stack.push((child, d + 1, top_done));
+                peak = peak.max(stack.len());
                 d += 1;
                 continue;
             }
@@ -283,36 +291,45 @@ pub fn compile_schedule(
             let working = if d == keep {
                 // ...by copying the still-shared top...
                 let child = alloc();
-                ops.push(ScheduleOp::CloneInject {
-                    parent: top,
-                    child,
-                    injection: injections[d],
-                    cached: false,
-                });
+                emit(ScheduleOp::CloneInject { parent: top, child, injection, cached: false });
                 child
             } else {
                 // ...or by consuming the top outright (deeper than the next
                 // trial reuses), dropping intermediates it strands.
-                let (frame, _) = stack.pop().expect("depth > keep implies a cached frame");
-                ops.push(ScheduleOp::Detach { frame });
-                while stack.last().is_some_and(|&(_, depth)| depth > keep) {
-                    let (dead, _) = stack.pop().expect("non-empty by loop condition");
-                    ops.push(ScheduleOp::Drop { frame: dead });
+                stack.pop();
+                emit(ScheduleOp::Detach { frame: top });
+                while stack.last().is_some_and(|&(_, depth, _)| depth > keep) {
+                    let (dead, ..) = stack.pop().expect("non-empty by loop condition");
+                    emit(ScheduleOp::Drop { frame: dead });
                 }
-                ops.push(ScheduleOp::InjectInPlace { frame, injection: injections[d] });
-                frame
+                emit(ScheduleOp::InjectInPlace { frame: top, injection });
+                top
             };
             // Remaining injections are private to this trial.
+            let mut done = top_done;
             for &injection in &injections[d + 1..] {
-                ops.push(ScheduleOp::Advance { frame: working, through: injection.layer() as i64 });
-                ops.push(ScheduleOp::InjectInPlace { frame: working, injection });
+                emit(advance(working, &mut done, injection.layer() as i64));
+                emit(ScheduleOp::InjectInPlace { frame: working, injection });
             }
-            ops.push(ScheduleOp::Advance { frame: working, through: last_layer });
-            ops.push(ScheduleOp::Measure { frame: working, trial: orig });
-            ops.push(ScheduleOp::Drop { frame: working });
+            emit(advance(working, &mut done, last_layer));
+            emit(ScheduleOp::Measure { frame: working, trial: orig });
+            emit(ScheduleOp::Drop { frame: working });
             break;
         }
     }
+    peak
+}
+
+/// Collect [`replay_schedule`]'s stream: the explicit schedule
+/// [`ExecutionPlan::compile`] hands the borrow checker.
+pub fn compile_schedule(
+    trials: &[Trial],
+    order: &[u32],
+    n_layers: usize,
+    budget: usize,
+) -> Vec<ScheduleOp> {
+    let mut ops = Vec::new();
+    replay_schedule(trials, order, n_layers, budget, |op| ops.push(op));
     ops
 }
 
@@ -332,7 +349,7 @@ mod tests {
         assert_eq!(
             ops,
             vec![
-                ScheduleOp::Advance { frame: ROOT_FRAME, through: 3 },
+                ScheduleOp::Advance { frame: ROOT_FRAME, from: -1, through: 3 },
                 ScheduleOp::Measure { frame: ROOT_FRAME, trial: 0 },
             ]
         );
@@ -348,30 +365,30 @@ mod tests {
         assert_eq!(
             ops,
             vec![
-                ScheduleOp::Advance { frame: 0, through: 0 },
+                ScheduleOp::Advance { frame: 0, from: -1, through: 0 },
                 ScheduleOp::CloneInject {
                     parent: 0,
                     child: 1,
                     injection: Injection::single(0, 0, Pauli::X),
                     cached: true,
                 },
-                ScheduleOp::Advance { frame: 1, through: 1 },
+                ScheduleOp::Advance { frame: 1, from: 0, through: 1 },
                 ScheduleOp::CloneInject {
                     parent: 1,
                     child: 2,
                     injection: Injection::single(1, 0, Pauli::X),
                     cached: false,
                 },
-                ScheduleOp::Advance { frame: 2, through: 3 },
+                ScheduleOp::Advance { frame: 2, from: 1, through: 3 },
                 ScheduleOp::Measure { frame: 2, trial: 0 },
                 ScheduleOp::Drop { frame: 2 },
-                ScheduleOp::Advance { frame: 1, through: 2 },
+                ScheduleOp::Advance { frame: 1, from: 1, through: 2 },
                 ScheduleOp::Detach { frame: 1 },
                 ScheduleOp::InjectInPlace {
                     frame: 1,
                     injection: Injection::single(2, 0, Pauli::X)
                 },
-                ScheduleOp::Advance { frame: 1, through: 3 },
+                ScheduleOp::Advance { frame: 1, from: 2, through: 3 },
                 ScheduleOp::Measure { frame: 1, trial: 1 },
                 ScheduleOp::Drop { frame: 1 },
             ]

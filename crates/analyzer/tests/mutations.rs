@@ -1,7 +1,7 @@
 //! The mutation self-test: clean plans verify clean across the whole
 //! catalog, and every seeded corruption provokes its expected diagnostic.
 
-use qsim_analyzer::{verify, DiagCode, ExecutionPlan, Mutation, PlanExpectations, Severity};
+use qsim_analyzer::{verify, CostReport, DiagCode, ExecutionPlan, Mutation, Severity};
 use qsim_circuit::transpile::{transpile, TranspileOptions};
 use qsim_circuit::{catalog, Circuit, LayeredCircuit};
 use qsim_noise::{NoiseModel, TrialGenerator, TrialSet};
@@ -42,16 +42,10 @@ fn generate(layered: &LayeredCircuit, seed: u64) -> (TrialSet, NoiseModel) {
     (set, model)
 }
 
-fn expectations(layered: &LayeredCircuit, set: &TrialSet, budget: usize) -> PlanExpectations {
+fn expectations(layered: &LayeredCircuit, set: &TrialSet, budget: usize) -> CostReport {
     let mut sorted = set.trials().to_vec();
     redsim::reorder(&mut sorted);
-    let report = redsim::analysis::analyze_sorted_with_budget(layered, &sorted, budget.max(1))
-        .expect("analysis");
-    PlanExpectations {
-        baseline_ops: report.baseline_ops,
-        optimized_ops: report.optimized_ops,
-        msv_peak: report.msv_peak,
-    }
+    redsim::analysis::analyze_sorted_with_budget(layered, &sorted, budget.max(1)).expect("analysis")
 }
 
 fn compile<'a>(

@@ -5,9 +5,10 @@
 //! written to `BENCH_advisor.json`.
 //!
 //! Each row covers one (benchmark, strategy) pair: predicted and measured
-//! amplitude passes plus the relative error. The model is designed to be
-//! exact, so `--check PCT` (CI uses `--check 1`) exits non-zero when any
-//! row's error exceeds `PCT` percent.
+//! amplitude passes and MSV peaks, plus the relative pass error. The model
+//! is exact, so `--check PCT` (CI uses `--check 0`) exits non-zero when any
+//! row's pass error exceeds `PCT` percent or any row's predicted MSV peak
+//! differs from the measured one.
 //!
 //! Usage: `advisor [--trials N] [--seed N] [--out PATH] [--check PCT] [--record] [--quiet]`
 
@@ -133,10 +134,11 @@ fn main() {
     }
 
     if check.is_finite() {
-        if max_error > check {
-            eprintln!("FAIL: max prediction error {max_error:.3}% exceeds the {check}% ceiling");
+        let msv_misses = rows.iter().filter(|row| row.predicted_msv != row.measured_msv).count();
+        if max_error > check || msv_misses > 0 {
+            eprintln!("FAIL: max prediction error {max_error:.3}% (ceiling {check}%), {msv_misses} MSV peak mismatch(es)");
             std::process::exit(1);
         }
-        println!("max prediction error {max_error:.3}% clears the {check}% ceiling");
+        println!("max prediction error {max_error:.3}% clears the {check}% ceiling; every MSV peak matches");
     }
 }

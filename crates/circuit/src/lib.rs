@@ -44,3 +44,8 @@ pub use fuse::{FusedProgram, Segment};
 pub use gate::{Gate, GateOp};
 pub use layer::{LayeredCircuit, LayeringStrategy};
 pub use qasm_out::to_qasm;
+
+/// The widest quantum register the toolchain addresses: an injected error
+/// packs qubit indices into 16 bits, with `u16::MAX` marking "no qubit".
+/// QASM `qreg`s, calibration `qubits N` lines and trial generation check it.
+pub const MAX_REGISTER_QUBITS: usize = u16::MAX as usize;

@@ -209,11 +209,7 @@ fn compiled_plan<'a>(
     let report =
         sim.analyze_with_budget(opts.budget).map_err(|e| CliError(format!("analysis: {e}")))?;
     let mut plan = qsim_analyzer::ExecutionPlan::compile(sim.layered(), set, opts.budget)
-        .with_expectations(qsim_analyzer::PlanExpectations {
-            baseline_ops: report.baseline_ops,
-            optimized_ops: report.optimized_ops,
-            msv_peak: report.msv_peak,
-        })
+        .with_expectations(report)
         .with_model(sim.model().clone());
     if let Some(map) = coupling(&opts.device) {
         plan = plan.with_coupling(map);

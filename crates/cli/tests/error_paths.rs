@@ -166,3 +166,50 @@ fn hostile_trial_files_are_line_errors_not_panics() {
     }
     std::fs::remove_dir_all(&dir).expect("scratch cleanup");
 }
+
+#[test]
+fn non_finite_angles_are_positioned_errors() {
+    for angle in ["0/0", "1e308*10", "ln(0)", "sqrt(-1)"] {
+        let program = format!("qreg q[2]; creg c[2]; rz({angle}) q[0]; measure q -> c;");
+        let args = ["run", "-", "--device", "none", "--noise", "artificial:0", "--trials", "8"];
+        let stderr = assert_clean_failure(&qsim(&args, &program), angle);
+        assert!(
+            stderr.starts_with("qsim: <stdin>: 1:23:") && stderr.contains("not a finite number"),
+            "{angle}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn hostile_register_widths_are_errors_not_aborts() {
+    let run = ["run", "-", "--device", "none", "--trials", "2"];
+    for (program, noise, message) in [
+        ("qreg q[99999999999]; h q[0];", "artificial:0", "exceeds the 65535-qubit register limit"),
+        ("qreg q[18446744073709551615];", "artificial:0", "exceeds the 65535-qubit register limit"),
+        (
+            "qreg q[70000]; creg c[1]; h q[69999]; measure q[0] -> c[0];",
+            "uniform:0.9,0.9,0.9",
+            "qreg q[70000] exceeds the 65535-qubit register limit",
+        ),
+    ] {
+        let args = [&run[..], &["--noise", noise]].concat();
+        let stderr = assert_clean_failure(&qsim(&args, program), program);
+        assert!(stderr.starts_with("qsim: <stdin>: 1:1:") && stderr.contains(message), "{stderr}");
+    }
+    let dir = scratch_dir("calibration");
+    let path = dir.join("wide.cal");
+    let noise = format!("file:{}", path.to_str().expect("utf-8 temp path"));
+    let program = "OPENQASM 2.0; qreg q[2]; creg c[2]; h q[0]; cx q[0],q[1]; measure q -> c;";
+    for width in ["99999999999", "18446744073709551615"] {
+        std::fs::write(&path, format!("qubits {width}\nsingle 0 1e-3\n")).expect("calibration");
+        let args = [&run[..], &["--noise", &noise]].concat();
+        let stderr = assert_clean_failure(&qsim(&args, program), width);
+        assert!(
+            stderr.contains(&format!(
+                "calibration line 1: {width} qubits exceeds the 65535-qubit register limit"
+            )),
+            "{stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).expect("scratch cleanup");
+}

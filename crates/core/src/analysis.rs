@@ -17,74 +17,19 @@
 //! advancing frontier stopped); everything after that is new work charged to
 //! trial *i*. The real executor ([`crate::exec::ReuseExecutor`]) matches
 //! these numbers operation for operation — tests assert exact equality.
+//!
+//! Under a finite MSV budget the identity no longer holds, so
+//! [`analyze_sorted_with_budget`] folds the plan compiler's replay of the
+//! walk ([`CostReport::replayed`]) instead; the closed form stays the
+//! unbounded answer and the reference the replay is tested against.
 
 use qsim_circuit::LayeredCircuit;
 use qsim_noise::{Trial, TrialSet};
 
+pub use qsim_analyzer::CostReport;
+
 use crate::order::{compare_trials, lcp, sorted_order};
 use crate::SimError;
-
-/// The static analyzer's verdict for one circuit + trial set.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct CostReport {
-    /// Number of trials analyzed.
-    pub n_trials: usize,
-    /// Gate applications per full (uncached) trial.
-    pub gates_per_trial: u64,
-    /// Basic operations of the baseline strategy (every trial from
-    /// scratch): `Σ (gates + injections)`.
-    pub baseline_ops: u64,
-    /// Basic operations of the reordered, prefix-cached execution.
-    pub optimized_ops: u64,
-    /// Peak number of concurrently maintained state vectors (the paper's
-    /// MSV metric; cached frontiers, not counting the working register)
-    /// under this crate's **one-trial-lookahead eager drop** policy: a
-    /// frontier is cloned only if the immediately next trial still branches
-    /// from it.
-    pub msv_peak: usize,
-    /// MSVs under the paper's conservative storage policy, which keeps a
-    /// frontier at *every* node of the current trial's path (any future
-    /// trial might branch there): `max(injections per trial) + 1`. This is
-    /// the accounting that reproduces the absolute values of the paper's
-    /// Fig. 6 (e.g. 3 for `rb`, 6 for `qft5`); `msv_peak` is a strict
-    /// improvement enabled by the lookahead. Defaults to zero when absent
-    /// so reports serialized before this field load.
-    #[cfg_attr(feature = "serde", serde(default))]
-    pub msv_path_peak: usize,
-}
-
-impl CostReport {
-    /// `optimized_ops / baseline_ops` — the paper's "normalized
-    /// computation" (Figs. 5 and 7). Returns 1.0 for an empty workload.
-    pub fn normalized_computation(&self) -> f64 {
-        if self.baseline_ops == 0 {
-            1.0
-        } else {
-            self.optimized_ops as f64 / self.baseline_ops as f64
-        }
-    }
-
-    /// Fraction of computation eliminated, `1 − normalized`.
-    pub fn savings(&self) -> f64 {
-        1.0 - self.normalized_computation()
-    }
-}
-
-impl std::fmt::Display for CostReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} trials: {} -> {} ops (normalized {:.3}, saving {:.1}%), {} MSVs",
-            self.n_trials,
-            self.baseline_ops,
-            self.optimized_ops,
-            self.normalized_computation(),
-            100.0 * self.savings(),
-            self.msv_peak
-        )
-    }
-}
 
 /// Analyze a trial set in its [`sorted_order`]; the set itself is neither
 /// copied nor reordered.
@@ -122,7 +67,6 @@ fn analyze_order(
 ) -> Result<CostReport, SimError> {
     let trial = |pos: usize| &trials[order[pos] as usize];
     let gates = layered.total_gates() as u64;
-    let n_layers = layered.n_layers();
     let mut baseline: u64 = 0;
     let mut optimized: u64 = 0;
     let mut msv: usize = 0;
@@ -130,7 +74,7 @@ fn analyze_order(
 
     for i in 0..order.len() {
         let cur = trial(i);
-        validate_layers(cur, n_layers)?;
+        check_next(layered, (i > 0).then(|| trial(i - 1)), cur, i)?;
         let len = cur.n_injections() as u64;
         baseline += gates + len;
         msv_path = msv_path.max(cur.n_injections() + 1);
@@ -138,11 +82,6 @@ fn analyze_order(
             optimized += gates + len;
         } else {
             let prev = trial(i - 1);
-            if compare_trials(prev, cur) == std::cmp::Ordering::Greater {
-                return Err(SimError::Circuit(format!(
-                    "trials are not in reorder order at index {i}; call reorder first"
-                )));
-            }
             let k = lcp(prev, cur);
             if k == cur.n_injections() && k == prev.n_injections() {
                 // Identical trials: full reuse, only a fresh measurement.
@@ -176,10 +115,11 @@ fn analyze_order(
 /// [`crate::exec::ReuseExecutor::with_budget`]): sharing deeper than
 /// `budget − 1` injections is recomputed. This quantifies the
 /// memory/computation trade-off the paper's §IV motivates; with
-/// `budget = usize::MAX` it reproduces [`analyze_sorted`] exactly.
+/// `budget = usize::MAX` it is [`analyze_sorted`].
 ///
-/// Implemented as a dry run of the executor's stack discipline over
-/// `(depth, layer)` pairs — no amplitudes, `O(total injections)` time.
+/// A finite budget folds the plan compiler's replay of the walk
+/// ([`CostReport::replayed`]), checking each trial as the replay reaches
+/// it — no amplitudes, `O(total injections)` time, `O(budget)` extra space.
 ///
 /// # Errors
 ///
@@ -210,88 +150,35 @@ pub(crate) fn analyze_order_with_budget(
             "state-vector budget must be at least 1 (the working frontier)".to_owned(),
         ));
     }
-    let gates = layered.total_gates() as u64;
-    let n_layers = layered.n_layers();
-    let last_layer = n_layers as i64 - 1;
-    // Gates in layers (a, b] for -1 <= a <= b < n_layers.
-    let gates_between = |after: i64, through: i64| -> u64 {
-        if through <= after {
-            return 0;
-        }
-        let hi = layered.gates_through(through as usize) as u64;
-        let lo = if after < 0 { 0 } else { layered.gates_through(after as usize) as u64 };
-        hi - lo
-    };
-
-    let mut baseline: u64 = 0;
-    let mut optimized: u64 = 0;
-    let mut msv: usize = 0;
-    let mut msv_path: usize = 0;
-    // Dry-run frame stack: (depth, highest layer applied).
-    let mut stack: Vec<(usize, i64)> = vec![(0, -1)];
-
-    let trial = |pos: usize| &trials[order[pos] as usize];
-    for i in 0..order.len() {
-        let cur = trial(i);
-        validate_layers(cur, n_layers)?;
-        if i > 0 && compare_trials(trial(i - 1), cur) == std::cmp::Ordering::Greater {
-            return Err(SimError::Circuit(format!(
-                "trials are not in reorder order at index {i}; call reorder first"
-            )));
-        }
-        let injections = cur.injections();
-        msv_path = msv_path.max(injections.len() + 1);
-        baseline += gates + injections.len() as u64;
-        let keep = if i + 1 < order.len() { lcp(cur, trial(i + 1)).min(budget - 1) } else { 0 };
-        let mut d = stack.last().expect("root frame").0;
-        loop {
-            if d == injections.len() {
-                let top = stack.last_mut().expect("root frame");
-                optimized += gates_between(top.1, last_layer);
-                top.1 = last_layer;
-                while stack.last().is_some_and(|f| f.0 > keep) {
-                    stack.pop();
-                }
-                break;
-            }
-            let target = injections[d].layer() as i64;
-            {
-                let top = stack.last_mut().expect("root frame");
-                optimized += gates_between(top.1, target);
-                top.1 = top.1.max(target);
-            }
-            if d < keep {
-                optimized += 1;
-                stack.push((d + 1, target));
-                msv = msv.max(stack.len());
-                d += 1;
-            } else {
-                if d > keep {
-                    stack.pop();
-                    while stack.last().is_some_and(|f| f.0 > keep) {
-                        stack.pop();
-                    }
-                }
-                let mut done = target;
-                optimized += 1;
-                for inj in &injections[d + 1..] {
-                    let layer = inj.layer() as i64;
-                    optimized += gates_between(done, layer) + 1;
-                    done = layer;
-                }
-                optimized += gates_between(done, last_layer);
-                break;
-            }
-        }
+    if budget == usize::MAX {
+        return analyze_order(layered, trials, order);
     }
-    Ok(CostReport {
-        n_trials: order.len(),
-        gates_per_trial: gates,
-        baseline_ops: baseline,
-        optimized_ops: optimized,
-        msv_peak: if order.is_empty() { 0 } else { msv.max(1) },
-        msv_path_peak: if order.is_empty() { 0 } else { msv_path },
-    })
+    let (mut checked, mut prev, mut i) = (Ok(()), None, 0);
+    let report = CostReport::replayed(layered, trials, order, budget, |cur| {
+        if checked.is_ok() {
+            checked = check_next(layered, prev, cur, i);
+        }
+        prev = Some(cur);
+        i += 1;
+    });
+    checked.map(|()| report)
+}
+
+/// Check the trial run at position `i`, after `prev`: it injects within
+/// the circuit and does not sort before `prev`.
+fn check_next(
+    layered: &LayeredCircuit,
+    prev: Option<&Trial>,
+    cur: &Trial,
+    i: usize,
+) -> Result<(), SimError> {
+    validate_layers(cur, layered.n_layers())?;
+    if prev.is_some_and(|prev| compare_trials(prev, cur) == std::cmp::Ordering::Greater) {
+        return Err(SimError::Circuit(format!(
+            "trials are not in reorder order at index {i}; call reorder first"
+        )));
+    }
+    Ok(())
 }
 
 /// Histogram of consecutive shared-prefix depths in a **sorted** trial
@@ -569,14 +456,20 @@ mod tests {
             let mut trials = set.into_trials();
             crate::order::reorder(&mut trials);
             let unbounded = analyze_sorted(&layered, &trials).unwrap();
-            let budgeted = analyze_sorted_with_budget(&layered, &trials, usize::MAX).unwrap();
-            assert_eq!(budgeted.optimized_ops, unbounded.optimized_ops, "seed {seed}");
-            assert_eq!(budgeted.msv_peak, unbounded.msv_peak, "seed {seed}");
-            assert_eq!(budgeted.baseline_ops, unbounded.baseline_ops, "seed {seed}");
+            // The replay's fold, unclamped, is the closed form field for
+            // field.
+            let order = identity_order(&trials);
+            let replayed = CostReport::replayed(&layered, &trials, &order, usize::MAX, |_| {});
+            assert_eq!(replayed, unbounded, "seed {seed}");
+            assert_eq!(
+                analyze_sorted_with_budget(&layered, &trials, usize::MAX).unwrap(),
+                unbounded,
+                "seed {seed}"
+            );
             // A budget at the unbounded peak changes nothing either.
             let at_peak =
                 analyze_sorted_with_budget(&layered, &trials, unbounded.msv_peak).unwrap();
-            assert_eq!(at_peak.optimized_ops, unbounded.optimized_ops, "seed {seed}");
+            assert_eq!(at_peak, unbounded, "seed {seed}");
         }
     }
 
@@ -606,6 +499,28 @@ mod tests {
     }
 
     #[test]
+    fn budgeted_analysis_keeps_its_input_checks() {
+        // The finite-budget fold checks each trial as the replay reaches it,
+        // and reports the first failure by position, layer range first.
+        let layered = chain(2);
+        for budget in [1, 2] {
+            let unsorted = vec![single(1, Pauli::X), single(0, Pauli::X), single(5, Pauli::X)];
+            let err = analyze_sorted_with_budget(&layered, &unsorted, budget).unwrap_err();
+            assert!(err.to_string().contains("not in reorder order at index 1"), "{err}");
+            let wide = vec![single(0, Pauli::X), single(5, Pauli::X), Trial::error_free(0)];
+            assert!(matches!(
+                analyze_sorted_with_budget(&layered, &wide, budget),
+                Err(SimError::LayerOutOfRange { layer: 5, n_layers: 2 })
+            ));
+            let both = vec![Trial::error_free(0), single(5, Pauli::X)];
+            assert!(matches!(
+                analyze_sorted_with_budget(&layered, &both, budget),
+                Err(SimError::LayerOutOfRange { layer: 5, n_layers: 2 })
+            ));
+        }
+    }
+
+    #[test]
     fn budget_zero_is_rejected() {
         let layered = chain(2);
         assert!(matches!(analyze_sorted_with_budget(&layered, &[], 0), Err(SimError::Circuit(_))));
@@ -631,20 +546,5 @@ mod tests {
         // With lookahead nothing is shared beyond the root here.
         assert_eq!(report.msv_peak, 1);
         assert!(report.msv_peak <= report.msv_path_peak);
-    }
-
-    #[test]
-    fn display_formats_report() {
-        let report = CostReport {
-            n_trials: 10,
-            gates_per_trial: 5,
-            baseline_ops: 100,
-            optimized_ops: 25,
-            msv_peak: 3,
-            msv_path_peak: 4,
-        };
-        let text = report.to_string();
-        assert!(text.contains("saving 75.0%"));
-        assert!(text.contains("3 MSVs"));
     }
 }

@@ -208,13 +208,8 @@ pub(crate) fn paranoid_verify(
     let report =
         crate::analysis::analyze_order_with_budget(layered, trials, &order, budget.max(1))?;
     let set = qsim_noise::TrialSet::new(layered.n_qubits(), layered.n_layers(), trials.to_vec());
-    let plan = qsim_analyzer::ExecutionPlan::compile(layered, &set, budget).with_expectations(
-        qsim_analyzer::PlanExpectations {
-            baseline_ops: report.baseline_ops,
-            optimized_ops: report.optimized_ops,
-            msv_peak: report.msv_peak,
-        },
-    );
+    let plan =
+        qsim_analyzer::ExecutionPlan::compile(layered, &set, budget).with_expectations(report);
     let diagnostics = qsim_analyzer::verify(&plan);
     match diagnostics.iter().find(|d| d.severity == qsim_analyzer::Severity::Error) {
         Some(first) => Err(SimError::Circuit(format!(

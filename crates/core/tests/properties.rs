@@ -1,8 +1,9 @@
 //! Property-based tests of the redundancy-elimination invariants.
 
 use proptest::prelude::*;
+use qsim_analyzer::{DiagCode, ExecutionPlan};
 use qsim_circuit::{Circuit, LayeredCircuit};
-use qsim_noise::{Injection, Pauli, Trial};
+use qsim_noise::{Injection, Pauli, Trial, TrialSet};
 use qsim_telemetry::NullRecorder;
 use redsim::analysis::{analyze_generation_order, analyze_sorted};
 use redsim::exec::{BaselineExecutor, ReuseExecutor};
@@ -134,6 +135,23 @@ proptest! {
         let dry = redsim::analysis::analyze_sorted_with_budget(&layered, &sorted, budget).unwrap();
         prop_assert_eq!(budgeted.stats.ops, dry.optimized_ops);
         prop_assert_eq!(budgeted.stats.peak_msv, dry.msv_peak);
+        // The plan compiled at this budget verifies against that report, and
+        // the advisor's fold of its replay is the executor's stats.
+        let set = TrialSet::new(layered.n_qubits(), layered.n_layers(), trials.clone());
+        let plan = ExecutionPlan::compile(&layered, &set, budget).with_expectations(dry);
+        let diags = qsim_analyzer::verify(&plan);
+        // An empty set draws only its own warning.
+        prop_assert!(
+            diags.iter().all(|d| trials.is_empty() && d.code == DiagCode::EmptyTrialSet),
+            "budget {}:\n{}", budget, qsim_analyzer::render_tty(&diags)
+        );
+        let advice = qsim_analyzer::advise(&plan);
+        let reuse = advice.prediction(qsim_analyzer::Strategy::Reuse).expect("every strategy is ranked");
+        let stats = &budgeted.stats;
+        prop_assert_eq!(
+            (reuse.ops, reuse.fused_ops, reuse.amplitude_passes, reuse.msv_peak),
+            (stats.ops, stats.fused_ops, stats.amplitude_passes, stats.peak_msv)
+        );
     }
 
     #[test]

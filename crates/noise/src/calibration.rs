@@ -17,6 +17,8 @@
 //! earlier ones. [`emit`] writes a file that [`parse`] reads back into an
 //! identical model.
 
+use qsim_circuit::MAX_REGISTER_QUBITS;
+
 use crate::{NoiseError, NoiseModel, PauliWeights};
 
 /// Parse a calibration file into a model.
@@ -40,6 +42,11 @@ pub fn parse(source: &str) -> Result<NoiseModel, NoiseError> {
         let rest: Vec<&str> = words.collect();
         if keyword == "qubits" {
             let n: usize = parse_one(&rest, 0, line_no, "qubit count")?;
+            if n > MAX_REGISTER_QUBITS {
+                return Err(err(format!(
+                    "{n} qubits exceeds the {MAX_REGISTER_QUBITS}-qubit register limit"
+                )));
+            }
             model = Some(NoiseModel::uniform(n, 0.0, 0.0, 0.0));
             continue;
         }
@@ -220,5 +227,15 @@ mod tests {
         assert!(err.to_string().contains("empty calibration"), "{err}");
         let err = parse("qubits 1\nsingle 0 x=1 y=1 z=1\n").unwrap_err();
         assert!(matches!(err, NoiseError::Calibration { line: 2, .. }), "{err}");
+    }
+
+    #[test]
+    fn widths_past_the_register_limit_are_line_errors() {
+        for width in ["65536", "99999999999", "18446744073709551615"] {
+            let err = parse(&format!("# header\nqubits {width}\n")).unwrap_err();
+            assert!(matches!(err, NoiseError::Calibration { line: 2, .. }), "{err}");
+            assert!(err.to_string().contains("65535-qubit register limit"), "{err}");
+        }
+        assert_eq!(parse("qubits 65535\n").unwrap().n_qubits(), 65_535);
     }
 }

@@ -26,6 +26,13 @@ pub enum NoiseError {
         /// Gate name.
         gate: String,
     },
+    /// The circuit is wider than an injected error can address.
+    TooManyQubits {
+        /// Qubits in the circuit.
+        n_qubits: usize,
+        /// The widest register an injection addresses.
+        max: usize,
+    },
     /// A calibration file failed to parse.
     Calibration {
         /// 1-based line number.
@@ -46,6 +53,12 @@ impl fmt::Display for NoiseError {
             }
             NoiseError::NonNativeGate { gate } => {
                 write!(f, "gate {gate} is not in the native set; transpile before noisy simulation")
+            }
+            NoiseError::TooManyQubits { n_qubits, max } => {
+                write!(
+                    f,
+                    "{n_qubits} qubits exceeds the {max}-qubit limit of packed error positions"
+                )
             }
             NoiseError::Calibration { line, message } => {
                 write!(f, "calibration line {line}: {message}")

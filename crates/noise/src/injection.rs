@@ -1,13 +1,14 @@
 use std::fmt;
 
+use qsim_circuit::MAX_REGISTER_QUBITS;
 use qsim_statevec::{Pauli, StateVecError, StateVector};
 
 /// Marker for "no qubit" in the packed high-qubit slot of a single-qubit
-/// injection.
-pub(crate) const NO_QUBIT: u16 = u16::MAX;
+/// injection: the first index past the widest register.
+pub(crate) const NO_QUBIT: u16 = MAX_REGISTER_QUBITS as u16;
 
 /// The largest qubit index an [`Injection`] packs.
-pub(crate) const MAX_PACKED_QUBIT: usize = NO_QUBIT as usize - 1;
+pub(crate) const MAX_PACKED_QUBIT: usize = MAX_REGISTER_QUBITS - 1;
 
 /// The largest layer index an [`Injection`] packs.
 pub(crate) const MAX_PACKED_LAYER: usize = u32::MAX as usize;

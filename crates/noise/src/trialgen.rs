@@ -1,6 +1,6 @@
 use std::collections::{HashMap, HashSet};
 
-use qsim_circuit::LayeredCircuit;
+use qsim_circuit::{LayeredCircuit, MAX_REGISTER_QUBITS};
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 
@@ -63,6 +63,12 @@ impl TrialGenerator {
     /// Returns [`NoiseError::WidthMismatch`] if the model is narrower than
     /// the circuit and [`NoiseError::NonNativeGate`] for arity ≥ 3 gates.
     pub fn new(layered: &LayeredCircuit, model: &NoiseModel) -> Result<Self, NoiseError> {
+        if layered.n_qubits() > MAX_REGISTER_QUBITS {
+            return Err(NoiseError::TooManyQubits {
+                n_qubits: layered.n_qubits(),
+                max: MAX_REGISTER_QUBITS,
+            });
+        }
         if model.n_qubits() < layered.n_qubits() {
             return Err(NoiseError::WidthMismatch {
                 model: model.n_qubits(),
@@ -396,6 +402,18 @@ mod tests {
         let model = NoiseModel::uniform(4, 1e-2 * rate_scale, 1e-1 * rate_scale, 5e-2 * rate_scale);
         let gates = layered.total_gates();
         (TrialGenerator::new(&layered, &model).unwrap(), gates)
+    }
+
+    #[test]
+    fn circuits_wider_than_an_injection_addresses_are_rejected() {
+        let wide = MAX_REGISTER_QUBITS + 1;
+        let mut qc = qsim_circuit::Circuit::new("wide", wide, 1);
+        qc.h(wide - 1);
+        let layered = qc.layered().unwrap();
+        let model = NoiseModel::uniform(wide, 0.9, 0.9, 0.9);
+        let err = TrialGenerator::new(&layered, &model).unwrap_err();
+        assert_eq!(err, NoiseError::TooManyQubits { n_qubits: wide, max: MAX_REGISTER_QUBITS });
+        assert!(err.to_string().contains("65536 qubits exceeds"), "{err}");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 use std::f64::consts::FRAC_PI_2;
 
-use qsim_circuit::{Circuit, Gate, Instruction};
+use qsim_circuit::{Circuit, Gate, Instruction, MAX_REGISTER_QUBITS};
 
 use crate::ast::{Argument, Expr, GateDef, Program, Statement};
 use crate::error::{Pos, QasmError};
@@ -48,7 +48,11 @@ pub fn lower(program: &Program) -> Result<Circuit, QasmError> {
                     return Err(semantic(*pos, format!("duplicate qreg {name}")));
                 }
                 regs.qregs.insert(name.clone(), (regs.n_qubits, *size));
-                regs.n_qubits += size;
+                let width = regs.n_qubits.checked_add(*size).filter(|&w| w <= MAX_REGISTER_QUBITS);
+                let limit = format!(
+                    "qreg {name}[{size}] exceeds the {MAX_REGISTER_QUBITS}-qubit register limit"
+                );
+                regs.n_qubits = width.ok_or_else(|| semantic(*pos, limit))?;
             }
             Statement::CReg { name, size, pos } => {
                 if regs.cregs.contains_key(name) {
@@ -187,10 +191,16 @@ fn eval_args(
     env: &dyn Fn(&str) -> Option<f64>,
 ) -> Result<Vec<f64>, QasmError> {
     args.iter()
-        .map(|e| {
-            e.eval(env).ok_or_else(|| {
-                semantic(pos, "unbound parameter or unknown function in angle expression".into())
-            })
+        .map(|e| match e.eval(env) {
+            None => Err(semantic(
+                pos,
+                "unbound parameter or unknown function in angle expression".into(),
+            )),
+            Some(value) if !value.is_finite() => Err(semantic(
+                pos,
+                format!("angle expression evaluates to {value}, not a finite number"),
+            )),
+            Some(value) => Ok(value),
         })
         .collect()
 }
@@ -241,7 +251,7 @@ fn builtin_arity(name: &str) -> Option<(usize, usize)> {
         "id" | "x" | "y" | "z" | "h" | "s" | "sdg" | "t" | "tdg" => (0, 1),
         "rx" | "ry" | "rz" | "u1" | "p" => (1, 1),
         "u2" => (2, 1),
-        "u3" | "u" => (3, 1),
+        "u3" | "u" | "U" => (3, 1),
         "cx" | "CX" | "cz" | "swap" | "cy" | "ch" => (0, 2),
         "cu1" | "cp" | "crz" => (1, 2),
         "u0" => (1, 1),
@@ -295,7 +305,7 @@ fn apply_gate(
             "rz" => push(circuit, Gate::Rz(args[0]), qubits.to_vec()),
             "u1" | "p" => push(circuit, Gate::Phase(args[0]), qubits.to_vec()),
             "u2" => push(circuit, Gate::U(FRAC_PI_2, args[0], args[1]), qubits.to_vec()),
-            "u3" | "u" => push(circuit, Gate::U(args[0], args[1], args[2]), qubits.to_vec()),
+            "u3" | "u" | "U" => push(circuit, Gate::U(args[0], args[1], args[2]), qubits.to_vec()),
             "cx" | "CX" => push(circuit, Gate::Cx, qubits.to_vec()),
             "cz" => push(circuit, Gate::Cz, qubits.to_vec()),
             "swap" => push(circuit, Gate::Swap, qubits.to_vec()),
@@ -496,6 +506,17 @@ mod tests {
         assert_eq!(qc.counts().single, 1);
         let s = qc.simulate().unwrap();
         assert!((s.probability(0) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn builtin_capital_u_is_u3() {
+        // OpenQASM 2.0's primitive `U(θ,φ,λ)` is the same gate as `u3`.
+        let qc = parse("qreg q[1];\nU(pi, 0, pi) q[0];\n").unwrap();
+        let u3 = parse("qreg q[1];\nu3(pi, 0, pi) q[0];\n").unwrap();
+        assert_eq!(qc.instructions(), u3.instructions());
+        let s = qc.simulate().unwrap();
+        assert!((s.probability(1) - 1.0).abs() < 1e-12);
+        assert!(parse("qreg q[1];\nU(pi, 0) q[0];\n").is_err());
     }
 
     #[test]

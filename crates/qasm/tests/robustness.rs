@@ -138,4 +138,29 @@ fn adversarial_corpus_is_handled() {
     assert!(err.is_err());
     // Duplicate-operand CX is a semantic error.
     assert!(qsim_qasm::parse("qreg q[2]; cx q[0], q[0];").is_err());
+    // Angles that evaluate to NaN or ±∞ are positioned errors, in a gate
+    // call and inside a definition's body alike.
+    for angle in ["0/0", "1/0", "1e308*10", "ln(0)", "sqrt(-1)", "-1/0"] {
+        for source in [
+            format!("qreg q[1]; rz({angle}) q[0];"),
+            format!("qreg q[1]; u1({angle}) q[0];"),
+            format!("qreg q[1]; gate g(t) a {{ rz(t) a; }} g({angle}) q[0];"),
+            format!("qreg q[1]; gate g(t) a {{ rz(t*0+{angle}) a; }} g(1) q[0];"),
+        ] {
+            let err = qsim_qasm::parse(&source).expect_err(&source);
+            assert!(err.to_string().contains("not a finite number"), "{source}: {err}");
+        }
+    }
+    // Register widths past what an injection addresses, or whose sum
+    // overflows, are positioned errors, not allocations.
+    for (source, col) in [
+        ("qreg q[99999999999];", 1),
+        ("qreg q[18446744073709551615];", 1),
+        ("qreg q[65535]; qreg r[1];", 16),
+        ("qreg q[2]; qreg r[18446744073709551615];", 12),
+    ] {
+        let err = qsim_qasm::parse(source).expect_err(source);
+        assert_eq!((err.pos().line, err.pos().col), (1, col), "{source}: {err}");
+    }
+    assert_eq!(qsim_qasm::parse("qreg q[65535];").expect("the widest register").n_qubits(), 65_535);
 }
