@@ -4,7 +4,10 @@
 //! `BENCH_kernels.json`.
 //!
 //! Each row times one kernel class swept across every valid target on an
-//! `n`-qubit random state, best of `reps`. Pass `--check RATIO` (e.g.
+//! `n`-qubit random state, best of `reps`, on every compiled kernel copy
+//! this CPU runs (`portable_ms`, `avx2_ms`; `null` when the CPU lacks
+//! AVX2). `specialized_ms`, `dense_ms` and `speedup` are measured on the
+//! detected copy, named by the top-level `kernel_path`. Pass `--check RATIO` (e.g.
 //! `--check 1.5`) to exit non-zero when the mean speedup over the dense
 //! path falls below `RATIO` — CI runs this as the "specialization pays for
 //! itself" regression gate.
@@ -13,7 +16,7 @@
 
 use std::time::Instant;
 
-use qsim_statevec::{Matrix2, Matrix4, StateVector, C64};
+use qsim_statevec::{FusedOp, KernelPath, Matrix2, Matrix4, StateVector, C64};
 use redsim::testkit::random_state;
 use redsim_bench::report::ResultsDoc;
 use redsim_bench::table::Table;
@@ -33,64 +36,90 @@ fn time_best<F: FnMut()>(reps: usize, mut run: F) -> f64 {
 
 struct Row {
     kernel: &'static str,
+    /// The specialized kernel on the detected path.
     specialized_ms: f64,
+    /// The dense kernel applying an equivalent matrix, detected path.
     dense_ms: f64,
+    portable_ms: f64,
+    /// `NaN` (rendered `null`) when this CPU lacks AVX2.
+    avx2_ms: f64,
 }
 
 impl Row {
     fn speedup(&self) -> f64 {
         self.dense_ms / self.specialized_ms.max(1e-9)
     }
+
+    fn avx2_speedup(&self) -> f64 {
+        self.portable_ms / self.avx2_ms.max(1e-9)
+    }
 }
 
-/// Time a one-qubit kernel swept over every qubit, against the dense
-/// equivalent sweeping the same matrix.
+/// Best-of-`reps` time for applying `ops` in order on the kernel copy
+/// `path`, starting from `state`.
+fn sweep_ms(state: &StateVector, reps: usize, ops: &[FusedOp], path: KernelPath) -> f64 {
+    let mut s = state.clone();
+    time_best(reps, || {
+        for op in ops {
+            s.apply_fused_on(op, path).expect("valid operands on a supported path");
+        }
+    })
+}
+
+/// Time a specialized sweep on every supported kernel copy, and the dense
+/// sweep of the equivalent matrices on the detected one.
+fn row(
+    kernel: &'static str,
+    state: &StateVector,
+    reps: usize,
+    specialized: &[FusedOp],
+    dense: &[FusedOp],
+) -> Row {
+    let mut portable_ms = f64::NAN;
+    let mut avx2_ms = f64::NAN;
+    for &path in KernelPath::supported() {
+        let ms = sweep_ms(state, reps, specialized, path);
+        match path {
+            KernelPath::Portable => portable_ms = ms,
+            KernelPath::Avx2 => avx2_ms = ms,
+        }
+    }
+    let specialized_ms = match KernelPath::detected() {
+        KernelPath::Portable => portable_ms,
+        KernelPath::Avx2 => avx2_ms,
+    };
+    let dense_ms = sweep_ms(state, reps, dense, KernelPath::detected());
+    Row { kernel, specialized_ms, dense_ms, portable_ms, avx2_ms }
+}
+
+/// A one-qubit row: `op(q)` on every qubit, against the dense `m`.
 fn row_1q(
     kernel: &'static str,
     state: &StateVector,
     reps: usize,
     m: &Matrix2,
-    mut specialized: impl FnMut(&mut StateVector, usize),
+    op: impl Fn(usize) -> FusedOp,
 ) -> Row {
     let n = state.n_qubits();
-    let mut s = state.clone();
-    let specialized_ms = time_best(reps, || {
-        for q in 0..n {
-            specialized(&mut s, q);
-        }
-    });
-    let mut d = state.clone();
-    let dense_ms = time_best(reps, || {
-        for q in 0..n {
-            d.apply_1q(m, q).expect("valid qubit");
-        }
-    });
-    Row { kernel, specialized_ms, dense_ms }
+    let specialized: Vec<FusedOp> = (0..n).map(op).collect();
+    let dense: Vec<FusedOp> = (0..n).map(|qubit| FusedOp::Dense1 { m: *m, qubit }).collect();
+    row(kernel, state, reps, &specialized, &dense)
 }
 
-/// Time a two-qubit kernel swept over every adjacent pair, against the
-/// dense equivalent sweeping the same matrix.
+/// A two-qubit row: `op(low, high)` on every adjacent pair, against the
+/// dense `m`.
 fn row_2q(
     kernel: &'static str,
     state: &StateVector,
     reps: usize,
     m: &Matrix4,
-    mut specialized: impl FnMut(&mut StateVector, usize, usize),
+    op: impl Fn(usize, usize) -> FusedOp,
 ) -> Row {
     let n = state.n_qubits();
-    let mut s = state.clone();
-    let specialized_ms = time_best(reps, || {
-        for q in 0..n - 1 {
-            specialized(&mut s, q, q + 1);
-        }
-    });
-    let mut d = state.clone();
-    let dense_ms = time_best(reps, || {
-        for q in 0..n - 1 {
-            d.apply_2q(m, q, q + 1).expect("valid pair");
-        }
-    });
-    Row { kernel, specialized_ms, dense_ms }
+    let specialized: Vec<FusedOp> = (0..n - 1).map(|q| op(q, q + 1)).collect();
+    let dense: Vec<FusedOp> =
+        (0..n - 1).map(|q| FusedOp::Dense2 { m: *m, low: q, high: q + 1 }).collect();
+    row(kernel, state, reps, &specialized, &dense)
 }
 
 fn main() {
@@ -110,69 +139,72 @@ fn main() {
     let one = C64::new(1.0, 0.0);
     let zero = C64::new(0.0, 0.0);
     let h = Matrix2::h();
-
-    let rows = vec![
-        row_1q("phase1", &state, reps, &Matrix2([[one, zero], [zero, phase]]), |s, q| {
-            s.apply_phase1(phase, q).expect("valid qubit");
-        }),
-        row_1q("diag1", &state, reps, &Matrix2([[d1[0], zero], [zero, d1[1]]]), |s, q| {
-            s.apply_diag1(&d1, q).expect("valid qubit");
-        }),
-        row_1q(
-            "perm1",
-            &state,
-            reps,
-            &Matrix2([[zero, perm_phase[0]], [perm_phase[1], zero]]),
-            |s, q| {
-                s.apply_perm1(&perm_phase, q).expect("valid qubit");
-            },
-        ),
-        row_2q("cphase2", &state, reps, &Matrix4::cphase(theta), |s, low, high| {
-            s.apply_cphase2(phase, low, high).expect("valid pair");
-        }),
-        row_2q(
-            "cdiag1",
-            &state,
-            reps,
-            &Matrix4::controlled(&Matrix2([[d1[0], zero], [zero, d1[1]]])),
-            |s, low, high| {
-                s.apply_cdiag1(&d1, high, low).expect("valid pair");
-            },
-        ),
-        row_2q("cx", &state, reps, &Matrix4::cx(), |s, low, high| {
-            s.apply_cx(high, low).expect("valid pair");
-        }),
-        row_2q("ctrl1", &state, reps, &Matrix4::controlled(&h), |s, low, high| {
-            s.apply_ctrl1(&h, high, low).expect("valid pair");
-        }),
-        row_2q("perm2", &state, reps, &Matrix4::swap(), |s, low, high| {
-            s.apply_perm2(&[0, 2, 1, 3], &[one, one, one, one], low, high).expect("valid pair");
-        }),
-        row_2q(
-            "diag2",
-            &state,
-            reps,
-            &Matrix4::kron(&Matrix2::rz(0.3), &Matrix2::rz(theta)),
-            |s, low, high| {
-                let rz_a = Matrix2::rz(0.3).0;
-                let rz_b = Matrix2::rz(theta).0;
-                let d = [
-                    rz_a[0][0] * rz_b[0][0],
-                    rz_a[0][0] * rz_b[1][1],
-                    rz_a[1][1] * rz_b[0][0],
-                    rz_a[1][1] * rz_b[1][1],
-                ];
-                s.apply_diag2(&d, low, high).expect("valid pair");
-            },
-        ),
+    let rz_a = Matrix2::rz(0.3).0;
+    let rz_b = Matrix2::rz(theta).0;
+    let d2 = [
+        rz_a[0][0] * rz_b[0][0],
+        rz_a[0][0] * rz_b[1][1],
+        rz_a[1][1] * rz_b[0][0],
+        rz_a[1][1] * rz_b[1][1],
     ];
+
+    let rows =
+        vec![
+            row_1q("phase1", &state, reps, &Matrix2([[one, zero], [zero, phase]]), |qubit| {
+                FusedOp::Phase1 { d1: phase, qubit }
+            }),
+            row_1q("diag1", &state, reps, &Matrix2([[d1[0], zero], [zero, d1[1]]]), |qubit| {
+                FusedOp::Diag1 { d: d1, qubit }
+            }),
+            row_1q(
+                "perm1",
+                &state,
+                reps,
+                &Matrix2([[zero, perm_phase[0]], [perm_phase[1], zero]]),
+                |qubit| FusedOp::Perm1 { phase: perm_phase, qubit },
+            ),
+            row_2q("cphase2", &state, reps, &Matrix4::cphase(theta), |low, high| {
+                FusedOp::CPhase2 { p: phase, low, high }
+            }),
+            row_2q(
+                "cdiag1",
+                &state,
+                reps,
+                &Matrix4::controlled(&Matrix2([[d1[0], zero], [zero, d1[1]]])),
+                |low, high| FusedOp::CDiag1 { d: d1, control: high, target: low },
+            ),
+            row_2q("cx", &state, reps, &Matrix4::cx(), |low, high| FusedOp::Cx {
+                control: high,
+                target: low,
+            }),
+            row_2q("ctrl1", &state, reps, &Matrix4::controlled(&h), |low, high| FusedOp::Ctrl1 {
+                u: h,
+                control: high,
+                target: low,
+            }),
+            row_2q("perm2", &state, reps, &Matrix4::swap(), |low, high| FusedOp::Perm2 {
+                src: [0, 2, 1, 3],
+                phase: [one; 4],
+                low,
+                high,
+            }),
+            row_2q(
+                "diag2",
+                &state,
+                reps,
+                &Matrix4::kron(&Matrix2::rz(0.3), &Matrix2::rz(theta)),
+                |low, high| FusedOp::Diag2 { d: d2, low, high },
+            ),
+        ];
 
     let mean_speedup = rows.iter().map(Row::speedup).sum::<f64>() / rows.len() as f64;
 
+    let kernel_path = KernelPath::detected().name();
     let doc = ResultsDoc::new("kernels")
         .int("qubits", n_qubits)
         .int("reps", reps)
         .int("seed", seed)
+        .field("kernel_path", json::string(kernel_path))
         .field(
             "rows",
             json::array(rows.iter().map(|row| {
@@ -181,6 +213,9 @@ fn main() {
                     ("specialized_ms", json::number(row.specialized_ms)),
                     ("dense_ms", json::number(row.dense_ms)),
                     ("speedup", json::number(row.speedup())),
+                    ("portable_ms", json::number(row.portable_ms)),
+                    ("avx2_ms", json::number(row.avx2_ms)),
+                    ("avx2_speedup", json::number(row.avx2_speedup())),
                 ])
             })),
         )
@@ -189,16 +224,30 @@ fn main() {
     report::maybe_record(&args, &doc);
 
     if !quiet {
-        let mut table = Table::new(["Kernel", "Specialized", "Dense", "Speedup"]);
+        let mut table = Table::new([
+            "Kernel",
+            "Specialized",
+            "Dense",
+            "Speedup",
+            "Portable",
+            "AVX2",
+            "AVX2 gain",
+        ]);
         for row in &rows {
             table.row([
                 row.kernel.to_owned(),
                 format!("{:.3} ms", row.specialized_ms),
                 format!("{:.3} ms", row.dense_ms),
                 format!("{:.2}x", row.speedup()),
+                format!("{:.3} ms", row.portable_ms),
+                format!("{:.3} ms", row.avx2_ms),
+                format!("{:.2}x", row.avx2_speedup()),
             ]);
         }
-        println!("Specialized kernels vs generic dense apply: {n_qubits} qubits, best of {reps}");
+        println!(
+            "Specialized kernels vs generic dense apply: {n_qubits} qubits, best of {reps}, \
+             {kernel_path} kernel path"
+        );
         println!("{table}");
         println!("mean speedup {mean_speedup:.2}x");
         println!("results written to {out}");

@@ -7,6 +7,7 @@ use qsim_circuit::transpile::{transpile, TranspileOptions};
 use qsim_circuit::{to_qasm, Circuit, CouplingMap};
 use qsim_noise::NoiseModel;
 use qsim_observatory::{ExpectedStats, LiveView};
+use qsim_statevec::KernelPath;
 use qsim_telemetry::json::escape;
 use qsim_telemetry::{
     names, AggregatingRecorder, JsonlRecorder, LivePublisher, MetricsReport, NullRecorder,
@@ -488,10 +489,19 @@ fn run_or_profile(
     }
     writeln!(out, "{}", result.stats).map_err(io_err)?;
     writeln!(out).map_err(io_err)?;
+    // Name the compiled kernel copy that produced the timings, so a profile
+    // or a bench row says which one it measured.
+    let kernel_path = KernelPath::detected().name();
     if opts.json {
-        writeln!(out, "{}", report.render_json()).map_err(io_err)?;
+        let json = report.render_json();
+        let fields = json.strip_prefix('{').expect("render_json writes one object");
+        writeln!(out, "{{\"kernel_path\": \"{kernel_path}\", {fields}").map_err(io_err)?;
     } else {
         write!(out, "{}", report.render_prometheus()).map_err(io_err)?;
+        writeln!(out, "# HELP qsim_kernel_path The compiled kernel copy that ran.")
+            .map_err(io_err)?;
+        writeln!(out, "# TYPE qsim_kernel_path gauge").map_err(io_err)?;
+        writeln!(out, "qsim_kernel_path{{path=\"{kernel_path}\"}} 1").map_err(io_err)?;
     }
     Ok(())
 }
@@ -1406,6 +1416,8 @@ mod tests {
         assert!(text.contains("amplitude passes"), "{text}");
         assert!(text.contains("qsim_counter{name=\"ops\"}"), "{text}");
         assert!(text.contains("qsim_msv_peak_residency"), "{text}");
+        let path = KernelPath::detected().name();
+        assert!(text.contains(&format!("qsim_kernel_path{{path=\"{path}\"}} 1\n")), "{text}");
     }
 
     #[test]

@@ -5,6 +5,7 @@
 use std::io::Write;
 use std::process::{Command, Output, Stdio};
 
+use qsim_statevec::KernelPath;
 use qsim_telemetry::json::Json;
 
 /// Run `qsim` with `stdin` piped in; panics unless it succeeds.
@@ -57,4 +58,19 @@ fn cache_json_outputs_escape_control_characters_in_the_path() {
         assert_eq!(doc.get("dir").and_then(Json::as_str), Some(dir), "{action}");
     }
     std::fs::remove_dir_all(&root).expect("scratch cleanup");
+}
+
+#[test]
+fn profile_json_names_the_kernel_copy_that_ran() {
+    let bell = "OPENQASM 2.0; include \"qelib1.inc\"; qreg q[2]; creg c[2]; \
+                h q[0]; cx q[0],q[1]; measure q -> c;";
+    let noise = ["--device", "none", "--noise", "uniform:0.01,0.05,0.02"];
+    let out = qsim(&[&["profile", "-", "--trials", "16", "--json"][..], &noise].concat(), bell);
+    let line = out.lines().find(|l| l.starts_with('{')).expect("a JSON metrics line");
+    let doc = Json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+    assert_eq!(doc.get("kernel_path").and_then(Json::as_str), Some(KernelPath::detected().name()));
+    assert!(doc.get("counters").is_some(), "the metrics fields follow: {line}");
+    let text = qsim(&[&["profile", "-", "--trials", "16"][..], &noise].concat(), bell);
+    let gauge = format!("qsim_kernel_path{{path=\"{}\"}} 1", KernelPath::detected().name());
+    assert!(text.lines().any(|l| l == gauge), "{text}");
 }

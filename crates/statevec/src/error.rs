@@ -1,6 +1,8 @@
 use std::error::Error;
 use std::fmt;
 
+use crate::KernelPath;
+
 /// Errors produced by state-vector and density-matrix operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -46,6 +48,17 @@ pub enum StateVecError {
         /// Widest outcome a `MeasureOutcome` packs.
         max: usize,
     },
+    /// A two-qubit permutation's source row list is not a permutation of
+    /// the local indices `0..4`.
+    InvalidPermutation {
+        /// The rejected source list.
+        src: [u8; 4],
+    },
+    /// The requested compiled kernel copy cannot run on this CPU.
+    KernelPathUnavailable {
+        /// The requested copy.
+        path: KernelPath,
+    },
 }
 
 impl fmt::Display for StateVecError {
@@ -68,6 +81,12 @@ impl fmt::Display for StateVecError {
             }
             StateVecError::TooManyBits { n_bits, max } => {
                 write!(f, "a {n_bits}-bit classical register exceeds the {max}-bit outcome limit")
+            }
+            StateVecError::InvalidPermutation { src } => {
+                write!(f, "two-qubit permutation source {src:?} is not a permutation of 0..4")
+            }
+            StateVecError::KernelPathUnavailable { path } => {
+                write!(f, "the {} kernel path is not supported by this CPU", path.name())
             }
         }
     }

@@ -24,7 +24,7 @@
 //! * **Dense** ([`StateVector::apply_1q`] / `apply_2q`) — full
 //!   matrix-vector update.
 
-use crate::{Matrix2, Matrix4, StateVecError, StateVector, C64};
+use crate::{Matrix2, Matrix4, StateVecError, C64};
 
 /// A fused operator bound to its qubits, tagged with its kernel class.
 #[derive(Clone, Debug, PartialEq)]
@@ -269,6 +269,62 @@ impl FusedOp {
         }
     }
 
+    /// Check every operand against an `n_qubits` register: each qubit in
+    /// range, no qubit twice, and a [`FusedOp::Perm2`] source that
+    /// permutes `0..4`.
+    pub(crate) fn check_operands(&self, n_qubits: usize) -> Result<(), StateVecError> {
+        let in_range = |qubit: usize| {
+            if qubit < n_qubits {
+                Ok(())
+            } else {
+                Err(StateVecError::QubitOutOfRange { qubit, n_qubits })
+            }
+        };
+        let pair = |a: usize, b: usize| {
+            in_range(a)?;
+            in_range(b)?;
+            if a == b {
+                return Err(StateVecError::DuplicateQubit { qubit: a });
+            }
+            Ok(())
+        };
+        match *self {
+            FusedOp::Phase1 { qubit, .. }
+            | FusedOp::Diag1 { qubit, .. }
+            | FusedOp::Perm1 { qubit, .. }
+            | FusedOp::Dense1 { qubit, .. } => in_range(qubit),
+            FusedOp::CPhase2 { low, high, .. }
+            | FusedOp::Diag2 { low, high, .. }
+            | FusedOp::Dense2 { low, high, .. } => pair(low, high),
+            FusedOp::CDiag1 { control, target, .. }
+            | FusedOp::Ctrl1 { control, target, .. }
+            | FusedOp::Cx { control, target } => pair(control, target),
+            FusedOp::Perm2 { src, low, high, .. } => {
+                pair(low, high)?;
+                let mut seen = [false; 4];
+                for &s in &src {
+                    match seen.get_mut(usize::from(s)) {
+                        Some(slot) if !*slot => *slot = true,
+                        _ => return Err(StateVecError::InvalidPermutation { src }),
+                    }
+                }
+                Ok(())
+            }
+            FusedOp::Ccx { control_a, control_b, target } => {
+                for qubit in [control_a, control_b, target] {
+                    in_range(qubit)?;
+                }
+                if control_a == control_b {
+                    return Err(StateVecError::DuplicateQubit { qubit: control_a });
+                }
+                if control_a == target || control_b == target {
+                    return Err(StateVecError::DuplicateQubit { qubit: target });
+                }
+                Ok(())
+            }
+        }
+    }
+
     /// Short kernel-class name (for diagnostics and reports).
     pub fn kernel_name(&self) -> &'static str {
         match self {
@@ -288,37 +344,10 @@ impl FusedOp {
     }
 }
 
-impl StateVector {
-    /// Apply one fused operator — exactly one pass over the amplitudes,
-    /// dispatched to the kernel its class names.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`StateVecError`] for invalid operands.
-    pub fn apply_fused(&mut self, op: &FusedOp) -> Result<(), StateVecError> {
-        match op {
-            FusedOp::Phase1 { d1, qubit } => self.apply_phase1(*d1, *qubit),
-            FusedOp::Diag1 { d, qubit } => self.apply_diag1(d, *qubit),
-            FusedOp::Perm1 { phase, qubit } => self.apply_perm1(phase, *qubit),
-            FusedOp::Dense1 { m, qubit } => self.apply_1q(m, *qubit),
-            FusedOp::CPhase2 { p, low, high } => self.apply_cphase2(*p, *low, *high),
-            FusedOp::CDiag1 { d, control, target } => self.apply_cdiag1(d, *control, *target),
-            FusedOp::Diag2 { d, low, high } => self.apply_diag2(d, *low, *high),
-            FusedOp::Cx { control, target } => self.apply_cx(*control, *target),
-            FusedOp::Ctrl1 { u, control, target } => self.apply_ctrl1(u, *control, *target),
-            FusedOp::Perm2 { src, phase, low, high } => self.apply_perm2(src, phase, *low, *high),
-            FusedOp::Dense2 { m, low, high } => self.apply_2q(m, *low, *high),
-            FusedOp::Ccx { control_a, control_b, target } => {
-                self.apply_ccx(*control_a, *control_b, *target)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TOL;
+    use crate::{StateVector, TOL};
 
     fn random_state(n: usize, seed: u64) -> StateVector {
         // Deterministic non-trivial state: rotate every qubit by
@@ -436,6 +465,20 @@ mod tests {
         let mut s = StateVector::basis_state(3, 0b011).unwrap();
         s.apply_fused(&FusedOp::Ccx { control_a: 0, control_b: 1, target: 2 }).unwrap();
         assert!((s.probability(0b111) - 1.0).abs() < TOL);
+    }
+
+    #[test]
+    fn perm2_rejects_a_source_that_is_not_a_permutation() {
+        let mut s = random_state(3, 4);
+        let before = s.clone();
+        for src in [[0, 1, 2, 7], [0, 0, 0, 0], [3, 2, 1, 1]] {
+            let op = FusedOp::Perm2 { src, phase: [ONE; 4], low: 0, high: 2 };
+            assert_eq!(s.apply_fused(&op), Err(StateVecError::InvalidPermutation { src }));
+            assert_eq!(s, before, "a rejected permutation must leave the state untouched");
+        }
+        let op = FusedOp::Perm2 { src: [3, 2, 1, 0], phase: [ONE; 4], low: 0, high: 2 };
+        assert_eq!(s.apply_fused(&op), Ok(()));
+        assert!((s.norm_sqr() - 1.0).abs() < TOL);
     }
 
     #[test]

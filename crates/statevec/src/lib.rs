@@ -37,6 +37,7 @@ mod density;
 mod eigen;
 mod error;
 mod fused;
+mod kernels;
 mod matrix;
 mod measure;
 mod observable;
@@ -50,6 +51,7 @@ pub use density::DensityMatrix;
 pub use eigen::hermitian_eigenvalues;
 pub use error::StateVecError;
 pub use fused::FusedOp;
+pub use kernels::KernelPath;
 pub use matrix::{Matrix2, Matrix4};
 pub use measure::{sample_index, MeasureOutcome};
 pub use observable::{Observable, ParsePauliStringError, PauliString};

@@ -1,16 +1,12 @@
 use std::fmt;
 
 use crate::buffer::AmpBuf;
-use crate::{Matrix2, Matrix4, Pauli, StateVecError, C64};
+use crate::kernels::{self, Kernel};
+use crate::{FusedOp, KernelPath, Matrix2, Matrix4, Pauli, StateVecError, C64};
 
 /// Maximum register width supported by the dense simulator (2^30 amplitudes
 /// is 16 GiB of `Complex64`; anything larger is rejected up front).
 pub(crate) const MAX_QUBITS: usize = 30;
-
-/// Pairs per tile in the cache-blocked dense sweeps: 8 KiB per stream, so
-/// a tile of each stream stays L1-resident even when the pair stride spans
-/// megabytes on high-qubit registers.
-const DENSE_TILE: usize = 512;
 
 /// A dense `2^n`-amplitude pure quantum state.
 ///
@@ -201,6 +197,31 @@ impl StateVector {
             && self.amps.iter().zip(other.amps.iter()).all(|(a, b)| (a - b).norm() <= tol)
     }
 
+    /// Apply one fused operator — exactly one pass over the amplitudes,
+    /// dispatched to the kernel its class names, on the compiled kernel
+    /// copy [`KernelPath::detected`] picks.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`StateVecError`] for invalid operands.
+    pub fn apply_fused(&mut self, op: &FusedOp) -> Result<(), StateVecError> {
+        self.apply_fused_on(op, KernelPath::detected())
+    }
+
+    /// [`StateVector::apply_fused`] on an explicitly chosen compiled kernel
+    /// copy (for tests and benchmarks); the amplitudes are bit-identical on
+    /// every path.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`StateVecError`] for invalid operands, and returns
+    /// [`StateVecError::KernelPathUnavailable`] if this CPU cannot run
+    /// `path`.
+    pub fn apply_fused_on(&mut self, op: &FusedOp, path: KernelPath) -> Result<(), StateVecError> {
+        op.check_operands(self.n_qubits)?;
+        kernels::run(&mut self.amps, Kernel::Fused(op), path)
+    }
+
     /// Apply a one-qubit unitary to `qubit`. One "basic operation"
     /// (matrix-vector multiplication) in the paper's cost metric.
     ///
@@ -208,27 +229,7 @@ impl StateVector {
     ///
     /// Returns [`StateVecError::QubitOutOfRange`] for an invalid qubit.
     pub fn apply_1q(&mut self, m: &Matrix2, qubit: usize) -> Result<(), StateVecError> {
-        self.check_qubit(qubit)?;
-        let stride = 1usize << qubit;
-        let [[m00, m01], [m10, m11]] = m.0;
-        // Cache-blocked sweep: each pair block is two disjoint contiguous
-        // streams, walked tile-by-tile so one tile of each stream stays
-        // L1-resident even when `stride` spans megabytes; the disjoint
-        // slices drop the bounds checks the indexed loop would pay.
-        let n = self.amps.len();
-        let mut base = 0;
-        while base < n {
-            let (lo, hi) = self.amps[base..base + (stride << 1)].split_at_mut(stride);
-            for (lo_tile, hi_tile) in lo.chunks_mut(DENSE_TILE).zip(hi.chunks_mut(DENSE_TILE)) {
-                for (a, b) in lo_tile.iter_mut().zip(hi_tile.iter_mut()) {
-                    let (x, y) = (*a, *b);
-                    *a = m00 * x + m01 * y;
-                    *b = m10 * x + m11 * y;
-                }
-            }
-            base += stride << 1;
-        }
-        Ok(())
+        self.apply_fused(&FusedOp::Dense1 { m: *m, qubit })
     }
 
     /// Apply a two-qubit unitary; `low` indexes the low local bit and `high`
@@ -240,50 +241,7 @@ impl StateVector {
     /// Returns [`StateVecError::QubitOutOfRange`] or
     /// [`StateVecError::DuplicateQubit`].
     pub fn apply_2q(&mut self, m: &Matrix4, low: usize, high: usize) -> Result<(), StateVecError> {
-        self.check_qubit(low)?;
-        self.check_qubit(high)?;
-        if low == high {
-            return Err(StateVecError::DuplicateQubit { qubit: low });
-        }
-        let (small, large) = if low < high { (low, high) } else { (high, low) };
-        let small_stride = 1usize << small;
-        let large_stride = 1usize << large;
-        // Which of the four contiguous streams carries the low local bit:
-        // when `low < high` the small stride is the low bit, so stream
-        // order (00, 01, 10, 11) matches (base, +small, +large, +both);
-        // otherwise streams 01 and 10 swap places.
-        let low_is_small = low < high;
-        let n = self.amps.len();
-        let r = &m.0;
-
-        // Enumerate every index with both operand bits clear, processing
-        // each run of `small_stride` groups as four parallel contiguous
-        // streams (cache-blocked: all four legs advance linearly, and the
-        // disjoint slices let the compiler drop bounds checks).
-        let mut outer = 0;
-        while outer < n {
-            let mut mid = outer;
-            while mid < outer + large_stride {
-                let quad = &mut self.amps[mid..mid + large_stride + 2 * small_stride];
-                let (head, tail) = quad.split_at_mut(large_stride);
-                let (s_base, head_rest) = head.split_at_mut(small_stride);
-                let s_small = &mut head_rest[..small_stride];
-                let (s_large, s_both) = tail.split_at_mut(small_stride);
-                let (s01, s10) = if low_is_small { (s_small, s_large) } else { (s_large, s_small) };
-                for (((p00, p01), p10), p11) in
-                    s_base.iter_mut().zip(s01).zip(s10).zip(s_both.iter_mut())
-                {
-                    let (a0, a1, a2, a3) = (*p00, *p01, *p10, *p11);
-                    *p00 = r[0][0] * a0 + r[0][1] * a1 + r[0][2] * a2 + r[0][3] * a3;
-                    *p01 = r[1][0] * a0 + r[1][1] * a1 + r[1][2] * a2 + r[1][3] * a3;
-                    *p10 = r[2][0] * a0 + r[2][1] * a1 + r[2][2] * a2 + r[2][3] * a3;
-                    *p11 = r[3][0] * a0 + r[3][1] * a1 + r[3][2] * a2 + r[3][3] * a3;
-                }
-                mid += small_stride << 1;
-            }
-            outer += large_stride << 1;
-        }
-        Ok(())
+        self.apply_fused(&FusedOp::Dense2 { m: *m, low, high })
     }
 
     /// Multiply each amplitude by the matching entry of a diagonal one-qubit
@@ -294,21 +252,13 @@ impl StateVector {
     ///
     /// Returns [`StateVecError::QubitOutOfRange`] for an invalid qubit.
     pub fn apply_diag1(&mut self, d: &[C64; 2], qubit: usize) -> Result<(), StateVecError> {
-        self.check_qubit(qubit)?;
-        let stride = 1usize << qubit;
-        let (d0, d1) = (d[0], d[1]);
-        for (block, chunk) in self.amps.chunks_exact_mut(stride).enumerate() {
-            let f = if block & 1 == 0 { d0 } else { d1 };
-            for a in chunk {
-                *a = f * *a;
-            }
-        }
-        Ok(())
+        self.apply_fused(&FusedOp::Diag1 { d: *d, qubit })
     }
 
     /// Multiply each amplitude by the matching entry of a diagonal two-qubit
     /// operator on `(low, high)` (local index `2·bit(high) + bit(low)`, as
-    /// in [`Matrix4`]). A single linear sweep.
+    /// in [`Matrix4`]). A single linear sweep that picks each factor once
+    /// per run of `2^min(low, high)` amplitudes.
     ///
     /// # Errors
     ///
@@ -320,16 +270,7 @@ impl StateVector {
         low: usize,
         high: usize,
     ) -> Result<(), StateVecError> {
-        self.check_qubit(low)?;
-        self.check_qubit(high)?;
-        if low == high {
-            return Err(StateVecError::DuplicateQubit { qubit: low });
-        }
-        for (i, a) in self.amps.iter_mut().enumerate() {
-            let local = (((i >> high) & 1) << 1) | ((i >> low) & 1);
-            *a = d[local] * *a;
-        }
-        Ok(())
+        self.apply_fused(&FusedOp::Diag2 { d: *d, low, high })
     }
 
     /// Multiply the amplitudes whose `qubit` bit is **set** by `d1` — the
@@ -341,17 +282,7 @@ impl StateVector {
     ///
     /// Returns [`StateVecError::QubitOutOfRange`] for an invalid qubit.
     pub fn apply_phase1(&mut self, d1: C64, qubit: usize) -> Result<(), StateVecError> {
-        self.check_qubit(qubit)?;
-        let stride = 1usize << qubit;
-        let n = self.amps.len();
-        let mut base = stride;
-        while base < n {
-            for a in self.amps[base..base + stride].iter_mut() {
-                *a = d1 * *a;
-            }
-            base += stride << 1;
-        }
-        Ok(())
+        self.apply_fused(&FusedOp::Phase1 { d1, qubit })
     }
 
     /// Apply a phased one-qubit permutation (an anti-diagonal 2×2): for
@@ -363,21 +294,7 @@ impl StateVector {
     ///
     /// Returns [`StateVecError::QubitOutOfRange`] for an invalid qubit.
     pub fn apply_perm1(&mut self, phase: &[C64; 2], qubit: usize) -> Result<(), StateVecError> {
-        self.check_qubit(qubit)?;
-        let stride = 1usize << qubit;
-        let (p0, p1) = (phase[0], phase[1]);
-        let n = self.amps.len();
-        let mut base = 0;
-        while base < n {
-            let (lo, hi) = self.amps[base..base + (stride << 1)].split_at_mut(stride);
-            for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-                let x = *a;
-                *a = p0 * *b;
-                *b = p1 * x;
-            }
-            base += stride << 1;
-        }
-        Ok(())
+        self.apply_fused(&FusedOp::Perm1 { phase: *phase, qubit })
     }
 
     /// Apply a controlled phase `diag(1, 1, 1, p)` on the (symmetric) pair
@@ -394,32 +311,7 @@ impl StateVector {
         qubit_a: usize,
         qubit_b: usize,
     ) -> Result<(), StateVecError> {
-        self.check_qubit(qubit_a)?;
-        self.check_qubit(qubit_b)?;
-        if qubit_a == qubit_b {
-            return Err(StateVecError::DuplicateQubit { qubit: qubit_a });
-        }
-        let offset = (1usize << qubit_a) | (1usize << qubit_b);
-        let (small, large) =
-            if qubit_a < qubit_b { (qubit_a, qubit_b) } else { (qubit_b, qubit_a) };
-        let small_stride = 1usize << small;
-        let large_stride = 1usize << large;
-        let n = self.amps.len();
-        // Strided enumeration of the indices with both bits clear; the
-        // offset lands exactly on the both-bits-set quarter.
-        let mut outer = 0;
-        while outer < n {
-            let mut mid = outer;
-            while mid < outer + large_stride {
-                for i in mid..mid + small_stride {
-                    let idx = i | offset;
-                    self.amps[idx] = p * self.amps[idx];
-                }
-                mid += small_stride << 1;
-            }
-            outer += large_stride << 1;
-        }
-        Ok(())
+        self.apply_fused(&FusedOp::CPhase2 { p, low: qubit_a, high: qubit_b })
     }
 
     /// Apply a controlled diagonal `diag(d[0], d[1])` on `target`, active
@@ -437,33 +329,7 @@ impl StateVector {
         control: usize,
         target: usize,
     ) -> Result<(), StateVecError> {
-        self.check_qubit(control)?;
-        self.check_qubit(target)?;
-        if control == target {
-            return Err(StateVecError::DuplicateQubit { qubit: control });
-        }
-        let cmask = 1usize << control;
-        let tmask = 1usize << target;
-        let (d0, d1) = (d[0], d[1]);
-        let (small, large) = if control < target { (control, target) } else { (target, control) };
-        let small_stride = 1usize << small;
-        let large_stride = 1usize << large;
-        let n = self.amps.len();
-        let mut outer = 0;
-        while outer < n {
-            let mut mid = outer;
-            while mid < outer + large_stride {
-                for i in mid..mid + small_stride {
-                    let ic = i | cmask;
-                    self.amps[ic] = d0 * self.amps[ic];
-                    let ict = ic | tmask;
-                    self.amps[ict] = d1 * self.amps[ict];
-                }
-                mid += small_stride << 1;
-            }
-            outer += large_stride << 1;
-        }
-        Ok(())
+        self.apply_fused(&FusedOp::CDiag1 { d: *d, control, target })
     }
 
     /// Apply a controlled one-qubit unitary `u` on `target`, active only
@@ -481,37 +347,7 @@ impl StateVector {
         control: usize,
         target: usize,
     ) -> Result<(), StateVecError> {
-        self.check_qubit(control)?;
-        self.check_qubit(target)?;
-        if control == target {
-            return Err(StateVecError::DuplicateQubit { qubit: control });
-        }
-        let cmask = 1usize << control;
-        let tmask = 1usize << target;
-        let [[u00, u01], [u10, u11]] = u.0;
-        let (small, large) = if control < target { (control, target) } else { (target, control) };
-        let small_stride = 1usize << small;
-        let large_stride = 1usize << large;
-        let n = self.amps.len();
-        // Same enumeration as the CX fast path, with a 2×2 multiply in
-        // place of the swap.
-        let mut outer = 0;
-        while outer < n {
-            let mut mid = outer;
-            while mid < outer + large_stride {
-                for i in mid..mid + small_stride {
-                    let ia = i | cmask;
-                    let ib = ia | tmask;
-                    let x = self.amps[ia];
-                    let y = self.amps[ib];
-                    self.amps[ia] = u00 * x + u01 * y;
-                    self.amps[ib] = u10 * x + u11 * y;
-                }
-                mid += small_stride << 1;
-            }
-            outer += large_stride << 1;
-        }
-        Ok(())
+        self.apply_fused(&FusedOp::Ctrl1 { u: *u, control, target })
     }
 
     /// Apply a two-qubit phased permutation on `(low, high)`: for each group
@@ -521,8 +357,9 @@ impl StateVector {
     ///
     /// # Errors
     ///
-    /// Returns [`StateVecError::QubitOutOfRange`] or
-    /// [`StateVecError::DuplicateQubit`].
+    /// Returns [`StateVecError::QubitOutOfRange`],
+    /// [`StateVecError::DuplicateQubit`] or, unless `src` is a permutation
+    /// of `0..4`, [`StateVecError::InvalidPermutation`].
     pub fn apply_perm2(
         &mut self,
         src: &[u8; 4],
@@ -530,39 +367,7 @@ impl StateVector {
         low: usize,
         high: usize,
     ) -> Result<(), StateVecError> {
-        self.check_qubit(low)?;
-        self.check_qubit(high)?;
-        if low == high {
-            return Err(StateVecError::DuplicateQubit { qubit: low });
-        }
-        debug_assert!(src.iter().all(|&s| s < 4));
-        let mask_low = 1usize << low;
-        let mask_high = 1usize << high;
-        let (small, large) = if low < high { (low, high) } else { (high, low) };
-        let small_stride = 1usize << small;
-        let large_stride = 1usize << large;
-        let n = self.amps.len();
-        let mut outer = 0;
-        while outer < n {
-            let mut mid = outer;
-            while mid < outer + large_stride {
-                for i in mid..mid + small_stride {
-                    let idx = [i, i | mask_low, i | mask_high, i | mask_low | mask_high];
-                    let old = [
-                        self.amps[idx[0]],
-                        self.amps[idx[1]],
-                        self.amps[idx[2]],
-                        self.amps[idx[3]],
-                    ];
-                    for r in 0..4 {
-                        self.amps[idx[r]] = phase[r] * old[src[r] as usize];
-                    }
-                }
-                mid += small_stride << 1;
-            }
-            outer += large_stride << 1;
-        }
-        Ok(())
+        self.apply_fused(&FusedOp::Perm2 { src: *src, phase: *phase, low, high })
     }
 
     /// Apply a Pauli error operator via a permutation/sign fast path. Counted
@@ -572,44 +377,26 @@ impl StateVector {
     ///
     /// Returns [`StateVecError::QubitOutOfRange`] for an invalid qubit.
     pub fn apply_pauli(&mut self, p: Pauli, qubit: usize) -> Result<(), StateVecError> {
+        self.apply_pauli_on(p, qubit, KernelPath::detected())
+    }
+
+    /// [`StateVector::apply_pauli`] on an explicitly chosen compiled kernel
+    /// copy (for tests and benchmarks); the amplitudes are bit-identical on
+    /// every path.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StateVecError::QubitOutOfRange`] for an invalid qubit, or
+    /// [`StateVecError::KernelPathUnavailable`] if this CPU cannot run
+    /// `path`.
+    pub fn apply_pauli_on(
+        &mut self,
+        p: Pauli,
+        qubit: usize,
+        path: KernelPath,
+    ) -> Result<(), StateVecError> {
         self.check_qubit(qubit)?;
-        let stride = 1usize << qubit;
-        let n = self.amps.len();
-        match p {
-            Pauli::X => {
-                let mut base = 0;
-                while base < n {
-                    for i in base..base + stride {
-                        self.amps.swap(i, i + stride);
-                    }
-                    base += stride << 1;
-                }
-            }
-            Pauli::Y => {
-                let i_pos = C64::new(0.0, 1.0);
-                let i_neg = C64::new(0.0, -1.0);
-                let mut base = 0;
-                while base < n {
-                    for i in base..base + stride {
-                        let a = self.amps[i];
-                        let b = self.amps[i + stride];
-                        self.amps[i] = i_neg * b;
-                        self.amps[i + stride] = i_pos * a;
-                    }
-                    base += stride << 1;
-                }
-            }
-            Pauli::Z => {
-                let mut base = stride;
-                while base < n {
-                    for i in base..base + stride {
-                        self.amps[i] = -self.amps[i];
-                    }
-                    base += stride << 1;
-                }
-            }
-        }
-        Ok(())
+        kernels::run(&mut self.amps, Kernel::Pauli(p, qubit), path)
     }
 
     /// Apply a CNOT with `control` and `target` qubits (permutation fast
@@ -620,32 +407,7 @@ impl StateVector {
     /// Returns [`StateVecError::QubitOutOfRange`] or
     /// [`StateVecError::DuplicateQubit`].
     pub fn apply_cx(&mut self, control: usize, target: usize) -> Result<(), StateVecError> {
-        self.check_qubit(control)?;
-        self.check_qubit(target)?;
-        if control == target {
-            return Err(StateVecError::DuplicateQubit { qubit: control });
-        }
-        let cmask = 1usize << control;
-        let tmask = 1usize << target;
-        let (small, large) = if control < target { (control, target) } else { (target, control) };
-        let small_stride = 1usize << small;
-        let large_stride = 1usize << large;
-        let n = self.amps.len();
-        // Strided enumeration of the 2^(n−2) indices with both operand bits
-        // clear; offsetting by the control mask yields exactly the swapped
-        // pairs, with no per-index branch.
-        let mut outer = 0;
-        while outer < n {
-            let mut mid = outer;
-            while mid < outer + large_stride {
-                for i in mid..mid + small_stride {
-                    self.amps.swap(i | cmask, i | cmask | tmask);
-                }
-                mid += small_stride << 1;
-            }
-            outer += large_stride << 1;
-        }
-        Ok(())
+        self.apply_fused(&FusedOp::Cx { control, target })
     }
 
     /// Apply a Toffoli (CCX) gate via the permutation fast path.
@@ -660,40 +422,7 @@ impl StateVector {
         control_b: usize,
         target: usize,
     ) -> Result<(), StateVecError> {
-        self.check_qubit(control_a)?;
-        self.check_qubit(control_b)?;
-        self.check_qubit(target)?;
-        if control_a == control_b {
-            return Err(StateVecError::DuplicateQubit { qubit: control_a });
-        }
-        if control_a == target || control_b == target {
-            return Err(StateVecError::DuplicateQubit { qubit: target });
-        }
-        let cmask = (1usize << control_a) | (1usize << control_b);
-        let tmask = 1usize << target;
-        let mut qs = [control_a, control_b, target];
-        qs.sort_unstable();
-        let [s0, s1, s2] = qs.map(|q| 1usize << q);
-        let n = self.amps.len();
-        // Strided enumeration of the 2^(n−3) indices with all three operand
-        // bits clear; offsetting by the control masks yields the swapped
-        // pairs, with no per-index branch.
-        let mut outer = 0;
-        while outer < n {
-            let mut mid = outer;
-            while mid < outer + s2 {
-                let mut inner = mid;
-                while inner < mid + s1 {
-                    for i in inner..inner + s0 {
-                        self.amps.swap(i | cmask, i | cmask | tmask);
-                    }
-                    inner += s0 << 1;
-                }
-                mid += s1 << 1;
-            }
-            outer += s2 << 1;
-        }
-        Ok(())
+        self.apply_fused(&FusedOp::Ccx { control_a, control_b, target })
     }
 
     /// Tear down into the raw amplitude buffer (for [`crate::StatePool`]).

@@ -1,7 +1,7 @@
 //! Differential conformance suite for the specialized kernel engine.
 //!
 //! Every specialized apply path (phase, diagonal, permutation, controlled,
-//! cache-blocked dense) is checked against the generic dense kernel — and
+//! stride-aware dense) is checked against the generic dense kernel — and
 //! the generic kernels themselves against a naive textbook loop — on
 //! randomized fully-entangled states, across edge placements: lowest and
 //! highest qubit, adjacent and non-adjacent pairs, control above and below
@@ -78,8 +78,8 @@ fn edge_states(n: usize) -> Vec<(String, StateVector)> {
 
 #[test]
 fn blocked_dense_1q_sweep_is_bitwise_identical_to_naive_loop() {
-    // n = 12 with a high target pushes the stride past the 512-pair tile,
-    // exercising the cache-blocked path; small n exercise the short path.
+    // n = 12 walks runs from one amplitude (qubit 0) to 2^11 (qubit 11);
+    // small n exercise the short registers.
     for (n, qubits) in
         [(1usize, vec![0usize]), (2, vec![0, 1]), (3, vec![0, 1, 2]), (12, vec![0, 5, 10, 11])]
     {
