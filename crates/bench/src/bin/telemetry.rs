@@ -1,23 +1,24 @@
 //! Telemetry overhead: the reordered executor under the `NullRecorder`
 //! (the untraced path, instrumentation compiled out) against the in-memory
-//! aggregating recorder, the bounded flight recorder, and a JSONL sink,
-//! across three catalog circuits at 64 trials. Results are written to
-//! `BENCH_telemetry.json`.
+//! aggregating recorder, the live recorder (the sink behind `qsim run
+//! --live`), and a JSONL sink, across three catalog circuits at 64
+//! trials. Results are written to `BENCH_telemetry.json`.
 //!
-//! Pass `--check PCT` (e.g. `--check 2`) to exit non-zero when the flight
-//! recorder's overhead exceeds `PCT` percent. Its pitch is "cheap enough
-//! to leave on everywhere" — but on the Yorktown rows a whole trial runs
-//! in about a microsecond, so any per-event sink reads as a large relative
-//! number there no matter how cheap the event is. The flight gate instead
-//! times a QV circuit at realistic width (a §V.B scalability shape), where
-//! the tens-of-nanoseconds event cost must amortize to under the budget.
+//! Pass `--check PCT` (e.g. `--check 2`) to exit non-zero when the live
+//! recorder's overhead exceeds `PCT` percent. It declines per-kernel timing
+//! so a run can publish progress all the time — but on the Yorktown rows a
+//! whole trial runs in about a microsecond, so any per-event sink reads as
+//! a large relative number there no matter how cheap the event is. The
+//! live gate instead times a QV circuit at realistic width (a §V.B
+//! scalability shape), where the per-event atomics must amortize to under
+//! the budget.
 //!
 //! Usage: `telemetry [--seed N] [--reps N] [--trials N] [--out PATH] [--check PCT] [--record] [--quiet]`
 
 use std::time::Instant;
 
 use qsim_telemetry::{
-    AggregatingRecorder, FlightRecorder, JsonlRecorder, NullRecorder, Recorder, TraceMeta,
+    AggregatingRecorder, JsonlRecorder, LiveRecorder, NullRecorder, Recorder, TraceMeta,
 };
 use redsim::exec::ReuseExecutor;
 use redsim_bench::report::ResultsDoc;
@@ -42,7 +43,7 @@ struct Row {
     trials: usize,
     plain_ms: f64,
     aggregate_ms: f64,
-    flight_ms: f64,
+    live_ms: f64,
     jsonl_ms: f64,
 }
 
@@ -77,8 +78,8 @@ fn main() {
             let recorder = AggregatingRecorder::new();
             reuse.run(trials, &recorder).expect("execution succeeds");
         });
-        let flight_ms = time_best(reps, || {
-            let recorder = FlightRecorder::with_capacity(1024);
+        let live_ms = time_best(reps, || {
+            let recorder = LiveRecorder::new(&TraceMeta::default(), n_trials as u64);
             reuse.run(trials, &recorder).expect("execution succeeds");
         });
         let jsonl_ms = time_best(reps, || {
@@ -91,15 +92,15 @@ fn main() {
             trials: n_trials,
             plain_ms,
             aggregate_ms,
-            flight_ms,
+            live_ms,
             jsonl_ms,
         });
     }
 
-    // Flight budget gate: a QV circuit wide enough that per-trial work
+    // Live budget gate: a QV circuit wide enough that per-trial work
     // dominates per-event recording (see the module docs). The recorder is
-    // built once and reused across reps, matching how an always-on flight
-    // ring is actually deployed.
+    // built once and reused across reps, so its heartbeat count covers the
+    // warmup and every timed rep.
     let gate_qubits = arg_value(&args, "--gate-qubits", 14usize);
     let gate_depth = arg_value(&args, "--gate-depth", 10usize);
     let gate_name = format!("qv_n{gate_qubits}d{gate_depth}");
@@ -113,11 +114,11 @@ fn main() {
     let gate_plain_ms = time_best(reps, || {
         gate_reuse.run(gate_trials, &NullRecorder).expect("execution succeeds");
     });
-    let flight = FlightRecorder::with_capacity(1024);
-    let gate_flight_ms = time_best(reps, || {
-        gate_reuse.run(gate_trials, &flight).expect("execution succeeds");
+    let live = LiveRecorder::new(&TraceMeta::default(), n_trials as u64);
+    let gate_live_ms = time_best(reps, || {
+        gate_reuse.run(gate_trials, &live).expect("execution succeeds");
     });
-    let gate_pct = 100.0 * (gate_flight_ms - gate_plain_ms) / gate_plain_ms.max(1e-9);
+    let gate_pct = 100.0 * (gate_live_ms - gate_plain_ms) / gate_plain_ms.max(1e-9);
 
     let doc = ResultsDoc::new("telemetry").int("seed", seed).int("reps", reps).field(
         "rows",
@@ -128,59 +129,57 @@ fn main() {
                 ("plain_ms", json::number(row.plain_ms)),
                 ("aggregate_ms", json::number(row.aggregate_ms)),
                 ("aggregate_overhead_pct", json::number(row.overhead_pct(row.aggregate_ms))),
-                ("flight_ms", json::number(row.flight_ms)),
-                ("flight_overhead_pct", json::number(row.overhead_pct(row.flight_ms))),
+                ("live_ms", json::number(row.live_ms)),
+                ("live_overhead_pct", json::number(row.overhead_pct(row.live_ms))),
                 ("jsonl_ms", json::number(row.jsonl_ms)),
                 ("jsonl_overhead_pct", json::number(row.overhead_pct(row.jsonl_ms))),
             ])
         })),
     );
     let doc = doc.field(
-        "flight_gate",
+        "live_gate",
         json::object(&[
             ("circuit", json::string(&gate_name)),
             ("trials", format!("{n_trials}")),
-            ("events_recorded", format!("{}", flight.recorded())),
+            ("heartbeats", format!("{}", live.snapshot().heartbeats)),
             ("plain_ms", json::number(gate_plain_ms)),
-            ("flight_ms", json::number(gate_flight_ms)),
-            ("flight_overhead_pct", json::number(gate_pct)),
+            ("live_ms", json::number(gate_live_ms)),
+            ("live_overhead_pct", json::number(gate_pct)),
         ]),
     );
     doc.write_file(&out);
     report::maybe_record(&args, &doc);
 
     if !quiet {
-        let mut table = Table::new(["Benchmark", "Plain", "Aggregate", "Flight", "JSONL"]);
+        let mut table = Table::new(["Benchmark", "Plain", "Aggregate", "Live", "JSONL"]);
         for row in &rows {
             table.row([
                 row.name.clone(),
                 format!("{:.3} ms", row.plain_ms),
                 format!("{:.3} ms", row.aggregate_ms),
-                format!("{:.3} ms", row.flight_ms),
+                format!("{:.3} ms", row.live_ms),
                 format!("{:.3} ms", row.jsonl_ms),
             ]);
         }
         println!("Telemetry overhead: reordered execution, {n_trials} trials, best of {reps}");
         println!("{table}");
         println!(
-            "Flight gate ({gate_name}, {n_trials} trials): plain {gate_plain_ms:.3} ms, \
-             flight {gate_flight_ms:.3} ms ({gate_pct:+.2}%)"
+            "Live gate ({gate_name}, {n_trials} trials): plain {gate_plain_ms:.3} ms, \
+             live {gate_live_ms:.3} ms ({gate_pct:+.2}%)"
         );
         println!("results written to {out}");
     }
 
     if check.is_finite() {
-        // The flight gate uses its dedicated realistic-width row: on the
+        // The live gate uses its dedicated realistic-width row: on the
         // tiny Yorktown rows best-of-reps timing jitters more than the
         // budget.
         if gate_pct > check {
             eprintln!(
-                "FAIL: FlightRecorder overhead {gate_pct:.2}% on {gate_name} exceeds budget {check}%"
+                "FAIL: LiveRecorder overhead {gate_pct:.2}% on {gate_name} exceeds budget {check}%"
             );
             std::process::exit(1);
         }
-        println!(
-            "flight-recorder overhead {gate_pct:.2}% on {gate_name} within the {check}% budget"
-        );
+        println!("live-recorder overhead {gate_pct:.2}% on {gate_name} within the {check}% budget");
     }
 }

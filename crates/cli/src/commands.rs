@@ -6,12 +6,11 @@ use std::io::{Read, Write};
 use qsim_circuit::transpile::{transpile, TranspileOptions};
 use qsim_circuit::{to_qasm, Circuit, CouplingMap};
 use qsim_noise::NoiseModel;
-use qsim_observatory::{ExpectedStats, LiveView};
 use qsim_statevec::KernelPath;
 use qsim_telemetry::json::escape;
 use qsim_telemetry::{
-    names, AggregatingRecorder, JsonlRecorder, LivePublisher, MetricsReport, NullRecorder,
-    Recorder, TeeRecorder, TraceMeta,
+    names, AggregatingRecorder, ExpectedStats, JsonlRecorder, LivePublisher, LiveSnapshot,
+    MetricsReport, NullRecorder, Recorder, TeeRecorder, TraceMeta,
 };
 use redsim::{ExecStats, RunResult, RunSpec, Simulation, Walk};
 use redsim_msvstore::MsvStore;
@@ -377,7 +376,7 @@ fn finalize_live(
 ) -> Result<(), CliError> {
     let dir = opts.live.as_deref().unwrap_or(".");
     Recorder::flush(publisher).map_err(|e| CliError(format!("{dir}: live publish: {e}")))?;
-    let view = LiveView::load(&publisher.json_path()).map_err(CliError)?;
+    let view = LiveSnapshot::load(&publisher.json_path()).map_err(CliError)?;
     let expected = ExpectedStats {
         trials: stats.n_trials as u64,
         ops: stats.ops,
@@ -591,7 +590,11 @@ fn cross_check(
 fn report(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     use qsim_observatory as obs;
     let text = read_input(&opts.input)?;
-    if text.trim_start().starts_with("{\"ev\":\"meta\"") {
+    // A trace's first non-empty line is its meta header, in any key order.
+    let first = text.lines().find(|line| !line.trim().is_empty()).unwrap_or_default();
+    let is_trace = obs::Json::parse(first)
+        .is_ok_and(|head| head.get("ev").and_then(obs::Json::as_str) == Some("meta"));
+    if is_trace {
         let trace =
             obs::Trace::parse(&text).map_err(|e| CliError(format!("{}: {e}", opts.input)))?;
         let analysis = obs::TraceAnalysis::from_trace(&trace);
@@ -898,7 +901,7 @@ fn sparkline(values: &[u64]) -> String {
 
 /// Render one `qsim top` dashboard frame. `pass_rates` holds recent
 /// passes-per-poll deltas for the sparkline (empty on `--once`).
-fn render_top_frame(view: &LiveView, pass_rates: &[u64]) -> String {
+fn render_top_frame(view: &LiveSnapshot, pass_rates: &[u64]) -> String {
     let mut s = String::new();
     s.push_str(&format!(
         "qsim top — {} · {} qubits · seed {} · elapsed {:.2}s\n\n",
@@ -922,7 +925,7 @@ fn render_top_frame(view: &LiveView, pass_rates: &[u64]) -> String {
     if !pass_rates.is_empty() {
         s.push_str(&format!("rate     {} passes/poll\n", sparkline(pass_rates)));
     }
-    let lookups = view.cache_hits + view.cache_misses;
+    let lookups = u128::from(view.cache_hits) + u128::from(view.cache_misses);
     if lookups > 0 {
         s.push_str(&format!(
             "cache    {} hits / {} lookups ({:.1}%)\n",
@@ -931,7 +934,7 @@ fn render_top_frame(view: &LiveView, pass_rates: &[u64]) -> String {
             100.0 * view.cache_hits as f64 / lookups as f64,
         ));
     }
-    if view.store_hits + view.store_misses > 0 {
+    if view.store_hits > 0 || view.store_misses > 0 {
         s.push_str(&format!(
             "store    {} hits / {} misses · {} passes credited\n",
             view.store_hits, view.store_misses, view.credited_passes,
@@ -952,11 +955,11 @@ fn render_top_frame(view: &LiveView, pass_rates: &[u64]) -> String {
 
 /// `qsim top`: tail a `--live` snapshot directory (or `live.json` path) as
 /// a terminal dashboard. `--once` renders a single frame and exits;
-/// `--once --json` re-emits the validated snapshot for scripts and CI.
+/// `--once --json` prints the snapshot it validated for scripts and CI.
 fn top(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     let path = live_json_path(&opts.input);
     if opts.once {
-        let view = LiveView::load(&path).map_err(CliError)?;
+        let view = LiveSnapshot::load(&path).map_err(CliError)?;
         let problems = view.cross_check();
         if !problems.is_empty() {
             return Err(CliError(format!(
@@ -965,9 +968,7 @@ fn top(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
             )));
         }
         if opts.json {
-            let raw = std::fs::read_to_string(&path)
-                .map_err(|e| CliError(format!("{}: {e}", path.display())))?;
-            writeln!(out, "{}", raw.trim()).map_err(io_err)?;
+            writeln!(out, "{}", view.render_json()).map_err(io_err)?;
         } else {
             write!(out, "{}", render_top_frame(&view, &[])).map_err(io_err)?;
         }
@@ -978,7 +979,7 @@ fn top(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     let mut rates: Vec<u64> = Vec::new();
     let mut last_passes: Option<u64> = None;
     loop {
-        let view = LiveView::load(&path).map_err(CliError)?;
+        let view = LiveSnapshot::load(&path).map_err(CliError)?;
         if let Some(prev) = last_passes {
             rates.push(view.passes.saturating_sub(prev));
             if rates.len() > 40 {
@@ -1518,6 +1519,28 @@ mod tests {
     }
 
     #[test]
+    fn report_reads_a_trace_whatever_its_meta_key_order() {
+        let file = bell_file();
+        let trace = temp_path("report-order", "jsonl");
+        let trace_str = trace.to_string_lossy().into_owned();
+        run_cli(&["run", &file.path_str(), "--trials", "64", "--seed", "3", "--trace", &trace_str])
+            .unwrap();
+        let original = std::fs::read_to_string(&trace).unwrap();
+        let want = run_cli(&["report", &trace_str]).unwrap();
+        assert!(want.contains("cross-check: ok"), "{want}");
+        let (meta, events) = original.split_once('\n').unwrap();
+        let fields = meta.strip_prefix("{\"ev\":\"meta\",").unwrap();
+        for header in [
+            format!("{{ \"ev\":\"meta\", {fields}"),
+            format!("{{{},\"ev\":\"meta\"}}", &fields[..fields.len() - 1]),
+        ] {
+            std::fs::write(&trace, format!("{header}\n{events}")).unwrap();
+            assert_eq!(run_cli(&["report", &trace_str]).unwrap(), want, "{header}");
+        }
+        let _ = std::fs::remove_file(&trace);
+    }
+
+    #[test]
     fn live_flag_publishes_reconciled_snapshots_and_top_reads_them() {
         let file = bell_file();
         let dir =
@@ -1538,7 +1561,7 @@ mod tests {
         .unwrap();
         assert!(text.contains("128 trials:"), "{text}");
         // The published snapshot parses, cross-checks, and is final.
-        let view = qsim_observatory::LiveView::load(&dir.join("live.json")).unwrap();
+        let view = LiveSnapshot::load(&dir.join("live.json")).unwrap();
         assert!(view.finished());
         assert_eq!(view.trials_done, 128);
         assert_eq!(view.strategy, "reuse");
@@ -1552,10 +1575,12 @@ mod tests {
         assert!(frame.contains("qsim top — reuse"), "{frame}");
         assert!(frame.contains("128/128 (100.0%)  done"), "{frame}");
         assert!(frame.contains("heartbeats"), "{frame}");
-        // `top --once --json` re-emits the validated snapshot verbatim.
+        // `top --once --json` prints the validated snapshot, byte for byte
+        // what the publisher wrote.
         let json = run_cli(&["top", &dir_str, "--once", "--json"]).unwrap();
-        let reparsed = qsim_observatory::LiveView::parse(&json).unwrap();
-        assert_eq!(reparsed, view);
+        let published = std::fs::read_to_string(dir.join("live.json")).unwrap();
+        assert_eq!(json, format!("{published}\n"));
+        assert_eq!(LiveSnapshot::parse(&json).unwrap(), view);
         // Pointing at the file directly works too.
         let direct = dir.join("live.json");
         let direct_str = direct.to_string_lossy().into_owned();
@@ -1597,7 +1622,7 @@ mod tests {
             parts.extend(extra.iter().copied());
             let text = run_cli(&parts).unwrap_or_else(|e| panic!("{extra:?}: {e}"));
             assert!(text.contains("128 trials:"), "{extra:?}: {text}");
-            let view = qsim_observatory::LiveView::load(&dir.join("live.json"))
+            let view = LiveSnapshot::load(&dir.join("live.json"))
                 .unwrap_or_else(|e| panic!("{extra:?}: {e}"));
             assert!(view.finished(), "{extra:?}");
             let _ = std::fs::remove_dir_all(&dir);

@@ -82,6 +82,68 @@ fn a_trace_with_a_repeated_meta_header_is_a_line_error() {
 }
 
 #[test]
+fn a_trace_whose_kernel_counts_pass_u64_max_fails_its_cross_check() {
+    // 2^64 - 1 + 4 kernel applications against 3 recorded passes: a
+    // wrapping sum would read 3 and call the trace consistent.
+    let trace = concat!(
+        "{\"ev\":\"meta\",\"version\":2,\"git_rev\":\"x\",\"seed\":0,\"qubits\":0,\"strategy\":\"s\"}\n",
+        "{\"ev\":\"cache\",\"depth\":0,\"hit\":false}\n",
+        "{\"ev\":\"kernel\",\"phase\":\"p\",\"class\":\"cx\",\"layer\":0,\"count\":18446744073709551615,\"ns\":1}\n",
+        "{\"ev\":\"kernel\",\"phase\":\"p\",\"class\":\"dense2\",\"layer\":1,\"count\":4,\"ns\":1}\n",
+        "{\"ev\":\"counter\",\"name\":\"trials\",\"delta\":1}\n",
+        "{\"ev\":\"counter\",\"name\":\"ops\",\"delta\":3}\n",
+        "{\"ev\":\"counter\",\"name\":\"fused_ops\",\"delta\":3}\n",
+        "{\"ev\":\"counter\",\"name\":\"amplitude_passes\",\"delta\":3}\n",
+    );
+    let stderr = assert_clean_failure(&qsim(&["report", "-"], trace), "report");
+    assert!(stderr.contains("trace cross-check failed"), "{stderr}");
+}
+
+#[test]
+fn live_snapshots_whose_counters_pass_u64_max_are_errors_not_panics() {
+    let program = "OPENQASM 2.0; qreg q[2]; creg c[2]; h q[0]; cx q[0],q[1]; measure q -> c;";
+    let dir = scratch_dir("live-wrap");
+    let live = dir.to_str().expect("utf-8 temp path");
+    let run = ["run", "-", "--device", "none", "--noise", "artificial:1e-2", "--trials", "16"];
+    let out = qsim(&[&run[..], &["--live", live]].concat(), program);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let path = dir.join("live.json");
+    let finished = qsim_telemetry::LiveSnapshot::load(&path).expect("published snapshot");
+    assert!(finished.finished(), "{finished:?}");
+    let top = |snapshot: &qsim_telemetry::LiveSnapshot| {
+        std::fs::write(&path, snapshot.render_json()).expect("snapshot written");
+        qsim(&["top", live, "--once"], "")
+    };
+    for (what, edited, message) in [
+        (
+            "passes",
+            qsim_telemetry::LiveSnapshot {
+                passes: u64::MAX,
+                credited_passes: 13,
+                amplitude_passes: 12,
+                ..finished.clone()
+            },
+            "passes (18446744073709551615) + credited_passes (13) != amplitude_passes (12)",
+        ),
+        (
+            "cache_hits",
+            qsim_telemetry::LiveSnapshot { cache_hits: u64::MAX, ..finished.clone() },
+            "cache lookups (",
+        ),
+    ] {
+        let stderr = assert_clean_failure(&top(&edited), what);
+        assert!(stderr.contains(message), "{what}: {stderr}");
+    }
+    // Store counters are shown, never summed: the frame renders.
+    let store = qsim_telemetry::LiveSnapshot { store_hits: u64::MAX, ..finished };
+    let out = top(&store);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout.contains("store    18446744073709551615 hits / 0 misses"), "{stdout}");
+    std::fs::remove_dir_all(&dir).expect("scratch cleanup");
+}
+
+#[test]
 fn deeply_nested_documents_are_offset_errors_not_stack_overflows() {
     let dir = scratch_dir("deep");
     let history = dir.join("history.jsonl");

@@ -7,9 +7,10 @@
 
 use std::collections::BTreeMap;
 
+use qsim_telemetry::schema::TraceEvent;
 use qsim_telemetry::{KernelClass, MsvEvent};
 
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::Trace;
 
 /// Aggregated kernel work in one cell of an attribution table.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -72,7 +73,7 @@ pub struct SemanticCacheView {
 impl SemanticCacheView {
     /// Total store consultations.
     pub fn lookups(&self) -> u64 {
-        self.hits + self.misses
+        self.hits.saturating_add(self.misses)
     }
 
     /// Fraction of the run's amplitude passes served from disk instead of
@@ -115,6 +116,19 @@ pub struct TraceAnalysis {
     pub heartbeat_completed: u64,
     /// Largest `resident` gauge any heartbeat reported.
     pub peak_heartbeat_resident: u64,
+    /// Whether a sum read from the trace (a counter, a kernel cell, a trial
+    /// slice or the heartbeat total) passed `u64::MAX`. Such a sum stops
+    /// there, and [`TraceAnalysis::cross_check`] rejects the trace.
+    pub overflowed: bool,
+}
+
+/// `*slot += delta`, stopping at `u64::MAX` and raising `overflowed` when
+/// the sum does not fit.
+fn add(slot: &mut u64, delta: u64, overflowed: &mut bool) {
+    *slot = slot.checked_add(delta).unwrap_or_else(|| {
+        *overflowed = true;
+        u64::MAX
+    });
 }
 
 impl TraceAnalysis {
@@ -125,8 +139,7 @@ impl TraceAnalysis {
         for event in &trace.events {
             match event {
                 TraceEvent::Counter { name, delta } => {
-                    let slot = a.counters.entry(name.clone()).or_insert(0);
-                    *slot = slot.saturating_add(*delta);
+                    add(a.counters.entry(name.clone()).or_insert(0), *delta, &mut a.overflowed);
                 }
                 TraceEvent::Kernel { phase, class, layer, count, ns } => {
                     for cell in [
@@ -134,12 +147,12 @@ impl TraceAnalysis {
                         a.by_class.entry(*class).or_default(),
                         a.by_layer.entry(*layer).or_default(),
                     ] {
-                        cell.count = cell.count.saturating_add(*count);
-                        cell.ns = cell.ns.saturating_add(*ns);
+                        add(&mut cell.count, *count, &mut a.overflowed);
+                        add(&mut cell.ns, *ns, &mut a.overflowed);
                     }
                     if let Some(t) = a.trials.last_mut() {
-                        t.passes += count;
-                        t.ns += ns;
+                        add(&mut t.passes, *count, &mut a.overflowed);
+                        add(&mut t.ns, *ns, &mut a.overflowed);
                     }
                 }
                 TraceEvent::Span { path, start_ns, end_ns } => {
@@ -169,7 +182,7 @@ impl TraceAnalysis {
                 }
                 TraceEvent::Heartbeat { completed, resident, .. } => {
                     a.heartbeats += 1;
-                    a.heartbeat_completed = a.heartbeat_completed.saturating_add(*completed);
+                    add(&mut a.heartbeat_completed, *completed, &mut a.overflowed);
                     a.peak_heartbeat_resident = a.peak_heartbeat_resident.max(*resident);
                 }
             }
@@ -183,19 +196,21 @@ impl TraceAnalysis {
     }
 
     /// Total kernel applications across all phases and classes — one per
-    /// amplitude pass on a fused run.
+    /// amplitude pass on a fused run (stops at `u64::MAX`).
     pub fn total_kernel_count(&self) -> u64 {
-        self.by_class.values().map(|c| c.count).sum()
+        self.by_class.values().fold(0, |sum, c| sum.saturating_add(c.count))
     }
 
-    /// Total kernel nanoseconds across all cells.
+    /// Total kernel nanoseconds across all cells (stops at `u64::MAX`).
     pub fn total_kernel_ns(&self) -> u64 {
-        self.by_class.values().map(|c| c.ns).sum()
+        self.by_class.values().fold(0, |sum, c| sum.saturating_add(c.ns))
     }
 
     /// Total cache lookups `(hits, misses)`.
     pub fn cache_totals(&self) -> (u64, u64) {
-        self.cache_waterfall.values().fold((0, 0), |(h, m), &(hh, mm)| (h + hh, m + mm))
+        self.cache_waterfall
+            .values()
+            .fold((0, 0), |(h, m), &(hh, mm)| (h.saturating_add(hh), m.saturating_add(mm)))
     }
 
     /// The semantic prefix store's footprint in this trace; `None` when
@@ -221,29 +236,34 @@ impl TraceAnalysis {
     /// counters: the exactness contract. Returns one message per
     /// discrepancy (empty = consistent). Checks that need reuse-style
     /// events (cache lookups, MSV lifecycle) apply only when such events
-    /// are present, so baseline traces validate too.
+    /// are present, so baseline traces validate too. Sums are formed in
+    /// `u128`, so one past `u64::MAX` never equals a recorded counter.
     pub fn cross_check(&self) -> Vec<String> {
-        fn check(problems: &mut Vec<String>, name: &str, got: u64, want: u64) {
-            if got != want {
+        fn check(problems: &mut Vec<String>, name: &str, got: u128, want: u64) {
+            if got != u128::from(want) {
                 problems.push(format!("{name}: derived {got} != recorded {want}"));
             }
+        }
+        if self.overflowed {
+            return vec!["a counter or kernel sum in the trace passes u64::MAX".to_owned()];
         }
         let mut problems = Vec::new();
         // A semantic-store hit pre-credits the skipped prefix work into
         // the end-of-run counters without emitting kernel events; the
         // credit counter closes that gap exactly.
-        let credited = self.counter("msvstore.credited_passes");
+        let credited = u128::from(self.counter("msvstore.credited_passes"));
+        let kernels: u128 = self.by_class.values().map(|c| u128::from(c.count)).sum();
         check(
             &mut problems,
             "total kernel applications plus store credit vs amplitude_passes",
-            self.total_kernel_count() + credited,
+            kernels + credited,
             self.counter("amplitude_passes"),
         );
         let error_passes = self.by_class.get(&KernelClass::Error).map_or(0, |c| c.count);
         check(
             &mut problems,
             "gate kernel applications plus store credit vs fused_ops",
-            self.total_kernel_count() - error_passes + credited,
+            kernels - u128::from(error_passes) + credited,
             self.counter("fused_ops"),
         );
         if self.counter("ops") < self.counter("amplitude_passes") {
@@ -254,15 +274,16 @@ impl TraceAnalysis {
             ));
         }
         let (hits, misses) = self.cache_totals();
-        if hits + misses > 0 {
-            check(&mut problems, "cache lookups vs trials", hits + misses, self.counter("trials"));
+        let lookups = u128::from(hits) + u128::from(misses);
+        if lookups > 0 {
+            check(&mut problems, "cache lookups vs trials", lookups, self.counter("trials"));
             check(
                 &mut problems,
                 "trial slices vs trials",
-                self.trials.len() as u64,
+                self.trials.len() as u128,
                 self.counter("trials"),
             );
-            let per_trial: u64 = self.trials.iter().map(|t| t.passes).sum();
+            let per_trial: u128 = self.trials.iter().map(|t| u128::from(t.passes)).sum();
             check(
                 &mut problems,
                 "per-trial passes plus store credit vs amplitude_passes",
@@ -276,7 +297,7 @@ impl TraceAnalysis {
             check(
                 &mut problems,
                 "heartbeat completed deltas vs trials",
-                self.heartbeat_completed,
+                self.heartbeat_completed.into(),
                 self.counter("trials"),
             );
         }
@@ -301,10 +322,10 @@ impl TraceAnalysis {
             let drops = self.msv_counts.get(&MsvEvent::Drop).copied().unwrap_or(0);
             // One root creation per cold lookup: exactly 1 sequentially,
             // one per worker on parallel runs.
-            if hits + misses > 0 {
-                check(&mut problems, "root creations vs cold lookups", creates, misses);
+            if lookups > 0 {
+                check(&mut problems, "root creations vs cold lookups", creates.into(), misses);
             }
-            check(&mut problems, "forks vs drops", forks, drops);
+            check(&mut problems, "forks vs drops", forks.into(), drops);
         }
         problems
     }

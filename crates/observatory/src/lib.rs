@@ -7,9 +7,9 @@
 //! executors' own counters. On top of that sit run comparison with
 //! bootstrap confidence intervals, an append-only benchmark history with a
 //! trailing-window regression gate, and report rendering (TTY, JSON, and
-//! self-contained HTML). The [`live`] module reads the snapshots the
-//! runtime's live plane publishes (`live.json`) and reconciles final
-//! snapshots bitwise against executor counters.
+//! self-contained HTML). Both on-disk formats are read by the telemetry
+//! crate beside their writers: traces by [`qsim_telemetry::schema`], and
+//! `live.json` snapshots by [`qsim_telemetry::LiveSnapshot`].
 //!
 //! Everything is dependency-free by design: JSON is read and escaped with
 //! the telemetry crate's codec ([`qsim_telemetry::json`], re-exported as
@@ -21,7 +21,6 @@ pub mod analysis;
 pub mod compare;
 pub mod env;
 pub mod history;
-pub mod live;
 pub mod report;
 pub mod trace;
 
@@ -34,7 +33,6 @@ pub use env::{git_rev, EnvFingerprint};
 pub use history::{
     check, record_from_bench, HistoryRecord, Regression, DEFAULT_WINDOW, HISTORY_VERSION,
 };
-pub use live::{ExpectedStats, LiveView, LIVE_VIEW_VERSION};
 pub use qsim_telemetry::json::Json;
 pub use report::{render_deltas_json, render_deltas_tty, render_html, render_json, render_tty};
-pub use trace::{Trace, TraceEvent, TraceMetaInfo};
+pub use trace::Trace;

@@ -5,6 +5,7 @@ use crate::analysis::TraceAnalysis;
 use crate::compare::MetricDelta;
 use crate::trace::Trace;
 use qsim_telemetry::json::escape;
+use qsim_telemetry::TRACE_VERSION;
 
 fn pad(s: &str, width: usize) -> String {
     format!("{s:<width$}")
@@ -45,8 +46,8 @@ fn ms(ns: u64) -> String {
 fn meta_lines(trace: &Trace) -> String {
     let m = &trace.meta;
     format!(
-        "trace v{}  git={}  seed={}  qubits={}  strategy={}\n",
-        m.version, m.git_rev, m.seed, m.qubits, m.strategy
+        "trace v{TRACE_VERSION}  git={}  seed={}  qubits={}  strategy={}\n",
+        m.git_rev, m.seed, m.qubits, m.strategy
     )
 }
 
@@ -179,8 +180,7 @@ pub fn render_json(trace: &Trace, analysis: &TraceAnalysis) -> String {
     let mut out = String::from("{\n");
     let m = &trace.meta;
     out.push_str(&format!(
-        "  \"meta\": {{\"version\": {}, \"git_rev\": \"{}\", \"seed\": {}, \"qubits\": {}, \"strategy\": \"{}\"}},\n",
-        m.version,
+        "  \"meta\": {{\"version\": {TRACE_VERSION}, \"git_rev\": \"{}\", \"seed\": {}, \"qubits\": {}, \"strategy\": \"{}\"}},\n",
         escape(&m.git_rev),
         m.seed,
         m.qubits,
@@ -412,7 +412,7 @@ svg{{width:100%;height:auto;background:#fafafa;border:1px solid #eee}}\
 <h2>MSV residency over time</h2>{residency}\
 <h2>cache waterfall</h2>{waterfall}\
 </body></html>\n",
-        version = m.version,
+        version = TRACE_VERSION,
         git = html_escape(&m.git_rev),
         seed = m.seed,
         qubits = m.qubits,

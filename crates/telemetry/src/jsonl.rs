@@ -1,4 +1,4 @@
-//! Buffered JSONL trace sink: one JSON object per line, validated by
+//! Buffered JSONL trace sink: one JSON object per line, read back by
 //! [`crate::schema`].
 
 use std::io::Write;

@@ -21,8 +21,9 @@
 //!   render as a Prometheus-style text page, JSON, or folded stacks for
 //!   flamegraph tooling (see [`MetricsReport`]).
 //! * [`JsonlRecorder`] — a buffered streaming sink writing one JSON object
-//!   per event line; [`schema`] validates such traces (used by tests and
-//!   the `trace-check` binary in CI).
+//!   per event line; [`schema`] is the one reader of such traces: it
+//!   checks every line and hands out typed [`schema::TraceEvent`]s (the
+//!   observatory and `qsim report` load traces through it).
 //! * [`json`] — the workspace's one JSON codec: a strict reader with exact
 //!   unsigned integers and a nesting cap, plus the shared string
 //!   [`json::escape`] and [`json::number`] every hand-formatted writer
@@ -30,13 +31,14 @@
 //!   prefix-cache manifest are all read through it.
 //! * [`TeeRecorder`] — fan out one instrumentation stream to two sinks
 //!   (e.g. aggregate *and* trace in the same run).
-//! * [`FlightRecorder`] — a lock-free bounded ring buffer retaining the
-//!   newest N events with drop-counting: the "black box" of a run, cheap
-//!   enough to leave on everywhere.
 //! * [`LiveRecorder`] / [`LivePublisher`] — the live plane: all-atomic
 //!   in-flight aggregation of progress [`Heartbeat`]s and counters into a
 //!   versioned [`LiveSnapshot`], atomically published as `live.json` +
-//!   Prometheus text for `qsim top` and CI to tail.
+//!   Prometheus text for `qsim top` and CI to tail. [`LiveSnapshot::parse`]
+//!   reads `live.json` back, and [`LiveSnapshot::reconcile`] holds a final
+//!   snapshot bitwise to the executor's counters. The live recorder
+//!   declines per-kernel timing and is the sink the `telemetry` bench's
+//!   always-on overhead gate times.
 //!
 //! The crate is intentionally dependency-free (std only) and knows nothing
 //! about circuits or states: executors translate their domain events into
@@ -48,7 +50,6 @@
 
 mod aggregate;
 mod clock;
-mod flight;
 pub mod json;
 mod jsonl;
 mod live;
@@ -58,7 +59,6 @@ pub mod schema;
 
 pub use aggregate::{AggregatingRecorder, CacheDepthStat, KernelStat, MetricsReport, SpanStat};
 pub use clock::Clock;
-pub use flight::{FlightEvent, FlightEventKind, FlightRecorder};
 pub use jsonl::{JsonlRecorder, TraceMeta, TRACE_VERSION};
-pub use live::{LivePublisher, LiveRecorder, LiveSnapshot, LIVE_VERSION};
+pub use live::{ExpectedStats, LivePublisher, LiveRecorder, LiveSnapshot, LIVE_VERSION};
 pub use recorder::{Heartbeat, KernelClass, MsvEvent, NullRecorder, Recorder, TeeRecorder};

@@ -12,14 +12,23 @@
 //! Prometheus text exposition, `live.prom`) in a target directory via the
 //! write-temp-then-rename idiom — the file-based precursor to a `qsim
 //! serve` HTTP endpoint. `qsim top` tails that file.
+//!
+//! The reader sits beside the writer: [`LiveSnapshot::parse`] checks a
+//! published `live.json` strictly, [`LiveSnapshot::cross_check`] holds any
+//! snapshot to the invariants a coherent one satisfies, and
+//! [`LiveSnapshot::reconcile`] holds a *final* snapshot bitwise to the
+//! executor's own counters ([`ExpectedStats`]). The CLI reconciles at the
+//! end of every `--live` run, and the live matrix test pins it across the
+//! shipped benchmark catalog.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::clock::Clock;
+use crate::json::{escape, Json};
+use crate::jsonl::TraceMeta;
 use crate::recorder::{Heartbeat, KernelClass, MsvEvent, Recorder};
-use crate::{json::escape, jsonl::TraceMeta};
 
 /// Version stamped into every published [`LiveSnapshot`].
 ///
@@ -34,9 +43,9 @@ pub const LIVE_VERSION: u64 = 1;
 const ORD: Ordering = Ordering::Relaxed;
 
 /// A point-in-time view of a run, either mid-flight (racy-coherent) or
-/// final (exact). Publishes as one flat JSON object, which the
-/// observatory's `LiveView::parse` checks key by key.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// final (exact). Publishes as one flat JSON object, which
+/// [`LiveSnapshot::parse`] checks key by key.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LiveSnapshot {
     /// Snapshot schema version ([`LIVE_VERSION`]).
     pub version: u64,
@@ -85,48 +94,47 @@ pub struct LiveSnapshot {
     pub peak_resident_bytes: u64,
 }
 
-impl LiveSnapshot {
-    /// Render as one flat JSON object (the `live.json` payload).
-    pub fn render_json(&self) -> String {
-        format!(
-            "{{\"version\":{},\"strategy\":\"{}\",\"qubits\":{},\"seed\":{},\
-             \"elapsed_ns\":{},\"heartbeats\":{},\"trials_done\":{},\"trials_total\":{},\
-             \"depth\":{},\"passes\":{},\"ops\":{},\"fused_ops\":{},\"amplitude_passes\":{},\
-             \"credited_passes\":{},\"store_hits\":{},\"store_misses\":{},\"cache_hits\":{},\
-             \"cache_misses\":{},\"msv_resident\":{},\"msv_peak\":{},\"resident_bytes\":{},\
-             \"peak_resident_bytes\":{}}}",
-            self.version,
-            escape(&self.strategy),
-            self.qubits,
-            self.seed,
-            self.elapsed_ns,
-            self.heartbeats,
-            self.trials_done,
-            self.trials_total,
-            self.depth,
-            self.passes,
-            self.ops,
-            self.fused_ops,
-            self.amplitude_passes,
-            self.credited_passes,
-            self.store_hits,
-            self.store_misses,
-            self.cache_hits,
-            self.cache_misses,
-            self.msv_resident,
-            self.msv_peak,
-            self.resident_bytes,
-            self.peak_resident_bytes,
-        )
-    }
+/// The executor-side counters a final snapshot must match bitwise.
+///
+/// Plain integers rather than the core crate's `ExecStats` so this crate
+/// stays dependency-free; the CLI translates.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ExpectedStats {
+    /// Trials executed (`ExecStats::n_trials`).
+    pub trials: u64,
+    /// Basic operations (`ExecStats::ops`).
+    pub ops: u64,
+    /// Fused kernels (`ExecStats::fused_ops`).
+    pub fused_ops: u64,
+    /// Amplitude passes (`ExecStats::amplitude_passes`).
+    pub amplitude_passes: u64,
+    /// Passes credited by the semantic store; `None` when the caller has
+    /// no independent figure (the conservation law in
+    /// [`LiveSnapshot::cross_check`] still binds it to the other counters).
+    pub credited_passes: Option<u64>,
+    /// Per-trial prefix-cache hits; `None` when the caller has no
+    /// independent figure.
+    pub cache_hits: Option<u64>,
+}
 
-    /// Render as a Prometheus text exposition (the `live.prom` payload):
-    /// one `qsim_live_*` gauge per numeric field, labelled with the run's
-    /// strategy.
-    pub fn render_prometheus(&self) -> String {
-        let label = format!("{{strategy=\"{}\"}}", escape(&self.strategy));
-        let mut out = String::new();
-        for (name, value) in [
+fn uint(value: &Json, key: &str) -> Result<u64, String> {
+    let field = value.get(key).ok_or_else(|| format!("missing field {key:?}"))?;
+    field.as_u64().ok_or_else(|| match field.as_num() {
+        Some(n) => format!("field {key:?} is not an unsigned integer: {n}"),
+        None => format!("field {key:?} is not a number"),
+    })
+}
+
+/// `a + b` without wrapping: a sum past `u64::MAX` equals no counter.
+fn sum(a: u64, b: u64) -> u128 {
+    u128::from(a) + u128::from(b)
+}
+
+impl LiveSnapshot {
+    /// Every numeric field with its `live.json` key, in publish order
+    /// (`strategy`, the one string field, follows `version`).
+    fn gauges(&self) -> [(&'static str, u64); 21] {
+        [
             ("version", self.version),
             ("qubits", self.qubits),
             ("seed", self.seed),
@@ -148,12 +156,196 @@ impl LiveSnapshot {
             ("msv_peak", self.msv_peak),
             ("resident_bytes", self.resident_bytes),
             ("peak_resident_bytes", self.peak_resident_bytes),
-        ] {
+        ]
+    }
+
+    /// Render as one flat JSON object (the `live.json` payload).
+    pub fn render_json(&self) -> String {
+        let mut fields: Vec<String> =
+            self.gauges().iter().map(|(key, value)| format!("\"{key}\":{value}")).collect();
+        fields.insert(1, format!("\"strategy\":\"{}\"", escape(&self.strategy)));
+        format!("{{{}}}", fields.join(","))
+    }
+
+    /// Render as a Prometheus text exposition (the `live.prom` payload):
+    /// one `qsim_live_*` gauge per numeric field, labelled with the run's
+    /// strategy.
+    pub fn render_prometheus(&self) -> String {
+        let label = format!("{{strategy=\"{}\"}}", escape(&self.strategy));
+        let mut out = String::new();
+        for (name, value) in self.gauges() {
             out.push_str(&format!(
                 "# TYPE qsim_live_{name} gauge\nqsim_live_{name}{label} {value}\n"
             ));
         }
         out
+    }
+
+    /// Parse a `live.json` payload, rejecting unknown versions, missing,
+    /// extra or duplicate keys, and wrong field types.
+    ///
+    /// # Errors
+    ///
+    /// Returns a diagnostic naming the offending field or key set.
+    pub fn parse(text: &str) -> Result<LiveSnapshot, String> {
+        let v = Json::parse(text.trim())?;
+        let pairs = v.as_obj().ok_or("live snapshot is not a JSON object")?;
+        let mut got: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+        got.sort_unstable();
+        let mut want: Vec<&str> = LiveSnapshot::default().gauges().map(|(key, _)| key).into();
+        want.push("strategy");
+        want.sort_unstable();
+        if got != want {
+            return Err(format!("live snapshot keys {got:?} != expected {want:?}"));
+        }
+        let version = uint(&v, "version")?;
+        if version != LIVE_VERSION {
+            return Err(format!(
+                "unsupported live snapshot version {version} (reader supports {LIVE_VERSION})"
+            ));
+        }
+        Ok(LiveSnapshot {
+            version,
+            strategy: v
+                .get("strategy")
+                .and_then(Json::as_str)
+                .ok_or("field \"strategy\" is not a string")?
+                .to_owned(),
+            qubits: uint(&v, "qubits")?,
+            seed: uint(&v, "seed")?,
+            elapsed_ns: uint(&v, "elapsed_ns")?,
+            heartbeats: uint(&v, "heartbeats")?,
+            trials_done: uint(&v, "trials_done")?,
+            trials_total: uint(&v, "trials_total")?,
+            depth: uint(&v, "depth")?,
+            passes: uint(&v, "passes")?,
+            ops: uint(&v, "ops")?,
+            fused_ops: uint(&v, "fused_ops")?,
+            amplitude_passes: uint(&v, "amplitude_passes")?,
+            credited_passes: uint(&v, "credited_passes")?,
+            store_hits: uint(&v, "store_hits")?,
+            store_misses: uint(&v, "store_misses")?,
+            cache_hits: uint(&v, "cache_hits")?,
+            cache_misses: uint(&v, "cache_misses")?,
+            msv_resident: uint(&v, "msv_resident")?,
+            msv_peak: uint(&v, "msv_peak")?,
+            resident_bytes: uint(&v, "resident_bytes")?,
+            peak_resident_bytes: uint(&v, "peak_resident_bytes")?,
+        })
+    }
+
+    /// Read and parse a snapshot file.
+    ///
+    /// # Errors
+    ///
+    /// Returns the I/O error text or the parse diagnostic.
+    pub fn load(path: &Path) -> Result<LiveSnapshot, String> {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+        LiveSnapshot::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
+    }
+
+    /// Whether the snapshot describes a finished run.
+    pub fn finished(&self) -> bool {
+        self.trials_total > 0 && self.trials_done == self.trials_total
+    }
+
+    /// Fraction of trials completed, in `[0, 1]`.
+    pub fn progress(&self) -> f64 {
+        self.trials_done as f64 / self.trials_total.max(1) as f64
+    }
+
+    /// Validate the invariants every coherent snapshot — mid-flight or
+    /// final — must satisfy. Returns one message per violation.
+    pub fn cross_check(&self) -> Vec<String> {
+        let mut problems = Vec::new();
+        if self.trials_done > self.trials_total {
+            problems.push(format!(
+                "trials_done ({}) exceeds trials_total ({})",
+                self.trials_done, self.trials_total
+            ));
+        }
+        if self.msv_resident > self.msv_peak {
+            problems.push(format!(
+                "msv_resident ({}) exceeds msv_peak ({})",
+                self.msv_resident, self.msv_peak
+            ));
+        }
+        if self.resident_bytes > self.peak_resident_bytes {
+            problems.push(format!(
+                "resident_bytes ({}) exceeds peak_resident_bytes ({})",
+                self.resident_bytes, self.peak_resident_bytes
+            ));
+        }
+        if self.trials_done > self.heartbeats {
+            problems.push(format!(
+                "trials_done ({}) exceeds heartbeats ({}): beats carry at most one trial",
+                self.trials_done, self.heartbeats
+            ));
+        }
+        let lookups = sum(self.cache_hits, self.cache_misses);
+        if lookups > u128::from(self.trials_total) {
+            problems.push(format!(
+                "cache lookups ({lookups}) exceed trials_total ({}): a trial looks its prefix up \
+                 at most once",
+                self.trials_total
+            ));
+        }
+        if self.finished() {
+            // Conservation: every amplitude pass was either executed as a
+            // kernel or credited from the store — exactly.
+            if sum(self.passes, self.credited_passes) != u128::from(self.amplitude_passes) {
+                problems.push(format!(
+                    "passes ({}) + credited_passes ({}) != amplitude_passes ({})",
+                    self.passes, self.credited_passes, self.amplitude_passes
+                ));
+            }
+            if self.ops < self.amplitude_passes {
+                problems.push(format!(
+                    "ops ({}) below amplitude_passes ({}): fusion cannot add passes",
+                    self.ops, self.amplitude_passes
+                ));
+            }
+        }
+        problems
+    }
+
+    /// Reconcile a *final* snapshot bitwise against the executor's own
+    /// end-of-run counters. Returns one message per mismatch.
+    pub fn reconcile(&self, expected: &ExpectedStats) -> Vec<String> {
+        fn check(problems: &mut Vec<String>, name: &str, got: u128, want: u64) {
+            if got != u128::from(want) {
+                problems.push(format!("{name}: live {got} != executor {want}"));
+            }
+        }
+        let mut problems = self.cross_check();
+        if !self.finished() {
+            problems.push(format!(
+                "snapshot is not final: trials_done {} / trials_total {}",
+                self.trials_done, self.trials_total
+            ));
+        }
+        check(&mut problems, "trials", self.trials_done.into(), expected.trials);
+        check(&mut problems, "ops", self.ops.into(), expected.ops);
+        check(&mut problems, "fused_ops", self.fused_ops.into(), expected.fused_ops);
+        check(
+            &mut problems,
+            "amplitude_passes",
+            self.amplitude_passes.into(),
+            expected.amplitude_passes,
+        );
+        if let Some(credited) = expected.credited_passes {
+            check(&mut problems, "credited_passes", self.credited_passes.into(), credited);
+            check(
+                &mut problems,
+                "kernel applications (passes + credit vs amplitude_passes)",
+                sum(self.passes, credited),
+                expected.amplitude_passes,
+            );
+        }
+        if let Some(hits) = expected.cache_hits {
+            check(&mut problems, "cache_hits", self.cache_hits.into(), hits);
+        }
+        problems
     }
 }
 
@@ -472,6 +664,108 @@ mod tests {
             std::process::id(),
             NEXT.fetch_add(1, Ordering::Relaxed)
         ))
+    }
+
+    fn sample() -> String {
+        concat!(
+            "{\"version\":1,\"strategy\":\"reuse\",\"qubits\":4,\"seed\":7,",
+            "\"elapsed_ns\":1000,\"heartbeats\":3,\"trials_done\":3,\"trials_total\":3,",
+            "\"depth\":2,\"passes\":10,\"ops\":14,\"fused_ops\":10,\"amplitude_passes\":12,",
+            "\"credited_passes\":2,\"store_hits\":1,\"store_misses\":0,\"cache_hits\":2,",
+            "\"cache_misses\":1,\"msv_resident\":1,\"msv_peak\":2,\"resident_bytes\":512,",
+            "\"peak_resident_bytes\":1024}"
+        )
+        .to_owned()
+    }
+
+    #[test]
+    fn parses_and_cross_checks_a_final_snapshot() {
+        let view = LiveSnapshot::parse(&sample()).unwrap();
+        assert_eq!(view.strategy, "reuse");
+        assert_eq!((view.trials_done, view.trials_total), (3, 3));
+        assert!(view.finished());
+        assert!((view.progress() - 1.0).abs() < 1e-12);
+        assert_eq!(view.cross_check(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn rejects_schema_violations() {
+        // Wrong version.
+        let err =
+            LiveSnapshot::parse(&sample().replace("\"version\":1", "\"version\":9")).unwrap_err();
+        assert!(err.contains("unsupported"), "{err}");
+        // Missing key.
+        let err = LiveSnapshot::parse(&sample().replace("\"depth\":2,", "")).unwrap_err();
+        assert!(err.contains("keys"), "{err}");
+        // Extra key.
+        let err =
+            LiveSnapshot::parse(&sample().replace("\"depth\":2,", "\"depth\":2,\"extra\":0,"))
+                .unwrap_err();
+        assert!(err.contains("keys"), "{err}");
+        // Duplicate key.
+        let err =
+            LiveSnapshot::parse(&sample().replace("\"depth\":2,", "\"depth\":2,\"depth\":2,"))
+                .unwrap_err();
+        assert!(err.contains("duplicate key"), "{err}");
+        // Wrong type.
+        let err =
+            LiveSnapshot::parse(&sample().replace("\"depth\":2", "\"depth\":\"x\"")).unwrap_err();
+        assert!(err.contains("not a number"), "{err}");
+        // Non-integer.
+        let err =
+            LiveSnapshot::parse(&sample().replace("\"depth\":2", "\"depth\":2.5")).unwrap_err();
+        assert!(err.contains("unsigned integer"), "{err}");
+    }
+
+    #[test]
+    fn cross_check_flags_incoherent_gauges() {
+        let mut view = LiveSnapshot::parse(&sample()).unwrap();
+        view.msv_resident = 5;
+        view.trials_done = 4;
+        view.resident_bytes = 4096;
+        view.cache_hits = 7;
+        let problems = view.cross_check();
+        assert!(problems.iter().any(|p| p.contains("cache lookups (8)")), "{problems:?}");
+        assert!(problems.iter().any(|p| p.contains("msv_resident")), "{problems:?}");
+        assert!(problems.iter().any(|p| p.contains("trials_done")), "{problems:?}");
+        assert!(problems.iter().any(|p| p.contains("resident_bytes")), "{problems:?}");
+    }
+
+    #[test]
+    fn reconcile_is_bitwise() {
+        let view = LiveSnapshot::parse(&sample()).unwrap();
+        let expected = ExpectedStats {
+            trials: 3,
+            ops: 14,
+            fused_ops: 10,
+            amplitude_passes: 12,
+            credited_passes: Some(2),
+            cache_hits: Some(2),
+        };
+        assert_eq!(view.reconcile(&expected), Vec::<String>::new());
+        // A single off-by-one anywhere must surface.
+        let mut off = expected;
+        off.ops += 1;
+        let problems = view.reconcile(&off);
+        assert!(problems.iter().any(|p| p.contains("ops")), "{problems:?}");
+        let mut off = expected;
+        off.amplitude_passes -= 1;
+        assert!(!view.reconcile(&off).is_empty());
+        let mut off = expected;
+        off.cache_hits = Some(5);
+        assert!(view.reconcile(&off).iter().any(|p| p.contains("cache_hits")));
+        // Without independent cache figures, only the universal checks run.
+        let lax = ExpectedStats { credited_passes: None, cache_hits: None, ..expected };
+        assert_eq!(view.reconcile(&lax), Vec::<String>::new());
+    }
+
+    #[test]
+    fn unfinished_snapshots_fail_reconciliation() {
+        let text = sample().replace("\"trials_done\":3", "\"trials_done\":2");
+        let view = LiveSnapshot::parse(&text).unwrap();
+        assert!(!view.finished());
+        let problems = view.reconcile(&ExpectedStats::default());
+        assert!(problems.iter().any(|p| p.contains("not final")), "{problems:?}");
     }
 
     #[test]

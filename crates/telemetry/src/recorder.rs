@@ -149,8 +149,8 @@ pub trait Recorder: Sync {
 
     /// Whether this recorder wants per-kernel observed timing. Profiling
     /// sinks (aggregate, JSONL) keep the default `true` and receive one
-    /// individually timed event per fused op; liveness sinks (the flight
-    /// ring, the live publisher) return `false`, and fused instrumentation
+    /// individually timed event per fused op; liveness sinks (the live
+    /// recorder and its publisher) return `false`, and fused instrumentation
     /// sites fall back to one batched [`KernelClass::Unfused`] event per
     /// advance — the same total application count for two clock reads per
     /// segment instead of two per op.

@@ -1,16 +1,82 @@
-//! Schema validation for JSONL traces.
+//! The JSONL trace schema and its one reader.
 //!
 //! A trace is one JSON object per line: a `meta` header followed by
 //! `span` / `kernel` / `counter` / `msv` / `cache` / `heartbeat` events.
-//! Each line is parsed once with the crate's JSON reader ([`Json`]) and
-//! its fields are checked by type against the per-event schema (integers
-//! must be exact unsigned literals), so CI can prove a `--trace` artifact
-//! well-formed without external dependencies. [`visit_jsonl`] hands the
-//! validated events on, which lets the observatory load a trace without
-//! parsing it twice.
+//! Each line is parsed once with the crate's JSON reader ([`Json`]); one
+//! function then checks its fields by type against the per-event schema
+//! (integers must be exact unsigned literals) and extracts them into a
+//! [`TraceMeta`] or a typed [`TraceEvent`]. [`visit_jsonl`] hands the
+//! events on in file order, so the observatory and `qsim report` read a
+//! trace through the same code that validates it.
 
 use crate::json::Json;
+use crate::jsonl::{TraceMeta, TRACE_VERSION};
 use crate::recorder::{KernelClass, MsvEvent};
+
+/// One trace event, in file order (the header line is a [`TraceMeta`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum TraceEvent {
+    /// A named execution span.
+    Span {
+        /// Span path (`"run/reuse"`).
+        path: String,
+        /// Start timestamp on the recorder clock (ns).
+        start_ns: u64,
+        /// End timestamp (ns).
+        end_ns: u64,
+    },
+    /// One or more kernel applications.
+    Kernel {
+        /// Phase path (`"reuse/shared"`).
+        phase: String,
+        /// Kernel class.
+        class: KernelClass,
+        /// Circuit layer the work ended on.
+        layer: u64,
+        /// Applications batched in this record.
+        count: u64,
+        /// Total nanoseconds of the record.
+        ns: u64,
+    },
+    /// A counter increment.
+    Counter {
+        /// Counter name.
+        name: String,
+        /// Increment.
+        delta: u64,
+    },
+    /// An MSV lifecycle event.
+    Msv {
+        /// Event kind.
+        kind: MsvEvent,
+        /// Prefix-trie depth.
+        depth: u64,
+        /// Live MSVs after the event.
+        residency: u64,
+    },
+    /// A per-trial prefix-cache lookup.
+    Cache {
+        /// Depth the lookup resolved at.
+        depth: u64,
+        /// Whether a cached frontier was reused.
+        hit: bool,
+    },
+    /// A progress heartbeat from an executor loop.
+    Heartbeat {
+        /// Trials completed since the previous heartbeat (usually 1).
+        completed: u64,
+        /// Current depth gauge (trie depth / layer count).
+        depth: u64,
+        /// Resident state bytes at the time of the beat.
+        resident: u64,
+    },
+}
+
+/// One schema-checked trace line.
+enum Line {
+    Meta(TraceMeta),
+    Event(TraceEvent),
+}
 
 fn field<'a>(event: &'a Json, key: &str) -> Result<&'a Json, String> {
     event.get(key).ok_or_else(|| format!("missing field {key:?}"))
@@ -36,78 +102,88 @@ fn check_exact_keys(event: &Json, allowed: &[&str]) -> Result<(), String> {
     }
 }
 
+/// Check one parsed line against the schema and extract its fields.
+fn read_line(line: &Json) -> Result<Line, String> {
+    let event = match str_field(line, "ev")? {
+        "meta" => {
+            check_exact_keys(line, &["ev", "version", "git_rev", "seed", "qubits", "strategy"])?;
+            let version = int_field(line, "version")?;
+            if version != TRACE_VERSION {
+                return Err(format!("unsupported trace version {version}"));
+            }
+            return Ok(Line::Meta(TraceMeta {
+                git_rev: str_field(line, "git_rev")?.to_owned(),
+                seed: int_field(line, "seed")?,
+                qubits: int_field(line, "qubits")?,
+                strategy: str_field(line, "strategy")?.to_owned(),
+            }));
+        }
+        "span" => {
+            check_exact_keys(line, &["ev", "path", "start_ns", "end_ns"])?;
+            let path = str_field(line, "path")?.to_owned();
+            let start_ns = int_field(line, "start_ns")?;
+            let end_ns = int_field(line, "end_ns")?;
+            if end_ns < start_ns {
+                return Err(format!("span ends ({end_ns}) before it starts ({start_ns})"));
+            }
+            TraceEvent::Span { path, start_ns, end_ns }
+        }
+        "kernel" => {
+            check_exact_keys(line, &["ev", "phase", "class", "layer", "count", "ns"])?;
+            let phase = str_field(line, "phase")?.to_owned();
+            let class = str_field(line, "class")?;
+            TraceEvent::Kernel {
+                phase,
+                class: KernelClass::from_name(class)
+                    .ok_or_else(|| format!("unknown kernel class {class:?}"))?,
+                layer: int_field(line, "layer")?,
+                count: int_field(line, "count")?,
+                ns: int_field(line, "ns")?,
+            }
+        }
+        "counter" => {
+            check_exact_keys(line, &["ev", "name", "delta"])?;
+            TraceEvent::Counter {
+                name: str_field(line, "name")?.to_owned(),
+                delta: int_field(line, "delta")?,
+            }
+        }
+        "msv" => {
+            check_exact_keys(line, &["ev", "kind", "depth", "residency"])?;
+            let kind = str_field(line, "kind")?;
+            TraceEvent::Msv {
+                kind: MsvEvent::ALL
+                    .into_iter()
+                    .find(|e| e.name() == kind)
+                    .ok_or_else(|| format!("unknown msv event kind {kind:?}"))?,
+                depth: int_field(line, "depth")?,
+                residency: int_field(line, "residency")?,
+            }
+        }
+        "cache" => {
+            check_exact_keys(line, &["ev", "depth", "hit"])?;
+            TraceEvent::Cache { depth: int_field(line, "depth")?, hit: bool_field(line, "hit")? }
+        }
+        "heartbeat" => {
+            check_exact_keys(line, &["ev", "completed", "depth", "resident"])?;
+            TraceEvent::Heartbeat {
+                completed: int_field(line, "completed")?,
+                depth: int_field(line, "depth")?,
+                resident: int_field(line, "resident")?,
+            }
+        }
+        other => return Err(format!("unknown event type {other:?}")),
+    };
+    Ok(Line::Event(event))
+}
+
 /// Validate one trace line against the event schema.
 ///
 /// # Errors
 ///
 /// Returns a human-readable description of the first violation.
 pub fn validate_line(line: &str) -> Result<(), String> {
-    validate_event(&Json::parse(line)?).map(drop)
-}
-
-/// Check one parsed event against the schema; returns its event type.
-fn validate_event(event: &Json) -> Result<&str, String> {
-    let ev = str_field(event, "ev")?;
-    match ev {
-        "meta" => {
-            check_exact_keys(event, &["ev", "version", "git_rev", "seed", "qubits", "strategy"])?;
-            let version = int_field(event, "version")?;
-            if version != crate::jsonl::TRACE_VERSION {
-                return Err(format!("unsupported trace version {version}"));
-            }
-            str_field(event, "git_rev")?;
-            int_field(event, "seed")?;
-            int_field(event, "qubits")?;
-            str_field(event, "strategy")?;
-        }
-        "span" => {
-            check_exact_keys(event, &["ev", "path", "start_ns", "end_ns"])?;
-            str_field(event, "path")?;
-            let start = int_field(event, "start_ns")?;
-            let end = int_field(event, "end_ns")?;
-            if end < start {
-                return Err(format!("span ends ({end}) before it starts ({start})"));
-            }
-        }
-        "kernel" => {
-            check_exact_keys(event, &["ev", "phase", "class", "layer", "count", "ns"])?;
-            str_field(event, "phase")?;
-            let class = str_field(event, "class")?;
-            if KernelClass::from_name(class).is_none() {
-                return Err(format!("unknown kernel class {class:?}"));
-            }
-            int_field(event, "layer")?;
-            int_field(event, "count")?;
-            int_field(event, "ns")?;
-        }
-        "counter" => {
-            check_exact_keys(event, &["ev", "name", "delta"])?;
-            str_field(event, "name")?;
-            int_field(event, "delta")?;
-        }
-        "msv" => {
-            check_exact_keys(event, &["ev", "kind", "depth", "residency"])?;
-            let kind = str_field(event, "kind")?;
-            if !MsvEvent::ALL.iter().any(|e| e.name() == kind) {
-                return Err(format!("unknown msv event kind {kind:?}"));
-            }
-            int_field(event, "depth")?;
-            int_field(event, "residency")?;
-        }
-        "cache" => {
-            check_exact_keys(event, &["ev", "depth", "hit"])?;
-            int_field(event, "depth")?;
-            bool_field(event, "hit")?;
-        }
-        "heartbeat" => {
-            check_exact_keys(event, &["ev", "completed", "depth", "resident"])?;
-            int_field(event, "completed")?;
-            int_field(event, "depth")?;
-            int_field(event, "resident")?;
-        }
-        other => return Err(format!("unknown event type {other:?}")),
-    }
-    Ok(ev)
+    read_line(&Json::parse(line)?).map(drop)
 }
 
 /// Validate a whole JSONL trace: the first non-empty line must be the
@@ -117,37 +193,33 @@ fn validate_event(event: &Json) -> Result<&str, String> {
 ///
 /// Returns `line number (1-based) + description` of the first violation.
 pub fn validate_jsonl(text: &str) -> Result<(), String> {
-    visit_jsonl(text, drop)
+    visit_jsonl(text, drop).map(drop)
 }
 
-/// [`validate_jsonl`], handing each validated event to `visit` in file
-/// order (the header first). Every line is parsed exactly once.
+/// [`validate_jsonl`], handing each event after the header to `visit` in
+/// file order and returning the header. Every line is parsed exactly once.
 ///
 /// # Errors
 ///
 /// As [`validate_jsonl`]; events before the violation have been visited.
-pub fn visit_jsonl(text: &str, mut visit: impl FnMut(Json)) -> Result<(), String> {
-    let mut header_seen = false;
+pub fn visit_jsonl(text: &str, mut visit: impl FnMut(TraceEvent)) -> Result<TraceMeta, String> {
+    let mut meta = None;
     for (index, line) in text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty()) {
         let at_line = |e: String| format!("line {}: {e}", index + 1);
-        let event = Json::parse(line).map_err(at_line)?;
-        let is_meta = validate_event(&event).map_err(at_line)? == "meta";
-        match (header_seen, is_meta) {
-            (false, false) => return Err(at_line("trace must start with the meta header".into())),
-            (true, true) => {
+        match (Json::parse(line).and_then(|json| read_line(&json)).map_err(at_line)?, &meta) {
+            (Line::Meta(header), None) => meta = Some(header),
+            (Line::Event(event), Some(_)) => visit(event),
+            (Line::Event(_), None) => {
+                return Err(at_line("trace must start with the meta header".into()))
+            }
+            (Line::Meta(_), Some(_)) => {
                 return Err(at_line(
                     "repeated meta header (only the first event may be one)".into(),
                 ))
             }
-            _ => header_seen = true,
         }
-        visit(event);
     }
-    if header_seen {
-        Ok(())
-    } else {
-        Err("empty trace".to_owned())
-    }
+    meta.ok_or_else(|| "empty trace".to_owned())
 }
 
 #[cfg(test)]
@@ -227,10 +299,48 @@ mod tests {
         assert!(err.starts_with("line 3: repeated meta header"), "{err}");
         let mut visited = Vec::new();
         let trace = format!("\n{META}\n{{\"ev\":\"counter\",\"name\":\"ops\",\"delta\":1}}\n");
-        visit_jsonl(&trace, |event| visited.push(event)).unwrap();
-        assert_eq!(visited.len(), 2);
-        assert_eq!(visited[0].get("ev").and_then(Json::as_str), Some("meta"));
-        assert_eq!(visited[1].get("delta").and_then(Json::as_u64), Some(1));
+        let meta = visit_jsonl(&trace, |event| visited.push(event)).unwrap();
+        assert_eq!(meta.strategy, "reuse");
+        assert_eq!(visited, [TraceEvent::Counter { name: "ops".to_owned(), delta: 1 }]);
+    }
+
+    #[test]
+    fn every_event_kind_reads_into_its_typed_event() {
+        let trace = concat!(
+            "{\"ev\":\"meta\",\"version\":2,\"git_rev\":\"abc1234\",\"seed\":7,\"qubits\":4,\"strategy\":\"reuse\"}\n",
+            "{\"ev\":\"cache\",\"depth\":0,\"hit\":false}\n",
+            "{\"ev\":\"kernel\",\"phase\":\"reuse/shared\",\"class\":\"dense2\",\"layer\":3,\"count\":1,\"ns\":120}\n",
+            "{\"ev\":\"msv\",\"kind\":\"create\",\"depth\":0,\"residency\":1}\n",
+            "{\"ev\":\"counter\",\"name\":\"ops\",\"delta\":9}\n",
+            "{\"ev\":\"heartbeat\",\"completed\":1,\"depth\":3,\"resident\":512}\n",
+            "{\"ev\":\"span\",\"path\":\"run/reuse\",\"start_ns\":1,\"end_ns\":500}\n",
+        );
+        let mut events = Vec::new();
+        let meta = visit_jsonl(trace, |event| events.push(event)).unwrap();
+        let want = TraceMeta {
+            git_rev: "abc1234".to_owned(),
+            seed: 7,
+            qubits: 4,
+            strategy: "reuse".to_owned(),
+        };
+        assert_eq!(meta, want);
+        assert_eq!(
+            events,
+            [
+                TraceEvent::Cache { depth: 0, hit: false },
+                TraceEvent::Kernel {
+                    phase: "reuse/shared".to_owned(),
+                    class: KernelClass::Dense2,
+                    layer: 3,
+                    count: 1,
+                    ns: 120,
+                },
+                TraceEvent::Msv { kind: MsvEvent::Create, depth: 0, residency: 1 },
+                TraceEvent::Counter { name: "ops".to_owned(), delta: 9 },
+                TraceEvent::Heartbeat { completed: 1, depth: 3, resident: 512 },
+                TraceEvent::Span { path: "run/reuse".to_owned(), start_ns: 1, end_ns: 500 },
+            ]
+        );
     }
 
     #[test]
@@ -245,5 +355,7 @@ mod tests {
         let err = validate_jsonl(headerless).unwrap_err();
         assert!(err.contains("meta header"), "{err}");
         assert!(validate_jsonl("").unwrap_err().contains("empty trace"));
+        let err = validate_jsonl("not json\n").unwrap_err();
+        assert!(err.starts_with("line 1:"), "{err}");
     }
 }

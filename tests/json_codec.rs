@@ -1,12 +1,14 @@
 //! Property and scaling suite for the workspace's one JSON codec,
 //! `qsim_telemetry::json`, and every reader built on it: escaped and
 //! UTF-16-escaped strings parse back, unsigned integer literals read back
-//! exactly, mutated copies of each real document kind are a value or an
-//! error (never a panic), and string scanning costs time linear in the
-//! string's length.
+//! exactly, what the trace and `live.json` writers emit reads back equal,
+//! mutated copies of each real document kind are a value or an error
+//! (never a panic, never a wrapped counter sum), and string scanning costs
+//! time linear in the string's length.
 
 use std::hint::black_box;
-use std::sync::OnceLock;
+use std::io::Write;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use noisy_qsim::circuit::catalog;
@@ -14,9 +16,14 @@ use noisy_qsim::msvstore::ManifestEvent;
 use noisy_qsim::noise::{NoiseModel, TrialGenerator};
 use noisy_qsim::redsim::exec::ReuseExecutor;
 use noisy_qsim::telemetry::json::{escape, Json};
-use noisy_qsim::telemetry::{schema, JsonlRecorder, LiveRecorder, TraceMeta};
+use noisy_qsim::telemetry::schema::{self, TraceEvent};
+use noisy_qsim::telemetry::{
+    ExpectedStats, Heartbeat, JsonlRecorder, KernelClass, LiveRecorder, LiveSnapshot, MsvEvent,
+    Recorder, TraceMeta, LIVE_VERSION,
+};
+use proptest::collection;
 use proptest::prelude::*;
-use qsim_observatory::{HistoryRecord, LiveView, Trace};
+use qsim_observatory::{HistoryRecord, Trace, TraceAnalysis};
 
 const SEED: u64 = 2020;
 const TRIALS: usize = 16;
@@ -62,7 +69,7 @@ fn corpus() -> &'static [String] {
         let bench = include_str!("../BENCHMARK.json");
         Trace::parse(&trace).expect("the real trace loads");
         assert!(ManifestEvent::parse(&manifest).is_some(), "the manifest line replays");
-        LiveView::parse(&live).expect("the real live.json parses");
+        LiveSnapshot::parse(&live).expect("the real live.json parses");
         HistoryRecord::parse(history).expect("the real history line parses");
         Json::parse(bench).expect("BENCHMARK.json parses");
         vec![trace, trace_line, manifest, live, history.to_owned(), bench.to_owned()]
@@ -95,12 +102,21 @@ fn mutate(doc: &str, donor: &str, kind: u8, a: u64, b: u64, flip: u8) -> String 
     String::from_utf8_lossy(&bytes).into_owned()
 }
 
-/// Feed `text` to every reader; each must return, never panic.
+/// Feed `text` to every reader, and whatever reads as a trace or a
+/// snapshot to its checks; each must return, never panic.
 fn read_everywhere(text: &str) {
     black_box(Json::parse(text).ok());
-    let valid = schema::validate_jsonl(text).is_ok();
-    assert_eq!(Trace::parse(text).is_ok(), valid, "Trace::parse disagrees with the validator");
-    black_box(LiveView::parse(text).ok());
+    if let Ok(trace) = Trace::parse(text) {
+        black_box(TraceAnalysis::from_trace(&trace).cross_check());
+    }
+    if let Ok(snapshot) = LiveSnapshot::parse(text) {
+        let most = ExpectedStats {
+            credited_passes: Some(u64::MAX),
+            cache_hits: Some(u64::MAX),
+            ..ExpectedStats::default()
+        };
+        black_box((snapshot.progress(), snapshot.cross_check(), snapshot.reconcile(&most)));
+    }
     black_box(HistoryRecord::parse(text).ok());
     black_box(ManifestEvent::parse(text));
     for line in text.lines() {
@@ -145,6 +161,213 @@ proptest! {
         let line = format!("{{\"ev\":\"counter\",\"name\":\"ops\",\"delta\":{n}}}");
         prop_assert!(schema::validate_line(&line).is_ok(), "{line}");
     }
+}
+
+/// A `Write` sink the test reads back.
+#[derive(Clone, Default)]
+struct Shared(Arc<Mutex<Vec<u8>>>);
+
+impl Write for Shared {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().expect("sink lock").extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Names a recorder accepts (its name arguments are `&'static str`).
+const NAMES: [&str; 4] = ["run/reuse", "reuse/shared", "ops", "msvstore.credited_passes"];
+
+/// Write `meta` and one event of kind `kind` (0..6) through a
+/// `JsonlRecorder`; returns the trace text and the event it must read as.
+fn record_one(
+    meta: &TraceMeta,
+    kind: u8,
+    name: &'static str,
+    n: [u64; 3],
+    pick: usize,
+) -> (String, TraceEvent) {
+    let sink = Shared::default();
+    let recorder = JsonlRecorder::new(Box::new(sink.clone()), meta);
+    let [a, b, c] = n;
+    let event = match kind {
+        0 => {
+            let (start_ns, end_ns) = (a.min(b), a.max(b));
+            recorder.span(name, start_ns, end_ns);
+            TraceEvent::Span { path: name.to_owned(), start_ns, end_ns }
+        }
+        1 => {
+            let class = KernelClass::ALL[pick % KernelClass::ALL.len()];
+            recorder.kernel(name, class, a, b, c);
+            TraceEvent::Kernel { phase: name.to_owned(), class, layer: a, count: b, ns: c }
+        }
+        2 => {
+            recorder.counter(name, a);
+            TraceEvent::Counter { name: name.to_owned(), delta: a }
+        }
+        3 => {
+            let kind = MsvEvent::ALL[pick % MsvEvent::ALL.len()];
+            recorder.msv(kind, a as usize, b as usize);
+            TraceEvent::Msv { kind, depth: a, residency: b }
+        }
+        4 => {
+            recorder.cache(a as usize, pick % 2 == 1);
+            TraceEvent::Cache { depth: a, hit: pick % 2 == 1 }
+        }
+        _ => {
+            recorder.heartbeat(Heartbeat { completed: a, depth: b, resident_bytes: c });
+            TraceEvent::Heartbeat { completed: a, depth: b, resident: c }
+        }
+    };
+    recorder.flush().expect("in-memory sink");
+    let text = String::from_utf8(sink.0.lock().expect("sink lock").clone()).expect("utf-8 trace");
+    (text, event)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn live_snapshots_read_back_equal(
+        tail in ".{0,24}",
+        n in collection::vec(interesting_u64(), 20),
+    ) {
+        let snapshot = LiveSnapshot {
+            version: LIVE_VERSION,
+            strategy: format!("re\"use\\\n{tail}"),
+            qubits: n[0],
+            seed: n[1],
+            elapsed_ns: n[2],
+            heartbeats: n[3],
+            trials_done: n[4],
+            trials_total: n[5],
+            depth: n[6],
+            passes: n[7],
+            ops: n[8],
+            fused_ops: n[9],
+            amplitude_passes: n[10],
+            credited_passes: n[11],
+            store_hits: n[12],
+            store_misses: n[13],
+            cache_hits: n[14],
+            cache_misses: n[15],
+            msv_resident: n[16],
+            msv_peak: n[17],
+            resident_bytes: n[18],
+            peak_resident_bytes: n[19],
+        };
+        let json = snapshot.render_json();
+        let parsed = LiveSnapshot::parse(&json).expect("rendered snapshot parses");
+        prop_assert_eq!(parsed, snapshot, "{}", json);
+    }
+
+    #[test]
+    fn trace_events_read_back_equal(
+        git_rev in ".{0,16}",
+        strategy in ".{0,16}",
+        seed in interesting_u64(),
+        qubits in interesting_u64(),
+        kind in 0u8..6,
+        name in 0usize..NAMES.len(),
+        a in interesting_u64(),
+        b in interesting_u64(),
+        c in interesting_u64(),
+        pick in 0usize..64,
+    ) {
+        let meta = TraceMeta { git_rev, seed, qubits, strategy };
+        let (text, event) = record_one(&meta, kind, NAMES[name], [a, b, c], pick);
+        let trace = Trace::parse(&text).unwrap_or_else(|e| panic!("{e}:\n{text}"));
+        prop_assert_eq!(trace.meta, meta, "{}", text);
+        prop_assert_eq!(trace.events, vec![event], "{}", text);
+    }
+}
+
+/// A schema-valid trace whose kernel events claim 2⁶⁴ + 3 applications
+/// against 3 recorded passes: a wrapping sum would read "3".
+const WRAPPING_TRACE: &str = concat!(
+    "{\"ev\":\"meta\",\"version\":2,\"git_rev\":\"x\",\"seed\":0,\"qubits\":0,\"strategy\":\"s\"}\n",
+    "{\"ev\":\"cache\",\"depth\":0,\"hit\":false}\n",
+    "{\"ev\":\"kernel\",\"phase\":\"p\",\"class\":\"cx\",\"layer\":0,\"count\":18446744073709551615,\"ns\":1}\n",
+    "{\"ev\":\"kernel\",\"phase\":\"p\",\"class\":\"dense2\",\"layer\":1,\"count\":4,\"ns\":1}\n",
+    "{\"ev\":\"counter\",\"name\":\"trials\",\"delta\":1}\n",
+    "{\"ev\":\"counter\",\"name\":\"ops\",\"delta\":3}\n",
+    "{\"ev\":\"counter\",\"name\":\"fused_ops\",\"delta\":3}\n",
+    "{\"ev\":\"counter\",\"name\":\"amplitude_passes\",\"delta\":3}\n",
+);
+
+fn trace_problems(text: &str) -> Vec<String> {
+    TraceAnalysis::from_trace(&Trace::parse(text).expect("schema-valid trace")).cross_check()
+}
+
+#[test]
+fn trace_sums_past_u64_max_fail_the_cross_check() {
+    // The trial slice sums both kernel counts: the sum overflows.
+    let problems = trace_problems(WRAPPING_TRACE);
+    assert!(problems.iter().any(|p| p.contains("passes u64::MAX")), "{problems:?}");
+    // Without a cache lookup no slice sums them, and the exact total
+    // still disagrees with the recorded passes.
+    let sliceless = WRAPPING_TRACE.replace("{\"ev\":\"cache\",\"depth\":0,\"hit\":false}\n", "");
+    let problems = trace_problems(&sliceless);
+    assert!(
+        problems.iter().any(|p| p.contains("derived 18446744073709551619 != recorded 3")),
+        "{problems:?}"
+    );
+    // A recorded counter summed past u64::MAX never equals a kernel total
+    // at the maximum.
+    let counter = concat!(
+        "{\"ev\":\"meta\",\"version\":2,\"git_rev\":\"x\",\"seed\":0,\"qubits\":0,\"strategy\":\"s\"}\n",
+        "{\"ev\":\"kernel\",\"phase\":\"p\",\"class\":\"cx\",\"layer\":0,\"count\":18446744073709551615,\"ns\":1}\n",
+        "{\"ev\":\"counter\",\"name\":\"ops\",\"delta\":18446744073709551615}\n",
+        "{\"ev\":\"counter\",\"name\":\"fused_ops\",\"delta\":18446744073709551615}\n",
+        "{\"ev\":\"counter\",\"name\":\"amplitude_passes\",\"delta\":18446744073709551615}\n",
+        "{\"ev\":\"counter\",\"name\":\"amplitude_passes\",\"delta\":1}\n",
+    );
+    let problems = trace_problems(counter);
+    assert!(problems.iter().any(|p| p.contains("passes u64::MAX")), "{problems:?}");
+}
+
+#[test]
+fn live_sums_past_u64_max_fail_the_cross_check() {
+    let finished = LiveSnapshot::parse(&corpus()[3]).expect("the real live.json parses");
+    assert!(finished.finished(), "{finished:?}");
+    assert_eq!(finished.cross_check(), Vec::<String>::new());
+    let wrapped = LiveSnapshot {
+        passes: u64::MAX,
+        credited_passes: 13,
+        amplitude_passes: 12,
+        ..finished.clone()
+    };
+    let wrapped = LiveSnapshot::parse(&wrapped.render_json()).expect("edited live.json parses");
+    let problems = wrapped.cross_check();
+    assert!(
+        problems.iter().any(|p| p.contains(
+            "passes (18446744073709551615) + credited_passes (13) != amplitude_passes (12)"
+        )),
+        "{problems:?}"
+    );
+    let expected = ExpectedStats {
+        trials: finished.trials_done,
+        ops: finished.ops,
+        fused_ops: finished.fused_ops,
+        amplitude_passes: 12,
+        credited_passes: Some(13),
+        cache_hits: None,
+    };
+    let problems = wrapped.reconcile(&expected);
+    assert!(
+        problems.iter().any(|p| p.contains("live 18446744073709551628 != executor 12")),
+        "{problems:?}"
+    );
+    // Cache lookups past u64::MAX exceed any trial count.
+    let lookups = LiveSnapshot { cache_hits: u64::MAX, ..finished.clone() };
+    let problems = lookups.cross_check();
+    assert!(problems.iter().any(|p| p.contains("cache lookups (")), "{problems:?}");
+    // Store counters are reported, not summed.
+    let store = LiveSnapshot { store_hits: u64::MAX, store_misses: 1, ..finished };
+    assert_eq!(store.cross_check(), Vec::<String>::new());
 }
 
 proptest! {

@@ -3,8 +3,8 @@
 //! [`LiveSnapshot`] taken after a traced run must reconcile **bitwise**
 //! with the executor's own accounting (`ExecStats`) — trials, ops, fused
 //! kernels, amplitude passes, credited passes, cache hits — and the
-//! published JSON must round-trip through the observatory's `LiveView`
-//! with every conservation law intact. The live plane is an observation
+//! published JSON must round-trip through `LiveSnapshot::parse` with every
+//! conservation law intact. The live plane is an observation
 //! surface, not an estimate: if it drifts from the executor by one count,
 //! these tests fail.
 
@@ -17,9 +17,9 @@ use noisy_qsim::redsim::parallel::{run_baseline_parallel, run_reordered_parallel
 use noisy_qsim::redsim::semcache::run_reordered_cached;
 use noisy_qsim::redsim::testkit;
 use noisy_qsim::telemetry::{
-    AggregatingRecorder, LiveRecorder, LiveSnapshot, Recorder, TeeRecorder, TraceMeta,
+    AggregatingRecorder, ExpectedStats, LiveRecorder, LiveSnapshot, Recorder, TeeRecorder,
+    TraceMeta,
 };
-use qsim_observatory::{ExpectedStats, LiveView};
 
 const TRIALS: usize = 64;
 const SEED: u64 = 2020;
@@ -35,7 +35,7 @@ fn meta(strategy: &str, qubits: usize) -> TraceMeta {
 
 /// Reconcile one final snapshot against the run's `ExecStats` plus the
 /// independent figures (credited passes, cache hits) the tee'd aggregating
-/// recorder observed, both directly and through the observatory round-trip.
+/// recorder observed, both directly and through the `live.json` round-trip.
 fn reconcile(
     label: &str,
     snapshot: &LiveSnapshot,
@@ -64,8 +64,9 @@ fn reconcile(
 
     // Round-trip: the published JSON must parse back, pass every
     // conservation law, and reconcile bitwise against the same figures.
-    let view = LiveView::parse(&snapshot.render_json())
+    let view = LiveSnapshot::parse(&snapshot.render_json())
         .unwrap_or_else(|e| panic!("{label}: published snapshot rejected: {e}"));
+    assert_eq!(&view, snapshot, "{label}: live.json round trip");
     assert!(view.finished(), "{label}: final snapshot must read as finished");
     let problems = view.cross_check();
     assert!(problems.is_empty(), "{label}: cross-check failed:\n  {}", problems.join("\n  "));
