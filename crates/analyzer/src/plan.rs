@@ -1,14 +1,14 @@
 //! The execution plan the verifier checks: the trial order, the fused
 //! program, and an explicit prefix-cache [`ScheduleOp`] stream.
 //!
-//! `redsim`'s `ReuseExecutor` never materializes its schedule — frame
-//! lifetimes are implicit in its streaming loop. [`replay_schedule`]
-//! reproduces that loop symbolically (same `keep = lcp(cur, next)`
-//! clamped to `budget - 1`, same clone-at-frontier / consume-top /
-//! eager-drop discipline) and streams every frame event. Collected
-//! ([`compile_schedule`]), the stream lets the borrow checker prove
-//! lifetime soundness without touching an amplitude; folded, it prices the
-//! walk ([`CostReport::replayed`], the advisor's reuse prediction).
+//! [`replay_schedule`] is the reuse walk's rule, written once: `keep =
+//! lcp(cur, next)` clamped to `budget - 1`, clone at the frontier, consume
+//! the top, drop eagerly. It streams every frame event. `redsim`'s
+//! `ReuseExecutor` executes that stream on amplitudes as it is emitted and
+//! never materializes it. Collected ([`compile_schedule`]), the same
+//! stream lets the borrow checker prove lifetime soundness without
+//! touching an amplitude; folded, it prices the walk
+//! ([`CostReport::replayed`], the advisor's reuse prediction).
 
 use qsim_circuit::{CouplingMap, FusedProgram, LayeredCircuit};
 use qsim_noise::{injection_cut_layers, lcp, sorted_order, Injection, NoiseModel, Trial, TrialSet};
@@ -214,14 +214,16 @@ impl<'a> ExecutionPlan<'a> {
     }
 }
 
-/// Replay `redsim`'s reuse walk symbolically over `trials` in `order`,
-/// handing each frame event to `emit` in execution order; return the peak
-/// number of cached frames (root included; 0 when no trial runs).
+/// Replay `redsim`'s reuse walk over `trials` in `order`, handing each
+/// frame event to `emit` in execution order; return the peak number of
+/// cached frames (root included; 0 when no trial runs).
 ///
-/// The one symbolic copy of the walk's rule: `keep = lcp(cur, next)`
-/// clamped to `budget - 1`; clone below `keep`, consume above it,
-/// eager-drop back to it. It holds at most `budget` frames. Order entries
-/// naming no trial are skipped (the trial-set pass reports them).
+/// The only copy of the walk's rule: `keep = lcp(cur, next)` clamped to
+/// `budget - 1`; clone below `keep`, consume above it, eager-drop back to
+/// it. It holds at most `budget` frames. The executor runs these ops on
+/// real frames; the verifier and the cost folds read them symbolically.
+/// Order entries naming no trial are skipped (the trial-set pass reports
+/// them).
 pub fn replay_schedule(
     trials: &[Trial],
     order: &[u32],

@@ -27,6 +27,8 @@
 //! paper's `ops` metric exactly: [`Segment::source_gates`] counts the
 //! original gates a segment stands for.
 
+use std::convert::Infallible;
+
 use qsim_statevec::{FusedOp, Matrix2, Matrix4, StateVecError, StateVector};
 
 use crate::{Gate, LayeredCircuit};
@@ -196,23 +198,8 @@ impl FusedProgram {
     /// contract as [`FusedProgram::apply_through`]). `through < 0` yields
     /// `(0, 0)`.
     pub fn segment_costs_through(&self, through: i64) -> (u64, u64) {
-        let mut source = 0u64;
-        let mut fused = 0u64;
-        let mut done = -1i64;
-        while done < through {
-            let next = (done + 1) as usize;
-            let seg = &self.segments[self.seg_at[next]];
-            assert!(
-                (seg.end as i64) <= through,
-                "cost target {through} splits segment {}..={}",
-                seg.start,
-                seg.end
-            );
-            source += seg.source_gates as u64;
-            fused += seg.ops.len() as u64;
-            done = seg.end as i64;
-        }
-        (source, fused)
+        let Ok(costs) = self.walk_segments::<Infallible>(&mut -1, through, "cost", |_| Ok(()));
+        costs
     }
 
     /// Apply whole segments to `state`, advancing `done` (the highest layer
@@ -235,26 +222,9 @@ impl FusedProgram {
         done: &mut i64,
         through: i64,
     ) -> Result<(u64, u64), StateVecError> {
-        let mut source = 0u64;
-        let mut fused = 0u64;
-        while *done < through {
-            let next = (*done + 1) as usize;
-            let seg = &self.segments[self.seg_at[next]];
-            assert_eq!(seg.start, next, "advance does not start on a segment boundary");
-            assert!(
-                (seg.end as i64) <= through,
-                "advance target {through} splits segment {}..={}",
-                seg.start,
-                seg.end
-            );
-            for op in &seg.ops {
-                state.apply_fused(op)?;
-            }
-            source += seg.source_gates as u64;
-            fused += seg.ops.len() as u64;
-            *done = seg.end as i64;
-        }
-        Ok((source, fused))
+        self.walk_segments(done, through, "advance", |seg| {
+            seg.ops.iter().try_for_each(|op| state.apply_fused(op))
+        })
     }
 
     /// Like [`FusedProgram::apply_through`], but times every kernel op and
@@ -276,6 +246,28 @@ impl FusedProgram {
         through: i64,
         observe: &mut dyn FnMut(&FusedOp, usize, u64),
     ) -> Result<(u64, u64), StateVecError> {
+        self.walk_segments(done, through, "advance", |seg| {
+            for op in &seg.ops {
+                let t0 = std::time::Instant::now();
+                state.apply_fused(op)?;
+                let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                observe(op, seg.end, ns);
+            }
+            Ok(())
+        })
+    }
+
+    /// The one segment walk: hand each whole segment after `done` through
+    /// `through` to `visit`, moving `done` to its end layer, and return the
+    /// `(source_gates, fused_ops)` walked. `what` names the target in the
+    /// panic for a stop that splits a segment.
+    fn walk_segments<E>(
+        &self,
+        done: &mut i64,
+        through: i64,
+        what: &str,
+        mut visit: impl FnMut(&Segment) -> Result<(), E>,
+    ) -> Result<(u64, u64), E> {
         let mut source = 0u64;
         let mut fused = 0u64;
         while *done < through {
@@ -284,16 +276,11 @@ impl FusedProgram {
             assert_eq!(seg.start, next, "advance does not start on a segment boundary");
             assert!(
                 (seg.end as i64) <= through,
-                "advance target {through} splits segment {}..={}",
+                "{what} target {through} splits segment {}..={}",
                 seg.start,
                 seg.end
             );
-            for op in &seg.ops {
-                let t0 = std::time::Instant::now();
-                state.apply_fused(op)?;
-                let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                observe(op, seg.end, ns);
-            }
+            visit(seg)?;
             source += seg.source_gates as u64;
             fused += seg.ops.len() as u64;
             *done = seg.end as i64;

@@ -74,3 +74,38 @@ fn profile_json_names_the_kernel_copy_that_ran() {
     let gauge = format!("qsim_kernel_path{{path=\"{}\"}} 1", KernelPath::detected().name());
     assert!(text.lines().any(|l| l == gauge), "{text}");
 }
+
+/// `text` with every `"ns": N` duration replaced by 0.
+fn mask_durations(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    let mut rest = text;
+    while let Some(at) = rest.find("\"ns\": ") {
+        let (head, tail) = rest.split_at(at + "\"ns\": ".len());
+        out.push_str(head);
+        out.push('0');
+        rest = tail.trim_start_matches(|c: char| c.is_ascii_digit());
+    }
+    out.push_str(rest);
+    out
+}
+
+#[test]
+fn threaded_profiles_of_one_run_report_the_same_analysis() {
+    let dir = scratch_dir("threads");
+    let qft5 = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmarks/yorktown/qft5.qasm");
+    let reports: Vec<String> = ["a", "b"]
+        .iter()
+        .map(|tag| {
+            let trace = dir.join(format!("{tag}.jsonl"));
+            let trace = trace.to_str().expect("utf-8 temp path");
+            let run = ["profile", qft5, "--no-transpile", "--trials", "2000", "--seed", "3"];
+            qsim(&[&run[..], &["--threads", "2", "--trace", trace]].concat(), "");
+            mask_durations(&qsim(&["report", trace, "--json"], ""))
+        })
+        .collect();
+    assert_eq!(reports[0], reports[1], "two runs of one threaded profile disagree");
+    let report = Json::parse(&reports[0]).expect("report parses");
+    let ok = report.get("cross_check").and_then(|c| c.get("ok")).and_then(Json::as_bool);
+    assert_eq!(ok, Some(true), "{}", reports[0]);
+    std::fs::remove_dir_all(&dir).expect("scratch cleanup");
+}

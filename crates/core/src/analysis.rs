@@ -28,6 +28,7 @@ use qsim_noise::{Trial, TrialSet};
 
 pub use qsim_analyzer::CostReport;
 
+use crate::exec::validate;
 use crate::order::{compare_trials, lcp, sorted_order};
 use crate::SimError;
 
@@ -172,7 +173,7 @@ fn check_next(
     cur: &Trial,
     i: usize,
 ) -> Result<(), SimError> {
-    validate_layers(cur, layered.n_layers())?;
+    validate(cur, layered.n_layers())?;
     if prev.is_some_and(|prev| compare_trials(prev, cur) == std::cmp::Ordering::Greater) {
         return Err(SimError::Circuit(format!(
             "trials are not in reorder order at index {i}; call reorder first"
@@ -228,7 +229,7 @@ pub fn analyze_generation_order(
     let mut optimized: u64 = 0;
     let mut msv: usize = 0;
     for (i, cur) in trials.iter().enumerate() {
-        validate_layers(cur, n_layers)?;
+        validate(cur, n_layers)?;
         let len = cur.n_injections() as u64;
         baseline += gates + len;
         if i == 0 {
@@ -265,15 +266,6 @@ fn check_geometry(layered: &LayeredCircuit, set: &TrialSet) -> Result<(), SimErr
             trials: (set.n_qubits(), set.n_layers()),
             circuit: (layered.n_qubits(), layered.n_layers()),
         });
-    }
-    Ok(())
-}
-
-fn validate_layers(trial: &Trial, n_layers: usize) -> Result<(), SimError> {
-    if let Some(inj) = trial.injections().last() {
-        if inj.layer() >= n_layers {
-            return Err(SimError::LayerOutOfRange { layer: inj.layer(), n_layers });
-        }
     }
     Ok(())
 }

@@ -35,6 +35,7 @@
 
 use std::fmt;
 
+use qsim_analyzer::{replay_schedule, FrameId, ScheduleOp, ROOT_FRAME};
 use qsim_circuit::{FusedProgram, LayeredCircuit};
 use qsim_noise::{injection_cut_layers, Injection, Trial};
 use qsim_statevec::{sample_index, MeasureOutcome, StatePool, StateVector};
@@ -42,7 +43,7 @@ use qsim_telemetry::{Heartbeat, KernelClass, MsvEvent, Recorder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::order::{compare_trials, lcp, sorted_order};
+use crate::order::{compare_trials, sorted_order};
 use crate::SimError;
 
 /// Operation counts and memory high-water marks of one execution.
@@ -91,8 +92,8 @@ pub struct RunResult {
     pub stats: ExecStats,
 }
 
-/// Apply layers `done+1 ..= through` of `program`, returning
-/// `(source_gates, amplitude_passes)` performed. Each fused op is
+/// Apply layers `done+1 ..= through` of `program`, adding the source
+/// gates and amplitude passes performed to `stats`. Each fused op is
 /// individually timed and attributed to `phase`; a recorder that declines
 /// per-kernel timing gets one batched `unfused` observation instead.
 /// Disabled recorders short-circuit to the unobserved path (no clock
@@ -104,47 +105,50 @@ fn advance_traced<R: Recorder + ?Sized>(
     through: i64,
     recorder: &R,
     phase: &'static str,
-) -> Result<(u64, u64), SimError> {
-    if !recorder.enabled() {
-        return Ok(program.apply_through(state, done, through)?);
-    }
-    if recorder.kernel_timing() {
-        return Ok(program.apply_through_observed(
-            state,
-            done,
-            through,
-            &mut |op, layer, ns| {
-                let class =
-                    KernelClass::from_name(op.kernel_name()).unwrap_or(KernelClass::Unfused);
-                recorder.kernel(phase, class, layer as u64, 1, ns);
-            },
-        )?);
-    }
-    let start = recorder.now_ns();
-    let counts = program.apply_through(state, done, through)?;
-    let ns = recorder.now_ns().saturating_sub(start);
-    if counts.1 > 0 {
-        recorder.kernel(phase, KernelClass::Unfused, through.max(0) as u64, counts.1, ns);
-    }
-    Ok(counts)
+    stats: &mut ExecStats,
+) -> Result<(), SimError> {
+    let (src, passes) = if !recorder.enabled() {
+        program.apply_through(state, done, through)?
+    } else if recorder.kernel_timing() {
+        program.apply_through_observed(state, done, through, &mut |op, layer, ns| {
+            let class = KernelClass::from_name(op.kernel_name()).unwrap_or(KernelClass::Unfused);
+            recorder.kernel(phase, class, layer as u64, 1, ns);
+        })?
+    } else {
+        let start = recorder.now_ns();
+        let counts = program.apply_through(state, done, through)?;
+        let ns = recorder.now_ns().saturating_sub(start);
+        if counts.1 > 0 {
+            recorder.kernel(phase, KernelClass::Unfused, through.max(0) as u64, counts.1, ns);
+        }
+        counts
+    };
+    stats.ops += src;
+    stats.fused_ops += passes;
+    stats.amplitude_passes += passes;
+    Ok(())
 }
 
-/// Apply one injected error operator, timed under the `error` kernel class
-/// when the recorder is live.
+/// Apply one injected error operator, counted in `stats` as one operation
+/// and one amplitude pass, and timed under the `error` kernel class when
+/// the recorder is live.
 fn inject_traced<R: Recorder + ?Sized>(
     injection: &Injection,
     state: &mut StateVector,
     recorder: &R,
     phase: &'static str,
+    stats: &mut ExecStats,
 ) -> Result<(), SimError> {
-    if !recorder.enabled() {
+    if recorder.enabled() {
+        let start = recorder.now_ns();
         injection.apply_to(state)?;
-        return Ok(());
+        let ns = recorder.now_ns().saturating_sub(start);
+        recorder.kernel(phase, KernelClass::Error, injection.layer() as u64, 1, ns);
+    } else {
+        injection.apply_to(state)?;
     }
-    let start = recorder.now_ns();
-    injection.apply_to(state)?;
-    let ns = recorder.now_ns().saturating_sub(start);
-    recorder.kernel(phase, KernelClass::Error, injection.layer() as u64, 1, ns);
+    stats.ops += 1;
+    stats.amplitude_passes += 1;
     Ok(())
 }
 
@@ -187,12 +191,13 @@ pub fn fuse_for_trials_traced<R: Recorder + ?Sized>(
     program
 }
 
-/// Paranoid mode: statically verify the complete execution plan — reorder,
-/// fused program, and symbolic cache schedule, cross-checked against the
-/// dry-run cost report — before touching a single amplitude. Runs *after*
-/// the executors' own cheap validation so their typed errors are
-/// unchanged; anything the verifier alone catches surfaces as
-/// [`SimError::Circuit`] carrying the first diagnostic.
+/// Paranoid mode: statically verify the complete execution plan of the
+/// trials `order` names — reorder, fused program, and symbolic cache
+/// schedule, cross-checked against the dry-run cost report — before
+/// touching a single amplitude. Runs *after* the executors' own cheap
+/// validation so their typed errors are unchanged; anything the verifier
+/// alone catches surfaces as [`SimError::Circuit`] carrying the first
+/// diagnostic.
 ///
 /// # Errors
 ///
@@ -202,12 +207,14 @@ pub fn fuse_for_trials_traced<R: Recorder + ?Sized>(
 pub(crate) fn paranoid_verify(
     layered: &LayeredCircuit,
     trials: &[Trial],
+    order: &[u32],
     budget: usize,
 ) -> Result<(), SimError> {
-    let order = sorted_order(trials);
+    let walked: Vec<Trial> = order.iter().map(|&i| trials[i as usize].clone()).collect();
+    let order = sorted_order(&walked);
     let report =
-        crate::analysis::analyze_order_with_budget(layered, trials, &order, budget.max(1))?;
-    let set = qsim_noise::TrialSet::new(layered.n_qubits(), layered.n_layers(), trials.to_vec());
+        crate::analysis::analyze_order_with_budget(layered, &walked, &order, budget.max(1))?;
+    let set = qsim_noise::TrialSet::new(layered.n_qubits(), layered.n_layers(), walked);
     let plan =
         qsim_analyzer::ExecutionPlan::compile(layered, &set, budget).with_expectations(report);
     let diagnostics = qsim_analyzer::verify(&plan);
@@ -255,6 +262,11 @@ fn validate_on(program: &FusedProgram, trial: &Trial, n_layers: usize) -> Result
         ))),
         None => Ok(()),
     }
+}
+
+/// The baseline's order: every trial where the caller put it.
+pub(crate) fn input_order(trials: &[Trial]) -> Vec<u32> {
+    (0..u32::try_from(trials.len()).expect("at most 2^32 trials are ordered")).collect()
 }
 
 /// Run a streaming walk and gather its outcomes back into input order.
@@ -306,32 +318,44 @@ impl<'a> BaselineExecutor<'a> {
         recorder: &R,
     ) -> Result<RunResult, SimError> {
         let program = fuse_for_trials_traced(self.layered, trials, recorder);
-        self.run_engine(&program, trials, recorder)
+        let order = input_order(trials);
+        collect(trials.len(), |out| {
+            let sink = |index, outcome| out[index] = Some(outcome);
+            self.run_engine(&program, trials, &order, sink, recorder)
+        })
     }
 
-    /// Execute through `program`; a shared program keeps several runs — or
-    /// several worker threads — bitwise comparable. Rejects injections
-    /// that do not land on one of the program's cut-points.
-    pub(crate) fn run_engine<R: Recorder + ?Sized>(
+    /// Execute the trials `order` names, in that order, through `program`;
+    /// a shared program keeps several runs — or several worker threads —
+    /// bitwise comparable. Outcomes go to `sink(original_trial_index,
+    /// outcome)`, as the reuse walk's do. Rejects injections that do not
+    /// land on one of the program's cut-points.
+    pub(crate) fn run_engine<F, R>(
         &self,
         program: &FusedProgram,
         trials: &[Trial],
+        order: &[u32],
+        mut sink: F,
         recorder: &R,
-    ) -> Result<RunResult, SimError> {
+    ) -> Result<ExecStats, SimError>
+    where
+        F: FnMut(usize, MeasureOutcome),
+        R: Recorder + ?Sized,
+    {
         let layered = self.layered;
         check_register(layered)?;
         let n_layers = layered.n_layers();
         validate_program(program, layered)?;
-        for trial in trials {
-            validate_on(program, trial, n_layers)?;
+        for &index in order {
+            validate_on(program, &trials[index as usize], n_layers)?;
         }
         #[cfg(feature = "paranoid")]
-        paranoid_verify(layered, trials, usize::MAX)?;
+        paranoid_verify(layered, trials, order, usize::MAX)?;
         let span_start = recorder.now_ns();
         let last_layer = n_layers as i64 - 1;
-        let mut stats = ExecStats { n_trials: trials.len(), ..ExecStats::default() };
-        let mut outcomes = Vec::with_capacity(trials.len());
-        for trial in trials {
+        let mut stats = ExecStats { n_trials: order.len(), ..ExecStats::default() };
+        for &index in order {
+            let trial = &trials[index as usize];
             let mut state = StateVector::zero_state(layered.n_qubits());
             let mut done = -1i64;
             let injections = trial.injections();
@@ -342,19 +366,15 @@ impl<'a> BaselineExecutor<'a> {
                 } else {
                     last_layer
                 };
-                let (src, passes) =
-                    advance_traced(program, &mut state, &mut done, target, recorder, "baseline")?;
-                stats.ops += src;
-                stats.fused_ops += passes;
-                stats.amplitude_passes += passes;
+                advance_traced(
+                    program, &mut state, &mut done, target, recorder, "baseline", &mut stats,
+                )?;
                 while next < injections.len() && injections[next].layer() as i64 == done {
-                    inject_traced(&injections[next], &mut state, recorder, "baseline")?;
-                    stats.ops += 1;
-                    stats.amplitude_passes += 1;
+                    inject_traced(&injections[next], &mut state, recorder, "baseline", &mut stats)?;
                     next += 1;
                 }
             }
-            outcomes.push(measure(layered, &state, trial));
+            sink(index as usize, measure(layered, &state, trial));
             if recorder.enabled() {
                 // Baseline holds exactly the one working state.
                 recorder.heartbeat(Heartbeat {
@@ -368,7 +388,7 @@ impl<'a> BaselineExecutor<'a> {
             record_stats_counters(recorder, &stats);
             recorder.span("run/baseline", span_start, recorder.now_ns());
         }
-        Ok(RunResult { outcomes, stats })
+        Ok(stats)
     }
 }
 
@@ -377,17 +397,20 @@ impl<'a> BaselineExecutor<'a> {
 /// node owns one lazily advancing frontier state; a frontier survives only
 /// while the *next* trial still branches from it (the paper's eager drop),
 /// so the stored-state stack is exactly the shared prefix between
-/// consecutive trials.
+/// consecutive trials. That rule is written once, in
+/// [`qsim_analyzer::replay_schedule`]; the executor runs the ops it emits.
 #[derive(Clone, Copy, Debug)]
 pub struct ReuseExecutor<'a> {
     layered: &'a LayeredCircuit,
     budget: usize,
 }
 
-/// One cached frontier of the reuse walk: the state of the trie node
-/// `depth` injections deep.
+/// One frontier of the reuse walk: a cached frame on the stack, where its
+/// index is its trie depth (the error-free root is index 0), or the
+/// current trial's private working frame.
 struct Frame {
-    depth: usize,
+    /// The replay's name for this frame.
+    id: FrameId,
     /// Highest layer index already applied to the state (−1 = none).
     done: i64,
     state: StateVector,
@@ -473,6 +496,10 @@ impl<'a> ReuseExecutor<'a> {
     /// Outcomes go to `sink(original_trial_index, outcome)` in processing
     /// order. A [`PrefixCache::Seed`] that does not match the trials'
     /// shared-prefix layer or register width is rejected.
+    ///
+    /// Which frames to keep, clone, consume and drop is not decided here:
+    /// the walk executes the [`ScheduleOp`] stream of [`replay_schedule`],
+    /// the schedule the plan verifier proves and every cost fold prices.
     pub(crate) fn walk<F, R>(
         &self,
         program: &FusedProgram,
@@ -499,16 +526,18 @@ impl<'a> ReuseExecutor<'a> {
         for &index in order {
             validate_on(program, &trials[index as usize], n_layers)?;
         }
+        debug_assert!(
+            order.windows(2).all(|pair| {
+                compare_trials(&trials[pair[0] as usize], &trials[pair[1] as usize]).is_le()
+            }),
+            "the walk order is not the reorder"
+        );
         #[cfg(feature = "paranoid")]
-        {
-            let walked: Vec<Trial> = order.iter().map(|&i| trials[i as usize].clone()).collect();
-            paranoid_verify(layered, &walked, budget)?;
-        }
+        paranoid_verify(layered, trials, order, budget)?;
         let mut pool = StatePool::new();
         let state_bytes = amp_bytes(layered.n_qubits());
         let span_start = recorder.now_ns();
         let last_layer = n_layers as i64 - 1;
-        let trial = |pos: usize| &trials[order[pos] as usize];
 
         let mut stats = ExecStats { n_trials: order.len(), ..ExecStats::default() };
         let mut peak = usize::from(!order.is_empty());
@@ -546,180 +575,153 @@ impl<'a> ReuseExecutor<'a> {
                 (-1, StateVector::zero_state(layered.n_qubits()))
             }
         };
-        let mut stack = vec![Frame { depth: 0, done: root_done, state: root_state }];
+        let mut stack = vec![Frame { id: ROOT_FRAME, done: root_done, state: root_state }];
+        let mut working: Option<Frame> = None;
         if recorder.enabled() && !order.is_empty() {
             recorder.msv(MsvEvent::Create, 0, 1);
         }
+        let heartbeat = |depth: usize, resident: usize| {
+            recorder.heartbeat(Heartbeat {
+                completed: 1,
+                depth: depth as u64,
+                resident_bytes: resident as u64 * state_bytes,
+            });
+        };
+        // Trials started so far; whether the next op other than a drop
+        // starts a trial; the trie depth the current trial branched at.
+        let (mut started, mut between_trials, mut depth) = (0usize, true, 0usize);
+        let mut failed = None;
 
-        for (pos, &orig) in order.iter().enumerate() {
-            let (orig, cur) = (orig as usize, trial(pos));
-            let injections = cur.injections();
-            let keep =
-                if pos + 1 < order.len() { lcp(cur, trial(pos + 1)).min(budget - 1) } else { 0 };
-            // Under an unbounded budget the top frame sits exactly at the
-            // shared prefix; under a cap it may be shallower, in which case
-            // the injections between the stored depth and the true LCP are
-            // recomputed below.
-            let mut d = stack.last().expect("stack holds the root").depth;
-            debug_assert!(
-                pos == 0 || compare_trials(trial(pos - 1), cur).is_le(),
-                "the walk order is not the reorder"
-            );
-            debug_assert!(
-                d <= if pos == 0 { 0 } else { lcp(trial(pos - 1), cur) },
-                "frontier stack lost sync with the trial order"
-            );
-            if recorder.enabled() {
-                // The first trial finds an empty cache; every later trial
-                // resumes from the cached frontier at depth `d`.
-                recorder.cache(d, pos > 0);
-                if pos > 0 {
-                    recorder.msv(MsvEvent::Reuse, d, stack.len());
-                }
+        let replayed_peak = replay_schedule(trials, order, n_layers, budget, |op| {
+            if failed.is_some() {
+                return;
             }
-            loop {
-                // Advance the node frontier in place to its next event: the
-                // next injection, or — for a trial terminal at this node —
-                // the end of the circuit, measuring from the frontier.
-                let terminal = d == injections.len();
-                let target = if terminal { last_layer } else { injections[d].layer() as i64 };
-                let top = stack.last_mut().expect("nonempty stack");
-                let mut outcome = None;
-                if terminal || top.done < target {
-                    let (src, passes) = advance_traced(
-                        program,
-                        &mut top.state,
-                        &mut top.done,
-                        target,
-                        recorder,
-                        "reuse/shared",
-                    )?;
-                    stats.ops += src;
-                    stats.fused_ops += passes;
-                    stats.amplitude_passes += passes;
-                    if top.depth == 0 {
-                        // The miss path's only extra work: a plain clone of
-                        // the root the first time it parks at the capture
-                        // layer.
-                        if let Some((_, out)) = capture.take_if(|(layer, _)| *layer == top.done) {
-                            *out = Some(top.state.clone());
-                        }
-                    }
-                    outcome = terminal.then(|| measure(layered, &top.state, cur));
-                }
-                if let Some(outcome) = outcome {
-                    sink(orig, outcome);
-                    while stack.last().is_some_and(|f| f.depth > keep) {
-                        let frame = stack.pop().expect("checked nonempty");
-                        if recorder.enabled() {
-                            recorder.msv(MsvEvent::Drop, frame.depth, stack.len());
-                        }
-                        pool.recycle(frame.state);
-                    }
-                    debug_assert!(
-                        !stack.is_empty(),
-                        "eager drop must never pop the root (error-free) frame"
-                    );
-                } else if d < keep {
-                    // The post-injection state is itself a shared prefix of
-                    // the next trial: persist it as a new frontier.
-                    let top = stack.last().expect("nonempty stack");
-                    debug_assert_eq!(
-                        top.depth, d,
-                        "cached clone must branch from the frontier at the shared depth"
-                    );
-                    let mut child = pool.clone_state(&top.state);
-                    inject_traced(&injections[d], &mut child, recorder, "reuse/branch")?;
-                    stats.ops += 1;
-                    stats.amplitude_passes += 1;
-                    stack.push(Frame { depth: d + 1, done: target, state: child });
-                    debug_assert!(
-                        stack.len() <= budget,
-                        "cache stack exceeded the state-vector budget"
-                    );
-                    peak = peak.max(stack.len());
-                    if recorder.enabled() {
-                        recorder.msv(MsvEvent::Fork, d + 1, stack.len());
-                    }
-                    d += 1;
-                    continue;
-                } else {
-                    // Transient remainder: nothing below depth d is reused
-                    // later. Copy the frontier if the node itself is still
-                    // needed, otherwise consume it (the eager drop).
-                    let mut working = if d <= keep {
-                        pool.clone_state(&stack.last().expect("nonempty stack").state)
-                    } else {
-                        let frame = stack.pop().expect("nonempty stack");
-                        // Consuming (not copying) is only sound because no
-                        // later trial branches from this node or anything
-                        // below it down to the shared depth.
-                        debug_assert!(
-                            frame.depth > keep,
-                            "consumed a frontier the next trial still reuses"
-                        );
-                        if recorder.enabled() {
-                            recorder.msv(MsvEvent::Drop, frame.depth, stack.len());
-                        }
-                        while stack.last().is_some_and(|f| f.depth > keep) {
-                            let dropped = stack.pop().expect("checked nonempty");
-                            if recorder.enabled() {
-                                recorder.msv(MsvEvent::Drop, dropped.depth, stack.len());
-                            }
-                            pool.recycle(dropped.state);
-                        }
-                        debug_assert!(
-                            stack.last().is_some_and(|f| f.depth <= keep),
-                            "eager drop emptied the stack past the root frame"
-                        );
-                        frame.state
-                    };
-                    let mut done = target;
-                    inject_traced(&injections[d], &mut working, recorder, "reuse/remainder")?;
-                    stats.ops += 1;
-                    stats.amplitude_passes += 1;
-                    for inj in &injections[d + 1..] {
-                        let (src, passes) = advance_traced(
-                            program,
-                            &mut working,
-                            &mut done,
-                            inj.layer() as i64,
-                            recorder,
-                            "reuse/remainder",
-                        )?;
-                        stats.ops += src;
-                        stats.fused_ops += passes;
-                        stats.amplitude_passes += passes;
-                        inject_traced(inj, &mut working, recorder, "reuse/remainder")?;
-                        stats.ops += 1;
-                        stats.amplitude_passes += 1;
-                    }
-                    let (src, passes) = advance_traced(
-                        program,
-                        &mut working,
-                        &mut done,
-                        last_layer,
-                        recorder,
-                        "reuse/remainder",
-                    )?;
-                    stats.ops += src;
-                    stats.fused_ops += passes;
-                    stats.amplitude_passes += passes;
-                    sink(orig, measure(layered, &working, cur));
-                    pool.recycle(working);
-                }
+            if between_trials && !matches!(op, ScheduleOp::Drop { .. }) {
                 if recorder.enabled() {
-                    recorder.heartbeat(Heartbeat {
-                        completed: 1,
-                        depth: d as u64,
-                        resident_bytes: (stack.len() + pool.idle()) as u64 * state_bytes,
-                    });
+                    // The previous trial is measured and its frames are
+                    // dropped; the new one resumes from the stack top.
+                    if started > 0 {
+                        heartbeat(depth, stack.len() + pool.idle());
+                    }
+                    recorder.cache(stack.len() - 1, started > 0);
+                    if started > 0 {
+                        recorder.msv(MsvEvent::Reuse, stack.len() - 1, stack.len());
+                    }
                 }
-                break;
+                started += 1;
+                between_trials = false;
             }
+            let mut step = || -> Result<(), SimError> {
+                match op {
+                    ScheduleOp::Advance { frame, from, through } => {
+                        let (target, phase) = match working.as_mut() {
+                            Some(w) if w.id == frame => (w, "reuse/remainder"),
+                            _ => (
+                                stack.last_mut().expect("the root is never dropped"),
+                                "reuse/shared",
+                            ),
+                        };
+                        debug_assert!(
+                            target.id == frame && from <= target.done,
+                            "frame {frame} lost sync with the replay"
+                        );
+                        if target.done >= through {
+                            return Ok(());
+                        }
+                        advance_traced(
+                            program,
+                            &mut target.state,
+                            &mut target.done,
+                            through,
+                            recorder,
+                            phase,
+                            &mut stats,
+                        )?;
+                        if frame == ROOT_FRAME {
+                            // The miss path's only extra work: a plain clone
+                            // of the root the first time it parks at the
+                            // capture layer.
+                            if let Some((_, out)) =
+                                capture.take_if(|(layer, _)| *layer == target.done)
+                            {
+                                *out = Some(target.state.clone());
+                            }
+                        }
+                    }
+                    ScheduleOp::CloneInject { child, injection, cached, .. } => {
+                        let top = stack.last().expect("the root is never dropped");
+                        let mut state = pool.clone_state(&top.state);
+                        let phase = if cached { "reuse/branch" } else { "reuse/remainder" };
+                        inject_traced(&injection, &mut state, recorder, phase, &mut stats)?;
+                        let child = Frame { id: child, done: top.done, state };
+                        if cached {
+                            stack.push(child);
+                            debug_assert!(
+                                stack.len() <= budget,
+                                "cache stack exceeded the state-vector budget"
+                            );
+                            peak = peak.max(stack.len());
+                            if recorder.enabled() {
+                                recorder.msv(MsvEvent::Fork, stack.len() - 1, stack.len());
+                            }
+                        } else {
+                            depth = stack.len() - 1;
+                            working = Some(child);
+                        }
+                    }
+                    ScheduleOp::Detach { .. } => {
+                        let top = stack.pop().expect("the root is never dropped");
+                        depth = stack.len();
+                        if recorder.enabled() {
+                            recorder.msv(MsvEvent::Drop, stack.len(), stack.len());
+                        }
+                        working = Some(top);
+                    }
+                    ScheduleOp::InjectInPlace { injection, .. } => {
+                        let frame =
+                            working.as_mut().expect("in-place injections hit the working frame");
+                        let phase = "reuse/remainder";
+                        inject_traced(&injection, &mut frame.state, recorder, phase, &mut stats)?;
+                    }
+                    ScheduleOp::Measure { frame, trial } => {
+                        let state = match &working {
+                            Some(w) if w.id == frame => &w.state,
+                            _ => {
+                                depth = stack.len() - 1;
+                                &stack.last().expect("the root is never dropped").state
+                            }
+                        };
+                        sink(trial, measure(layered, state, &trials[trial]));
+                        between_trials = true;
+                    }
+                    ScheduleOp::Drop { frame } => {
+                        let dropped = match working.take_if(|w| w.id == frame) {
+                            Some(w) => w,
+                            None => {
+                                let top = stack.pop().expect("the root is never dropped");
+                                if recorder.enabled() {
+                                    recorder.msv(MsvEvent::Drop, stack.len(), stack.len());
+                                }
+                                top
+                            }
+                        };
+                        debug_assert!(!stack.is_empty(), "eager drop popped the root frame");
+                        pool.recycle(dropped.state);
+                    }
+                }
+                Ok(())
+            };
+            failed = step().err();
+        });
+        if let Some(error) = failed {
+            return Err(error);
         }
+        if recorder.enabled() && started > 0 {
+            heartbeat(depth, stack.len() + pool.idle());
+        }
+        debug_assert_eq!(peak, replayed_peak, "the walk's peak differs from the replay's");
 
-        stats.peak_msv = if order.is_empty() { 0 } else { peak };
+        stats.peak_msv = peak;
         if recorder.enabled() {
             record_stats_counters(recorder, &stats);
             recorder.counter("pool.reused", pool.reuse_count());
@@ -878,8 +880,14 @@ mod tests {
         let program = FusedProgram::new(&layered, &[]);
         let has_injection = set.trials().iter().any(|t| t.n_injections() > 0);
         assert!(has_injection, "workload too clean to exercise the check");
-        let result =
-            BaselineExecutor::new(&layered).run_engine(&program, set.trials(), &NullRecorder);
+        let order = sorted_order(set.trials());
+        let result = BaselineExecutor::new(&layered).run_engine(
+            &program,
+            set.trials(),
+            &order,
+            |_, _| {},
+            &NullRecorder,
+        );
         assert!(matches!(result, Err(SimError::Circuit(_))));
         let result = ReuseExecutor::new(&layered).walk(
             &program,

@@ -32,11 +32,11 @@ use qsim_statevec::MeasureOutcome;
 use qsim_telemetry::Recorder;
 
 use crate::exec::{
-    check_register, collect, fuse_for_trials_traced, BaselineExecutor, ExecStats, PrefixCache,
-    ReuseExecutor, RunResult,
+    check_register, collect, fuse_for_trials_traced, input_order, BaselineExecutor, ExecStats,
+    PrefixCache, ReuseExecutor, RunResult,
 };
 use crate::order::{lcp, sorted_order};
-use crate::SimError;
+use crate::{SimError, Walk};
 
 /// Resolve a thread-count request: 0 means "use available parallelism".
 fn resolve_threads(requested: usize, n_items: usize) -> usize {
@@ -95,43 +95,7 @@ pub fn run_baseline_parallel<R: Recorder + ?Sized>(
     n_threads: usize,
     recorder: &R,
 ) -> Result<RunResult, SimError> {
-    check_register(layered)?;
-    let threads = resolve_threads(n_threads, trials.len());
-    if threads <= 1 || trials.is_empty() {
-        return BaselineExecutor::new(layered).run(trials, recorder);
-    }
-    // Verify the whole-set plan up front; workers re-verify their chunks as
-    // sub-plans through the executors they call into.
-    #[cfg(feature = "paranoid")]
-    crate::exec::paranoid_verify(layered, trials, usize::MAX)?;
-    let span_start = recorder.now_ns();
-    let program = fuse_for_trials_traced(layered, trials, recorder);
-    let chunk_size = trials.len().div_ceil(threads);
-    let results: Vec<Result<RunResult, SimError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = trials
-            .chunks(chunk_size)
-            .map(|chunk| {
-                let program = &program;
-                scope.spawn(move || {
-                    BaselineExecutor::new(layered).run_engine(program, chunk, recorder)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-    });
-    let mut outcomes = Vec::with_capacity(trials.len());
-    let mut stats = ExecStats { n_trials: trials.len(), ..ExecStats::default() };
-    for result in results {
-        let part = result?;
-        outcomes.extend(part.outcomes);
-        stats.ops += part.stats.ops;
-        stats.fused_ops += part.stats.fused_ops;
-        stats.amplitude_passes += part.stats.amplitude_passes;
-    }
-    if recorder.enabled() {
-        recorder.span("run/parallel-baseline", span_start, recorder.now_ns());
-    }
-    Ok(RunResult { outcomes, stats })
+    run_sliced(layered, trials, n_threads, Walk::Baseline, recorder)
 }
 
 /// Execute trials with reordering + prefix caching across `n_threads`
@@ -157,21 +121,49 @@ pub fn run_reordered_parallel<R: Recorder + ?Sized>(
     n_threads: usize,
     recorder: &R,
 ) -> Result<RunResult, SimError> {
+    run_sliced(layered, trials, n_threads, Walk::Reuse, recorder)
+}
+
+/// The one chunk runner: split `walk`'s trial order at cost-balanced
+/// boundaries, run each slice on a scoped worker thread through one fused
+/// program, and merge the workers' outcomes and [`ExecStats`]. A baseline
+/// trial prices as a cold start; a reuse trial as the work past the
+/// prefix it shares with its predecessor.
+fn run_sliced<R: Recorder + ?Sized>(
+    layered: &LayeredCircuit,
+    trials: &[Trial],
+    n_threads: usize,
+    walk: Walk,
+    recorder: &R,
+) -> Result<RunResult, SimError> {
     check_register(layered)?;
     let threads = resolve_threads(n_threads, trials.len());
     if threads <= 1 || trials.is_empty() {
-        return ReuseExecutor::new(layered).run(trials, recorder);
+        return match walk {
+            Walk::Baseline => BaselineExecutor::new(layered).run(trials, recorder),
+            Walk::Reuse => ReuseExecutor::new(layered).run(trials, recorder),
+        };
     }
+    let span_start = recorder.now_ns();
+    // Order once, then hand each worker a contiguous slice of the order;
+    // both walks report outcomes against the caller's trial indices.
+    let (order, costs, span) = match walk {
+        Walk::Baseline => {
+            let costs = trials.iter().map(|t| estimate_marginal_cost(layered, None, t)).collect();
+            (input_order(trials), costs, "run/parallel-baseline")
+        }
+        Walk::Reuse => {
+            let order = sorted_order(trials);
+            let costs = order_costs(layered, trials, &order);
+            (order, costs, "run/parallel-reuse")
+        }
+    };
     // Verify the whole-set plan up front; workers re-verify their chunks as
     // sub-plans through the executors they call into.
     #[cfg(feature = "paranoid")]
-    crate::exec::paranoid_verify(layered, trials, usize::MAX)?;
-    let span_start = recorder.now_ns();
-    // Sort once, then hand each worker a contiguous slice of the order;
-    // the walk reports outcomes against the caller's trial indices.
-    let order = sorted_order(trials);
+    crate::exec::paranoid_verify(layered, trials, &order, usize::MAX)?;
     let program = fuse_for_trials_traced(layered, trials, recorder);
-    let bounds = balanced_boundaries(&order_costs(layered, trials, &order), threads);
+    let bounds = balanced_boundaries(&costs, threads);
 
     type ChunkResult = Result<(Vec<(usize, MeasureOutcome)>, ExecStats), SimError>;
     let results: Vec<ChunkResult> = std::thread::scope(|scope| {
@@ -184,14 +176,19 @@ pub fn run_reordered_parallel<R: Recorder + ?Sized>(
                 let program = &program;
                 scope.spawn(move || -> ChunkResult {
                     let mut outcomes = Vec::with_capacity(chunk.len());
-                    let stats = ReuseExecutor::new(layered).walk(
-                        program,
-                        trials,
-                        chunk,
-                        PrefixCache::Off,
-                        |index, outcome| outcomes.push((index, outcome)),
-                        recorder,
-                    )?;
+                    let sink = |index, outcome| outcomes.push((index, outcome));
+                    let stats = match walk {
+                        Walk::Baseline => BaselineExecutor::new(layered)
+                            .run_engine(program, trials, chunk, sink, recorder)?,
+                        Walk::Reuse => ReuseExecutor::new(layered).walk(
+                            program,
+                            trials,
+                            chunk,
+                            PrefixCache::Off,
+                            sink,
+                            recorder,
+                        )?,
+                    };
                     Ok((outcomes, stats))
                 })
             })
@@ -209,13 +206,14 @@ pub fn run_reordered_parallel<R: Recorder + ?Sized>(
             stats.ops += part_stats.ops;
             stats.fused_ops += part_stats.fused_ops;
             stats.amplitude_passes += part_stats.amplitude_passes;
-            // Workers hold their caches concurrently: peak memory is the sum.
+            // Workers hold their caches concurrently: peak memory is the
+            // sum (zero for the baseline, which caches nothing).
             stats.peak_msv += part_stats.peak_msv;
         }
         Ok(stats)
     })?;
     if recorder.enabled() {
-        recorder.span("run/parallel-reuse", span_start, recorder.now_ns());
+        recorder.span(span, span_start, recorder.now_ns());
     }
     Ok(result)
 }

@@ -196,10 +196,14 @@ pub struct Regression {
     pub worse_pct: f64,
 }
 
-/// Whether a metric is a wall-clock timing (environment-sensitive) one.
+/// Whether a metric is a wall-clock timing (environment-sensitive) one: a
+/// duration, or a ratio of durations (an overhead percentage, a speedup).
+/// Exact percentages, such as a prediction error, stay comparable across
+/// environments.
 fn is_timing(name: &str) -> bool {
     let last = name.rsplit('.').next().unwrap_or(name);
-    last.ends_with("_ms") || last.ends_with("_ns") || last.ends_with("_s")
+    ["_ms", "_ns", "_s", "_overhead_pct"].iter().any(|suffix| last.ends_with(suffix))
+        || last.contains("speedup")
 }
 
 /// Compare each source's newest record against the mean of its trailing
@@ -325,13 +329,22 @@ mod tests {
 
     #[test]
     fn timing_metrics_ignore_foreign_environments() {
-        let mut slow_env = record("telemetry", 0, &[("reuse_ms", 300.0), ("ops", 999.0)]);
+        let before = [("reuse_ms", 300.0), ("live_overhead_pct", 1.0), ("avx2_speedup", 9.0)];
+        let after = [("reuse_ms", 100.0), ("live_overhead_pct", 9.0), ("avx2_speedup", 1.0)];
+        let mut slow_env = record("telemetry", 0, &[&before[..], &[("ops", 999.0)]].concat());
         slow_env.env.cpus = 2;
         let records =
-            vec![slow_env, record("telemetry", 1, &[("reuse_ms", 100.0), ("ops", 420.0)])];
-        // reuse_ms has no same-env baseline → skipped; ops is exact and
-        // compares across envs, dropping from 999 to 420 is an improvement.
+            vec![slow_env, record("telemetry", 1, &[&after[..], &[("ops", 420.0)]].concat())];
+        // The timings and timing ratios have no same-env baseline → skipped,
+        // however far they moved; ops is exact and compares across envs,
+        // dropping from 999 to 420 is an improvement.
         assert_eq!(check(&records, DEFAULT_WINDOW, 5.0), Vec::new());
+        // Within one environment the same moves of the ratios are flagged.
+        let records = vec![record("telemetry", 0, &before), record("telemetry", 1, &after)];
+        let mut flagged: Vec<String> =
+            check(&records, DEFAULT_WINDOW, 5.0).into_iter().map(|r| r.metric).collect();
+        flagged.sort();
+        assert_eq!(flagged, ["avx2_speedup", "live_overhead_pct"]);
         // But an exact-metric increase across envs IS flagged.
         let mut foreign = record("telemetry", 0, &[("ops", 420.0)]);
         foreign.env.cpus = 2;

@@ -10,33 +10,39 @@
 //!
 //! Kernel classes, cheapest first:
 //!
-//! * **Phase / controlled phase** ([`StateVector::apply_phase1`] /
-//!   `apply_cphase2`) — multiply only the active half (quarter) of the
+//! * **Phase / controlled phase** ([`FusedOp::Phase1`] /
+//!   [`FusedOp::CPhase2`]) — multiply only the active half (quarter) of the
 //!   amplitudes.
-//! * **Diagonal / controlled diagonal** ([`StateVector::apply_diag1`] /
-//!   `apply_diag2` / `apply_cdiag1`) — one linear multiply sweep, no
-//!   gather.
-//! * **Permutation** ([`StateVector::apply_perm1`] / `apply_cx` /
-//!   `apply_perm2`) — moves amplitudes without arithmetic beyond a phase
-//!   factor.
-//! * **Controlled dense** ([`StateVector::apply_ctrl1`]) — a 2×2 update on
-//!   the half of the pairs where the control bit is set.
-//! * **Dense** ([`StateVector::apply_1q`] / `apply_2q`) — full
+//! * **Diagonal / controlled diagonal** ([`FusedOp::Diag1`] /
+//!   [`FusedOp::Diag2`] / [`FusedOp::CDiag1`]) — one linear multiply
+//!   sweep, no gather.
+//! * **Permutation** ([`FusedOp::Perm1`] / [`FusedOp::Cx`] /
+//!   [`FusedOp::Perm2`]) — moves amplitudes without arithmetic beyond a
+//!   phase factor.
+//! * **Controlled dense** ([`FusedOp::Ctrl1`]) — a 2×2 update on the half
+//!   of the pairs where the control bit is set.
+//! * **Dense** ([`FusedOp::Dense1`] / [`FusedOp::Dense2`]) — full
 //!   matrix-vector update.
+//!
+//! [`StateVector::apply_fused`](crate::StateVector::apply_fused) applies
+//! any of them in one pass.
 
 use crate::{Matrix2, Matrix4, StateVecError, C64};
 
 /// A fused operator bound to its qubits, tagged with its kernel class.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FusedOp {
-    /// One-qubit phase `diag(1, d1)` — multiplies only the bit-set half.
+    /// One-qubit phase `diag(1, d1)` — multiplies only the bit-set half,
+    /// half the multiplies of [`FusedOp::Diag1`]. Covers S, T, Rz up to
+    /// global phase, and any fused product of them.
     Phase1 {
         /// Phase applied where the qubit bit is set.
         d1: C64,
         /// Operand qubit.
         qubit: usize,
     },
-    /// Diagonal one-qubit operator `diag(d[0], d[1])`.
+    /// Diagonal one-qubit operator `diag(d[0], d[1])` — one linear sweep
+    /// with no gather/scatter.
     Diag1 {
         /// Diagonal entries.
         d: [C64; 2],
@@ -44,8 +50,9 @@ pub enum FusedOp {
         qubit: usize,
     },
     /// Phased one-qubit permutation (anti-diagonal 2×2): `new0 =
-    /// phase[0]·old1`, `new1 = phase[1]·old0`. Covers X, Y, and fused
-    /// phase·X products.
+    /// phase[0]·old1`, `new1 = phase[1]·old0`. Covers X (`[1, 1]`), Y
+    /// (`[-i, i]`) and fused phase·X products, with one multiply per
+    /// amplitude and no additions.
     Perm1 {
         /// Phase per destination row.
         phase: [C64; 2],
@@ -60,7 +67,8 @@ pub enum FusedOp {
         qubit: usize,
     },
     /// Controlled phase `diag(1, 1, 1, p)` — multiplies only the
-    /// both-bits-set quarter. Symmetric in its operands.
+    /// both-bits-set quarter. Symmetric in its operands. CZ is `p = −1`,
+    /// CPhase(θ) is `p = e^{iθ}`.
     CPhase2 {
         /// Phase applied where both bits are set.
         p: C64,
@@ -70,7 +78,9 @@ pub enum FusedOp {
         high: usize,
     },
     /// Controlled diagonal `diag(1, 1, d[0], d[1])` — `diag(d)` on
-    /// `target` where the `control` bit is set; touches half the array.
+    /// `target` where the `control` bit is set, the kernel for fused
+    /// CZ/CS/CRz products. Touches half the array, one multiply per touched
+    /// amplitude.
     CDiag1 {
         /// Diagonal entries of the active block.
         d: [C64; 2],
@@ -79,7 +89,9 @@ pub enum FusedOp {
         /// Target qubit.
         target: usize,
     },
-    /// Diagonal two-qubit operator over local index `2·bit(high)+bit(low)`.
+    /// Diagonal two-qubit operator over local index `2·bit(high)+bit(low)`
+    /// — one linear sweep that picks each factor once per run of
+    /// `2^min(low, high)` amplitudes.
     Diag2 {
         /// Diagonal entries.
         d: [C64; 4],
@@ -108,6 +120,8 @@ pub enum FusedOp {
         target: usize,
     },
     /// Phased two-qubit permutation: `new[r] = phase[r] · old[src[r]]`.
+    /// Covers CX/CZ/SWAP-like operators and their products with Paulis
+    /// without a dense 4×4 multiply; `src` must be a permutation of `0..4`.
     Perm2 {
         /// Source local index per destination row.
         src: [u8; 4],

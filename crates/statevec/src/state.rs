@@ -244,132 +244,6 @@ impl StateVector {
         self.apply_fused(&FusedOp::Dense2 { m: *m, low, high })
     }
 
-    /// Multiply each amplitude by the matching entry of a diagonal one-qubit
-    /// operator `diag(d[0], d[1])` on `qubit` — a single linear sweep with
-    /// no gather/scatter, the cheapest kernel class.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StateVecError::QubitOutOfRange`] for an invalid qubit.
-    pub fn apply_diag1(&mut self, d: &[C64; 2], qubit: usize) -> Result<(), StateVecError> {
-        self.apply_fused(&FusedOp::Diag1 { d: *d, qubit })
-    }
-
-    /// Multiply each amplitude by the matching entry of a diagonal two-qubit
-    /// operator on `(low, high)` (local index `2·bit(high) + bit(low)`, as
-    /// in [`Matrix4`]). A single linear sweep that picks each factor once
-    /// per run of `2^min(low, high)` amplitudes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StateVecError::QubitOutOfRange`] or
-    /// [`StateVecError::DuplicateQubit`].
-    pub fn apply_diag2(
-        &mut self,
-        d: &[C64; 4],
-        low: usize,
-        high: usize,
-    ) -> Result<(), StateVecError> {
-        self.apply_fused(&FusedOp::Diag2 { d: *d, low, high })
-    }
-
-    /// Multiply the amplitudes whose `qubit` bit is **set** by `d1` — the
-    /// one-qubit phase kernel `diag(1, d1)` (S, T, Rz up to global phase,
-    /// and any fused product of them). Touches half the array and performs
-    /// half the multiplies of [`StateVector::apply_diag1`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StateVecError::QubitOutOfRange`] for an invalid qubit.
-    pub fn apply_phase1(&mut self, d1: C64, qubit: usize) -> Result<(), StateVecError> {
-        self.apply_fused(&FusedOp::Phase1 { d1, qubit })
-    }
-
-    /// Apply a phased one-qubit permutation (an anti-diagonal 2×2): for
-    /// every pair, `new0 = phase[0] · old1` and `new1 = phase[1] · old0`.
-    /// Covers X (`[1, 1]`), Y (`[-i, i]`), and any fused phase·X product
-    /// with one multiply per amplitude and no additions.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StateVecError::QubitOutOfRange`] for an invalid qubit.
-    pub fn apply_perm1(&mut self, phase: &[C64; 2], qubit: usize) -> Result<(), StateVecError> {
-        self.apply_fused(&FusedOp::Perm1 { phase: *phase, qubit })
-    }
-
-    /// Apply a controlled phase `diag(1, 1, 1, p)` on the (symmetric) pair
-    /// `(qubit_a, qubit_b)`: multiply only the quarter of the amplitudes
-    /// with **both** bits set. CZ is `p = −1`, CPhase(θ) is `p = e^{iθ}`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StateVecError::QubitOutOfRange`] or
-    /// [`StateVecError::DuplicateQubit`].
-    pub fn apply_cphase2(
-        &mut self,
-        p: C64,
-        qubit_a: usize,
-        qubit_b: usize,
-    ) -> Result<(), StateVecError> {
-        self.apply_fused(&FusedOp::CPhase2 { p, low: qubit_a, high: qubit_b })
-    }
-
-    /// Apply a controlled diagonal `diag(d[0], d[1])` on `target`, active
-    /// only where the `control` bit is set — the kernel for fused CZ/CS/CRz
-    /// products `diag(1, 1, d0, d1)`. Touches half the array, one multiply
-    /// per touched amplitude.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StateVecError::QubitOutOfRange`] or
-    /// [`StateVecError::DuplicateQubit`].
-    pub fn apply_cdiag1(
-        &mut self,
-        d: &[C64; 2],
-        control: usize,
-        target: usize,
-    ) -> Result<(), StateVecError> {
-        self.apply_fused(&FusedOp::CDiag1 { d: *d, control, target })
-    }
-
-    /// Apply a controlled one-qubit unitary `u` on `target`, active only
-    /// where the `control` bit is set: a dense 2×2 update on **half** the
-    /// amplitude pairs (the other half is the identity block the dense 4×4
-    /// kernel would multiply through).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StateVecError::QubitOutOfRange`] or
-    /// [`StateVecError::DuplicateQubit`].
-    pub fn apply_ctrl1(
-        &mut self,
-        u: &Matrix2,
-        control: usize,
-        target: usize,
-    ) -> Result<(), StateVecError> {
-        self.apply_fused(&FusedOp::Ctrl1 { u: *u, control, target })
-    }
-
-    /// Apply a two-qubit phased permutation on `(low, high)`: for each group
-    /// of four amplitudes, `new[r] = phase[r] · old[src[r]]` over local
-    /// indices `2·bit(high) + bit(low)`. Covers CX/CZ/SWAP-like operators
-    /// and their products with Paulis without a dense 4×4 multiply.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StateVecError::QubitOutOfRange`],
-    /// [`StateVecError::DuplicateQubit`] or, unless `src` is a permutation
-    /// of `0..4`, [`StateVecError::InvalidPermutation`].
-    pub fn apply_perm2(
-        &mut self,
-        src: &[u8; 4],
-        phase: &[C64; 4],
-        low: usize,
-        high: usize,
-    ) -> Result<(), StateVecError> {
-        self.apply_fused(&FusedOp::Perm2 { src: *src, phase: *phase, low, high })
-    }
-
     /// Apply a Pauli error operator via a permutation/sign fast path. Counted
     /// as one basic operation, exactly like [`StateVector::apply_1q`].
     ///
