@@ -12,6 +12,12 @@
 //! path falls below `RATIO` — CI runs this as the "specialization pays for
 //! itself" regression gate.
 //!
+//! The class rows are followed by `dense2` rows that time the dense kernel
+//! itself at fixed `(low, high)` placements, in nanoseconds per amplitude
+//! on every copy (`portable_amp_ns`, `avx2_amp_ns`), so a faster dense
+//! kernel shows as a fall there rather than only as lower speedups above.
+//! They take no part in `mean_speedup`.
+//!
 //! Usage: `kernels [--qubits N] [--reps N] [--seed N] [--out PATH] [--check RATIO] [--record] [--quiet]`
 
 use std::time::Instant;
@@ -66,6 +72,52 @@ fn sweep_ms(state: &StateVector, reps: usize, ops: &[FusedOp], path: KernelPath)
     })
 }
 
+/// `(portable, avx2)` times of `ops` from `state`, best of `reps`;
+/// `NaN` for a copy this CPU cannot run.
+fn per_copy_ms(state: &StateVector, reps: usize, ops: &[FusedOp]) -> (f64, f64) {
+    let (mut portable_ms, mut avx2_ms) = (f64::NAN, f64::NAN);
+    for &path in KernelPath::supported() {
+        let ms = sweep_ms(state, reps, ops, path);
+        match path {
+            KernelPath::Portable => portable_ms = ms,
+            KernelPath::Avx2 => avx2_ms = ms,
+        }
+    }
+    (portable_ms, avx2_ms)
+}
+
+/// Applications of the one op per timed sweep of a placement row.
+const PLACEMENT_APPLIES: usize = 16;
+
+/// The `(low, high)` placements of the `dense2` rows on a 16-qubit state:
+/// operand 0 in both roles and with its neighbour, two operands ≥ 1, and
+/// the highest pair.
+const DENSE2_PLACEMENTS: [(usize, usize); 5] = [(0, 1), (0, 9), (9, 0), (3, 9), (14, 15)];
+
+/// One `dense2` placement: nanoseconds per amplitude on each copy.
+struct PlacementRow {
+    low: usize,
+    high: usize,
+    portable_ns: f64,
+    /// `NaN` (rendered `null`) when this CPU lacks AVX2.
+    avx2_ns: f64,
+}
+
+/// Time `Dense2 { m, low, high }` on every supported copy, in
+/// nanoseconds per amplitude of `state`.
+fn placement_row(
+    state: &StateVector,
+    reps: usize,
+    m: &Matrix4,
+    low: usize,
+    high: usize,
+) -> PlacementRow {
+    let ops = vec![FusedOp::Dense2 { m: *m, low, high }; PLACEMENT_APPLIES];
+    let ns_per_ms = 1e6 / (PLACEMENT_APPLIES << state.n_qubits()) as f64;
+    let (portable_ms, avx2_ms) = per_copy_ms(state, reps, &ops);
+    PlacementRow { low, high, portable_ns: portable_ms * ns_per_ms, avx2_ns: avx2_ms * ns_per_ms }
+}
+
 /// Time a specialized sweep on every supported kernel copy, and the dense
 /// sweep of the equivalent matrices on the detected one.
 fn row(
@@ -75,15 +127,7 @@ fn row(
     specialized: &[FusedOp],
     dense: &[FusedOp],
 ) -> Row {
-    let mut portable_ms = f64::NAN;
-    let mut avx2_ms = f64::NAN;
-    for &path in KernelPath::supported() {
-        let ms = sweep_ms(state, reps, specialized, path);
-        match path {
-            KernelPath::Portable => portable_ms = ms,
-            KernelPath::Avx2 => avx2_ms = ms,
-        }
-    }
+    let (portable_ms, avx2_ms) = per_copy_ms(state, reps, specialized);
     let specialized_ms = match KernelPath::detected() {
         KernelPath::Portable => portable_ms,
         KernelPath::Avx2 => avx2_ms,
@@ -199,6 +243,14 @@ fn main() {
 
     let mean_speedup = rows.iter().map(Row::speedup).sum::<f64>() / rows.len() as f64;
 
+    // A dense entangling matrix: local gates after a CX.
+    let dense2_m = Matrix4::kron(&h, &Matrix2::rz(theta)) * Matrix4::cx();
+    let placements: Vec<PlacementRow> = DENSE2_PLACEMENTS
+        .iter()
+        .filter(|&&(low, high)| low.max(high) < n_qubits)
+        .map(|&(low, high)| placement_row(&state, reps, &dense2_m, low, high))
+        .collect();
+
     let kernel_path = KernelPath::detected().name();
     let doc = ResultsDoc::new("kernels")
         .int("qubits", n_qubits)
@@ -207,17 +259,29 @@ fn main() {
         .field("kernel_path", json::string(kernel_path))
         .field(
             "rows",
-            json::array(rows.iter().map(|row| {
-                json::object(&[
-                    ("kernel", json::string(row.kernel)),
-                    ("specialized_ms", json::number(row.specialized_ms)),
-                    ("dense_ms", json::number(row.dense_ms)),
-                    ("speedup", json::number(row.speedup())),
-                    ("portable_ms", json::number(row.portable_ms)),
-                    ("avx2_ms", json::number(row.avx2_ms)),
-                    ("avx2_speedup", json::number(row.avx2_speedup())),
-                ])
-            })),
+            json::array(
+                rows.iter()
+                    .map(|row| {
+                        json::object(&[
+                            ("kernel", json::string(row.kernel)),
+                            ("specialized_ms", json::number(row.specialized_ms)),
+                            ("dense_ms", json::number(row.dense_ms)),
+                            ("speedup", json::number(row.speedup())),
+                            ("portable_ms", json::number(row.portable_ms)),
+                            ("avx2_ms", json::number(row.avx2_ms)),
+                            ("avx2_speedup", json::number(row.avx2_speedup())),
+                        ])
+                    })
+                    .chain(placements.iter().map(|row| {
+                        json::object(&[
+                            ("kernel", json::string("dense2")),
+                            ("low", row.low.to_string()),
+                            ("high", row.high.to_string()),
+                            ("portable_amp_ns", json::number(row.portable_ns)),
+                            ("avx2_amp_ns", json::number(row.avx2_ns)),
+                        ])
+                    })),
+            ),
         )
         .field("mean_speedup", json::number(mean_speedup));
     doc.write_file(&out);
@@ -250,6 +314,15 @@ fn main() {
         );
         println!("{table}");
         println!("mean speedup {mean_speedup:.2}x");
+        let mut table = Table::new(["dense2 (low, high)", "Portable", "AVX2"]);
+        for row in &placements {
+            table.row([
+                format!("({}, {})", row.low, row.high),
+                format!("{:.3} ns/amp", row.portable_ns),
+                format!("{:.3} ns/amp", row.avx2_ns),
+            ]);
+        }
+        println!("{table}");
         println!("results written to {out}");
     }
 

@@ -11,6 +11,24 @@
 //! copies agree bit for bit and differ only in vector width
 //! (`tests/kernel_golden.rs` pins the bits on every path).
 //!
+//! One class has a second body. The AVX2 copy applies `dense2` with
+//! explicit vectors, two groups of four amplitudes per set of four 256-bit
+//! vectors (`dense2_pairs`), because the loop vectorizer builds a body
+//! about half as fast. It computes each product `m·a` as
+//! `addsub(m.re·a, m.im·swap(a))`, which is `C64`'s
+//! `(m.re·a.re − m.im·a.im, m.re·a.im + m.im·a.re)` operand for operand,
+//! sums each row in the portable body's order, uses no FMA, and pins the
+//! `C64` layout its loads assume in a `const` assertion. The portable copy
+//! keeps the plain body: it is the only path on CPUs without AVX2, and the
+//! one Miri interprets.
+//!
+//! The agreement holds for every result that is not a NaN. An infinite or
+//! NaN operand can give NaNs whose bits differ between the copies: LLVM
+//! treats floating-point addition and multiplication as commutative and
+//! may swap their operands, and x86 returns the first operand's NaN. No
+//! accepted input makes such an operand, since the front end rejects
+//! non-finite angles.
+//!
 //! The sweeps are stride-aware: they walk runs of `2^q` neighbouring
 //! amplitudes, `q` the lowest operand, instead of computing one index per
 //! amplitude. Each output amplitude is still computed by one expression
@@ -110,11 +128,17 @@ fn portable(amps: &mut [C64], kernel: Kernel<'_>) {
 }
 
 /// The same dispatch compiled with AVX2 enabled. Only [`run`] calls it,
-/// after checking the CPU.
+/// after checking the CPU. A dense 4×4 update of a register that holds at
+/// least two groups of four takes [`dense2_pairs`] instead of [`dense2`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn avx2(amps: &mut [C64], kernel: Kernel<'_>) {
-    dispatch(amps, kernel);
+    match kernel {
+        Kernel::Fused(FusedOp::Dense2 { m, low, high }) if amps.len() >= 8 => {
+            dense2_pairs(amps, m, *low, *high);
+        }
+        _ => dispatch(amps, kernel),
+    }
 }
 
 /// The one dispatch: every kernel body is inlined here, so each compiled
@@ -531,6 +555,115 @@ fn dense2(amps: &mut [C64], m: &Matrix4, low: usize, high: usize) {
     });
 }
 
+// The vendored `Complex` has no `#[repr(C)]`: pin the layout the vector
+// loads and stores of `dense2_pairs` assume, `re` then `im` in 16 bytes.
+#[cfg(target_arch = "x86_64")]
+const _: () = assert!(
+    size_of::<C64>() == 16
+        && std::mem::offset_of!(C64, re) == 0
+        && std::mem::offset_of!(C64, im) == 8
+);
+
+/// [`dense2`] for the AVX2 copy, two groups of four amplitudes at a time
+/// in four 256-bit vectors: vector `a_k` holds local amplitude `k` of both
+/// groups. Each output is `((t_r0 + t_r1) + t_r2) + t_r3` with
+/// `t_rk = addsub(re·a_k, im·swap(a_k))`, which is
+/// `(m.re·a.re − m.im·a.im, m.re·a.im + m.im·a.re)`: the same products, the
+/// same subtraction and addition, in the same order, as `C64`'s `m * a` in
+/// [`dense2`], so both copies write the same bits. The register must hold
+/// at least two groups (eight amplitudes).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn dense2_pairs(amps: &mut [C64], m: &Matrix4, low: usize, high: usize) {
+    use std::arch::x86_64::{
+        __m256d, _mm256_add_pd, _mm256_addsub_pd, _mm256_loadu_pd, _mm256_mul_pd,
+        _mm256_permute2f128_pd, _mm256_permute_pd, _mm256_set1_pd, _mm256_setzero_pd,
+        _mm256_storeu_pd,
+    };
+    // Closures inherit this function's target features, so each one runs
+    // AVX2 code even where the optimizer keeps it out of line.
+    let load = |pair: &[C64; 2]| {
+        // SAFETY: `pair` is 32 readable bytes holding four `f64`s (layout
+        // pinned above); an unaligned load has no alignment requirement.
+        unsafe { _mm256_loadu_pd(pair.as_ptr().cast()) }
+    };
+    let store = |pair: &mut [C64; 2], v: __m256d| {
+        // SAFETY: `pair` is 32 writable bytes holding four `f64`s (layout
+        // pinned above); an unaligned store has no alignment requirement.
+        unsafe { _mm256_storeu_pd(pair.as_mut_ptr().cast(), v) }
+    };
+    // `(m.re, m.im)` of every entry, broadcast to all four lanes.
+    let mut coef = [[(_mm256_setzero_pd(), _mm256_setzero_pd()); 4]; 4];
+    for (row, entries) in coef.iter_mut().zip(&m.0) {
+        for (c, e) in row.iter_mut().zip(entries) {
+            *c = (_mm256_set1_pd(e.re), _mm256_set1_pd(e.im));
+        }
+    }
+    let product = |a: [__m256d; 4]| -> [__m256d; 4] {
+        // `(a.im, a.re)` of every amplitude.
+        let s = [
+            _mm256_permute_pd::<0b0101>(a[0]),
+            _mm256_permute_pd::<0b0101>(a[1]),
+            _mm256_permute_pd::<0b0101>(a[2]),
+            _mm256_permute_pd::<0b0101>(a[3]),
+        ];
+        let row = |r: usize| {
+            let t = |k: usize| {
+                let (re, im) = coef[r][k];
+                _mm256_addsub_pd(_mm256_mul_pd(re, a[k]), _mm256_mul_pd(im, s[k]))
+            };
+            _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(t(0), t(1)), t(2)), t(3))
+        };
+        [row(0), row(1), row(2), row(3)]
+    };
+    if low.min(high) > 0 {
+        // Neighbouring groups share every run: one load per local index.
+        local_quads!(amps, low, high, |r0, r1, r2, r3| {
+            let (r0, r1) = (r0.as_chunks_mut::<2>().0, r1.as_chunks_mut::<2>().0);
+            let (r2, r3) = (r2.as_chunks_mut::<2>().0, r3.as_chunks_mut::<2>().0);
+            for p in 0..r0.len() {
+                let out = product([load(&r0[p]), load(&r1[p]), load(&r2[p]), load(&r3[p])]);
+                store(&mut r0[p], out[0]);
+                store(&mut r1[p], out[1]);
+                store(&mut r2[p], out[2]);
+                store(&mut r3[p], out[3]);
+            }
+        });
+        return;
+    }
+    // Operand 0: one load holds the two amplitudes of a group that differ in
+    // bit 0. Pair each group with the next one, two amplitudes on (bit 1),
+    // or four for operands (0, 1) (bit 2), and transpose the two loads into
+    // one vector per amplitude of both groups. The walk over runs of two
+    // yields `x0`, `x1`, the two groups with bit `other` clear, and `y0`,
+    // `y1`, the two with it set.
+    let other = low.max(high);
+    let low_is_zero = low == 0;
+    // [u.low 128 bits, v.low 128 bits] and the same for the high halves.
+    let lows = |u, v| _mm256_permute2f128_pd::<0x20>(u, v);
+    let highs = |u, v| _mm256_permute2f128_pd::<0x31>(u, v);
+    #[inline(always)]
+    fn pair(run: &mut [C64]) -> &mut [C64; 2] {
+        run.try_into().expect("runs of two")
+    }
+    quad_runs!(amps, 1, if other == 1 { 2 } else { other }, |r00, r01, r10, r11| {
+        let (x1, y0) = if other == 1 { (r10, r01) } else { (r01, r10) };
+        let (x0, x1, y0, y1) = (pair(r00), pair(x1), pair(y0), pair(r11));
+        let (vx0, vx1, vy0, vy1) = (load(x0), load(x1), load(y0), load(y1));
+        // Bit 0 clear and set, with bit `other` clear (`b`) and set (`c`).
+        let (b0, b1) = (lows(vx0, vx1), highs(vx0, vx1));
+        let (c0, c1) = (lows(vy0, vy1), highs(vy0, vy1));
+        // Local index `2·bit(high) + bit(low)`: bit 0 is `low` or `high`.
+        let a = if low_is_zero { [b0, b1, c0, c1] } else { [b0, c0, b1, c1] };
+        let [o0, o1, o2, o3] = product(a);
+        let (b0, b1, c0, c1) = if low_is_zero { (o0, o1, o2, o3) } else { (o0, o2, o1, o3) };
+        store(x0, lows(b0, b1));
+        store(x1, highs(b0, b1));
+        store(y0, lows(c0, c1));
+        store(y1, highs(c0, c1));
+    });
+}
+
 /// Toffoli: swap the target halves where both controls are set. Walks the
 /// two highest operands as runs and the lowest inside them.
 #[inline(always)]
@@ -700,6 +833,15 @@ mod tests {
                 *entry = c(0.1 * (r + 1) as f64, -0.07 * (k + 2) as f64);
             }
         }
+        // Signed zeros and subnormals, whose products and sums depend on
+        // the exact operations and their order.
+        let (z, s, t) = (-0.0, 5e-324, 2.2e-308);
+        let m4_edge = Matrix4([
+            [c(z, 0.0), c(0.0, z), c(z, z), c(s, -s)],
+            [c(t, z), c(-s, 0.0), c(0.0, 0.0), c(z, t)],
+            [c(0.6, z), c(z, 0.8), c(s, 1.0), c(-1.0, t)],
+            [c(0.0, 0.0), c(0.3, -0.4), c(z, z), c(0.7, 0.1)],
+        ]);
         let (p, q, u, v) = (c(0.6, 0.8), c(-0.8, 0.6), c(0.0, 1.0), c(0.28, -0.96));
         let mut cases = Vec::new();
         let mut fused = |op| cases.push(Case::Fused(Box::new(op)));
@@ -718,6 +860,7 @@ mod tests {
                 fused(FusedOp::Ctrl1 { u: m2, control: a, target: b });
                 fused(FusedOp::Perm2 { src: [2, 0, 3, 1], phase: [p, q, u, v], low: a, high: b });
                 fused(FusedOp::Dense2 { m: m4, low: a, high: b });
+                fused(FusedOp::Dense2 { m: m4_edge, low: a, high: b });
                 for t in (0..n).filter(|&t| t != a && t != b) {
                     fused(FusedOp::Ccx { control_a: a, control_b: b, target: t });
                 }
@@ -731,6 +874,11 @@ mod tests {
         cases
     }
 
+    /// The bit patterns of `amps`, so that `-0.0` and `0.0` differ.
+    fn bits(amps: &[C64]) -> Vec<[u64; 2]> {
+        amps.iter().map(|a| [a.re.to_bits(), a.im.to_bits()]).collect()
+    }
+
     /// Under Miri only the portable copy is supported, and n ≤ 6 keeps the
     /// interpreter fast; n = 6 reaches the long-run arms of both walkers.
     #[test]
@@ -738,11 +886,11 @@ mod tests {
         for n in 1..=6 {
             let start = state(n);
             for case in every_placement(n) {
-                let want = indexed(start.amplitudes(), case.kernel());
+                let want = bits(&indexed(start.amplitudes(), case.kernel()));
                 for &path in KernelPath::supported() {
                     let mut amps = start.amplitudes().to_vec();
                     run(&mut amps, case.kernel(), path).expect("supported path runs");
-                    assert_eq!(amps, want, "n = {n} on {path:?}: {case:?}");
+                    assert_eq!(bits(&amps), want, "n = {n} on {path:?}: {case:?}");
                 }
             }
         }

@@ -1,11 +1,14 @@
 //! The live snapshot plane: in-flight aggregation of executor progress
 //! into a versioned [`LiveSnapshot`], atomically published to disk.
 //!
-//! [`LiveRecorder`] is an all-atomic [`Recorder`]: every field is an
-//! `AtomicU64`, so executor threads update it without locks and a
-//! concurrent reader can take a racy-but-coherent [`LiveSnapshot`] at any
-//! moment (the *final* snapshot, taken after the run returns, is exact —
-//! the live matrix test reconciles it bitwise against `ExecStats`).
+//! [`LiveRecorder`] is a [`Recorder`] whose counters are `AtomicU64`s, so
+//! executor threads update them without locks and a concurrent reader can
+//! take a racy-but-coherent [`LiveSnapshot`] at any moment (the *final*
+//! snapshot, taken after the run returns, is exact — the live matrix test
+//! reconciles it bitwise against `ExecStats`). The heartbeat gauges are
+//! kept per worker thread, in a table locked once per heartbeat, and the
+//! snapshot sums them, so a parallel run's final gauges do not depend on
+//! which worker reported last.
 //!
 //! [`LivePublisher`] wraps a [`LiveRecorder`] and, on each heartbeat past
 //! a configurable interval, atomically rewrites `live.json` (and a
@@ -24,6 +27,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::thread::ThreadId;
 
 use crate::clock::Clock;
 use crate::json::{escape, Json};
@@ -63,7 +67,8 @@ pub struct LiveSnapshot {
     pub trials_done: u64,
     /// Total trials the run will execute.
     pub trials_total: u64,
-    /// Most recent heartbeat depth (prefix-trie depth or layer count).
+    /// Deepest of the workers' most recent heartbeat depths (prefix-trie
+    /// depth or layer count).
     pub depth: u64,
     /// Kernel applications observed (fused kernels + error operators);
     /// equals `amplitude_passes` at the end of an uncached run.
@@ -88,9 +93,12 @@ pub struct LiveSnapshot {
     pub msv_resident: u64,
     /// Peak MSV residency observed.
     pub msv_peak: u64,
-    /// Most recent heartbeat's resident amplitude bytes.
+    /// Resident amplitude bytes: the sum of the workers' most recent
+    /// heartbeat gauges.
     pub resident_bytes: u64,
-    /// Peak resident amplitude bytes observed.
+    /// Peak resident amplitude bytes: the sum of each worker's peak gauge,
+    /// exact for one worker and an upper bound for several (the rule of
+    /// `ExecStats::peak_msv` for parallel runs).
     pub peak_resident_bytes: u64,
 }
 
@@ -349,8 +357,8 @@ impl LiveSnapshot {
     }
 }
 
-/// An all-atomic [`Recorder`] aggregating the live-plane vocabulary (see
-/// the module docs above).
+/// A [`Recorder`] aggregating the live-plane vocabulary (see the module
+/// docs above).
 #[derive(Debug)]
 pub struct LiveRecorder {
     clock: Clock,
@@ -360,7 +368,7 @@ pub struct LiveRecorder {
     heartbeats: AtomicU64,
     trials_done: AtomicU64,
     trials_total: u64,
-    depth: AtomicU64,
+    workers: Mutex<Vec<WorkerGauges>>,
     passes: AtomicU64,
     ops: AtomicU64,
     fused_ops: AtomicU64,
@@ -372,8 +380,17 @@ pub struct LiveRecorder {
     cache_misses: AtomicU64,
     msv_resident: AtomicU64,
     msv_peak: AtomicU64,
-    resident_bytes: AtomicU64,
-    peak_resident_bytes: AtomicU64,
+}
+
+/// The heartbeat gauges of one worker thread. A parallel run hands one
+/// recorder to every worker, and each worker reports its own executor's
+/// gauges.
+#[derive(Debug)]
+struct WorkerGauges {
+    thread: ThreadId,
+    depth: u64,
+    resident_bytes: u64,
+    peak_resident_bytes: u64,
 }
 
 fn store_max(slot: &AtomicU64, value: u64) {
@@ -392,7 +409,7 @@ impl LiveRecorder {
             heartbeats: AtomicU64::new(0),
             trials_done: AtomicU64::new(0),
             trials_total,
-            depth: AtomicU64::new(0),
+            workers: Mutex::new(Vec::new()),
             passes: AtomicU64::new(0),
             ops: AtomicU64::new(0),
             fused_ops: AtomicU64::new(0),
@@ -404,14 +421,16 @@ impl LiveRecorder {
             cache_misses: AtomicU64::new(0),
             msv_resident: AtomicU64::new(0),
             msv_peak: AtomicU64::new(0),
-            resident_bytes: AtomicU64::new(0),
-            peak_resident_bytes: AtomicU64::new(0),
         }
     }
 
     /// Take a snapshot. Mid-run it is racy-but-coherent (each field
     /// individually valid); after the run returns it is exact.
     pub fn snapshot(&self) -> LiveSnapshot {
+        let workers = self.workers.lock().expect("worker gauges poisoned");
+        let total = |gauge: fn(&WorkerGauges) -> u64| {
+            workers.iter().map(gauge).fold(0, u64::saturating_add)
+        };
         LiveSnapshot {
             version: LIVE_VERSION,
             strategy: self.strategy.clone(),
@@ -421,7 +440,7 @@ impl LiveRecorder {
             heartbeats: self.heartbeats.load(ORD),
             trials_done: self.trials_done.load(ORD),
             trials_total: self.trials_total,
-            depth: self.depth.load(ORD),
+            depth: workers.iter().map(|w| w.depth).max().unwrap_or(0),
             passes: self.passes.load(ORD),
             ops: self.ops.load(ORD),
             fused_ops: self.fused_ops.load(ORD),
@@ -433,8 +452,8 @@ impl LiveRecorder {
             cache_misses: self.cache_misses.load(ORD),
             msv_resident: self.msv_resident.load(ORD),
             msv_peak: self.msv_peak.load(ORD),
-            resident_bytes: self.resident_bytes.load(ORD),
-            peak_resident_bytes: self.peak_resident_bytes.load(ORD),
+            resident_bytes: total(|w| w.resident_bytes),
+            peak_resident_bytes: total(|w| w.peak_resident_bytes),
         }
     }
 }
@@ -485,9 +504,21 @@ impl Recorder for LiveRecorder {
     fn heartbeat(&self, hb: Heartbeat) {
         self.heartbeats.fetch_add(1, ORD);
         self.trials_done.fetch_add(hb.completed, ORD);
-        self.depth.store(hb.depth, ORD);
-        self.resident_bytes.store(hb.resident_bytes, ORD);
-        store_max(&self.peak_resident_bytes, hb.resident_bytes);
+        let thread = std::thread::current().id();
+        let mut workers = self.workers.lock().expect("worker gauges poisoned");
+        let at = match workers.iter().position(|w| w.thread == thread) {
+            Some(at) => at,
+            None => {
+                let new =
+                    WorkerGauges { thread, depth: 0, resident_bytes: 0, peak_resident_bytes: 0 };
+                workers.push(new);
+                workers.len() - 1
+            }
+        };
+        let worker = &mut workers[at];
+        worker.depth = hb.depth;
+        worker.resident_bytes = hb.resident_bytes;
+        worker.peak_resident_bytes = worker.peak_resident_bytes.max(hb.resident_bytes);
     }
 }
 
@@ -802,6 +833,27 @@ mod tests {
         assert_eq!((snap.trials_done, snap.trials_total), (3, 3));
         assert_eq!(snap.depth, 1);
         assert_eq!((snap.resident_bytes, snap.peak_resident_bytes), (320, 640));
+    }
+
+    #[test]
+    fn final_gauges_do_not_depend_on_which_worker_reported_last() {
+        let hb = |depth, resident_bytes| Heartbeat { completed: 1, depth, resident_bytes };
+        let beats = [vec![hb(3, 1536), hb(2, 1024)], vec![hb(1, 512)]];
+        let run = |order: [usize; 2]| {
+            let live = LiveRecorder::new(&meta(), 3);
+            for worker in order {
+                // One thread per worker, finished before the next starts.
+                std::thread::scope(|scope| {
+                    scope.spawn(|| beats[worker].iter().for_each(|&beat| live.heartbeat(beat)));
+                });
+            }
+            LiveSnapshot { elapsed_ns: 0, ..live.snapshot() }
+        };
+        let (first, second) = (run([0, 1]), run([1, 0]));
+        assert_eq!(first, second);
+        assert_eq!(first.depth, 2);
+        assert_eq!((first.resident_bytes, first.peak_resident_bytes), (1024 + 512, 1536 + 512));
+        assert_eq!(first.cross_check(), Vec::<String>::new());
     }
 
     #[test]

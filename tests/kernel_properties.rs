@@ -9,11 +9,14 @@
 //! * Permutation kernels preserve the norm — exactly (bitwise) when their
 //!   phases are drawn from `{±1, ±i}`, whose products with amplitudes are
 //!   sign/component swaps.
+//! * Every compiled kernel copy writes the same bits for the dense 4×4
+//!   kernel, on any finite matrix and state, at any placement.
 
+use proptest::collection;
 use proptest::prelude::*;
 
 use noisy_qsim::redsim::testkit::random_state;
-use noisy_qsim::statevec::{FusedOp, Matrix2, Matrix4, StateVector, C64};
+use noisy_qsim::statevec::{FusedOp, KernelPath, Matrix2, Matrix4, StateVector, C64};
 
 const TOL: f64 = 1e-12;
 
@@ -49,6 +52,35 @@ fn arb_2q_kernel_matrix() -> impl Strategy<Value = Matrix4> {
         Just(Matrix4::swap()),
         (arb_u(), arb_u()).prop_map(|(a, b)| Matrix4::kron(&a, &b)),
     ]
+}
+
+/// A finite `f64` from each class whose products and sums are most
+/// sensitive to the exact operations: signed zeros, the smallest
+/// subnormal, a subnormal just below the smallest normal, entries whose
+/// products reach 1e300 (sums of four stay finite), and ordinary values,
+/// listed twice so that they make up a fifth of the draws.
+fn arb_edge_f64() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(0.0),
+        Just(-0.0),
+        Just(5e-324),
+        Just(-5e-324),
+        Just(2.2e-308),
+        Just(-2.2e-308),
+        Just(1e150),
+        Just(-1e150),
+        -2.0f64..2.0,
+        -2.0f64..2.0,
+    ]
+}
+
+fn arb_edge_c64() -> impl Strategy<Value = C64> {
+    (arb_edge_f64(), arb_edge_f64()).prop_map(|(re, im)| C64::new(re, im))
+}
+
+/// The bit patterns of a state, so that `-0.0` and `0.0` differ.
+fn bits(s: &StateVector) -> Vec<[u64; 2]> {
+    s.amplitudes().iter().map(|a| [a.re.to_bits(), a.im.to_bits()]).collect()
 }
 
 fn max_deviation(a: &StateVector, b: &StateVector) -> f64 {
@@ -172,5 +204,35 @@ proptest! {
         prop_assert_eq!(op.kernel_name(), "perm1");
         s.apply_fused(&op).unwrap();
         prop_assert!((s.norm_sqr() - 1.0).abs() <= TOL);
+    }
+
+    #[test]
+    fn dense2_copies_agree_bitwise_on_any_finite_matrix(
+        n in 2usize..11,
+        role in 0usize..3,
+        a in 0usize..10,
+        b in 0usize..9,
+        entries in collection::vec(arb_edge_c64(), 16),
+        amps in collection::vec(arb_edge_c64(), 1024),
+    ) {
+        if !KernelPath::supported().contains(&KernelPath::Avx2) {
+            return Ok(());
+        }
+        // Operand 0 as `low`, as `high`, or anywhere: it is the placement
+        // where the copies' loops differ most.
+        let other = 1 + b % (n - 1);
+        let (low, high) = match role {
+            0 => (0, other),
+            1 => (other, 0),
+            _ => (a % n, (a % n + other) % n),
+        };
+        let m = Matrix4(std::array::from_fn(|r| std::array::from_fn(|k| entries[4 * r + k])));
+        let op = FusedOp::Dense2 { m, low, high };
+        let start = StateVector::from_amplitudes(&amps[..1 << n]).unwrap();
+        let mut portable = start.clone();
+        portable.apply_fused_on(&op, KernelPath::Portable).unwrap();
+        let mut avx2 = start;
+        avx2.apply_fused_on(&op, KernelPath::Avx2).unwrap();
+        prop_assert!(bits(&avx2) == bits(&portable), "n = {n}, (low, high) = ({low}, {high})");
     }
 }
