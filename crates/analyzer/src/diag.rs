@@ -35,8 +35,7 @@ macro_rules! diag_codes {
         /// Stable identifier for one plan invariant, grouped by pass:
         /// `MSV*` (cache-schedule borrow checker), `FUS*` (fusion-cut
         /// soundness), `TRL*` (trial-set lints), `NSE*` (noise-model
-        /// lints), `CIR*` (circuit lints), `A2*` (structure classifier
-        /// and strategy advisor).
+        /// lints), `CIR*` (circuit lints), `A2*` (strategy advisor).
         #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
         #[allow(clippy::upper_case_acronyms)]
         pub enum DiagCode {
@@ -112,12 +111,9 @@ diag_codes! {
     CouplingViolation => ("CIR002", Error, "a multi-qubit gate spans qubits the coupling map does not connect"),
     NonUnitaryGate => ("CIR003", Error, "a gate's matrix is not unitary (e.g. a NaN rotation angle)"),
     InvalidMeasurement => ("CIR004", Error, "a measurement maps an out-of-range qubit or classical bit, or reuses a classical bit"),
-    // ---- Structure classifier & strategy advisor ----
-    SegmentClassMismatch => ("A201", Error, "a claimed segment structure class disagrees with reclassification or dense-matrix verification"),
-    FrameVerdictMismatch => ("A202", Error, "a claimed Pauli-frame trackability verdict disagrees with symbolic recommutation"),
+    // ---- Strategy advisor ----
     CostPredictionMismatch => ("A203", Error, "a claimed strategy cost prediction disagrees with the analytic cost model"),
     SuboptimalStrategy => ("A204", Warning, "the declared strategy is predicted to cost more amplitude passes than the ranked best"),
-    FrameTrackableSet => ("A205", Warning, "most trials are fully frame-trackable; tracking their Pauli frames (no executor does) is predicted to save amplitude passes over the declared strategy"),
 }
 
 impl fmt::Display for DiagCode {

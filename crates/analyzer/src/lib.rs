@@ -16,9 +16,9 @@
 //!   stream produced by [`replay_schedule`], the one symbolic replay of
 //!   `redsim`'s streaming loop; [`CostReport::replayed`] folds it into the
 //!   paper's metrics, the advisor into pass counts.
-//! * [`verify`] runs six passes — the MSV borrow checker, fusion-cut
-//!   soundness, trial-set lints, circuit lints, structure-classification
-//!   cross-checks, and the strategy advisor — and returns structured
+//! * [`verify`] runs five passes — the MSV borrow checker, fusion-cut
+//!   soundness, trial-set lints, circuit lints, and the strategy advisor —
+//!   and returns structured
 //!   [`Diagnostic`]s with stable [`DiagCode`]s (`MSV*`, `FUS*`, `TRL*`,
 //!   `NSE*`, `CIR*`, `A2*`; the full table lives in `docs/DIAGNOSTICS.md`).
 //! * [`render_tty`] prints them human-readably; with the `serde` feature
@@ -54,14 +54,11 @@ pub use canon::{model_digest, prefix_fingerprint, StableHasher};
 pub use cost::CostReport;
 pub use diag::{has_errors, render_tty, DiagCode, Diagnostic, Location, Severity};
 pub use mutate::Mutation;
-pub use passes::advisor::{
-    advise, commute_frame, Advice, CommutedFrame, InjectionVerdict, Strategy, StrategyPrediction,
-};
-pub use passes::structure::{SegmentClass, SegmentStructure};
+pub use passes::advisor::{advise, Advice, Strategy, StrategyPrediction};
 pub use plan::{compile_schedule, replay_schedule, ExecutionPlan, FrameId, ScheduleOp, ROOT_FRAME};
 
 /// Run every verifier pass over `plan` and collect the findings, in pass
-/// order (borrow checker, fusion, trial set, circuit, structure, advisor).
+/// order (borrow checker, fusion, trial set, circuit, advisor).
 /// An empty result means the plan upholds every checked invariant; any
 /// [`Severity::Error`] means executing it could produce wrong results.
 pub fn verify(plan: &ExecutionPlan<'_>) -> Vec<Diagnostic> {
@@ -69,7 +66,6 @@ pub fn verify(plan: &ExecutionPlan<'_>) -> Vec<Diagnostic> {
     diags.extend(passes::fusion::check(plan));
     diags.extend(passes::trials::check(plan));
     diags.extend(passes::circuit::check(plan));
-    diags.extend(passes::structure::check(plan));
     diags.extend(passes::advisor::check(plan));
     diags
 }

@@ -13,7 +13,6 @@ use qsim_noise::{compare_trials, Injection, PauliWeights, Trial};
 use qsim_statevec::{FusedOp, Pauli};
 
 use crate::diag::DiagCode;
-use crate::passes::structure::SegmentClass;
 use crate::plan::{ExecutionPlan, ScheduleOp};
 
 /// One seeded corruption of a compiled plan.
@@ -42,10 +41,6 @@ pub enum Mutation {
     OutOfRangeLayer,
     /// Corrupt the noise model with a channel whose total exceeds 1.
     UnnormalizedModel,
-    /// Flip a claimed segment structure class (requires attached advice).
-    MisclassifySegment,
-    /// Flip one claimed Pauli-frame trackability verdict.
-    FlipFrameVerdict,
     /// Skew the best-ranked strategy's claimed amplitude-pass count.
     SkewCostModel,
 }
@@ -64,8 +59,6 @@ impl Mutation {
         Mutation::BadPauliTarget,
         Mutation::OutOfRangeLayer,
         Mutation::UnnormalizedModel,
-        Mutation::MisclassifySegment,
-        Mutation::FlipFrameVerdict,
         Mutation::SkewCostModel,
     ];
 
@@ -83,8 +76,6 @@ impl Mutation {
             Mutation::BadPauliTarget => DiagCode::QubitOutOfRange,
             Mutation::OutOfRangeLayer => DiagCode::LayerOutOfRange,
             Mutation::UnnormalizedModel => DiagCode::InvalidProbability,
-            Mutation::MisclassifySegment => DiagCode::SegmentClassMismatch,
-            Mutation::FlipFrameVerdict => DiagCode::FrameVerdictMismatch,
             Mutation::SkewCostModel => DiagCode::CostPredictionMismatch,
         }
     }
@@ -216,30 +207,6 @@ impl Mutation {
                     true
                 }
                 _ => false,
-            },
-            Mutation::MisclassifySegment => match plan.advice.as_mut() {
-                Some(advice) => {
-                    // Any class change mismatches the structure pass's exact
-                    // recomputation; rotate to a guaranteed-different class.
-                    let Some(claim) = advice.segments.first_mut() else { return false };
-                    claim.class = match claim.class {
-                        SegmentClass::General => SegmentClass::Identity,
-                        _ => SegmentClass::General,
-                    };
-                    claim.clifford = !claim.clifford;
-                    true
-                }
-                None => false,
-            },
-            Mutation::FlipFrameVerdict => match plan.advice.as_mut() {
-                Some(advice) => match advice.verdicts.first_mut() {
-                    Some(verdict) => {
-                        verdict.trackable = !verdict.trackable;
-                        true
-                    }
-                    None => false,
-                },
-                None => false,
             },
             Mutation::SkewCostModel => match plan.advice.as_mut() {
                 Some(advice) => match advice.predictions.first_mut() {

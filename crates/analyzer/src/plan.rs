@@ -127,10 +127,10 @@ pub struct ExecutionPlan<'a> {
     /// The device coupling map the circuit was transpiled to, if any.
     pub coupling: Option<CouplingMap>,
     /// The execution strategy the caller intends to run, if declared
-    /// (judged by the advisor pass, `A204`/`A205`).
+    /// (judged by the advisor pass, `A204`).
     pub strategy: Option<Strategy>,
-    /// Claimed advisor output, if attached (cross-checked by the structure
-    /// and advisor passes, `A201`–`A203`).
+    /// Claimed advisor output, if attached (cross-checked by the advisor
+    /// pass, `A203`).
     pub advice: Option<Advice>,
 }
 
@@ -201,13 +201,13 @@ impl<'a> ExecutionPlan<'a> {
     }
 
     /// Declare the strategy this plan will run under (judged by the
-    /// advisor pass, `A204`/`A205`).
+    /// advisor pass, `A204`).
     pub fn with_strategy(mut self, strategy: Strategy) -> Self {
         self.strategy = Some(strategy);
         self
     }
 
-    /// Attach claimed advisor output for `A201`–`A203` cross-checks.
+    /// Attach claimed advisor output for `A203` cross-checks.
     pub fn with_advice(mut self, advice: Advice) -> Self {
         self.advice = Some(advice);
         self

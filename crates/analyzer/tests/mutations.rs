@@ -57,8 +57,8 @@ fn compile<'a>(
     let plan = ExecutionPlan::compile(layered, set, budget)
         .with_expectations(expectations(layered, set, budget))
         .with_model(model.clone());
-    // Attach the advisor's own analysis so the structure and advisor
-    // cross-check passes run (and the A2xx mutations find sites).
+    // Attach the advisor's own analysis so the advisor's cross-check
+    // runs (and the A203 mutation finds a site).
     let advice = qsim_analyzer::advise(&plan);
     plan.with_advice(advice)
 }

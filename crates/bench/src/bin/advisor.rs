@@ -88,7 +88,6 @@ fn main() {
         recommendations.push(json::object(&[
             ("bench", json::string(&bench.name)),
             ("recommended", json::string(advice.best().strategy.name())),
-            ("trackable_fraction", json::number(advice.trackable_fraction())),
         ]));
     }
 

@@ -16,7 +16,7 @@ pub enum Command {
     Run,
     /// Statically verify the compiled execution plan; no amplitudes.
     Verify,
-    /// Classify circuit structure, predict per-strategy cost, recommend.
+    /// Predict per-strategy cost and recommend a strategy.
     Advise,
     /// Run with full telemetry and print the metrics report.
     Profile,

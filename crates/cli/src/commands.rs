@@ -284,30 +284,6 @@ fn advise(prepared: &Circuit, opts: &Options, out: &mut dyn Write) -> Result<(),
         )
         .map_err(io_err)?;
     } else {
-        let tally = |class| advice.segments.iter().filter(|s| s.class == class).count();
-        writeln!(
-            out,
-            "segments:    {} — {} identity, {} diagonal, {} permutation, {} clifford, {} general ({} clifford in total)",
-            advice.segments.len(),
-            tally(qsim_analyzer::SegmentClass::Identity),
-            tally(qsim_analyzer::SegmentClass::Diagonal),
-            tally(qsim_analyzer::SegmentClass::Permutation),
-            tally(qsim_analyzer::SegmentClass::Clifford),
-            tally(qsim_analyzer::SegmentClass::General),
-            advice.segments.iter().filter(|s| s.clifford).count(),
-        )
-        .map_err(io_err)?;
-        writeln!(
-            out,
-            "frames:      {}/{} distinct injections commute through their suffix; {}/{} trials fully trackable ({:.1}%)",
-            advice.verdicts.iter().filter(|v| v.trackable).count(),
-            advice.verdicts.len(),
-            advice.trackable_trials,
-            advice.n_trials,
-            100.0 * advice.trackable_fraction(),
-        )
-        .map_err(io_err)?;
-        writeln!(out).map_err(io_err)?;
         writeln!(
             out,
             "  {:<16} {:>14} {:>14} {:>14} {:>5} {:>12}",
@@ -1303,8 +1279,6 @@ mod tests {
             assert!(text.contains(name), "missing {name}:\n{text}");
         }
         assert!(text.contains("recommended:"), "{text}");
-        assert!(text.contains("segments:"), "{text}");
-        assert!(text.contains("frames:"), "{text}");
     }
 
     #[test]
@@ -1319,15 +1293,13 @@ mod tests {
 
     #[test]
     fn advise_warns_when_a_declared_strategy_is_suboptimal() {
-        // Bell is all-Clifford, so every trial is frame-trackable, and reuse
-        // beats the fused baseline: declaring --baseline draws both the
-        // suboptimal-strategy and trackable-set warnings.
+        // Reuse beats the fused baseline: declaring --baseline draws the
+        // suboptimal-strategy warning.
         let file = bell_file();
         let text =
             run_cli(&["advise", &file.path_str(), "--trials", "256", "--seed", "11", "--baseline"])
                 .unwrap();
         assert!(text.contains("A204"), "expected suboptimal-strategy warning:\n{text}");
-        assert!(text.contains("A205"), "expected frame-trackable-set warning:\n{text}");
     }
 
     #[test]

@@ -105,12 +105,12 @@ pub fn run_baseline_parallel<R: Recorder + ?Sized>(
 /// input order and bitwise identical to the baseline.
 ///
 /// Every worker streams into the same shared `recorder`, so counters and
-/// kernel timings are additive across workers. MSV events interleave from
-/// concurrent workers, which makes the recorder's *observed* peak residency
-/// the true global concurrent peak — at most the summed per-worker peak
-/// that [`ExecStats::peak_msv`] reports (the workers' caches coexist, but
-/// rarely all at their individual peaks simultaneously). The coordinator
-/// brackets the whole run in a `"run/parallel-reuse"` span.
+/// kernel timings are additive across workers. Each MSV event carries its
+/// own worker's residency, so a recorder that wants the run's residency
+/// keeps one gauge per worker thread and sums them, as
+/// [`ExecStats::peak_msv`] sums the per-worker peaks (the workers' caches
+/// coexist, but rarely all at their individual peaks simultaneously). The
+/// coordinator brackets the whole run in a `"run/parallel-reuse"` span.
 ///
 /// # Errors
 ///

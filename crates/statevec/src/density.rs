@@ -264,20 +264,6 @@ impl DensityMatrix {
         Ok(dist)
     }
 
-    /// Trace purity `Tr(ρ²)`: 1 for pure states, `1/2ᵏ` for the maximally
-    /// mixed state on `k` qubits.
-    pub fn purity(&self) -> f64 {
-        // Tr(ρ²) = Σ_{ij} ρ_ij ρ_ji = Σ_{ij} |ρ_ij|² for Hermitian ρ.
-        self.elems.iter().map(|e| e.norm_sqr()).sum()
-    }
-
-    /// Linear entropy `1 − Tr(ρ²)`, a 0-to-(1−1/2ᵏ) mixedness measure. On
-    /// the reduced state of a pure bipartite system it quantifies
-    /// entanglement across the cut (0 = product state).
-    pub fn linear_entropy(&self) -> f64 {
-        1.0 - self.purity()
-    }
-
     fn scaled(&self, s: f64) -> DensityMatrix {
         let mut out = self.clone();
         for e in &mut out.elems {
@@ -335,59 +321,6 @@ impl DensityMatrix {
         } else {
             Ok(())
         }
-    }
-}
-
-impl StateVector {
-    /// Trace out everything except `keep`, returning the reduced density
-    /// matrix over the kept qubits (in the order given: `keep[0]` becomes
-    /// the new qubit 0).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StateVecError::QubitOutOfRange`],
-    /// [`StateVecError::DuplicateQubit`], or
-    /// [`StateVecError::TooManyQubits`] if more than 12 qubits are kept.
-    pub fn reduced_density_matrix(&self, keep: &[usize]) -> Result<DensityMatrix, StateVecError> {
-        let n = self.n_qubits();
-        for (i, &q) in keep.iter().enumerate() {
-            if q >= n {
-                return Err(StateVecError::QubitOutOfRange { qubit: q, n_qubits: n });
-            }
-            if keep[..i].contains(&q) {
-                return Err(StateVecError::DuplicateQubit { qubit: q });
-            }
-        }
-        let k = keep.len();
-        if k > MAX_DM_QUBITS {
-            return Err(StateVecError::TooManyQubits { n_qubits: k, max: MAX_DM_QUBITS });
-        }
-        let rest: Vec<usize> = (0..n).filter(|q| !keep.contains(q)).collect();
-        let dim = 1usize << k;
-        let scatter = |bits: usize, positions: &[usize]| -> usize {
-            positions
-                .iter()
-                .enumerate()
-                .fold(0usize, |acc, (pos, &q)| acc | ((bits >> pos & 1) << q))
-        };
-        let amps = self.amplitudes();
-        let mut elems = vec![crate::C64::new(0.0, 0.0); dim * dim];
-        for r in 0..1usize << rest.len() {
-            let rest_bits = scatter(r, &rest);
-            for i in 0..dim {
-                let amp_i = amps[scatter(i, keep) | rest_bits];
-                if amp_i.re == 0.0 && amp_i.im == 0.0 {
-                    continue;
-                }
-                for j in 0..dim {
-                    let amp_j = amps[scatter(j, keep) | rest_bits];
-                    elems[i * dim + j] += amp_i * amp_j.conj();
-                }
-            }
-        }
-        let mut rho = DensityMatrix::zero_state(k)?;
-        rho.elems = elems;
-        Ok(rho)
     }
 }
 
@@ -542,65 +475,6 @@ mod tests {
             assert!(close(*a, *b));
         }
         assert!(close(p_dm[3], 1.0));
-    }
-
-    #[test]
-    fn purity_distinguishes_pure_and_mixed() {
-        let pure = DensityMatrix::zero_state(2).unwrap();
-        assert!(close(pure.purity(), 1.0));
-        assert!(close(pure.linear_entropy(), 0.0));
-        let mut mixed = DensityMatrix::zero_state(1).unwrap();
-        mixed.depolarize_1q(0, 0.75).unwrap(); // maximally mixed
-        assert!(close(mixed.purity(), 0.5));
-        assert!(close(mixed.linear_entropy(), 0.5));
-    }
-
-    #[test]
-    fn reduced_density_matrix_of_product_state_is_pure() {
-        let mut psi = StateVector::zero_state(3);
-        psi.apply_1q(&Matrix2::h(), 0).unwrap();
-        psi.apply_1q(&Matrix2::u(0.7, 0.1, -0.4), 2).unwrap();
-        for keep in [vec![0usize], vec![1], vec![2], vec![0, 2]] {
-            let rho = psi.reduced_density_matrix(&keep).unwrap();
-            assert!(close(rho.purity(), 1.0), "keep {keep:?}: purity {}", rho.purity());
-            assert!(close(rho.trace().re, 1.0));
-        }
-    }
-
-    #[test]
-    fn reduced_density_matrix_of_bell_half_is_maximally_mixed() {
-        let mut psi = StateVector::zero_state(2);
-        psi.apply_1q(&Matrix2::h(), 0).unwrap();
-        psi.apply_cx(0, 1).unwrap();
-        for keep in [0usize, 1] {
-            let rho = psi.reduced_density_matrix(&[keep]).unwrap();
-            assert!(close(rho.purity(), 0.5), "qubit {keep}");
-            let p = rho.probabilities();
-            assert!(close(p[0], 0.5) && close(p[1], 0.5));
-        }
-        // Keeping both qubits reproduces the pure state.
-        let rho = psi.reduced_density_matrix(&[0, 1]).unwrap();
-        assert!(close(rho.purity(), 1.0));
-        assert!(close(rho.probabilities()[0], 0.5));
-        assert!(close(rho.probabilities()[3], 0.5));
-    }
-
-    #[test]
-    fn reduced_density_matrix_respects_keep_order() {
-        // |01⟩ (qubit 0 = 1, qubit 1 = 0); keeping [1, 0] maps qubit 1 to
-        // the new low bit.
-        let psi = StateVector::basis_state(2, 0b01).unwrap();
-        let rho = psi.reduced_density_matrix(&[1, 0]).unwrap();
-        let p = rho.probabilities();
-        // New index: bit0 = old qubit 1 (=0), bit1 = old qubit 0 (=1) → 10.
-        assert!(close(p[0b10], 1.0));
-    }
-
-    #[test]
-    fn reduced_density_matrix_validates_operands() {
-        let psi = StateVector::zero_state(2);
-        assert!(psi.reduced_density_matrix(&[5]).is_err());
-        assert!(psi.reduced_density_matrix(&[0, 0]).is_err());
     }
 
     #[test]

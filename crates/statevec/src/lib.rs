@@ -34,13 +34,11 @@
 
 mod buffer;
 mod density;
-mod eigen;
 mod error;
 mod fused;
 mod kernels;
 mod matrix;
 mod measure;
-mod observable;
 mod pauli;
 mod pool;
 pub mod snapshot;
@@ -48,13 +46,11 @@ mod state;
 
 pub use buffer::{AmpBuf, AMP_ALIGN};
 pub use density::DensityMatrix;
-pub use eigen::hermitian_eigenvalues;
 pub use error::StateVecError;
 pub use fused::FusedOp;
 pub use kernels::KernelPath;
 pub use matrix::{Matrix2, Matrix4};
 pub use measure::{sample_index, MeasureOutcome};
-pub use observable::{Observable, ParsePauliStringError, PauliString};
 pub use pauli::Pauli;
 pub use pool::{PoolStats, StatePool};
 pub use state::StateVector;

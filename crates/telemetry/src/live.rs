@@ -5,10 +5,12 @@
 //! executor threads update them without locks and a concurrent reader can
 //! take a racy-but-coherent [`LiveSnapshot`] at any moment (the *final*
 //! snapshot, taken after the run returns, is exact — the live matrix test
-//! reconciles it bitwise against `ExecStats`). The heartbeat gauges are
-//! kept per worker thread, in a table locked once per heartbeat, and the
-//! snapshot sums them, so a parallel run's final gauges do not depend on
-//! which worker reported last.
+//! reconciles it bitwise against `ExecStats`). The heartbeat and MSV gauges
+//! are kept per worker thread, in a table locked once per heartbeat, and
+//! the snapshot sums them, so a parallel run's final gauges do not depend
+//! on which worker reported last. MSV events take no lock: each thread
+//! keeps its residency since its last heartbeat, and the heartbeat folds
+//! it into the table.
 //!
 //! [`LivePublisher`] wraps a [`LiveRecorder`] and, on each heartbeat past
 //! a configurable interval, atomically rewrites `live.json` (and a
@@ -24,6 +26,7 @@
 //! end of every `--live` run, and the live matrix test pins it across the
 //! shipped benchmark catalog.
 
+use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -89,9 +92,11 @@ pub struct LiveSnapshot {
     pub cache_hits: u64,
     /// Per-trial prefix-cache misses.
     pub cache_misses: u64,
-    /// Live MSVs after the most recent lifecycle event.
+    /// Live MSVs: the sum of the workers' residency after their most
+    /// recent lifecycle event.
     pub msv_resident: u64,
-    /// Peak MSV residency observed.
+    /// Peak MSV residency: the sum of each worker's peak, the rule of
+    /// `ExecStats::peak_msv` for parallel runs.
     pub msv_peak: u64,
     /// Resident amplitude bytes: the sum of the workers' most recent
     /// heartbeat gauges.
@@ -378,23 +383,31 @@ pub struct LiveRecorder {
     store_misses: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
-    msv_resident: AtomicU64,
-    msv_peak: AtomicU64,
+    /// Distinguishes this recorder's entry in [`MSV_SINCE_HEARTBEAT`].
+    id: u64,
 }
 
-/// The heartbeat gauges of one worker thread. A parallel run hands one
-/// recorder to every worker, and each worker reports its own executor's
-/// gauges.
+/// The heartbeat and MSV gauges of one worker thread. A parallel run hands
+/// one recorder to every worker, and each worker reports its own
+/// executor's gauges.
 #[derive(Debug)]
 struct WorkerGauges {
     thread: ThreadId,
     depth: u64,
     resident_bytes: u64,
     peak_resident_bytes: u64,
+    msv_resident: u64,
+    msv_peak: u64,
 }
 
-fn store_max(slot: &AtomicU64, value: u64) {
-    slot.fetch_max(value, ORD);
+static NEXT_RECORDER_ID: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// This thread's MSV residency since its last heartbeat, per live
+    /// recorder: `(recorder id, latest residency, peak residency)`.
+    /// Executors heartbeat after every trial and once more after their
+    /// walk's last drop, so the folded gauges lag by at most one trial.
+    static MSV_SINCE_HEARTBEAT: RefCell<Vec<(u64, u64, u64)>> = const { RefCell::new(Vec::new()) };
 }
 
 impl LiveRecorder {
@@ -419,8 +432,7 @@ impl LiveRecorder {
             store_misses: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
-            msv_resident: AtomicU64::new(0),
-            msv_peak: AtomicU64::new(0),
+            id: NEXT_RECORDER_ID.fetch_add(1, ORD),
         }
     }
 
@@ -450,8 +462,8 @@ impl LiveRecorder {
             store_misses: self.store_misses.load(ORD),
             cache_hits: self.cache_hits.load(ORD),
             cache_misses: self.cache_misses.load(ORD),
-            msv_resident: self.msv_resident.load(ORD),
-            msv_peak: self.msv_peak.load(ORD),
+            msv_resident: total(|w| w.msv_resident),
+            msv_peak: total(|w| w.msv_peak),
             resident_bytes: total(|w| w.resident_bytes),
             peak_resident_bytes: total(|w| w.peak_resident_bytes),
         }
@@ -489,8 +501,13 @@ impl Recorder for LiveRecorder {
     }
 
     fn msv(&self, _event: MsvEvent, _depth: usize, residency: usize) {
-        self.msv_resident.store(residency as u64, ORD);
-        store_max(&self.msv_peak, residency as u64);
+        let residency = residency as u64;
+        MSV_SINCE_HEARTBEAT.with_borrow_mut(|pending| {
+            match pending.iter_mut().find(|(id, _, _)| *id == self.id) {
+                Some((_, latest, peak)) => (*latest, *peak) = (residency, (*peak).max(residency)),
+                None => pending.push((self.id, residency, residency)),
+            }
+        });
     }
 
     fn cache(&self, _depth: usize, hit: bool) {
@@ -504,14 +521,23 @@ impl Recorder for LiveRecorder {
     fn heartbeat(&self, hb: Heartbeat) {
         self.heartbeats.fetch_add(1, ORD);
         self.trials_done.fetch_add(hb.completed, ORD);
+        let msv = MSV_SINCE_HEARTBEAT.with_borrow_mut(|pending| {
+            let at = pending.iter().position(|(id, _, _)| *id == self.id)?;
+            Some(pending.swap_remove(at))
+        });
         let thread = std::thread::current().id();
         let mut workers = self.workers.lock().expect("worker gauges poisoned");
         let at = match workers.iter().position(|w| w.thread == thread) {
             Some(at) => at,
             None => {
-                let new =
-                    WorkerGauges { thread, depth: 0, resident_bytes: 0, peak_resident_bytes: 0 };
-                workers.push(new);
+                workers.push(WorkerGauges {
+                    thread,
+                    depth: 0,
+                    resident_bytes: 0,
+                    peak_resident_bytes: 0,
+                    msv_resident: 0,
+                    msv_peak: 0,
+                });
                 workers.len() - 1
             }
         };
@@ -519,6 +545,10 @@ impl Recorder for LiveRecorder {
         worker.depth = hb.depth;
         worker.resident_bytes = hb.resident_bytes;
         worker.peak_resident_bytes = worker.peak_resident_bytes.max(hb.resident_bytes);
+        if let Some((_, latest, peak)) = msv {
+            worker.msv_resident = latest;
+            worker.msv_peak = worker.msv_peak.max(peak);
+        }
     }
 }
 
@@ -853,6 +883,44 @@ mod tests {
         assert_eq!(first, second);
         assert_eq!(first.depth, 2);
         assert_eq!((first.resident_bytes, first.peak_resident_bytes), (1024 + 512, 1536 + 512));
+        assert_eq!(first.cross_check(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn final_msv_gauges_do_not_depend_on_which_worker_reported_last() {
+        let hb = Heartbeat { completed: 1, depth: 1, resident_bytes: 512 };
+        let run = |order: [usize; 2]| {
+            let live = LiveRecorder::new(&meta(), 3);
+            let live = &live;
+            let workers: [&(dyn Fn() + Sync); 2] = [
+                // Peak 3, ending at its root.
+                &|| {
+                    live.msv(MsvEvent::Create, 0, 1);
+                    live.msv(MsvEvent::Fork, 1, 2);
+                    live.msv(MsvEvent::Fork, 2, 3);
+                    live.msv(MsvEvent::Drop, 2, 2);
+                    live.heartbeat(hb);
+                    live.msv(MsvEvent::Drop, 1, 1);
+                    live.heartbeat(hb);
+                },
+                // Peak 2, still holding a fork at its last report.
+                &|| {
+                    live.msv(MsvEvent::Create, 0, 1);
+                    live.msv(MsvEvent::Fork, 1, 2);
+                    live.heartbeat(hb);
+                },
+            ];
+            for worker in order {
+                // One thread per worker, finished before the next starts.
+                std::thread::scope(|scope| {
+                    scope.spawn(workers[worker]);
+                });
+            }
+            LiveSnapshot { elapsed_ns: 0, ..live.snapshot() }
+        };
+        let (first, second) = (run([0, 1]), run([1, 0]));
+        assert_eq!(first, second);
+        assert_eq!((first.msv_resident, first.msv_peak), (1 + 2, 3 + 2));
         assert_eq!(first.cross_check(), Vec::<String>::new());
     }
 

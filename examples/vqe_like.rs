@@ -6,16 +6,16 @@
 //! Run with: `cargo run --release --example vqe_like`
 
 use noisy_qsim::prelude::*;
-use noisy_qsim::statevec::Observable;
 
-/// H = −ZZ − 0.6·(XI + IX): ground energy −√(1 + 0.6²)·... (computed below
-/// by dense diagonalization as the reference).
-fn hamiltonian() -> Result<Observable, Box<dyn std::error::Error>> {
-    Ok(Observable::new(2)
-        .with_term(-1.0, "ZZ".parse()?)
-        .with_term(-0.6, "XI".parse()?)
-        .with_term(-0.6, "IX".parse()?))
-}
+/// Transverse-field coupling of the Hamiltonian below.
+const FIELD: f64 = 0.6;
+
+/// H = −ZZ − 0.6·(XI + IX) as `(coefficient, Pauli factor per qubit)` terms.
+const HAMILTONIAN: [(f64, [Option<Pauli>; 2]); 3] = [
+    (-1.0, [Some(Pauli::Z), Some(Pauli::Z)]),
+    (-FIELD, [Some(Pauli::X), None]),
+    (-FIELD, [None, Some(Pauli::X)]),
+];
 
 /// Hardware-efficient ansatz: Ry layer, CX, Ry layer.
 fn ansatz(params: &[f64; 4]) -> Circuit {
@@ -24,38 +24,33 @@ fn ansatz(params: &[f64; 4]) -> Circuit {
     qc
 }
 
-fn energy(params: &[f64; 4], h: &Observable) -> f64 {
+/// ⟨ψ|H|ψ⟩, each term's ⟨P⟩ taken as ⟨ψ|Pψ⟩ on a copy of the state.
+fn energy(params: &[f64; 4]) -> f64 {
     let state = ansatz(params).simulate().expect("ansatz simulates");
-    h.expectation(&state).expect("matching width")
+    HAMILTONIAN
+        .iter()
+        .map(|(coeff, factors)| {
+            let mut transformed = state.clone();
+            for (q, factor) in factors.iter().enumerate() {
+                if let Some(p) = factor {
+                    transformed.apply_pauli(*p, q).expect("qubit in range");
+                }
+            }
+            coeff * state.inner(&transformed).expect("matching width").re
+        })
+        .sum()
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let h = hamiltonian()?;
-
-    // Exact ground energy from the dense matrix (Jacobi eigensolver).
-    let dim = 4;
-    let mut dense = vec![noisy_qsim::statevec::C64::new(0.0, 0.0); dim * dim];
-    for col in 0..dim {
-        let basis = StateVector::basis_state(2, col)?;
-        // H|col⟩ column by column via term application.
-        for (coeff, term) in h.terms() {
-            let mut transformed = basis.clone();
-            for q in 0..2 {
-                if let Some(p) = term.op(q) {
-                    transformed.apply_pauli(p, q)?;
-                }
-            }
-            for (row, amp) in transformed.amplitudes().iter().enumerate() {
-                dense[row * dim + col] += amp * *coeff;
-            }
-        }
-    }
-    let ground = noisy_qsim::statevec::hermitian_eigenvalues(&dense, dim)[0];
+    // Closed-form ground energy: the ground state lies in the span of
+    // (|00⟩+|11⟩)/√2 and (|01⟩+|10⟩)/√2, where H = [[−1, −2·FIELD],
+    // [−2·FIELD, 1]], whose lower eigenvalue is −√(1 + (2·FIELD)²).
+    let ground = -(1.0 + (2.0 * FIELD).powi(2)).sqrt();
     println!("exact ground energy: {ground:.6}");
 
     // Coordinate descent on the 4 ansatz angles.
     let mut params = [0.4f64, -0.3, 0.2, 0.1];
-    let mut best = energy(&params, &h);
+    let mut best = energy(&params);
     for sweep in 0..60 {
         for i in 0..4 {
             let mut step = 0.4 / (1.0 + sweep as f64 / 8.0);
@@ -63,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 for direction in [step, -step] {
                     let mut candidate = params;
                     candidate[i] += direction;
-                    let e = energy(&candidate, &h);
+                    let e = energy(&candidate);
                     if e < best {
                         best = e;
                         params = candidate;
@@ -95,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if weight_zz {
             noisy_energy -= histogram.expectation_parity(&[0, 1]);
         } else {
-            noisy_energy += -0.6 * (histogram.expectation_z(0) + histogram.expectation_z(1));
+            noisy_energy += -FIELD * (histogram.expectation_z(0) + histogram.expectation_z(1));
         }
     }
     println!("noisy estimate:       {noisy_energy:.4} (bias {:+.4})", noisy_energy - best);

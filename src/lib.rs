@@ -42,7 +42,7 @@ pub mod prelude {
     pub use qsim_circuit::transpile::{transpile, TranspileOptions};
     pub use qsim_circuit::{catalog, Circuit, CouplingMap, Gate, LayeredCircuit};
     pub use qsim_noise::{NoiseModel, PauliWeights, TrialGenerator, TrialSet};
-    pub use qsim_statevec::{MeasureOutcome, Pauli, PauliString, StateVector};
+    pub use qsim_statevec::{MeasureOutcome, Pauli, StateVector};
     pub use qsim_telemetry::NullRecorder;
     pub use redsim::{CostReport, Histogram, RunOutput, RunResult, RunSpec, Simulation, Walk};
 }

@@ -93,24 +93,21 @@ fn final_snapshots_reconcile_bitwise_with_exec_stats_across_all_strategies() {
         let qubits = layered.n_qubits();
 
         type Runner<'a> = Box<dyn Fn(&dyn Recorder) -> ExecStats + 'a>;
-        let strategies: Vec<(&str, bool, Runner)> = vec![
+        let strategies: Vec<(&str, Runner)> = vec![
             (
                 "baseline",
-                true,
                 Box::new(|r: &dyn Recorder| {
                     BaselineExecutor::new(&layered).run(trials, r).expect("baseline").stats
                 }),
             ),
             (
                 "reuse",
-                true,
                 Box::new(|r: &dyn Recorder| {
                     ReuseExecutor::new(&layered).run(trials, r).expect("reuse").stats
                 }),
             ),
             (
                 "budget-2",
-                true,
                 Box::new(|r: &dyn Recorder| {
                     ReuseExecutor::new(&layered)
                         .with_budget(2)
@@ -121,21 +118,19 @@ fn final_snapshots_reconcile_bitwise_with_exec_stats_across_all_strategies() {
             ),
             (
                 "parallel-baseline",
-                false,
                 Box::new(|r: &dyn Recorder| {
                     run_baseline_parallel(&layered, trials, 3, r).expect("parallel").stats
                 }),
             ),
             (
                 "parallel-reuse",
-                false,
                 Box::new(|r: &dyn Recorder| {
                     run_reordered_parallel(&layered, trials, 3, r).expect("parallel").stats
                 }),
             ),
         ];
 
-        for (strategy, sequential, run) in &strategies {
+        for (strategy, run) in &strategies {
             let label = format!("{name} / {strategy}");
             let live = LiveRecorder::new(&meta(strategy, qubits), TRIALS as u64);
             let aggregate = AggregatingRecorder::new();
@@ -150,12 +145,9 @@ fn final_snapshots_reconcile_bitwise_with_exec_stats_across_all_strategies() {
             assert_eq!(snapshot.cache_misses, agg_misses, "{label}: cache_misses vs aggregate");
             reconcile(&label, &snapshot, &stats, 0, agg_hits);
 
-            // Sequential executors expose an exact MSV residency trail;
-            // parallel workers interleave theirs, so only the sequential
-            // peaks are pinned to the executor's accounting.
-            if *sequential {
-                assert_eq!(snapshot.msv_peak, stats.peak_msv as u64, "{label}: msv_peak");
-            }
+            // Per-worker MSV peaks sum to the executor's accounting, for
+            // sequential and parallel runs alike.
+            assert_eq!(snapshot.msv_peak, stats.peak_msv as u64, "{label}: msv_peak");
             checked += 1;
         }
     }

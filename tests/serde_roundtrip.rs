@@ -5,7 +5,7 @@ use noisy_qsim::analyzer::{DiagCode, Diagnostic, Location, Severity};
 use noisy_qsim::circuit::{catalog, Circuit, CouplingMap, LayeredCircuit};
 use noisy_qsim::noise::{NoiseModel, PauliWeights, TrialGenerator, TrialSet};
 use noisy_qsim::redsim::{CostReport, RunSpec, Simulation};
-use noisy_qsim::statevec::{MeasureOutcome, Pauli, PauliString, StateVector};
+use noisy_qsim::statevec::{MeasureOutcome, Pauli, StateVector};
 use noisy_qsim::telemetry::NullRecorder;
 
 fn roundtrip<T>(value: &T) -> T
@@ -24,8 +24,6 @@ fn statevec_types_roundtrip() {
     let mut psi = StateVector::zero_state(3);
     psi.apply_1q(&noisy_qsim::statevec::Matrix2::u(0.7, 0.2, -0.4), 1).expect("valid");
     assert_eq!(roundtrip(&psi), psi);
-    let pauli_string: PauliString = "ZIX".parse().expect("parses");
-    assert_eq!(roundtrip(&pauli_string), pauli_string);
 }
 
 #[test]
