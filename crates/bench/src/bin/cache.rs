@@ -1,27 +1,39 @@
 //! Cold vs warm parameter-sweep execution through the persistent semantic
 //! prefix cache (`redsim-msvstore`): a VQA-style ansatz swept over its
 //! final rotation angle, with every injection at the tail layer so the
-//! whole pre-measurement state is cacheable. The cold pass populates an
-//! empty store; the warm pass replays the identical sweep against it.
-//! Outcomes and `ExecStats` are asserted bitwise identical to the
+//! whole pre-measurement state is cacheable. A cold pass runs a point
+//! against its emptied store; a warm pass replays it against the stored
+//! snapshot. Outcomes and `ExecStats` are asserted bitwise identical to the
 //! uncached reordered executor on every pass. Results are written to
-//! `BENCH_cache.json`; pass `--check RATIO` (CI uses `--check 1.5`) to
-//! exit non-zero when the cold/warm speedup falls below `RATIO` or any
-//! warm point misses.
+//! `BENCH_cache.json`.
+//!
+//! Every point's uncached, cold and warm passes are sides of one set of
+//! `--reps` rotated rounds (`redsim_bench::timing`); each point has a store
+//! of its own, emptied untimed before each cold pass. Times are medians;
+//! `speedup` is the median per-round ratio of the sweep's cold over warm
+//! total, with its 95 % bootstrap interval (`speedup_lo`, `speedup_hi`).
+//! Pass `--check RATIO` (CI uses `--check 1.5`) to exit non-zero unless the
+//! interval's lower end clears `RATIO` and every warm pass of every point
+//! hit.
 //!
 //! Usage: `cache [--qubits N] [--blocks N] [--points N] [--trials N]
-//! [--reps N] [--seed N] [--dir PATH] [--out PATH] [--check RATIO]
-//! [--quick] [--record] [--quiet]`
-
-use std::time::Instant;
+//! [--reps ROUNDS] [--seed N] [--dir PATH] [--out PATH] [--check RATIO]
+//! [--record] [--quiet]`
 
 use qsim_telemetry::NullRecorder;
 use redsim::testkit::vqa_sweep;
 use redsim::{RunResult, RunSpec, Simulation};
 use redsim_bench::report::ResultsDoc;
 use redsim_bench::table::Table;
+use redsim_bench::timing::{interval, median, ratios, time_rounds_prepared};
 use redsim_bench::{arg_flag, arg_value, json, report};
 use redsim_msvstore::MsvStore;
+
+/// The passes timed per point, in side order: side `3 * point + pass`.
+const PASSES: [&str; 3] = ["uncached", "cold", "warm"];
+const UNCACHED: usize = 0;
+const COLD: usize = 1;
+const WARM: usize = 2;
 
 fn assert_bitwise(point: &str, pass: &str, got: &RunResult, want: &RunResult) {
     assert_eq!(got.stats, want.stats, "{point}: {pass} pass drifted from uncached stats");
@@ -30,12 +42,11 @@ fn assert_bitwise(point: &str, pass: &str, got: &RunResult, want: &RunResult) {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let quick = arg_flag(&args, "--quick");
-    let qubits = arg_value(&args, "--qubits", if quick { 10usize } else { 14 });
-    let blocks = arg_value(&args, "--blocks", if quick { 8usize } else { 16 });
-    let points = arg_value(&args, "--points", if quick { 4usize } else { 6 });
+    let qubits = arg_value(&args, "--qubits", 14usize);
+    let blocks = arg_value(&args, "--blocks", 16usize);
+    let points = arg_value(&args, "--points", 6usize);
     let trials = arg_value(&args, "--trials", 8usize);
-    let reps = arg_value(&args, "--reps", 3usize);
+    let reps = arg_value(&args, "--reps", 9usize).max(1);
     let seed = arg_value(&args, "--seed", 2020u64);
     let out = arg_value(&args, "--out", "BENCH_cache.json".to_owned());
     let check = arg_value(&args, "--check", f64::INFINITY);
@@ -48,9 +59,12 @@ fn main() {
     } else {
         (true, std::path::PathBuf::from(dir))
     };
-    let store = MsvStore::open(&dir, 0).expect("cache directory opens");
 
     let (model, sweep) = vqa_sweep(qubits, blocks, points, trials, seed);
+    let stores: Vec<MsvStore> = sweep
+        .iter()
+        .map(|point| MsvStore::open(&dir.join(&point.name), 0).expect("cache directory opens"))
+        .collect();
     let sims: Vec<Simulation> = sweep
         .iter()
         .map(|point| {
@@ -61,59 +75,64 @@ fn main() {
         })
         .collect();
 
-    // Uncached reference: pins the bitwise contract for both cache passes.
+    // Uncached reference: pins the bitwise contract for every pass.
     let reference: Vec<RunResult> = sims
         .iter()
         .map(|sim| sim.run(&RunSpec::default(), &NullRecorder).expect("sweep point runs").result)
         .collect();
 
-    let mut uncached_ms = vec![f64::INFINITY; sims.len()];
-    let mut cold_ms = vec![f64::INFINITY; sims.len()];
-    let mut warm_ms = vec![f64::INFINITY; sims.len()];
+    // A point counts as a cold hit if any cold pass hit, and as a warm hit
+    // only if every warm pass did.
     let mut keys = vec![String::new(); sims.len()];
-    let (mut cold_hits, mut warm_hits) = (0u64, 0u64);
-    for rep in 0..reps.max(1) {
-        for (i, sim) in sims.iter().enumerate() {
-            let start = Instant::now();
-            let result =
-                sim.run(&RunSpec::default(), &NullRecorder).expect("sweep point runs").result;
-            uncached_ms[i] = uncached_ms[i].min(start.elapsed().as_secs_f64() * 1e3);
-            assert_bitwise(&sweep[i].name, "uncached", &result, &reference[i]);
-        }
-        store.clear().expect("cache directory clears");
-        for (i, sim) in sims.iter().enumerate() {
-            let start = Instant::now();
-            let (result, cache) = sim
-                .run(&RunSpec { store: Some(&store), ..RunSpec::default() }, &NullRecorder)
-                .map(|o| (o.result, o.cache.expect("cached runs report the store")))
-                .expect("sweep point runs");
-            cold_ms[i] = cold_ms[i].min(start.elapsed().as_secs_f64() * 1e3);
-            assert_bitwise(&sweep[i].name, "cold", &result, &reference[i]);
-            if rep == 0 {
-                cold_hits += u64::from(cache.hit);
-                keys[i] = cache.key.unwrap_or_default();
+    let mut cold_hit = vec![false; sims.len()];
+    let mut warm_hit = vec![true; sims.len()];
+    let rounds = time_rounds_prepared(
+        PASSES.len() * sims.len(),
+        reps,
+        |side| {
+            if side % PASSES.len() == COLD {
+                stores[side / PASSES.len()].clear().expect("cache directory clears");
             }
-        }
-        for (i, sim) in sims.iter().enumerate() {
-            let start = Instant::now();
-            let (result, cache) = sim
-                .run(&RunSpec { store: Some(&store), ..RunSpec::default() }, &NullRecorder)
-                .map(|o| (o.result, o.cache.expect("cached runs report the store")))
+        },
+        |side| {
+            let (i, pass) = (side / PASSES.len(), side % PASSES.len());
+            let store = (pass != UNCACHED).then_some(&stores[i]);
+            let outcome = sims[i]
+                .run(&RunSpec { store, ..RunSpec::default() }, &NullRecorder)
                 .expect("sweep point runs");
-            warm_ms[i] = warm_ms[i].min(start.elapsed().as_secs_f64() * 1e3);
-            assert_bitwise(&sweep[i].name, "warm", &result, &reference[i]);
-            if rep == 0 {
-                warm_hits += u64::from(cache.hit);
+            assert_bitwise(&sweep[i].name, PASSES[pass], &outcome.result, &reference[i]);
+            if pass != UNCACHED {
+                let cache = outcome.cache.expect("cached runs report the store");
+                if pass == COLD {
+                    cold_hit[i] |= cache.hit;
+                    keys[i] = cache.key.unwrap_or_default();
+                } else {
+                    warm_hit[i] &= cache.hit;
+                }
             }
-        }
-    }
+        },
+    );
 
-    let stats = store.stats();
-    let cold_total: f64 = cold_ms.iter().sum();
-    let warm_total: f64 = warm_ms.iter().sum();
-    let uncached_total: f64 = uncached_ms.iter().sum();
-    let speedup = cold_total / warm_total.max(1e-9);
+    // Per point and pass, and per round summed over the sweep.
+    let column = |i: usize, pass: usize| rounds.column(PASSES.len() * i + pass);
+    let sweep_total = |pass: usize| -> Vec<f64> {
+        (0..reps).map(|r| (0..sims.len()).map(|i| column(i, pass)[r]).sum()).collect()
+    };
+    let point_ms: Vec<[f64; 3]> = (0..sims.len())
+        .map(|i| [UNCACHED, COLD, WARM].map(|pass| median(&column(i, pass))))
+        .collect();
+    let point_speedup: Vec<f64> =
+        (0..sims.len()).map(|i| median(&ratios(&column(i, COLD), &column(i, WARM)))).collect();
+    let (uncached_total, cold_total, warm_total) =
+        (median(&sweep_total(UNCACHED)), median(&sweep_total(COLD)), median(&sweep_total(WARM)));
+    let speedup = interval(&ratios(&sweep_total(COLD), &sweep_total(WARM)), median, seed);
+    let cold_hits = cold_hit.iter().filter(|&&hit| hit).count();
+    let warm_hits = warm_hit.iter().filter(|&&hit| hit).count();
     let warm_hit_rate = warm_hits as f64 / sims.len() as f64;
+    let (store_entries, store_bytes) = stores
+        .iter()
+        .map(MsvStore::stats)
+        .fold((0, 0), |(entries, bytes), s| (entries + s.entries, bytes + s.bytes));
 
     let doc = ResultsDoc::new("cache")
         .int("seed", seed)
@@ -125,23 +144,26 @@ fn main() {
         .field("uncached_ms", json::number(uncached_total))
         .field("cold_ms", json::number(cold_total))
         .field("warm_ms", json::number(warm_total))
-        .field("speedup", json::number(speedup))
+        .field("speedup", json::number(speedup.point))
+        .field("speedup_lo", json::number(speedup.lo))
+        .field("speedup_hi", json::number(speedup.hi))
         .int("cold_hits", cold_hits)
         .int("warm_hits", warm_hits)
         .field("warm_hit_rate", json::number(warm_hit_rate))
-        .int("store_entries", stats.entries)
-        .int("store_bytes", stats.bytes)
+        .int("store_entries", store_entries)
+        .int("store_bytes", store_bytes)
         .field(
             "rows",
             json::array(sweep.iter().enumerate().map(|(i, point)| {
+                let [uncached_ms, cold_ms, warm_ms] = point_ms[i];
                 json::object(&[
                     ("name", json::string(&point.name)),
                     ("theta", json::number(point.theta)),
                     ("key", json::string(&keys[i])),
-                    ("uncached_ms", json::number(uncached_ms[i])),
-                    ("cold_ms", json::number(cold_ms[i])),
-                    ("warm_ms", json::number(warm_ms[i])),
-                    ("speedup", json::number(cold_ms[i] / warm_ms[i].max(1e-9))),
+                    ("uncached_ms", json::number(uncached_ms)),
+                    ("cold_ms", json::number(cold_ms)),
+                    ("warm_ms", json::number(warm_ms)),
+                    ("speedup", json::number(point_speedup[i])),
                 ])
             })),
         );
@@ -151,24 +173,28 @@ fn main() {
     if !quiet {
         let mut table = Table::new(["Point", "Uncached ms", "Cold ms", "Warm ms", "Speedup"]);
         for (i, point) in sweep.iter().enumerate() {
+            let [uncached_ms, cold_ms, warm_ms] = point_ms[i];
             table.row([
                 point.name.clone(),
-                format!("{:.2}", uncached_ms[i]),
-                format!("{:.2}", cold_ms[i]),
-                format!("{:.2}", warm_ms[i]),
-                format!("{:.2}x", cold_ms[i] / warm_ms[i].max(1e-9)),
+                format!("{uncached_ms:.2}"),
+                format!("{cold_ms:.2}"),
+                format!("{warm_ms:.2}"),
+                format!("{:.2}x", point_speedup[i]),
             ]);
         }
         println!(
-            "Semantic prefix cache: VQA sweep, {qubits} qubits x {blocks} blocks x {points} points"
+            "Semantic prefix cache: VQA sweep, {qubits} qubits x {blocks} blocks x {points} points, \
+             medians of {reps} rotated rounds"
         );
         println!("{table}");
         println!(
-            "cold {cold_total:.1} ms -> warm {warm_total:.1} ms ({speedup:.2}x), \
-             warm hit rate {:.0}%, {} entries / {} bytes on disk",
+            "cold {cold_total:.1} ms -> warm {warm_total:.1} ms ({:.2}x, 95% interval \
+             {:.2} … {:.2}x), warm hit rate {:.0}%, {store_entries} entries / {store_bytes} bytes \
+             on disk",
+            speedup.point,
+            speedup.lo,
+            speedup.hi,
             warm_hit_rate * 100.0,
-            stats.entries,
-            stats.bytes
         );
         println!("results written to {out}");
     }
@@ -177,20 +203,25 @@ fn main() {
         let _ = std::fs::remove_dir_all(&dir);
     }
     if check.is_finite() {
-        if speedup < check {
-            eprintln!("FAIL: warm-cache speedup {speedup:.2}x below the {check}x floor");
+        if speedup.lo < check {
+            eprintln!(
+                "FAIL: warm-cache speedup interval's lower end {:.2}x below the {check}x floor",
+                speedup.lo
+            );
             std::process::exit(1);
         }
-        if warm_hit_rate < 1.0 {
+        if warm_hits < sims.len() {
             eprintln!(
-                "FAIL: warm pass missed {}/{} points",
-                sims.len() as u64 - warm_hits,
+                "FAIL: warm passes missed on {}/{} points",
+                sims.len() - warm_hits,
                 sims.len()
             );
             std::process::exit(1);
         }
         println!(
-            "warm-cache speedup {speedup:.2}x clears the {check}x floor with a full warm hit rate"
+            "warm-cache speedup interval's lower end {:.2}x clears the {check}x floor with a \
+             full warm hit rate",
+            speedup.lo
         );
     }
 }

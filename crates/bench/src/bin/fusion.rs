@@ -4,46 +4,29 @@
 //! performed). Results are written to `BENCH_fusion.json`.
 //!
 //! Each row times the fused reuse walk, the fused baseline and the unfused
-//! baseline, the layer-by-layer reference `redsim::testkit::run_unfused`;
-//! `baseline_speedup` is unfused over fused baseline wall clock.
+//! baseline, the layer-by-layer reference `redsim::testkit::run_unfused`,
+//! in `--reps` rotated rounds (`redsim_bench::timing`). `reuse_fused_ms` is
+//! the reuse walk's median, and `baseline_speedup` the median per-round
+//! ratio of unfused over fused baseline wall clock.
 //!
 //! The pass-reduction headroom depends on the trial count: more trials
 //! inject on more distinct layers, densifying the shared cut union and
 //! shortening segments, so the sweep records several counts.
 //!
-//! Usage: `fusion [--seed N] [--reps N] [--out PATH] [--quick] [--record] [--quiet]`
-
-use std::time::Instant;
+//! Usage: `fusion [--seed N] [--reps ROUNDS] [--out PATH] [--quick] [--record] [--quiet]`
 
 use qsim_telemetry::NullRecorder;
-use redsim::exec::{BaselineExecutor, ExecStats, ReuseExecutor, RunResult};
+use redsim::exec::{BaselineExecutor, ExecStats, ReuseExecutor};
 use redsim::testkit::run_unfused;
-use redsim::SimError;
 use redsim_bench::report::ResultsDoc;
 use redsim_bench::suite::{yorktown_model, yorktown_suite};
 use redsim_bench::table::Table;
+use redsim_bench::timing::{median, ratios, time_rounds};
 use redsim_bench::{arg_flag, arg_value, json, report};
 
 const TRIAL_COUNTS: [usize; 3] = [64, 256, 1024];
 /// `--quick` sweep for CI: one trial count keeps the run under a minute.
 const QUICK_TRIAL_COUNTS: [usize; 1] = [64];
-
-/// Best-of-`reps` wall clock for `run`, with one warmup execution.
-fn time_best<F>(reps: usize, mut run: F) -> (f64, ExecStats)
-where
-    F: FnMut() -> Result<RunResult, SimError>,
-{
-    let warm = run().expect("execution succeeds");
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        let result = run().expect("execution succeeds");
-        let elapsed = start.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(result.stats, warm.stats, "non-deterministic stats");
-        best = best.min(elapsed);
-    }
-    (best, warm.stats)
-}
 
 struct Row {
     name: String,
@@ -63,7 +46,7 @@ impl Row {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let seed = arg_value(&args, "--seed", 2020u64);
-    let reps = arg_value(&args, "--reps", 5usize);
+    let reps = arg_value(&args, "--reps", 5usize).max(1);
     let out = arg_value(&args, "--out", "BENCH_fusion.json".to_owned());
     let quiet = arg_flag(&args, "--quiet");
     let counts: &[usize] =
@@ -80,20 +63,29 @@ fn main() {
             let trials = set.trials();
             let reuse = ReuseExecutor::new(&bench.layered);
             let baseline = BaselineExecutor::new(&bench.layered);
-            let (fused_ms, stats) = time_best(reps, || reuse.run(trials, &NullRecorder));
-            let (base_fused_ms, base_stats) =
-                time_best(reps, || baseline.run(trials, &NullRecorder));
-            let (base_unfused_ms, unfused_stats) =
-                time_best(reps, || run_unfused(&bench.layered, trials));
+            // Sides: fused reuse, fused baseline, unfused baseline. Every
+            // run of a side must repeat its first run's stats.
+            let mut seen: [Option<ExecStats>; 3] = [None; 3];
+            let rounds = time_rounds(3, reps, |side| {
+                let result = match side {
+                    0 => reuse.run(trials, &NullRecorder),
+                    1 => baseline.run(trials, &NullRecorder),
+                    _ => run_unfused(&bench.layered, trials),
+                }
+                .expect("execution succeeds");
+                let first = *seen[side].get_or_insert(result.stats);
+                assert_eq!(result.stats, first, "non-deterministic stats");
+            });
+            let [stats, base_stats, unfused_stats] = seen.map(|s| s.expect("every side ran"));
             assert_eq!(base_stats.ops, unfused_stats.ops, "fusion changed the paper metric");
             rows.push(Row {
                 name: bench.name.clone(),
                 trials: n_trials,
                 stats,
-                reuse_fused_ms: fused_ms,
+                reuse_fused_ms: median(&rounds.column(0)),
                 baseline_reduction: 1.0
                     - base_stats.amplitude_passes as f64 / base_stats.ops.max(1) as f64,
-                baseline_speedup: base_unfused_ms / base_fused_ms.max(1e-9),
+                baseline_speedup: median(&ratios(&rounds.column(2), &rounds.column(1))),
             });
         }
     }

@@ -4,13 +4,17 @@
 //! `BENCH_kernels.json`.
 //!
 //! Each row times one kernel class swept across every valid target on an
-//! `n`-qubit random state, best of `reps`, on every compiled kernel copy
-//! this CPU runs (`portable_ms`, `avx2_ms`; `null` when the CPU lacks
-//! AVX2). `specialized_ms`, `dense_ms` and `speedup` are measured on the
-//! detected copy, named by the top-level `kernel_path`. Pass `--check RATIO` (e.g.
-//! `--check 1.5`) to exit non-zero when the mean speedup over the dense
-//! path falls below `RATIO` — CI runs this as the "specialization pays for
-//! itself" regression gate.
+//! `n`-qubit random state, in `--reps` rotated rounds
+//! (`redsim_bench::timing`) of one side per compiled kernel copy this CPU
+//! runs (`portable_ms`, `avx2_ms`; `null` when the CPU lacks AVX2) and one
+//! dense side. Times are medians; `specialized_ms`, `dense_ms` and
+//! `speedup` (the median per-round dense/specialized ratio) are measured
+//! on the detected copy, named by the top-level `kernel_path`.
+//! `mean_speedup` is the mean of the rows' speedups, with its 95 %
+//! bootstrap interval (`mean_speedup_lo`, `mean_speedup_hi`). Pass
+//! `--check RATIO` (e.g. `--check 1.2`) to exit non-zero unless the
+//! interval's lower end clears `RATIO` — CI runs this as the
+//! "specialization pays for itself" regression gate.
 //!
 //! The class rows are followed by `dense2` rows that time the dense kernel
 //! itself at fixed `(low, high)` placements, in nanoseconds per amplitude
@@ -18,27 +22,14 @@
 //! kernel shows as a fall there rather than only as lower speedups above.
 //! They take no part in `mean_speedup`.
 //!
-//! Usage: `kernels [--qubits N] [--reps N] [--seed N] [--out PATH] [--check RATIO] [--record] [--quiet]`
-
-use std::time::Instant;
+//! Usage: `kernels [--qubits N] [--reps ROUNDS] [--seed N] [--out PATH] [--check RATIO] [--record] [--quiet]`
 
 use qsim_statevec::{FusedOp, KernelPath, Matrix2, Matrix4, StateVector, C64};
 use redsim::testkit::random_state;
 use redsim_bench::report::ResultsDoc;
 use redsim_bench::table::Table;
+use redsim_bench::timing::{mean_of_medians, median, ratios, time_rounds, Rounds};
 use redsim_bench::{arg_value, json, report};
-
-/// Best-of-`reps` wall clock in milliseconds, with one warmup execution.
-fn time_best<F: FnMut()>(reps: usize, mut run: F) -> f64 {
-    run();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        run();
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
 
 struct Row {
     kernel: &'static str,
@@ -49,41 +40,30 @@ struct Row {
     portable_ms: f64,
     /// `NaN` (rendered `null`) when this CPU lacks AVX2.
     avx2_ms: f64,
+    /// Per-round dense/specialized ratios on the detected path.
+    speedups: Vec<f64>,
+    /// Median per-round portable/AVX2 ratio; `NaN` without AVX2.
+    avx2_speedup: f64,
 }
 
-impl Row {
-    fn speedup(&self) -> f64 {
-        self.dense_ms / self.specialized_ms.max(1e-9)
-    }
-
-    fn avx2_speedup(&self) -> f64 {
-        self.portable_ms / self.avx2_ms.max(1e-9)
-    }
-}
-
-/// Best-of-`reps` time for applying `ops` in order on the kernel copy
-/// `path`, starting from `state`.
-fn sweep_ms(state: &StateVector, reps: usize, ops: &[FusedOp], path: KernelPath) -> f64 {
-    let mut s = state.clone();
-    time_best(reps, || {
+/// Time one side per sweep in `sweeps` over `reps` rotated rounds, each
+/// side applying its sweep's ops in order on its kernel copy, on its own
+/// copy of `state`.
+fn time_sweeps(state: &StateVector, reps: usize, sweeps: &[(&[FusedOp], KernelPath)]) -> Rounds {
+    let mut states = vec![state.clone(); sweeps.len()];
+    time_rounds(sweeps.len(), reps, |side| {
+        let (ops, path) = sweeps[side];
         for op in ops {
-            s.apply_fused_on(op, path).expect("valid operands on a supported path");
+            states[side].apply_fused_on(op, path).expect("valid operands on a supported path");
         }
     })
 }
 
-/// `(portable, avx2)` times of `ops` from `state`, best of `reps`;
-/// `NaN` for a copy this CPU cannot run.
-fn per_copy_ms(state: &StateVector, reps: usize, ops: &[FusedOp]) -> (f64, f64) {
-    let (mut portable_ms, mut avx2_ms) = (f64::NAN, f64::NAN);
-    for &path in KernelPath::supported() {
-        let ms = sweep_ms(state, reps, ops, path);
-        match path {
-            KernelPath::Portable => portable_ms = ms,
-            KernelPath::Avx2 => avx2_ms = ms,
-        }
-    }
-    (portable_ms, avx2_ms)
+/// The portable and AVX2 columns of `rounds`, whose first sides run the
+/// copies of [`KernelPath::supported`] in order (portable first, the
+/// detected copy last); no AVX2 column on a CPU without it.
+fn per_copy(rounds: &Rounds) -> (Vec<f64>, Option<Vec<f64>>) {
+    (rounds.column(0), (KernelPath::supported().len() > 1).then(|| rounds.column(1)))
 }
 
 /// Applications of the one op per timed sweep of a placement row.
@@ -114,12 +94,20 @@ fn placement_row(
 ) -> PlacementRow {
     let ops = vec![FusedOp::Dense2 { m: *m, low, high }; PLACEMENT_APPLIES];
     let ns_per_ms = 1e6 / (PLACEMENT_APPLIES << state.n_qubits()) as f64;
-    let (portable_ms, avx2_ms) = per_copy_ms(state, reps, &ops);
-    PlacementRow { low, high, portable_ns: portable_ms * ns_per_ms, avx2_ns: avx2_ms * ns_per_ms }
+    let sweeps: Vec<_> = KernelPath::supported().iter().map(|&path| (&ops[..], path)).collect();
+    let (portable, avx2) = per_copy(&time_sweeps(state, reps, &sweeps));
+    let ns = |ms: &[f64]| median(ms) * ns_per_ms;
+    PlacementRow {
+        low,
+        high,
+        portable_ns: ns(&portable),
+        avx2_ns: avx2.as_deref().map_or(f64::NAN, ns),
+    }
 }
 
 /// Time a specialized sweep on every supported kernel copy, and the dense
-/// sweep of the equivalent matrices on the detected one.
+/// sweep of the equivalent matrices on the detected one, in one set of
+/// rounds.
 fn row(
     kernel: &'static str,
     state: &StateVector,
@@ -127,13 +115,21 @@ fn row(
     specialized: &[FusedOp],
     dense: &[FusedOp],
 ) -> Row {
-    let (portable_ms, avx2_ms) = per_copy_ms(state, reps, specialized);
-    let specialized_ms = match KernelPath::detected() {
-        KernelPath::Portable => portable_ms,
-        KernelPath::Avx2 => avx2_ms,
-    };
-    let dense_ms = sweep_ms(state, reps, dense, KernelPath::detected());
-    Row { kernel, specialized_ms, dense_ms, portable_ms, avx2_ms }
+    let mut sweeps: Vec<_> =
+        KernelPath::supported().iter().map(|&path| (specialized, path)).collect();
+    sweeps.push((dense, KernelPath::detected()));
+    let rounds = time_sweeps(state, reps, &sweeps);
+    let (portable, avx2) = per_copy(&rounds);
+    let (detected, dense) = (rounds.column(sweeps.len() - 2), rounds.column(sweeps.len() - 1));
+    Row {
+        kernel,
+        specialized_ms: median(&detected),
+        dense_ms: median(&dense),
+        portable_ms: median(&portable),
+        avx2_ms: avx2.as_deref().map_or(f64::NAN, median),
+        speedups: ratios(&dense, &detected),
+        avx2_speedup: avx2.as_deref().map_or(f64::NAN, |avx2| median(&ratios(&portable, avx2))),
+    }
 }
 
 /// A one-qubit row: `op(q)` on every qubit, against the dense `m`.
@@ -169,7 +165,7 @@ fn row_2q(
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let n_qubits = arg_value(&args, "--qubits", 16usize);
-    let reps = arg_value(&args, "--reps", 25usize);
+    let reps = arg_value(&args, "--reps", 25usize).max(1);
     let seed = arg_value(&args, "--seed", 2020u64);
     let out = arg_value(&args, "--out", "BENCH_kernels.json".to_owned());
     let check = arg_value(&args, "--check", f64::NEG_INFINITY);
@@ -241,7 +237,8 @@ fn main() {
             ),
         ];
 
-    let mean_speedup = rows.iter().map(Row::speedup).sum::<f64>() / rows.len() as f64;
+    let speedups: Vec<Vec<f64>> = rows.iter().map(|row| row.speedups.clone()).collect();
+    let mean_speedup = mean_of_medians(&speedups, seed);
 
     // A dense entangling matrix: local gates after a CX.
     let dense2_m = Matrix4::kron(&h, &Matrix2::rz(theta)) * Matrix4::cx();
@@ -266,10 +263,10 @@ fn main() {
                             ("kernel", json::string(row.kernel)),
                             ("specialized_ms", json::number(row.specialized_ms)),
                             ("dense_ms", json::number(row.dense_ms)),
-                            ("speedup", json::number(row.speedup())),
+                            ("speedup", json::number(median(&row.speedups))),
                             ("portable_ms", json::number(row.portable_ms)),
                             ("avx2_ms", json::number(row.avx2_ms)),
-                            ("avx2_speedup", json::number(row.avx2_speedup())),
+                            ("avx2_speedup", json::number(row.avx2_speedup)),
                         ])
                     })
                     .chain(placements.iter().map(|row| {
@@ -283,7 +280,9 @@ fn main() {
                     })),
             ),
         )
-        .field("mean_speedup", json::number(mean_speedup));
+        .field("mean_speedup", json::number(mean_speedup.point))
+        .field("mean_speedup_lo", json::number(mean_speedup.lo))
+        .field("mean_speedup_hi", json::number(mean_speedup.hi));
     doc.write_file(&out);
     report::maybe_record(&args, &doc);
 
@@ -302,18 +301,21 @@ fn main() {
                 row.kernel.to_owned(),
                 format!("{:.3} ms", row.specialized_ms),
                 format!("{:.3} ms", row.dense_ms),
-                format!("{:.2}x", row.speedup()),
+                format!("{:.2}x", median(&row.speedups)),
                 format!("{:.3} ms", row.portable_ms),
                 format!("{:.3} ms", row.avx2_ms),
-                format!("{:.2}x", row.avx2_speedup()),
+                format!("{:.2}x", row.avx2_speedup),
             ]);
         }
         println!(
-            "Specialized kernels vs generic dense apply: {n_qubits} qubits, best of {reps}, \
-             {kernel_path} kernel path"
+            "Specialized kernels vs generic dense apply: {n_qubits} qubits, medians of {reps} \
+             rotated rounds, {kernel_path} kernel path"
         );
         println!("{table}");
-        println!("mean speedup {mean_speedup:.2}x");
+        println!(
+            "mean speedup {:.2}x (95% interval {:.2} … {:.2}x)",
+            mean_speedup.point, mean_speedup.lo, mean_speedup.hi
+        );
         let mut table = Table::new(["dense2 (low, high)", "Portable", "AVX2"]);
         for row in &placements {
             table.row([
@@ -328,11 +330,13 @@ fn main() {
 
     if check.is_finite() {
         // Single-kernel timings jitter on shared CI runners, so the gate
-        // applies to the mean speedup across all classes.
-        if mean_speedup < check {
-            eprintln!("FAIL: mean speedup {mean_speedup:.2}x below the {check}x floor");
+        // applies to the mean speedup across all classes, and passes only
+        // when its interval's lower end clears the floor.
+        let lo = mean_speedup.lo;
+        if lo < check {
+            eprintln!("FAIL: mean speedup interval's lower end {lo:.2}x below the {check}x floor");
             std::process::exit(1);
         }
-        println!("mean speedup {mean_speedup:.2}x clears the {check}x floor");
+        println!("mean speedup interval's lower end {lo:.2}x clears the {check}x floor");
     }
 }

@@ -2,24 +2,32 @@
 //! (the untraced path, instrumentation compiled out) against the in-memory
 //! aggregating recorder, the live recorder (the sink behind `qsim run
 //! --live`) and a JSONL sink, on one QV circuit at realistic width (a §V.B
-//! scalability shape, qv_n14d10 by default) at 64 trials. Results are
+//! scalability shape, qv_n14d10 by default) at 4 trials. Results are
 //! written to `BENCH_telemetry.json`.
 //!
-//! The four sides are timed in rounds: each round runs every side once,
-//! and the side that goes first rotates from round to round, so drift over
-//! the run and the warm-up of whichever side runs first fall on every side
-//! alike. A recorder's overhead is the median over rounds of its
-//! per-round overhead against that round's untraced time.
+//! A recorder's overhead in one round is its time against the untraced
+//! time of the same round (`redsim_bench::timing`). Within one process that
+//! overhead carries an offset of its own, of about ±3 % on a 2-vCPU VM,
+//! that no number of rounds averages away (the address-space layout
+//! differs from process to process). So the bin samples processes: it runs
+//! itself [`PROCESSES`] times, one after another, and each of those
+//! processes times the untraced path against one recorder in `--reps`
+//! rounds. Most time the live recorder, which the gate needs resolved; the
+//! rest time the other two. Each side's time is its median over the rounds
+//! that ran it, and each overhead the mean over processes of each
+//! process's median. The live recorder's carries a 95 % bootstrap interval
+//! that resamples processes (`live_overhead_pct_lo`, `live_overhead_pct_hi`).
 //!
-//! Pass `--check PCT` (e.g. `--check 2`) to exit non-zero when the live
-//! recorder's median overhead exceeds `PCT` percent. The live recorder
-//! declines per-kernel timing so a run can publish progress all the time;
-//! on this row its per-event atomics must amortize to under the budget.
+//! Pass `--check PCT` (e.g. `--check 2`) to exit non-zero unless the upper
+//! end of the live recorder's interval is within `PCT` percent. The live
+//! recorder declines per-kernel timing so a run can publish progress all
+//! the time; on this row its per-event atomics must amortize to under the
+//! budget.
 //!
 //! Usage: `telemetry [--seed N] [--reps ROUNDS] [--trials N] [--gate-qubits N]
 //! [--gate-depth N] [--out PATH] [--check PCT] [--record] [--quiet]`
 
-use std::time::Instant;
+use std::process::{Command, Stdio};
 
 use qsim_telemetry::{
     AggregatingRecorder, JsonlRecorder, LiveRecorder, NullRecorder, Recorder, TraceMeta,
@@ -28,30 +36,48 @@ use redsim::exec::ReuseExecutor;
 use redsim_bench::report::ResultsDoc;
 use redsim_bench::suite::scalability_circuit;
 use redsim_bench::table::Table;
+use redsim_bench::timing::{interval, mean, median, time_rounds, Rounds};
 use redsim_bench::{arg_value, json, report};
 
 /// The timed sides, untraced first.
 const SIDES: [&str; 4] = ["plain", "aggregate", "live", "jsonl"];
+const AGGREGATE: usize = 1;
+const LIVE: usize = 2;
+const JSONL: usize = 3;
 
-/// The `q`-quantile of `values` (nearest rank on the sorted copy).
-fn quantile(values: &[f64], q: f64) -> f64 {
-    let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
+/// Processes sampled per run.
+const PROCESSES: usize = 132;
+/// Rounds per process by default: the median of three survives one
+/// disturbed round.
+const ROUNDS: usize = 3;
+/// Trials per timed walk by default.
+const TRIALS: usize = 4;
+
+/// The recorder the `index`-th sampled process times against the untraced
+/// path: the live recorder in ten of every twelve.
+fn recorder_of(index: usize) -> usize {
+    match index % 12 {
+        10 => AGGREGATE,
+        11 => JSONL,
+        _ => LIVE,
+    }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let seed = arg_value(&args, "--seed", 2020u64);
-    let rounds = arg_value(&args, "--reps", 8usize).max(1);
-    let n_trials = arg_value(&args, "--trials", 64usize);
-    let out = arg_value(&args, "--out", "BENCH_telemetry.json".to_owned());
-    let check = arg_value(&args, "--check", f64::INFINITY);
-    let quiet = redsim_bench::arg_flag(&args, "--quiet");
-    let qubits = arg_value(&args, "--gate-qubits", 14usize);
-    let depth = arg_value(&args, "--gate-depth", 10usize);
+/// Set, to the recorder's side, in the environment of the processes the
+/// bin runs of itself: such a process times that recorder against the
+/// untraced path and prints its rounds instead of sampling processes.
+const SAMPLE_ENV: &str = "REDSIM_BENCH_TELEMETRY_SAMPLE";
 
-    let circuit = format!("qv_n{qubits}d{depth}");
+/// Time `recorder` against the untraced path in this process and print the
+/// result on stdout: the heartbeat count, then one line of milliseconds
+/// (untraced, recorder) per round.
+fn sample(args: &[String], recorder: usize) {
+    let seed = arg_value(args, "--seed", 2020u64);
+    let rounds = arg_value(args, "--reps", ROUNDS).max(1);
+    let n_trials = arg_value(args, "--trials", TRIALS);
+    let qubits = arg_value(args, "--gate-qubits", 14usize);
+    let depth = arg_value(args, "--gate-depth", 10usize);
+
     let layered = scalability_circuit(qubits, depth);
     let model = qsim_noise::NoiseModel::artificial(qubits, 1e-3);
     let set = qsim_noise::TrialGenerator::new(&layered, &model)
@@ -60,95 +86,150 @@ fn main() {
     let trials = set.trials();
     let reuse = ReuseExecutor::new(&layered);
 
-    // One recorder per side, built once and reused over every round, so no
+    // The recorder is built once and reused over every round, so no
     // construction is timed; the live recorder's heartbeat count covers
-    // the warm-up round and every timed one.
+    // the warm-up run and every timed one.
     let aggregate = AggregatingRecorder::new();
     let live = LiveRecorder::new(&TraceMeta::default(), n_trials as u64);
     let jsonl = JsonlRecorder::new(Box::new(std::io::sink()), &TraceMeta::default());
     // Each side calls the walk with its concrete recorder type, so the
     // untraced side compiles its instrumentation out.
-    let time = |side: usize| {
-        let start = Instant::now();
-        match side {
+    let sides = [0, recorder];
+    let timed = time_rounds(sides.len(), rounds, |k| {
+        match sides[k] {
             0 => reuse.run(trials, &NullRecorder),
-            1 => reuse.run(trials, &aggregate),
-            2 => reuse.run(trials, &live),
+            AGGREGATE => reuse.run(trials, &aggregate),
+            LIVE => reuse.run(trials, &live),
             _ => reuse.run(trials, &jsonl).inspect(|_| jsonl.flush().expect("sink never fails")),
         }
         .expect("execution succeeds");
-        start.elapsed().as_secs_f64() * 1e3
-    };
-
-    for side in 0..SIDES.len() {
-        time(side);
+    });
+    println!("{}", live.snapshot().heartbeats);
+    for row in &timed.ms {
+        println!("{} {}", row[0], row[1]);
     }
-    let mut ms = vec![[0.0f64; 4]; rounds];
-    for (round, row) in ms.iter_mut().enumerate() {
-        for k in 0..SIDES.len() {
-            let side = (round + k) % SIDES.len();
-            row[side] = time(side);
+}
+
+/// Run this bin once more as a sampling process of `recorder`, and return
+/// the live recorder's heartbeat count and the rounds it printed.
+fn sample_process(exe: &std::path::Path, args: &[String], recorder: usize) -> (u64, Rounds) {
+    let output = Command::new(exe)
+        .args(args)
+        .env(SAMPLE_ENV, recorder.to_string())
+        .stderr(Stdio::inherit())
+        .output()
+        .expect("the bench re-runs itself");
+    assert!(output.status.success(), "a sampling process failed: {}", output.status);
+    let text = String::from_utf8(output.stdout).expect("sample output is UTF-8");
+    let mut lines = text.lines();
+    let heartbeats = lines.next().and_then(|l| l.parse().ok()).expect("a heartbeat count");
+    let ms = lines
+        .map(|line| line.split(' ').map(|cell| cell.parse().expect("a time in ms")).collect())
+        .collect();
+    (heartbeats, Rounds { ms })
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    if let Some(recorder) = std::env::var_os(SAMPLE_ENV) {
+        let recorder = recorder.to_str().and_then(|r| r.parse().ok());
+        sample(&args, recorder.filter(|r| (1..SIDES.len()).contains(r)).expect("a recorder side"));
+        return;
+    }
+    let seed = arg_value(&args, "--seed", 2020u64);
+    let rounds = arg_value(&args, "--reps", ROUNDS).max(1);
+    let n_trials = arg_value(&args, "--trials", TRIALS);
+    let out = arg_value(&args, "--out", "BENCH_telemetry.json".to_owned());
+    let check = arg_value(&args, "--check", f64::INFINITY);
+    let quiet = redsim_bench::arg_flag(&args, "--quiet");
+    let qubits = arg_value(&args, "--gate-qubits", 14usize);
+    let depth = arg_value(&args, "--gate-depth", 10usize);
+    let circuit = format!("qv_n{qubits}d{depth}");
+
+    // The rounds of the processes that timed each recorder, by side.
+    let exe = std::env::current_exe().expect("the bench knows its own path");
+    let mut timed: [Vec<Rounds>; 4] = Default::default();
+    let mut heartbeats = 0;
+    for index in 0..PROCESSES {
+        let recorder = recorder_of(index);
+        let (beats, rounds) = sample_process(&exe, &args[1..], recorder);
+        if recorder == LIVE {
+            heartbeats = beats;
         }
+        timed[recorder].push(rounds);
     }
-    // Per-round overhead of each recorder against that round's plain time.
-    let overheads: Vec<Vec<f64>> = (1..SIDES.len())
-        .map(|side| ms.iter().map(|row| 100.0 * (row[side] - row[0]) / row[0].max(1e-9)).collect())
+    let pooled_ms = |processes: &[Rounds], side: usize| {
+        median(&processes.iter().flat_map(|rounds| rounds.column(side)).collect::<Vec<_>>())
+    };
+    // Each process's median per-round overhead.
+    let overheads = |processes: &[Rounds]| -> Vec<f64> {
+        let pct = |row: &Vec<f64>| 100.0 * (row[1] - row[0]) / row[0].max(1e-9);
+        processes.iter().map(|r| median(&r.ms.iter().map(pct).collect::<Vec<_>>())).collect()
+    };
+    let plain_ms = pooled_ms(&timed.concat(), 0);
+    let live = interval(&overheads(&timed[LIVE]), mean, seed);
+    // Per recorder: name, processes, median ms, mean overhead.
+    let recorders: Vec<(&str, usize, f64, f64)> = (1..SIDES.len())
+        .map(|side| {
+            let processes = &timed[side];
+            (SIDES[side], processes.len(), pooled_ms(processes, 1), mean(&overheads(processes)))
+        })
         .collect();
-    let median_ms: Vec<f64> = (0..SIDES.len())
-        .map(|side| quantile(&ms.iter().map(|row| row[side]).collect::<Vec<_>>(), 0.5))
-        .collect();
-    let live_pct = quantile(&overheads[1], 0.5);
 
-    let mut columns = vec![("plain_ms".to_owned(), median_ms[0])];
-    for side in 1..SIDES.len() {
-        columns.push((format!("{}_ms", SIDES[side]), median_ms[side]));
-        let pct = quantile(&overheads[side - 1], 0.5);
-        columns.push((format!("{}_overhead_pct", SIDES[side]), pct));
+    let mut columns = vec![("plain_ms".to_owned(), plain_ms)];
+    for &(name, _, ms, pct) in &recorders {
+        columns.push((format!("{name}_ms"), ms));
+        columns.push((format!("{name}_overhead_pct"), pct));
+        if name == SIDES[LIVE] {
+            columns.push(("live_overhead_pct_lo".to_owned(), live.lo));
+            columns.push(("live_overhead_pct_hi".to_owned(), live.hi));
+        }
     }
     let mut fields = vec![
         ("name", json::string(&circuit)),
         ("trials", format!("{n_trials}")),
-        ("heartbeats", format!("{}", live.snapshot().heartbeats)),
+        ("heartbeats", format!("{heartbeats}")),
     ];
     fields.extend(columns.iter().map(|(key, value)| (key.as_str(), json::number(*value))));
     let doc = ResultsDoc::new("telemetry")
         .int("seed", seed)
         .int("reps", rounds)
+        .int("processes", PROCESSES)
         .field("rows", json::array([json::object(&fields)]));
     doc.write_file(&out);
     report::maybe_record(&args, &doc);
 
     if !quiet {
-        let mut table =
-            Table::new(["Recorder", "Median", "Overhead (median)", "Overhead (q1 … q3)"]);
-        table.row(["null".to_owned(), format!("{:.3} ms", median_ms[0]), "—".into(), "—".into()]);
-        for side in 1..SIDES.len() {
-            let pct = &overheads[side - 1];
-            table.row([
-                SIDES[side].to_owned(),
-                format!("{:.3} ms", median_ms[side]),
-                format!("{:+.2}%", quantile(pct, 0.5)),
-                format!("{:+.2} … {:+.2}%", quantile(pct, 0.25), quantile(pct, 0.75)),
-            ]);
+        let mut table = Table::new(["Recorder", "Processes", "Median", "Overhead (mean)"]);
+        let null = ["null".into(), PROCESSES.to_string(), format!("{plain_ms:.3} ms"), "—".into()];
+        table.row(null);
+        for &(name, processes, ms, pct) in &recorders {
+            let cells =
+                [name.into(), processes.to_string(), format!("{ms:.3} ms"), format!("{pct:+.2}%")];
+            table.row(cells);
         }
         println!(
             "Telemetry overhead: reordered execution of {circuit}, {n_trials} trials, \
-             {rounds} rotated rounds"
+             {PROCESSES} processes x {rounds} rounds"
         );
         println!("{table}");
+        println!("live overhead 95% interval {:+.2} … {:+.2}%", live.lo, live.hi);
         println!("results written to {out}");
     }
 
     if check.is_finite() {
-        if live_pct > check {
+        if live.hi > check {
             eprintln!(
-                "FAIL: LiveRecorder median overhead {live_pct:.2}% on {circuit} exceeds budget \
-                 {check}%"
+                "FAIL: LiveRecorder overhead interval's upper end {:.2}% on {circuit} exceeds \
+                 budget {check}%",
+                live.hi
             );
             std::process::exit(1);
         }
         println!(
-            "live-recorder median overhead {live_pct:.2}% on {circuit} within the {check}% budget"
+            "live-recorder overhead interval's upper end {:.2}% on {circuit} within the {check}% \
+             budget",
+            live.hi
         );
     }
 }

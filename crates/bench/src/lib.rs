@@ -12,8 +12,8 @@
 //! | `ablation`| §IV.B motivation | reordered vs generation-order caching |
 //!
 //! The library half hosts the shared experiment machinery so that the
-//! binaries, the Criterion benches, and the integration tests all drive the
-//! *same* code paths.
+//! binaries and the integration tests drive the *same* code paths. Every
+//! bin that times wall clock does so through [`timing`].
 
 pub mod chart;
 pub mod experiments;
@@ -21,6 +21,7 @@ pub mod json;
 pub mod report;
 pub mod suite;
 pub mod table;
+pub mod timing;
 
 /// Whether a bare `--flag` is present in raw args.
 pub fn arg_flag(args: &[String], flag: &str) -> bool {
@@ -31,17 +32,19 @@ pub fn arg_flag(args: &[String], flag: &str) -> bool {
 ///
 /// # Panics
 ///
-/// Panics with a usage message if the value is present but unparsable.
+/// Panics with a usage message if the flag is present without a value or
+/// with an unparsable one.
 pub fn arg_value<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T
 where
     T::Err: std::fmt::Display,
 {
-    for window in args.windows(2) {
-        if window[0] == flag {
-            return window[1].parse().unwrap_or_else(|e| panic!("invalid value for {flag}: {e}"));
+    match args.iter().position(|a| a == flag) {
+        None => default,
+        Some(at) => {
+            let value = args.get(at + 1).unwrap_or_else(|| panic!("missing value for {flag}"));
+            value.parse().unwrap_or_else(|e| panic!("invalid value for {flag}: {e}"))
         }
     }
-    default
 }
 
 #[cfg(test)]
@@ -62,5 +65,13 @@ mod tests {
     fn arg_value_rejects_garbage() {
         let args: Vec<String> = ["prog", "--trials", "abc"].iter().map(|s| s.to_string()).collect();
         let _ = arg_value(&args, "--trials", 0usize);
+    }
+
+    #[test]
+    #[should_panic(expected = "missing value for --check")]
+    fn arg_value_rejects_a_flag_without_a_value() {
+        let args: Vec<String> =
+            ["prog", "--reps", "1", "--check"].iter().map(|s| s.to_string()).collect();
+        let _ = arg_value(&args, "--check", f64::INFINITY);
     }
 }

@@ -46,6 +46,31 @@ fn mean(samples: &[f64]) -> f64 {
     }
 }
 
+/// 95% bootstrap confidence interval of `statistic`. Each of the
+/// resamples draws, for every group in `sizes` in order, as many indices
+/// into that group as it has members, uniformly with replacement, and
+/// hands `statistic` the drawn indices (one vector per group). Returns
+/// `(lo, hi)`.
+pub fn bootstrap_ci<F>(sizes: &[usize], seed: u64, mut statistic: F) -> (f64, f64)
+where
+    F: FnMut(&[Vec<usize>]) -> f64,
+{
+    let mut rng = Xorshift::new(seed);
+    let mut draws: Vec<Vec<usize>> = sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
+    let mut values = Vec::with_capacity(BOOTSTRAP_ITERS);
+    for _ in 0..BOOTSTRAP_ITERS {
+        for (draw, &n) in draws.iter_mut().zip(sizes) {
+            draw.clear();
+            draw.extend((0..n).map(|_| rng.index(n)));
+        }
+        values.push(statistic(&draws));
+    }
+    values.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
+    let lo = values[(BOOTSTRAP_ITERS as f64 * 0.025) as usize];
+    let hi = values[((BOOTSTRAP_ITERS as f64 * 0.975) as usize).min(BOOTSTRAP_ITERS - 1)];
+    (lo, hi)
+}
+
 /// 95% bootstrap confidence interval of `mean(after) - mean(before)`.
 /// Returns `(lo, hi)`; degenerate inputs (singleton samples) collapse to a
 /// point interval.
@@ -53,22 +78,16 @@ pub fn bootstrap_diff_ci(before: &[f64], after: &[f64], seed: u64) -> (f64, f64)
     if before.is_empty() || after.is_empty() {
         return (0.0, 0.0);
     }
-    let mut rng = Xorshift::new(seed);
-    let mut diffs = Vec::with_capacity(BOOTSTRAP_ITERS);
-    let resample = |rng: &mut Xorshift, from: &[f64]| -> f64 {
+    let resampled_mean = |from: &[f64], draw: &[usize]| -> f64 {
         let mut total = 0.0;
-        for _ in 0..from.len() {
-            total += from[rng.index(from.len())];
+        for &index in draw {
+            total += from[index];
         }
         total / from.len() as f64
     };
-    for _ in 0..BOOTSTRAP_ITERS {
-        diffs.push(resample(&mut rng, after) - resample(&mut rng, before));
-    }
-    diffs.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-    let lo = diffs[(BOOTSTRAP_ITERS as f64 * 0.025) as usize];
-    let hi = diffs[((BOOTSTRAP_ITERS as f64 * 0.975) as usize).min(BOOTSTRAP_ITERS - 1)];
-    (lo, hi)
+    bootstrap_ci(&[after.len(), before.len()], seed, |draws| {
+        resampled_mean(after, &draws[0]) - resampled_mean(before, &draws[1])
+    })
 }
 
 /// Comparison verdict for one metric.

@@ -197,11 +197,13 @@ pub struct Regression {
 }
 
 /// Whether a metric is a wall-clock timing (environment-sensitive) one: a
-/// duration, or a ratio of durations (an overhead percentage, a speedup).
-/// Exact percentages, such as a prediction error, stay comparable across
+/// duration, or a ratio of durations (an overhead percentage, a speedup),
+/// or an end (`_lo`, `_hi`) of such a metric's interval. Exact
+/// percentages, such as a prediction error, stay comparable across
 /// environments.
 fn is_timing(name: &str) -> bool {
     let last = name.rsplit('.').next().unwrap_or(name);
+    let last = last.strip_suffix("_lo").or_else(|| last.strip_suffix("_hi")).unwrap_or(last);
     ["_ms", "_ns", "_s", "_overhead_pct"].iter().any(|suffix| last.ends_with(suffix))
         || last.contains("speedup")
 }
@@ -329,8 +331,18 @@ mod tests {
 
     #[test]
     fn timing_metrics_ignore_foreign_environments() {
-        let before = [("reuse_ms", 300.0), ("live_overhead_pct", 1.0), ("avx2_speedup", 9.0)];
-        let after = [("reuse_ms", 100.0), ("live_overhead_pct", 9.0), ("avx2_speedup", 1.0)];
+        let before = [
+            ("reuse_ms", 300.0),
+            ("live_overhead_pct", 1.0),
+            ("live_overhead_pct_hi", 2.0),
+            ("avx2_speedup", 9.0),
+        ];
+        let after = [
+            ("reuse_ms", 100.0),
+            ("live_overhead_pct", 9.0),
+            ("live_overhead_pct_hi", 10.0),
+            ("avx2_speedup", 1.0),
+        ];
         let mut slow_env = record("telemetry", 0, &[&before[..], &[("ops", 999.0)]].concat());
         slow_env.env.cpus = 2;
         let records =
@@ -344,7 +356,7 @@ mod tests {
         let mut flagged: Vec<String> =
             check(&records, DEFAULT_WINDOW, 5.0).into_iter().map(|r| r.metric).collect();
         flagged.sort();
-        assert_eq!(flagged, ["avx2_speedup", "live_overhead_pct"]);
+        assert_eq!(flagged, ["avx2_speedup", "live_overhead_pct", "live_overhead_pct_hi"]);
         // But an exact-metric increase across envs IS flagged.
         let mut foreign = record("telemetry", 0, &[("ops", 420.0)]);
         foreign.env.cpus = 2;

@@ -26,8 +26,8 @@ pub mod trace;
 
 pub use analysis::{KernelCell, ResidencyPoint, SemanticCacheView, TraceAnalysis, TrialSlice};
 pub use compare::{
-    bootstrap_diff_ci, compare_bench_json, compare_samples, compare_traces, flatten_metrics,
-    MetricDelta, Verdict,
+    bootstrap_ci, bootstrap_diff_ci, compare_bench_json, compare_samples, compare_traces,
+    flatten_metrics, MetricDelta, Verdict,
 };
 pub use env::{git_rev, EnvFingerprint};
 pub use history::{

@@ -3,6 +3,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Mutex;
+use std::thread::ThreadId;
 
 use crate::json::escape;
 use crate::recorder::{KernelClass, MsvEvent, Recorder};
@@ -77,8 +78,9 @@ struct Aggregate {
     kernels: BTreeMap<(&'static str, KernelClass), KernelStat>,
     spans: BTreeMap<&'static str, SpanStat>,
     msv_events: BTreeMap<MsvEvent, u64>,
-    msv_residency: usize,
-    msv_peak_residency: usize,
+    /// Peak MSV residency per worker thread: each MSV event carries its
+    /// own worker's residency.
+    msv_peaks: Vec<(ThreadId, usize)>,
     msv_peak_depth: usize,
     cache: BTreeMap<usize, CacheDepthStat>,
 }
@@ -115,7 +117,7 @@ impl AggregatingRecorder {
                 .collect(),
             spans: inner.spans.iter().map(|(&k, &v)| (k.to_owned(), v)).collect(),
             msv_events: inner.msv_events.clone(),
-            msv_peak_residency: inner.msv_peak_residency,
+            msv_peak_residency: inner.msv_peaks.iter().map(|&(_, peak)| peak).sum(),
             msv_peak_depth: inner.msv_peak_depth,
             cache: inner.cache.clone(),
         }
@@ -155,11 +157,14 @@ impl Recorder for AggregatingRecorder {
     }
 
     fn msv(&self, event: MsvEvent, depth: usize, residency: usize) {
+        let thread = std::thread::current().id();
         self.with(|a| {
             let slot = a.msv_events.entry(event).or_insert(0);
             *slot = slot.saturating_add(1);
-            a.msv_residency = residency;
-            a.msv_peak_residency = a.msv_peak_residency.max(residency);
+            match a.msv_peaks.iter_mut().find(|(worker, _)| *worker == thread) {
+                Some((_, peak)) => *peak = (*peak).max(residency),
+                None => a.msv_peaks.push((thread, residency)),
+            }
             a.msv_peak_depth = a.msv_peak_depth.max(depth);
         });
     }
@@ -188,7 +193,8 @@ pub struct MetricsReport {
     pub spans: BTreeMap<String, SpanStat>,
     /// MSV lifecycle event counts.
     pub msv_events: BTreeMap<MsvEvent, u64>,
-    /// Peak number of concurrently live MSVs observed.
+    /// Peak MSV residency: the sum of each worker thread's peak, the rule
+    /// of `ExecStats::peak_msv` (exact for one worker).
     pub msv_peak_residency: usize,
     /// Deepest trie depth any MSV reached.
     pub msv_peak_depth: usize,
@@ -202,8 +208,8 @@ impl MetricsReport {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Peak concurrently-live MSVs (the paper's MSV metric as observed at
-    /// runtime).
+    /// Peak live MSVs (the paper's MSV metric as observed at runtime),
+    /// summed over worker threads as `ExecStats::peak_msv` sums them.
     pub fn peak_residency(&self) -> usize {
         self.msv_peak_residency
     }
@@ -359,6 +365,40 @@ mod tests {
         rec.cache(1, true);
         rec.cache(1, true);
         rec.report()
+    }
+
+    #[test]
+    fn msv_peak_sums_worker_peaks_in_either_order() {
+        let run = |order: [usize; 2]| {
+            let rec = AggregatingRecorder::new();
+            let rec = &rec;
+            let workers: [&(dyn Fn() + Sync); 2] = [
+                // Peak 3, ending at its root.
+                &|| {
+                    rec.msv(MsvEvent::Create, 0, 1);
+                    rec.msv(MsvEvent::Fork, 1, 2);
+                    rec.msv(MsvEvent::Fork, 2, 3);
+                    rec.msv(MsvEvent::Drop, 2, 2);
+                    rec.msv(MsvEvent::Drop, 1, 1);
+                },
+                // Peak 2, still holding a fork at its last event.
+                &|| {
+                    rec.msv(MsvEvent::Create, 0, 1);
+                    rec.msv(MsvEvent::Fork, 1, 2);
+                },
+            ];
+            for worker in order {
+                // One thread per worker, finished before the next starts.
+                std::thread::scope(|scope| {
+                    scope.spawn(workers[worker]);
+                });
+            }
+            rec.report()
+        };
+        let (first, second) = (run([0, 1]), run([1, 0]));
+        assert_eq!(first, second);
+        assert_eq!(first.peak_residency(), 3 + 2);
+        assert_eq!(first.msv_peak_depth, 2);
     }
 
     #[test]
