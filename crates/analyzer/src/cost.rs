@@ -8,7 +8,6 @@ use qsim_noise::Trial;
 use crate::plan::{replay_schedule, ScheduleOp};
 
 /// The static analyzer's verdict for one circuit + trial set.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct CostReport {
     /// Number of trials analyzed.
@@ -31,9 +30,7 @@ pub struct CostReport {
     /// trial might branch there): `max(injections per trial) + 1`. This is
     /// the accounting that reproduces the absolute values of the paper's
     /// Fig. 6 (e.g. 3 for `rb`, 6 for `qft5`); `msv_peak` is a strict
-    /// improvement enabled by the lookahead. Defaults to zero when absent
-    /// so reports serialized before this field load.
-    #[cfg_attr(feature = "serde", serde(default))]
+    /// improvement enabled by the lookahead.
     pub msv_path_peak: usize,
 }
 

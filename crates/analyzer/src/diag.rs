@@ -2,10 +2,12 @@
 //!
 //! Diagnostics are shaped like a compiler's: a stable machine-readable
 //! [`DiagCode`], a [`Severity`], a human message, and a structured
-//! [`Location`] into the plan. They serialize to JSON (under the `serde`
-//! feature) for tooling and render to a terminal via [`render_tty`].
+//! [`Location`] into the plan. [`render_json`] writes them as JSON for
+//! tooling and [`render_tty`] renders them for a terminal.
 
 use std::fmt;
+
+use qsim_telemetry::json::escape;
 
 /// How bad a finding is.
 ///
@@ -13,7 +15,6 @@ use std::fmt;
 /// amplitudes, wrong statistics, or out-of-bounds access. `Warning` flags
 /// something legal but suspicious (e.g. an empty trial set).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Severity {
     /// Suspicious but executable.
     Warning,
@@ -53,14 +54,6 @@ macro_rules! diag_codes {
             pub fn as_str(self) -> &'static str {
                 match self {
                     $(DiagCode::$variant => $code,)*
-                }
-            }
-
-            /// Parse the wire form back; `None` for unknown codes.
-            pub fn parse(text: &str) -> Option<Self> {
-                match text {
-                    $($code => Some(DiagCode::$variant),)*
-                    _ => None,
                 }
             }
 
@@ -122,27 +115,10 @@ impl fmt::Display for DiagCode {
     }
 }
 
-#[cfg(feature = "serde")]
-impl serde::ser::Serialize for DiagCode {
-    fn to_value(&self) -> serde::value::Value {
-        serde::value::Value::Str(self.as_str().to_owned())
-    }
-}
-
-#[cfg(feature = "serde")]
-impl<'de> serde::de::Deserialize<'de> for DiagCode {
-    fn from_value(value: &serde::value::Value) -> Result<Self, serde::de::DeError> {
-        let text = String::from_value(value)?;
-        DiagCode::parse(&text)
-            .ok_or_else(|| serde::de::DeError::new(format!("unknown diagnostic code `{text}`")))
-    }
-}
-
 /// Where in the plan a diagnostic points. Every field is optional; a
 /// location names only the coordinates that make sense for its code
 /// (e.g. a schedule finding has `schedule_op`, a trial lint has `trial`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Location {
     /// Original (pre-reorder) trial index.
     pub trial: Option<usize>,
@@ -207,27 +183,23 @@ impl Location {
         self
     }
 
+    /// The six coordinates by field name, in declaration order.
+    fn coordinates(&self) -> [(&'static str, Option<usize>); 6] {
+        [
+            ("trial", self.trial),
+            ("injection", self.injection),
+            ("layer", self.layer),
+            ("segment", self.segment),
+            ("schedule_op", self.schedule_op),
+            ("qubit", self.qubit),
+        ]
+    }
+
     fn parts(&self) -> Vec<String> {
-        let mut parts = Vec::new();
-        if let Some(t) = self.trial {
-            parts.push(format!("trial {t}"));
-        }
-        if let Some(i) = self.injection {
-            parts.push(format!("injection {i}"));
-        }
-        if let Some(l) = self.layer {
-            parts.push(format!("layer {l}"));
-        }
-        if let Some(s) = self.segment {
-            parts.push(format!("segment {s}"));
-        }
-        if let Some(o) = self.schedule_op {
-            parts.push(format!("schedule op {o}"));
-        }
-        if let Some(q) = self.qubit {
-            parts.push(format!("qubit {q}"));
-        }
-        parts
+        self.coordinates()
+            .iter()
+            .filter_map(|(name, at)| at.map(|at| format!("{} {at}", name.replace('_', " "))))
+            .collect()
     }
 }
 
@@ -244,7 +216,6 @@ impl fmt::Display for Location {
 
 /// One finding: a coded, located, human-readable statement about the plan.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Diagnostic {
     /// The invariant that failed.
     pub code: DiagCode,
@@ -272,6 +243,39 @@ impl fmt::Display for Diagnostic {
 /// True if any diagnostic is an [`Severity::Error`].
 pub fn has_errors(diagnostics: &[Diagnostic]) -> bool {
     diagnostics.iter().any(|d| d.severity == Severity::Error)
+}
+
+/// Render diagnostics as one JSON array, the form `qsim verify --json`
+/// prints: each diagnostic is `{"code", "severity", "message",
+/// "location"}` in that order, with the code in its wire form, the
+/// severity as `"Error"` or `"Warning"`, and all six location coordinates
+/// present, `null` where unset.
+pub fn render_json(diagnostics: &[Diagnostic]) -> String {
+    let items: Vec<String> = diagnostics
+        .iter()
+        .map(|d| {
+            let severity = match d.severity {
+                Severity::Warning => "Warning",
+                Severity::Error => "Error",
+            };
+            let location: Vec<String> = d
+                .location
+                .coordinates()
+                .iter()
+                .map(|(name, at)| match at {
+                    Some(at) => format!("\"{name}\":{at}"),
+                    None => format!("\"{name}\":null"),
+                })
+                .collect();
+            format!(
+                "{{\"code\":\"{}\",\"severity\":\"{severity}\",\"message\":\"{}\",\"location\":{{{}}}}}",
+                d.code,
+                escape(&d.message),
+                location.join(",")
+            )
+        })
+        .collect();
+    format!("[{}]", items.join(","))
 }
 
 /// Render diagnostics the way a compiler prints to a TTY:
@@ -306,10 +310,9 @@ mod tests {
     #[test]
     fn codes_round_trip_their_wire_form() {
         for &code in DiagCode::ALL {
-            assert_eq!(DiagCode::parse(code.as_str()), Some(code));
+            assert_eq!(code.to_string(), code.as_str());
             assert!(!code.summary().is_empty());
         }
-        assert_eq!(DiagCode::parse("XYZ999"), None);
     }
 
     #[test]
@@ -338,5 +341,45 @@ mod tests {
         assert!(render_tty(&[]).is_empty());
         assert!(has_errors(&diags));
         assert!(!has_errors(&diags[1..]));
+    }
+
+    #[test]
+    fn json_rendering_parses_back_field_for_field() {
+        use qsim_telemetry::json::Json;
+        let message = "quote \" backslash \\ tab \t control \u{1} astral \u{1F600}";
+        let everywhere = Location {
+            trial: Some(1),
+            injection: Some(2),
+            layer: Some(3),
+            segment: Some(4),
+            schedule_op: Some(5),
+            qubit: Some(6),
+        };
+        let diags = [
+            Diagnostic::new(DiagCode::UseAfterDrop, everywhere, message),
+            Diagnostic::new(DiagCode::EmptyTrialSet, Location::none(), message),
+        ];
+        let text = render_json(&diags);
+        let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+        let items = doc.as_arr().expect("an array");
+        assert_eq!(items.len(), diags.len());
+        for ((item, d), severity) in items.iter().zip(&diags).zip(["Error", "Warning"]) {
+            let keys: Vec<&str> =
+                item.as_obj().expect("an object").iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(keys, ["code", "severity", "message", "location"]);
+            assert_eq!(item.get("code").and_then(Json::as_str), Some(d.code.as_str()));
+            assert_eq!(item.get("severity").and_then(Json::as_str), Some(severity));
+            assert_eq!(item.get("message").and_then(Json::as_str), Some(message));
+            let location = item.get("location").expect("a location");
+            assert_eq!(location.as_obj().map(<[_]>::len), Some(6));
+            for (name, at) in d.location.coordinates() {
+                let got = location.get(name).unwrap_or_else(|| panic!("{name} missing: {text}"));
+                match at {
+                    Some(at) => assert_eq!(got.as_u64(), Some(at as u64), "{name}"),
+                    None => assert_eq!(got, &Json::Null, "{name}"),
+                }
+            }
+        }
+        assert_eq!(render_json(&[]), "[]");
     }
 }

@@ -21,8 +21,8 @@
 //!   and returns structured
 //!   [`Diagnostic`]s with stable [`DiagCode`]s (`MSV*`, `FUS*`, `TRL*`,
 //!   `NSE*`, `CIR*`, `A2*`; the full table lives in `docs/DIAGNOSTICS.md`).
-//! * [`render_tty`] prints them human-readably; with the `serde` feature
-//!   they serialize to JSON for tooling.
+//! * [`render_tty`] prints them human-readably and [`render_json`] writes
+//!   them as JSON for tooling (through `qsim_telemetry::json::escape`).
 //! * [`Mutation`] seeds deliberate corruptions so the test suite can prove
 //!   each pass actually fires.
 //!
@@ -52,7 +52,7 @@ mod plan;
 
 pub use canon::{model_digest, prefix_fingerprint, StableHasher};
 pub use cost::CostReport;
-pub use diag::{has_errors, render_tty, DiagCode, Diagnostic, Location, Severity};
+pub use diag::{has_errors, render_json, render_tty, DiagCode, Diagnostic, Location, Severity};
 pub use mutate::Mutation;
 pub use passes::advisor::{advise, Advice, Strategy, StrategyPrediction};
 pub use plan::{compile_schedule, replay_schedule, ExecutionPlan, FrameId, ScheduleOp, ROOT_FRAME};

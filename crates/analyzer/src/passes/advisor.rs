@@ -26,7 +26,6 @@ use crate::diag::{DiagCode, Diagnostic, Location};
 use crate::plan::{replay_schedule, ExecutionPlan, ScheduleOp};
 
 /// One execution strategy the advisor can cost.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Strategy {
     /// Run every trial from scratch, gate by gate (no fusion).
@@ -69,7 +68,6 @@ impl std::fmt::Display for Strategy {
 
 /// The cost model's prediction for one strategy — field-for-field what the
 /// matching executor reports in `ExecStats`.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StrategyPrediction {
     /// Which strategy this prediction costs.
@@ -94,7 +92,6 @@ impl StrategyPrediction {
 
 /// Everything the advisor derives from a plan: the ranked strategy
 /// predictions.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Clone, Debug, PartialEq)]
 pub struct Advice {
     /// Predictions ranked best (fewest amplitude passes) first.
@@ -110,6 +107,29 @@ impl Advice {
     /// Look up one strategy's prediction.
     pub fn prediction(&self, strategy: Strategy) -> Option<&StrategyPrediction> {
         self.predictions.iter().find(|p| p.strategy == strategy)
+    }
+
+    /// The advice as JSON, the form `qsim advise --json` embeds:
+    /// `{"predictions":[…]}` in rank order, each prediction's fields in
+    /// declaration order with its strategy as the variant name
+    /// (`"Reuse"`, `"Fused"`, `"Sequential"`).
+    pub fn render_json(&self) -> String {
+        let predictions: Vec<String> = self
+            .predictions
+            .iter()
+            .map(|p| {
+                let strategy = match p.strategy {
+                    Strategy::Sequential => "Sequential",
+                    Strategy::Fused => "Fused",
+                    Strategy::Reuse => "Reuse",
+                };
+                format!(
+                    "{{\"strategy\":\"{strategy}\",\"ops\":{},\"fused_ops\":{},\"amplitude_passes\":{},\"msv_peak\":{}}}",
+                    p.ops, p.fused_ops, p.amplitude_passes, p.msv_peak
+                )
+            })
+            .collect();
+        format!("{{\"predictions\":[{}]}}", predictions.join(","))
     }
 }
 

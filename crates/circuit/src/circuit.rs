@@ -5,7 +5,6 @@ use qsim_statevec::{StateVecError, StateVector};
 use crate::{CircuitError, Gate, GateOp, LayeredCircuit};
 
 /// One instruction of a quantum program.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Clone, Debug, PartialEq)]
 pub enum Instruction {
     /// A unitary gate application.
@@ -23,7 +22,6 @@ pub enum Instruction {
 }
 
 /// Post-compilation gate statistics, in the shape of the paper's Table I.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct GateCounts {
     /// One-qubit gates ("Single #").
@@ -50,7 +48,6 @@ pub struct GateCounts {
 /// qc.h(0).cx(0, 1).cx(1, 2).measure_all();
 /// assert_eq!(qc.counts().cnot, 2);
 /// ```
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Clone, Debug, PartialEq)]
 pub struct Circuit {
     name: String,

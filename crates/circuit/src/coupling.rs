@@ -13,7 +13,6 @@ use std::fmt;
 /// assert!(!yorktown.are_adjacent(0, 3));
 /// assert_eq!(yorktown.shortest_path(0, 3), Some(vec![0, 2, 3]));
 /// ```
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CouplingMap {
     n_qubits: usize,

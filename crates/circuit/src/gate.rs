@@ -8,7 +8,6 @@ use crate::CircuitError;
 ///
 /// Gates are *logical*: the transpiler lowers everything to the device basis
 /// (`U` plus `Cx`) before layering and noisy simulation. Angles are radians.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Copy, Clone, Debug, PartialEq)]
 #[non_exhaustive]
 pub enum Gate {
@@ -163,7 +162,6 @@ impl fmt::Display for Gate {
 }
 
 /// A gate bound to its qubit operands.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Clone, Debug, PartialEq)]
 pub struct GateOp {
     /// The gate.

@@ -25,7 +25,6 @@ use crate::{Circuit, CircuitError, GateOp, Instruction};
 /// # Ok(())
 /// # }
 /// ```
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Clone, Debug, PartialEq)]
 pub struct LayeredCircuit {
     name: String,
@@ -42,7 +41,6 @@ pub struct LayeredCircuit {
 /// The choice never changes gate counts or simulation results, but it
 /// changes **which qubits idle in which layers** — and therefore where
 /// idle-error positions fall when the noise model has an idle channel.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum LayeringStrategy {
     /// As soon as possible: every gate in the earliest layer its operands

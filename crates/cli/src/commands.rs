@@ -223,9 +223,7 @@ fn verify(prepared: &Circuit, opts: &Options, out: &mut dyn Write) -> Result<(),
     let set = sim.trials().expect("trials just prepared");
     let diagnostics = qsim_analyzer::verify(&plan);
     if opts.json {
-        let json = serde_json::to_string(&diagnostics)
-            .map_err(|e| CliError(format!("serializing diagnostics: {e}")))?;
-        writeln!(out, "{json}").map_err(io_err)?;
+        writeln!(out, "{}", qsim_analyzer::render_json(&diagnostics)).map_err(io_err)?;
     } else if diagnostics.is_empty() {
         writeln!(
             out,
@@ -273,14 +271,12 @@ fn advise(prepared: &Circuit, opts: &Options, out: &mut dyn Write) -> Result<(),
     let best = advice.best();
 
     if opts.json {
-        let advice_json = serde_json::to_string(advice)
-            .map_err(|e| CliError(format!("serializing advice: {e}")))?;
-        let diags_json = serde_json::to_string(&diagnostics)
-            .map_err(|e| CliError(format!("serializing diagnostics: {e}")))?;
         writeln!(
             out,
-            "{{\"advice\":{advice_json},\"recommended\":\"{}\",\"diagnostics\":{diags_json}}}",
-            best.strategy
+            "{{\"advice\":{},\"recommended\":\"{}\",\"diagnostics\":{}}}",
+            advice.render_json(),
+            best.strategy,
+            qsim_analyzer::render_json(&diagnostics)
         )
         .map_err(io_err)?;
     } else {

@@ -30,7 +30,6 @@ use qsim_circuit::LayeredCircuit;
 use qsim_noise::TrialGenerator;
 
 /// The analytic prediction.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct SavingsEstimate {
     /// Trials the prediction is for.

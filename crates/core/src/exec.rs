@@ -47,7 +47,6 @@ use crate::order::{compare_trials, sorted_order};
 use crate::SimError;
 
 /// Operation counts and memory high-water marks of one execution.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Basic operations performed (gate applications + error-operator
@@ -56,13 +55,10 @@ pub struct ExecStats {
     pub ops: u64,
     /// Fused kernel applications (gate work after fusion, excluding error
     /// operators). Equals the gate share of `ops` when running unfused.
-    /// Defaults to zero when absent so pre-fusion serialized stats load.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub fused_ops: u64,
     /// Full passes over the amplitude array: `fused_ops` plus one per
     /// error-operator application — the hardware-cost counterpart of
     /// `ops`.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub amplitude_passes: u64,
     /// Peak number of concurrently stored state vectors (the MSV metric).
     /// Zero for the baseline, which stores no intermediate states.
@@ -82,7 +78,6 @@ impl fmt::Display for ExecStats {
 }
 
 /// The outcome of executing a trial set.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunResult {
     /// Per-trial classical-register outcomes, aligned with the *input*

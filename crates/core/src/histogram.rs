@@ -6,7 +6,6 @@ use qsim_statevec::MeasureOutcome;
 /// A histogram over classical measurement outcomes — the aggregate the
 /// Monte-Carlo simulation reports ("the final results are averaged to show
 /// a distribution of the output on the modeled device", paper §III.B.2).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Histogram {
     counts: BTreeMap<u64, u64>,

@@ -15,7 +15,6 @@ pub(crate) const MAX_PACKED_LAYER: usize = u32::MAX as usize;
 
 /// Where an error strikes: a single qubit or a coupled pair (the operands of
 /// the gate that triggered it).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Site {
     /// A one-qubit gate's operand.
@@ -49,7 +48,6 @@ impl fmt::Display for Site {
 /// assert!(early < late); // layer dominates the order
 /// assert_eq!(early.site(), Site::One(3));
 /// ```
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Injection {
     pub(crate) layer: u32,

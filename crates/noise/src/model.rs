@@ -16,12 +16,10 @@ use crate::{NoiseError, PauliWeights};
 /// * Optionally, a qubit left idle in a layer suffers its idle channel
 ///   (the paper's errors that "can happen without an operation").
 /// * Each measured bit flips with probability `readout(q)`.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Clone, Debug, PartialEq)]
 pub struct NoiseModel {
     n_qubits: usize,
     single: Vec<PauliWeights>,
-    #[cfg_attr(feature = "serde", serde(with = "pair_map_serde"))]
     pair: HashMap<(usize, usize), f64>,
     default_pair: f64,
     readout: Vec<f64>,
@@ -341,31 +339,6 @@ fn check_prob(what: &'static str, p: f64) -> Result<(), NoiseError> {
         Ok(())
     } else {
         Err(NoiseError::InvalidProbability { what, value: p })
-    }
-}
-
-/// Serde helpers for the tuple-keyed pair map (JSON requires string keys,
-/// so the map travels as a list of `((a, b), rate)` entries).
-#[cfg(feature = "serde")]
-mod pair_map_serde {
-    use std::collections::HashMap;
-
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    pub fn serialize<S: Serializer>(
-        map: &HashMap<(usize, usize), f64>,
-        serializer: S,
-    ) -> Result<S::Ok, S::Error> {
-        let mut entries: Vec<((usize, usize), f64)> = map.iter().map(|(&k, &v)| (k, v)).collect();
-        entries.sort_by_key(|&(k, _)| k);
-        entries.serialize(serializer)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(
-        deserializer: D,
-    ) -> Result<HashMap<(usize, usize), f64>, D::Error> {
-        let entries: Vec<((usize, usize), f64)> = Vec::deserialize(deserializer)?;
-        Ok(entries.into_iter().collect())
     }
 }
 

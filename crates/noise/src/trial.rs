@@ -16,7 +16,7 @@ use crate::Injection;
 /// The injection list is a range of an injection arena shared by every
 /// trial of a generated or parsed [`TrialSet`], so a set of millions of
 /// trials is a handful of allocations, not one per trial. Cloning a trial
-/// shares the arena; equality, hashing and serialization see only the list.
+/// shares the arena; equality and hashing see only the list.
 /// (The arena is the generator's own buffer, moved behind the `Arc` rather
 /// than copied into an `Arc<[Injection]>`: a copy would double the peak
 /// memory of a large set just as it is finished.)
@@ -58,21 +58,12 @@ impl Trial {
     ///
     /// Panics if two injections share the same error position — the
     /// depolarizing channel injects at most one operator per position.
-    pub fn new(injections: Vec<Injection>, meas_flips: u64, seed: u64) -> Self {
-        Trial::owning(injections, meas_flips, seed)
-            .unwrap_or_else(|inj| panic!("duplicate error position {inj} in one trial"))
-    }
-
-    /// A trial that is its own arena; a repeated error position comes back
-    /// as `Err`.
-    fn owning(
-        mut injections: Vec<Injection>,
-        meas_flips: u64,
-        seed: u64,
-    ) -> Result<Self, Injection> {
-        canonicalize(&mut injections)?;
+    pub fn new(mut injections: Vec<Injection>, meas_flips: u64, seed: u64) -> Self {
+        if let Err(inj) = canonicalize(&mut injections) {
+            panic!("duplicate error position {inj} in one trial");
+        }
         let len = arena_index(injections.len());
-        Ok(Trial { arena: Arc::new(injections), start: 0, len, meas_flips, seed })
+        Trial { arena: Arc::new(injections), start: 0, len, meas_flips, seed }
     }
 
     /// A trial with no injected errors (the error-free execution of the
@@ -133,31 +124,6 @@ impl fmt::Debug for Trial {
             .field("meas_flips", &self.meas_flips)
             .field("seed", &self.seed)
             .finish()
-    }
-}
-
-/// Serialized as `{"injections": [...], "meas_flips": u64, "seed": u64}`.
-#[cfg(feature = "serde")]
-impl serde::Serialize for Trial {
-    fn to_value(&self) -> serde::value::Value {
-        serde::value::Value::Map(vec![
-            ("injections".to_owned(), self.injections().to_value()),
-            ("meas_flips".to_owned(), self.meas_flips.to_value()),
-            ("seed".to_owned(), self.seed.to_value()),
-        ])
-    }
-}
-
-/// Deserializing sorts the injection list and rejects a repeated error
-/// position, as [`Trial::new`] does.
-#[cfg(feature = "serde")]
-impl<'de> serde::Deserialize<'de> for Trial {
-    fn from_value(value: &serde::value::Value) -> Result<Self, serde::de::DeError> {
-        use serde::de::{field, DeError};
-        let entries = value.as_map().ok_or_else(|| DeError::expected("object", value))?;
-        let (meas_flips, seed) = (field(entries, "meas_flips")?, field(entries, "seed")?);
-        Trial::owning(field(entries, "injections")?, meas_flips, seed)
-            .map_err(|inj| DeError::new(format!("duplicate error position {inj} in one trial")))
     }
 }
 
@@ -237,7 +203,6 @@ impl fmt::Display for Trial {
 }
 
 /// A complete set of statically generated trials for one circuit + model.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Clone, Debug, PartialEq)]
 pub struct TrialSet {
     n_qubits: usize,

@@ -23,7 +23,6 @@ use crate::NoiseError;
 /// assert_eq!(deph.z, 0.01);
 /// assert_eq!(deph.x, 0.0);
 /// ```
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Copy, Clone, Debug, PartialEq, Default)]
 pub struct PauliWeights {
     /// Probability of injecting X.

@@ -99,7 +99,8 @@ pub struct TraceAnalysis {
     pub spans: BTreeMap<String, (u64, u64)>,
     /// MSV residency over event-stream time.
     pub residency_curve: Vec<ResidencyPoint>,
-    /// Peak live MSVs.
+    /// Peak live MSVs: the sum of each worker's peak, the rule of
+    /// `ExecStats::peak_msv` (exact for one worker).
     pub peak_residency: u64,
     /// Deepest trie depth any MSV reached.
     pub peak_depth: u64,
@@ -139,6 +140,7 @@ impl TraceAnalysis {
     pub fn from_trace(trace: &Trace) -> Self {
         let mut a = TraceAnalysis::default();
         let mut msv_seq = 0u64;
+        let mut worker_peaks: BTreeMap<u64, u64> = BTreeMap::new();
         for event in &trace.events {
             match event {
                 TraceEvent::Counter { name, delta } => {
@@ -163,14 +165,15 @@ impl TraceAnalysis {
                     slot.0 += 1;
                     slot.1 = slot.1.saturating_add(end_ns.saturating_sub(*start_ns));
                 }
-                TraceEvent::Msv { kind, depth, residency } => {
+                TraceEvent::Msv { kind, depth, residency, worker } => {
                     a.residency_curve.push(ResidencyPoint {
                         seq: msv_seq,
                         kind: *kind,
                         residency: *residency,
                     });
                     msv_seq += 1;
-                    a.peak_residency = a.peak_residency.max(*residency);
+                    let peak = worker_peaks.entry(*worker).or_insert(0);
+                    *peak = (*peak).max(*residency);
                     a.peak_depth = a.peak_depth.max(*depth);
                     *a.msv_counts.entry(*kind).or_insert(0) += 1;
                 }
@@ -189,6 +192,9 @@ impl TraceAnalysis {
                     a.peak_heartbeat_resident = a.peak_heartbeat_resident.max(*resident);
                 }
             }
+        }
+        for peak in worker_peaks.into_values() {
+            add(&mut a.peak_residency, peak, &mut a.overflowed);
         }
         if !a.single_walk() {
             a.trials.clear();
@@ -425,6 +431,30 @@ mod tests {
         let broken = text.replacen("\"kind\":\"create\"", "\"kind\":\"fork\"", 1);
         let problems = TraceAnalysis::from_trace(&Trace::parse(&broken).unwrap()).cross_check();
         assert!(problems.iter().any(|p| p.contains("root creations")), "{problems:?}");
+    }
+
+    #[test]
+    fn peak_residency_sums_the_workers_peaks() {
+        // Two workers' MSV events interleave: worker 0 peaks at 2 and
+        // worker 1 at 3, never at the same time, and no line reads 5.
+        let text = concat!(
+            "{\"ev\":\"meta\",\"version\":2,\"git_rev\":\"abc\",\"seed\":1,\"qubits\":4,\"strategy\":\"parallel-reuse\"}\n",
+            "{\"ev\":\"msv\",\"kind\":\"create\",\"depth\":0,\"residency\":1,\"worker\":0}\n",
+            "{\"ev\":\"msv\",\"kind\":\"create\",\"depth\":0,\"residency\":1,\"worker\":1}\n",
+            "{\"ev\":\"msv\",\"kind\":\"fork\",\"depth\":1,\"residency\":2,\"worker\":0}\n",
+            "{\"ev\":\"msv\",\"kind\":\"drop\",\"depth\":1,\"residency\":1,\"worker\":0}\n",
+            "{\"ev\":\"msv\",\"kind\":\"fork\",\"depth\":1,\"residency\":2,\"worker\":1}\n",
+            "{\"ev\":\"msv\",\"kind\":\"fork\",\"depth\":2,\"residency\":3,\"worker\":1}\n",
+            "{\"ev\":\"msv\",\"kind\":\"drop\",\"depth\":2,\"residency\":2,\"worker\":1}\n",
+            "{\"ev\":\"msv\",\"kind\":\"drop\",\"depth\":1,\"residency\":1,\"worker\":1}\n",
+        );
+        let a = TraceAnalysis::from_trace(&Trace::parse(text).unwrap());
+        assert_eq!(a.peak_residency, 5);
+        assert_eq!(a.peak_depth, 2);
+        assert_eq!(a.residency_curve.len(), 8);
+        // Without worker keys every event is worker 0's: a plain maximum.
+        let unkeyed = text.replace(",\"worker\":1}", "}").replace(",\"worker\":0}", "}");
+        assert_eq!(TraceAnalysis::from_trace(&Trace::parse(&unkeyed).unwrap()).peak_residency, 3);
     }
 
     #[test]

@@ -131,21 +131,6 @@ impl FromIterator<C64> for AmpBuf {
     }
 }
 
-#[cfg(feature = "serde")]
-impl serde::Serialize for AmpBuf {
-    fn to_value(&self) -> serde::value::Value {
-        self[..].to_value()
-    }
-}
-
-#[cfg(feature = "serde")]
-impl<'de> serde::Deserialize<'de> for AmpBuf {
-    fn from_value(value: &serde::value::Value) -> Result<Self, serde::de::DeError> {
-        let amps = Vec::<C64>::from_value(value)?;
-        Ok(AmpBuf::from_slice(&amps))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

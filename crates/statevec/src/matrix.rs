@@ -15,7 +15,6 @@ fn c(re: f64, im: f64) -> C64 {
 /// let h = Matrix2::h();
 /// assert!((h * h).approx_eq(&Matrix2::identity(), 1e-12));
 /// ```
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct Matrix2(pub [[C64; 2]; 2]);
 
@@ -226,7 +225,6 @@ impl fmt::Display for Matrix2 {
 ///
 /// Local basis ordering: index `2·bit(high) + bit(low)` where `(low, high)`
 /// are the qubit operands of [`crate::StateVector::apply_2q`].
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct Matrix4(pub [[C64; 4]; 4]);
 

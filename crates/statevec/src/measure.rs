@@ -101,26 +101,6 @@ impl MeasureOutcome {
     }
 }
 
-/// Serialized as `{"bits": [bool, …]}`, index = qubit.
-#[cfg(feature = "serde")]
-impl serde::Serialize for MeasureOutcome {
-    fn to_value(&self) -> serde::value::Value {
-        serde::value::Value::Map(vec![("bits".to_owned(), self.to_bits().to_value())])
-    }
-}
-
-#[cfg(feature = "serde")]
-impl<'de> serde::Deserialize<'de> for MeasureOutcome {
-    fn from_value(value: &serde::value::Value) -> Result<Self, serde::de::DeError> {
-        let entries =
-            value.as_map().ok_or_else(|| serde::de::DeError::expected("object", value))?;
-        let bits: Vec<bool> = serde::de::field(entries, "bits")?;
-        Self::check_width(bits.len()).map_err(serde::de::DeError::new)?;
-        let mask = bits.iter().enumerate().fold(0u64, |acc, (q, &b)| acc | u64::from(b) << q);
-        Ok(MeasureOutcome { mask, width: bits.len() as u32 })
-    }
-}
-
 impl std::fmt::Display for MeasureOutcome {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // Most-significant qubit first, ket style.

@@ -5,7 +5,6 @@ use crate::Matrix2;
 
 /// One of the three non-identity Pauli operators used as error operators in
 /// the noisy simulation (paper §III.B, Equation 1).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Pauli {
     /// Bit flip.

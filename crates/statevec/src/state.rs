@@ -24,7 +24,6 @@ pub(crate) const MAX_QUBITS: usize = 30;
 /// # Ok(())
 /// # }
 /// ```
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Clone, PartialEq)]
 pub struct StateVector {
     n_qubits: usize,

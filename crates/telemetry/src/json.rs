@@ -2,9 +2,11 @@
 //! helpers every hand-formatted JSON writer shares ([`escape`], [`number`]).
 //!
 //! Traces, `live.json`, the bench history, bench documents and the
-//! prefix-cache manifest are all read through [`Json::parse`]. Writers keep
-//! their own format strings and pass every embedded string through
-//! [`escape`], so whatever they emit parses back. The reader follows
+//! prefix-cache manifest are all read through [`Json::parse`]. Every writer
+//! (those formats', and the `--json` output of `qsim report`, `profile`,
+//! `top`, `cache`, `verify` and `advise`) keeps its own format strings and
+//! passes every embedded string through [`escape`], so whatever it emits
+//! parses back. The reader follows
 //! RFC 8259: unescaped control characters in strings, malformed or
 //! non-finite number literals and lone UTF-16 surrogates are offset errors.
 //! It returns unsigned integer literals exactly ([`Json::as_u64`]) and caps

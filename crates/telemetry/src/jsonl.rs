@@ -3,6 +3,7 @@
 
 use std::io::Write;
 use std::sync::Mutex;
+use std::thread::ThreadId;
 
 use crate::json::escape;
 use crate::recorder::{KernelClass, MsvEvent, Recorder};
@@ -16,7 +17,11 @@ const FLUSH_THRESHOLD: usize = 64 * 1024;
 /// Version history:
 /// - 1: meta line carried only `version`.
 /// - 2: meta line carries run metadata (`git_rev`, `seed`, `qubits`,
-///   `strategy`); kernel events carry a `layer` field.
+///   `strategy`); kernel events carry a `layer` field. `msv` events later
+///   gained a `worker` field (the emitting thread, numbered in first-seen
+///   order), so a multi-threaded trace's residencies can be told apart;
+///   readers take 0 when it is absent, which keeps older version-2 traces
+///   valid.
 pub const TRACE_VERSION: u64 = 2;
 
 /// Run metadata stamped into the first (meta) line of every trace, so a
@@ -82,6 +87,19 @@ struct Sink {
     buffer: String,
     writer: SinkWriter,
     error: Option<std::io::Error>,
+    /// Threads that emitted an MSV event, in first-seen order: an `msv`
+    /// line's `worker` is its thread's index here.
+    workers: Vec<ThreadId>,
+}
+
+impl Sink {
+    fn push_line(&mut self, line: &str) {
+        self.buffer.push_str(line);
+        self.buffer.push('\n');
+        if self.buffer.len() >= FLUSH_THRESHOLD {
+            drain(self);
+        }
+    }
 }
 
 /// A streaming recorder writing one JSON event object per line. Events are
@@ -105,7 +123,12 @@ impl JsonlRecorder {
     fn with_sink(writer: SinkWriter, meta: &TraceMeta) -> Self {
         let recorder = JsonlRecorder {
             clock: Clock::new(),
-            sink: Mutex::new(Sink { buffer: String::new(), writer, error: None }),
+            sink: Mutex::new(Sink {
+                buffer: String::new(),
+                writer,
+                error: None,
+                workers: Vec::new(),
+            }),
         };
         recorder.line(&format!(
             "{{\"ev\":\"meta\",\"version\":{TRACE_VERSION},\"git_rev\":\"{}\",\"seed\":{},\
@@ -129,12 +152,7 @@ impl JsonlRecorder {
     }
 
     fn line(&self, line: &str) {
-        let mut sink = self.sink.lock().expect("trace sink poisoned");
-        sink.buffer.push_str(line);
-        sink.buffer.push('\n');
-        if sink.buffer.len() >= FLUSH_THRESHOLD {
-            drain(&mut sink);
-        }
+        self.sink.lock().expect("trace sink poisoned").push_line(line);
     }
 }
 
@@ -172,8 +190,15 @@ impl Recorder for JsonlRecorder {
     }
 
     fn msv(&self, event: MsvEvent, depth: usize, residency: usize) {
-        self.line(&format!(
-            "{{\"ev\":\"msv\",\"kind\":\"{}\",\"depth\":{depth},\"residency\":{residency}}}",
+        let thread = std::thread::current().id();
+        let mut sink = self.sink.lock().expect("trace sink poisoned");
+        let worker = sink.workers.iter().position(|&t| t == thread).unwrap_or_else(|| {
+            sink.workers.push(thread);
+            sink.workers.len() - 1
+        });
+        sink.push_line(&format!(
+            "{{\"ev\":\"msv\",\"kind\":\"{}\",\"depth\":{depth},\"residency\":{residency},\
+             \"worker\":{worker}}}",
             event.name()
         ));
     }
@@ -257,6 +282,24 @@ mod tests {
         });
         assert_eq!(text.lines().count(), 6, "{text}");
         assert!(text.starts_with("{\"ev\":\"meta\""), "{text}");
+        crate::schema::validate_jsonl(&text).unwrap();
+    }
+
+    #[test]
+    fn msv_lines_number_their_threads_in_first_seen_order() {
+        let text = recorded(|r| {
+            r.msv(MsvEvent::Create, 0, 1);
+            std::thread::scope(|scope| {
+                scope.spawn(|| r.msv(MsvEvent::Create, 0, 1));
+            });
+            r.msv(MsvEvent::Drop, 0, 0);
+        });
+        let workers: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("{\"ev\":\"msv\""))
+            .map(|l| &l[l.find("\"worker\"").expect("a worker key")..])
+            .collect();
+        assert_eq!(workers, ["\"worker\":0}", "\"worker\":1}", "\"worker\":0}"], "{text}");
         crate::schema::validate_jsonl(&text).unwrap();
     }
 

@@ -51,8 +51,11 @@ pub enum TraceEvent {
         kind: MsvEvent,
         /// Prefix-trie depth.
         depth: u64,
-        /// Live MSVs after the event.
+        /// The emitting worker's live MSVs after the event.
         residency: u64,
+        /// The emitting worker thread, numbered in first-seen order (0 when
+        /// the line carries no `worker` field).
+        worker: u64,
     },
     /// A per-trial prefix-cache lookup.
     Cache {
@@ -149,7 +152,7 @@ fn read_line(line: &Json) -> Result<Line, String> {
             }
         }
         "msv" => {
-            check_exact_keys(line, &["ev", "kind", "depth", "residency"])?;
+            check_exact_keys(line, &["ev", "kind", "depth", "residency", "worker"])?;
             let kind = str_field(line, "kind")?;
             TraceEvent::Msv {
                 kind: MsvEvent::ALL
@@ -158,6 +161,10 @@ fn read_line(line: &Json) -> Result<Line, String> {
                     .ok_or_else(|| format!("unknown msv event kind {kind:?}"))?,
                 depth: int_field(line, "depth")?,
                 residency: int_field(line, "residency")?,
+                worker: match line.get("worker") {
+                    Some(_) => int_field(line, "worker")?,
+                    None => 0,
+                },
             }
         }
         "cache" => {
@@ -237,6 +244,7 @@ mod tests {
             "{\"ev\":\"kernel\",\"phase\":\"reuse/shared\",\"class\":\"cx\",\"layer\":3,\"count\":2,\"ns\":77}",
             "{\"ev\":\"counter\",\"name\":\"ops\",\"delta\":3}",
             "{\"ev\":\"msv\",\"kind\":\"fork\",\"depth\":1,\"residency\":2}",
+            "{\"ev\":\"msv\",\"kind\":\"fork\",\"depth\":1,\"residency\":2,\"worker\":3}",
             "{\"ev\":\"cache\",\"depth\":0,\"hit\":true}",
             "{\"ev\":\"cache\",\"depth\":4,\"hit\":false}",
             "{\"ev\":\"heartbeat\",\"completed\":1,\"depth\":2,\"resident\":1024}",
@@ -262,6 +270,10 @@ mod tests {
                 "missing field \"layer\"",
             ),
             ("{\"ev\":\"msv\",\"kind\":\"zap\",\"depth\":0,\"residency\":1}", "unknown msv event"),
+            (
+                "{\"ev\":\"msv\",\"kind\":\"drop\",\"depth\":0,\"residency\":1,\"worker\":-1}",
+                "\"worker\" must be an unsigned integer",
+            ),
             ("{\"ev\":\"span\",\"path\":\"p\",\"start_ns\":9,\"end_ns\":5}", "before it starts"),
             ("{\"ev\":\"cache\",\"depth\":0,\"hit\":1}", "must be a boolean"),
             ("{\"ev\":\"heartbeat\",\"completed\":1,\"depth\":0}", "missing field \"resident\""),
@@ -335,7 +347,7 @@ mod tests {
                     count: 1,
                     ns: 120,
                 },
-                TraceEvent::Msv { kind: MsvEvent::Create, depth: 0, residency: 1 },
+                TraceEvent::Msv { kind: MsvEvent::Create, depth: 0, residency: 1, worker: 0 },
                 TraceEvent::Counter { name: "ops".to_owned(), delta: 9 },
                 TraceEvent::Heartbeat { completed: 1, depth: 3, resident: 512 },
                 TraceEvent::Span { path: "run/reuse".to_owned(), start_ns: 1, end_ns: 500 },

@@ -211,7 +211,7 @@ fn record_one(
         3 => {
             let kind = MsvEvent::ALL[pick % MsvEvent::ALL.len()];
             recorder.msv(kind, a as usize, b as usize);
-            TraceEvent::Msv { kind, depth: a, residency: b }
+            TraceEvent::Msv { kind, depth: a, residency: b, worker: 0 }
         }
         4 => {
             recorder.cache(a as usize, pick % 2 == 1);
