@@ -1053,7 +1053,7 @@ mod tests {
             assert_eq!(report.counter("fused_ops"), result.stats.fused_ops);
             assert_eq!(report.counter("amplitude_passes"), result.stats.amplitude_passes);
             assert_eq!(report.counter("trials"), result.stats.n_trials as u64);
-            assert_eq!(report.peak_residency(), result.stats.peak_msv);
+            assert_eq!(report.peak_residency(), result.stats.peak_msv as u64);
             // Every amplitude pass shows up as exactly one timed kernel
             // application (fused kernels + error operators).
             assert_eq!(report.total_kernel_count(), result.stats.amplitude_passes);
@@ -1098,8 +1098,8 @@ mod tests {
                 .run(set.trials(), &recorder)
                 .unwrap();
             let report = recorder.report();
-            assert_eq!(report.peak_residency(), result.stats.peak_msv, "budget {budget}");
-            assert!(report.peak_residency() <= budget, "budget {budget}");
+            assert_eq!(report.peak_residency(), result.stats.peak_msv as u64, "budget {budget}");
+            assert!(report.peak_residency() <= budget as u64, "budget {budget}");
             assert_eq!(report.counter("ops"), result.stats.ops, "budget {budget}");
         }
     }

@@ -348,7 +348,7 @@ mod tests {
             assert_eq!(report.counter("trials"), result.stats.n_trials as u64);
             // The recorder keeps one residency peak per worker thread and
             // sums them, the rule of ExecStats::peak_msv.
-            assert_eq!(report.peak_residency(), result.stats.peak_msv, "{threads} threads");
+            assert_eq!(report.peak_residency(), result.stats.peak_msv as u64, "{threads} threads");
             assert!(report.spans.contains_key("run/parallel-reuse"));
         }
         let recorder = AggregatingRecorder::new();

@@ -6,7 +6,6 @@
 //! confidence interval of the mean difference excludes zero.
 
 use crate::analysis::TraceAnalysis;
-use crate::trace::Trace;
 use qsim_telemetry::json::Json;
 
 /// Bootstrap resamples per confidence interval.
@@ -162,9 +161,8 @@ pub fn compare_samples(name: &str, before: &[f64], after: &[f64], seed: u64) -> 
 
 /// Diff two traces metric-by-metric: every counter, peak residency, cache
 /// totals, and total kernel time.
-pub fn compare_traces(before: &Trace, after: &Trace) -> Vec<MetricDelta> {
-    let a = TraceAnalysis::from_trace(before);
-    let b = TraceAnalysis::from_trace(after);
+pub fn compare_traces(before: &TraceAnalysis, after: &TraceAnalysis) -> Vec<MetricDelta> {
+    let (a, b) = (&before.metrics, &after.metrics);
     let mut names: Vec<&String> = a.counters.keys().chain(b.counters.keys()).collect();
     names.sort();
     names.dedup();
@@ -179,8 +177,8 @@ pub fn compare_traces(before: &Trace, after: &Trace) -> Vec<MetricDelta> {
     }
     out.push(compare_samples(
         "peak_residency",
-        &[a.peak_residency as f64],
-        &[b.peak_residency as f64],
+        &[a.msv_peak_residency as f64],
+        &[b.msv_peak_residency as f64],
         101,
     ));
     let (ha, ma) = a.cache_totals();

@@ -1,11 +1,12 @@
 //! Report rendering: TTY tables, machine-readable JSON, and a
 //! self-contained single-file HTML report with inline SVG charts.
 
+use std::collections::BTreeMap;
+
 use crate::analysis::TraceAnalysis;
 use crate::compare::MetricDelta;
-use crate::trace::Trace;
 use qsim_telemetry::json::escape;
-use qsim_telemetry::TRACE_VERSION;
+use qsim_telemetry::{CacheDepthStat, KernelClass, KernelStat, TRACE_VERSION};
 
 fn pad(s: &str, width: usize) -> String {
     format!("{s:<width$}")
@@ -43,62 +44,72 @@ fn ms(ns: u64) -> String {
     format!("{:.3}", ns as f64 / 1e6)
 }
 
-fn meta_lines(trace: &Trace) -> String {
-    let m = &trace.meta;
-    format!(
-        "trace v{TRACE_VERSION}  git={}  seed={}  qubits={}  strategy={}\n",
-        m.git_rev, m.seed, m.qubits, m.strategy
-    )
+/// Kernel work per class, summed over phases (sums stop at `u64::MAX`).
+fn by_class(analysis: &TraceAnalysis) -> BTreeMap<KernelClass, KernelStat> {
+    let mut classes: BTreeMap<KernelClass, KernelStat> = BTreeMap::new();
+    for ((_, class), stat) in &analysis.metrics.kernels {
+        classes.entry(*class).or_default().add(stat.count, stat.total_ns, &mut false);
+    }
+    classes
+}
+
+fn counter_rows(analysis: &TraceAnalysis) -> Vec<Vec<String>> {
+    analysis.metrics.counters.iter().map(|(k, v)| vec![k.clone(), v.to_string()]).collect()
+}
+
+fn class_rows(analysis: &TraceAnalysis) -> Vec<Vec<String>> {
+    by_class(analysis)
+        .iter()
+        .map(|(class, s)| vec![class.name().to_owned(), s.count.to_string(), ms(s.total_ns)])
+        .collect()
+}
+
+fn layer_rows(analysis: &TraceAnalysis) -> Vec<Vec<String>> {
+    analysis
+        .by_layer
+        .iter()
+        .map(|(layer, s)| vec![layer.to_string(), s.count.to_string(), ms(s.total_ns)])
+        .collect()
 }
 
 /// Render the human-readable terminal report.
-pub fn render_tty(trace: &Trace, analysis: &TraceAnalysis) -> String {
+pub fn render_tty(analysis: &TraceAnalysis) -> String {
+    let m = &analysis.meta;
     let mut out = String::from("== trace report ==\n");
-    out.push_str(&meta_lines(trace));
-    out.push('\n');
-
-    let counter_rows: Vec<Vec<String>> = analysis
-        .counters
-        .iter()
-        .map(|(name, value)| vec![name.clone(), value.to_string()])
-        .collect();
-    out.push_str(&table("counters", &["name", "value"], &counter_rows));
-    out.push('\n');
-
-    let class_rows: Vec<Vec<String>> = analysis
-        .by_class
-        .iter()
-        .map(|(class, cell)| vec![class.name().to_owned(), cell.count.to_string(), ms(cell.ns)])
-        .collect();
-    out.push_str(&table("kernels by class", &["class", "applications", "ms"], &class_rows));
-    out.push('\n');
-
-    let layer_rows: Vec<Vec<String>> = analysis
-        .by_layer
-        .iter()
-        .map(|(layer, cell)| vec![layer.to_string(), cell.count.to_string(), ms(cell.ns)])
-        .collect();
-    out.push_str(&table(
-        "amplitude passes by circuit layer",
-        &["layer", "applications", "ms"],
-        &layer_rows,
+    out.push_str(&format!(
+        "trace v{TRACE_VERSION}  git={}  seed={}  qubits={}  strategy={}\n",
+        m.git_rev, m.seed, m.qubits, m.strategy
     ));
     out.push('\n');
 
-    if !analysis.cache_waterfall.is_empty() {
-        let cache_rows: Vec<Vec<String>> = analysis
-            .cache_waterfall
+    out.push_str(&table("counters", &["name", "value"], &counter_rows(analysis)));
+    out.push('\n');
+    out.push_str(&table(
+        "kernels by class",
+        &["class", "applications", "ms"],
+        &class_rows(analysis),
+    ));
+    out.push('\n');
+    out.push_str(&table(
+        "amplitude passes by circuit layer",
+        &["layer", "applications", "ms"],
+        &layer_rows(analysis),
+    ));
+    out.push('\n');
+
+    let metrics = &analysis.metrics;
+    if !metrics.cache.is_empty() {
+        let cache_rows: Vec<Vec<String>> = metrics
+            .cache
             .iter()
-            .map(|(depth, (hits, misses))| {
-                vec![depth.to_string(), hits.to_string(), misses.to_string()]
-            })
+            .map(|(depth, s)| vec![depth.to_string(), s.hits.to_string(), s.misses.to_string()])
             .collect();
         out.push_str(&table(
             "cache waterfall by prefix depth",
             &["depth", "hits", "misses"],
             &cache_rows,
         ));
-        let (hits, misses) = analysis.cache_totals();
+        let (hits, misses) = metrics.cache_totals();
         let total = hits + misses;
         if total > 0 {
             out.push_str(&format!(
@@ -124,7 +135,7 @@ pub fn render_tty(trace: &Trace, analysis: &TraceAnalysis) -> String {
                 vec!["credited passes".to_owned(), sc.credited_passes.to_string()],
             ],
         ));
-        let passes = analysis.counter("amplitude_passes");
+        let passes = metrics.counter("amplitude_passes");
         if sc.lookups() > 0 {
             out.push_str(&format!(
                 "  hit rate: {:.1}% ({}/{}); {:.1}% of {passes} amplitude passes served from disk\n",
@@ -140,12 +151,12 @@ pub fn render_tty(trace: &Trace, analysis: &TraceAnalysis) -> String {
     if !analysis.residency_curve.is_empty() {
         out.push_str(&format!(
             "msv residency: peak {} live (depth ≤ {}), {} lifecycle events\n",
-            analysis.peak_residency,
-            analysis.peak_depth,
+            metrics.msv_peak_residency,
+            metrics.msv_peak_depth,
             analysis.residency_curve.len()
         ));
-        let msv_rows: Vec<Vec<String>> = analysis
-            .msv_counts
+        let msv_rows: Vec<Vec<String>> = metrics
+            .msv_events
             .iter()
             .map(|(kind, count)| vec![kind.name().to_owned(), count.to_string()])
             .collect();
@@ -153,11 +164,11 @@ pub fn render_tty(trace: &Trace, analysis: &TraceAnalysis) -> String {
         out.push('\n');
     }
 
-    if !analysis.spans.is_empty() {
-        let span_rows: Vec<Vec<String>> = analysis
+    if !metrics.spans.is_empty() {
+        let span_rows: Vec<Vec<String>> = metrics
             .spans
             .iter()
-            .map(|(path, (count, total_ns))| vec![path.clone(), count.to_string(), ms(*total_ns)])
+            .map(|(path, s)| vec![path.clone(), s.count.to_string(), ms(s.total_ns)])
             .collect();
         out.push_str(&table("spans", &["path", "count", "total ms"], &span_rows));
         out.push('\n');
@@ -176,9 +187,9 @@ pub fn render_tty(trace: &Trace, analysis: &TraceAnalysis) -> String {
 }
 
 /// Render the machine-readable JSON report.
-pub fn render_json(trace: &Trace, analysis: &TraceAnalysis) -> String {
+pub fn render_json(analysis: &TraceAnalysis) -> String {
     let mut out = String::from("{\n");
-    let m = &trace.meta;
+    let (m, metrics) = (&analysis.meta, &analysis.metrics);
     out.push_str(&format!(
         "  \"meta\": {{\"version\": {TRACE_VERSION}, \"git_rev\": \"{}\", \"seed\": {}, \"qubits\": {}, \"strategy\": \"{}\"}},\n",
         escape(&m.git_rev),
@@ -187,22 +198,21 @@ pub fn render_json(trace: &Trace, analysis: &TraceAnalysis) -> String {
         escape(&m.strategy)
     ));
 
-    let counters: Vec<String> = analysis
+    let counters: Vec<String> = metrics
         .counters
         .iter()
         .map(|(name, value)| format!("\"{}\": {}", escape(name), value))
         .collect();
     out.push_str(&format!("  \"counters\": {{{}}},\n", counters.join(", ")));
 
-    let classes: Vec<String> = analysis
-        .by_class
+    let classes: Vec<String> = by_class(analysis)
         .iter()
-        .map(|(class, cell)| {
+        .map(|(class, s)| {
             format!(
                 "{{\"class\": \"{}\", \"count\": {}, \"ns\": {}}}",
                 class.name(),
-                cell.count,
-                cell.ns
+                s.count,
+                s.total_ns
             )
         })
         .collect();
@@ -211,17 +221,17 @@ pub fn render_json(trace: &Trace, analysis: &TraceAnalysis) -> String {
     let layers: Vec<String> = analysis
         .by_layer
         .iter()
-        .map(|(layer, cell)| {
-            format!("{{\"layer\": {layer}, \"count\": {}, \"ns\": {}}}", cell.count, cell.ns)
+        .map(|(layer, s)| {
+            format!("{{\"layer\": {layer}, \"count\": {}, \"ns\": {}}}", s.count, s.total_ns)
         })
         .collect();
     out.push_str(&format!("  \"by_layer\": [{}],\n", layers.join(", ")));
 
-    let waterfall: Vec<String> = analysis
-        .cache_waterfall
+    let waterfall: Vec<String> = metrics
+        .cache
         .iter()
-        .map(|(depth, (hits, misses))| {
-            format!("{{\"depth\": {depth}, \"hits\": {hits}, \"misses\": {misses}}}")
+        .map(|(depth, s)| {
+            format!("{{\"depth\": {depth}, \"hits\": {}, \"misses\": {}}}", s.hits, s.misses)
         })
         .collect();
     out.push_str(&format!("  \"cache_waterfall\": [{}],\n", waterfall.join(", ")));
@@ -245,8 +255,8 @@ pub fn render_json(trace: &Trace, analysis: &TraceAnalysis) -> String {
 
     out.push_str(&format!(
         "  \"msv\": {{\"peak_residency\": {}, \"peak_depth\": {}, \"events\": {}}},\n",
-        analysis.peak_residency,
-        analysis.peak_depth,
+        metrics.msv_peak_residency,
+        metrics.msv_peak_depth,
         analysis.residency_curve.len()
     ));
 
@@ -256,7 +266,7 @@ pub fn render_json(trace: &Trace, analysis: &TraceAnalysis) -> String {
         .map(|t| {
             format!(
                 "{{\"depth\": {}, \"hit\": {}, \"passes\": {}, \"ns\": {}}}",
-                t.cache_depth, t.hit, t.passes, t.ns
+                t.cache_depth, t.hit, t.work.count, t.work.total_ns
             )
         })
         .collect();
@@ -277,19 +287,21 @@ fn html_escape(s: &str) -> String {
     s.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;")
 }
 
-/// Inline SVG of the residency curve (live MSVs over event time).
+/// Inline SVG of the residency curve (the workers' summed live MSVs over
+/// event time).
 fn residency_svg(analysis: &TraceAnalysis) -> String {
     let points = &analysis.residency_curve;
     if points.is_empty() {
         return String::from("<p>no MSV lifecycle events in this trace</p>");
     }
     let (w, h, margin) = (640.0, 160.0, 8.0);
-    let max_y = analysis.peak_residency.max(1) as f64;
+    let peak = analysis.metrics.msv_peak_residency;
+    let max_y = peak.max(1) as f64;
     let max_x = (points.len().saturating_sub(1)).max(1) as f64;
     let mut path = String::new();
-    for (i, p) in points.iter().enumerate() {
+    for (i, &live) in points.iter().enumerate() {
         let x = margin + (i as f64 / max_x) * (w - 2.0 * margin);
-        let y = h - margin - (p.residency as f64 / max_y) * (h - 2.0 * margin);
+        let y = h - margin - (live as f64 / max_y) * (h - 2.0 * margin);
         path.push_str(&format!("{}{x:.1},{y:.1} ", if i == 0 { "M" } else { "L" }));
     }
     format!(
@@ -297,26 +309,26 @@ fn residency_svg(analysis: &TraceAnalysis) -> String {
          <path d=\"{}\" fill=\"none\" stroke=\"#2a7ae2\" stroke-width=\"1.5\"/>\
          <text x=\"{margin}\" y=\"14\" class=\"lbl\">peak {} live MSVs</text></svg>",
         path.trim_end(),
-        analysis.peak_residency
+        peak
     )
 }
 
 /// Inline SVG of the cache waterfall (hits/misses stacked per depth).
 fn waterfall_svg(analysis: &TraceAnalysis) -> String {
-    if analysis.cache_waterfall.is_empty() {
+    let cache = &analysis.metrics.cache;
+    if cache.is_empty() {
         return String::from("<p>no cache lookups in this trace</p>");
     }
     let (w, h, margin) = (640.0, 160.0, 8.0);
-    let bars = analysis.cache_waterfall.len() as f64;
-    let max_total =
-        analysis.cache_waterfall.values().map(|(h, m)| h + m).max().unwrap_or(1).max(1) as f64;
+    let bars = cache.len() as f64;
+    let max_total = cache.values().map(|s| s.hits + s.misses).max().unwrap_or(1).max(1) as f64;
     let band = (w - 2.0 * margin) / bars;
     let bar_w = (band * 0.7).max(1.0);
     let mut rects = String::new();
-    for (i, (depth, (hits, misses))) in analysis.cache_waterfall.iter().enumerate() {
+    for (i, (depth, &CacheDepthStat { hits, misses })) in cache.iter().enumerate() {
         let x = margin + i as f64 * band + (band - bar_w) / 2.0;
-        let hit_h = (*hits as f64 / max_total) * (h - 30.0);
-        let miss_h = (*misses as f64 / max_total) * (h - 30.0);
+        let hit_h = (hits as f64 / max_total) * (h - 30.0);
+        let miss_h = (misses as f64 / max_total) * (h - 30.0);
         let hit_y = h - margin - hit_h;
         let miss_y = hit_y - miss_h;
         rects.push_str(&format!(
@@ -350,20 +362,8 @@ fn html_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// Render the self-contained single-file HTML report.
-pub fn render_html(trace: &Trace, analysis: &TraceAnalysis) -> String {
-    let m = &trace.meta;
-    let counter_rows: Vec<Vec<String>> =
-        analysis.counters.iter().map(|(k, v)| vec![k.clone(), v.to_string()]).collect();
-    let class_rows: Vec<Vec<String>> = analysis
-        .by_class
-        .iter()
-        .map(|(c, cell)| vec![c.name().to_owned(), cell.count.to_string(), ms(cell.ns)])
-        .collect();
-    let layer_rows: Vec<Vec<String>> = analysis
-        .by_layer
-        .iter()
-        .map(|(l, cell)| vec![l.to_string(), cell.count.to_string(), ms(cell.ns)])
-        .collect();
+pub fn render_html(analysis: &TraceAnalysis) -> String {
+    let m = &analysis.meta;
     let cache_html = analysis.semantic_cache().map_or(String::new(), |sc| {
         html_table(
             "semantic prefix store",
@@ -419,10 +419,14 @@ svg{{width:100%;height:auto;background:#fafafa;border:1px solid #eee}}\
         strategy = html_escape(&m.strategy),
         check = check_html,
         cache = cache_html,
-        counters = html_table("counters", &["name", "value"], &counter_rows),
-        classes = html_table("kernels by class", &["class", "applications", "ms"], &class_rows),
-        layers =
-            html_table("amplitude passes by layer", &["layer", "applications", "ms"], &layer_rows),
+        counters = html_table("counters", &["name", "value"], &counter_rows(analysis)),
+        classes =
+            html_table("kernels by class", &["class", "applications", "ms"], &class_rows(analysis)),
+        layers = html_table(
+            "amplitude passes by layer",
+            &["layer", "applications", "ms"],
+            &layer_rows(analysis)
+        ),
         residency = residency_svg(analysis),
         waterfall = waterfall_svg(analysis),
     )
@@ -466,9 +470,8 @@ pub fn render_deltas_json(deltas: &[MetricDelta]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Trace;
 
-    fn sample() -> (Trace, TraceAnalysis) {
+    fn sample() -> TraceAnalysis {
         let text = concat!(
             "{\"ev\":\"meta\",\"version\":2,\"git_rev\":\"abc\",\"seed\":1,\"qubits\":4,\"strategy\":\"reuse\"}\n",
             "{\"ev\":\"msv\",\"kind\":\"create\",\"depth\":0,\"residency\":1}\n",
@@ -479,12 +482,10 @@ mod tests {
             "{\"ev\":\"counter\",\"name\":\"fused_ops\",\"delta\":1}\n",
             "{\"ev\":\"counter\",\"name\":\"amplitude_passes\",\"delta\":1}\n",
         );
-        let trace = Trace::parse(text).unwrap();
-        let analysis = TraceAnalysis::from_trace(&trace);
-        (trace, analysis)
+        TraceAnalysis::parse(text).unwrap()
     }
 
-    fn cached_sample() -> (Trace, TraceAnalysis) {
+    fn cached_sample() -> TraceAnalysis {
         let text = concat!(
             "{\"ev\":\"meta\",\"version\":2,\"git_rev\":\"abc\",\"seed\":1,\"qubits\":4,\"strategy\":\"reuse-cached\"}\n",
             "{\"ev\":\"counter\",\"name\":\"msvstore.hit\",\"delta\":1}\n",
@@ -500,34 +501,32 @@ mod tests {
             "{\"ev\":\"counter\",\"name\":\"fused_ops\",\"delta\":2}\n",
             "{\"ev\":\"counter\",\"name\":\"amplitude_passes\",\"delta\":2}\n",
         );
-        let trace = Trace::parse(text).unwrap();
-        let analysis = TraceAnalysis::from_trace(&trace);
-        (trace, analysis)
+        TraceAnalysis::parse(text).unwrap()
     }
 
     #[test]
     fn reports_show_the_semantic_store_only_when_present() {
-        let (trace, analysis) = cached_sample();
-        let tty = render_tty(&trace, &analysis);
+        let analysis = cached_sample();
+        let tty = render_tty(&analysis);
         assert!(tty.contains("semantic prefix store"), "{tty}");
         assert!(tty.contains("50.0% of 2 amplitude passes served from disk"), "{tty}");
         assert!(tty.contains("cross-check: ok"), "{tty}");
-        let json = render_json(&trace, &analysis);
+        let json = render_json(&analysis);
         assert!(json.contains("\"semantic_cache\": {\"hits\": 1"), "{json}");
         assert!(json.contains("\"credited_passes\": 1"), "{json}");
-        let html = render_html(&trace, &analysis);
+        let html = render_html(&analysis);
         assert!(html.contains("semantic prefix store"), "{html}");
 
-        let (trace, analysis) = sample();
-        assert!(!render_tty(&trace, &analysis).contains("semantic prefix store"));
-        assert!(!render_json(&trace, &analysis).contains("semantic_cache"));
-        assert!(!render_html(&trace, &analysis).contains("semantic prefix store"));
+        let analysis = sample();
+        assert!(!render_tty(&analysis).contains("semantic prefix store"));
+        assert!(!render_json(&analysis).contains("semantic_cache"));
+        assert!(!render_html(&analysis).contains("semantic prefix store"));
     }
 
     #[test]
     fn tty_report_shows_all_sections() {
-        let (trace, analysis) = sample();
-        let out = render_tty(&trace, &analysis);
+        let analysis = sample();
+        let out = render_tty(&analysis);
         for fragment in [
             "== trace report ==",
             "strategy=reuse",
@@ -544,8 +543,8 @@ mod tests {
 
     #[test]
     fn json_report_is_parseable_and_consistent() {
-        let (trace, analysis) = sample();
-        let out = render_json(&trace, &analysis);
+        let analysis = sample();
+        let out = render_json(&analysis);
         let v = crate::Json::parse(&out).unwrap();
         assert_eq!(v.get("counters").unwrap().get("amplitude_passes").unwrap().as_num(), Some(1.0));
         assert_eq!(v.get("cross_check").unwrap().get("ok"), Some(&crate::Json::Bool(true)));
@@ -554,8 +553,8 @@ mod tests {
 
     #[test]
     fn html_report_is_self_contained() {
-        let (trace, analysis) = sample();
-        let out = render_html(&trace, &analysis);
+        let analysis = sample();
+        let out = render_html(&analysis);
         assert!(out.starts_with("<!DOCTYPE html>"));
         assert!(out.contains("<svg"));
         assert!(out.contains("cross-check: ok"));

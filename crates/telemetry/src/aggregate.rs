@@ -1,47 +1,47 @@
-//! In-memory aggregation and post-run reports.
+//! The one digest of the recorder stream, and its post-run report.
+//!
+//! Live recorder calls and the events read back from a trace fold into the
+//! same aggregate: `qsim profile` records into it while the run executes,
+//! and `qsim report` feeds it a trace as the file is read. Either way the
+//! snapshot is a [`MetricsReport`], which renders the metrics and checks
+//! the stream's conservation laws.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Mutex;
 use std::thread::ThreadId;
 
 use crate::json::escape;
-use crate::recorder::{KernelClass, MsvEvent, Recorder};
+use crate::names;
+use crate::recorder::{worker_number, Heartbeat, KernelClass, MsvEvent, Recorder};
+use crate::schema::TraceEvent;
 use crate::Clock;
 
-/// Number of log₂ latency buckets (bucket `i` holds durations with
-/// `ns.ilog2() == i`; bucket 0 also holds 0 ns).
-const BUCKETS: usize = 40;
+/// `*slot += delta`, stopping at `u64::MAX` and raising `overflowed` when
+/// the sum does not fit.
+fn add(slot: &mut u64, delta: u64, overflowed: &mut bool) {
+    *slot = slot.checked_add(delta).unwrap_or_else(|| {
+        *overflowed = true;
+        u64::MAX
+    });
+}
 
-/// Aggregated timing of one `(phase, kernel class)` cell.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// Kernel work in one cell of an attribution table.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KernelStat {
     /// Kernel applications recorded.
     pub count: u64,
     /// Total nanoseconds across all applications.
     pub total_ns: u64,
-    /// Fastest single record (ns; `u64::MAX` when empty).
-    pub min_ns: u64,
-    /// Slowest single record (ns).
-    pub max_ns: u64,
-    /// Log₂ histogram of per-record durations.
-    pub buckets: Vec<u64>,
 }
 
 impl KernelStat {
-    fn new() -> Self {
-        KernelStat { count: 0, total_ns: 0, min_ns: u64::MAX, max_ns: 0, buckets: vec![0; BUCKETS] }
-    }
-
-    fn record(&mut self, count: u64, ns: u64) {
-        self.count = self.count.saturating_add(count);
-        self.total_ns = self.total_ns.saturating_add(ns);
-        // Histogram over the *record* (one record may batch several
-        // applications; its duration lands in one bucket).
-        self.min_ns = self.min_ns.min(ns);
-        self.max_ns = self.max_ns.max(ns);
-        let bucket = (ns.max(1).ilog2() as usize).min(BUCKETS - 1);
-        self.buckets[bucket] = self.buckets[bucket].saturating_add(1);
+    /// Add `count` applications taking `ns` nanoseconds in total. A sum
+    /// that passes `u64::MAX` stops there and raises `overflowed`.
+    pub fn add(&mut self, count: u64, ns: u64, overflowed: &mut bool) {
+        add(&mut self.count, count, overflowed);
+        add(&mut self.total_ns, ns, overflowed);
     }
 
     /// Mean nanoseconds per recorded kernel application.
@@ -72,22 +72,81 @@ pub struct CacheDepthStat {
     pub misses: u64,
 }
 
-#[derive(Debug, Default)]
-struct Aggregate {
-    counters: BTreeMap<&'static str, u64>,
-    kernels: BTreeMap<(&'static str, KernelClass), KernelStat>,
-    spans: BTreeMap<&'static str, SpanStat>,
-    msv_events: BTreeMap<MsvEvent, u64>,
-    /// Peak MSV residency per worker thread: each MSV event carries its
-    /// own worker's residency.
-    msv_peaks: Vec<(ThreadId, usize)>,
-    msv_peak_depth: usize,
-    cache: BTreeMap<usize, CacheDepthStat>,
+/// One worker's MSV residency: after its latest event, and its peak.
+#[derive(Clone, Copy, Debug, Default)]
+struct Residency {
+    live: u64,
+    peak: u64,
 }
 
-/// In-memory aggregating recorder: counters, per-kernel-class timing
-/// histograms, span totals, MSV residency, per-depth cache hit rates.
-/// Thread-safe; snapshot with [`AggregatingRecorder::report`].
+/// The fold. Names are borrowed from live calls and owned when read from
+/// a trace, so a live event copies no name.
+#[derive(Debug, Default)]
+struct Aggregate {
+    counters: BTreeMap<Cow<'static, str>, u64>,
+    kernels: BTreeMap<(Cow<'static, str>, KernelClass), KernelStat>,
+    spans: BTreeMap<Cow<'static, str>, SpanStat>,
+    msv_events: BTreeMap<MsvEvent, u64>,
+    /// MSV residency per worker number: each MSV event carries its own
+    /// worker's residency, and the run's is the workers' sum (the rule of
+    /// `ExecStats::peak_msv`).
+    workers: BTreeMap<u64, Residency>,
+    /// The workers' summed live MSVs.
+    live: u64,
+    msv_peak_depth: u64,
+    cache: BTreeMap<u64, CacheDepthStat>,
+    heartbeats: u64,
+    heartbeat_completed: u64,
+    overflowed: bool,
+    /// Threads that made a live `msv` call, numbered in first-seen order
+    /// (a folded trace event brings its own `worker` number instead).
+    threads: Vec<ThreadId>,
+}
+
+impl Aggregate {
+    fn counter(&mut self, name: Cow<'static, str>, delta: u64) {
+        add(self.counters.entry(name).or_insert(0), delta, &mut self.overflowed);
+    }
+
+    fn kernel(&mut self, phase: Cow<'static, str>, class: KernelClass, count: u64, ns: u64) {
+        self.kernels.entry((phase, class)).or_default().add(count, ns, &mut self.overflowed);
+    }
+
+    fn span(&mut self, path: Cow<'static, str>, ns: u64) {
+        let stat = self.spans.entry(path).or_default();
+        stat.count = stat.count.saturating_add(1);
+        stat.total_ns = stat.total_ns.saturating_add(ns);
+    }
+
+    fn msv(&mut self, worker: u64, event: MsvEvent, depth: u64, residency: u64) {
+        let count = self.msv_events.entry(event).or_insert(0);
+        *count = count.saturating_add(1);
+        let slot = self.workers.entry(worker).or_default();
+        // Saturating is enough: the live sum never exceeds the workers'
+        // summed peaks, whose overflow `report` flags.
+        self.live = self.live.saturating_sub(slot.live).saturating_add(residency);
+        slot.live = residency;
+        slot.peak = slot.peak.max(residency);
+        self.msv_peak_depth = self.msv_peak_depth.max(depth);
+    }
+
+    fn cache(&mut self, depth: u64, hit: bool) {
+        let stat = self.cache.entry(depth).or_default();
+        let slot = if hit { &mut stat.hits } else { &mut stat.misses };
+        *slot = slot.saturating_add(1);
+    }
+
+    fn heartbeat(&mut self, completed: u64) {
+        self.heartbeats = self.heartbeats.saturating_add(1);
+        add(&mut self.heartbeat_completed, completed, &mut self.overflowed);
+    }
+}
+
+/// In-memory aggregating recorder: counters, kernel time per `(phase,
+/// kernel class)`, span totals, MSV residency per worker, per-depth cache
+/// lookups and heartbeat totals. Thread-safe; snapshot with
+/// [`AggregatingRecorder::report`]. [`AggregatingRecorder::record_event`]
+/// folds the events of a trace the same way.
 #[derive(Debug, Default)]
 pub struct AggregatingRecorder {
     clock: Clock,
@@ -100,6 +159,34 @@ impl AggregatingRecorder {
         AggregatingRecorder::default()
     }
 
+    /// Fold one event read back from a trace ([`crate::schema::visit_jsonl`])
+    /// as the matching [`Recorder`] call folds it, with an `msv` event's
+    /// `worker` in place of the calling thread's number. Returns the
+    /// workers' summed live MSVs after the event.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a previous user of the recorder panicked mid-record
+    /// (poisoned lock).
+    pub fn record_event(&mut self, event: TraceEvent) -> u64 {
+        let a = self.inner.get_mut().expect("recorder lock poisoned");
+        match event {
+            TraceEvent::Span { path, start_ns, end_ns } => {
+                a.span(path.into(), end_ns.saturating_sub(start_ns));
+            }
+            TraceEvent::Kernel { phase, class, count, ns, .. } => {
+                a.kernel(phase.into(), class, count, ns);
+            }
+            TraceEvent::Counter { name, delta } => a.counter(name.into(), delta),
+            TraceEvent::Msv { kind, depth, residency, worker } => {
+                a.msv(worker, kind, depth, residency)
+            }
+            TraceEvent::Cache { depth, hit } => a.cache(depth, hit),
+            TraceEvent::Heartbeat { completed, .. } => a.heartbeat(completed),
+        }
+        a.live
+    }
+
     /// Snapshot the aggregate into an immutable report.
     ///
     /// # Panics
@@ -107,19 +194,27 @@ impl AggregatingRecorder {
     /// Panics if a previous user of the recorder panicked mid-record
     /// (poisoned lock).
     pub fn report(&self) -> MetricsReport {
-        let inner = self.inner.lock().expect("recorder lock poisoned");
+        let a = self.inner.lock().expect("recorder lock poisoned");
+        let mut overflowed = a.overflowed;
+        let mut msv_peak_residency = 0;
+        for worker in a.workers.values() {
+            add(&mut msv_peak_residency, worker.peak, &mut overflowed);
+        }
         MetricsReport {
-            counters: inner.counters.iter().map(|(&k, &v)| (k.to_owned(), v)).collect(),
-            kernels: inner
+            counters: a.counters.iter().map(|(k, &v)| (k.to_string(), v)).collect(),
+            kernels: a
                 .kernels
                 .iter()
-                .map(|(&(phase, class), stat)| ((phase.to_owned(), class), stat.clone()))
+                .map(|((p, class), &s)| ((p.to_string(), *class), s))
                 .collect(),
-            spans: inner.spans.iter().map(|(&k, &v)| (k.to_owned(), v)).collect(),
-            msv_events: inner.msv_events.clone(),
-            msv_peak_residency: inner.msv_peaks.iter().map(|&(_, peak)| peak).sum(),
-            msv_peak_depth: inner.msv_peak_depth,
-            cache: inner.cache.clone(),
+            spans: a.spans.iter().map(|(k, &v)| (k.to_string(), v)).collect(),
+            msv_events: a.msv_events.clone(),
+            msv_peak_residency,
+            msv_peak_depth: a.msv_peak_depth,
+            cache: a.cache.clone(),
+            heartbeats: a.heartbeats,
+            heartbeat_completed: a.heartbeat_completed,
+            overflowed,
         }
     }
 
@@ -134,72 +229,64 @@ impl Recorder for AggregatingRecorder {
     }
 
     fn span(&self, path: &'static str, start_ns: u64, end_ns: u64) {
-        self.with(|a| {
-            let stat = a.spans.entry(path).or_default();
-            stat.count = stat.count.saturating_add(1);
-            stat.total_ns = stat.total_ns.saturating_add(end_ns.saturating_sub(start_ns));
-        });
+        self.with(|a| a.span(path.into(), end_ns.saturating_sub(start_ns)));
     }
 
     fn kernel(&self, phase: &'static str, class: KernelClass, _layer: u64, count: u64, ns: u64) {
         // Aggregation folds the per-layer dimension away: per-layer
         // attribution is reconstructed from JSONL traces by the observatory.
-        self.with(|a| {
-            a.kernels.entry((phase, class)).or_insert_with(KernelStat::new).record(count, ns);
-        });
+        self.with(|a| a.kernel(phase.into(), class, count, ns));
     }
 
     fn counter(&self, name: &'static str, delta: u64) {
-        self.with(|a| {
-            let slot = a.counters.entry(name).or_insert(0);
-            *slot = slot.saturating_add(delta);
-        });
+        self.with(|a| a.counter(name.into(), delta));
     }
 
     fn msv(&self, event: MsvEvent, depth: usize, residency: usize) {
-        let thread = std::thread::current().id();
         self.with(|a| {
-            let slot = a.msv_events.entry(event).or_insert(0);
-            *slot = slot.saturating_add(1);
-            match a.msv_peaks.iter_mut().find(|(worker, _)| *worker == thread) {
-                Some((_, peak)) => *peak = (*peak).max(residency),
-                None => a.msv_peaks.push((thread, residency)),
-            }
-            a.msv_peak_depth = a.msv_peak_depth.max(depth);
+            let worker = worker_number(&mut a.threads);
+            a.msv(worker, event, depth as u64, residency as u64);
         });
     }
 
     fn cache(&self, depth: usize, hit: bool) {
-        self.with(|a| {
-            let stat = a.cache.entry(depth).or_default();
-            if hit {
-                stat.hits = stat.hits.saturating_add(1);
-            } else {
-                stat.misses = stat.misses.saturating_add(1);
-            }
-        });
+        self.with(|a| a.cache(depth as u64, hit));
+    }
+
+    fn heartbeat(&self, hb: Heartbeat) {
+        self.with(|a| a.heartbeat(hb.completed));
     }
 }
 
 /// An immutable snapshot of an [`AggregatingRecorder`], renderable as a
-/// Prometheus-style text page, JSON, or folded stacks.
+/// Prometheus-style text page, JSON, or folded stacks, and checkable
+/// against the recorder stream's conservation laws.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsReport {
-    /// Saturating named counters.
+    /// Named counters.
     pub counters: BTreeMap<String, u64>,
-    /// Timing per `(phase, kernel class)`.
+    /// Kernel work per `(phase, kernel class)`.
     pub kernels: BTreeMap<(String, KernelClass), KernelStat>,
     /// Span totals per path.
     pub spans: BTreeMap<String, SpanStat>,
     /// MSV lifecycle event counts.
     pub msv_events: BTreeMap<MsvEvent, u64>,
-    /// Peak MSV residency: the sum of each worker thread's peak, the rule
-    /// of `ExecStats::peak_msv` (exact for one worker).
-    pub msv_peak_residency: usize,
+    /// Peak MSV residency: the sum of each worker's peak, the rule of
+    /// `ExecStats::peak_msv` (exact for one worker).
+    pub msv_peak_residency: u64,
     /// Deepest trie depth any MSV reached.
-    pub msv_peak_depth: usize,
+    pub msv_peak_depth: u64,
     /// Prefix-cache behavior per reuse depth.
-    pub cache: BTreeMap<usize, CacheDepthStat>,
+    pub cache: BTreeMap<u64, CacheDepthStat>,
+    /// Heartbeats recorded.
+    pub heartbeats: u64,
+    /// Sum of the heartbeats' `completed` deltas: the trials they claim
+    /// finished.
+    pub heartbeat_completed: u64,
+    /// Whether a sum (a counter, a kernel cell, the heartbeat total or the
+    /// workers' peaks) passed `u64::MAX`. Such a sum stops there, and
+    /// [`MetricsReport::cross_check`] fails.
+    pub overflowed: bool,
 }
 
 impl MetricsReport {
@@ -210,7 +297,7 @@ impl MetricsReport {
 
     /// Peak live MSVs (the paper's MSV metric as observed at runtime),
     /// summed over worker threads as `ExecStats::peak_msv` sums them.
-    pub fn peak_residency(&self) -> usize {
+    pub fn peak_residency(&self) -> u64 {
         self.msv_peak_residency
     }
 
@@ -219,21 +306,126 @@ impl MetricsReport {
         self.msv_events.get(&event).copied().unwrap_or(0)
     }
 
-    /// Total kernel applications across all phases for `class`.
+    /// Total kernel applications across all phases for `class` (stops at
+    /// `u64::MAX`).
     pub fn kernel_count(&self, class: KernelClass) -> u64 {
-        self.kernels.iter().filter(|((_, c), _)| *c == class).map(|(_, s)| s.count).sum()
+        self.kernels
+            .iter()
+            .filter(|((_, c), _)| *c == class)
+            .fold(0, |sum, (_, s)| sum.saturating_add(s.count))
     }
 
-    /// Total kernel applications across all phases and classes. On a fused
-    /// run every application is one amplitude pass, so this equals
-    /// `ExecStats::amplitude_passes` exactly.
+    /// Total kernel applications across all phases and classes (stops at
+    /// `u64::MAX`). On a fused run every application is one amplitude
+    /// pass, so this equals `ExecStats::amplitude_passes` exactly.
     pub fn total_kernel_count(&self) -> u64 {
-        self.kernels.values().map(|s| s.count).sum()
+        self.kernels.values().fold(0, |sum, s| sum.saturating_add(s.count))
+    }
+
+    /// Total kernel time in nanoseconds across all phases and classes
+    /// (stops at `u64::MAX`).
+    pub fn total_kernel_ns(&self) -> u64 {
+        self.kernels.values().fold(0, |sum, s| sum.saturating_add(s.total_ns))
     }
 
     /// Total prefix-cache lookups `(hits, misses)` across all depths.
     pub fn cache_totals(&self) -> (u64, u64) {
-        self.cache.values().fold((0, 0), |(h, m), s| (h + s.hits, m + s.misses))
+        self.cache
+            .values()
+            .fold((0, 0), |(h, m), s| (h.saturating_add(s.hits), m.saturating_add(s.misses)))
+    }
+
+    /// Check the conservation laws the recorder stream obeys on its own:
+    /// kernel totals against the end-of-run pass counters, cache lookups,
+    /// heartbeats and the MSV lifecycle against `trials`, and the prefix
+    /// store's counters against each other. Returns one message per
+    /// discrepancy (empty = consistent). Checks that need reuse-style
+    /// events (cache lookups, MSV lifecycle) apply only when such events
+    /// are present, so baseline runs validate too. Sums are formed in
+    /// `u128`, so one past `u64::MAX` never equals a recorded counter.
+    pub fn cross_check(&self) -> Vec<String> {
+        fn check(problems: &mut Vec<String>, name: &str, got: u128, want: u64) {
+            if got != u128::from(want) {
+                problems.push(format!("{name}: derived {got} != recorded {want}"));
+            }
+        }
+        if self.overflowed {
+            return vec!["a counter, kernel or heartbeat sum passes u64::MAX".to_owned()];
+        }
+        let mut problems = Vec::new();
+        let (trials, passes) = (self.counter(names::TRIALS), self.counter(names::AMPLITUDE_PASSES));
+        // A semantic-store hit pre-credits the skipped prefix work into
+        // the end-of-run counters without emitting kernel events; the
+        // credit counter closes that gap exactly.
+        let credited = self.counter(names::MSVSTORE_CREDITED_PASSES);
+        let kernels: u128 = self.kernels.values().map(|s| u128::from(s.count)).sum();
+        check(
+            &mut problems,
+            "total kernel applications plus store credit vs amplitude_passes",
+            kernels + u128::from(credited),
+            passes,
+        );
+        let error_passes = u128::from(self.kernel_count(KernelClass::Error));
+        check(
+            &mut problems,
+            "gate kernel applications plus store credit vs fused_ops",
+            kernels - error_passes + u128::from(credited),
+            self.counter(names::FUSED_OPS),
+        );
+        let ops = self.counter(names::OPS);
+        if ops < passes {
+            problems.push(format!(
+                "ops ({ops}) below amplitude_passes ({passes}): fusion cannot add passes"
+            ));
+        }
+        let (hits, misses) = self.cache_totals();
+        let lookups = u128::from(hits) + u128::from(misses);
+        if lookups > 0 {
+            check(&mut problems, "cache lookups vs trials", lookups, trials);
+        }
+        // Heartbeats claim one completed trial per beat; when present they
+        // must account for exactly the recorded trial count.
+        if self.heartbeats > 0 {
+            check(
+                &mut problems,
+                "heartbeat completed deltas vs trials",
+                self.heartbeat_completed.into(),
+                trials,
+            );
+        }
+        let store_hits = self.counter(names::MSVSTORE_HIT);
+        if store_hits == 0 && credited != 0 {
+            problems.push(format!("store credited {credited} passes without a hit"));
+        }
+        let (stored, store_misses) =
+            (self.counter(names::MSVSTORE_STORE), self.counter(names::MSVSTORE_MISS));
+        if stored > store_misses {
+            problems
+                .push(format!("store published {stored} snapshots on only {store_misses} misses"));
+        }
+        let bytes_read = self.counter(names::MSVSTORE_BYTES_READ);
+        if store_hits == 0 && bytes_read != 0 {
+            problems.push(format!("store read {bytes_read} bytes without a hit"));
+        }
+        if !self.msv_events.is_empty() {
+            // One root creation per cold lookup: exactly 1 sequentially,
+            // one per worker on parallel runs.
+            if lookups > 0 {
+                check(
+                    &mut problems,
+                    "root creations vs cold lookups",
+                    self.msv_count(MsvEvent::Create).into(),
+                    misses,
+                );
+            }
+            check(
+                &mut problems,
+                "forks vs drops",
+                self.msv_count(MsvEvent::Fork).into(),
+                self.msv_count(MsvEvent::Drop),
+            );
+        }
+        problems
     }
 
     /// Render as a Prometheus-style text exposition page.
@@ -415,10 +607,58 @@ mod tests {
         let stat = &report.kernels[&("reuse/shared".to_owned(), KernelClass::Dense2)];
         assert_eq!(stat.count, 4);
         assert_eq!(stat.total_ns, 350);
-        assert_eq!(stat.min_ns, 50);
-        assert_eq!(stat.max_ns, 300);
-        assert_eq!(stat.buckets.iter().sum::<u64>(), 2, "one bucket entry per record");
         assert!((stat.mean_ns() - 87.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn trace_events_fold_as_the_recorder_calls_do() {
+        let live = AggregatingRecorder::new();
+        live.counter("ops", 4);
+        live.kernel("reuse/shared", KernelClass::Cx, 3, 2, 70);
+        live.span("run/reuse", 5, 9);
+        live.msv(MsvEvent::Fork, 1, 2);
+        live.cache(1, true);
+        live.heartbeat(Heartbeat { completed: 1, depth: 1, resident_bytes: 64 });
+        let mut read = AggregatingRecorder::new();
+        let curve: Vec<u64> = [
+            TraceEvent::Counter { name: "ops".to_owned(), delta: 4 },
+            TraceEvent::Kernel {
+                phase: "reuse/shared".to_owned(),
+                class: KernelClass::Cx,
+                layer: 3,
+                count: 2,
+                ns: 70,
+            },
+            TraceEvent::Span { path: "run/reuse".to_owned(), start_ns: 5, end_ns: 9 },
+            TraceEvent::Msv { kind: MsvEvent::Fork, depth: 1, residency: 2, worker: 0 },
+            TraceEvent::Cache { depth: 1, hit: true },
+            TraceEvent::Heartbeat { completed: 1, depth: 1, resident: 64 },
+        ]
+        .into_iter()
+        .map(|event| read.record_event(event))
+        .collect();
+        assert_eq!(read.report(), live.report());
+        assert_eq!(curve, [0, 0, 0, 2, 2, 2], "the summed live count after each event");
+    }
+
+    #[test]
+    fn live_digests_check_the_conservation_laws() {
+        let rec = AggregatingRecorder::new();
+        rec.counter("trials", 2);
+        rec.msv(MsvEvent::Create, 0, 1);
+        rec.cache(0, false);
+        // A fork that is never dropped.
+        rec.msv(MsvEvent::Fork, 1, 2);
+        rec.cache(1, true);
+        // One heartbeat for the two recorded trials.
+        rec.heartbeat(Heartbeat { completed: 1, depth: 1, resident_bytes: 64 });
+        let problems = rec.report().cross_check();
+        for law in ["forks vs drops", "heartbeat completed deltas vs trials"] {
+            assert!(problems.iter().any(|p| p.starts_with(law)), "{law}: {problems:?}");
+        }
+        rec.msv(MsvEvent::Drop, 1, 1);
+        rec.heartbeat(Heartbeat { completed: 1, depth: 0, resident_bytes: 64 });
+        assert_eq!(rec.report().cross_check(), Vec::<String>::new());
     }
 
     #[test]
@@ -431,6 +671,8 @@ mod tests {
         let report = rec.report();
         assert_eq!(report.counter("big"), u64::MAX);
         assert_eq!(report.kernel_count(KernelClass::Cx), u64::MAX);
+        assert!(report.overflowed);
+        assert_eq!(report.cross_check().len(), 1, "{:?}", report.cross_check());
     }
 
     #[test]

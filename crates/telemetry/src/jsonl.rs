@@ -6,7 +6,7 @@ use std::sync::Mutex;
 use std::thread::ThreadId;
 
 use crate::json::escape;
-use crate::recorder::{KernelClass, MsvEvent, Recorder};
+use crate::recorder::{worker_number, KernelClass, MsvEvent, Recorder};
 use crate::Clock;
 
 /// Flush the line buffer to the writer once it exceeds this size.
@@ -190,12 +190,8 @@ impl Recorder for JsonlRecorder {
     }
 
     fn msv(&self, event: MsvEvent, depth: usize, residency: usize) {
-        let thread = std::thread::current().id();
         let mut sink = self.sink.lock().expect("trace sink poisoned");
-        let worker = sink.workers.iter().position(|&t| t == thread).unwrap_or_else(|| {
-            sink.workers.push(thread);
-            sink.workers.len() - 1
-        });
+        let worker = worker_number(&mut sink.workers);
         sink.push_line(&format!(
             "{{\"ev\":\"msv\",\"kind\":\"{}\",\"depth\":{depth},\"residency\":{residency},\
              \"worker\":{worker}}}",

@@ -15,11 +15,15 @@
 //!   `false` and every instrumentation site guards on that flag, so the
 //!   monomorphized fast path compiles the telemetry out (overhead is
 //!   budget-gated by the `telemetry` bench).
-//! * [`AggregatingRecorder`] — in-memory aggregation: saturating counters,
-//!   log₂ timing histograms per `(phase, kernel class)`, span totals, MSV
-//!   residency tracking, and per-depth prefix-cache hit rates. Snapshots
-//!   render as a Prometheus-style text page, JSON, or folded stacks for
-//!   flamegraph tooling (see [`MetricsReport`]).
+//! * [`AggregatingRecorder`] — the one digest of the recorder stream:
+//!   counters, kernel time per `(phase, kernel class)`, span totals, MSV
+//!   residency per worker, per-depth prefix-cache lookups and heartbeat
+//!   totals. It folds live recorder calls (`qsim profile`) and, through
+//!   [`AggregatingRecorder::record_event`], the events of a trace (`qsim
+//!   report`) alike. Snapshots ([`MetricsReport`]) render as a
+//!   Prometheus-style text page, JSON, or folded stacks for flamegraph
+//!   tooling, and check the stream's conservation laws
+//!   ([`MetricsReport::cross_check`]).
 //! * [`JsonlRecorder`] — a buffered streaming sink writing one JSON object
 //!   per event line; [`schema`] is the one reader of such traces: it
 //!   checks every line and hands out typed [`schema::TraceEvent`]s (the

@@ -187,8 +187,7 @@ pub trait Recorder: Sync {
     fn cache(&self, depth: usize, hit: bool);
 
     /// A progress [`Heartbeat`], emitted once per completed trial. The
-    /// default is a no-op so pre-existing recorders (aggregate, JSONL) can
-    /// opt in individually.
+    /// default is a no-op, for recorders that do not track progress.
     fn heartbeat(&self, hb: Heartbeat) {
         let _ = hb;
     }
@@ -201,6 +200,20 @@ pub trait Recorder: Sync {
     fn flush(&self) -> std::io::Result<()> {
         Ok(())
     }
+}
+
+/// The calling thread's number among `workers`, which lists threads in the
+/// order they were first seen (a new thread is appended). Each recorder
+/// keeps its own list, so two recorders fed the same run agree on how many
+/// workers there are and on their summed counts, but racing threads may get
+/// different numbers in each.
+pub(crate) fn worker_number(workers: &mut Vec<std::thread::ThreadId>) -> u64 {
+    let thread = std::thread::current().id();
+    let index = workers.iter().position(|&t| t == thread).unwrap_or_else(|| {
+        workers.push(thread);
+        workers.len() - 1
+    });
+    index as u64
 }
 
 /// The disabled recorder: reports `enabled() == false` so monomorphized

@@ -23,7 +23,9 @@ use noisy_qsim::telemetry::{
 };
 use proptest::collection;
 use proptest::prelude::*;
-use qsim_observatory::{HistoryRecord, Trace, TraceAnalysis};
+use qsim_observatory::{
+    compare_traces, render_html, render_json, render_tty, HistoryRecord, TraceAnalysis,
+};
 
 const SEED: u64 = 2020;
 const TRIALS: usize = 16;
@@ -67,7 +69,7 @@ fn corpus() -> &'static [String] {
         .render();
         let history = include_str!("../results/history.jsonl").lines().next().expect("a record");
         let bench = include_str!("../BENCHMARK.json");
-        Trace::parse(&trace).expect("the real trace loads");
+        TraceAnalysis::parse(&trace).expect("the real trace loads");
         assert!(ManifestEvent::parse(&manifest).is_some(), "the manifest line replays");
         LiveSnapshot::parse(&live).expect("the real live.json parses");
         HistoryRecord::parse(history).expect("the real history line parses");
@@ -102,12 +104,20 @@ fn mutate(doc: &str, donor: &str, kind: u8, a: u64, b: u64, flip: u8) -> String 
     String::from_utf8_lossy(&bytes).into_owned()
 }
 
-/// Feed `text` to every reader, and whatever reads as a trace or a
-/// snapshot to its checks; each must return, never panic.
+/// The analysis of the corpus's real trace.
+fn real_analysis() -> &'static TraceAnalysis {
+    static REAL: OnceLock<TraceAnalysis> = OnceLock::new();
+    REAL.get_or_init(|| TraceAnalysis::parse(&corpus()[0]).expect("the real trace loads"))
+}
+
+/// Feed `text` to every reader, whatever reads as a trace to its checks,
+/// every renderer and a comparison with the real trace, and whatever reads
+/// as a snapshot to its checks; each must return, never panic.
 fn read_everywhere(text: &str) {
     black_box(Json::parse(text).ok());
-    if let Ok(trace) = Trace::parse(text) {
-        black_box(TraceAnalysis::from_trace(&trace).cross_check());
+    if let Ok(analysis) = TraceAnalysis::parse(text) {
+        black_box((analysis.cross_check(), render_tty(&analysis), render_json(&analysis)));
+        black_box((render_html(&analysis), compare_traces(real_analysis(), &analysis)));
     }
     if let Ok(snapshot) = LiveSnapshot::parse(text) {
         let most = ExpectedStats {
@@ -279,9 +289,11 @@ proptest! {
     ) {
         let meta = TraceMeta { git_rev, seed, qubits, strategy };
         let (text, event) = record_one(&meta, kind, NAMES[name], [a, b, c], pick);
-        let trace = Trace::parse(&text).unwrap_or_else(|e| panic!("{e}:\n{text}"));
-        prop_assert_eq!(trace.meta, meta, "{}", text);
-        prop_assert_eq!(trace.events, vec![event], "{}", text);
+        let mut events = Vec::new();
+        let read = schema::visit_jsonl(&text, |event| events.push(event))
+            .unwrap_or_else(|e| panic!("{e}:\n{text}"));
+        prop_assert_eq!(read, meta, "{}", text);
+        prop_assert_eq!(events, vec![event], "{}", text);
     }
 }
 
@@ -299,7 +311,7 @@ const WRAPPING_TRACE: &str = concat!(
 );
 
 fn trace_problems(text: &str) -> Vec<String> {
-    TraceAnalysis::from_trace(&Trace::parse(text).expect("schema-valid trace")).cross_check()
+    TraceAnalysis::parse(text).expect("schema-valid trace").cross_check()
 }
 
 #[test]

@@ -13,7 +13,7 @@ use noisy_qsim::redsim::analysis::analyze;
 use noisy_qsim::redsim::exec::ReuseExecutor;
 use noisy_qsim::redsim::testkit;
 use noisy_qsim::telemetry::{JsonlRecorder, TraceMeta};
-use qsim_observatory::{render_html, render_json, Trace, TraceAnalysis};
+use qsim_observatory::{render_html, render_json, TraceAnalysis};
 
 const TRIALS: usize = 64;
 const SEED: u64 = 2020;
@@ -45,8 +45,7 @@ fn trace_analysis_matches_exec_stats_and_analyzer_on_all_shipped_benchmarks() {
             ReuseExecutor::new(&layered).run(set.trials(), &recorder).expect("reuse run")
         };
 
-        let trace = Trace::load(trace_path).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let analysis = TraceAnalysis::from_trace(&trace);
+        let analysis = TraceAnalysis::load(trace_path).unwrap_or_else(|e| panic!("{name}: {e}"));
 
         // Internal conservation laws first: kernel totals vs counters,
         // per-trial attribution, cache and MSV lifecycle accounting.
@@ -54,27 +53,35 @@ fn trace_analysis_matches_exec_stats_and_analyzer_on_all_shipped_benchmarks() {
         assert!(problems.is_empty(), "{name}: cross-check failed: {problems:?}");
 
         // Trace ↔ ExecStats: counter-for-counter equality.
-        assert_eq!(analysis.counter("trials"), run.stats.n_trials as u64, "{name}: trials");
-        assert_eq!(analysis.counter("ops"), run.stats.ops, "{name}: ops");
-        assert_eq!(analysis.counter("fused_ops"), run.stats.fused_ops, "{name}: fused_ops");
+        assert_eq!(analysis.metrics.counter("trials"), run.stats.n_trials as u64, "{name}: trials");
+        assert_eq!(analysis.metrics.counter("ops"), run.stats.ops, "{name}: ops");
+        assert_eq!(analysis.metrics.counter("fused_ops"), run.stats.fused_ops, "{name}: fused_ops");
         assert_eq!(
-            analysis.counter("amplitude_passes"),
+            analysis.metrics.counter("amplitude_passes"),
             run.stats.amplitude_passes,
             "{name}: amplitude_passes"
         );
         assert_eq!(
-            analysis.total_kernel_count(),
+            analysis.metrics.total_kernel_count(),
             run.stats.amplitude_passes,
             "{name}: kernel histogram total"
         );
-        assert_eq!(analysis.peak_residency, run.stats.peak_msv as u64, "{name}: MSV residency");
-        let (hits, misses) = analysis.cache_totals();
+        assert_eq!(
+            analysis.metrics.peak_residency(),
+            run.stats.peak_msv as u64,
+            "{name}: MSV residency"
+        );
+        let (hits, misses) = analysis.metrics.cache_totals();
         assert_eq!(hits + misses, TRIALS as u64, "{name}: one cache lookup per trial");
         assert_eq!(analysis.trials.len(), TRIALS, "{name}: one timeline slice per trial");
 
         // Trace ↔ CostReport: the static dry-run prediction is exact.
-        assert_eq!(analysis.counter("ops"), cost.optimized_ops, "{name}: analyzer ops");
-        assert_eq!(analysis.peak_residency, cost.msv_peak as u64, "{name}: analyzer MSV peak");
+        assert_eq!(analysis.metrics.counter("ops"), cost.optimized_ops, "{name}: analyzer ops");
+        assert_eq!(
+            analysis.metrics.peak_residency(),
+            cost.msv_peak as u64,
+            "{name}: analyzer MSV peak"
+        );
 
         // The derived per-layer attribution is complete: layer cells sum
         // to the pass total, and no layer index exceeds the circuit.
@@ -108,27 +115,30 @@ fn tree_traces_satisfy_every_conservation_law() {
                 .expect("reuse run")
         };
 
-        let trace = Trace::load(trace_path).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let analysis = TraceAnalysis::from_trace(&trace);
+        let analysis = TraceAnalysis::load(trace_path).unwrap_or_else(|e| panic!("{name}: {e}"));
 
         // Every trie shape, degenerate ones included, satisfies the
         // offline conservation laws.
         let problems = analysis.cross_check();
         assert!(problems.is_empty(), "{name}: cross-check failed: {problems:?}");
 
-        assert_eq!(analysis.counter("trials"), run.stats.n_trials as u64, "{name}: trials");
-        assert_eq!(analysis.counter("ops"), run.stats.ops, "{name}: ops");
+        assert_eq!(analysis.metrics.counter("trials"), run.stats.n_trials as u64, "{name}: trials");
+        assert_eq!(analysis.metrics.counter("ops"), run.stats.ops, "{name}: ops");
         assert_eq!(
-            analysis.counter("amplitude_passes"),
+            analysis.metrics.counter("amplitude_passes"),
             run.stats.amplitude_passes,
             "{name}: amplitude_passes"
         );
         assert_eq!(
-            analysis.total_kernel_count(),
+            analysis.metrics.total_kernel_count(),
             run.stats.amplitude_passes,
             "{name}: kernel histogram total"
         );
-        assert_eq!(analysis.peak_residency, run.stats.peak_msv as u64, "{name}: MSV residency");
+        assert_eq!(
+            analysis.metrics.peak_residency(),
+            run.stats.peak_msv as u64,
+            "{name}: MSV residency"
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -149,10 +159,9 @@ fn html_report_is_self_contained_and_json_counters_match_stats() {
         ReuseExecutor::new(&layered).run(set.trials(), &recorder).expect("reuse run")
     };
 
-    let trace = Trace::load(trace_path).expect("trace parses");
-    let analysis = TraceAnalysis::from_trace(&trace);
+    let analysis = TraceAnalysis::load(trace_path).expect("trace parses");
 
-    let html = render_html(&trace, &analysis);
+    let html = render_html(&analysis);
     assert!(html.starts_with("<!DOCTYPE html>"), "HTML preamble");
     for banned in ["http://", "https://", "src=", "href="] {
         assert!(!html.contains(banned), "HTML report must be self-contained, found {banned:?}");
@@ -162,7 +171,7 @@ fn html_report_is_self_contained_and_json_counters_match_stats() {
         assert!(html.contains(&value.to_string()), "HTML report missing counter {value}");
     }
 
-    let json = render_json(&trace, &analysis);
+    let json = render_json(&analysis);
     assert!(json.contains(&format!("\"ops\": {}", run.stats.ops)), "JSON ops counter");
     assert!(
         json.contains(&format!("\"amplitude_passes\": {}", run.stats.amplitude_passes)),

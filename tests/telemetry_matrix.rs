@@ -45,7 +45,7 @@ fn telemetry_matches_exec_stats_and_analyzer_on_all_shipped_benchmarks() {
             run.stats.amplitude_passes,
             "{name}: per-kernel histogram totals"
         );
-        assert_eq!(report.peak_residency(), run.stats.peak_msv, "{name}: MSV residency");
+        assert_eq!(report.peak_residency(), run.stats.peak_msv as u64, "{name}: MSV residency");
         // Lifecycle conservation: one root created, never dropped (it is
         // the error-free frontier held until the run ends), and every
         // forked frontier eventually dropped.
@@ -73,6 +73,11 @@ fn telemetry_matches_exec_stats_and_analyzer_on_all_shipped_benchmarks() {
         assert_eq!(base_report.counter("ops"), base.stats.ops, "{name}: baseline ops");
         assert_eq!(base.stats.ops, cost.baseline_ops, "{name}: analyzer baseline ops");
         assert_eq!(base_report.peak_residency(), 0, "{name}: baseline stores nothing");
+        // The stream's own conservation laws, the ones `qsim report` holds
+        // a trace to, hold for both walks.
+        for (strategy, digest) in [("reuse", &report), ("baseline", &base_report)] {
+            assert_eq!(digest.cross_check(), Vec::<String>::new(), "{name}: {strategy}");
+        }
 
         // And none of the observation machinery may perturb the physics.
         assert_eq!(run.outcomes, base.outcomes, "{name}: traced strategies diverged");
@@ -106,13 +111,19 @@ fn tree_telemetry_preserves_the_exactness_contract_on_every_shape() {
             run.stats.amplitude_passes,
             "{name}: kernel totals == amplitude passes"
         );
-        assert_eq!(report.peak_residency(), run.stats.peak_msv, "{name}: MSV residency");
+        assert_eq!(report.peak_residency(), run.stats.peak_msv as u64, "{name}: MSV residency");
         assert_eq!(report.msv_count(MsvEvent::Create), 1, "{name}: one root MSV");
         assert_eq!(
             report.msv_count(MsvEvent::Fork),
             report.msv_count(MsvEvent::Drop),
             "{name}: MSV fork/drop conservation"
         );
+
+        let base_recorder = AggregatingRecorder::new();
+        BaselineExecutor::new(&workload.layered).run(trials, &base_recorder).expect("baseline run");
+        for (strategy, digest) in [("reuse", &report), ("baseline", &base_recorder.report())] {
+            assert_eq!(digest.cross_check(), Vec::<String>::new(), "{name}: {strategy}");
+        }
 
         // And recording never perturbs the physics or the accounting.
         let untraced =
