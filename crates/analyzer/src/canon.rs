@@ -92,7 +92,7 @@ impl StableHasher {
 }
 
 fn write_op(h: &mut StableHasher, op: &FusedOp) {
-    h.write_str(op.kernel_name());
+    h.write_str(op.kernel_class().name());
     for q in op.qubits() {
         h.write_u64(q as u64);
     }

@@ -103,7 +103,7 @@ pub fn check(plan: &ExecutionPlan<'_>) -> Vec<Diagnostic> {
                         "segment {s} (layers {}..={}) contains a non-unitary `{}` kernel",
                         seg.start_layer(),
                         seg.end_layer(),
-                        op.kernel_name()
+                        op.kernel_class().name()
                     ),
                 ));
             }

@@ -19,10 +19,12 @@
 //! that resamples processes (`live_overhead_pct_lo`, `live_overhead_pct_hi`).
 //!
 //! Pass `--check PCT` (e.g. `--check 2`) to exit non-zero unless the upper
-//! end of the live recorder's interval is within `PCT` percent. The live
-//! recorder declines per-kernel timing so a run can publish progress all
-//! the time; on this row its per-event atomics must amortize to under the
-//! budget.
+//! end of the live recorder's interval is within `PCT` percent. Like every
+//! sink, the live recorder gets one kernel event per amplitude pass; it
+//! keeps no clock, so the walk reads none for it, and it counts each event
+//! in a per-thread buffer that the worker's heartbeat folds in. On this
+//! row that per-event add and its per-trial atomics must amortize to under
+//! the budget, so a run can publish progress all the time.
 //!
 //! Usage: `telemetry [--seed N] [--reps ROUNDS] [--trials N] [--gate-qubits N]
 //! [--gate-depth N] [--out PATH] [--check PCT] [--record] [--quiet]`

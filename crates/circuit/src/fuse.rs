@@ -198,7 +198,7 @@ impl FusedProgram {
     /// contract as [`FusedProgram::apply_through`]). `through < 0` yields
     /// `(0, 0)`.
     pub fn segment_costs_through(&self, through: i64) -> (u64, u64) {
-        let Ok(costs) = self.walk_segments::<Infallible>(&mut -1, through, "cost", |_| Ok(()));
+        let Ok(costs) = self.walk_through::<Infallible>(&mut -1, through, |_, _| Ok(()));
         costs
     }
 
@@ -222,65 +222,45 @@ impl FusedProgram {
         done: &mut i64,
         through: i64,
     ) -> Result<(u64, u64), StateVecError> {
-        self.walk_segments(done, through, "advance", |seg| {
-            seg.ops.iter().try_for_each(|op| state.apply_fused(op))
-        })
+        self.walk_through(done, through, |op, _| state.apply_fused(op))
     }
 
-    /// Like [`FusedProgram::apply_through`], but times every kernel op and
-    /// hands `(op, segment_end_layer, elapsed_ns)` to `observe`. Profiling
-    /// path — the unobserved variant stays free of per-op clock reads.
+    /// The one segment walk: hand every op of each whole segment after
+    /// `done` through `through`, in order, to `visit` with its segment's
+    /// end layer, moving `done` to that layer, and return the
+    /// `(source_gates, fused_ops)` walked. [`FusedProgram::apply_through`]
+    /// visits with the kernel itself; an observer wraps each application.
     ///
     /// # Errors
     ///
-    /// Propagates [`StateVecError`] from the kernels.
+    /// Returns the first error `visit` returns; `done` then still names the
+    /// last whole segment walked.
     ///
     /// # Panics
     ///
     /// Panics if `done` or `through` does not lie on a segment boundary,
     /// exactly as [`FusedProgram::apply_through`].
-    pub fn apply_through_observed(
-        &self,
-        state: &mut StateVector,
-        done: &mut i64,
-        through: i64,
-        observe: &mut dyn FnMut(&FusedOp, usize, u64),
-    ) -> Result<(u64, u64), StateVecError> {
-        self.walk_segments(done, through, "advance", |seg| {
-            for op in &seg.ops {
-                let t0 = std::time::Instant::now();
-                state.apply_fused(op)?;
-                let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                observe(op, seg.end, ns);
-            }
-            Ok(())
-        })
-    }
-
-    /// The one segment walk: hand each whole segment after `done` through
-    /// `through` to `visit`, moving `done` to its end layer, and return the
-    /// `(source_gates, fused_ops)` walked. `what` names the target in the
-    /// panic for a stop that splits a segment.
-    fn walk_segments<E>(
+    pub fn walk_through<E>(
         &self,
         done: &mut i64,
         through: i64,
-        what: &str,
-        mut visit: impl FnMut(&Segment) -> Result<(), E>,
+        mut visit: impl FnMut(&FusedOp, usize) -> Result<(), E>,
     ) -> Result<(u64, u64), E> {
         let mut source = 0u64;
         let mut fused = 0u64;
         while *done < through {
             let next = (*done + 1) as usize;
             let seg = &self.segments[self.seg_at[next]];
-            assert_eq!(seg.start, next, "advance does not start on a segment boundary");
+            assert_eq!(seg.start, next, "walk does not start on a segment boundary");
             assert!(
                 (seg.end as i64) <= through,
-                "{what} target {through} splits segment {}..={}",
+                "walk target {through} splits segment {}..={}",
                 seg.start,
                 seg.end
             );
-            visit(seg)?;
+            for op in &seg.ops {
+                visit(op, seg.end)?;
+            }
             source += seg.source_gates as u64;
             fused += seg.ops.len() as u64;
             *done = seg.end as i64;
@@ -590,8 +570,12 @@ mod tests {
         qc.h(0).ccx(0, 1, 2).h(0);
         let layered = qc.layered().unwrap();
         let program = FusedProgram::new(&layered, &[]);
-        let kinds: Vec<&str> =
-            program.segments().iter().flat_map(|s| s.ops()).map(|o| o.kernel_name()).collect();
+        let kinds: Vec<&str> = program
+            .segments()
+            .iter()
+            .flat_map(|s| s.ops())
+            .map(|o| o.kernel_class().name())
+            .collect();
         assert_eq!(kinds, ["dense1", "ccx", "dense1"]);
         assert_fused_matches(&qc, &[]);
     }
@@ -602,8 +586,12 @@ mod tests {
         qc.t(0).rz(0.2, 0).x(1).cz(1, 2).cx(0, 1);
         let layered = qc.layered().unwrap();
         let program = FusedProgram::new(&layered, &(0..layered.n_layers()).collect::<Vec<_>>());
-        let kinds: Vec<&str> =
-            program.segments().iter().flat_map(|s| s.ops()).map(|o| o.kernel_name()).collect();
+        let kinds: Vec<&str> = program
+            .segments()
+            .iter()
+            .flat_map(|s| s.ops())
+            .map(|o| o.kernel_class().name())
+            .collect();
         assert!(kinds.contains(&"phase1"), "{kinds:?}");
         assert!(kinds.contains(&"diag1"), "{kinds:?}");
         assert!(kinds.contains(&"perm1"), "{kinds:?}");
@@ -646,9 +634,11 @@ mod tests {
         let mut seen = 0u64;
         let mut layers: Vec<usize> = Vec::new();
         let counts_obs = program
-            .apply_through_observed(&mut observed, &mut done_obs, last, &mut |_, layer, _| {
+            .walk_through(&mut done_obs, last, |op, layer| {
+                observed.apply_fused(op)?;
                 seen += 1;
                 layers.push(layer);
+                Ok::<(), StateVecError>(())
             })
             .unwrap();
         assert_eq!(counts, counts_obs);

@@ -1,7 +1,7 @@
 //! Command implementations for the `qsim` CLI. Each writes human-readable
 //! output to the given writer, so tests can capture it.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, Read, Write};
 
 use qsim_circuit::transpile::{transpile, TranspileOptions};
 use qsim_circuit::{to_qasm, Circuit, CouplingMap};
@@ -9,7 +9,7 @@ use qsim_noise::NoiseModel;
 use qsim_statevec::KernelPath;
 use qsim_telemetry::json::escape;
 use qsim_telemetry::{
-    AggregatingRecorder, ExpectedStats, JsonlRecorder, LivePublisher, LiveSnapshot, MetricsReport,
+    AggregatingRecorder, ExpectedStats, JsonlRecorder, LiveRecorder, LiveSnapshot, MetricsReport,
     NullRecorder, Recorder, TeeRecorder, TraceMeta,
 };
 use redsim::{ExecStats, RunResult, RunSpec, Simulation, Walk};
@@ -64,16 +64,26 @@ fn io_err(e: std::io::Error) -> CliError {
     CliError(format!("i/o failure: {e}"))
 }
 
-fn read_input(path: &str) -> Result<String, CliError> {
+/// An I/O failure reading `path` (`-` is stdin).
+fn input_err(path: &str, e: &std::io::Error) -> CliError {
+    CliError(format!("{}: {e}", if path == "-" { "stdin" } else { path }))
+}
+
+/// `path` (`-` for stdin), opened for buffered reading.
+fn open_input(path: &str) -> Result<Box<dyn BufRead>, CliError> {
     if path == "-" {
-        let mut buffer = String::new();
-        std::io::stdin()
-            .read_to_string(&mut buffer)
-            .map_err(|e| CliError(format!("stdin: {e}")))?;
-        Ok(buffer)
+        Ok(Box::new(std::io::stdin().lock()))
     } else {
-        std::fs::read_to_string(path).map_err(|e| CliError(format!("{path}: {e}")))
+        let file = std::fs::File::open(path).map_err(|e| input_err(path, &e))?;
+        let capacity = qsim_telemetry::schema::READ_BUFFER_BYTES;
+        Ok(Box::new(std::io::BufReader::with_capacity(capacity, file)))
     }
+}
+
+fn read_input(path: &str) -> Result<String, CliError> {
+    let mut text = String::new();
+    open_input(path)?.read_to_string(&mut text).map_err(|e| input_err(path, &e))?;
+    Ok(text)
 }
 
 fn coupling(device: &DeviceSpec) -> Option<CouplingMap> {
@@ -341,14 +351,9 @@ fn trace_meta(sim: &Simulation, opts: &Options, spec: &RunSpec<'_>) -> TraceMeta
 /// Post-run reconciliation of the published `live.json` against the
 /// executor's own counters: flush the final snapshot, read it back from
 /// disk, and fail loudly on any drift — the live plane's exactness gate.
-fn finalize_live(
-    publisher: &LivePublisher,
-    opts: &Options,
-    stats: &ExecStats,
-) -> Result<(), CliError> {
-    let dir = opts.live.as_deref().unwrap_or(".");
-    Recorder::flush(publisher).map_err(|e| CliError(format!("{dir}: live publish: {e}")))?;
-    let view = LiveSnapshot::load(&publisher.json_path()).map_err(CliError)?;
+fn finalize_live(live: &LiveRecorder, dir: &str, stats: &ExecStats) -> Result<(), CliError> {
+    Recorder::flush(live).map_err(|e| CliError(format!("{dir}: live publish: {e}")))?;
+    let view = LiveSnapshot::load(&live_json_path(dir)).map_err(CliError)?;
     let expected = ExpectedStats {
         trials: stats.n_trials as u64,
         ops: stats.ops,
@@ -389,7 +394,7 @@ fn run_strategy<R: Recorder + ?Sized>(
 }
 
 /// `run` and `profile`: execute the flags' [`RunSpec`] with `aggregate`
-/// (profile), the `--trace` file and the `--live` publisher teed together
+/// (profile), the `--trace` file and the `--live` recorder teed together
 /// as requested, then print the stats line — plus, for `run`, the
 /// elapsed time and histogram, and for `profile`, the cross-checked
 /// metrics page.
@@ -414,7 +419,7 @@ fn run_or_profile(
         .map(|dir| {
             let trials = sim.trials().expect("trials just prepared").trials().len() as u64;
             let interval_ns = opts.live_interval_ms.saturating_mul(1_000_000);
-            LivePublisher::create(std::path::Path::new(dir), meta(), trials, interval_ns)
+            LiveRecorder::create(std::path::Path::new(dir), meta(), trials, interval_ns)
                 .map_err(|e| CliError(format!("{dir}: live publisher: {e}")))
         })
         .transpose()?;
@@ -443,8 +448,8 @@ fn run_or_profile(
     if let (Some(trace), Some(path)) = (&trace, &opts.trace) {
         trace.flush().map_err(|e| CliError(format!("{path}: {e}")))?;
     }
-    if let Some(publisher) = &live {
-        finalize_live(publisher, opts, &result.stats)?;
+    if let (Some(live), Some(dir)) = (&live, &opts.live) {
+        finalize_live(live, dir, &result.stats)?;
     }
     let Some(aggregate) = aggregate else {
         let elapsed = started.elapsed();
@@ -545,13 +550,21 @@ fn cross_check(
 /// optionally diffed against an earlier file with `--against`.
 fn report(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     use qsim_observatory as obs;
-    let text = read_input(&opts.input)?;
+    let mut input = open_input(&opts.input)?;
     // A trace's first non-empty line is its meta header, in any key order.
-    let first = text.lines().find(|line| !line.trim().is_empty()).unwrap_or_default();
+    // Read no further to decide; the reader chosen gets the whole input.
+    let mut head = String::new();
+    while head.trim().is_empty() {
+        if input.read_line(&mut head).map_err(|e| input_err(&opts.input, &e))? == 0 {
+            break;
+        }
+    }
+    let first = head.lines().last().unwrap_or_default();
     let is_trace = obs::Json::parse(first)
-        .is_ok_and(|head| head.get("ev").and_then(obs::Json::as_str) == Some("meta"));
+        .is_ok_and(|line| line.get("ev").and_then(obs::Json::as_str) == Some("meta"));
+    let mut input = head.as_bytes().chain(input);
     if is_trace {
-        let analysis = obs::TraceAnalysis::parse(&text)
+        let analysis = obs::TraceAnalysis::read(input)
             .map_err(|e| CliError(format!("{}: {e}", opts.input)))?;
         if let Some(path) = &opts.against {
             let before = obs::TraceAnalysis::load(path).map_err(CliError)?;
@@ -579,6 +592,9 @@ fn report(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
             Err(CliError(format!("trace cross-check failed:\n  {}", problems.join("\n  "))))
         }
     } else {
+        // A bench document is small: read it whole.
+        let mut text = String::new();
+        input.read_to_string(&mut text).map_err(|e| input_err(&opts.input, &e))?;
         let doc = obs::Json::parse(&text).map_err(|e| CliError(format!("{}: {e}", opts.input)))?;
         if let Some(path) = &opts.against {
             let before_text =

@@ -275,3 +275,36 @@ fn hostile_register_widths_are_errors_not_aborts() {
     }
     std::fs::remove_dir_all(&dir).expect("scratch cleanup");
 }
+
+#[test]
+fn a_closed_stdout_ends_the_run_quietly_and_keeps_its_trace() {
+    let program = "OPENQASM 2.0; qreg q[2]; creg c[2]; h q[0]; cx q[0],q[1]; measure q -> c;";
+    let dir = scratch_dir("closed-stdout");
+    let trace = dir.join("trace.jsonl");
+    let trace = trace.to_str().expect("utf-8 temp path");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_qsim"))
+        .args(["run", "-", "--device", "none", "--noise", "artificial:1e-3"])
+        .args(["--trials", "100000", "--trace", trace])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("qsim starts");
+    // The reader goes away before qsim has even read its program, so every
+    // write to stdout meets a closed pipe.
+    drop(child.stdout.take());
+    child.stdin.take().expect("stdin is piped").write_all(program.as_bytes()).expect("qsim reads");
+    let out = child.wait_with_output().expect("qsim exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("Broken pipe"), "{stderr}");
+    // The trace was finished before the output was written: it reads back
+    // whole and cross-checks.
+    let report = qsim(&["report", trace, "--json"], "");
+    assert!(report.status.success(), "{}", String::from_utf8_lossy(&report.stderr));
+    let json = qsim_telemetry::json::Json::parse(&String::from_utf8_lossy(&report.stdout))
+        .expect("report --json parses");
+    let trials = json.get("counters").and_then(|c| c.get("trials"));
+    assert_eq!(trials.and_then(qsim_telemetry::json::Json::as_u64), Some(100_000));
+    std::fs::remove_dir_all(&dir).expect("scratch cleanup");
+}

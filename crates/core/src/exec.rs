@@ -38,7 +38,7 @@ use std::fmt;
 use qsim_analyzer::{replay_schedule, FrameId, ScheduleOp, ROOT_FRAME};
 use qsim_circuit::{FusedProgram, LayeredCircuit};
 use qsim_noise::{injection_cut_layers, Injection, Trial};
-use qsim_statevec::{sample_index, MeasureOutcome, StatePool, StateVector};
+use qsim_statevec::{sample_index, MeasureOutcome, StatePool, StateVecError, StateVector};
 use qsim_telemetry::{Heartbeat, KernelClass, MsvEvent, Recorder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -87,12 +87,27 @@ pub struct RunResult {
     pub stats: ExecStats,
 }
 
+/// Apply one amplitude pass and observe it: one `kernel` event of `class`
+/// at `layer`, timed on the recorder's own clock (a recorder that keeps no
+/// time reads 0 on both sides).
+fn observe_pass<R: Recorder + ?Sized>(
+    recorder: &R,
+    phase: &'static str,
+    class: KernelClass,
+    layer: usize,
+    apply: impl FnOnce() -> Result<(), StateVecError>,
+) -> Result<(), StateVecError> {
+    let start = recorder.now_ns();
+    apply()?;
+    let ns = recorder.now_ns().saturating_sub(start);
+    recorder.kernel(phase, class, layer as u64, 1, ns);
+    Ok(())
+}
+
 /// Apply layers `done+1 ..= through` of `program`, adding the source
-/// gates and amplitude passes performed to `stats`. Each fused op is
-/// individually timed and attributed to `phase`; a recorder that declines
-/// per-kernel timing gets one batched `unfused` observation instead.
-/// Disabled recorders short-circuit to the unobserved path (no clock
-/// reads).
+/// gates and amplitude passes performed to `stats`. An enabled recorder
+/// observes every fused op under its own class, attributed to `phase` and
+/// to the op's segment end layer; a disabled one costs no observation.
 fn advance_traced<R: Recorder + ?Sized>(
     program: &FusedProgram,
     state: &mut StateVector,
@@ -102,21 +117,12 @@ fn advance_traced<R: Recorder + ?Sized>(
     phase: &'static str,
     stats: &mut ExecStats,
 ) -> Result<(), SimError> {
-    let (src, passes) = if !recorder.enabled() {
-        program.apply_through(state, done, through)?
-    } else if recorder.kernel_timing() {
-        program.apply_through_observed(state, done, through, &mut |op, layer, ns| {
-            let class = KernelClass::from_name(op.kernel_name()).unwrap_or(KernelClass::Unfused);
-            recorder.kernel(phase, class, layer as u64, 1, ns);
+    let (src, passes) = if recorder.enabled() {
+        program.walk_through(done, through, |op, layer| {
+            observe_pass(recorder, phase, op.kernel_class(), layer, || state.apply_fused(op))
         })?
     } else {
-        let start = recorder.now_ns();
-        let counts = program.apply_through(state, done, through)?;
-        let ns = recorder.now_ns().saturating_sub(start);
-        if counts.1 > 0 {
-            recorder.kernel(phase, KernelClass::Unfused, through.max(0) as u64, counts.1, ns);
-        }
-        counts
+        program.apply_through(state, done, through)?
     };
     stats.ops += src;
     stats.fused_ops += passes;
@@ -125,8 +131,8 @@ fn advance_traced<R: Recorder + ?Sized>(
 }
 
 /// Apply one injected error operator, counted in `stats` as one operation
-/// and one amplitude pass, and timed under the `error` kernel class when
-/// the recorder is live.
+/// and one amplitude pass, and observed under the `error` kernel class at
+/// its injection layer when the recorder is enabled.
 fn inject_traced<R: Recorder + ?Sized>(
     injection: &Injection,
     state: &mut StateVector,
@@ -135,10 +141,9 @@ fn inject_traced<R: Recorder + ?Sized>(
     stats: &mut ExecStats,
 ) -> Result<(), SimError> {
     if recorder.enabled() {
-        let start = recorder.now_ns();
-        injection.apply_to(state)?;
-        let ns = recorder.now_ns().saturating_sub(start);
-        recorder.kernel(phase, KernelClass::Error, injection.layer() as u64, 1, ns);
+        observe_pass(recorder, phase, KernelClass::Error, injection.layer(), || {
+            injection.apply_to(state)
+        })?;
     } else {
         injection.apply_to(state)?;
     }

@@ -1,14 +1,17 @@
 //! Derived views over a JSONL trace: the analysis engine.
 //!
-//! A trace is read once, line by line, through the telemetry schema's one
-//! reader ([`schema::visit_jsonl`]), and each event folds into the digest
-//! `qsim profile` keeps live ([`AggregatingRecorder`]): its
-//! [`MetricsReport`] holds the counters, kernel cells, spans, MSV and cache
-//! totals, and the conservation laws they obey. What only a trace holds
+//! A trace is read once, line by line from any reader, through the
+//! telemetry schema's one reader ([`schema::visit_jsonl`]), and each event
+//! folds into the digest `qsim profile` keeps live
+//! ([`AggregatingRecorder`]): its [`MetricsReport`] holds the counters,
+//! kernel cells, spans, MSV and cache totals, and the conservation laws
+//! they obey. What only a trace holds
 //! — the meta header, per-layer attribution, the residency curve and the
-//! per-trial timeline — is kept here beside it. No event is stored.
+//! per-trial timeline — is kept here beside it. No event or line is
+//! stored, so a trace of any size reads in memory bounded by its digest.
 
 use std::collections::BTreeMap;
+use std::io::BufRead;
 
 use qsim_telemetry::schema::{self, TraceEvent};
 use qsim_telemetry::{names, AggregatingRecorder, KernelStat, MetricsReport, TraceMeta};
@@ -85,19 +88,28 @@ pub struct TraceAnalysis {
 }
 
 impl TraceAnalysis {
-    /// Analyze a JSONL trace, checking each line against the telemetry
-    /// schema and folding it as it is read.
+    /// Analyze a JSONL trace held in memory ([`TraceAnalysis::read`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`TraceAnalysis::read`].
+    pub fn parse(text: &str) -> Result<TraceAnalysis, String> {
+        TraceAnalysis::read(text.as_bytes())
+    }
+
+    /// Analyze a JSONL trace from `input` (a file or stdin), checking each
+    /// line against the telemetry schema and folding it as it is read.
     ///
     /// # Errors
     ///
     /// Returns the validator's or parser's diagnostic (with line numbers)
-    /// on malformed input.
-    pub fn parse(text: &str) -> Result<TraceAnalysis, String> {
+    /// on malformed or unreadable input.
+    pub fn read(input: impl BufRead) -> Result<TraceAnalysis, String> {
         let mut digest = AggregatingRecorder::new();
         let mut by_layer: BTreeMap<u64, KernelStat> = BTreeMap::new();
         let (mut residency_curve, mut trials) = (Vec::new(), Vec::<TrialSlice>::new());
         let mut overflowed = false;
-        let meta = schema::visit_jsonl(text, |event| {
+        let meta = schema::visit_jsonl(input, |event| {
             match &event {
                 TraceEvent::Kernel { layer, count, ns, .. } => {
                     by_layer.entry(*layer).or_default().add(*count, *ns, &mut overflowed);
@@ -127,14 +139,15 @@ impl TraceAnalysis {
         Ok(TraceAnalysis { meta, metrics, by_layer, residency_curve, trials })
     }
 
-    /// Read and analyze a trace file.
+    /// Read and analyze a trace file, streaming it.
     ///
     /// # Errors
     ///
     /// Returns the I/O error text or the parse diagnostic.
     pub fn load(path: &str) -> Result<TraceAnalysis, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        TraceAnalysis::parse(&text).map_err(|e| format!("{path}: {e}"))
+        let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
+        let input = std::io::BufReader::with_capacity(schema::READ_BUFFER_BYTES, file);
+        TraceAnalysis::read(input).map_err(|e| format!("{path}: {e}"))
     }
 
     /// The semantic prefix store's footprint in this trace; `None` when

@@ -27,6 +27,8 @@
 //! [`StateVector::apply_fused`](crate::StateVector::apply_fused) applies
 //! any of them in one pass.
 
+use qsim_telemetry::KernelClass;
+
 use crate::{Matrix2, Matrix4, StateVecError, C64};
 
 /// A fused operator bound to its qubits, tagged with its kernel class.
@@ -339,21 +341,22 @@ impl FusedOp {
         }
     }
 
-    /// Short kernel-class name (for diagnostics and reports).
-    pub fn kernel_name(&self) -> &'static str {
+    /// The kernel class this op dispatches to (its `name()` labels
+    /// diagnostics, reports and telemetry).
+    pub fn kernel_class(&self) -> KernelClass {
         match self {
-            FusedOp::Phase1 { .. } => "phase1",
-            FusedOp::Diag1 { .. } => "diag1",
-            FusedOp::Perm1 { .. } => "perm1",
-            FusedOp::Dense1 { .. } => "dense1",
-            FusedOp::CPhase2 { .. } => "cphase2",
-            FusedOp::CDiag1 { .. } => "cdiag1",
-            FusedOp::Diag2 { .. } => "diag2",
-            FusedOp::Cx { .. } => "cx",
-            FusedOp::Ctrl1 { .. } => "ctrl1",
-            FusedOp::Perm2 { .. } => "perm2",
-            FusedOp::Dense2 { .. } => "dense2",
-            FusedOp::Ccx { .. } => "ccx",
+            FusedOp::Phase1 { .. } => KernelClass::Phase1,
+            FusedOp::Diag1 { .. } => KernelClass::Diag1,
+            FusedOp::Perm1 { .. } => KernelClass::Perm1,
+            FusedOp::Dense1 { .. } => KernelClass::Dense1,
+            FusedOp::CPhase2 { .. } => KernelClass::CPhase2,
+            FusedOp::CDiag1 { .. } => KernelClass::CDiag1,
+            FusedOp::Diag2 { .. } => KernelClass::Diag2,
+            FusedOp::Cx { .. } => KernelClass::Cx,
+            FusedOp::Ctrl1 { .. } => KernelClass::Ctrl1,
+            FusedOp::Perm2 { .. } => KernelClass::Perm2,
+            FusedOp::Dense2 { .. } => KernelClass::Dense2,
+            FusedOp::Ccx { .. } => KernelClass::Ccx,
         }
     }
 }

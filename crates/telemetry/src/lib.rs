@@ -10,7 +10,8 @@
 //! * [`Recorder`] — the span/kernel/counter/lifecycle sink trait every
 //!   executor is instrumented against. Implementations take `&self` (they
 //!   synchronize internally) so one recorder can serve all worker threads
-//!   of a parallel run.
+//!   of a parallel run. Every enabled recorder gets one `kernel` event per
+//!   amplitude pass, timed on its own clock ([`Recorder::now_ns`]).
 //! * [`NullRecorder`] — the default. Its [`Recorder::enabled`] returns
 //!   `false` and every instrumentation site guards on that flag, so the
 //!   monomorphized fast path compiles the telemetry out (overhead is
@@ -34,15 +35,17 @@
 //!   uses. Traces, `live.json`, the bench history, bench documents and the
 //!   prefix-cache manifest are all read through it.
 //! * [`TeeRecorder`] — fan out one instrumentation stream to two sinks
-//!   (e.g. aggregate *and* trace in the same run).
-//! * [`LiveRecorder`] / [`LivePublisher`] — the live plane: all-atomic
-//!   in-flight aggregation of progress [`Heartbeat`]s and counters into a
-//!   versioned [`LiveSnapshot`], atomically published as `live.json` +
-//!   Prometheus text for `qsim top` and CI to tail. [`LiveSnapshot::parse`]
-//!   reads `live.json` back, and [`LiveSnapshot::reconcile`] holds a final
-//!   snapshot bitwise to the executor's counters. The live recorder
-//!   declines per-kernel timing and is the sink the `telemetry` bench's
-//!   always-on overhead gate times.
+//!   (e.g. aggregate *and* trace in the same run), timing on the first
+//!   side that keeps a clock.
+//! * [`LiveRecorder`] — the live plane: all-atomic in-flight aggregation of
+//!   progress [`Heartbeat`]s and counters into a versioned
+//!   [`LiveSnapshot`], published atomically, when made by
+//!   [`LiveRecorder::create`], as `live.json` + Prometheus text for `qsim
+//!   top` and CI to tail. [`LiveSnapshot::parse`] reads `live.json` back,
+//!   and [`LiveSnapshot::reconcile`] holds a final snapshot bitwise to the
+//!   executor's counters. The live recorder counts kernel events per
+//!   thread, keeps no time for them, and is the sink the `telemetry`
+//!   bench's always-on overhead gate times.
 //!
 //! The crate is intentionally dependency-free (std only) and knows nothing
 //! about circuits or states: executors translate their domain events into
@@ -64,5 +67,5 @@ pub mod schema;
 pub use aggregate::{AggregatingRecorder, CacheDepthStat, KernelStat, MetricsReport, SpanStat};
 pub use clock::Clock;
 pub use jsonl::{JsonlRecorder, TraceMeta, TRACE_VERSION};
-pub use live::{ExpectedStats, LivePublisher, LiveRecorder, LiveSnapshot, LIVE_VERSION};
+pub use live::{ExpectedStats, LiveRecorder, LiveSnapshot, LIVE_VERSION};
 pub use recorder::{Heartbeat, KernelClass, MsvEvent, NullRecorder, Recorder, TeeRecorder};

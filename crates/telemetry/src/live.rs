@@ -8,15 +8,18 @@
 //! reconciles it bitwise against `ExecStats`). The heartbeat and MSV gauges
 //! are kept per worker thread, in a table locked once per heartbeat, and
 //! the snapshot sums them, so a parallel run's final gauges do not depend
-//! on which worker reported last. MSV events take no lock: each thread
-//! keeps its residency since its last heartbeat, and the heartbeat folds
-//! it into the table.
+//! on which worker reported last. Kernel and MSV events take no lock and
+//! touch no shared counter: each thread keeps its kernel count and MSV
+//! residency since its last heartbeat, and the heartbeat folds them in.
+//! The recorder counts and keeps no time for the executors (its
+//! [`Recorder::now_ns`] reads 0); its own clock only stamps `elapsed_ns`
+//! and paces publishing.
 //!
-//! [`LivePublisher`] wraps a [`LiveRecorder`] and, on each heartbeat past
-//! a configurable interval, atomically rewrites `live.json` (and a
-//! Prometheus text exposition, `live.prom`) in a target directory via the
-//! write-temp-then-rename idiom — the file-based precursor to a `qsim
-//! serve` HTTP endpoint. `qsim top` tails that file.
+//! A recorder made by [`LiveRecorder::create`] also publishes: on each
+//! heartbeat past a configurable interval it atomically rewrites
+//! `live.json` (and a Prometheus text exposition, `live.prom`) in a target
+//! directory via the write-temp-then-rename idiom — the file-based
+//! precursor to a `qsim serve` HTTP endpoint. `qsim top` tails that file.
 //!
 //! The reader sits beside the writer: [`LiveSnapshot::parse`] checks a
 //! published `live.json` strictly, [`LiveSnapshot::cross_check`] holds any
@@ -73,8 +76,9 @@ pub struct LiveSnapshot {
     /// Deepest of the workers' most recent heartbeat depths (prefix-trie
     /// depth or layer count).
     pub depth: u64,
-    /// Kernel applications observed (fused kernels + error operators);
-    /// equals `amplitude_passes` at the end of an uncached run.
+    /// Kernel applications observed (fused kernels + error operators),
+    /// folded in at each worker's heartbeat; equals `amplitude_passes` at
+    /// the end of an uncached run.
     pub passes: u64,
     /// Basic operations counter (mirrors `ExecStats::ops` when final).
     pub ops: u64,
@@ -362,8 +366,8 @@ impl LiveSnapshot {
     }
 }
 
-/// A [`Recorder`] aggregating the live-plane vocabulary (see the module
-/// docs above).
+/// A [`Recorder`] aggregating the live-plane vocabulary, and publishing
+/// it when made by [`LiveRecorder::create`] (see the module docs above).
 #[derive(Debug)]
 pub struct LiveRecorder {
     clock: Clock,
@@ -383,8 +387,9 @@ pub struct LiveRecorder {
     store_misses: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
-    /// Distinguishes this recorder's entry in [`MSV_SINCE_HEARTBEAT`].
+    /// Distinguishes this recorder's entry in [`SINCE_HEARTBEAT`].
     id: u64,
+    publishing: Option<Publishing>,
 }
 
 /// The heartbeat and MSV gauges of one worker thread. A parallel run hands
@@ -400,14 +405,39 @@ struct WorkerGauges {
     msv_peak: u64,
 }
 
+/// Where and how often a live recorder publishes its snapshots. Mid-run
+/// publish errors are sticky and surface on [`Recorder::flush`]; the run
+/// itself is never interrupted by a full disk or a vanished directory.
+#[derive(Debug)]
+struct Publishing {
+    dir: PathBuf,
+    interval_ns: u64,
+    last_publish_ns: AtomicU64,
+    // Concurrent heartbeats can win successive publish elections and
+    // overlap; a unique temp name per publish keeps every rename valid.
+    tmp_seq: AtomicU64,
+    error: Mutex<Option<std::io::Error>>,
+}
+
+/// One thread's events for one live recorder since the thread's last
+/// heartbeat to it.
+#[derive(Clone, Copy, Debug)]
+struct SinceHeartbeat {
+    recorder: u64,
+    /// Kernel applications.
+    passes: u64,
+    /// `(latest, peak)` MSV residency, once an MSV event arrived.
+    msv: Option<(u64, u64)>,
+}
+
 static NEXT_RECORDER_ID: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
-    /// This thread's MSV residency since its last heartbeat, per live
-    /// recorder: `(recorder id, latest residency, peak residency)`.
+    /// This thread's events since its last heartbeat, per live recorder.
     /// Executors heartbeat after every trial and once more after their
-    /// walk's last drop, so the folded gauges lag by at most one trial.
-    static MSV_SINCE_HEARTBEAT: RefCell<Vec<(u64, u64, u64)>> = const { RefCell::new(Vec::new()) };
+    /// walk's last drop, so the folded counts and gauges lag by at most one
+    /// trial.
+    static SINCE_HEARTBEAT: RefCell<Vec<SinceHeartbeat>> = const { RefCell::new(Vec::new()) };
 }
 
 impl LiveRecorder {
@@ -433,7 +463,39 @@ impl LiveRecorder {
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             id: NEXT_RECORDER_ID.fetch_add(1, ORD),
+            publishing: None,
         }
+    }
+
+    /// A live recorder that publishes into `dir` (created if missing) every
+    /// `interval_ns` nanoseconds of heartbeat time (`0` = on every
+    /// heartbeat) and once more on [`Recorder::flush`]. An initial snapshot
+    /// is written immediately so consumers see the file as soon as the run
+    /// starts.
+    ///
+    /// # Errors
+    ///
+    /// Returns the I/O error if the directory cannot be created or the
+    /// initial snapshot cannot be written.
+    pub fn create(
+        dir: &Path,
+        meta: &TraceMeta,
+        trials_total: u64,
+        interval_ns: u64,
+    ) -> std::io::Result<Self> {
+        std::fs::create_dir_all(dir)?;
+        let live = LiveRecorder {
+            publishing: Some(Publishing {
+                dir: dir.to_path_buf(),
+                interval_ns,
+                last_publish_ns: AtomicU64::new(0),
+                tmp_seq: AtomicU64::new(0),
+                error: Mutex::new(None),
+            }),
+            ..LiveRecorder::new(meta, trials_total)
+        };
+        live.publish()?;
+        Ok(live)
     }
 
     /// Take a snapshot. Mid-run it is racy-but-coherent (each field
@@ -468,24 +530,70 @@ impl LiveRecorder {
             peak_resident_bytes: total(|w| w.peak_resident_bytes),
         }
     }
+
+    /// Update the calling thread's events since its last heartbeat.
+    fn since_heartbeat(&self, update: impl FnOnce(&mut SinceHeartbeat)) {
+        SINCE_HEARTBEAT.with_borrow_mut(|pending| {
+            match pending.iter_mut().find(|p| p.recorder == self.id) {
+                Some(entry) => update(entry),
+                None => {
+                    let mut entry = SinceHeartbeat { recorder: self.id, passes: 0, msv: None };
+                    update(&mut entry);
+                    pending.push(entry);
+                }
+            }
+        });
+    }
+
+    /// Atomically rewrite both snapshot files from the current state; a
+    /// recorder that does not publish writes nothing.
+    fn publish(&self) -> std::io::Result<()> {
+        let Some(publishing) = &self.publishing else {
+            return Ok(());
+        };
+        let snapshot = self.snapshot();
+        let seq = publishing.tmp_seq.fetch_add(1, ORD);
+        write_atomic(&publishing.dir.join("live.json"), seq, &snapshot.render_json())?;
+        write_atomic(&publishing.dir.join("live.prom"), seq, &snapshot.render_prometheus())
+    }
+
+    /// Publish once the interval has passed since the last publish.
+    fn maybe_publish(&self) {
+        let Some(publishing) = &self.publishing else {
+            return;
+        };
+        let now = self.clock.now_ns();
+        let last = publishing.last_publish_ns.load(ORD);
+        if now.saturating_sub(last) < publishing.interval_ns {
+            return;
+        }
+        // Elect exactly one publisher among racing heartbeats.
+        if publishing.last_publish_ns.compare_exchange(last, now, ORD, ORD).is_err() {
+            return;
+        }
+        if let Err(e) = self.publish() {
+            publishing.error.lock().expect("publish error slot poisoned").get_or_insert(e);
+        }
+    }
+}
+
+/// Write `content` to `path` via a temp file + rename, so a concurrent
+/// reader always sees a complete snapshot, never a torn one. `seq` makes
+/// the temp name unique so overlapping publishers never steal each other's
+/// temp file between write and rename.
+fn write_atomic(path: &Path, seq: u64, content: &str) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".tmp{seq}"));
+    let tmp = PathBuf::from(tmp);
+    std::fs::write(&tmp, content)?;
+    std::fs::rename(&tmp, path)
 }
 
 impl Recorder for LiveRecorder {
-    /// The live plane aggregates totals; it declines per-kernel timing so
-    /// fused advances report one batched event instead of paying two
-    /// clock reads per op.
-    fn kernel_timing(&self) -> bool {
-        false
-    }
-
-    fn now_ns(&self) -> u64 {
-        self.clock.now_ns()
-    }
-
     fn span(&self, _path: &'static str, _start_ns: u64, _end_ns: u64) {}
 
     fn kernel(&self, _phase: &'static str, _class: KernelClass, _layer: u64, count: u64, _ns: u64) {
-        self.passes.fetch_add(count, ORD);
+        self.since_heartbeat(|pending| pending.passes = pending.passes.wrapping_add(count));
     }
 
     fn counter(&self, name: &'static str, delta: u64) {
@@ -502,11 +610,9 @@ impl Recorder for LiveRecorder {
 
     fn msv(&self, _event: MsvEvent, _depth: usize, residency: usize) {
         let residency = residency as u64;
-        MSV_SINCE_HEARTBEAT.with_borrow_mut(|pending| {
-            match pending.iter_mut().find(|(id, _, _)| *id == self.id) {
-                Some((_, latest, peak)) => (*latest, *peak) = (residency, (*peak).max(residency)),
-                None => pending.push((self.id, residency, residency)),
-            }
+        self.since_heartbeat(|pending| {
+            let peak = pending.msv.map_or(residency, |(_, peak)| peak.max(residency));
+            pending.msv = Some((residency, peak));
         });
     }
 
@@ -521,10 +627,14 @@ impl Recorder for LiveRecorder {
     fn heartbeat(&self, hb: Heartbeat) {
         self.heartbeats.fetch_add(1, ORD);
         self.trials_done.fetch_add(hb.completed, ORD);
-        let msv = MSV_SINCE_HEARTBEAT.with_borrow_mut(|pending| {
-            let at = pending.iter().position(|(id, _, _)| *id == self.id)?;
+        let pending = SINCE_HEARTBEAT.with_borrow_mut(|pending| {
+            let at = pending.iter().position(|p| p.recorder == self.id)?;
             Some(pending.swap_remove(at))
         });
+        let (passes, msv) = pending.map_or((0, None), |p| (p.passes, p.msv));
+        if passes > 0 {
+            self.passes.fetch_add(passes, ORD);
+        }
         let thread = std::thread::current().id();
         let mut workers = self.workers.lock().expect("worker gauges poisoned");
         let at = match workers.iter().position(|w| w.thread == thread) {
@@ -545,159 +655,21 @@ impl Recorder for LiveRecorder {
         worker.depth = hb.depth;
         worker.resident_bytes = hb.resident_bytes;
         worker.peak_resident_bytes = worker.peak_resident_bytes.max(hb.resident_bytes);
-        if let Some((_, latest, peak)) = msv {
+        if let Some((latest, peak)) = msv {
             worker.msv_resident = latest;
             worker.msv_peak = worker.msv_peak.max(peak);
         }
-    }
-}
-
-/// A [`LiveRecorder`] that additionally publishes snapshots to a directory
-/// (see the module docs above). Mid-run publish errors are sticky and
-/// surface on [`Recorder::flush`]; the run itself is never interrupted by
-/// a full disk or a vanished directory.
-pub struct LivePublisher {
-    inner: LiveRecorder,
-    dir: PathBuf,
-    interval_ns: u64,
-    last_publish_ns: AtomicU64,
-    // Concurrent heartbeats can win successive publish elections and
-    // overlap; a unique temp name per publish keeps every rename valid.
-    tmp_seq: AtomicU64,
-    error: Mutex<Option<std::io::Error>>,
-}
-
-impl std::fmt::Debug for LivePublisher {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LivePublisher")
-            .field("dir", &self.dir)
-            .field("interval_ns", &self.interval_ns)
-            .finish_non_exhaustive()
-    }
-}
-
-impl LivePublisher {
-    /// Publish into `dir` (created if missing) every `interval_ns`
-    /// nanoseconds of heartbeat time (`0` = on every heartbeat). An
-    /// initial snapshot is written immediately so consumers see the file
-    /// as soon as the run starts.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if the directory cannot be created or the
-    /// initial snapshot cannot be written.
-    pub fn create(
-        dir: &Path,
-        meta: &TraceMeta,
-        trials_total: u64,
-        interval_ns: u64,
-    ) -> std::io::Result<Self> {
-        std::fs::create_dir_all(dir)?;
-        let publisher = LivePublisher {
-            inner: LiveRecorder::new(meta, trials_total),
-            dir: dir.to_path_buf(),
-            interval_ns,
-            last_publish_ns: AtomicU64::new(0),
-            tmp_seq: AtomicU64::new(0),
-            error: Mutex::new(None),
-        };
-        publisher.publish()?;
-        Ok(publisher)
-    }
-
-    /// The underlying live recorder.
-    pub fn recorder(&self) -> &LiveRecorder {
-        &self.inner
-    }
-
-    /// Path of the published JSON snapshot.
-    pub fn json_path(&self) -> PathBuf {
-        self.dir.join("live.json")
-    }
-
-    /// Path of the published Prometheus exposition.
-    pub fn prom_path(&self) -> PathBuf {
-        self.dir.join("live.prom")
-    }
-
-    /// Atomically rewrite both snapshot files from the current state.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first I/O error encountered.
-    pub fn publish(&self) -> std::io::Result<()> {
-        let snapshot = self.inner.snapshot();
-        let seq = self.tmp_seq.fetch_add(1, ORD);
-        write_atomic(&self.json_path(), seq, &snapshot.render_json())?;
-        write_atomic(&self.prom_path(), seq, &snapshot.render_prometheus())
-    }
-
-    fn maybe_publish(&self) {
-        let now = self.inner.clock.now_ns();
-        let last = self.last_publish_ns.load(ORD);
-        if now.saturating_sub(last) < self.interval_ns {
-            return;
-        }
-        // Elect exactly one publisher among racing heartbeats.
-        if self.last_publish_ns.compare_exchange(last, now, ORD, ORD).is_err() {
-            return;
-        }
-        if let Err(e) = self.publish() {
-            self.error.lock().expect("publish error slot poisoned").get_or_insert(e);
-        }
-    }
-}
-
-/// Write `content` to `path` via a temp file + rename, so a concurrent
-/// reader always sees a complete snapshot, never a torn one. `seq` makes
-/// the temp name unique so overlapping publishers never steal each other's
-/// temp file between write and rename.
-fn write_atomic(path: &Path, seq: u64, content: &str) -> std::io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(".tmp{seq}"));
-    let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, content)?;
-    std::fs::rename(&tmp, path)
-}
-
-impl Recorder for LivePublisher {
-    fn kernel_timing(&self) -> bool {
-        self.inner.kernel_timing()
-    }
-
-    fn now_ns(&self) -> u64 {
-        self.inner.now_ns()
-    }
-
-    fn span(&self, path: &'static str, start_ns: u64, end_ns: u64) {
-        self.inner.span(path, start_ns, end_ns);
-    }
-
-    fn kernel(&self, phase: &'static str, class: KernelClass, layer: u64, count: u64, ns: u64) {
-        self.inner.kernel(phase, class, layer, count, ns);
-    }
-
-    fn counter(&self, name: &'static str, delta: u64) {
-        self.inner.counter(name, delta);
-    }
-
-    fn msv(&self, event: MsvEvent, depth: usize, residency: usize) {
-        self.inner.msv(event, depth, residency);
-    }
-
-    fn cache(&self, depth: usize, hit: bool) {
-        self.inner.cache(depth, hit);
-    }
-
-    fn heartbeat(&self, hb: Heartbeat) {
-        self.inner.heartbeat(hb);
+        drop(workers);
         self.maybe_publish();
     }
 
     /// Publish the final snapshot, surfacing any sticky mid-run error
-    /// first.
+    /// first; a recorder that does not publish has nothing to flush.
     fn flush(&self) -> std::io::Result<()> {
-        if let Some(e) = self.error.lock().expect("publish error slot poisoned").take() {
+        let Some(publishing) = &self.publishing else {
+            return Ok(());
+        };
+        if let Some(e) = publishing.error.lock().expect("publish error slot poisoned").take() {
             return Err(e);
         }
         self.publish()
@@ -925,6 +897,43 @@ mod tests {
     }
 
     #[test]
+    fn kernel_counts_fold_at_each_workers_heartbeat_in_either_order() {
+        let hb = Heartbeat { completed: 1, depth: 1, resident_bytes: 512 };
+        let run = |order: [usize; 2]| {
+            let live = LiveRecorder::new(&meta(), 3);
+            let live = &live;
+            // A worker's events reach `passes` at its own next heartbeat.
+            let folds = |events: &[(KernelClass, u64)]| {
+                let before = live.snapshot().passes;
+                for &(class, count) in events {
+                    live.kernel("reuse/shared", class, 1, count, 0);
+                }
+                assert_eq!(live.snapshot().passes, before, "folded before the heartbeat");
+                live.heartbeat(hb);
+                let added: u64 = events.iter().map(|&(_, count)| count).sum();
+                assert_eq!(live.snapshot().passes, before + added);
+            };
+            let workers: [&(dyn Fn() + Sync); 2] = [
+                &|| {
+                    folds(&[(KernelClass::Cx, 1), (KernelClass::Dense2, 1)]);
+                    folds(&[(KernelClass::Error, 1)]);
+                },
+                &|| folds(&[(KernelClass::Phase1, 2)]),
+            ];
+            for worker in order {
+                // One thread per worker, finished before the next starts.
+                std::thread::scope(|scope| {
+                    scope.spawn(workers[worker]);
+                });
+            }
+            LiveSnapshot { elapsed_ns: 0, ..live.snapshot() }
+        };
+        let (first, second) = (run([0, 1]), run([1, 0]));
+        assert_eq!(first, second);
+        assert_eq!(first.passes, 5);
+    }
+
+    #[test]
     fn snapshot_renders_flat_json_and_prometheus() {
         let live = LiveRecorder::new(&meta(), 5);
         live.heartbeat(Heartbeat { completed: 1, depth: 0, resident_bytes: 128 });
@@ -941,17 +950,17 @@ mod tests {
     #[test]
     fn publisher_writes_complete_snapshots_atomically() {
         let dir = temp_dir("publish");
-        let publisher = LivePublisher::create(&dir, &meta(), 2, 0).unwrap();
+        let publisher = LiveRecorder::create(&dir, &meta(), 2, 0).unwrap();
         // The initial snapshot exists before any heartbeat.
-        assert!(publisher.json_path().is_file());
+        assert!(dir.join("live.json").is_file());
         publisher.counter("ops", 3);
         publisher.heartbeat(Heartbeat { completed: 1, depth: 1, resident_bytes: 64 });
         publisher.heartbeat(Heartbeat { completed: 1, depth: 0, resident_bytes: 64 });
         Recorder::flush(&publisher).unwrap();
-        let json = std::fs::read_to_string(publisher.json_path()).unwrap();
+        let json = std::fs::read_to_string(dir.join("live.json")).unwrap();
         assert!(json.contains("\"trials_done\":2,\"trials_total\":2"), "{json}");
         assert!(json.contains("\"ops\":3"), "{json}");
-        let prom = std::fs::read_to_string(publisher.prom_path()).unwrap();
+        let prom = std::fs::read_to_string(dir.join("live.prom")).unwrap();
         assert!(prom.contains("qsim_live_trials_done{strategy=\"reuse\"} 2"), "{prom}");
         // No temp files left behind.
         for entry in std::fs::read_dir(&dir).unwrap() {
@@ -966,15 +975,15 @@ mod tests {
         let dir = temp_dir("interval");
         // An hour-long interval: only the initial snapshot and the final
         // flush ever hit the disk.
-        let publisher = LivePublisher::create(&dir, &meta(), 10, 3_600_000_000_000).unwrap();
-        let initial = std::fs::read_to_string(publisher.json_path()).unwrap();
+        let publisher = LiveRecorder::create(&dir, &meta(), 10, 3_600_000_000_000).unwrap();
+        let initial = std::fs::read_to_string(dir.join("live.json")).unwrap();
         for _ in 0..10 {
             publisher.heartbeat(Heartbeat { completed: 1, depth: 0, resident_bytes: 0 });
         }
-        let unchanged = std::fs::read_to_string(publisher.json_path()).unwrap();
+        let unchanged = std::fs::read_to_string(dir.join("live.json")).unwrap();
         assert_eq!(initial, unchanged, "interval was not honored");
         Recorder::flush(&publisher).unwrap();
-        let fin = std::fs::read_to_string(publisher.json_path()).unwrap();
+        let fin = std::fs::read_to_string(dir.join("live.json")).unwrap();
         assert!(fin.contains("\"trials_done\":10"), "{fin}");
         std::fs::remove_dir_all(&dir).unwrap();
     }

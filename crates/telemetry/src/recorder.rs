@@ -1,8 +1,8 @@
 //! The recorder trait and its trivial implementations.
 
 /// Kernel classes of the fused execution engine, plus the non-gate passes
-/// executors perform. Mirrors `qsim_statevec::FusedOp::kernel_name` (the
-/// executors translate; this crate stays dependency-free).
+/// executors perform. Each `qsim_statevec::FusedOp` names its own class
+/// (`FusedOp::kernel_class`); this crate stays dependency-free.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum KernelClass {
     /// One-qubit phase kernel (active-half multiply).
@@ -31,9 +31,9 @@ pub enum KernelClass {
     Ccx,
     /// An injected error operator (one amplitude pass).
     Error,
-    /// A batched multi-op advance not attributed to a single kernel: a
-    /// fused advance observed by a recorder that declines per-kernel
-    /// timing ([`Recorder::kernel_timing`]).
+    /// Emitted by nothing: every amplitude pass is observed under its own
+    /// class. Kept in [`KernelClass::ALL`] only because the end-to-end
+    /// benchmark names its per-layer metrics after every class.
     Unfused,
 }
 
@@ -76,9 +76,8 @@ impl KernelClass {
         }
     }
 
-    /// Inverse of [`KernelClass::name`] (also accepts the executor-side
-    /// `FusedOp::kernel_name` strings, which are identical).
-    pub fn from_name(name: &str) -> Option<KernelClass> {
+    /// Inverse of [`KernelClass::name`], for the trace reader.
+    pub(crate) fn from_name(name: &str) -> Option<KernelClass> {
         KernelClass::ALL.iter().copied().find(|c| c.name() == name)
     }
 }
@@ -147,19 +146,9 @@ pub trait Recorder: Sync {
         true
     }
 
-    /// Whether this recorder wants per-kernel observed timing. Profiling
-    /// sinks (aggregate, JSONL) keep the default `true` and receive one
-    /// individually timed event per fused op; liveness sinks (the live
-    /// recorder and its publisher) return `false`, and fused instrumentation
-    /// sites fall back to one batched [`KernelClass::Unfused`] event per
-    /// advance — the same total application count for two clock reads per
-    /// segment instead of two per op.
-    fn kernel_timing(&self) -> bool {
-        true
-    }
-
-    /// Current monotonic timestamp on this recorder's clock, for span
-    /// bracketing. Disabled recorders return 0.
+    /// Current monotonic timestamp on this recorder's clock, for span and
+    /// kernel bracketing. A recorder that keeps no time (a disabled one, or
+    /// the live recorder, which counts) returns 0.
     fn now_ns(&self) -> u64 {
         0
     }
@@ -172,7 +161,8 @@ pub trait Recorder: Sync {
     /// total, attributed to `phase` (a `/`-separated context path such as
     /// `"reuse/shared"`) and to the circuit layer `layer` the work ended on
     /// (fused segments report their end layer; error operators their
-    /// injection layer).
+    /// injection layer). The executors emit one event per amplitude pass
+    /// (`count` 1), its `ns` read off this recorder's [`Recorder::now_ns`].
     fn kernel(&self, phase: &'static str, class: KernelClass, layer: u64, count: u64, ns: u64);
 
     /// Add `delta` to the named saturating counter.
@@ -228,11 +218,6 @@ impl Recorder for NullRecorder {
     }
 
     #[inline(always)]
-    fn kernel_timing(&self) -> bool {
-        false
-    }
-
-    #[inline(always)]
     fn span(&self, _: &'static str, _: u64, _: u64) {}
 
     #[inline(always)]
@@ -252,8 +237,8 @@ impl Recorder for NullRecorder {
 }
 
 /// Forward one instrumentation stream to two sinks (e.g. aggregate and
-/// trace in the same run). Enabled when either side is; span timestamps
-/// come from the first side's clock.
+/// trace in the same run). Enabled when either side is; timestamps come
+/// from the first side that keeps a clock.
 #[derive(Clone, Copy)]
 pub struct TeeRecorder<'a> {
     a: &'a dyn Recorder,
@@ -278,15 +263,10 @@ impl Recorder for TeeRecorder<'_> {
         self.a.enabled() || self.b.enabled()
     }
 
-    fn kernel_timing(&self) -> bool {
-        self.a.kernel_timing() || self.b.kernel_timing()
-    }
-
     fn now_ns(&self) -> u64 {
-        if self.a.enabled() {
-            self.a.now_ns()
-        } else {
-            self.b.now_ns()
+        match self.a.now_ns() {
+            0 => self.b.now_ns(),
+            ns => ns,
         }
     }
 

@@ -5,9 +5,12 @@
 //! Each line is parsed once with the crate's JSON reader ([`Json`]); one
 //! function then checks its fields by type against the per-event schema
 //! (integers must be exact unsigned literals) and extracts them into a
-//! [`TraceMeta`] or a typed [`TraceEvent`]. [`visit_jsonl`] hands the
-//! events on in file order, so the observatory and `qsim report` read a
-//! trace through the same code that validates it.
+//! [`TraceMeta`] or a typed [`TraceEvent`]. [`visit_jsonl`] reads a trace
+//! line by line into one reused buffer and hands the events on in file
+//! order, so the observatory and `qsim report` read a trace of any size in
+//! bounded memory, through the same code that validates it.
+
+use std::io::BufRead;
 
 use crate::json::Json;
 use crate::jsonl::{TraceMeta, TRACE_VERSION};
@@ -193,6 +196,10 @@ pub fn validate_line(line: &str) -> Result<(), String> {
     read_line(&Json::parse(line)?).map(drop)
 }
 
+/// Read-buffer size for streaming a trace file: large enough that the
+/// read calls cost little beside the per-line parse.
+pub const READ_BUFFER_BYTES: usize = 1 << 16;
+
 /// Validate a whole JSONL trace: the first non-empty line must be the
 /// `meta` header and every following one a valid event other than `meta`.
 ///
@@ -200,19 +207,36 @@ pub fn validate_line(line: &str) -> Result<(), String> {
 ///
 /// Returns `line number (1-based) + description` of the first violation.
 pub fn validate_jsonl(text: &str) -> Result<(), String> {
-    visit_jsonl(text, drop).map(drop)
+    visit_jsonl(text.as_bytes(), drop).map(drop)
 }
 
-/// [`validate_jsonl`], handing each event after the header to `visit` in
-/// file order and returning the header. Every line is parsed exactly once.
+/// [`validate_jsonl`] over a reader: read `input` one line at a time into
+/// one reused buffer, hand each event after the header to `visit` in file
+/// order and return the header. Every line is parsed exactly once, and no
+/// line is kept after its event is visited.
 ///
 /// # Errors
 ///
-/// As [`validate_jsonl`]; events before the violation have been visited.
-pub fn visit_jsonl(text: &str, mut visit: impl FnMut(TraceEvent)) -> Result<TraceMeta, String> {
+/// As [`validate_jsonl`], plus the line an I/O error (such as invalid
+/// UTF-8) stopped the read at; events before the violation have been
+/// visited.
+pub fn visit_jsonl(
+    mut input: impl BufRead,
+    mut visit: impl FnMut(TraceEvent),
+) -> Result<TraceMeta, String> {
     let mut meta = None;
-    for (index, line) in text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty()) {
-        let at_line = |e: String| format!("line {}: {e}", index + 1);
+    let mut buffer = String::new();
+    for number in 1u64.. {
+        let at_line = |e: String| format!("line {number}: {e}");
+        buffer.clear();
+        if input.read_line(&mut buffer).map_err(|e| at_line(e.to_string()))? == 0 {
+            break;
+        }
+        let line =
+            buffer.strip_suffix('\n').map_or(&*buffer, |l| l.strip_suffix('\r').unwrap_or(l));
+        if line.trim().is_empty() {
+            continue;
+        }
         match (Json::parse(line).and_then(|json| read_line(&json)).map_err(at_line)?, &meta) {
             (Line::Meta(header), None) => meta = Some(header),
             (Line::Event(event), Some(_)) => visit(event),
@@ -311,7 +335,7 @@ mod tests {
         assert!(err.starts_with("line 3: repeated meta header"), "{err}");
         let mut visited = Vec::new();
         let trace = format!("\n{META}\n{{\"ev\":\"counter\",\"name\":\"ops\",\"delta\":1}}\n");
-        let meta = visit_jsonl(&trace, |event| visited.push(event)).unwrap();
+        let meta = visit_jsonl(trace.as_bytes(), |event| visited.push(event)).unwrap();
         assert_eq!(meta.strategy, "reuse");
         assert_eq!(visited, [TraceEvent::Counter { name: "ops".to_owned(), delta: 1 }]);
     }
@@ -328,7 +352,7 @@ mod tests {
             "{\"ev\":\"span\",\"path\":\"run/reuse\",\"start_ns\":1,\"end_ns\":500}\n",
         );
         let mut events = Vec::new();
-        let meta = visit_jsonl(trace, |event| events.push(event)).unwrap();
+        let meta = visit_jsonl(trace.as_bytes(), |event| events.push(event)).unwrap();
         let want = TraceMeta {
             git_rev: "abc1234".to_owned(),
             seed: 7,

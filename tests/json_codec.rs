@@ -290,7 +290,7 @@ proptest! {
         let meta = TraceMeta { git_rev, seed, qubits, strategy };
         let (text, event) = record_one(&meta, kind, NAMES[name], [a, b, c], pick);
         let mut events = Vec::new();
-        let read = schema::visit_jsonl(&text, |event| events.push(event))
+        let read = schema::visit_jsonl(text.as_bytes(), |event| events.push(event))
             .unwrap_or_else(|e| panic!("{e}:\n{text}"));
         prop_assert_eq!(read, meta, "{}", text);
         prop_assert_eq!(events, vec![event], "{}", text);

@@ -154,10 +154,10 @@ fn specialized_1q_kernels_match_the_dense_apply() {
             for (gate, m, expected) in &cases {
                 let op = FusedOp::classify_1q(m, q);
                 assert_eq!(
-                    op.kernel_name(),
+                    op.kernel_class().name(),
                     *expected,
                     "{gate} on qubit {q} classified as {}",
-                    op.kernel_name()
+                    op.kernel_class().name()
                 );
                 for (label, state) in edge_states(n) {
                     let mut dense = state.clone();
@@ -216,10 +216,10 @@ fn specialized_2q_kernels_match_the_dense_apply() {
             for (gate, m, expected) in &cases {
                 let op = FusedOp::classify_2q(m, low, high);
                 assert_eq!(
-                    op.kernel_name(),
+                    op.kernel_class().name(),
                     *expected,
                     "{gate} on ({low},{high}) classified as {}",
-                    op.kernel_name()
+                    op.kernel_class().name()
                 );
                 for (label, state) in edge_states(n) {
                     let mut dense = state.clone();

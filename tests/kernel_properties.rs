@@ -133,15 +133,15 @@ proptest! {
     ) {
         let d1 = Matrix2::rz(a) * Matrix2::phase(b);
         let d2 = Matrix2::phase(c);
-        prop_assert!(diagonal_family(FusedOp::classify_1q(&d1, q).kernel_name()));
-        prop_assert!(diagonal_family(FusedOp::classify_1q(&d2, q).kernel_name()));
+        prop_assert!(diagonal_family(FusedOp::classify_1q(&d1, q).kernel_class().name()));
+        prop_assert!(diagonal_family(FusedOp::classify_1q(&d2, q).kernel_class().name()));
         // Closure: the product classifies into the diagonal family too.
         let product = d2 * d1;
         let composed = FusedOp::classify_1q(&product, q);
         prop_assert!(
-            diagonal_family(composed.kernel_name()),
+            diagonal_family(composed.kernel_class().name()),
             "diag∘diag classified as {}",
-            composed.kernel_name()
+            composed.kernel_class().name()
         );
         // And the composed kernel is the sequential application.
         let mut sequential = random_state(3, seed);
@@ -182,7 +182,7 @@ proptest! {
             _ => FusedOp::classify_2q(&Matrix4::swap(), q.min(p), q.max(p)),
         };
         let expected_kernel = ["perm1", "cx", "perm2"][kind];
-        prop_assert_eq!(op.kernel_name(), expected_kernel);
+        prop_assert_eq!(op.kernel_class().name(), expected_kernel);
         s.apply_fused(&op).unwrap();
         let probs = |sv: &StateVector| {
             let mut bits: Vec<u64> =
@@ -201,7 +201,7 @@ proptest! {
     ) {
         let mut s = random_state(4, seed);
         let op = FusedOp::classify_1q(&(Matrix2::x() * Matrix2::phase(t)), q);
-        prop_assert_eq!(op.kernel_name(), "perm1");
+        prop_assert_eq!(op.kernel_class().name(), "perm1");
         s.apply_fused(&op).unwrap();
         prop_assert!((s.norm_sqr() - 1.0).abs() <= TOL);
     }

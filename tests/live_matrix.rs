@@ -7,8 +7,14 @@
 //! conservation law intact. The live plane is an observation
 //! surface, not an estimate: if it drifts from the executor by one count,
 //! these tests fail.
+//!
+//! Every enabled recorder gets the same stream: one `kernel` event per
+//! executed amplitude pass, of the op's own class, timed on the recorder's
+//! own clock. A recorder that keeps no clock (the live recorder's case)
+//! gets every event untimed, and a tee times on whichever side keeps one.
 
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use noisy_qsim::msvstore::MsvStore;
 use noisy_qsim::noise::TrialGenerator;
@@ -17,8 +23,8 @@ use noisy_qsim::redsim::parallel::{run_baseline_parallel, run_reordered_parallel
 use noisy_qsim::redsim::semcache::run_reordered_cached;
 use noisy_qsim::redsim::testkit;
 use noisy_qsim::telemetry::{
-    AggregatingRecorder, ExpectedStats, LiveRecorder, LiveSnapshot, Recorder, TeeRecorder,
-    TraceMeta,
+    names, AggregatingRecorder, ExpectedStats, KernelClass, LiveRecorder, LiveSnapshot, MsvEvent,
+    Recorder, TeeRecorder, TraceMeta,
 };
 
 const TRIALS: usize = 64;
@@ -80,6 +86,69 @@ fn reconcile(
     };
     let problems = view.reconcile(&expected);
     assert!(problems.is_empty(), "{label}: reconciliation failed:\n  {}", problems.join("\n  "));
+}
+
+/// Counts kernel events per class and keeps no clock (its `now_ns` is the
+/// trait's 0, as the live recorder's is), so it sees what an untimed sink
+/// is handed. It also sums the store's credited passes.
+#[derive(Default)]
+struct Clockless {
+    per_class: [AtomicU64; KernelClass::ALL.len()],
+    events: AtomicU64,
+    credited_passes: AtomicU64,
+    /// Events that were not one untimed pass of a class the executors emit.
+    misfits: AtomicU64,
+}
+
+impl Recorder for Clockless {
+    fn span(&self, _: &'static str, _: u64, _: u64) {}
+
+    fn kernel(&self, _: &'static str, class: KernelClass, _: u64, count: u64, ns: u64) {
+        let at = KernelClass::ALL.iter().position(|&c| c == class).expect("every class is listed");
+        self.per_class[at].fetch_add(count, Ordering::Relaxed);
+        self.events.fetch_add(1, Ordering::Relaxed);
+        if count != 1 || ns != 0 || class == KernelClass::Unfused {
+            self.misfits.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn counter(&self, name: &'static str, delta: u64) {
+        if name == names::MSVSTORE_CREDITED_PASSES {
+            self.credited_passes.fetch_add(delta, Ordering::Relaxed);
+        }
+    }
+
+    fn msv(&self, _: MsvEvent, _: usize, _: usize) {}
+
+    fn cache(&self, _: usize, _: bool) {}
+}
+
+/// Run `run` under a [`Clockless`] recorder, then again, separately, under
+/// an aggregating one. The first must get exactly one untimed event per
+/// executed amplitude pass (`amplitude_passes − msvstore.credited_passes`),
+/// each of count 1 and none `unfused`, and its per-class counts must equal
+/// the aggregate's.
+fn assert_one_untimed_event_per_pass(label: &str, run: &dyn Fn(&dyn Recorder) -> ExecStats) {
+    let clockless = Clockless::default();
+    let stats = run(&clockless);
+    let executed = stats.amplitude_passes - clockless.credited_passes.load(Ordering::Relaxed);
+    assert_eq!(clockless.events.load(Ordering::Relaxed), executed, "{label}: kernel events");
+    assert_eq!(
+        clockless.misfits.load(Ordering::Relaxed),
+        0,
+        "{label}: events not one untimed pass"
+    );
+    let aggregate = AggregatingRecorder::new();
+    run(&aggregate);
+    let report = aggregate.report();
+    for (at, class) in KernelClass::ALL.into_iter().enumerate() {
+        assert_eq!(
+            clockless.per_class[at].load(Ordering::Relaxed),
+            report.kernel_count(class),
+            "{label}: {} events against the aggregate's",
+            class.name()
+        );
+    }
 }
 
 #[test]
@@ -148,6 +217,7 @@ fn final_snapshots_reconcile_bitwise_with_exec_stats_across_all_strategies() {
             // Per-worker MSV peaks sum to the executor's accounting, for
             // sequential and parallel runs alike.
             assert_eq!(snapshot.msv_peak, stats.peak_msv as u64, "{label}: msv_peak");
+            assert_one_untimed_event_per_pass(&label, run.as_ref());
             checked += 1;
         }
     }
@@ -206,7 +276,48 @@ fn cached_runs_reconcile_credited_passes_cold_and_warm() {
         );
         assert_eq!(warm.stats, cold.stats, "{name}: caching changed the accounting");
         warm_credits += warm_outcome.credited_passes;
+
+        // One untimed event per executed pass, cold and warm: each cold run
+        // gets a fresh store of its own, each warm one the warmed store.
+        let fresh = AtomicU64::new(0);
+        assert_one_untimed_event_per_pass(&format!("{name} / cached-cold"), &|r| {
+            let cold_dir =
+                dir.join(format!("bench{index}-cold{}", fresh.fetch_add(1, Ordering::Relaxed)));
+            let store = MsvStore::open(&cold_dir, 0).expect("store opens");
+            let (run, outcome) =
+                run_reordered_cached(&layered, &model, trials, &store, r).expect("cold run");
+            assert!(!outcome.hit, "{name}: a fresh store must miss");
+            run.stats
+        });
+        assert_one_untimed_event_per_pass(&format!("{name} / cached-warm"), &|r| {
+            let (run, outcome) =
+                run_reordered_cached(&layered, &model, trials, &store, r).expect("warm run");
+            assert!(outcome.hit, "{name}: the warmed store must hit");
+            run.stats
+        });
     }
     assert!(warm_credits > 0, "no warm run credited any work — the store never engaged");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_tee_times_kernels_on_whichever_side_keeps_a_clock() {
+    let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/benchmarks"));
+    let (name, layered, model) =
+        testkit::yorktown_benchmarks(root).into_iter().next().expect("a shipped benchmark");
+    let set = TrialGenerator::new(&layered, &model).expect("native circuit").generate(TRIALS, SEED);
+    for live_first in [true, false] {
+        let live = LiveRecorder::new(&meta("reuse", layered.n_qubits()), TRIALS as u64);
+        let aggregate = AggregatingRecorder::new();
+        let tee = if live_first {
+            TeeRecorder::new(&live, &aggregate)
+        } else {
+            TeeRecorder::new(&aggregate, &live)
+        };
+        let stats = ReuseExecutor::new(&layered).run(set.trials(), &tee).expect("reuse").stats;
+        let report = aggregate.report();
+        assert_eq!(report.total_kernel_count(), stats.amplitude_passes, "{name}");
+        assert!(report.total_kernel_ns() > 0, "{name}, live first {live_first}: kernels untimed");
+        assert_eq!(live.snapshot().passes, stats.amplitude_passes, "{name}");
+    }
 }
