@@ -3,9 +3,9 @@
 //!
 //! [`replay_schedule`] is the reuse walk's rule, written once: `keep =
 //! lcp(cur, next)` clamped to `budget - 1`, clone at the frontier, consume
-//! the top, drop eagerly. It streams every frame event. `redsim`'s
-//! `ReuseExecutor` executes that stream on amplitudes as it is emitted and
-//! never materializes it. Collected ([`compile_schedule`]), the same
+//! the top, drop eagerly. It streams every frame event. The reuse walk
+//! behind `redsim::run` executes that stream on amplitudes as it is
+//! emitted and never materializes it. Collected ([`compile_schedule`]), the same
 //! stream lets the borrow checker prove lifetime soundness without
 //! touching an amplitude; folded, it prices the walk
 //! ([`CostReport::replayed`], the advisor's reuse prediction).

@@ -15,8 +15,9 @@
 use qsim_analyzer::{advise, ExecutionPlan, Strategy};
 use qsim_noise::TrialGenerator;
 use qsim_telemetry::NullRecorder;
-use redsim::exec::{BaselineExecutor, ExecStats, ReuseExecutor};
+use redsim::exec::ExecStats;
 use redsim::testkit::run_unfused;
+use redsim::{RunSpec, Walk};
 use redsim_bench::report::ResultsDoc;
 use redsim_bench::suite::{yorktown_model, yorktown_suite};
 use redsim_bench::table::Table;
@@ -77,12 +78,11 @@ fn main() {
 
         let seq = run_unfused(&bench.layered, set.trials()).expect("sequential run");
         rows.push(Row::new(&bench.name, Strategy::Sequential, p(Strategy::Sequential), &seq.stats));
-        let fused = BaselineExecutor::new(&bench.layered)
-            .run(set.trials(), &NullRecorder)
-            .expect("fused run");
+        let run =
+            |spec: RunSpec<'_>| redsim::run(&bench.layered, set.trials(), &spec, &NullRecorder);
+        let fused = run(RunSpec::new(Walk::Baseline)).expect("fused run");
         rows.push(Row::new(&bench.name, Strategy::Fused, p(Strategy::Fused), &fused.stats));
-        let reuse =
-            ReuseExecutor::new(&bench.layered).run(set.trials(), &NullRecorder).expect("reuse run");
+        let reuse = run(RunSpec::default()).expect("reuse run");
         rows.push(Row::new(&bench.name, Strategy::Reuse, p(Strategy::Reuse), &reuse.stats));
 
         recommendations.push(json::object(&[

@@ -78,7 +78,7 @@ fn main() {
     // Uncached reference: pins the bitwise contract for every pass.
     let reference: Vec<RunResult> = sims
         .iter()
-        .map(|sim| sim.run(&RunSpec::default(), &NullRecorder).expect("sweep point runs").result)
+        .map(|sim| sim.run(&RunSpec::default(), &NullRecorder).expect("sweep point runs"))
         .collect();
 
     // A point counts as a cold hit if any cold pass hit, and as a warm hit
@@ -96,16 +96,16 @@ fn main() {
         },
         |side| {
             let (i, pass) = (side / PASSES.len(), side % PASSES.len());
-            let store = (pass != UNCACHED).then_some(&stores[i]);
+            let store = (pass != UNCACHED).then_some((&stores[i], &model));
             let outcome = sims[i]
                 .run(&RunSpec { store, ..RunSpec::default() }, &NullRecorder)
                 .expect("sweep point runs");
-            assert_bitwise(&sweep[i].name, PASSES[pass], &outcome.result, &reference[i]);
+            assert_bitwise(&sweep[i].name, PASSES[pass], &outcome, &reference[i]);
             if pass != UNCACHED {
                 let cache = outcome.cache.expect("cached runs report the store");
                 if pass == COLD {
                     cold_hit[i] |= cache.hit;
-                    keys[i] = cache.key.unwrap_or_default();
+                    keys[i] = cache.key;
                 } else {
                     warm_hit[i] &= cache.hit;
                 }

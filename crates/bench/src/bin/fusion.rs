@@ -16,8 +16,9 @@
 //! Usage: `fusion [--seed N] [--reps ROUNDS] [--out PATH] [--quick] [--record] [--quiet]`
 
 use qsim_telemetry::NullRecorder;
-use redsim::exec::{BaselineExecutor, ExecStats, ReuseExecutor};
+use redsim::exec::ExecStats;
 use redsim::testkit::run_unfused;
+use redsim::{RunSpec, Walk};
 use redsim_bench::report::ResultsDoc;
 use redsim_bench::suite::{yorktown_model, yorktown_suite};
 use redsim_bench::table::Table;
@@ -61,15 +62,16 @@ fn main() {
                 .expect("valid model")
                 .generate(n_trials, seed);
             let trials = set.trials();
-            let reuse = ReuseExecutor::new(&bench.layered);
-            let baseline = BaselineExecutor::new(&bench.layered);
             // Sides: fused reuse, fused baseline, unfused baseline. Every
             // run of a side must repeat its first run's stats.
             let mut seen: [Option<ExecStats>; 3] = [None; 3];
             let rounds = time_rounds(3, reps, |side| {
                 let result = match side {
-                    0 => reuse.run(trials, &NullRecorder),
-                    1 => baseline.run(trials, &NullRecorder),
+                    0 => redsim::run(&bench.layered, trials, &RunSpec::default(), &NullRecorder),
+                    1 => {
+                        let spec = RunSpec::new(Walk::Baseline);
+                        redsim::run(&bench.layered, trials, &spec, &NullRecorder)
+                    }
                     _ => run_unfused(&bench.layered, trials),
                 }
                 .expect("execution succeeds");

@@ -34,7 +34,7 @@ use std::process::{Command, Stdio};
 use qsim_telemetry::{
     AggregatingRecorder, JsonlRecorder, LiveRecorder, NullRecorder, Recorder, TraceMeta,
 };
-use redsim::exec::ReuseExecutor;
+use redsim::RunSpec;
 use redsim_bench::report::ResultsDoc;
 use redsim_bench::suite::scalability_circuit;
 use redsim_bench::table::Table;
@@ -86,7 +86,7 @@ fn sample(args: &[String], recorder: usize) {
         .expect("valid model")
         .generate(n_trials, seed);
     let trials = set.trials();
-    let reuse = ReuseExecutor::new(&layered);
+    let spec = RunSpec::default();
 
     // The recorder is built once and reused over every round, so no
     // construction is timed; the live recorder's heartbeat count covers
@@ -99,10 +99,11 @@ fn sample(args: &[String], recorder: usize) {
     let sides = [0, recorder];
     let timed = time_rounds(sides.len(), rounds, |k| {
         match sides[k] {
-            0 => reuse.run(trials, &NullRecorder),
-            AGGREGATE => reuse.run(trials, &aggregate),
-            LIVE => reuse.run(trials, &live),
-            _ => reuse.run(trials, &jsonl).inspect(|_| jsonl.flush().expect("sink never fails")),
+            0 => redsim::run(&layered, trials, &spec, &NullRecorder),
+            AGGREGATE => redsim::run(&layered, trials, &spec, &aggregate),
+            LIVE => redsim::run(&layered, trials, &spec, &live),
+            _ => redsim::run(&layered, trials, &spec, &jsonl)
+                .inspect(|_| jsonl.flush().expect("sink never fails")),
         }
         .expect("execution succeeds");
     });

@@ -256,7 +256,7 @@ fn verify(prepared: &Circuit, opts: &Options, out: &mut dyn Write) -> Result<(),
 
 /// The run the flags declare. [`RunSpec::validate`] rejects the flag pairs
 /// no executor honours; `analyze`, `advise` and `verify` never call it.
-fn run_spec<'s>(opts: &Options, store: Option<&'s MsvStore>) -> RunSpec<'s> {
+fn run_spec<'s>(opts: &Options, store: Option<(&'s MsvStore, &'s NoiseModel)>) -> RunSpec<'s> {
     RunSpec {
         walk: if opts.baseline { Walk::Baseline } else { Walk::Reuse },
         budget: opts.budget,
@@ -372,25 +372,25 @@ fn finalize_live(live: &LiveRecorder, dir: &str, stats: &ExecStats) -> Result<()
     }
 }
 
-/// Execute `spec` under `recorder`, reporting the prefix-store accounting
-/// on stderr.
+/// Execute `spec` under `recorder`, reporting on stderr what the prefix
+/// store did for a run that consulted it.
 fn run_strategy<R: Recorder + ?Sized>(
     sim: &Simulation,
     spec: &RunSpec<'_>,
     recorder: &R,
 ) -> Result<RunResult, CliError> {
-    let output = sim.run(spec, recorder).map_err(|e| CliError(format!("execution: {e}")))?;
-    if let Some(cache) = output.cache {
+    let result = sim.run(spec, recorder).map_err(|e| CliError(format!("execution: {e}")))?;
+    if let Some(cache) = &result.cache {
         eprintln!(
             "semantic cache {} at layer {}: key {} ({} B read, {} B written)",
             if cache.hit { "hit" } else { "miss" },
             cache.prefix_layer,
-            cache.key.as_deref().unwrap_or("-"),
+            cache.key,
             cache.bytes_read,
             cache.bytes_written
         );
     }
-    Ok(output.result)
+    Ok(result)
 }
 
 /// `run` and `profile`: execute the flags' [`RunSpec`] with `aggregate`
@@ -406,7 +406,7 @@ fn run_or_profile(
 ) -> Result<(), CliError> {
     let sim = simulation(prepared, opts)?;
     let store = opts.cache.as_deref().map(|dir| open_store(dir, opts.cache_budget)).transpose()?;
-    let spec = run_spec(opts, store.as_ref());
+    let spec = run_spec(opts, store.as_ref().map(|store| (store, sim.model())));
     spec.validate().map_err(|e| CliError(e.to_string()))?;
     let started = std::time::Instant::now();
     // Only a trace or live header needs the metadata, whose git lookup

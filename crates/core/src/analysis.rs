@@ -15,8 +15,8 @@
 //! lcp(i−1, i)` shared injections plus all gate layers up to the
 //! predecessor's `(k+1)`-th injection layer (where the shared node's lazily
 //! advancing frontier stopped); everything after that is new work charged to
-//! trial *i*. The real executor ([`crate::exec::ReuseExecutor`]) matches
-//! these numbers operation for operation — tests assert exact equality.
+//! trial *i*. The reuse walk [`crate::run`] executes matches these numbers
+//! operation for operation — tests assert exact equality.
 //!
 //! Under a finite MSV budget the identity no longer holds, so
 //! [`analyze_sorted_with_budget`] folds the plan compiler's replay of the
@@ -113,7 +113,7 @@ fn analyze_order(
 
 /// Analyze the reordered execution under a hard cap of `budget`
 /// concurrently stored state vectors (see
-/// [`crate::exec::ReuseExecutor::with_budget`]): sharing deeper than
+/// [`RunSpec::budget`](crate::RunSpec::budget)): sharing deeper than
 /// `budget − 1` injections is recomputed. This quantifies the
 /// memory/computation trade-off the paper's §IV motivates; with
 /// `budget = usize::MAX` it is [`analyze_sorted`].

@@ -1,27 +1,31 @@
-//! Real state-vector executors: the paper's baseline (every trial from
-//! scratch) and the redundancy-eliminated executor (reordered trials with
-//! prefix-state caching and eager dropping).
+//! Running a trial set. [`run`] is the one way to execute trials: it takes
+//! a [`RunSpec`] that names the walk — the paper's baseline (every trial
+//! from scratch) or the redundancy-eliminated walk (reordered trials with
+//! prefix-state caching and eager dropping) — and the knobs that configure
+//! it: a stored-state budget, worker threads or the cross-run prefix store.
 //!
-//! Both executors produce **bitwise identical** per-trial measurement
+//! Every walk produces **bitwise identical** per-trial measurement
 //! outcomes: a trial's outcome is a function of its final state (the same
-//! floating-point operation sequence in both executors) and its private
+//! floating-point operation sequence in every walk) and its private
 //! sampling seed. This realises the paper's claim that the optimization "is
 //! mathematically equivalent to the original simulation".
 //!
-//! The redundancy-eliminated executor's trie walk is the only per-state
-//! walk in the crate. It holds each cached frontier as a dense state whose
-//! buffer recycles through a [`StatePool`], and drives the budgeted,
-//! parallel and cross-run-cached runs too.
+//! [`run`] does the setup every walk shares once: it checks the spec, the
+//! register and the trials, orders the trials (as given for the baseline,
+//! the reorder for reuse) and compiles one [`FusedProgram`] with cut-points
+//! at the union of the set's injection layers (see `qsim_circuit::fuse`).
+//! It hands that program and order to the baseline loop, the reuse walk,
+//! the chunk runner (worker threads) or the store step (the prefix store),
+//! and gathers the outcomes in input order. The reuse walk is the only
+//! per-state trie walk: it holds each cached frontier as a dense state
+//! whose buffer recycles through a [`StatePool`], and the chunk runner and
+//! the store step run it too.
 //!
-//! A [`FusedProgram`] is the only way either executor advances a state.
-//! It is compiled once per trial set with cut-points at the union of the
-//! set's injection layers (see `qsim_circuit::fuse`). Fusion changes which
-//! floating-point operations produce a final state, so fused results match
-//! the layer-by-layer reference ([`crate::testkit::run_unfused`]) only up
-//! to numerical tolerance. Every strategy sharing one program still replays
-//! identical float sequences per trial, preserving the bitwise-identity
-//! guarantee between baseline and reuse (and budgeted, parallel, cached)
-//! runs.
+//! Fusion changes which floating-point operations produce a final state,
+//! so fused results match the layer-by-layer reference
+//! ([`crate::testkit::run_unfused`]) only up to numerical tolerance. Every
+//! walk of a run replays the one program's float sequence per trial,
+//! preserving the bitwise-identity guarantee between them.
 //!
 //! Cost accounting is two-metric:
 //!
@@ -37,14 +41,16 @@ use std::fmt;
 
 use qsim_analyzer::{replay_schedule, FrameId, ScheduleOp, ROOT_FRAME};
 use qsim_circuit::{FusedProgram, LayeredCircuit};
-use qsim_noise::{injection_cut_layers, Injection, Trial};
+use qsim_noise::{injection_cut_layers, Injection, NoiseModel, Trial};
 use qsim_statevec::{sample_index, MeasureOutcome, StatePool, StateVecError, StateVector};
 use qsim_telemetry::{Heartbeat, KernelClass, MsvEvent, Recorder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use redsim_msvstore::MsvStore;
 
 use crate::order::{compare_trials, sorted_order};
-use crate::SimError;
+use crate::semcache::{self, CacheOutcome};
+use crate::{parallel, SimError};
 
 /// Operation counts and memory high-water marks of one execution.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -81,10 +87,108 @@ impl fmt::Display for ExecStats {
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunResult {
     /// Per-trial classical-register outcomes, aligned with the *input*
-    /// trial order (the reuse executor un-permutes its internal order).
+    /// trial order (the reuse walk un-permutes its internal order).
     pub outcomes: Vec<MeasureOutcome>,
     /// Cost accounting.
     pub stats: ExecStats,
+    /// What the prefix store did, for a run that consulted it.
+    pub cache: Option<CacheOutcome>,
+}
+
+/// The walk a [`RunSpec`] selects.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Walk {
+    /// Every trial from `|0…0⟩` (the paper's baseline).
+    Baseline,
+    /// The reordered prefix-trie walk (the paper's optimization).
+    #[default]
+    Reuse,
+}
+
+/// What [`run`] executes: one walk and the knobs that configure it — the
+/// options of `qsim run`.
+#[derive(Clone, Copy, Debug)]
+pub struct RunSpec<'s> {
+    /// Which walk runs.
+    pub walk: Walk,
+    /// Stored-state cap for the reuse walk (`usize::MAX` = unbounded) —
+    /// the memory-constrained regime the paper's §IV motivates. Sharing
+    /// deeper than `budget − 1` injections is recomputed instead of
+    /// cached; outcomes stay bitwise identical to the baseline for every
+    /// budget, only the operation count changes. `1` keeps just the
+    /// error-free frontier.
+    pub budget: usize,
+    /// Worker threads for the baseline or unbounded reuse walk (`0` = all
+    /// cores, `1` = sequential).
+    pub threads: usize,
+    /// Cross-run prefix store for the sequential, unbounded reuse walk,
+    /// with the noise model its keys are scoped to.
+    pub store: Option<(&'s MsvStore, &'s NoiseModel)>,
+}
+
+impl Default for RunSpec<'_> {
+    fn default() -> Self {
+        RunSpec::new(Walk::Reuse)
+    }
+}
+
+impl RunSpec<'_> {
+    /// `walk` with every knob at its default: unbounded, sequential,
+    /// uncached.
+    pub fn new(walk: Walk) -> Self {
+        RunSpec { walk, budget: usize::MAX, threads: 1, store: None }
+    }
+
+    /// Reject a spec no walk honours: a zero budget, or knobs that
+    /// conflict, named by their two `qsim run` flags. The baseline takes
+    /// only `--threads`; `--threads` and `--cache` each drive the plain
+    /// reuse walk and combine with nothing else.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Circuit`] for a zero budget and
+    /// [`SimError::ConflictingOptions`] for the first conflict.
+    pub fn validate(&self) -> Result<(), SimError> {
+        if self.budget == 0 {
+            return Err(SimError::Circuit(
+                "state-vector budget must be at least 1 (the working frontier)".to_owned(),
+            ));
+        }
+        let set: Vec<&'static str> = [
+            ("--budget", self.budget != usize::MAX),
+            ("--threads", self.threads != 1),
+            ("--cache", self.store.is_some()),
+        ]
+        .into_iter()
+        .filter_map(|(flag, on)| on.then_some(flag))
+        .collect();
+        let conflict = |flag, with| Err(SimError::ConflictingOptions { flag, with });
+        if self.walk == Walk::Baseline {
+            if let Some(&with) = set.iter().find(|&&flag| flag != "--threads") {
+                return conflict("--baseline", with);
+            }
+        }
+        for lead in ["--cache", "--threads"] {
+            if set.contains(&lead) {
+                if let Some(&with) = set.iter().find(|&&flag| flag != lead) {
+                    return conflict(lead, with);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The strategy name trace and live headers carry.
+    pub fn name(&self) -> &'static str {
+        match self.walk {
+            Walk::Baseline if self.threads == 1 => "baseline",
+            Walk::Baseline => "parallel-baseline",
+            Walk::Reuse if self.store.is_some() => "reuse-cached",
+            Walk::Reuse if self.budget != usize::MAX => "reuse-budget",
+            Walk::Reuse if self.threads == 1 => "reuse",
+            Walk::Reuse => "parallel-reuse",
+        }
+    }
 }
 
 /// Apply one amplitude pass and observe it: one `kernel` event of `class`
@@ -159,9 +263,9 @@ fn amp_bytes(n_qubits: usize) -> u64 {
     (1u64 << n_qubits) * 16
 }
 
-/// Emit the end-of-run counters every executor shares. These mirror
+/// Emit the end-of-run counters every walk shares. These mirror
 /// [`ExecStats`] field-for-field, which is what lets the profiler
-/// cross-check telemetry against the executors' own accounting exactly.
+/// cross-check telemetry against the walks' own accounting exactly.
 fn record_stats_counters<R: Recorder + ?Sized>(recorder: &R, stats: &ExecStats) {
     recorder.counter("trials", stats.n_trials as u64);
     recorder.counter("ops", stats.ops);
@@ -169,33 +273,17 @@ fn record_stats_counters<R: Recorder + ?Sized>(recorder: &R, stats: &ExecStats) 
     recorder.counter("amplitude_passes", stats.amplitude_passes);
 }
 
-/// Compile the fused program an executor shares across a whole trial set:
-/// cut at the union of the set's injection layers.
+/// Compile the fused program a run shares across a whole trial set: cut
+/// at the union of the set's injection layers.
 pub fn fuse_for_trials(layered: &LayeredCircuit, trials: &[Trial]) -> FusedProgram {
     FusedProgram::new(layered, &injection_cut_layers(trials, layered.n_layers()))
-}
-
-/// [`fuse_for_trials`] with compilation telemetry: records the
-/// `fusion_bypassed` counter (segments below the fusion profitability
-/// threshold, compiled gate-by-gate). Recorded once per compiled program —
-/// callers sharing a program across workers must not re-record.
-pub fn fuse_for_trials_traced<R: Recorder + ?Sized>(
-    layered: &LayeredCircuit,
-    trials: &[Trial],
-    recorder: &R,
-) -> FusedProgram {
-    let program = fuse_for_trials(layered, trials);
-    if recorder.enabled() {
-        recorder.counter("fusion_bypassed", program.bypassed_segments() as u64);
-    }
-    program
 }
 
 /// Paranoid mode: statically verify the complete execution plan of the
 /// trials `order` names — reorder, fused program, and symbolic cache
 /// schedule, cross-checked against the dry-run cost report — before
-/// touching a single amplitude. Runs *after* the executors' own cheap
-/// validation so their typed errors are unchanged; anything the verifier
+/// touching a single amplitude. Runs *after* [`run`]'s own cheap
+/// validation so its typed errors are unchanged; anything the verifier
 /// alone catches surfaces as [`SimError::Circuit`] carrying the first
 /// diagnostic.
 ///
@@ -227,182 +315,139 @@ pub(crate) fn paranoid_verify(
     }
 }
 
-/// Reject a register the executors cannot run: more qubits than a dense
-/// state vector holds, or more classical bits than a
-/// [`MeasureOutcome`] packs. Every run entry point checks this before it
-/// builds a state or an outcome.
+/// Reject a register no walk can run: more qubits than a dense state
+/// vector holds, or more classical bits than a [`MeasureOutcome`] packs.
 pub(crate) fn check_register(layered: &LayeredCircuit) -> Result<(), SimError> {
     StateVector::check_width(layered.n_qubits())?;
     MeasureOutcome::check_width(layered.n_cbits())?;
     Ok(())
 }
 
-/// Check that `program` fits `layered`.
-fn validate_program(program: &FusedProgram, layered: &LayeredCircuit) -> Result<(), SimError> {
-    if program.n_layers() != layered.n_layers() || program.n_qubits() != layered.n_qubits() {
-        return Err(SimError::Circuit(format!(
-            "fused program geometry ({} qubits, {} layers) does not match the circuit ({}, {})",
-            program.n_qubits(),
-            program.n_layers(),
-            layered.n_qubits(),
-            layered.n_layers()
-        )));
-    }
-    Ok(())
+/// What every walk of one run shares: the circuit and the one program
+/// [`run`] compiled for its trial set.
+#[derive(Clone, Copy)]
+pub(crate) struct Compiled<'a> {
+    pub(crate) layered: &'a LayeredCircuit,
+    pub(crate) program: &'a FusedProgram,
 }
 
-/// Check that `trial` injects within the circuit and only on `program`'s
-/// cut-points.
-fn validate_on(program: &FusedProgram, trial: &Trial, n_layers: usize) -> Result<(), SimError> {
-    validate(trial, n_layers)?;
-    match trial.injections().iter().find(|inj| !program.is_cut_aligned(inj.layer())) {
-        Some(inj) => Err(SimError::Circuit(format!(
-            "injection after layer {} does not land on a fusion cut-point",
-            inj.layer()
-        ))),
-        None => Ok(()),
-    }
-}
-
-/// The baseline's order: every trial where the caller put it.
-pub(crate) fn input_order(trials: &[Trial]) -> Vec<u32> {
-    (0..u32::try_from(trials.len()).expect("at most 2^32 trials are ordered")).collect()
-}
-
-/// Run a streaming walk and gather its outcomes back into input order.
-/// Outcomes are `Copy`, so gathering touches no heap per trial.
-pub(crate) fn collect(
-    n_trials: usize,
-    walk: impl FnOnce(&mut [Option<MeasureOutcome>]) -> Result<ExecStats, SimError>,
+/// Execute `trials` on `layered` as `spec` declares — the one way to run a
+/// trial set. Outcomes come back in input order, bitwise identical for
+/// every spec. Instrumentation streams into `recorder` (pass
+/// [`NullRecorder`](qsim_telemetry::NullRecorder) for none): the
+/// `fusion_bypassed` counter of the compiled program, per-kernel timings,
+/// MSV lifecycle events with live residency, per-trial prefix-cache
+/// lookups, heartbeats, the walk's span, end-of-run counters mirroring the
+/// returned [`ExecStats`], and the `msvstore.*` counters of a cached run.
+/// Every worker thread streams into the same `recorder`, so its counters
+/// and kernel timings add up across workers; each MSV event carries its
+/// own worker's residency, and [`ExecStats::peak_msv`] sums the workers'
+/// peaks.
+///
+/// # Errors
+///
+/// Returns the error of [`RunSpec::validate`] for a spec it rejects,
+/// [`SimError::State`] for a register wider than a dense state vector
+/// holds or a classical register wider than a [`MeasureOutcome`] packs,
+/// and [`SimError::LayerOutOfRange`] for a trial that injects past the
+/// last layer, each before any work. Store I/O problems degrade to an
+/// unpublished run; they never fail it.
+pub fn run<R: Recorder + ?Sized>(
+    layered: &LayeredCircuit,
+    trials: &[Trial],
+    spec: &RunSpec<'_>,
+    recorder: &R,
 ) -> Result<RunResult, SimError> {
-    let mut outcomes = vec![None; n_trials];
-    let stats = walk(&mut outcomes)?;
-    Ok(RunResult {
-        outcomes: outcomes
-            .into_iter()
-            .map(|o| o.expect("every trial produced an outcome"))
-            .collect(),
-        stats,
-    })
+    spec.validate()?;
+    check_register(layered)?;
+    for trial in trials {
+        validate(trial, layered.n_layers())?;
+    }
+    let order = match spec.walk {
+        Walk::Baseline => {
+            (0..u32::try_from(trials.len()).expect("at most 2^32 trials are ordered")).collect()
+        }
+        Walk::Reuse => sorted_order(trials),
+    };
+    let program = fuse_for_trials(layered, trials);
+    if recorder.enabled() {
+        recorder.counter("fusion_bypassed", program.bypassed_segments() as u64);
+    }
+    let compiled = Compiled { layered, program: &program };
+    let mut outcomes = vec![None; trials.len()];
+    let sink = |index: usize, outcome| outcomes[index] = Some(outcome);
+    let threads = parallel::resolve_threads(spec.threads, trials.len());
+    let (stats, cache) = match (spec.walk, spec.store) {
+        _ if threads > 1 => {
+            let walk = spec.walk;
+            (parallel::run_sliced(compiled, trials, &order, threads, walk, sink, recorder)?, None)
+        }
+        (_, Some(store)) => semcache::run_cached(compiled, trials, &order, store, sink, recorder)?,
+        (Walk::Baseline, None) => (baseline(compiled, trials, &order, sink, recorder)?, None),
+        (Walk::Reuse, None) => {
+            let prefix = PrefixCache::Off;
+            (walk(compiled, trials, &order, spec.budget, prefix, sink, recorder)?, None)
+        }
+    };
+    let outcomes =
+        outcomes.into_iter().map(|o| o.expect("every trial produced an outcome")).collect();
+    Ok(RunResult { outcomes, stats, cache })
 }
 
-/// The paper's baseline strategy (§V "Baseline"): run every error-injection
-/// trial independently from `|0…0⟩`, storing no intermediate state.
-#[derive(Clone, Copy, Debug)]
-pub struct BaselineExecutor<'a> {
-    layered: &'a LayeredCircuit,
-}
-
-impl<'a> BaselineExecutor<'a> {
-    /// Bind to a layered circuit.
-    pub fn new(layered: &'a LayeredCircuit) -> Self {
-        BaselineExecutor { layered }
-    }
-
-    /// Execute `trials` in the given order, through a [`FusedProgram`]
-    /// compiled for this trial set. Instrumentation streams into
-    /// `recorder`: per-kernel timings (phase `"baseline"`), a
-    /// `"run/baseline"` span, and end-of-run counters mirroring the
-    /// returned [`ExecStats`]. Pass
-    /// [`NullRecorder`](qsim_telemetry::NullRecorder) for none.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::State`] for a register wider than a dense state
-    /// vector holds or a classical register wider than a
-    /// [`MeasureOutcome`] packs, and [`SimError`] for trials whose
-    /// injections do not fit the circuit.
-    pub fn run<R: Recorder + ?Sized>(
-        &self,
-        trials: &[Trial],
-        recorder: &R,
-    ) -> Result<RunResult, SimError> {
-        let program = fuse_for_trials_traced(self.layered, trials, recorder);
-        let order = input_order(trials);
-        collect(trials.len(), |out| {
-            let sink = |index, outcome| out[index] = Some(outcome);
-            self.run_engine(&program, trials, &order, sink, recorder)
-        })
-    }
-
-    /// Execute the trials `order` names, in that order, through `program`;
-    /// a shared program keeps several runs — or several worker threads —
-    /// bitwise comparable. Outcomes go to `sink(original_trial_index,
-    /// outcome)`, as the reuse walk's do. Rejects injections that do not
-    /// land on one of the program's cut-points.
-    pub(crate) fn run_engine<F, R>(
-        &self,
-        program: &FusedProgram,
-        trials: &[Trial],
-        order: &[u32],
-        mut sink: F,
-        recorder: &R,
-    ) -> Result<ExecStats, SimError>
-    where
-        F: FnMut(usize, MeasureOutcome),
-        R: Recorder + ?Sized,
-    {
-        let layered = self.layered;
-        check_register(layered)?;
-        let n_layers = layered.n_layers();
-        validate_program(program, layered)?;
-        for &index in order {
-            validate_on(program, &trials[index as usize], n_layers)?;
-        }
-        #[cfg(feature = "paranoid")]
-        paranoid_verify(layered, trials, order, usize::MAX)?;
-        let span_start = recorder.now_ns();
-        let last_layer = n_layers as i64 - 1;
-        let mut stats = ExecStats { n_trials: order.len(), ..ExecStats::default() };
-        for &index in order {
-            let trial = &trials[index as usize];
-            let mut state = StateVector::zero_state(layered.n_qubits());
-            let mut done = -1i64;
-            let injections = trial.injections();
-            let mut next = 0usize;
-            while done < last_layer || next < injections.len() {
-                let target = if next < injections.len() {
-                    injections[next].layer() as i64
-                } else {
-                    last_layer
-                };
-                advance_traced(
-                    program, &mut state, &mut done, target, recorder, "baseline", &mut stats,
-                )?;
-                while next < injections.len() && injections[next].layer() as i64 == done {
-                    inject_traced(&injections[next], &mut state, recorder, "baseline", &mut stats)?;
-                    next += 1;
-                }
-            }
-            sink(index as usize, measure(layered, &state, trial));
-            if recorder.enabled() {
-                // Baseline holds exactly the one working state.
-                recorder.heartbeat(Heartbeat {
-                    completed: 1,
-                    depth: n_layers as u64,
-                    resident_bytes: amp_bytes(layered.n_qubits()),
-                });
+/// The paper's baseline (§V "Baseline"): run the trials `order` names, in
+/// that order, each independently from `|0…0⟩` through the compiled
+/// program, storing no intermediate state. Outcomes go to
+/// `sink(original_trial_index, outcome)`, as the reuse walk's do.
+pub(crate) fn baseline<F, R>(
+    compiled: Compiled<'_>,
+    trials: &[Trial],
+    order: &[u32],
+    mut sink: F,
+    recorder: &R,
+) -> Result<ExecStats, SimError>
+where
+    F: FnMut(usize, MeasureOutcome),
+    R: Recorder + ?Sized,
+{
+    let Compiled { layered, program } = compiled;
+    #[cfg(feature = "paranoid")]
+    paranoid_verify(layered, trials, order, usize::MAX)?;
+    let span_start = recorder.now_ns();
+    let n_layers = layered.n_layers();
+    let last_layer = n_layers as i64 - 1;
+    let mut stats = ExecStats { n_trials: order.len(), ..ExecStats::default() };
+    for &index in order {
+        let trial = &trials[index as usize];
+        let mut state = StateVector::zero_state(layered.n_qubits());
+        let mut done = -1i64;
+        let injections = trial.injections();
+        let mut next = 0usize;
+        while done < last_layer || next < injections.len() {
+            let target =
+                if next < injections.len() { injections[next].layer() as i64 } else { last_layer };
+            advance_traced(
+                program, &mut state, &mut done, target, recorder, "baseline", &mut stats,
+            )?;
+            while next < injections.len() && injections[next].layer() as i64 == done {
+                inject_traced(&injections[next], &mut state, recorder, "baseline", &mut stats)?;
+                next += 1;
             }
         }
+        sink(index as usize, measure(layered, &state, trial));
         if recorder.enabled() {
-            record_stats_counters(recorder, &stats);
-            recorder.span("run/baseline", span_start, recorder.now_ns());
+            // Baseline holds exactly the one working state.
+            recorder.heartbeat(Heartbeat {
+                completed: 1,
+                depth: n_layers as u64,
+                resident_bytes: amp_bytes(layered.n_qubits()),
+            });
         }
-        Ok(stats)
     }
-}
-
-/// The redundancy-eliminated executor: trials are processed in reorder
-/// order as a depth-first traversal of the injection prefix trie. Each trie
-/// node owns one lazily advancing frontier state; a frontier survives only
-/// while the *next* trial still branches from it (the paper's eager drop),
-/// so the stored-state stack is exactly the shared prefix between
-/// consecutive trials. That rule is written once, in
-/// [`qsim_analyzer::replay_schedule`]; the executor runs the ops it emits.
-#[derive(Clone, Copy, Debug)]
-pub struct ReuseExecutor<'a> {
-    layered: &'a LayeredCircuit,
-    budget: usize,
+    if recorder.enabled() {
+        record_stats_counters(recorder, &stats);
+        recorder.span("run/baseline", span_start, recorder.now_ns());
+    }
+    Ok(stats)
 }
 
 /// One frontier of the reuse walk: a cached frame on the stack, where its
@@ -416,8 +461,8 @@ struct Frame {
     state: StateVector,
 }
 
-/// How one reuse walk interacts with the cross-run semantic prefix cache
-/// (`redsim-msvstore`; see [`crate::semcache`]).
+/// How one reuse walk interacts with the cross-run prefix store (the store
+/// step in `semcache`).
 ///
 /// On a store hit the root frontier is *seeded* with the restored prefix
 /// state (the first trial's shared advance becomes a no-op, and the
@@ -443,293 +488,236 @@ pub(crate) enum PrefixCache<'c> {
     Capture { layer: usize, out: &'c mut Option<StateVector> },
 }
 
-impl<'a> ReuseExecutor<'a> {
-    /// Bind to a layered circuit, with no cap on stored state vectors.
-    pub fn new(layered: &'a LayeredCircuit) -> Self {
-        ReuseExecutor { layered, budget: usize::MAX }
-    }
+/// The reuse walk, the only per-state trie walk: trials are processed as
+/// a depth-first traversal of the injection prefix trie, each trie node
+/// owning one lazily advancing frontier state that survives only while
+/// the *next* trial still branches from it (the paper's eager drop), so
+/// the stored-state stack is exactly the shared prefix between consecutive
+/// trials. It runs the trials `order` names, in that order, which must be
+/// the reorder ([`sorted_order`]) of those trials — a contiguous slice of
+/// a whole set's order qualifies — over the compiled program, holding at
+/// most `budget` stored states and recycling their buffers through one
+/// [`StatePool`]. Outcomes go to `sink(original_trial_index, outcome)` in
+/// processing order. A [`PrefixCache::Seed`] that does not match the
+/// trials' shared-prefix layer or register width is rejected.
+///
+/// Which frames to keep, clone, consume and drop is not decided here:
+/// the walk executes the [`ScheduleOp`] stream of [`replay_schedule`],
+/// the schedule the plan verifier proves and every cost fold prices.
+pub(crate) fn walk<F, R>(
+    compiled: Compiled<'_>,
+    trials: &[Trial],
+    order: &[u32],
+    budget: usize,
+    prefix: PrefixCache<'_>,
+    mut sink: F,
+    recorder: &R,
+) -> Result<ExecStats, SimError>
+where
+    F: FnMut(usize, MeasureOutcome),
+    R: Recorder + ?Sized,
+{
+    let Compiled { layered, program } = compiled;
+    let n_layers = layered.n_layers();
+    debug_assert!(
+        order.windows(2).all(|pair| {
+            compare_trials(&trials[pair[0] as usize], &trials[pair[1] as usize]).is_le()
+        }),
+        "the walk order is not the reorder"
+    );
+    #[cfg(feature = "paranoid")]
+    paranoid_verify(layered, trials, order, budget)?;
+    let mut pool = StatePool::new();
+    let state_bytes = amp_bytes(layered.n_qubits());
+    let span_start = recorder.now_ns();
+    let last_layer = n_layers as i64 - 1;
 
-    /// Cap concurrently stored state vectors at `budget` — the
-    /// memory-constrained regime the paper's §IV motivates ("the maximal
-    /// number of state vectors we can store is limited since one state
-    /// vector has 2ⁿ amplitudes"). Sharing deeper than `budget − 1`
-    /// injections is recomputed instead of cached; outcomes remain bitwise
-    /// identical to the baseline for **every** budget, only the operation
-    /// count changes. `budget = 1` keeps just the error-free frontier.
-    pub fn with_budget(self, budget: usize) -> Self {
-        ReuseExecutor { budget, ..self }
-    }
-
-    /// Execute `trials`, reordering internally; outcomes are returned in
-    /// the input order. Instrumentation streams into `recorder`:
-    /// per-kernel timings (phases `"reuse/shared"`, `"reuse/branch"`,
-    /// `"reuse/remainder"`), MSV lifecycle events with live residency,
-    /// per-trial prefix-cache lookups, pool-reuse counters, a
-    /// `"run/reuse"` span, and end-of-run counters mirroring the returned
-    /// [`ExecStats`]. Pass [`NullRecorder`](qsim_telemetry::NullRecorder)
-    /// for none.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::State`] for a register wider than a dense state
-    /// vector holds or a classical register wider than a
-    /// [`MeasureOutcome`] packs, [`SimError::Circuit`] for a zero budget
-    /// and [`SimError`] for trials whose injections do not fit the circuit.
-    pub fn run<R: Recorder + ?Sized>(
-        &self,
-        trials: &[Trial],
-        recorder: &R,
-    ) -> Result<RunResult, SimError> {
-        let program = fuse_for_trials_traced(self.layered, trials, recorder);
-        let order = sorted_order(trials);
-        collect(trials.len(), |out| {
-            let sink = |index, outcome| out[index] = Some(outcome);
-            self.walk(&program, trials, &order, PrefixCache::Off, sink, recorder)
-        })
-    }
-
-    /// The reuse walk, the only per-state trie walk: every executor that
-    /// caches frontiers runs it over `program`, recycling their buffers
-    /// through one [`StatePool`]. It runs the trials `order` names, in
-    /// that order, which must be the reorder ([`sorted_order`]) of those
-    /// trials — a contiguous slice of a whole set's order qualifies.
-    /// Outcomes go to `sink(original_trial_index, outcome)` in processing
-    /// order. A [`PrefixCache::Seed`] that does not match the trials'
-    /// shared-prefix layer or register width is rejected.
-    ///
-    /// Which frames to keep, clone, consume and drop is not decided here:
-    /// the walk executes the [`ScheduleOp`] stream of [`replay_schedule`],
-    /// the schedule the plan verifier proves and every cost fold prices.
-    pub(crate) fn walk<F, R>(
-        &self,
-        program: &FusedProgram,
-        trials: &[Trial],
-        order: &[u32],
-        prefix: PrefixCache<'_>,
-        mut sink: F,
-        recorder: &R,
-    ) -> Result<ExecStats, SimError>
-    where
-        F: FnMut(usize, MeasureOutcome),
-        R: Recorder + ?Sized,
-    {
-        let layered = self.layered;
-        check_register(layered)?;
-        let budget = self.budget;
-        if budget == 0 {
-            return Err(SimError::Circuit(
-                "state-vector budget must be at least 1 (the working frontier)".to_owned(),
-            ));
+    let mut stats = ExecStats { n_trials: order.len(), ..ExecStats::default() };
+    let mut peak = usize::from(!order.is_empty());
+    // The layer the first sorted trial's shared advance stops at — the
+    // only layer a seeded root may claim, and the layer a capture
+    // watches for.
+    let shared_prefix_layer = order
+        .first()
+        .and_then(|&first| trials[first as usize].injections().first())
+        .map_or(last_layer, |inj| inj.layer() as i64);
+    let mut capture: Option<(i64, &mut Option<StateVector>)> = None;
+    let (root_done, root_state) = match prefix {
+        PrefixCache::Off => (-1, StateVector::zero_state(layered.n_qubits())),
+        PrefixCache::Seed { layer, state, ops, passes } => {
+            if order.is_empty() || layer as i64 != shared_prefix_layer {
+                return Err(SimError::Circuit(format!(
+                    "seeded prefix layer {layer} does not match the trial set's shared \
+                     prefix layer {shared_prefix_layer}"
+                )));
+            }
+            if state.amplitudes().len() != 1usize << layered.n_qubits() {
+                return Err(SimError::Circuit(format!(
+                    "seeded prefix state holds {} amplitudes, circuit needs {}",
+                    state.amplitudes().len(),
+                    1usize << layered.n_qubits()
+                )));
+            }
+            stats.ops += ops;
+            stats.fused_ops += passes;
+            stats.amplitude_passes += passes;
+            (layer as i64, state)
         }
-        let n_layers = layered.n_layers();
-        validate_program(program, layered)?;
-        for &index in order {
-            validate_on(program, &trials[index as usize], n_layers)?;
+        PrefixCache::Capture { layer, out } => {
+            capture = Some((layer as i64, out));
+            (-1, StateVector::zero_state(layered.n_qubits()))
         }
-        debug_assert!(
-            order.windows(2).all(|pair| {
-                compare_trials(&trials[pair[0] as usize], &trials[pair[1] as usize]).is_le()
-            }),
-            "the walk order is not the reorder"
-        );
-        #[cfg(feature = "paranoid")]
-        paranoid_verify(layered, trials, order, budget)?;
-        let mut pool = StatePool::new();
-        let state_bytes = amp_bytes(layered.n_qubits());
-        let span_start = recorder.now_ns();
-        let last_layer = n_layers as i64 - 1;
-
-        let mut stats = ExecStats { n_trials: order.len(), ..ExecStats::default() };
-        let mut peak = usize::from(!order.is_empty());
-        // The layer the first sorted trial's shared advance stops at — the
-        // only layer a seeded root may claim, and the layer a capture
-        // watches for.
-        let shared_prefix_layer = order
-            .first()
-            .and_then(|&first| trials[first as usize].injections().first())
-            .map_or(last_layer, |inj| inj.layer() as i64);
-        let mut capture: Option<(i64, &mut Option<StateVector>)> = None;
-        let (root_done, root_state) = match prefix {
-            PrefixCache::Off => (-1, StateVector::zero_state(layered.n_qubits())),
-            PrefixCache::Seed { layer, state, ops, passes } => {
-                if order.is_empty() || layer as i64 != shared_prefix_layer {
-                    return Err(SimError::Circuit(format!(
-                        "seeded prefix layer {layer} does not match the trial set's shared \
-                         prefix layer {shared_prefix_layer}"
-                    )));
-                }
-                if state.amplitudes().len() != 1usize << layered.n_qubits() {
-                    return Err(SimError::Circuit(format!(
-                        "seeded prefix state holds {} amplitudes, circuit needs {}",
-                        state.amplitudes().len(),
-                        1usize << layered.n_qubits()
-                    )));
-                }
-                stats.ops += ops;
-                stats.fused_ops += passes;
-                stats.amplitude_passes += passes;
-                (layer as i64, state)
-            }
-            PrefixCache::Capture { layer, out } => {
-                capture = Some((layer as i64, out));
-                (-1, StateVector::zero_state(layered.n_qubits()))
-            }
-        };
-        let mut stack = vec![Frame { id: ROOT_FRAME, done: root_done, state: root_state }];
-        let mut working: Option<Frame> = None;
-        if recorder.enabled() && !order.is_empty() {
-            recorder.msv(MsvEvent::Create, 0, 1);
-        }
-        let heartbeat = |depth: usize, resident: usize| {
-            recorder.heartbeat(Heartbeat {
-                completed: 1,
-                depth: depth as u64,
-                resident_bytes: resident as u64 * state_bytes,
-            });
-        };
-        // Trials started so far; whether the next op other than a drop
-        // starts a trial; the trie depth the current trial branched at.
-        let (mut started, mut between_trials, mut depth) = (0usize, true, 0usize);
-        let mut failed = None;
-
-        let replayed_peak = replay_schedule(trials, order, n_layers, budget, |op| {
-            if failed.is_some() {
-                return;
-            }
-            if between_trials && !matches!(op, ScheduleOp::Drop { .. }) {
-                if recorder.enabled() {
-                    // The previous trial is measured and its frames are
-                    // dropped; the new one resumes from the stack top.
-                    if started > 0 {
-                        heartbeat(depth, stack.len() + pool.idle());
-                    }
-                    recorder.cache(stack.len() - 1, started > 0);
-                    if started > 0 {
-                        recorder.msv(MsvEvent::Reuse, stack.len() - 1, stack.len());
-                    }
-                }
-                started += 1;
-                between_trials = false;
-            }
-            let mut step = || -> Result<(), SimError> {
-                match op {
-                    ScheduleOp::Advance { frame, from, through } => {
-                        let (target, phase) = match working.as_mut() {
-                            Some(w) if w.id == frame => (w, "reuse/remainder"),
-                            _ => (
-                                stack.last_mut().expect("the root is never dropped"),
-                                "reuse/shared",
-                            ),
-                        };
-                        debug_assert!(
-                            target.id == frame && from <= target.done,
-                            "frame {frame} lost sync with the replay"
-                        );
-                        if target.done >= through {
-                            return Ok(());
-                        }
-                        advance_traced(
-                            program,
-                            &mut target.state,
-                            &mut target.done,
-                            through,
-                            recorder,
-                            phase,
-                            &mut stats,
-                        )?;
-                        if frame == ROOT_FRAME {
-                            // The miss path's only extra work: a plain clone
-                            // of the root the first time it parks at the
-                            // capture layer.
-                            if let Some((_, out)) =
-                                capture.take_if(|(layer, _)| *layer == target.done)
-                            {
-                                *out = Some(target.state.clone());
-                            }
-                        }
-                    }
-                    ScheduleOp::CloneInject { child, injection, cached, .. } => {
-                        let top = stack.last().expect("the root is never dropped");
-                        let mut state = pool.clone_state(&top.state);
-                        let phase = if cached { "reuse/branch" } else { "reuse/remainder" };
-                        inject_traced(&injection, &mut state, recorder, phase, &mut stats)?;
-                        let child = Frame { id: child, done: top.done, state };
-                        if cached {
-                            stack.push(child);
-                            debug_assert!(
-                                stack.len() <= budget,
-                                "cache stack exceeded the state-vector budget"
-                            );
-                            peak = peak.max(stack.len());
-                            if recorder.enabled() {
-                                recorder.msv(MsvEvent::Fork, stack.len() - 1, stack.len());
-                            }
-                        } else {
-                            depth = stack.len() - 1;
-                            working = Some(child);
-                        }
-                    }
-                    ScheduleOp::Detach { .. } => {
-                        let top = stack.pop().expect("the root is never dropped");
-                        depth = stack.len();
-                        if recorder.enabled() {
-                            recorder.msv(MsvEvent::Drop, stack.len(), stack.len());
-                        }
-                        working = Some(top);
-                    }
-                    ScheduleOp::InjectInPlace { injection, .. } => {
-                        let frame =
-                            working.as_mut().expect("in-place injections hit the working frame");
-                        let phase = "reuse/remainder";
-                        inject_traced(&injection, &mut frame.state, recorder, phase, &mut stats)?;
-                    }
-                    ScheduleOp::Measure { frame, trial } => {
-                        let state = match &working {
-                            Some(w) if w.id == frame => &w.state,
-                            _ => {
-                                depth = stack.len() - 1;
-                                &stack.last().expect("the root is never dropped").state
-                            }
-                        };
-                        sink(trial, measure(layered, state, &trials[trial]));
-                        between_trials = true;
-                    }
-                    ScheduleOp::Drop { frame } => {
-                        let dropped = match working.take_if(|w| w.id == frame) {
-                            Some(w) => w,
-                            None => {
-                                let top = stack.pop().expect("the root is never dropped");
-                                if recorder.enabled() {
-                                    recorder.msv(MsvEvent::Drop, stack.len(), stack.len());
-                                }
-                                top
-                            }
-                        };
-                        debug_assert!(!stack.is_empty(), "eager drop popped the root frame");
-                        pool.recycle(dropped.state);
-                    }
-                }
-                Ok(())
-            };
-            failed = step().err();
+    };
+    let mut stack = vec![Frame { id: ROOT_FRAME, done: root_done, state: root_state }];
+    let mut working: Option<Frame> = None;
+    if recorder.enabled() && !order.is_empty() {
+        recorder.msv(MsvEvent::Create, 0, 1);
+    }
+    let heartbeat = |depth: usize, resident: usize| {
+        recorder.heartbeat(Heartbeat {
+            completed: 1,
+            depth: depth as u64,
+            resident_bytes: resident as u64 * state_bytes,
         });
-        if let Some(error) = failed {
-            return Err(error);
-        }
-        if recorder.enabled() && started > 0 {
-            heartbeat(depth, stack.len() + pool.idle());
-        }
-        debug_assert_eq!(peak, replayed_peak, "the walk's peak differs from the replay's");
+    };
+    // Trials started so far; whether the next op other than a drop
+    // starts a trial; the trie depth the current trial branched at.
+    let (mut started, mut between_trials, mut depth) = (0usize, true, 0usize);
+    let mut failed = None;
 
-        stats.peak_msv = peak;
-        if recorder.enabled() {
-            record_stats_counters(recorder, &stats);
-            recorder.counter("pool.reused", pool.reuse_count());
-            recorder.counter("pool.allocated", pool.alloc_count());
-            recorder.span("run/reuse", span_start, recorder.now_ns());
+    let replayed_peak = replay_schedule(trials, order, n_layers, budget, |op| {
+        if failed.is_some() {
+            return;
         }
-        Ok(stats)
+        if between_trials && !matches!(op, ScheduleOp::Drop { .. }) {
+            if recorder.enabled() {
+                // The previous trial is measured and its frames are
+                // dropped; the new one resumes from the stack top.
+                if started > 0 {
+                    heartbeat(depth, stack.len() + pool.idle());
+                }
+                recorder.cache(stack.len() - 1, started > 0);
+                if started > 0 {
+                    recorder.msv(MsvEvent::Reuse, stack.len() - 1, stack.len());
+                }
+            }
+            started += 1;
+            between_trials = false;
+        }
+        let mut step = || -> Result<(), SimError> {
+            match op {
+                ScheduleOp::Advance { frame, from, through } => {
+                    let (target, phase) = match working.as_mut() {
+                        Some(w) if w.id == frame => (w, "reuse/remainder"),
+                        _ => (stack.last_mut().expect("the root is never dropped"), "reuse/shared"),
+                    };
+                    debug_assert!(
+                        target.id == frame && from <= target.done,
+                        "frame {frame} lost sync with the replay"
+                    );
+                    if target.done >= through {
+                        return Ok(());
+                    }
+                    advance_traced(
+                        program,
+                        &mut target.state,
+                        &mut target.done,
+                        through,
+                        recorder,
+                        phase,
+                        &mut stats,
+                    )?;
+                    if frame == ROOT_FRAME {
+                        // The miss path's only extra work: a plain clone
+                        // of the root the first time it parks at the
+                        // capture layer.
+                        if let Some((_, out)) = capture.take_if(|(layer, _)| *layer == target.done)
+                        {
+                            *out = Some(target.state.clone());
+                        }
+                    }
+                }
+                ScheduleOp::CloneInject { child, injection, cached, .. } => {
+                    let top = stack.last().expect("the root is never dropped");
+                    let mut state = pool.clone_state(&top.state);
+                    let phase = if cached { "reuse/branch" } else { "reuse/remainder" };
+                    inject_traced(&injection, &mut state, recorder, phase, &mut stats)?;
+                    let child = Frame { id: child, done: top.done, state };
+                    if cached {
+                        stack.push(child);
+                        debug_assert!(
+                            stack.len() <= budget,
+                            "cache stack exceeded the state-vector budget"
+                        );
+                        peak = peak.max(stack.len());
+                        if recorder.enabled() {
+                            recorder.msv(MsvEvent::Fork, stack.len() - 1, stack.len());
+                        }
+                    } else {
+                        depth = stack.len() - 1;
+                        working = Some(child);
+                    }
+                }
+                ScheduleOp::Detach { .. } => {
+                    let top = stack.pop().expect("the root is never dropped");
+                    depth = stack.len();
+                    if recorder.enabled() {
+                        recorder.msv(MsvEvent::Drop, stack.len(), stack.len());
+                    }
+                    working = Some(top);
+                }
+                ScheduleOp::InjectInPlace { injection, .. } => {
+                    let frame =
+                        working.as_mut().expect("in-place injections hit the working frame");
+                    let phase = "reuse/remainder";
+                    inject_traced(&injection, &mut frame.state, recorder, phase, &mut stats)?;
+                }
+                ScheduleOp::Measure { frame, trial } => {
+                    let state = match &working {
+                        Some(w) if w.id == frame => &w.state,
+                        _ => {
+                            depth = stack.len() - 1;
+                            &stack.last().expect("the root is never dropped").state
+                        }
+                    };
+                    sink(trial, measure(layered, state, &trials[trial]));
+                    between_trials = true;
+                }
+                ScheduleOp::Drop { frame } => {
+                    let dropped = match working.take_if(|w| w.id == frame) {
+                        Some(w) => w,
+                        None => {
+                            let top = stack.pop().expect("the root is never dropped");
+                            if recorder.enabled() {
+                                recorder.msv(MsvEvent::Drop, stack.len(), stack.len());
+                            }
+                            top
+                        }
+                    };
+                    debug_assert!(!stack.is_empty(), "eager drop popped the root frame");
+                    pool.recycle(dropped.state);
+                }
+            }
+            Ok(())
+        };
+        failed = step().err();
+    });
+    if let Some(error) = failed {
+        return Err(error);
     }
+    if recorder.enabled() && started > 0 {
+        heartbeat(depth, stack.len() + pool.idle());
+    }
+    debug_assert_eq!(peak, replayed_peak, "the walk's peak differs from the replay's");
+
+    stats.peak_msv = peak;
+    if recorder.enabled() {
+        record_stats_counters(recorder, &stats);
+        recorder.counter("pool.reused", pool.reuse_count());
+        recorder.counter("pool.allocated", pool.alloc_count());
+        recorder.span("run/reuse", span_start, recorder.now_ns());
+    }
+    Ok(stats)
 }
 
 /// Sample the trial's measurement outcome: Born-rule sampling with the
@@ -789,8 +777,8 @@ mod tests {
         ] {
             let (layered, set) = generate(&circuit, scale, 300, 11);
             let baseline =
-                BaselineExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
-            let reuse = ReuseExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
+                run(&layered, set.trials(), &RunSpec::new(Walk::Baseline), &NullRecorder).unwrap();
+            let reuse = run(&layered, set.trials(), &RunSpec::default(), &NullRecorder).unwrap();
             assert_eq!(baseline.outcomes, reuse.outcomes, "{}", circuit.name());
             assert!(reuse.stats.ops <= baseline.stats.ops);
             assert!(reuse.stats.amplitude_passes <= reuse.stats.ops);
@@ -802,11 +790,11 @@ mod tests {
         for seed in [0u64, 1, 2, 3] {
             let (layered, set) = generate(&catalog::qft(4), 2.0, 250, seed);
             let report = analyze(&layered, &set).unwrap();
-            let reuse = ReuseExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
+            let reuse = run(&layered, set.trials(), &RunSpec::default(), &NullRecorder).unwrap();
             assert_eq!(reuse.stats.ops, report.optimized_ops, "seed {seed}");
             assert_eq!(reuse.stats.peak_msv, report.msv_peak, "seed {seed}");
             let baseline =
-                BaselineExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
+                run(&layered, set.trials(), &RunSpec::new(Walk::Baseline), &NullRecorder).unwrap();
             assert_eq!(baseline.stats.ops, report.baseline_ops, "seed {seed}");
         }
     }
@@ -815,7 +803,7 @@ mod tests {
     fn error_free_only_trials_share_everything() {
         let layered = catalog::bv(4, 0b101).layered().unwrap();
         let trials: Vec<Trial> = (0..50).map(Trial::error_free).collect();
-        let reuse = ReuseExecutor::new(&layered).run(&trials, &NullRecorder).unwrap();
+        let reuse = run(&layered, &trials, &RunSpec::default(), &NullRecorder).unwrap();
         // One full pass of the circuit, everything else is re-measurement.
         assert_eq!(reuse.stats.ops, layered.total_gates() as u64);
         assert_eq!(reuse.stats.peak_msv, 1);
@@ -836,7 +824,7 @@ mod tests {
         let t_flip0 = Trial::new(vec![], 0b001, 2);
         let t_flip2 = Trial::new(vec![], 0b100, 3);
         let trials = vec![t_flip2, t_plain, t_flip0];
-        let result = ReuseExecutor::new(&layered).run(&trials, &NullRecorder).unwrap();
+        let result = run(&layered, &trials, &RunSpec::default(), &NullRecorder).unwrap();
         assert_eq!(result.outcomes[0].to_index(), 0b100);
         assert_eq!(result.outcomes[1].to_index(), 0b000);
         assert_eq!(result.outcomes[2].to_index(), 0b001);
@@ -845,11 +833,11 @@ mod tests {
     #[test]
     fn empty_trial_set_is_fine() {
         let layered = catalog::rb().layered().unwrap();
-        let result = ReuseExecutor::new(&layered).run(&[], &NullRecorder).unwrap();
+        let result = run(&layered, &[], &RunSpec::default(), &NullRecorder).unwrap();
         assert!(result.outcomes.is_empty());
         assert_eq!(result.stats.peak_msv, 0);
         assert_eq!(result.stats.ops, 0);
-        let result = BaselineExecutor::new(&layered).run(&[], &NullRecorder).unwrap();
+        let result = run(&layered, &[], &RunSpec::new(Walk::Baseline), &NullRecorder).unwrap();
         assert_eq!(result.stats.ops, 0);
     }
 
@@ -859,11 +847,11 @@ mod tests {
         let bad =
             Trial::new(vec![qsim_noise::Injection::single(99, 0, qsim_noise::Pauli::X)], 0, 0);
         assert!(matches!(
-            ReuseExecutor::new(&layered).run(std::slice::from_ref(&bad), &NullRecorder),
+            run(&layered, std::slice::from_ref(&bad), &RunSpec::default(), &NullRecorder),
             Err(SimError::LayerOutOfRange { .. })
         ));
         assert!(matches!(
-            BaselineExecutor::new(&layered).run(std::slice::from_ref(&bad), &NullRecorder),
+            run(&layered, std::slice::from_ref(&bad), &RunSpec::new(Walk::Baseline), &NullRecorder),
             Err(SimError::LayerOutOfRange { .. })
         ));
         assert!(matches!(
@@ -873,43 +861,16 @@ mod tests {
     }
 
     #[test]
-    fn rejects_misaligned_shared_program() {
-        // A program fused for an *empty* cut set cannot host a trial that
-        // injects mid-circuit.
-        let (layered, set) = generate(&catalog::qft(4), 2.0, 50, 5);
-        let program = FusedProgram::new(&layered, &[]);
-        let has_injection = set.trials().iter().any(|t| t.n_injections() > 0);
-        assert!(has_injection, "workload too clean to exercise the check");
-        let order = sorted_order(set.trials());
-        let result = BaselineExecutor::new(&layered).run_engine(
-            &program,
-            set.trials(),
-            &order,
-            |_, _| {},
-            &NullRecorder,
-        );
-        assert!(matches!(result, Err(SimError::Circuit(_))));
-        let result = ReuseExecutor::new(&layered).walk(
-            &program,
-            set.trials(),
-            &sorted_order(set.trials()),
-            PrefixCache::Off,
-            |_, _| {},
-            &NullRecorder,
-        );
-        assert!(matches!(result, Err(SimError::Circuit(_))));
-    }
-
-    #[test]
     fn injected_errors_change_outcomes() {
         // X error right before measurement on a deterministic circuit flips
-        // the measured bit, and both executors see it identically.
+        // the measured bit, and both walks see it identically.
         let layered = catalog::bv(4, 0b111).layered().unwrap();
         let last = layered.n_layers() - 1;
         let flip =
             Trial::new(vec![qsim_noise::Injection::single(last, 0, qsim_noise::Pauli::X)], 0, 7);
         let clean = Trial::error_free(8);
-        let result = BaselineExecutor::new(&layered).run(&[clean, flip], &NullRecorder).unwrap();
+        let result =
+            run(&layered, &[clean, flip], &RunSpec::new(Walk::Baseline), &NullRecorder).unwrap();
         assert_eq!(result.outcomes[0].to_index(), 0b111);
         assert_eq!(result.outcomes[1].to_index(), 0b110);
     }
@@ -917,26 +878,26 @@ mod tests {
     #[test]
     fn streaming_matches_collected_execution_and_aggregates_online() {
         let (layered, set) = generate(&catalog::qft(4), 3.0, 400, 19);
-        let collected = ReuseExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
+        let collected = run(&layered, set.trials(), &RunSpec::default(), &NullRecorder).unwrap();
         // Stream into a histogram without holding the outcome vector.
         let mut histogram = crate::Histogram::new(layered.n_cbits());
         let mut seen = vec![false; set.len()];
         let program = fuse_for_trials(&layered, set.trials());
-        let stats = ReuseExecutor::new(&layered)
-            .walk(
-                &program,
-                set.trials(),
-                &sorted_order(set.trials()),
-                PrefixCache::Off,
-                |index, outcome| {
-                    assert!(!seen[index], "outcome delivered twice for trial {index}");
-                    seen[index] = true;
-                    assert_eq!(outcome, collected.outcomes[index]);
-                    histogram.record(&outcome);
-                },
-                &NullRecorder,
-            )
-            .unwrap();
+        let stats = walk(
+            Compiled { layered: &layered, program: &program },
+            set.trials(),
+            &sorted_order(set.trials()),
+            usize::MAX,
+            PrefixCache::Off,
+            |index, outcome| {
+                assert!(!seen[index], "outcome delivered twice for trial {index}");
+                seen[index] = true;
+                assert_eq!(outcome, collected.outcomes[index]);
+                histogram.record(&outcome);
+            },
+            &NullRecorder,
+        )
+        .unwrap();
         assert!(seen.iter().all(|&s| s), "some trial never produced an outcome");
         assert_eq!(stats, collected.stats);
         assert_eq!(histogram.total(), set.len() as u64);
@@ -948,24 +909,24 @@ mod tests {
         let trials = set.trials();
         let order = sorted_order(trials);
         let program = fuse_for_trials(&layered, trials);
-        let executor = ReuseExecutor::new(&layered);
-        let walk = |trials: &[Trial], order: &[u32]| {
+        let compiled = Compiled { layered: &layered, program: &program };
+        let walk_order = |trials: &[Trial], order: &[u32]| {
             let mut outcomes = Vec::new();
             let sink = |index, outcome| outcomes.push((index, outcome));
-            let stats =
-                executor.walk(&program, trials, order, PrefixCache::Off, sink, &NullRecorder);
+            let prefix = PrefixCache::Off;
+            let stats = walk(compiled, trials, order, usize::MAX, prefix, sink, &NullRecorder);
             (outcomes, stats.unwrap())
         };
-        let whole = walk(trials, &order);
-        let run = executor.run(trials, &NullRecorder).unwrap();
-        assert_eq!(whole.1, run.stats);
-        assert!(whole.0.iter().all(|&(index, outcome)| run.outcomes[index] == outcome));
+        let whole = walk_order(trials, &order);
+        let whole_run = run(&layered, trials, &RunSpec::default(), &NullRecorder).unwrap();
+        assert_eq!(whole.1, whole_run.stats);
+        assert!(whole.0.iter().all(|&(index, outcome)| whole_run.outcomes[index] == outcome));
         for (start, end) in [(0, 200), (150, 451), (451, order.len())] {
             let slice = &order[start..end];
-            let (outcomes, stats) = walk(trials, slice);
+            let (outcomes, stats) = walk_order(trials, slice);
             // The slice's trials as a set of their own, sorted afresh.
             let own: Vec<Trial> = slice.iter().map(|&i| trials[i as usize].clone()).collect();
-            let (own_outcomes, own_stats) = walk(&own, &sorted_order(&own));
+            let (own_outcomes, own_stats) = walk_order(&own, &sorted_order(&own));
             let own_outcomes: Vec<(usize, MeasureOutcome)> =
                 own_outcomes.into_iter().map(|(i, o)| (slice[i] as usize, o)).collect();
             assert_eq!(outcomes, own_outcomes, "slice {start}..{end}");
@@ -976,14 +937,18 @@ mod tests {
     #[test]
     fn budgeted_execution_stays_bitwise_exact_and_matches_dry_run() {
         let (layered, set) = generate(&catalog::qft(4), 6.0, 300, 13);
-        let baseline = BaselineExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
+        let baseline =
+            run(&layered, set.trials(), &RunSpec::new(Walk::Baseline), &NullRecorder).unwrap();
         let mut sorted = set.trials().to_vec();
         crate::order::reorder(&mut sorted);
         for budget in [1usize, 2, 3, 5, usize::MAX] {
-            let result = ReuseExecutor::new(&layered)
-                .with_budget(budget)
-                .run(set.trials(), &NullRecorder)
-                .unwrap();
+            let result = run(
+                &layered,
+                set.trials(),
+                &RunSpec { budget, ..RunSpec::default() },
+                &NullRecorder,
+            )
+            .unwrap();
             assert_eq!(result.outcomes, baseline.outcomes, "budget {budget}");
             assert!(result.stats.peak_msv <= budget, "budget {budget}");
             let dry =
@@ -992,7 +957,12 @@ mod tests {
             assert_eq!(result.stats.peak_msv, dry.msv_peak, "budget {budget}");
         }
         assert!(matches!(
-            ReuseExecutor::new(&layered).with_budget(0).run(set.trials(), &NullRecorder),
+            run(
+                &layered,
+                set.trials(),
+                &RunSpec { budget: 0, ..RunSpec::default() },
+                &NullRecorder
+            ),
             Err(SimError::Circuit(_))
         ));
     }
@@ -1003,17 +973,19 @@ mod tests {
         let (layered, set) = generate(&catalog::qft(5), 8.0, 400, 21);
         let report = analyze(&layered, &set).unwrap();
         assert!(report.msv_peak >= 3, "expected deep sharing, got {}", report.msv_peak);
-        let reuse = ReuseExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
+        let reuse = run(&layered, set.trials(), &RunSpec::default(), &NullRecorder).unwrap();
         assert_eq!(reuse.stats.peak_msv, report.msv_peak);
         assert_eq!(reuse.stats.ops, report.optimized_ops);
-        let baseline = BaselineExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
+        let baseline =
+            run(&layered, set.trials(), &RunSpec::new(Walk::Baseline), &NullRecorder).unwrap();
         assert_eq!(baseline.outcomes, reuse.outcomes);
     }
 
     #[test]
     fn unfused_reference_agrees_up_to_tolerance_and_counts_every_pass() {
         let (layered, set) = generate(&catalog::qft(4), 3.0, 200, 23);
-        let fused = BaselineExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
+        let fused =
+            run(&layered, set.trials(), &RunSpec::new(Walk::Baseline), &NullRecorder).unwrap();
         let unfused = crate::testkit::run_unfused(&layered, set.trials()).unwrap();
         // Identical paper metric; fused never performs *more* passes (a
         // dense cut union can leave nothing to merge, so not strictly
@@ -1036,13 +1008,15 @@ mod tests {
     fn traced_run_is_bitwise_identical_to_an_unrecorded_one() {
         use qsim_telemetry::AggregatingRecorder;
         let (layered, set) = generate(&catalog::qft(4), 3.0, 200, 29);
-        let plain = ReuseExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
+        let plain = run(&layered, set.trials(), &RunSpec::default(), &NullRecorder).unwrap();
         let traced =
-            ReuseExecutor::new(&layered).run(set.trials(), &AggregatingRecorder::new()).unwrap();
+            run(&layered, set.trials(), &RunSpec::default(), &AggregatingRecorder::new()).unwrap();
         assert_eq!(plain, traced);
-        let plain = BaselineExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
+        let plain =
+            run(&layered, set.trials(), &RunSpec::new(Walk::Baseline), &NullRecorder).unwrap();
         let traced =
-            BaselineExecutor::new(&layered).run(set.trials(), &AggregatingRecorder::new()).unwrap();
+            run(&layered, set.trials(), &RunSpec::new(Walk::Baseline), &AggregatingRecorder::new())
+                .unwrap();
         assert_eq!(plain, traced);
     }
 
@@ -1052,7 +1026,7 @@ mod tests {
         for (circuit, scale) in [(catalog::qft(4), 4.0), (catalog::bv(4, 0b110), 2.0)] {
             let (layered, set) = generate(&circuit, scale, 300, 31);
             let recorder = AggregatingRecorder::new();
-            let result = ReuseExecutor::new(&layered).run(set.trials(), &recorder).unwrap();
+            let result = run(&layered, set.trials(), &RunSpec::default(), &recorder).unwrap();
             let report = recorder.report();
             assert_eq!(report.counter("ops"), result.stats.ops);
             assert_eq!(report.counter("fused_ops"), result.stats.fused_ops);
@@ -1073,7 +1047,7 @@ mod tests {
             assert_eq!(forks, drops, "{}", circuit.name());
             assert_eq!(report.msv_count(qsim_telemetry::MsvEvent::Create), 1);
             // Traced results stay bitwise identical to untraced ones.
-            let plain = ReuseExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
+            let plain = run(&layered, set.trials(), &RunSpec::default(), &NullRecorder).unwrap();
             assert_eq!(plain, result);
         }
     }
@@ -1083,7 +1057,7 @@ mod tests {
         use qsim_telemetry::AggregatingRecorder;
         let (layered, set) = generate(&catalog::qft(4), 3.0, 150, 37);
         let recorder = AggregatingRecorder::new();
-        let result = BaselineExecutor::new(&layered).run(set.trials(), &recorder).unwrap();
+        let result = run(&layered, set.trials(), &RunSpec::new(Walk::Baseline), &recorder).unwrap();
         let report = recorder.report();
         assert_eq!(report.counter("ops"), result.stats.ops);
         assert_eq!(report.counter("amplitude_passes"), result.stats.amplitude_passes);
@@ -1098,10 +1072,9 @@ mod tests {
         let (layered, set) = generate(&catalog::qft(4), 6.0, 300, 41);
         for budget in [1usize, 2, 4] {
             let recorder = AggregatingRecorder::new();
-            let result = ReuseExecutor::new(&layered)
-                .with_budget(budget)
-                .run(set.trials(), &recorder)
-                .unwrap();
+            let result =
+                run(&layered, set.trials(), &RunSpec { budget, ..RunSpec::default() }, &recorder)
+                    .unwrap();
             let report = recorder.report();
             assert_eq!(report.peak_residency(), result.stats.peak_msv as u64, "budget {budget}");
             assert!(report.peak_residency() <= budget as u64, "budget {budget}");
@@ -1127,8 +1100,8 @@ mod tests {
                 100 + s,
             ));
         }
-        let fused = BaselineExecutor::new(&layered).run(&trials, &NullRecorder).unwrap();
-        let reuse = ReuseExecutor::new(&layered).run(&trials, &NullRecorder).unwrap();
+        let fused = run(&layered, &trials, &RunSpec::new(Walk::Baseline), &NullRecorder).unwrap();
+        let reuse = run(&layered, &trials, &RunSpec::default(), &NullRecorder).unwrap();
         assert_eq!(fused.outcomes, reuse.outcomes);
         assert!(fused.stats.amplitude_passes < fused.stats.ops);
         assert!(reuse.stats.amplitude_passes < reuse.stats.ops);

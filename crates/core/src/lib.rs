@@ -16,24 +16,24 @@
 //!    Maintained State Vectors (MSVs) of the optimized execution. This is
 //!    the engine behind the paper's platform-independent metrics (§V) and
 //!    makes the 10⁶-trial / 40-qubit scalability study tractable.
-//! 3. [`exec`] — real executors over `qsim-statevec`:
-//!    [`exec::BaselineExecutor`] (every trial from scratch — the paper's
-//!    baseline) and [`exec::ReuseExecutor`] (prefix-state caching with eager
-//!    dropping, under an optional stored-state budget). The reuse walk is
-//!    the only trie walk; [`parallel`] and [`semcache`] build on it. All
-//!    produce **bitwise identical** measurement outcomes, realising the
-//!    paper's "mathematically equivalent" guarantee, and report operation
+//! 3. [`exec`] — real execution over `qsim-statevec`, through one entry
+//!    point: [`run`] executes whatever a [`RunSpec`] declares — the
+//!    baseline (every trial from scratch) or the reuse walk (prefix-state
+//!    caching with eager dropping), sequential or across worker threads,
+//!    under an optional stored-state budget or seeded from the cross-run
+//!    prefix store. The reuse walk is the only trie walk. Every spec
+//!    produces **bitwise identical** measurement outcomes, realising the
+//!    paper's "mathematically equivalent" guarantee, and reports operation
 //!    counts that the static analyzer predicts exactly.
 //! 4. [`Simulation`] — a builder-style façade tying circuit, noise model,
-//!    trial generation, analysis, and execution together. Its one
-//!    [`Simulation::run`] executes whatever a [`RunSpec`] declares.
+//!    trial generation, analysis, and execution together. Its
+//!    [`Simulation::run`] is [`run`] over its own circuit and trials.
 //!
-//! Every run entry point takes a [`qsim_telemetry::Recorder`]: structured
-//! runtime telemetry (per-kernel timings, MSV lifecycle with live
-//! residency, prefix-cache hit rates) whose totals mirror [`ExecStats`]
-//! **exactly** — the observation plane never drifts from the accounting
-//! plane. Passing [`qsim_telemetry::NullRecorder`] compiles the
-//! instrumentation out.
+//! [`run`] takes a [`qsim_telemetry::Recorder`]: structured runtime
+//! telemetry (per-kernel timings, MSV lifecycle with live residency,
+//! prefix-cache hit rates) whose totals mirror [`ExecStats`] **exactly** —
+//! the observation plane never drifts from the accounting plane. Passing
+//! [`qsim_telemetry::NullRecorder`] compiles the instrumentation out.
 //!
 //! # Quickstart
 //!
@@ -52,7 +52,7 @@
 //!
 //! let baseline = sim.run(&RunSpec::new(Walk::Baseline), &NullRecorder)?;
 //! let optimized = sim.run(&RunSpec::default(), &NullRecorder)?;
-//! assert_eq!(baseline.result.outcomes, optimized.result.outcomes); // bitwise identical
+//! assert_eq!(baseline.outcomes, optimized.outcomes); // bitwise identical
 //! # Ok(())
 //! # }
 //! ```
@@ -62,17 +62,17 @@ pub mod estimate;
 pub mod exec;
 mod histogram;
 pub mod order;
-pub mod parallel;
+mod parallel;
 pub mod reference;
-pub mod semcache;
+mod semcache;
 mod sim_error;
 mod simulation;
 pub mod testkit;
 
 pub use analysis::CostReport;
-pub use exec::{ExecStats, RunResult};
+pub use exec::{run, ExecStats, RunResult, RunSpec, Walk};
 pub use histogram::Histogram;
 pub use order::{compare_trials, lcp, reorder, reorder_recursive};
 pub use semcache::CacheOutcome;
 pub use sim_error::SimError;
-pub use simulation::{RunOutput, RunSpec, Simulation, Walk};
+pub use simulation::Simulation;

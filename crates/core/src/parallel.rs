@@ -3,15 +3,15 @@
 //! is from algorithm-level and is compatible with these system-level
 //! approaches").
 //!
-//! * [`run_baseline_parallel`] — trials are independent, so the baseline
-//!   parallelizes embarrassingly.
-//! * [`run_reordered_parallel`] — the sorted trial order is split into
-//!   contiguous chunks, each executed with prefix-state caching by one
-//!   thread. Only the chunk's first trial loses its cross-chunk sharing, so
-//!   the total operation count exceeds the single-threaded optimum by at
-//!   most `threads − 1` full trial costs — while outcomes remain **bitwise
-//!   identical** to the baseline (every trial still executes its exact
-//!   operation sequence).
+//! The chunk runner splits a run's one trial order — as given for the
+//! baseline, the reorder for reuse — into contiguous chunks and runs each
+//! on a scoped worker thread. Baseline trials are independent, so the
+//! baseline parallelizes embarrassingly. A reuse chunk caches prefixes
+//! within itself, so only its first trial loses its cross-chunk sharing:
+//! the total operation count exceeds the single-threaded optimum by at
+//! most `threads − 1` full trial costs, while outcomes remain **bitwise
+//! identical** to the baseline (every trial still executes its exact
+//! operation sequence).
 //!
 //! Chunk boundaries are *cost-balanced*, not count-balanced: with prefix
 //! caching, a trial's marginal cost is the work past its shared prefix, so
@@ -20,28 +20,27 @@
 //! on the cumulative estimated marginal cost instead (see
 //! [`estimate_marginal_cost`]).
 //!
-//! All workers execute one [`qsim_circuit::FusedProgram`] compiled from the
-//! **full** trial set. Fusion geometry depends on the cut-point union, so a
-//! per-chunk program would change the floating-point sequence and break
-//! bitwise agreement with the sequential executors; a shared program keeps
-//! every strategy exactly comparable.
+//! All workers execute the one [`qsim_circuit::FusedProgram`]
+//! [`crate::run`] compiled from the **full** trial set. Fusion geometry
+//! depends on the cut-point union, so a per-chunk program would change the
+//! floating-point sequence and break bitwise agreement with the sequential
+//! walks; a shared program keeps every walk exactly comparable.
 
 use qsim_circuit::LayeredCircuit;
 use qsim_noise::Trial;
 use qsim_statevec::MeasureOutcome;
 use qsim_telemetry::Recorder;
 
-use crate::exec::{
-    check_register, collect, fuse_for_trials_traced, input_order, BaselineExecutor, ExecStats,
-    PrefixCache, ReuseExecutor, RunResult,
-};
-use crate::order::{lcp, sorted_order};
+use crate::exec::{self, Compiled, ExecStats, PrefixCache};
+use crate::order::lcp;
 use crate::{SimError, Walk};
 
 /// Resolve a thread-count request: 0 means "use available parallelism".
-fn resolve_threads(requested: usize, n_items: usize) -> usize {
-    let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let threads = if requested == 0 { hw } else { requested };
+pub(crate) fn resolve_threads(requested: usize, n_items: usize) -> usize {
+    let threads = match requested {
+        0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+        n => n,
+    };
     threads.clamp(1, n_items.max(1))
 }
 
@@ -49,7 +48,7 @@ fn resolve_threads(requested: usize, n_items: usize) -> usize {
 /// after `prev` with prefix caching: the gates past the deepest shared
 /// frontier plus `cur`'s own error injections, plus one for measurement.
 /// `prev = None` prices a cold start (a chunk's first trial).
-pub fn estimate_marginal_cost(layered: &LayeredCircuit, prev: Option<&Trial>, cur: &Trial) -> u64 {
+fn estimate_marginal_cost(layered: &LayeredCircuit, prev: Option<&Trial>, cur: &Trial) -> u64 {
     let d = prev.map_or(0, |p| lcp(p, cur));
     let shared_gates =
         if d > 0 { layered.gates_through(cur.injections()[d - 1].layer()) as u64 } else { 0 };
@@ -78,91 +77,35 @@ fn balanced_boundaries(costs: &[u64], threads: usize) -> Vec<usize> {
     bounds
 }
 
-/// Execute trials with the baseline strategy across `n_threads` threads
-/// (`0` = all available cores). Outcomes are in input order and bitwise
-/// identical to the sequential baseline (all workers share the full set's
-/// fused program). Every worker streams into the same shared `recorder`
-/// (the [`Recorder`] contract is `&self` + `Sync`), so counters and kernel
-/// timings are additive across workers; the coordinator brackets the whole
-/// run in a `"run/parallel-baseline"` span.
-///
-/// # Errors
-///
-/// Returns the first [`SimError`] any worker hits.
-pub fn run_baseline_parallel<R: Recorder + ?Sized>(
-    layered: &LayeredCircuit,
+/// The chunk runner: split `order` at cost-balanced boundaries into at
+/// most `threads` slices, run each on a scoped worker thread through the
+/// compiled program with `walk`'s loop, and merge the workers' outcomes
+/// (into `sink`) and [`ExecStats`]. A baseline trial prices as a cold
+/// start; a reuse trial as the work past the prefix it shares with its
+/// predecessor. The whole run is bracketed in a `"run/parallel-baseline"`
+/// or `"run/parallel-reuse"` span.
+pub(crate) fn run_sliced<F, R>(
+    compiled: Compiled<'_>,
     trials: &[Trial],
-    n_threads: usize,
-    recorder: &R,
-) -> Result<RunResult, SimError> {
-    run_sliced(layered, trials, n_threads, Walk::Baseline, recorder)
-}
-
-/// Execute trials with reordering + prefix caching across `n_threads`
-/// threads (`0` = all available cores). The global sorted order is split
-/// into cost-balanced contiguous chunks; each worker caches prefixes within
-/// its chunk, running the shared full-set fused program. Outcomes are in
-/// input order and bitwise identical to the baseline.
-///
-/// Every worker streams into the same shared `recorder`, so counters and
-/// kernel timings are additive across workers. Each MSV event carries its
-/// own worker's residency, so a recorder that wants the run's residency
-/// keeps one gauge per worker thread and sums them, as
-/// [`ExecStats::peak_msv`] sums the per-worker peaks (the workers' caches
-/// coexist, but rarely all at their individual peaks simultaneously). The
-/// coordinator brackets the whole run in a `"run/parallel-reuse"` span.
-///
-/// # Errors
-///
-/// Returns the first [`SimError`] any worker hits.
-pub fn run_reordered_parallel<R: Recorder + ?Sized>(
-    layered: &LayeredCircuit,
-    trials: &[Trial],
-    n_threads: usize,
-    recorder: &R,
-) -> Result<RunResult, SimError> {
-    run_sliced(layered, trials, n_threads, Walk::Reuse, recorder)
-}
-
-/// The one chunk runner: split `walk`'s trial order at cost-balanced
-/// boundaries, run each slice on a scoped worker thread through one fused
-/// program, and merge the workers' outcomes and [`ExecStats`]. A baseline
-/// trial prices as a cold start; a reuse trial as the work past the
-/// prefix it shares with its predecessor.
-fn run_sliced<R: Recorder + ?Sized>(
-    layered: &LayeredCircuit,
-    trials: &[Trial],
-    n_threads: usize,
+    order: &[u32],
+    threads: usize,
     walk: Walk,
+    mut sink: F,
     recorder: &R,
-) -> Result<RunResult, SimError> {
-    check_register(layered)?;
-    let threads = resolve_threads(n_threads, trials.len());
-    if threads <= 1 || trials.is_empty() {
-        return match walk {
-            Walk::Baseline => BaselineExecutor::new(layered).run(trials, recorder),
-            Walk::Reuse => ReuseExecutor::new(layered).run(trials, recorder),
-        };
-    }
+) -> Result<ExecStats, SimError>
+where
+    F: FnMut(usize, MeasureOutcome),
+    R: Recorder + ?Sized,
+{
     let span_start = recorder.now_ns();
-    // Order once, then hand each worker a contiguous slice of the order;
-    // both walks report outcomes against the caller's trial indices.
-    let (order, costs, span) = match walk {
+    let (costs, span) = match walk {
         Walk::Baseline => {
-            let costs = trials.iter().map(|t| estimate_marginal_cost(layered, None, t)).collect();
-            (input_order(trials), costs, "run/parallel-baseline")
+            let cold =
+                |&i: &u32| estimate_marginal_cost(compiled.layered, None, &trials[i as usize]);
+            (order.iter().map(cold).collect(), "run/parallel-baseline")
         }
-        Walk::Reuse => {
-            let order = sorted_order(trials);
-            let costs = order_costs(layered, trials, &order);
-            (order, costs, "run/parallel-reuse")
-        }
+        Walk::Reuse => (order_costs(compiled.layered, trials, order), "run/parallel-reuse"),
     };
-    // Verify the whole-set plan up front; workers re-verify their chunks as
-    // sub-plans through the executors they call into.
-    #[cfg(feature = "paranoid")]
-    crate::exec::paranoid_verify(layered, trials, &order, usize::MAX)?;
-    let program = fuse_for_trials_traced(layered, trials, recorder);
     let bounds = balanced_boundaries(&costs, threads);
 
     type ChunkResult = Result<(Vec<(usize, MeasureOutcome)>, ExecStats), SimError>;
@@ -171,23 +114,16 @@ fn run_sliced<R: Recorder + ?Sized>(
             .iter()
             .enumerate()
             .map(|(k, &start)| {
-                let end = bounds.get(k + 1).copied().unwrap_or(order.len());
-                let chunk = &order[start..end];
-                let program = &program;
+                let chunk = &order[start..bounds.get(k + 1).copied().unwrap_or(order.len())];
                 scope.spawn(move || -> ChunkResult {
                     let mut outcomes = Vec::with_capacity(chunk.len());
                     let sink = |index, outcome| outcomes.push((index, outcome));
                     let stats = match walk {
-                        Walk::Baseline => BaselineExecutor::new(layered)
-                            .run_engine(program, trials, chunk, sink, recorder)?,
-                        Walk::Reuse => ReuseExecutor::new(layered).walk(
-                            program,
-                            trials,
-                            chunk,
-                            PrefixCache::Off,
-                            sink,
-                            recorder,
-                        )?,
+                        Walk::Baseline => exec::baseline(compiled, trials, chunk, sink, recorder)?,
+                        Walk::Reuse => {
+                            let (budget, prefix) = (usize::MAX, PrefixCache::Off);
+                            exec::walk(compiled, trials, chunk, budget, prefix, sink, recorder)?
+                        }
                     };
                     Ok((outcomes, stats))
                 })
@@ -196,26 +132,23 @@ fn run_sliced<R: Recorder + ?Sized>(
         handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
     });
 
-    let result = collect(trials.len(), |out| {
-        let mut stats = ExecStats { n_trials: trials.len(), ..ExecStats::default() };
-        for result in results {
-            let (outcomes, part_stats) = result?;
-            for (index, outcome) in outcomes {
-                out[index] = Some(outcome);
-            }
-            stats.ops += part_stats.ops;
-            stats.fused_ops += part_stats.fused_ops;
-            stats.amplitude_passes += part_stats.amplitude_passes;
-            // Workers hold their caches concurrently: peak memory is the
-            // sum (zero for the baseline, which caches nothing).
-            stats.peak_msv += part_stats.peak_msv;
+    let mut stats = ExecStats { n_trials: order.len(), ..ExecStats::default() };
+    for result in results {
+        let (outcomes, part_stats) = result?;
+        for (index, outcome) in outcomes {
+            sink(index, outcome);
         }
-        Ok(stats)
-    })?;
+        stats.ops += part_stats.ops;
+        stats.fused_ops += part_stats.fused_ops;
+        stats.amplitude_passes += part_stats.amplitude_passes;
+        // Workers hold their caches concurrently: peak memory is the sum
+        // (zero for the baseline, which caches nothing).
+        stats.peak_msv += part_stats.peak_msv;
+    }
     if recorder.enabled() {
         recorder.span(span, span_start, recorder.now_ns());
     }
-    Ok(result)
+    Ok(stats)
 }
 
 /// [`estimate_marginal_cost`] of every trial in `order`, each priced after
@@ -230,8 +163,9 @@ fn order_costs(layered: &LayeredCircuit, trials: &[Trial], order: &[u32]) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::BaselineExecutor;
+    use crate::order::sorted_order;
     use crate::testkit::uniform_workload;
+    use crate::{run, RunSpec};
     use qsim_circuit::catalog;
     use qsim_noise::TrialSet;
     use qsim_telemetry::NullRecorder;
@@ -243,10 +177,16 @@ mod tests {
     #[test]
     fn parallel_baseline_matches_sequential_bitwise() {
         let (layered, set) = workload(500);
-        let sequential = BaselineExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
+        let sequential =
+            run(&layered, set.trials(), &RunSpec::new(Walk::Baseline), &NullRecorder).unwrap();
         for threads in [1usize, 2, 4, 7] {
-            let parallel =
-                run_baseline_parallel(&layered, set.trials(), threads, &NullRecorder).unwrap();
+            let parallel = run(
+                &layered,
+                set.trials(),
+                &RunSpec { threads, ..RunSpec::new(Walk::Baseline) },
+                &NullRecorder,
+            )
+            .unwrap();
             assert_eq!(parallel.outcomes, sequential.outcomes, "{threads} threads");
             assert_eq!(parallel.stats.ops, sequential.stats.ops);
             assert_eq!(parallel.stats.amplitude_passes, sequential.stats.amplitude_passes);
@@ -256,11 +196,17 @@ mod tests {
     #[test]
     fn parallel_reuse_matches_baseline_bitwise() {
         let (layered, set) = workload(500);
-        let baseline = BaselineExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
-        let sequential = ReuseExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
+        let baseline =
+            run(&layered, set.trials(), &RunSpec::new(Walk::Baseline), &NullRecorder).unwrap();
+        let sequential = run(&layered, set.trials(), &RunSpec::default(), &NullRecorder).unwrap();
         for threads in [1usize, 2, 4, 7] {
-            let parallel =
-                run_reordered_parallel(&layered, set.trials(), threads, &NullRecorder).unwrap();
+            let parallel = run(
+                &layered,
+                set.trials(),
+                &RunSpec { threads, ..RunSpec::default() },
+                &NullRecorder,
+            )
+            .unwrap();
             assert_eq!(parallel.outcomes, baseline.outcomes, "{threads} threads");
             // Chunking costs at most (threads−1) extra full-trial prefixes.
             assert!(parallel.stats.ops >= sequential.stats.ops);
@@ -276,34 +222,56 @@ mod tests {
 
     #[test]
     fn one_thread_is_exactly_sequential() {
-        let (layered, set) = workload(120);
-        let sequential = ReuseExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
-        let parallel = run_reordered_parallel(&layered, set.trials(), 1, &NullRecorder).unwrap();
-        assert_eq!(parallel.stats, sequential.stats);
-        assert_eq!(parallel.outcomes, sequential.outcomes);
+        // Four threads asked to run one trial resolve to one: the
+        // sequential walk, span and all.
+        let (layered, set) = workload(1);
+        let sequential = run(&layered, set.trials(), &RunSpec::default(), &NullRecorder).unwrap();
+        let spec = RunSpec { threads: 4, ..RunSpec::default() };
+        assert_eq!(run(&layered, set.trials(), &spec, &NullRecorder).unwrap(), sequential);
     }
 
     #[test]
     fn zero_threads_means_auto_and_still_correct() {
         let (layered, set) = workload(64);
-        let baseline = BaselineExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
-        let parallel = run_reordered_parallel(&layered, set.trials(), 0, &NullRecorder).unwrap();
+        let baseline =
+            run(&layered, set.trials(), &RunSpec::new(Walk::Baseline), &NullRecorder).unwrap();
+        let parallel = run(
+            &layered,
+            set.trials(),
+            &RunSpec { threads: 0, ..RunSpec::default() },
+            &NullRecorder,
+        )
+        .unwrap();
         assert_eq!(parallel.outcomes, baseline.outcomes);
     }
 
     #[test]
     fn more_threads_than_trials_is_fine() {
         let (layered, set) = workload(3);
-        let parallel = run_baseline_parallel(&layered, set.trials(), 64, &NullRecorder).unwrap();
+        let parallel = run(
+            &layered,
+            set.trials(),
+            &RunSpec { threads: 64, ..RunSpec::new(Walk::Baseline) },
+            &NullRecorder,
+        )
+        .unwrap();
         assert_eq!(parallel.outcomes.len(), 3);
-        let parallel = run_reordered_parallel(&layered, set.trials(), 64, &NullRecorder).unwrap();
+        let parallel = run(
+            &layered,
+            set.trials(),
+            &RunSpec { threads: 64, ..RunSpec::default() },
+            &NullRecorder,
+        )
+        .unwrap();
         assert_eq!(parallel.outcomes.len(), 3);
     }
 
     #[test]
     fn empty_trials_parallel() {
         let (layered, _) = workload(1);
-        let result = run_reordered_parallel(&layered, &[], 4, &NullRecorder).unwrap();
+        let result =
+            run(&layered, &[], &RunSpec { threads: 4, ..RunSpec::default() }, &NullRecorder)
+                .unwrap();
         assert!(result.outcomes.is_empty());
         assert_eq!(result.stats.ops, 0);
     }
@@ -340,7 +308,8 @@ mod tests {
         for threads in [2usize, 4] {
             let recorder = AggregatingRecorder::new();
             let result =
-                run_reordered_parallel(&layered, set.trials(), threads, &recorder).unwrap();
+                run(&layered, set.trials(), &RunSpec { threads, ..RunSpec::default() }, &recorder)
+                    .unwrap();
             let report = recorder.report();
             assert_eq!(report.counter("ops"), result.stats.ops, "{threads} threads");
             assert_eq!(report.counter("fused_ops"), result.stats.fused_ops);
@@ -352,7 +321,13 @@ mod tests {
             assert!(report.spans.contains_key("run/parallel-reuse"));
         }
         let recorder = AggregatingRecorder::new();
-        let result = run_baseline_parallel(&layered, set.trials(), 3, &recorder).unwrap();
+        let result = run(
+            &layered,
+            set.trials(),
+            &RunSpec { threads: 3, ..RunSpec::new(Walk::Baseline) },
+            &recorder,
+        )
+        .unwrap();
         let report = recorder.report();
         assert_eq!(report.counter("ops"), result.stats.ops);
         assert_eq!(report.peak_residency(), 0);

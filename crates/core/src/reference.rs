@@ -110,8 +110,8 @@ pub fn exact_distribution(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::ReuseExecutor;
     use crate::Histogram;
+    use crate::{run, RunSpec};
     use qsim_circuit::{catalog, Circuit};
     use qsim_noise::{PauliWeights, TrialGenerator};
 
@@ -123,8 +123,7 @@ mod tests {
     ) -> f64 {
         let exact = exact_distribution(layered, model).expect("oracle runs");
         let set = TrialGenerator::new(layered, model).expect("native").generate(trials, seed);
-        let result = ReuseExecutor::new(layered)
-            .run(set.trials(), &qsim_telemetry::NullRecorder)
+        let result = run(layered, set.trials(), &RunSpec::default(), &qsim_telemetry::NullRecorder)
             .expect("executes");
         Histogram::from_outcomes(layered.n_cbits(), &result.outcomes).tv_distance(&exact)
     }

@@ -1,12 +1,12 @@
-//! Cross-run semantic prefix cache integration (`redsim-msvstore`).
+//! The store step: cross-run semantic prefix caching (`redsim-msvstore`).
 //!
-//! The reuse executor already shares the noiseless prefix *within* one
-//! trial set: every trial's computation below the first injection cut runs
-//! once per process. This module extends that sharing **across
-//! processes**: before materializing the prefix, the run asks the
-//! persistent store for a snapshot keyed by the exact fused float program
-//! of the prefix (plus noise model and seed policy); after a miss it
-//! publishes the frontier it computed.
+//! The reuse walk already shares the noiseless prefix *within* one trial
+//! set: every trial's computation below the first injection cut runs once
+//! per process. This step extends that sharing **across processes**:
+//! before materializing the prefix, the run asks the persistent store for
+//! a snapshot keyed by the exact fused float program of the prefix (plus
+//! noise model and seed policy); after a miss it publishes the frontier it
+//! computed.
 //!
 //! The exactness contract is the whole point:
 //!
@@ -14,30 +14,24 @@
 //!   computed (equal keys ⇒ identical kernel sequence ⇒ identical f64
 //!   results), so every downstream per-trial float operation — and thus
 //!   every measurement outcome — is unchanged. The skipped prefix work is
-//!   credited back into [`ExecStats`](crate::ExecStats), so accounting is
-//!   also identical.
-//! * **Miss**: the run proceeds exactly as the uncached executor; the only
+//!   credited back into [`ExecStats`], so accounting is also identical.
+//! * **Miss**: the run proceeds exactly as the uncached walk; the only
 //!   addition is one state clone when the root frontier first parks at
 //!   the publishable layer, after all telemetry for that advance fired.
 
-use qsim_circuit::LayeredCircuit;
 use qsim_noise::{NoiseModel, Trial};
-use qsim_statevec::StateVector;
+use qsim_statevec::{MeasureOutcome, StateVector};
 use qsim_telemetry::{names, Recorder};
 use redsim_msvstore::{MsvStore, SemanticKey, DEFAULT_SEED_POLICY};
 
-use crate::exec::{
-    check_register, collect, fuse_for_trials_traced, PrefixCache, ReuseExecutor, RunResult,
-};
-use crate::order::sorted_order;
+use crate::exec::{walk, Compiled, ExecStats, PrefixCache};
 use crate::SimError;
 
-/// What the semantic prefix cache did for one run.
+/// What the semantic prefix cache did for one run that consulted it.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CacheOutcome {
-    /// The semantic key consulted (hex), or `None` when the run could not
-    /// engage the cache (empty trial set or zero-layer circuit).
-    pub key: Option<String>,
+    /// The semantic key consulted (hex).
+    pub key: String,
     /// The cacheable prefix layer (inclusive).
     pub prefix_layer: usize,
     /// Whether a stored snapshot seeded the run.
@@ -51,10 +45,10 @@ pub struct CacheOutcome {
     /// Entries evicted by the publish.
     pub evicted: u64,
     /// Source-gate work the hit skipped (still counted in
-    /// [`crate::ExecStats::ops`]).
+    /// [`ExecStats::ops`]).
     pub credited_ops: u64,
     /// Amplitude-pass work the hit skipped (still counted in
-    /// [`crate::ExecStats::amplitude_passes`]).
+    /// [`ExecStats::amplitude_passes`]).
     pub credited_passes: u64,
 }
 
@@ -62,7 +56,7 @@ pub struct CacheOutcome {
 /// injection layer over the set — everything below it is computed
 /// identically by every trial — or the whole circuit when every trial is
 /// error-free.
-pub fn cacheable_prefix_layer(trials: &[Trial], n_layers: usize) -> usize {
+fn cacheable_prefix_layer(trials: &[Trial], n_layers: usize) -> usize {
     trials
         .iter()
         .filter_map(|t| t.injections().first())
@@ -71,37 +65,38 @@ pub fn cacheable_prefix_layer(trials: &[Trial], n_layers: usize) -> usize {
         .unwrap_or(n_layers - 1)
 }
 
-/// Reordered execution through the persistent prefix store: consult before
-/// computing, publish after a miss. Outcomes and
-/// [`ExecStats`](crate::ExecStats) are bitwise identical to
-/// [`ReuseExecutor::run`] on both paths. Instrumentation is
-/// the reuse walk's plus the `msvstore.*` counters (hit/miss/store/evict,
-/// bytes moved, and the pass/op credit that keeps trace cross-checks exact
-/// on hit runs). Store I/O is best-effort — an unwritable store degrades to
-/// an unpublished run, never a failed one.
-///
-/// # Errors
-///
-/// As [`ReuseExecutor::run`].
-pub fn run_reordered_cached<R: Recorder + ?Sized>(
-    layered: &LayeredCircuit,
-    model: &NoiseModel,
+/// The reuse walk over `order` through the persistent prefix `store`,
+/// keyed under `model`: consult before computing, publish after a miss,
+/// and report what the store did. A run with no prefix to share (no
+/// trials, or no gate layers) consults nothing and reports `None`.
+/// Outcomes (into `sink`) and [`ExecStats`] are bitwise identical to the
+/// uncached walk's on every path. Instrumentation is the walk's plus the
+/// `msvstore.*` counters (hit/miss/store/evict, bytes moved, and the
+/// pass/op credit that keeps trace cross-checks exact on hit runs). Store
+/// I/O is best-effort — an unwritable store degrades to an unpublished
+/// run, never a failed one.
+pub(crate) fn run_cached<F, R>(
+    compiled: Compiled<'_>,
     trials: &[Trial],
-    store: &MsvStore,
+    order: &[u32],
+    (store, model): (&MsvStore, &NoiseModel),
+    sink: F,
     recorder: &R,
-) -> Result<(RunResult, CacheOutcome), SimError> {
-    check_register(layered)?;
-    let executor = ReuseExecutor::new(layered);
+) -> Result<(ExecStats, Option<CacheOutcome>), SimError>
+where
+    F: FnMut(usize, MeasureOutcome),
+    R: Recorder + ?Sized,
+{
+    let layered = compiled.layered;
     if trials.is_empty() || layered.n_layers() == 0 {
-        return Ok((executor.run(trials, recorder)?, CacheOutcome::default()));
+        let stats = walk(compiled, trials, order, usize::MAX, PrefixCache::Off, sink, recorder)?;
+        return Ok((stats, None));
     }
     let prefix_layer = cacheable_prefix_layer(trials, layered.n_layers());
     let key = SemanticKey::compute(layered, prefix_layer, model, DEFAULT_SEED_POLICY);
-    let program = fuse_for_trials_traced(layered, trials, recorder);
-    let (credit_ops, credit_passes) = program.segment_costs_through(prefix_layer as i64);
+    let (credit_ops, credit_passes) = compiled.program.segment_costs_through(prefix_layer as i64);
 
-    let mut outcome =
-        CacheOutcome { key: Some(key.hex()), prefix_layer, ..CacheOutcome::default() };
+    let mut outcome = CacheOutcome { key: key.hex(), prefix_layer, ..CacheOutcome::default() };
     let restored = store.get(&key).and_then(|hit| {
         StateVector::from_amplitudes(&hit.amps).ok().map(|state| (state, hit.bytes_read))
     });
@@ -131,11 +126,7 @@ pub fn run_reordered_cached<R: Recorder + ?Sized>(
             PrefixCache::Capture { layer: prefix_layer, out: &mut captured }
         }
     };
-    let order = sorted_order(trials);
-    let result = collect(trials.len(), |out| {
-        let sink = |index, outcome| out[index] = Some(outcome);
-        executor.walk(&program, trials, &order, prefix, sink, recorder)
-    })?;
+    let stats = walk(compiled, trials, order, usize::MAX, prefix, sink, recorder)?;
     if let Some(state) = captured {
         if let Ok(put) = store.put(&key, state.amplitudes()) {
             outcome.stored = put.stored;
@@ -150,16 +141,16 @@ pub fn run_reordered_cached<R: Recorder + ?Sized>(
             }
         }
     }
-    Ok((result, outcome))
+    Ok((stats, Some(outcome)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testkit::{scaled_rates, uniform_workload};
-    use crate::{RunSpec, Simulation};
-    use qsim_circuit::catalog;
-    use qsim_telemetry::AggregatingRecorder;
+    use crate::{RunResult, RunSpec, Simulation};
+    use qsim_circuit::{catalog, LayeredCircuit};
+    use qsim_telemetry::{AggregatingRecorder, NullRecorder};
 
     struct TempDir(std::path::PathBuf);
 
@@ -179,6 +170,20 @@ mod tests {
         }
     }
 
+    /// One run of `trials` through `store`, and what the store did.
+    fn cached<R: Recorder + ?Sized>(
+        layered: &LayeredCircuit,
+        model: &NoiseModel,
+        trials: &[Trial],
+        store: &MsvStore,
+        recorder: &R,
+    ) -> (RunResult, CacheOutcome) {
+        let spec = RunSpec { store: Some((store, model)), ..RunSpec::default() };
+        let result = crate::run(layered, trials, &spec, recorder).unwrap();
+        let outcome = result.cache.clone().expect("the store was consulted");
+        (result, outcome)
+    }
+
     fn workload() -> (LayeredCircuit, qsim_noise::TrialSet, NoiseModel) {
         let circuit = catalog::qft(4);
         let (layered, set) = uniform_workload(&circuit, scaled_rates(2.0), 200, 7);
@@ -192,29 +197,15 @@ mod tests {
         let store = MsvStore::open(&tmp.0, 0).unwrap();
         let (layered, set, model) = workload();
         let uncached =
-            ReuseExecutor::new(&layered).run(set.trials(), &qsim_telemetry::NullRecorder).unwrap();
+            crate::run(&layered, set.trials(), &RunSpec::default(), &NullRecorder).unwrap();
 
-        let (cold, cold_outcome) = run_reordered_cached(
-            &layered,
-            &model,
-            set.trials(),
-            &store,
-            &qsim_telemetry::NullRecorder,
-        )
-        .unwrap();
+        let (cold, cold_outcome) = cached(&layered, &model, set.trials(), &store, &NullRecorder);
         assert!(!cold_outcome.hit);
         assert!(cold_outcome.stored);
         assert_eq!(cold.outcomes, uncached.outcomes, "miss path is bit-identical");
         assert_eq!(cold.stats, uncached.stats, "miss path accounting is identical");
 
-        let (warm, warm_outcome) = run_reordered_cached(
-            &layered,
-            &model,
-            set.trials(),
-            &store,
-            &qsim_telemetry::NullRecorder,
-        )
-        .unwrap();
+        let (warm, warm_outcome) = cached(&layered, &model, set.trials(), &store, &NullRecorder);
         assert!(warm_outcome.hit);
         assert!(!warm_outcome.stored);
         assert!(warm_outcome.credited_passes > 0);
@@ -230,7 +221,7 @@ mod tests {
         let (layered, set, model) = workload();
 
         let recorder = AggregatingRecorder::new();
-        run_reordered_cached(&layered, &model, set.trials(), &store, &recorder).unwrap();
+        cached(&layered, &model, set.trials(), &store, &recorder);
         let cold = recorder.report();
         assert_eq!(cold.counter(names::MSVSTORE_MISS), 1);
         assert_eq!(cold.counter(names::MSVSTORE_HIT), 0);
@@ -238,14 +229,14 @@ mod tests {
         assert!(cold.counter(names::MSVSTORE_BYTES_WRITTEN) > 0);
 
         let recorder = AggregatingRecorder::new();
-        run_reordered_cached(&layered, &model, set.trials(), &store, &recorder).unwrap();
+        cached(&layered, &model, set.trials(), &store, &recorder);
         let warm = recorder.report();
         assert_eq!(warm.counter(names::MSVSTORE_HIT), 1);
         assert_eq!(warm.counter(names::MSVSTORE_MISS), 0);
         assert!(warm.counter(names::MSVSTORE_CREDITED_PASSES) > 0);
         assert!(warm.counter(names::MSVSTORE_BYTES_READ) > 0);
         // Exactness of the credit: kernel passes seen by telemetry plus
-        // the credited prefix equal the executor's own accounting.
+        // the credited prefix equal the walk's own accounting.
         let credited = warm.counter(names::MSVSTORE_CREDITED_PASSES);
         assert_eq!(
             warm.total_kernel_count() + credited,
@@ -264,12 +255,11 @@ mod tests {
         )
         .unwrap();
         sim.generate_trials(300, 5).unwrap();
-        let cached = RunSpec { store: Some(&store), ..RunSpec::default() };
-        let plain = sim.run_reordered_traced(&qsim_telemetry::NullRecorder).unwrap();
-        let cold = sim.run(&cached, &qsim_telemetry::NullRecorder).unwrap();
-        let warm = sim.run(&cached, &qsim_telemetry::NullRecorder).unwrap();
-        let (c1, c2) = (cold.cache.unwrap(), warm.cache.unwrap());
-        let (cold, warm) = (cold.result, warm.result);
+        let cached = RunSpec { store: Some((&store, sim.model())), ..RunSpec::default() };
+        let plain = sim.run_reordered_traced(&NullRecorder).unwrap();
+        let cold = sim.run(&cached, &NullRecorder).unwrap();
+        let warm = sim.run(&cached, &NullRecorder).unwrap();
+        let (c1, c2) = (cold.cache.clone().unwrap(), warm.cache.clone().unwrap());
         assert!(!c1.hit && c2.hit);
         let hist = |r: &RunResult| sim.histogram(r).iter().collect::<Vec<_>>();
         assert_eq!(hist(&plain), hist(&cold));
@@ -285,14 +275,9 @@ mod tests {
         let model = NoiseModel::uniform(4, 0.0, 0.0, 0.0);
         let trials: Vec<Trial> = (0..8).map(|seed| Trial::new(vec![], 0, seed)).collect();
         assert_eq!(cacheable_prefix_layer(&trials, layered.n_layers()), layered.n_layers() - 1);
-        let uncached =
-            ReuseExecutor::new(&layered).run(&trials, &qsim_telemetry::NullRecorder).unwrap();
-        let (cold, c1) =
-            run_reordered_cached(&layered, &model, &trials, &store, &qsim_telemetry::NullRecorder)
-                .unwrap();
-        let (warm, c2) =
-            run_reordered_cached(&layered, &model, &trials, &store, &qsim_telemetry::NullRecorder)
-                .unwrap();
+        let uncached = crate::run(&layered, &trials, &RunSpec::default(), &NullRecorder).unwrap();
+        let (cold, c1) = cached(&layered, &model, &trials, &store, &NullRecorder);
+        let (warm, c2) = cached(&layered, &model, &trials, &store, &NullRecorder);
         assert!(c1.stored && c2.hit);
         assert_eq!(cold.outcomes, uncached.outcomes);
         assert_eq!(warm.outcomes, uncached.outcomes);
@@ -304,11 +289,10 @@ mod tests {
         let tmp = TempDir::new("empty");
         let store = MsvStore::open(&tmp.0, 0).unwrap();
         let (layered, _, model) = workload();
-        let (result, outcome) =
-            run_reordered_cached(&layered, &model, &[], &store, &qsim_telemetry::NullRecorder)
-                .unwrap();
+        let spec = RunSpec { store: Some((&store, &model)), ..RunSpec::default() };
+        let result = crate::run(&layered, &[], &spec, &NullRecorder).unwrap();
         assert!(result.outcomes.is_empty());
-        assert_eq!(outcome.key, None);
+        assert_eq!(result.cache, None);
         assert_eq!(store.stats().entries, 0);
     }
 }

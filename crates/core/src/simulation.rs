@@ -1,109 +1,11 @@
 use qsim_circuit::{Circuit, LayeredCircuit};
 use qsim_noise::{NoiseModel, TrialGenerator, TrialSet};
 use qsim_telemetry::Recorder;
-use redsim_msvstore::MsvStore;
 
 use crate::analysis::{self, CostReport};
-use crate::exec::{check_register, ReuseExecutor, RunResult};
+use crate::exec::{RunResult, RunSpec};
 use crate::histogram::Histogram;
-use crate::parallel;
-use crate::semcache::CacheOutcome;
 use crate::SimError;
-
-/// The walk a [`RunSpec`] selects.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Walk {
-    /// Every trial from `|0…0⟩` (the paper's baseline).
-    Baseline,
-    /// The reordered prefix-trie walk (the paper's optimization).
-    #[default]
-    Reuse,
-}
-
-/// What [`Simulation::run`] executes: one walk and the knobs that
-/// configure it — the options of `qsim run`.
-#[derive(Clone, Copy, Debug)]
-pub struct RunSpec<'s> {
-    /// Which walk runs.
-    pub walk: Walk,
-    /// Stored-state cap for the reuse walk (`usize::MAX` = unbounded).
-    pub budget: usize,
-    /// Worker threads for the baseline or unbounded reuse walk (`0` = all
-    /// cores, `1` = sequential).
-    pub threads: usize,
-    /// Cross-run prefix store for the sequential, unbounded reuse walk
-    /// (see [`crate::semcache`]).
-    pub store: Option<&'s MsvStore>,
-}
-
-impl Default for RunSpec<'_> {
-    fn default() -> Self {
-        RunSpec::new(Walk::Reuse)
-    }
-}
-
-impl RunSpec<'_> {
-    /// `walk` with every knob at its default: unbounded, sequential,
-    /// uncached.
-    pub fn new(walk: Walk) -> Self {
-        RunSpec { walk, budget: usize::MAX, threads: 1, store: None }
-    }
-
-    /// Reject knob combinations no executor honours, naming the two
-    /// `qsim run` flags that conflict. The baseline takes only
-    /// `--threads`; `--threads` and `--cache` each drive the plain reuse
-    /// walk and combine with nothing else.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::ConflictingOptions`] for the first conflict.
-    pub fn validate(&self) -> Result<(), SimError> {
-        let set: Vec<&'static str> = [
-            ("--budget", self.budget != usize::MAX),
-            ("--threads", self.threads != 1),
-            ("--cache", self.store.is_some()),
-        ]
-        .into_iter()
-        .filter_map(|(flag, on)| on.then_some(flag))
-        .collect();
-        let conflict = |flag, with| Err(SimError::ConflictingOptions { flag, with });
-        if self.walk == Walk::Baseline {
-            if let Some(&with) = set.iter().find(|&&flag| flag != "--threads") {
-                return conflict("--baseline", with);
-            }
-        }
-        for lead in ["--cache", "--threads"] {
-            if set.contains(&lead) {
-                if let Some(&with) = set.iter().find(|&&flag| flag != lead) {
-                    return conflict(lead, with);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The strategy name trace and live headers carry.
-    pub fn name(&self) -> &'static str {
-        match self.walk {
-            Walk::Baseline if self.threads == 1 => "baseline",
-            Walk::Baseline => "parallel-baseline",
-            Walk::Reuse if self.store.is_some() => "reuse-cached",
-            Walk::Reuse if self.budget != usize::MAX => "reuse-budget",
-            Walk::Reuse if self.threads == 1 => "reuse",
-            Walk::Reuse => "parallel-reuse",
-        }
-    }
-}
-
-/// What [`Simulation::run`] produced: the run itself plus the accounting
-/// of the prefix store, if it used one.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RunOutput {
-    /// Outcomes and cost accounting.
-    pub result: RunResult,
-    /// What the prefix store did for a cached run.
-    pub cache: Option<CacheOutcome>,
-}
 
 /// End-to-end façade: circuit + noise model + trial set, with analysis and
 /// one [`Simulation::run`] for every execution strategy.
@@ -221,67 +123,26 @@ impl Simulation {
         analysis::analyze(&self.layered, trials)
     }
 
-    /// Static cost analysis of prefix caching *without* reordering (the
-    /// ablation of the paper's §IV.B motivation).
+    /// Execute all trials as `spec` declares: [`crate::run`] over this
+    /// circuit and trial set, streaming instrumentation into `recorder`
+    /// (pass [`qsim_telemetry::NullRecorder`] for none). Every walk
+    /// produces outcomes bitwise identical to the baseline's.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::NoTrials`] before trial generation.
-    pub fn analyze_generation_order(&self) -> Result<CostReport, SimError> {
-        let trials = self.trials.as_ref().ok_or(SimError::NoTrials)?;
-        analysis::analyze_generation_order(&self.layered, trials.trials())
-    }
-
-    /// Execute all trials as `spec` declares, streaming instrumentation
-    /// into `recorder` (pass [`qsim_telemetry::NullRecorder`] for none).
-    /// Every walk produces outcomes bitwise identical to the baseline's.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::ConflictingOptions`] when `spec` fails
-    /// [`RunSpec::validate`], [`SimError::NoTrials`] before trial
-    /// generation, [`SimError::State`] for a register wider than a dense
-    /// state vector holds or a classical register wider than a packed
-    /// outcome, or execution failures. Store I/O problems
-    /// degrade to an uncached run, they never fail it.
+    /// Returns [`SimError::NoTrials`] before trial generation, and
+    /// otherwise as [`crate::run`].
     pub fn run<R: Recorder + ?Sized>(
         &self,
         spec: &RunSpec<'_>,
         recorder: &R,
-    ) -> Result<RunOutput, SimError> {
-        spec.validate()?;
-        let trials = self.trials.as_ref().ok_or(SimError::NoTrials)?.trials();
-        check_register(&self.layered)?;
-        let layered = &self.layered;
-        let mut cache = None;
-        let result = match spec.walk {
-            Walk::Baseline => {
-                parallel::run_baseline_parallel(layered, trials, spec.threads, recorder)?
-            }
-            Walk::Reuse if spec.threads != 1 => {
-                parallel::run_reordered_parallel(layered, trials, spec.threads, recorder)?
-            }
-            Walk::Reuse => match spec.store {
-                Some(store) => {
-                    let (result, outcome) = crate::semcache::run_reordered_cached(
-                        layered,
-                        &self.model,
-                        trials,
-                        store,
-                        recorder,
-                    )?;
-                    cache = Some(outcome);
-                    result
-                }
-                None => {
-                    ReuseExecutor::new(layered).with_budget(spec.budget).run(trials, recorder)?
-                }
-            },
-        };
-        Ok(RunOutput { result, cache })
+    ) -> Result<RunResult, SimError> {
+        let trials = self.trials.as_ref().ok_or(SimError::NoTrials)?;
+        crate::run(&self.layered, trials.trials(), spec, recorder)
     }
 
-    /// [`Simulation::run`] with the default reordered walk.
+    /// [`Simulation::run`] with the default reordered walk, the call the
+    /// end-to-end benchmark package (`bench-e2e`) times.
     ///
     /// # Errors
     ///
@@ -290,7 +151,7 @@ impl Simulation {
         &self,
         recorder: &R,
     ) -> Result<RunResult, SimError> {
-        Ok(self.run(&RunSpec::default(), recorder)?.result)
+        self.run(&RunSpec::default(), recorder)
     }
 
     /// Static analysis under a stored-state budget.
@@ -304,27 +165,6 @@ impl Simulation {
         analysis::analyze_order_with_budget(&self.layered, trials, &order, budget)
     }
 
-    /// Analytic first-order prediction of the savings for `n_trials`
-    /// Monte-Carlo trials (see [`crate::estimate`]); no trials generated.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Noise`] on model/circuit mismatch.
-    pub fn estimate(&self, n_trials: usize) -> Result<crate::estimate::SavingsEstimate, SimError> {
-        let generator = TrialGenerator::new(&self.layered, &self.model)?;
-        Ok(crate::estimate::estimate_first_order(&self.layered, &generator, n_trials))
-    }
-
-    /// The exact outcome distribution from the density-matrix oracle (see
-    /// [`crate::reference`]); small registers only.
-    ///
-    /// # Errors
-    ///
-    /// Propagates oracle failures (non-native gates, oversized registers).
-    pub fn exact_distribution(&self) -> Result<Vec<f64>, SimError> {
-        crate::reference::exact_distribution(&self.layered, &self.model)
-    }
-
     /// Aggregate a run's outcomes into a histogram over the classical
     /// register.
     pub fn histogram(&self, result: &RunResult) -> Histogram {
@@ -335,11 +175,13 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{RunSpec, Walk};
     use qsim_circuit::catalog;
     use qsim_statevec::StateVecError;
     use qsim_telemetry::NullRecorder;
+    use redsim_msvstore::MsvStore;
 
-    fn run(s: &Simulation, spec: RunSpec<'_>) -> Result<RunOutput, SimError> {
+    fn run(s: &Simulation, spec: RunSpec<'_>) -> Result<RunResult, SimError> {
         s.run(&spec, &NullRecorder)
     }
 
@@ -362,8 +204,8 @@ mod tests {
         s.generate_trials(400, 3).unwrap();
         let report = s.analyze().unwrap();
         assert!(report.savings() > 0.3, "saving {}", report.savings());
-        let baseline = run(&s, RunSpec::new(Walk::Baseline)).unwrap().result;
-        let reordered = run(&s, RunSpec::default()).unwrap().result;
+        let baseline = run(&s, RunSpec::new(Walk::Baseline)).unwrap();
+        let reordered = run(&s, RunSpec::default()).unwrap();
         assert_eq!(baseline.outcomes, reordered.outcomes);
         assert_eq!(reordered.stats.ops, report.optimized_ops);
         assert_eq!(baseline.stats.ops, report.baseline_ops);
@@ -379,7 +221,7 @@ mod tests {
         s.generate_trials_fast(300, 9).unwrap();
         let report = s.analyze().unwrap();
         assert_eq!(report.n_trials, 300);
-        let result = run(&s, RunSpec::default()).unwrap().result;
+        let result = run(&s, RunSpec::default()).unwrap();
         assert_eq!(result.stats.ops, report.optimized_ops);
     }
 
@@ -408,15 +250,14 @@ mod tests {
     fn facade_budget_and_parallel_paths_agree() {
         let mut s = sim();
         s.generate_trials(300, 21).unwrap();
-        let baseline = run(&s, RunSpec::new(Walk::Baseline)).unwrap().result;
-        let budgeted = run(&s, RunSpec { budget: 2, ..RunSpec::default() }).unwrap().result;
+        let baseline = run(&s, RunSpec::new(Walk::Baseline)).unwrap();
+        let budgeted = run(&s, RunSpec { budget: 2, ..RunSpec::default() }).unwrap();
         assert_eq!(budgeted.outcomes, baseline.outcomes);
         assert!(budgeted.stats.peak_msv <= 2);
         assert_eq!(s.analyze_with_budget(2).unwrap().optimized_ops, budgeted.stats.ops);
-        let par = run(&s, RunSpec { threads: 3, ..RunSpec::default() }).unwrap().result;
+        let par = run(&s, RunSpec { threads: 3, ..RunSpec::default() }).unwrap();
         assert_eq!(par.outcomes, baseline.outcomes);
-        let par_base =
-            run(&s, RunSpec { threads: 3, ..RunSpec::new(Walk::Baseline) }).unwrap().result;
+        let par_base = run(&s, RunSpec { threads: 3, ..RunSpec::new(Walk::Baseline) }).unwrap();
         assert_eq!(par_base.outcomes, baseline.outcomes);
     }
 
@@ -424,10 +265,10 @@ mod tests {
     fn facade_reuse_and_oracle_paths() {
         let mut s = sim();
         s.generate_trials(400, 8).unwrap();
-        let baseline = run(&s, RunSpec::new(Walk::Baseline)).unwrap().result;
-        let reuse = run(&s, RunSpec::default()).unwrap().result;
+        let baseline = run(&s, RunSpec::new(Walk::Baseline)).unwrap();
+        let reuse = run(&s, RunSpec::default()).unwrap();
         assert_eq!(reuse.outcomes, baseline.outcomes);
-        let exact = s.exact_distribution().unwrap();
+        let exact = crate::reference::exact_distribution(s.layered(), s.model()).unwrap();
         assert!((exact.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         let hist = s.histogram(&reuse);
         assert!(hist.tv_distance(&exact) < 0.15); // coarse at 400 trials
@@ -435,7 +276,7 @@ mod tests {
 
     #[test]
     fn registers_wider_than_a_state_vector_fail_before_any_walk_allocates() {
-        use crate::exec::{fuse_for_trials, BaselineExecutor};
+        use crate::exec::fuse_for_trials;
         let mut wide = Circuit::new("wide", 31, 31);
         wide.h(0).cx(0, 1).measure_all();
         let mut s =
@@ -451,33 +292,11 @@ mod tests {
             RunSpec::default(),
             RunSpec { budget: 1, ..RunSpec::default() },
             RunSpec { threads: 2, ..RunSpec::default() },
-            RunSpec { store: Some(&store), ..RunSpec::default() },
+            RunSpec { store: Some((&store, s.model())), ..RunSpec::default() },
         ] {
             assert_eq!(run(&s, spec).unwrap_err(), too_wide, "{}", spec.name());
         }
-        // The executors check the width themselves, whoever calls them.
         let (layered, trials) = (s.layered(), s.trials().unwrap().trials());
-        assert_eq!(
-            BaselineExecutor::new(layered).run(trials, &NullRecorder),
-            Err(too_wide.clone())
-        );
-        assert_eq!(ReuseExecutor::new(layered).run(trials, &NullRecorder), Err(too_wide.clone()));
-        assert_eq!(
-            parallel::run_baseline_parallel(layered, trials, 2, &NullRecorder),
-            Err(too_wide.clone())
-        );
-        assert_eq!(
-            parallel::run_reordered_parallel(layered, trials, 2, &NullRecorder),
-            Err(too_wide.clone())
-        );
-        let cached = crate::semcache::run_reordered_cached(
-            layered,
-            s.model(),
-            trials,
-            &store,
-            &NullRecorder,
-        );
-        assert_eq!(cached.unwrap_err(), too_wide);
         // So do the unfused oracle and the noiseless references.
         assert_eq!(crate::testkit::run_unfused(layered, trials), Err(too_wide.clone()));
         assert_eq!(wide.simulate().unwrap_err(), state_error);
@@ -488,7 +307,6 @@ mod tests {
 
     #[test]
     fn classical_registers_wider_than_an_outcome_fail_at_every_entry_point() {
-        use crate::exec::BaselineExecutor;
         let mut wide = Circuit::new("wide-creg", 2, 70);
         wide.x(0).x(1).measure(0, 68).measure(1, 1);
         let mut s = Simulation::from_circuit(&wide, NoiseModel::uniform(2, 0.0, 0.0, 0.0)).unwrap();
@@ -502,30 +320,11 @@ mod tests {
             RunSpec::default(),
             RunSpec { budget: 1, ..RunSpec::default() },
             RunSpec { threads: 2, ..RunSpec::default() },
-            RunSpec { store: Some(&store), ..RunSpec::default() },
+            RunSpec { store: Some((&store, s.model())), ..RunSpec::default() },
         ] {
             assert_eq!(run(&s, spec).unwrap_err(), too_wide, "{}", spec.name());
         }
         let (layered, trials) = (s.layered(), s.trials().unwrap().trials());
-        assert_eq!(
-            BaselineExecutor::new(layered).run(trials, &NullRecorder),
-            Err(too_wide.clone())
-        );
-        assert_eq!(ReuseExecutor::new(layered).run(trials, &NullRecorder), Err(too_wide.clone()));
-        for threads in [1, 2] {
-            let baseline = parallel::run_baseline_parallel(layered, trials, threads, &NullRecorder);
-            assert_eq!(baseline, Err(too_wide.clone()));
-            let reuse = parallel::run_reordered_parallel(layered, trials, threads, &NullRecorder);
-            assert_eq!(reuse, Err(too_wide.clone()));
-        }
-        let cached = crate::semcache::run_reordered_cached(
-            layered,
-            s.model(),
-            trials,
-            &store,
-            &NullRecorder,
-        );
-        assert_eq!(cached.unwrap_err(), too_wide);
         assert_eq!(crate::testkit::run_unfused(layered, trials), Err(too_wide));
         // Nothing that builds no outcome minds the width.
         assert_eq!(s.analyze().unwrap().n_trials, 4);

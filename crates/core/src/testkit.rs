@@ -125,7 +125,7 @@ pub fn run_unfused(layered: &LayeredCircuit, trials: &[Trial]) -> Result<RunResu
         stats.amplitude_passes += passes;
         outcomes.push(measure(layered, &state, trial));
     }
-    Ok(RunResult { outcomes, stats })
+    Ok(RunResult { outcomes, stats, cache: None })
 }
 
 /// One point of a VQA parameter sweep: the ansatz evaluated at this

@@ -11,8 +11,8 @@ use qsim_circuit::{catalog, Circuit, FusedProgram, LayeredCircuit};
 use qsim_noise::{injection_cut_layers, NoiseModel, Trial, TrialGenerator};
 use qsim_statevec::StateVector;
 use qsim_telemetry::NullRecorder;
-use redsim::exec::{BaselineExecutor, ReuseExecutor};
 use redsim::testkit::unfused_final_state;
+use redsim::{RunSpec, Walk};
 
 fn catalog_suite() -> Vec<Circuit> {
     vec![
@@ -108,8 +108,10 @@ fn fusion_properties_hold_across_the_catalog() {
             assert_eq!(program.total_source_gates(), layered.total_gates());
 
             // (1) Fused baseline ≡ fused reuse, bitwise.
-            let baseline = BaselineExecutor::new(&layered).run(trials, &NullRecorder).unwrap();
-            let reuse = ReuseExecutor::new(&layered).run(trials, &NullRecorder).unwrap();
+            let baseline =
+                redsim::run(&layered, trials, &RunSpec::new(Walk::Baseline), &NullRecorder)
+                    .unwrap();
+            let reuse = redsim::run(&layered, trials, &RunSpec::default(), &NullRecorder).unwrap();
             assert_eq!(
                 baseline.outcomes,
                 reuse.outcomes,
@@ -158,8 +160,11 @@ fn transpiled_circuits_fuse_correctly_too() {
         let layered = compiled.circuit.layered().unwrap();
         let model = NoiseModel::ibm_yorktown();
         let set = TrialGenerator::new(&layered, &model).unwrap().generate(200, 7);
-        let baseline = BaselineExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
-        let reuse = ReuseExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
+        let baseline =
+            redsim::run(&layered, set.trials(), &RunSpec::new(Walk::Baseline), &NullRecorder)
+                .unwrap();
+        let reuse =
+            redsim::run(&layered, set.trials(), &RunSpec::default(), &NullRecorder).unwrap();
         assert_eq!(baseline.outcomes, reuse.outcomes, "{}", circuit.name());
 
         let program =

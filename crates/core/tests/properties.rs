@@ -6,8 +6,8 @@ use qsim_circuit::{Circuit, LayeredCircuit};
 use qsim_noise::{Injection, Pauli, Trial, TrialSet};
 use qsim_telemetry::NullRecorder;
 use redsim::analysis::{analyze_generation_order, analyze_sorted};
-use redsim::exec::{BaselineExecutor, ReuseExecutor};
 use redsim::order::{compare_trials, reorder, reorder_recursive};
+use redsim::{RunResult, RunSpec, Walk};
 
 /// A small 3-qubit circuit with both 1q and 2q gates, depth ≥ 4.
 fn test_circuit() -> (Circuit, LayeredCircuit) {
@@ -56,6 +56,11 @@ fn arb_trials() -> impl Strategy<Value = Vec<Trial>> {
     proptest::collection::vec(arb_trial(), 0..40)
 }
 
+/// Run `trials` on `layered` as `spec` declares.
+fn run(layered: &LayeredCircuit, trials: &[Trial], spec: RunSpec<'_>) -> RunResult {
+    redsim::run(layered, trials, &spec, &NullRecorder).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -93,8 +98,8 @@ proptest! {
         let mut sorted = trials.clone();
         reorder(&mut sorted);
         let report = analyze_sorted(&layered, &sorted).unwrap();
-        let reuse = ReuseExecutor::new(&layered).run(&trials, &NullRecorder).unwrap();
-        let baseline = BaselineExecutor::new(&layered).run(&trials, &NullRecorder).unwrap();
+        let reuse = run(&layered, &trials, RunSpec::default());
+        let baseline = run(&layered, &trials, RunSpec::new(Walk::Baseline));
         prop_assert_eq!(reuse.stats.ops, report.optimized_ops);
         prop_assert_eq!(reuse.stats.peak_msv, report.msv_peak);
         prop_assert_eq!(baseline.stats.ops, report.baseline_ops);
@@ -103,8 +108,8 @@ proptest! {
     #[test]
     fn executors_agree_bitwise(trials in arb_trials()) {
         let (_, layered) = test_circuit();
-        let reuse = ReuseExecutor::new(&layered).run(&trials, &NullRecorder).unwrap();
-        let baseline = BaselineExecutor::new(&layered).run(&trials, &NullRecorder).unwrap();
+        let reuse = run(&layered, &trials, RunSpec::default());
+        let baseline = run(&layered, &trials, RunSpec::new(Walk::Baseline));
         prop_assert_eq!(reuse.outcomes, baseline.outcomes);
     }
 
@@ -124,8 +129,8 @@ proptest! {
     #[test]
     fn budgeted_execution_is_exact_for_every_budget(trials in arb_trials(), budget in 1usize..6) {
         let (_, layered) = test_circuit();
-        let baseline = BaselineExecutor::new(&layered).run(&trials, &NullRecorder).unwrap();
-        let budgeted = ReuseExecutor::new(&layered).with_budget(budget).run(&trials, &NullRecorder).unwrap();
+        let baseline = run(&layered, &trials, RunSpec::new(Walk::Baseline));
+        let budgeted = run(&layered, &trials, RunSpec { budget, ..RunSpec::default() });
         prop_assert_eq!(&budgeted.outcomes, &baseline.outcomes);
         prop_assert!(budgeted.stats.peak_msv <= budget);
         prop_assert!(budgeted.stats.ops <= baseline.stats.ops);
@@ -157,10 +162,10 @@ proptest! {
     #[test]
     fn parallel_execution_is_exact(trials in arb_trials(), threads in 1usize..5) {
         let (_, layered) = test_circuit();
-        let baseline = BaselineExecutor::new(&layered).run(&trials, &NullRecorder).unwrap();
-        let par_base = redsim::parallel::run_baseline_parallel(&layered, &trials, threads, &NullRecorder).unwrap();
+        let baseline = run(&layered, &trials, RunSpec::new(Walk::Baseline));
+        let par_base = run(&layered, &trials, RunSpec { threads, ..RunSpec::new(Walk::Baseline) });
         prop_assert_eq!(&par_base.outcomes, &baseline.outcomes);
-        let par_reuse = redsim::parallel::run_reordered_parallel(&layered, &trials, threads, &NullRecorder).unwrap();
+        let par_reuse = run(&layered, &trials, RunSpec { threads, ..RunSpec::default() });
         prop_assert_eq!(&par_reuse.outcomes, &baseline.outcomes);
     }
 
@@ -175,8 +180,8 @@ proptest! {
         let k = rotate % trials.len();
         let mut rotated = trials.clone();
         rotated.rotate_left(k);
-        let a = ReuseExecutor::new(&layered).run(&trials, &NullRecorder).unwrap();
-        let b = ReuseExecutor::new(&layered).run(&rotated, &NullRecorder).unwrap();
+        let a = run(&layered, &trials, RunSpec::default());
+        let b = run(&layered, &rotated, RunSpec::default());
         for (i, outcome) in a.outcomes.iter().enumerate() {
             let j = (i + trials.len() - k) % trials.len();
             prop_assert_eq!(outcome, &b.outcomes[j]);
@@ -212,7 +217,7 @@ fn monte_carlo_converges_to_density_matrix_ground_truth() {
 
     // Monte-Carlo with the redundancy-eliminated executor.
     let trials = TrialGenerator::new(&layered, &model).unwrap().generate(60_000, 1234);
-    let result = ReuseExecutor::new(&layered).run(trials.trials(), &NullRecorder).unwrap();
+    let result = run(&layered, trials.trials(), RunSpec::default());
     let hist = Histogram::from_outcomes(2, &result.outcomes);
     let tv = hist.tv_distance(&exact);
     assert!(tv < 0.01, "total-variation distance {tv} too large");

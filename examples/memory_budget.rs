@@ -16,11 +16,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut sim = Simulation::from_circuit(&compiled.circuit, NoiseModel::ibm_yorktown())?;
     sim.generate_trials(8192, 1)?;
 
-    let baseline = sim.run(&RunSpec::new(Walk::Baseline), &NullRecorder)?.result;
+    let baseline = sim.run(&RunSpec::new(Walk::Baseline), &NullRecorder)?;
     println!("baseline:            {:>9} ops, 0 cached states", baseline.stats.ops);
 
     for budget in [1usize, 2, 3, usize::MAX] {
-        let result = sim.run(&RunSpec { budget, ..RunSpec::default() }, &NullRecorder)?.result;
+        let result = sim.run(&RunSpec { budget, ..RunSpec::default() }, &NullRecorder)?;
         assert_eq!(result.outcomes, baseline.outcomes, "budget run diverged");
         let label = if budget == usize::MAX { "∞".to_owned() } else { budget.to_string() };
         println!(
@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Threads: identical outcomes again, chunked caching.
-    let par = sim.run(&RunSpec { threads: 0, ..RunSpec::default() }, &NullRecorder)?.result;
+    let par = sim.run(&RunSpec { threads: 0, ..RunSpec::default() }, &NullRecorder)?;
     assert_eq!(par.outcomes, baseline.outcomes, "parallel run diverged");
     println!(
         "parallel (all cores): {:>8} ops across workers, {} cached states summed",

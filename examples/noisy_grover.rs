@@ -34,10 +34,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("static analysis: {report}");
 
     let t0 = Instant::now();
-    let baseline = sim.run(&RunSpec::new(Walk::Baseline), &NullRecorder)?.result;
+    let baseline = sim.run(&RunSpec::new(Walk::Baseline), &NullRecorder)?;
     let t_baseline = t0.elapsed();
     let t0 = Instant::now();
-    let optimized = sim.run(&RunSpec::default(), &NullRecorder)?.result;
+    let optimized = sim.run(&RunSpec::default(), &NullRecorder)?;
     let t_optimized = t0.elapsed();
     assert_eq!(baseline.outcomes, optimized.outcomes);
 

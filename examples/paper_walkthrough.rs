@@ -8,8 +8,8 @@
 use noisy_qsim::circuit::Circuit;
 use noisy_qsim::noise::{Injection, Pauli, Trial};
 use noisy_qsim::redsim::analysis::analyze_sorted;
-use noisy_qsim::redsim::exec::{BaselineExecutor, ReuseExecutor};
 use noisy_qsim::redsim::order::reorder;
+use noisy_qsim::redsim::{self, RunSpec, Walk};
 use noisy_qsim::telemetry::NullRecorder;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -59,8 +59,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // And the executors agree bitwise, as §IV.B promises ("mathematically
     // equivalent to the original simulation").
-    let baseline = BaselineExecutor::new(&layered).run(&inefficient, &NullRecorder)?;
-    let optimized = ReuseExecutor::new(&layered).run(&inefficient, &NullRecorder)?;
+    let baseline =
+        redsim::run(&layered, &inefficient, &RunSpec::new(Walk::Baseline), &NullRecorder)?;
+    let optimized = redsim::run(&layered, &inefficient, &RunSpec::default(), &NullRecorder)?;
     assert_eq!(baseline.outcomes, optimized.outcomes);
     println!(
         "\nexecutors agree bitwise; reuse executor spent {} ops vs {} baseline",

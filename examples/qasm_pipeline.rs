@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let report = sim.analyze()?;
     println!("analysis: {report}");
 
-    let result = sim.run(&RunSpec::default(), &NullRecorder)?.result;
+    let result = sim.run(&RunSpec::default(), &NullRecorder)?;
     let histogram = sim.histogram(&result);
     println!("\nnoisy GHZ distribution (ideal: 50/50 between 000 and 111):\n{histogram}");
     Ok(())

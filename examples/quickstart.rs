@@ -27,8 +27,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("analysis: {report}");
 
     // Actually run both strategies. Outcomes are bitwise identical.
-    let baseline = sim.run(&RunSpec::new(Walk::Baseline), &NullRecorder)?.result;
-    let optimized = sim.run(&RunSpec::default(), &NullRecorder)?.result;
+    let baseline = sim.run(&RunSpec::new(Walk::Baseline), &NullRecorder)?;
+    let optimized = sim.run(&RunSpec::default(), &NullRecorder)?;
     assert_eq!(baseline.outcomes, optimized.outcomes);
     println!(
         "baseline ops: {}, optimized ops: {} ({:.1}% saved), {} states cached at peak",

@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             sim.generate_trials(shots / sequences_per_length, rng.random::<u64>())?;
             let report = sim.analyze()?;
             saving += report.savings();
-            let result = sim.run(&RunSpec::default(), &NullRecorder)?.result;
+            let result = sim.run(&RunSpec::default(), &NullRecorder)?;
             p_total += sim.histogram(&result).probability(0);
         }
         let p = p_total / sequences_per_length as f64;

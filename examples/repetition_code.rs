@@ -59,7 +59,7 @@ fn logical_error_rates(
     }
     let mut sim = Simulation::from_circuit(&encoded_memory(), model3)?;
     sim.generate_trials(trials, 7)?;
-    let result = sim.run(&RunSpec::default(), &NullRecorder)?.result;
+    let result = sim.run(&RunSpec::default(), &NullRecorder)?;
     let histogram = sim.histogram(&result);
     // Majority vote: logical error iff two or more bits flipped.
     let mut p_logical = 0.0;
@@ -74,7 +74,7 @@ fn logical_error_rates(
     model1.set_single_weights(0, PauliWeights::bit_flip(p_flip))?;
     let mut sim = Simulation::from_circuit(&bare_memory(), model1)?;
     sim.generate_trials(trials, 9)?;
-    let result = sim.run(&RunSpec::default(), &NullRecorder)?.result;
+    let result = sim.run(&RunSpec::default(), &NullRecorder)?;
     let p_bare = 1.0 - sim.histogram(&result).probability(0);
     Ok((p_logical, p_bare))
 }

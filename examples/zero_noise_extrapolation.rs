@@ -13,7 +13,7 @@ fn parity_at_scale(base: &NoiseModel, scale: f64) -> Result<f64, Box<dyn std::er
     let compiled = transpile(&ghz, &TranspileOptions::for_device(CouplingMap::yorktown()))?;
     let mut sim = Simulation::from_circuit(&compiled.circuit, base.scaled(scale)?)?;
     sim.generate_trials(60_000, 11)?;
-    let result = sim.run(&RunSpec::default(), &NullRecorder)?.result;
+    let result = sim.run(&RunSpec::default(), &NullRecorder)?;
     Ok(sim.histogram(&result).expectation_parity(&[0, 1]))
 }
 

@@ -44,5 +44,5 @@ pub mod prelude {
     pub use qsim_noise::{NoiseModel, PauliWeights, TrialGenerator, TrialSet};
     pub use qsim_statevec::{MeasureOutcome, Pauli, StateVector};
     pub use qsim_telemetry::NullRecorder;
-    pub use redsim::{CostReport, Histogram, RunOutput, RunResult, RunSpec, Simulation, Walk};
+    pub use redsim::{CostReport, Histogram, RunResult, RunSpec, Simulation, Walk};
 }

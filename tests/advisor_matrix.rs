@@ -8,8 +8,9 @@ use noisy_qsim::analyzer::{advise, ExecutionPlan, Strategy, StrategyPrediction};
 use noisy_qsim::circuit::transpile::{transpile, TranspileOptions};
 use noisy_qsim::circuit::{catalog, Circuit, LayeredCircuit};
 use noisy_qsim::noise::{NoiseModel, TrialGenerator, TrialSet};
-use noisy_qsim::redsim::exec::{BaselineExecutor, ExecStats, ReuseExecutor};
+use noisy_qsim::redsim::exec::ExecStats;
 use noisy_qsim::redsim::testkit::{run_unfused, shipped_benchmarks};
+use noisy_qsim::redsim::{self, RunSpec, Walk};
 use noisy_qsim::telemetry::{AggregatingRecorder, NullRecorder};
 
 fn native(circuit: &Circuit) -> LayeredCircuit {
@@ -66,26 +67,22 @@ fn catalog_predictions_match_measured_execstats_bitwise() {
             let sequential = run_unfused(&layered, set.trials()).expect("sequential run");
             assert_prediction(&label("sequential"), p(Strategy::Sequential), &sequential.stats);
 
-            let baseline = BaselineExecutor::new(&layered);
-            let fused = baseline.run(set.trials(), &NullRecorder).expect("fused run");
+            let run = |spec: RunSpec<'_>| redsim::run(&layered, set.trials(), &spec, &NullRecorder);
+            let fused = run(RunSpec::new(Walk::Baseline)).expect("fused run");
             assert_prediction(&label("fused"), p(Strategy::Fused), &fused.stats);
 
-            let reuse_exec = ReuseExecutor::new(&layered);
-            let reuse = reuse_exec.run(set.trials(), &NullRecorder).expect("reuse run");
+            let reuse = run(RunSpec::default()).expect("reuse run");
             assert_prediction(&label("reuse"), p(Strategy::Reuse), &reuse.stats);
 
             // Budgeted reuse: the prediction tracks the plan's budget.
             for budget in [1usize, 2, 3] {
                 let plan = ExecutionPlan::compile(&layered, &set, budget);
                 let advice = advise(&plan);
-                let run = reuse_exec
-                    .with_budget(budget)
-                    .run(set.trials(), &NullRecorder)
-                    .expect("budgeted run");
+                let budgeted = run(RunSpec { budget, ..RunSpec::default() }).expect("budgeted run");
                 assert_prediction(
                     &label(&format!("reuse budget {budget}")),
                     advice.prediction(Strategy::Reuse).expect("ranked"),
-                    &run.stats,
+                    &budgeted.stats,
                 );
             }
         }
@@ -102,7 +99,6 @@ fn shipped_benchmark_predictions_match_measured_execstats_bitwise() {
             let advice = advise(&plan);
 
             // Prediction exactness on the shipped strategies.
-            let baseline = BaselineExecutor::new(&layered);
             let p = |s: Strategy| advice.prediction(s).expect("ranked");
             let seq = run_unfused(&layered, set.trials()).expect("sequential");
             assert_prediction(
@@ -110,14 +106,16 @@ fn shipped_benchmark_predictions_match_measured_execstats_bitwise() {
                 p(Strategy::Sequential),
                 &seq.stats,
             );
-            let fused = baseline.run(set.trials(), &NullRecorder).expect("fused");
+            let fused =
+                redsim::run(&layered, set.trials(), &RunSpec::new(Walk::Baseline), &NullRecorder)
+                    .expect("fused");
             assert_prediction(
                 &format!("{name} seed {seed} fused"),
                 p(Strategy::Fused),
                 &fused.stats,
             );
-            let reuse =
-                ReuseExecutor::new(&layered).run(set.trials(), &NullRecorder).expect("reuse");
+            let reuse = redsim::run(&layered, set.trials(), &RunSpec::default(), &NullRecorder)
+                .expect("reuse");
             assert_prediction(
                 &format!("{name} seed {seed} reuse"),
                 p(Strategy::Reuse),

@@ -4,8 +4,7 @@
 
 use noisy_qsim::circuit::Circuit;
 use noisy_qsim::noise::{NoiseModel, PauliWeights, TrialGenerator};
-use noisy_qsim::redsim::exec::{BaselineExecutor, ReuseExecutor};
-use noisy_qsim::redsim::Histogram;
+use noisy_qsim::redsim::{self, Histogram, RunSpec, Walk};
 use noisy_qsim::statevec::{DensityMatrix, Matrix2};
 use noisy_qsim::telemetry::NullRecorder;
 
@@ -31,7 +30,8 @@ fn dephasing_channel_monte_carlo_matches_exact_channel() {
     assert!((exact[1] - pz).abs() < 1e-12);
 
     let trials = TrialGenerator::new(&layered, &model).expect("native").generate(60_000, 3);
-    let result = ReuseExecutor::new(&layered).run(trials.trials(), &NullRecorder).expect("runs");
+    let result =
+        redsim::run(&layered, trials.trials(), &RunSpec::default(), &NullRecorder).expect("runs");
     let hist = Histogram::from_outcomes(1, &result.outcomes);
     assert!((hist.probability(1) - pz).abs() < 0.01, "P(1) = {}", hist.probability(1));
 }
@@ -56,8 +56,10 @@ fn idle_errors_affect_waiting_qubits_and_stay_exact() {
     let trials = generator.generate(40_000, 9);
 
     let baseline =
-        BaselineExecutor::new(&layered).run(trials.trials(), &NullRecorder).expect("runs");
-    let reuse = ReuseExecutor::new(&layered).run(trials.trials(), &NullRecorder).expect("runs");
+        redsim::run(&layered, trials.trials(), &RunSpec::new(Walk::Baseline), &NullRecorder)
+            .expect("runs");
+    let reuse =
+        redsim::run(&layered, trials.trials(), &RunSpec::default(), &NullRecorder).expect("runs");
     assert_eq!(baseline.outcomes, reuse.outcomes, "equivalence holds with idle errors");
     assert!(reuse.stats.ops < baseline.stats.ops);
 
@@ -83,8 +85,10 @@ fn biased_noise_preserves_bitwise_equivalence_and_savings() {
     model.set_idle_weights_all(PauliWeights::dephasing(0.01));
     let trials = TrialGenerator::new(&layered, &model).expect("native").generate(2_000, 17);
     let baseline =
-        BaselineExecutor::new(&layered).run(trials.trials(), &NullRecorder).expect("runs");
-    let reuse = ReuseExecutor::new(&layered).run(trials.trials(), &NullRecorder).expect("runs");
+        redsim::run(&layered, trials.trials(), &RunSpec::new(Walk::Baseline), &NullRecorder)
+            .expect("runs");
+    let reuse =
+        redsim::run(&layered, trials.trials(), &RunSpec::default(), &NullRecorder).expect("runs");
     assert_eq!(baseline.outcomes, reuse.outcomes);
     let saving = 1.0 - reuse.stats.ops as f64 / baseline.stats.ops as f64;
     assert!(saving > 0.3, "saving {saving}");

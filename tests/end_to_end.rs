@@ -20,8 +20,8 @@ fn whole_suite_executes_equivalently_under_yorktown_noise() {
         sim.generate_trials(200, 1).expect("generates");
         let report = sim.analyze().expect("analyzes");
         let baseline =
-            sim.run(&RunSpec::new(Walk::Baseline), &NullRecorder).expect("baseline runs").result;
-        let optimized = sim.run(&RunSpec::default(), &NullRecorder).expect("reordered runs").result;
+            sim.run(&RunSpec::new(Walk::Baseline), &NullRecorder).expect("baseline runs");
+        let optimized = sim.run(&RunSpec::default(), &NullRecorder).expect("reordered runs");
         assert_eq!(baseline.outcomes, optimized.outcomes, "{}", logical.name());
         assert_eq!(baseline.stats.ops, report.baseline_ops, "{}", logical.name());
         assert_eq!(optimized.stats.ops, report.optimized_ops, "{}", logical.name());
@@ -40,7 +40,7 @@ fn qasm_source_to_noisy_histogram() {
     let mut sim = Simulation::from_circuit(&compiled.circuit, NoiseModel::ibm_yorktown())
         .expect("model covers device");
     sim.generate_trials(2048, 5).expect("generates");
-    let result = sim.run(&RunSpec::default(), &NullRecorder).expect("runs").result;
+    let result = sim.run(&RunSpec::default(), &NullRecorder).expect("runs");
     let histogram = sim.histogram(&result);
     // Noise is weak enough that the hidden string still dominates.
     assert!(
@@ -62,7 +62,7 @@ fn modular_multiplication_modal_outcome_is_seven() {
     let mut sim = Simulation::from_circuit(&compiled.circuit, NoiseModel::ibm_yorktown())
         .expect("model covers device");
     sim.generate_trials(2048, 9).expect("generates");
-    let result = sim.run(&RunSpec::default(), &NullRecorder).expect("runs").result;
+    let result = sim.run(&RunSpec::default(), &NullRecorder).expect("runs");
     let histogram = sim.histogram(&result);
     let modal = (0..16u64)
         .max_by(|&a, &b| {

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use noisy_qsim::circuit::catalog;
 use noisy_qsim::msvstore::ManifestEvent;
 use noisy_qsim::noise::{NoiseModel, TrialGenerator};
-use noisy_qsim::redsim::exec::ReuseExecutor;
+use noisy_qsim::redsim::{self, RunSpec};
 use noisy_qsim::telemetry::json::{escape, Json};
 use noisy_qsim::telemetry::schema::{self, TraceEvent};
 use noisy_qsim::telemetry::{
@@ -45,12 +45,12 @@ fn real_trace_and_live() -> (String, String) {
     let path = path.to_str().expect("utf-8 temp path");
     {
         let recorder = JsonlRecorder::create(path, &meta).expect("trace file");
-        ReuseExecutor::new(&layered).run(set.trials(), &recorder).expect("traced run");
+        redsim::run(&layered, set.trials(), &RunSpec::default(), &recorder).expect("traced run");
     }
     let trace = std::fs::read_to_string(path).expect("trace written");
     std::fs::remove_file(path).expect("trace cleanup");
     let live = LiveRecorder::new(&meta, TRIALS as u64);
-    ReuseExecutor::new(&layered).run(set.trials(), &live).expect("live run");
+    redsim::run(&layered, set.trials(), &RunSpec::default(), &live).expect("live run");
     (trace, live.snapshot().render_json())
 }
 

@@ -8,9 +8,8 @@
 //! the target. Amplitude deviation must stay within `1e-12`; measurement
 //! outcomes through the full executor stack must be bitwise identical.
 
-use noisy_qsim::redsim::exec::{BaselineExecutor, ReuseExecutor};
-use noisy_qsim::redsim::parallel::run_reordered_parallel;
 use noisy_qsim::redsim::testkit::{random_circuit, random_state, uniform_workload, XorShift64};
+use noisy_qsim::redsim::{self, RunSpec, Walk};
 use noisy_qsim::statevec::{FusedOp, Matrix2, Matrix4, StateVector, C64};
 use noisy_qsim::telemetry::NullRecorder;
 
@@ -243,10 +242,17 @@ fn executor_stack_outcomes_are_bitwise_identical_on_random_circuits() {
         let circuit = random_circuit(5, 60, seed);
         let (layered, set) = uniform_workload(&circuit, (1e-2, 5e-2, 2e-2), 200, seed);
         let baseline =
-            BaselineExecutor::new(&layered).run(set.trials(), &NullRecorder).expect("baseline");
-        let reuse = ReuseExecutor::new(&layered).run(set.trials(), &NullRecorder).expect("reuse");
-        let parallel =
-            run_reordered_parallel(&layered, set.trials(), 3, &NullRecorder).expect("parallel");
+            redsim::run(&layered, set.trials(), &RunSpec::new(Walk::Baseline), &NullRecorder)
+                .expect("baseline");
+        let reuse =
+            redsim::run(&layered, set.trials(), &RunSpec::default(), &NullRecorder).expect("reuse");
+        let parallel = redsim::run(
+            &layered,
+            set.trials(),
+            &RunSpec { threads: 3, ..RunSpec::default() },
+            &NullRecorder,
+        )
+        .expect("parallel");
         assert_eq!(reuse.outcomes, baseline.outcomes, "seed {seed}: reuse diverged");
         assert_eq!(parallel.outcomes, baseline.outcomes, "seed {seed}: parallel diverged");
     }

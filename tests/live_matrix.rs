@@ -18,10 +18,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use noisy_qsim::msvstore::MsvStore;
 use noisy_qsim::noise::TrialGenerator;
-use noisy_qsim::redsim::exec::{BaselineExecutor, ExecStats, ReuseExecutor};
-use noisy_qsim::redsim::parallel::{run_baseline_parallel, run_reordered_parallel};
-use noisy_qsim::redsim::semcache::run_reordered_cached;
-use noisy_qsim::redsim::testkit;
+use noisy_qsim::redsim::exec::ExecStats;
+use noisy_qsim::redsim::{self, testkit, CacheOutcome, RunSpec, Walk};
 use noisy_qsim::telemetry::{
     names, AggregatingRecorder, ExpectedStats, KernelClass, LiveRecorder, LiveSnapshot, MsvEvent,
     Recorder, TeeRecorder, TraceMeta,
@@ -161,45 +159,18 @@ fn final_snapshots_reconcile_bitwise_with_exec_stats_across_all_strategies() {
         let trials = set.trials();
         let qubits = layered.n_qubits();
 
-        type Runner<'a> = Box<dyn Fn(&dyn Recorder) -> ExecStats + 'a>;
-        let strategies: Vec<(&str, Runner)> = vec![
-            (
-                "baseline",
-                Box::new(|r: &dyn Recorder| {
-                    BaselineExecutor::new(&layered).run(trials, r).expect("baseline").stats
-                }),
-            ),
-            (
-                "reuse",
-                Box::new(|r: &dyn Recorder| {
-                    ReuseExecutor::new(&layered).run(trials, r).expect("reuse").stats
-                }),
-            ),
-            (
-                "budget-2",
-                Box::new(|r: &dyn Recorder| {
-                    ReuseExecutor::new(&layered)
-                        .with_budget(2)
-                        .run(trials, r)
-                        .expect("budget")
-                        .stats
-                }),
-            ),
-            (
-                "parallel-baseline",
-                Box::new(|r: &dyn Recorder| {
-                    run_baseline_parallel(&layered, trials, 3, r).expect("parallel").stats
-                }),
-            ),
-            (
-                "parallel-reuse",
-                Box::new(|r: &dyn Recorder| {
-                    run_reordered_parallel(&layered, trials, 3, r).expect("parallel").stats
-                }),
-            ),
+        let strategies = [
+            RunSpec::new(Walk::Baseline),
+            RunSpec::default(),
+            RunSpec { budget: 2, ..RunSpec::default() },
+            RunSpec { threads: 3, ..RunSpec::new(Walk::Baseline) },
+            RunSpec { threads: 3, ..RunSpec::default() },
         ];
 
-        for (strategy, run) in &strategies {
+        for spec in &strategies {
+            let strategy = spec.name();
+            let run =
+                |r: &dyn Recorder| redsim::run(&layered, trials, spec, r).expect(strategy).stats;
             let label = format!("{name} / {strategy}");
             let live = LiveRecorder::new(&meta(strategy, qubits), TRIALS as u64);
             let aggregate = AggregatingRecorder::new();
@@ -217,7 +188,7 @@ fn final_snapshots_reconcile_bitwise_with_exec_stats_across_all_strategies() {
             // Per-worker MSV peaks sum to the executor's accounting, for
             // sequential and parallel runs alike.
             assert_eq!(snapshot.msv_peak, stats.peak_msv as u64, "{label}: msv_peak");
-            assert_one_untimed_event_per_pass(&label, run.as_ref());
+            assert_one_untimed_event_per_pass(&label, &run);
             checked += 1;
         }
     }
@@ -242,18 +213,22 @@ fn cached_runs_reconcile_credited_passes_cold_and_warm() {
             TrialGenerator::new(&layered, &model).expect("native circuit").generate(TRIALS, SEED);
         let trials = set.trials();
         let qubits = layered.n_qubits();
+        let cached = |store: &MsvStore, r: &dyn Recorder| -> (ExecStats, CacheOutcome) {
+            let spec = RunSpec { store: Some((store, &model)), ..RunSpec::default() };
+            let run = redsim::run(&layered, trials, &spec, r).expect("cached run");
+            (run.stats, run.cache.expect("the store was consulted"))
+        };
 
         // Cold: the store is consulted (one miss), nothing is credited.
         let live = LiveRecorder::new(&meta("cached", qubits), TRIALS as u64);
         let aggregate = AggregatingRecorder::new();
         let tee = TeeRecorder::new(&aggregate, &live);
-        let (cold, cold_outcome) =
-            run_reordered_cached(&layered, &model, trials, &store, &tee).expect("cold run");
+        let (cold, cold_outcome) = cached(&store, &tee);
         let snapshot = live.snapshot();
         assert!(!cold_outcome.hit, "{name}: cold run must miss");
         assert_eq!((snapshot.store_hits, snapshot.store_misses), (0, 1), "{name}: cold store");
         let (agg_hits, _) = aggregate.report().cache_totals();
-        reconcile(&format!("{name} / cached-cold"), &snapshot, &cold.stats, 0, agg_hits);
+        reconcile(&format!("{name} / cached-cold"), &snapshot, &cold, 0, agg_hits);
 
         // Warm: the prefix is restored, and the passes it skipped are
         // credited — executed + credited must still equal the executor's
@@ -261,8 +236,7 @@ fn cached_runs_reconcile_credited_passes_cold_and_warm() {
         let live = LiveRecorder::new(&meta("cached", qubits), TRIALS as u64);
         let aggregate = AggregatingRecorder::new();
         let tee = TeeRecorder::new(&aggregate, &live);
-        let (warm, warm_outcome) =
-            run_reordered_cached(&layered, &model, trials, &store, &tee).expect("warm run");
+        let (warm, warm_outcome) = cached(&store, &tee);
         let snapshot = live.snapshot();
         assert!(warm_outcome.hit, "{name}: warm run must hit");
         assert_eq!((snapshot.store_hits, snapshot.store_misses), (1, 0), "{name}: warm store");
@@ -270,11 +244,11 @@ fn cached_runs_reconcile_credited_passes_cold_and_warm() {
         reconcile(
             &format!("{name} / cached-warm"),
             &snapshot,
-            &warm.stats,
+            &warm,
             warm_outcome.credited_passes,
             agg_hits,
         );
-        assert_eq!(warm.stats, cold.stats, "{name}: caching changed the accounting");
+        assert_eq!(warm, cold, "{name}: caching changed the accounting");
         warm_credits += warm_outcome.credited_passes;
 
         // One untimed event per executed pass, cold and warm: each cold run
@@ -284,16 +258,14 @@ fn cached_runs_reconcile_credited_passes_cold_and_warm() {
             let cold_dir =
                 dir.join(format!("bench{index}-cold{}", fresh.fetch_add(1, Ordering::Relaxed)));
             let store = MsvStore::open(&cold_dir, 0).expect("store opens");
-            let (run, outcome) =
-                run_reordered_cached(&layered, &model, trials, &store, r).expect("cold run");
+            let (stats, outcome) = cached(&store, r);
             assert!(!outcome.hit, "{name}: a fresh store must miss");
-            run.stats
+            stats
         });
         assert_one_untimed_event_per_pass(&format!("{name} / cached-warm"), &|r| {
-            let (run, outcome) =
-                run_reordered_cached(&layered, &model, trials, &store, r).expect("warm run");
+            let (stats, outcome) = cached(&store, r);
             assert!(outcome.hit, "{name}: the warmed store must hit");
-            run.stats
+            stats
         });
     }
     assert!(warm_credits > 0, "no warm run credited any work — the store never engaged");
@@ -314,7 +286,8 @@ fn a_tee_times_kernels_on_whichever_side_keeps_a_clock() {
         } else {
             TeeRecorder::new(&aggregate, &live)
         };
-        let stats = ReuseExecutor::new(&layered).run(set.trials(), &tee).expect("reuse").stats;
+        let stats =
+            redsim::run(&layered, set.trials(), &RunSpec::default(), &tee).expect("reuse").stats;
         let report = aggregate.report();
         assert_eq!(report.total_kernel_count(), stats.amplitude_passes, "{name}");
         assert!(report.total_kernel_ns() > 0, "{name}, live first {live_first}: kernels untimed");

@@ -10,8 +10,8 @@ use std::path::Path;
 
 use noisy_qsim::noise::{NoiseModel, TrialGenerator};
 use noisy_qsim::redsim::analysis::analyze;
-use noisy_qsim::redsim::exec::ReuseExecutor;
 use noisy_qsim::redsim::testkit;
+use noisy_qsim::redsim::{self, RunSpec};
 use noisy_qsim::telemetry::{JsonlRecorder, TraceMeta};
 use qsim_observatory::{render_html, render_json, TraceAnalysis};
 
@@ -42,7 +42,7 @@ fn trace_analysis_matches_exec_stats_and_analyzer_on_all_shipped_benchmarks() {
         };
         let run = {
             let recorder = JsonlRecorder::create(trace_path, &meta).expect("trace file");
-            ReuseExecutor::new(&layered).run(set.trials(), &recorder).expect("reuse run")
+            redsim::run(&layered, set.trials(), &RunSpec::default(), &recorder).expect("reuse run")
         };
 
         let analysis = TraceAnalysis::load(trace_path).unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -110,8 +110,7 @@ fn tree_traces_satisfy_every_conservation_law() {
         };
         let run = {
             let recorder = JsonlRecorder::create(trace_path, &meta).expect("trace file");
-            ReuseExecutor::new(&workload.layered)
-                .run(workload.trials.trials(), &recorder)
+            redsim::run(&workload.layered, workload.trials.trials(), &RunSpec::default(), &recorder)
                 .expect("reuse run")
         };
 
@@ -156,7 +155,7 @@ fn html_report_is_self_contained_and_json_counters_match_stats() {
     let run = {
         let recorder =
             JsonlRecorder::create(trace_path, &TraceMeta::default()).expect("trace file");
-        ReuseExecutor::new(&layered).run(set.trials(), &recorder).expect("reuse run")
+        redsim::run(&layered, set.trials(), &RunSpec::default(), &recorder).expect("reuse run")
     };
 
     let analysis = TraceAnalysis::load(trace_path).expect("trace parses");

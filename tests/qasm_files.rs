@@ -65,7 +65,7 @@ fn compiled_files_respect_yorktown_and_simulate_noisily() {
     let mut sim = Simulation::from_circuit(&circuit, NoiseModel::ibm_yorktown())
         .expect("compiled file is native");
     sim.generate_trials(512, 1).expect("generates");
-    let result = sim.run(&RunSpec::default(), &NullRecorder).expect("runs").result;
+    let result = sim.run(&RunSpec::default(), &NullRecorder).expect("runs");
     let histogram = sim.histogram(&result);
     assert!(histogram.probability(0b111) > 0.5);
 }

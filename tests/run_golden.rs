@@ -203,7 +203,7 @@ fn fnv1a(text: &str) -> u64 {
 }
 
 fn run_hash(sim: &Simulation, walk: Walk) -> u64 {
-    let result = sim.run(&RunSpec::new(walk), &NullRecorder).expect("benchmark runs").result;
+    let result = sim.run(&RunSpec::new(walk), &NullRecorder).expect("benchmark runs");
     fnv1a(&format!("{}{:?}", sim.histogram(&result), result.stats))
 }
 
@@ -314,7 +314,7 @@ fn recorder_call_streams_match_their_committed_hashes() {
             std::env::temp_dir().join(format!("qsim-run-golden-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&store_dir);
         let store = MsvStore::open(&store_dir, 0).expect("prefix store opens");
-        let cached = RunSpec { store: Some(&store), ..RunSpec::new(Walk::Reuse) };
+        let cached = RunSpec { store: Some((&store, sim.model())), ..RunSpec::new(Walk::Reuse) };
         let hashes = [
             event_hash(&sim, &RunSpec::new(Walk::Reuse)),
             event_hash(&sim, &RunSpec { budget: 1, ..RunSpec::new(Walk::Reuse) }),

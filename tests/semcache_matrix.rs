@@ -40,15 +40,20 @@ fn cached_runs_are_bitwise_identical_across_shipped_catalog_and_seeds() {
 
             let uncached = sim
                 .run(&RunSpec::default(), &NullRecorder)
-                .unwrap_or_else(|e| panic!("{name}: {e}"))
-                .result;
-            let (cold, cold_cache) = sim
-                .run(&RunSpec { store: Some(&store), ..RunSpec::default() }, &NullRecorder)
-                .map(|o| (o.result, o.cache.expect("cached runs report the store")))
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
-            let (warm, warm_cache) = sim
-                .run(&RunSpec { store: Some(&store), ..RunSpec::default() }, &NullRecorder)
-                .map(|o| (o.result, o.cache.expect("cached runs report the store")))
+            let (cold_cache, cold) = sim
+                .run(
+                    &RunSpec { store: Some((&store, sim.model())), ..RunSpec::default() },
+                    &NullRecorder,
+                )
+                .map(|o| (o.cache.clone().expect("cached runs report the store"), o))
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let (warm_cache, warm) = sim
+                .run(
+                    &RunSpec { store: Some((&store, sim.model())), ..RunSpec::default() },
+                    &NullRecorder,
+                )
+                .map(|o| (o.cache.clone().expect("cached runs report the store"), o))
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
 
             assert_identical(&name, seed, "cold", &cold, &uncached);
@@ -61,7 +66,7 @@ fn cached_runs_are_bitwise_identical_across_shipped_catalog_and_seeds() {
 
             // Every run is keyed, and after the cold run the key is
             // resident (hit or published), so the warm run always hits.
-            assert!(cold_cache.key.is_some(), "{name} seed {seed}: uncacheable");
+            assert!(!cold_cache.key.is_empty(), "{name} seed {seed}: uncacheable");
             assert_eq!(
                 cold_cache.key, warm_cache.key,
                 "{name} seed {seed}: key must be a pure function of the workload"
@@ -89,15 +94,20 @@ fn sweep_points_share_their_prefix_across_runs() {
     for point in &points {
         let mut sim = Simulation::new(point.layered.clone(), model.clone()).expect("valid model");
         sim.set_trials(point.trials.clone()).expect("trial geometry matches");
-        let uncached =
-            sim.run(&RunSpec::default(), &NullRecorder).expect("sweep point runs").result;
-        let (cold, cold_cache) = sim
-            .run(&RunSpec { store: Some(&store), ..RunSpec::default() }, &NullRecorder)
-            .map(|o| (o.result, o.cache.expect("cached runs report the store")))
+        let uncached = sim.run(&RunSpec::default(), &NullRecorder).expect("sweep point runs");
+        let (cold_cache, cold) = sim
+            .run(
+                &RunSpec { store: Some((&store, sim.model())), ..RunSpec::default() },
+                &NullRecorder,
+            )
+            .map(|o| (o.cache.clone().expect("cached runs report the store"), o))
             .expect("sweep point runs");
-        let (warm, warm_cache) = sim
-            .run(&RunSpec { store: Some(&store), ..RunSpec::default() }, &NullRecorder)
-            .map(|o| (o.result, o.cache.expect("cached runs report the store")))
+        let (warm_cache, warm) = sim
+            .run(
+                &RunSpec { store: Some((&store, sim.model())), ..RunSpec::default() },
+                &NullRecorder,
+            )
+            .map(|o| (o.cache.clone().expect("cached runs report the store"), o))
             .expect("sweep point runs");
         assert_identical(&point.name, 11, "cold", &cold, &uncached);
         assert_identical(&point.name, 11, "warm", &warm, &uncached);

@@ -6,7 +6,10 @@
 //! states the contract through `Simulation::run` on the 13-circuit catalog
 //! × 3 seeds, histograms and the cross-run prefix store (cold and warm)
 //! included; and a property test restates it on random circuits, noise
-//! intensities and trial counts.
+//! intensities and trial counts. Every spec `RunSpec::validate` rejects
+//! fails before the run does any work or records anything.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 
@@ -14,41 +17,33 @@ use noisy_qsim::circuit::transpile::{transpile, TranspileOptions};
 use noisy_qsim::circuit::{catalog, Circuit, LayeredCircuit};
 use noisy_qsim::msvstore::MsvStore;
 use noisy_qsim::noise::{NoiseModel, Trial, TrialGenerator};
-use noisy_qsim::redsim::exec::{BaselineExecutor, ReuseExecutor};
-use noisy_qsim::redsim::parallel::run_reordered_parallel;
 use noisy_qsim::redsim::testkit::{self, random_circuit, scaled_rates};
-use noisy_qsim::redsim::{RunResult, RunSpec, Simulation, Walk};
+use noisy_qsim::redsim::{self, RunResult, RunSpec, SimError, Simulation, Walk};
 use noisy_qsim::statevec::MeasureOutcome;
-use noisy_qsim::telemetry::NullRecorder;
+use noisy_qsim::telemetry::{Heartbeat, KernelClass, MsvEvent, NullRecorder, Recorder};
+
+/// Every non-baseline strategy, labelled.
+fn strategies() -> [(&'static str, RunSpec<'static>); 4] {
+    [
+        ("reuse", RunSpec::default()),
+        ("budget-1", RunSpec { budget: 1, ..RunSpec::default() }),
+        ("budget-2", RunSpec { budget: 2, ..RunSpec::default() }),
+        ("parallel-3", RunSpec { threads: 3, ..RunSpec::default() }),
+    ]
+}
 
 /// Every non-baseline strategy's outcomes for one workload, labelled.
 fn all_strategies(
     layered: &LayeredCircuit,
     trials: &[Trial],
 ) -> Vec<(&'static str, Vec<MeasureOutcome>)> {
-    vec![
-        ("reuse", ReuseExecutor::new(layered).run(trials, &NullRecorder).expect("reuse").outcomes),
-        (
-            "budget-1",
-            ReuseExecutor::new(layered)
-                .with_budget(1)
-                .run(trials, &NullRecorder)
-                .expect("budget")
-                .outcomes,
-        ),
-        (
-            "budget-2",
-            ReuseExecutor::new(layered)
-                .with_budget(2)
-                .run(trials, &NullRecorder)
-                .expect("budget")
-                .outcomes,
-        ),
-        (
-            "parallel-3",
-            run_reordered_parallel(layered, trials, 3, &NullRecorder).expect("parallel").outcomes,
-        ),
-    ]
+    strategies()
+        .into_iter()
+        .map(|(label, spec)| {
+            let run = redsim::run(layered, trials, &spec, &NullRecorder);
+            (label, run.unwrap_or_else(|e| panic!("{label}: {e}")).outcomes)
+        })
+        .collect()
 }
 
 #[test]
@@ -61,7 +56,8 @@ fn every_strategy_agrees_on_every_benchmark() {
             [("direct", generator.generate(150, 3)), ("fast", generator.generate_fast(150, 3))]
         {
             let reference =
-                BaselineExecutor::new(&layered).run(set.trials(), &NullRecorder).expect("baseline");
+                redsim::run(&layered, set.trials(), &RunSpec::new(Walk::Baseline), &NullRecorder)
+                    .expect("baseline");
             for (strategy, outcomes) in all_strategies(&layered, set.trials()) {
                 assert_eq!(
                     outcomes, reference.outcomes,
@@ -79,9 +75,13 @@ fn every_strategy_agrees_on_every_benchmark() {
 fn every_strategy_agrees_on_every_tree_shape() {
     let mut checked = 0usize;
     for workload in testkit::tree_workloads(96, 2020) {
-        let reference = BaselineExecutor::new(&workload.layered)
-            .run(workload.trials.trials(), &NullRecorder)
-            .expect("baseline");
+        let reference = redsim::run(
+            &workload.layered,
+            workload.trials.trials(),
+            &RunSpec::new(Walk::Baseline),
+            &NullRecorder,
+        )
+        .expect("baseline");
         for (strategy, outcomes) in all_strategies(&workload.layered, workload.trials.trials()) {
             assert_eq!(
                 outcomes, reference.outcomes,
@@ -143,14 +143,14 @@ fn catalog_runs_are_bitwise_identical_across_seeds_and_cache_passes() {
                 sim.run(&spec, &NullRecorder).unwrap_or_else(|e| panic!("{}: {e}", label("")))
             };
 
-            let fused = run(RunSpec::new(Walk::Baseline)).result;
-            let reuse = run(RunSpec::default()).result;
-            let cold = run(RunSpec { store: Some(&store), ..RunSpec::default() });
-            let warm = run(RunSpec { store: Some(&store), ..RunSpec::default() });
+            let fused = run(RunSpec::new(Walk::Baseline));
+            let reuse = run(RunSpec::default());
+            let cold = run(RunSpec { store: Some((&store, sim.model())), ..RunSpec::default() });
+            let warm = run(RunSpec { store: Some((&store, sim.model())), ..RunSpec::default() });
 
             assert_bitwise(&label("reuse"), &sim, &reuse, &fused);
-            assert_bitwise(&label("cold msvstore"), &sim, &cold.result, &fused);
-            assert_bitwise(&label("warm msvstore"), &sim, &warm.result, &fused);
+            assert_bitwise(&label("cold msvstore"), &sim, &cold, &fused);
+            assert_bitwise(&label("warm msvstore"), &sim, &warm, &fused);
             let (cold, warm) = (cold.cache.expect("cached"), warm.cache.expect("cached"));
             assert!(cold.hit || cold.stored, "{}", label("cold run neither hit nor published"));
             assert!(warm.hit, "{}", label("warm run missed"));
@@ -159,6 +159,86 @@ fn catalog_runs_are_bitwise_identical_across_seeds_and_cache_passes() {
     }
     // 13 catalog circuits × 3 seeds.
     assert_eq!(checked, 39);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Counts every call a run makes into it, queries included.
+#[derive(Default)]
+struct CallCount(AtomicU64);
+
+impl CallCount {
+    fn bump(&self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+impl Recorder for CallCount {
+    fn enabled(&self) -> bool {
+        self.bump();
+        true
+    }
+
+    fn now_ns(&self) -> u64 {
+        self.bump();
+        0
+    }
+
+    fn span(&self, _: &'static str, _: u64, _: u64) {
+        self.bump();
+    }
+
+    fn kernel(&self, _: &'static str, _: KernelClass, _: u64, _: u64, _: u64) {
+        self.bump();
+    }
+
+    fn counter(&self, _: &'static str, _: u64) {
+        self.bump();
+    }
+
+    fn msv(&self, _: MsvEvent, _: usize, _: usize) {
+        self.bump();
+    }
+
+    fn cache(&self, _: usize, _: bool) {
+        self.bump();
+    }
+
+    fn heartbeat(&self, _: Heartbeat) {
+        self.bump();
+    }
+}
+
+#[test]
+fn rejected_specs_fail_before_any_work() {
+    let dir = std::env::temp_dir().join(format!("strategy_matrix_rejects_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = MsvStore::open(&dir, 0).expect("store opens");
+    let layered = catalog::bv(4, 0b101).layered().expect("layering");
+    let model = NoiseModel::uniform(4, 1e-2, 5e-2, 2e-2);
+    let set = TrialGenerator::new(&layered, &model).expect("native").generate(32, 7);
+    let store = Some((&store, &model));
+    let conflict = |flag, with| SimError::ConflictingOptions { flag, with };
+    let zero_budget = SimError::Circuit(
+        "state-vector budget must be at least 1 (the working frontier)".to_owned(),
+    );
+    let rejected = [
+        (RunSpec { budget: 2, ..RunSpec::new(Walk::Baseline) }, conflict("--baseline", "--budget")),
+        (RunSpec { store, ..RunSpec::new(Walk::Baseline) }, conflict("--baseline", "--cache")),
+        (RunSpec { threads: 2, store, ..RunSpec::default() }, conflict("--cache", "--threads")),
+        (RunSpec { budget: 2, store, ..RunSpec::default() }, conflict("--cache", "--budget")),
+        (
+            RunSpec { threads: 2, budget: 2, ..RunSpec::default() },
+            conflict("--threads", "--budget"),
+        ),
+        (RunSpec { budget: 0, ..RunSpec::default() }, zero_budget),
+    ];
+    for (spec, error) in rejected {
+        assert_eq!(spec.validate(), Err(error.clone()), "{spec:?}");
+        let calls = CallCount::default();
+        assert_eq!(redsim::run(&layered, set.trials(), &spec, &calls), Err(error), "{spec:?}");
+        assert_eq!(calls.0.into_inner(), 0, "{spec:?}: the recorder saw a rejected run");
+    }
+    assert_eq!(store.map(|(store, _)| store.stats().entries), Some(0));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -184,10 +264,10 @@ proptest! {
         let (p1, p2, pm) = scaled_rates(scale);
         let model = NoiseModel::uniform(n_qubits, p1, p2, pm);
         let set = TrialGenerator::new(&layered, &model).expect("native").generate(trials, trial_seed);
-        let baseline = BaselineExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
-        let reuse = ReuseExecutor::new(&layered).run(set.trials(), &NullRecorder).unwrap();
-        let budget =
-            ReuseExecutor::new(&layered).with_budget(1).run(set.trials(), &NullRecorder).unwrap();
+        let run = |spec: RunSpec<'_>| redsim::run(&layered, set.trials(), &spec, &NullRecorder).unwrap();
+        let baseline = run(RunSpec::new(Walk::Baseline));
+        let reuse = run(RunSpec::default());
+        let budget = run(RunSpec { budget: 1, ..RunSpec::default() });
         prop_assert_eq!(&reuse.outcomes, &baseline.outcomes, "reuse diverged from baseline");
         prop_assert_eq!(&budget.outcomes, &baseline.outcomes, "budget-1 diverged from baseline");
     }

@@ -8,8 +8,8 @@ use std::path::Path;
 
 use noisy_qsim::noise::TrialGenerator;
 use noisy_qsim::redsim::analysis::analyze;
-use noisy_qsim::redsim::exec::{BaselineExecutor, ReuseExecutor};
 use noisy_qsim::redsim::testkit;
+use noisy_qsim::redsim::{self, RunSpec, Walk};
 use noisy_qsim::telemetry::NullRecorder;
 use noisy_qsim::telemetry::{AggregatingRecorder, MsvEvent};
 
@@ -28,7 +28,7 @@ fn telemetry_matches_exec_stats_and_analyzer_on_all_shipped_benchmarks() {
 
         // Reordered execution under an aggregating recorder.
         let recorder = AggregatingRecorder::new();
-        let run = ReuseExecutor::new(&layered).run(trials, &recorder).expect("reuse run");
+        let run = redsim::run(&layered, trials, &RunSpec::default(), &recorder).expect("reuse run");
         let report = recorder.report();
 
         // Telemetry ↔ ExecStats: counter-for-counter equality.
@@ -67,8 +67,8 @@ fn telemetry_matches_exec_stats_and_analyzer_on_all_shipped_benchmarks() {
         // Baseline under the same contract: analyzer predicts its cost
         // exactly too, and it stores no intermediate states.
         let base_recorder = AggregatingRecorder::new();
-        let base =
-            BaselineExecutor::new(&layered).run(trials, &base_recorder).expect("baseline run");
+        let base = redsim::run(&layered, trials, &RunSpec::new(Walk::Baseline), &base_recorder)
+            .expect("baseline run");
         let base_report = base_recorder.report();
         assert_eq!(base_report.counter("ops"), base.stats.ops, "{name}: baseline ops");
         assert_eq!(base.stats.ops, cost.baseline_ops, "{name}: analyzer baseline ops");
@@ -92,7 +92,8 @@ fn tree_telemetry_preserves_the_exactness_contract_on_every_shape() {
         let name = workload.name;
         let trials = workload.trials.trials();
         let recorder = AggregatingRecorder::new();
-        let run = ReuseExecutor::new(&workload.layered).run(trials, &recorder).expect("reuse run");
+        let run = redsim::run(&workload.layered, trials, &RunSpec::default(), &recorder)
+            .expect("reuse run");
         let report = recorder.report();
 
         // Every trie shape, degenerate ones included, keeps the exactness
@@ -120,14 +121,15 @@ fn tree_telemetry_preserves_the_exactness_contract_on_every_shape() {
         );
 
         let base_recorder = AggregatingRecorder::new();
-        BaselineExecutor::new(&workload.layered).run(trials, &base_recorder).expect("baseline run");
+        redsim::run(&workload.layered, trials, &RunSpec::new(Walk::Baseline), &base_recorder)
+            .expect("baseline run");
         for (strategy, digest) in [("reuse", &report), ("baseline", &base_recorder.report())] {
             assert_eq!(digest.cross_check(), Vec::<String>::new(), "{name}: {strategy}");
         }
 
         // And recording never perturbs the physics or the accounting.
-        let untraced =
-            ReuseExecutor::new(&workload.layered).run(trials, &NullRecorder).expect("reuse run");
+        let untraced = redsim::run(&workload.layered, trials, &RunSpec::default(), &NullRecorder)
+            .expect("reuse run");
         assert_eq!(run.outcomes, untraced.outcomes, "{name}: recording changed outcomes");
         assert_eq!(run.stats, untraced.stats, "{name}: recording changed ExecStats");
     }

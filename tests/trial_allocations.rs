@@ -2,7 +2,7 @@
 //! independently of the trial count: trials share one injection arena, the
 //! reorder is one keyed sort, and outcomes are packed `Copy` values. A
 //! counting global allocator (this binary's only test, so nothing else
-//! allocates concurrently) holds `generate` + `ReuseExecutor::run` +
+//! allocates concurrently) holds `generate` + `redsim::run` +
 //! `Histogram::from_outcomes` on a Yorktown benchmark to the same number
 //! of allocations at 10³ and at 10⁵ trials, up to a small constant for
 //! geometric growth and the states the walk caches.
@@ -13,8 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use noisy_qsim::circuit::LayeredCircuit;
 use noisy_qsim::noise::{NoiseModel, TrialGenerator};
-use noisy_qsim::redsim::exec::ReuseExecutor;
-use noisy_qsim::redsim::Histogram;
+use noisy_qsim::redsim::{self, Histogram, RunSpec};
 use noisy_qsim::telemetry::NullRecorder;
 
 /// Counts every allocation and reallocation, then defers to the system.
@@ -56,7 +55,8 @@ static GLOBAL: Counting = Counting;
 fn allocations(layered: &LayeredCircuit, generator: &TrialGenerator, n: usize) -> u64 {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let set = generator.generate(n, 2020);
-    let result = ReuseExecutor::new(layered).run(set.trials(), &NullRecorder).expect("runs");
+    let result =
+        redsim::run(layered, set.trials(), &RunSpec::default(), &NullRecorder).expect("runs");
     let histogram = Histogram::from_outcomes(layered.n_cbits(), &result.outcomes);
     assert_eq!(histogram.total(), n as u64);
     drop((histogram, result, set));
