@@ -21,10 +21,16 @@
 //! Pass `--check PCT` (e.g. `--check 2`) to exit non-zero unless the upper
 //! end of the live recorder's interval is within `PCT` percent. Like every
 //! sink, the live recorder gets one kernel event per amplitude pass; it
-//! keeps no clock, so the walk reads none for it, and it counts each event
-//! in a per-thread buffer that the worker's heartbeat folds in. On this
-//! row that per-event add and its per-trial atomics must amortize to under
-//! the budget, so a run can publish progress all the time.
+//! keeps no clock, so the walk reads none for it. It publishes the digest
+//! the aggregate recorder keeps: each event adds into the calling thread's
+//! pending table with no lock, and the worker's heartbeat merges that
+//! table into the digest under its lock. On the default row that per-event
+//! add and the per-trial merge must amortize to under the budget, so a run
+//! can publish progress all the time. On a small register
+//! (`--gate-qubits 5 --gate-depth 5 --trials 10000`) each event is a large
+//! share of the walk, so that row shows the per-event cost itself: a lock
+//! or a clock read per event (the aggregate recorder reads two) costs more
+//! than the walk.
 //!
 //! Usage: `telemetry [--seed N] [--reps ROUNDS] [--trials N] [--gate-qubits N]
 //! [--gate-depth N] [--out PATH] [--check PCT] [--record] [--quiet]`

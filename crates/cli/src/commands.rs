@@ -405,9 +405,11 @@ fn run_or_profile(
     out: &mut dyn Write,
 ) -> Result<(), CliError> {
     let sim = simulation(prepared, opts)?;
+    // Reject the flags before `--cache` or `--live` creates a directory.
+    let cache = opts.cache.is_some();
+    run_spec(opts, None).validate_flags(cache).map_err(|e| CliError(e.to_string()))?;
     let store = opts.cache.as_deref().map(|dir| open_store(dir, opts.cache_budget)).transpose()?;
     let spec = run_spec(opts, store.as_ref().map(|store| (store, sim.model())));
-    spec.validate().map_err(|e| CliError(e.to_string()))?;
     let started = std::time::Instant::now();
     // Only a trace or live header needs the metadata, whose git lookup
     // spawns a process.

@@ -1,6 +1,7 @@
 //! `qsim run --cache` driven through the real binary: a run with no prefix
 //! to share never consults the store, so it reports nothing about it and
-//! leaves it empty.
+//! leaves it empty, and a flag set no walk honours is rejected before the
+//! store's directory is created.
 
 use std::io::Write;
 use std::process::{Command, Output, Stdio};
@@ -40,5 +41,26 @@ fn runs_that_never_consult_the_store_report_nothing() {
         let stats = String::from_utf8_lossy(&stats.stdout);
         assert!(stats.contains("entries: 0 "), "{what}: {stats}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn rejected_flag_sets_create_no_store() {
+    let bv5 = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmarks/yorktown/bv5.qasm");
+    let cases: [(&[&str], &str); 3] = [
+        (&["--threads", "2"], "qsim: --cache cannot be combined with --threads\n"),
+        (&["--budget", "2"], "qsim: --cache cannot be combined with --budget\n"),
+        (&["--baseline"], "qsim: --baseline cannot be combined with --cache\n"),
+    ];
+    for (flags, message) in cases {
+        let what = flags[0].trim_start_matches('-');
+        let dir = std::env::temp_dir().join(format!("qsim-rejected-{what}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let dir_arg = dir.to_str().expect("a UTF-8 temporary directory");
+        let run = ["run", bv5, "--no-transpile", "--trials", "16", "--cache", dir_arg];
+        let out = qsim(&[&run[..], flags].concat(), "");
+        assert_eq!(out.status.code(), Some(1), "{what}");
+        assert_eq!(String::from_utf8_lossy(&out.stderr), message, "{what}");
+        assert!(!dir.exists(), "{what}: the rejected run created {}", dir.display());
     }
 }

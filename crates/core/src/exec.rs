@@ -149,6 +149,17 @@ impl RunSpec<'_> {
     /// Returns [`SimError::Circuit`] for a zero budget and
     /// [`SimError::ConflictingOptions`] for the first conflict.
     pub fn validate(&self) -> Result<(), SimError> {
+        self.validate_flags(self.store.is_some())
+    }
+
+    /// [`RunSpec::validate`] with `cache` standing for `store.is_some()`,
+    /// so a caller can reject a flag set before it opens (and so creates)
+    /// the store.
+    ///
+    /// # Errors
+    ///
+    /// As [`RunSpec::validate`].
+    pub fn validate_flags(&self, cache: bool) -> Result<(), SimError> {
         if self.budget == 0 {
             return Err(SimError::Circuit(
                 "state-vector budget must be at least 1 (the working frontier)".to_owned(),
@@ -157,7 +168,7 @@ impl RunSpec<'_> {
         let set: Vec<&'static str> = [
             ("--budget", self.budget != usize::MAX),
             ("--threads", self.threads != 1),
-            ("--cache", self.store.is_some()),
+            ("--cache", cache),
         ]
         .into_iter()
         .filter_map(|(flag, on)| on.then_some(flag))

@@ -2,14 +2,25 @@
 //!
 //! Live recorder calls and the events read back from a trace fold into the
 //! same aggregate: `qsim profile` records into it while the run executes,
-//! and `qsim report` feeds it a trace as the file is read. Either way the
-//! snapshot is a [`MetricsReport`], which renders the metrics and checks
-//! the stream's conservation laws.
+//! the live plane ([`crate::LiveRecorder`]) publishes it, and `qsim report`
+//! feeds it a trace as the file is read. Either way the snapshot is a
+//! [`MetricsReport`], which renders the metrics and checks the stream's
+//! conservation laws.
+//!
+//! A live `kernel`, `msv` or `cache` call takes no lock: it adds into the
+//! calling thread's pending table for this recorder (kernel cells flat by
+//! phase × [`KernelClass`]), which merges into the shared digest at that
+//! thread's next heartbeat, or when that thread calls
+//! [`AggregatingRecorder::report`] itself. Every walk heartbeats after its
+//! last event, so a run's events have all arrived once it returns.
+//! Counters, spans and trace events fold into the digest directly.
 
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use std::thread::ThreadId;
 
 use crate::json::escape;
@@ -72,11 +83,98 @@ pub struct CacheDepthStat {
     pub misses: u64,
 }
 
-/// One worker's MSV residency: after its latest event, and its peak.
+/// One phase's kernel cells, one per class in [`KernelClass::ALL`] order,
+/// and a bit per class that an event touched (a touched cell is reported
+/// even when it sums to zero).
 #[derive(Clone, Copy, Debug, Default)]
-struct Residency {
+struct Cells {
+    touched: u16,
+    stats: [KernelStat; KernelClass::ALL.len()],
+}
+
+impl Cells {
+    fn add(&mut self, class: KernelClass, count: u64, ns: u64, overflowed: &mut bool) {
+        self.touched |= 1 << class as u16;
+        self.stats[class as usize].add(count, ns, overflowed);
+    }
+
+    /// Add the touched cells of `from` into these, then zero `from`.
+    fn absorb(&mut self, from: &mut Cells, overflowed: &mut bool) {
+        let mut touched = std::mem::take(&mut from.touched);
+        self.touched |= touched;
+        while touched != 0 {
+            let at = touched.trailing_zeros() as usize;
+            touched &= touched - 1;
+            let add = std::mem::take(&mut from.stats[at]);
+            self.stats[at].add(add.count, add.total_ns, overflowed);
+        }
+    }
+
+    /// The touched cells with their classes.
+    fn touched(&self) -> impl Iterator<Item = (KernelClass, &KernelStat)> {
+        let cells = KernelClass::ALL.into_iter().zip(&self.stats);
+        cells.filter(|&(class, _)| self.touched & 1 << class as u16 != 0)
+    }
+}
+
+/// The index of `key`'s row, added if new; `same` tells keys apart.
+fn row<K, T: Default>(rows: &mut Vec<(K, T)>, key: K, same: impl Fn(&K, &K) -> bool) -> usize {
+    rows.iter().position(|(k, _)| same(k, &key)).unwrap_or_else(|| {
+        rows.push((key, T::default()));
+        rows.len() - 1
+    })
+}
+
+/// A thread's pending kernel cells for one phase, and the digest's row for
+/// that phase once a merge found it (digest rows are never removed or
+/// reordered).
+#[derive(Debug, Default)]
+struct PendingCells {
+    digest_row: Option<usize>,
+    cells: Cells,
+}
+
+/// One thread's `kernel`, `msv` and `cache` events for one recorder since
+/// its last merge into that recorder's digest.
+#[derive(Debug, Default)]
+struct Pending {
+    /// Kernel cells per phase, found by the phase's address alone (a live
+    /// call's phase is a `&'static str`): rows whose phases share a text
+    /// merge into one digest row.
+    kernels: Vec<(&'static str, PendingCells)>,
+    /// The row of the latest kernel event: a run of one phase's events
+    /// skips the search.
+    last_row: usize,
+    overflowed: bool,
+    msv_events: [u64; MsvEvent::ALL.len()],
+    msv_peak_depth: u64,
+    /// `(latest, peak)` MSV residency, once an MSV event arrived.
+    residency: Option<(u64, u64)>,
+    cache: Vec<(u64, CacheDepthStat)>,
+    /// The thread's worker number in the digest, once a merge asked.
+    worker: Option<u64>,
+}
+
+/// Distinguishes recorders in [`PENDING`].
+static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// This thread's events not yet merged, per recorder id. An entry
+    /// lives until its thread reports to that recorder or exits.
+    static PENDING: RefCell<Vec<(u64, Pending)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// One worker's gauges: its MSV residency after its latest event and its
+/// peak, and its latest heartbeat's depth and resident bytes with their
+/// peak. The run's figures are the workers' sums (the rule of
+/// `ExecStats::peak_msv`); its depth is the deepest.
+#[derive(Clone, Copy, Debug, Default)]
+struct Worker {
     live: u64,
     peak: u64,
+    depth: u64,
+    resident_bytes: u64,
+    peak_resident_bytes: u64,
 }
 
 /// The fold. Names are borrowed from live calls and owned when read from
@@ -84,13 +182,13 @@ struct Residency {
 #[derive(Debug, Default)]
 struct Aggregate {
     counters: BTreeMap<Cow<'static, str>, u64>,
-    kernels: BTreeMap<(Cow<'static, str>, KernelClass), KernelStat>,
+    /// Kernel work per `(phase, class)`: one flat row of cells per phase.
+    kernels: Vec<(Cow<'static, str>, Cells)>,
     spans: BTreeMap<Cow<'static, str>, SpanStat>,
-    msv_events: BTreeMap<MsvEvent, u64>,
-    /// MSV residency per worker number: each MSV event carries its own
-    /// worker's residency, and the run's is the workers' sum (the rule of
-    /// `ExecStats::peak_msv`).
-    workers: BTreeMap<u64, Residency>,
+    msv_events: [u64; MsvEvent::ALL.len()],
+    /// Gauges per worker number: each MSV event and heartbeat carries its
+    /// own worker's.
+    workers: BTreeMap<u64, Worker>,
     /// The workers' summed live MSVs.
     live: u64,
     msv_peak_depth: u64,
@@ -98,8 +196,8 @@ struct Aggregate {
     heartbeats: u64,
     heartbeat_completed: u64,
     overflowed: bool,
-    /// Threads that made a live `msv` call, numbered in first-seen order
-    /// (a folded trace event brings its own `worker` number instead).
+    /// Threads that merged live events, numbered in first-seen order (a
+    /// folded trace event brings its own `worker` number instead).
     threads: Vec<ThreadId>,
 }
 
@@ -108,61 +206,101 @@ impl Aggregate {
         add(self.counters.entry(name).or_insert(0), delta, &mut self.overflowed);
     }
 
-    fn kernel(&mut self, phase: Cow<'static, str>, class: KernelClass, count: u64, ns: u64) {
-        self.kernels.entry((phase, class)).or_default().add(count, ns, &mut self.overflowed);
-    }
-
     fn span(&mut self, path: Cow<'static, str>, ns: u64) {
         let stat = self.spans.entry(path).or_default();
         stat.count = stat.count.saturating_add(1);
         stat.total_ns = stat.total_ns.saturating_add(ns);
     }
 
-    fn msv(&mut self, worker: u64, event: MsvEvent, depth: u64, residency: u64) {
-        let count = self.msv_events.entry(event).or_insert(0);
-        *count = count.saturating_add(1);
-        let slot = self.workers.entry(worker).or_default();
-        // Saturating is enough: the live sum never exceeds the workers'
-        // summed peaks, whose overflow `report` flags.
-        self.live = self.live.saturating_sub(slot.live).saturating_add(residency);
-        slot.live = residency;
-        slot.peak = slot.peak.max(residency);
+    /// `count` MSV events of kind `event`, the deepest at trie depth `depth`.
+    fn msv_event(&mut self, event: MsvEvent, count: u64, depth: u64) {
+        let slot = &mut self.msv_events[event as usize];
+        *slot = slot.saturating_add(count);
         self.msv_peak_depth = self.msv_peak_depth.max(depth);
     }
 
-    fn cache(&mut self, depth: u64, hit: bool) {
-        let stat = self.cache.entry(depth).or_default();
-        let slot = if hit { &mut stat.hits } else { &mut stat.misses };
-        *slot = slot.saturating_add(1);
+    fn cache(&mut self, depth: u64, stat: CacheDepthStat) {
+        let slot = self.cache.entry(depth).or_default();
+        slot.hits = slot.hits.saturating_add(stat.hits);
+        slot.misses = slot.misses.saturating_add(stat.misses);
     }
 
-    fn heartbeat(&mut self, completed: u64) {
-        self.heartbeats = self.heartbeats.saturating_add(1);
-        add(&mut self.heartbeat_completed, completed, &mut self.overflowed);
+    /// Update one worker's gauges: its MSV residency `(latest, peak since
+    /// the last update)`, and its heartbeat.
+    fn gauges(&mut self, worker: u64, residency: Option<(u64, u64)>, hb: Option<Heartbeat>) {
+        let slot = self.workers.entry(worker).or_default();
+        if let Some((latest, peak)) = residency {
+            // Saturating is enough: the live sum never exceeds the workers'
+            // summed peaks, whose overflow `report` flags.
+            self.live = self.live.saturating_sub(slot.live).saturating_add(latest);
+            slot.live = latest;
+            slot.peak = slot.peak.max(peak);
+        }
+        if let Some(hb) = hb {
+            self.heartbeats = self.heartbeats.saturating_add(1);
+            add(&mut self.heartbeat_completed, hb.completed, &mut self.overflowed);
+            slot.depth = hb.depth;
+            slot.resident_bytes = hb.resident_bytes;
+            slot.peak_resident_bytes = slot.peak_resident_bytes.max(hb.resident_bytes);
+        }
+    }
+
+    /// Fold one thread's pending events, and its `heartbeat` if one
+    /// arrived, then zero the events.
+    fn merge(&mut self, pending: &mut Pending, heartbeat: Option<Heartbeat>) {
+        for (phase, from) in pending.kernels.iter_mut().filter(|(_, p)| p.cells.touched != 0) {
+            let kernels = &mut self.kernels;
+            let at = *from.digest_row.get_or_insert_with(|| row(kernels, (*phase).into(), Cow::eq));
+            kernels[at].1.absorb(&mut from.cells, &mut self.overflowed);
+        }
+        self.overflowed |= std::mem::take(&mut pending.overflowed);
+        for (event, count) in MsvEvent::ALL.into_iter().zip(&mut pending.msv_events) {
+            self.msv_event(event, std::mem::take(count), 0);
+        }
+        self.msv_peak_depth = self.msv_peak_depth.max(std::mem::take(&mut pending.msv_peak_depth));
+        for (depth, stat) in pending.cache.drain(..) {
+            self.cache(depth, stat);
+        }
+        let worker = *pending.worker.get_or_insert_with(|| worker_number(&mut self.threads));
+        self.gauges(worker, pending.residency.take(), heartbeat);
     }
 }
 
 /// In-memory aggregating recorder: counters, kernel time per `(phase,
-/// kernel class)`, span totals, MSV residency per worker, per-depth cache
-/// lookups and heartbeat totals. Thread-safe; snapshot with
-/// [`AggregatingRecorder::report`]. [`AggregatingRecorder::record_event`]
+/// kernel class)`, span totals, MSV residency and heartbeat gauges per
+/// worker, per-depth cache lookups and heartbeat totals. Thread-safe, with
+/// no lock per kernel, MSV or cache event (see the module docs); snapshot
+/// with [`AggregatingRecorder::report`]. [`AggregatingRecorder::record_event`]
 /// folds the events of a trace the same way.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct AggregatingRecorder {
     clock: Clock,
+    /// This recorder's key in every thread's pending table.
+    id: u64,
     inner: Mutex<Aggregate>,
+}
+
+impl Default for AggregatingRecorder {
+    fn default() -> Self {
+        AggregatingRecorder::new()
+    }
 }
 
 impl AggregatingRecorder {
     /// A fresh recorder with its clock anchored now.
     pub fn new() -> Self {
-        AggregatingRecorder::default()
+        AggregatingRecorder {
+            clock: Clock::new(),
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            inner: Mutex::default(),
+        }
     }
 
     /// Fold one event read back from a trace ([`crate::schema::visit_jsonl`])
     /// as the matching [`Recorder`] call folds it, with an `msv` event's
-    /// `worker` in place of the calling thread's number. Returns the
-    /// workers' summed live MSVs after the event.
+    /// `worker` in place of the calling thread's number (a heartbeat line
+    /// carries none and folds as worker 0's). Returns the workers' summed
+    /// live MSVs after the event.
     ///
     /// # Panics
     ///
@@ -175,51 +313,86 @@ impl AggregatingRecorder {
                 a.span(path.into(), end_ns.saturating_sub(start_ns));
             }
             TraceEvent::Kernel { phase, class, count, ns, .. } => {
-                a.kernel(phase.into(), class, count, ns);
+                let at = row(&mut a.kernels, phase.into(), Cow::eq);
+                a.kernels[at].1.add(class, count, ns, &mut a.overflowed);
             }
             TraceEvent::Counter { name, delta } => a.counter(name.into(), delta),
             TraceEvent::Msv { kind, depth, residency, worker } => {
-                a.msv(worker, kind, depth, residency)
+                a.msv_event(kind, 1, depth);
+                a.gauges(worker, Some((residency, residency)), None);
             }
-            TraceEvent::Cache { depth, hit } => a.cache(depth, hit),
-            TraceEvent::Heartbeat { completed, .. } => a.heartbeat(completed),
+            TraceEvent::Cache { depth, hit } => {
+                a.cache(depth, CacheDepthStat { hits: u64::from(hit), misses: u64::from(!hit) });
+            }
+            TraceEvent::Heartbeat { completed, depth, resident } => {
+                a.gauges(0, None, Some(Heartbeat { completed, depth, resident_bytes: resident }));
+            }
         }
         a.live
     }
 
-    /// Snapshot the aggregate into an immutable report.
+    /// Snapshot the aggregate into an immutable report, after merging the
+    /// calling thread's pending events (another thread's arrive at its
+    /// next heartbeat).
     ///
     /// # Panics
     ///
     /// Panics if a previous user of the recorder panicked mid-record
     /// (poisoned lock).
     pub fn report(&self) -> MetricsReport {
-        let a = self.inner.lock().expect("recorder lock poisoned");
+        let mut a = self.lock();
+        let pending = PENDING.with_borrow_mut(|all| {
+            let at = all.iter().position(|&(id, _)| id == self.id)?;
+            Some(all.swap_remove(at).1)
+        });
+        if let Some(mut pending) = pending {
+            a.merge(&mut pending, None);
+        }
         let mut overflowed = a.overflowed;
         let mut msv_peak_residency = 0;
         for worker in a.workers.values() {
             add(&mut msv_peak_residency, worker.peak, &mut overflowed);
         }
+        let total =
+            |gauge: fn(&Worker) -> u64| a.workers.values().map(gauge).fold(0, u64::saturating_add);
         MetricsReport {
             counters: a.counters.iter().map(|(k, &v)| (k.to_string(), v)).collect(),
             kernels: a
                 .kernels
                 .iter()
-                .map(|((p, class), &s)| ((p.to_string(), *class), s))
+                .flat_map(|(phase, cells)| {
+                    cells.touched().map(|(class, &s)| ((phase.to_string(), class), s))
+                })
                 .collect(),
             spans: a.spans.iter().map(|(k, &v)| (k.to_string(), v)).collect(),
-            msv_events: a.msv_events.clone(),
+            msv_events: MsvEvent::ALL
+                .into_iter()
+                .zip(a.msv_events)
+                .filter(|&(_, n)| n > 0)
+                .collect(),
             msv_peak_residency,
+            msv_resident: a.live,
             msv_peak_depth: a.msv_peak_depth,
             cache: a.cache.clone(),
             heartbeats: a.heartbeats,
             heartbeat_completed: a.heartbeat_completed,
+            heartbeat_depth: a.workers.values().map(|w| w.depth).max().unwrap_or(0),
+            resident_bytes: total(|w| w.resident_bytes),
+            peak_resident_bytes: total(|w| w.peak_resident_bytes),
             overflowed,
         }
     }
 
-    fn with<F: FnOnce(&mut Aggregate)>(&self, f: F) {
-        f(&mut self.inner.lock().expect("recorder lock poisoned"));
+    fn lock(&self) -> MutexGuard<'_, Aggregate> {
+        self.inner.lock().expect("recorder lock poisoned")
+    }
+
+    /// Update the calling thread's pending events for this recorder.
+    fn pending(&self, update: impl FnOnce(&mut Pending)) {
+        PENDING.with_borrow_mut(|all| {
+            let at = row(all, self.id, u64::eq);
+            update(&mut all[at].1);
+        });
     }
 }
 
@@ -229,32 +402,45 @@ impl Recorder for AggregatingRecorder {
     }
 
     fn span(&self, path: &'static str, start_ns: u64, end_ns: u64) {
-        self.with(|a| a.span(path.into(), end_ns.saturating_sub(start_ns)));
+        self.lock().span(path.into(), end_ns.saturating_sub(start_ns));
     }
 
     fn kernel(&self, phase: &'static str, class: KernelClass, _layer: u64, count: u64, ns: u64) {
         // Aggregation folds the per-layer dimension away: per-layer
         // attribution is reconstructed from JSONL traces by the observatory.
-        self.with(|a| a.kernel(phase.into(), class, count, ns));
+        self.pending(move |p| {
+            if !p.kernels.get(p.last_row).is_some_and(|&(last, _)| std::ptr::eq(last, phase)) {
+                p.last_row = row(&mut p.kernels, phase, |a, b| std::ptr::eq(*a, *b));
+            }
+            p.kernels[p.last_row].1.cells.add(class, count, ns, &mut p.overflowed);
+        });
     }
 
     fn counter(&self, name: &'static str, delta: u64) {
-        self.with(|a| a.counter(name.into(), delta));
+        self.lock().counter(name.into(), delta);
     }
 
     fn msv(&self, event: MsvEvent, depth: usize, residency: usize) {
-        self.with(|a| {
-            let worker = worker_number(&mut a.threads);
-            a.msv(worker, event, depth as u64, residency as u64);
+        let residency = residency as u64;
+        self.pending(move |p| {
+            p.msv_events[event as usize] += 1;
+            p.msv_peak_depth = p.msv_peak_depth.max(depth as u64);
+            let peak = p.residency.map_or(residency, |(_, peak)| peak.max(residency));
+            p.residency = Some((residency, peak));
         });
     }
 
     fn cache(&self, depth: usize, hit: bool) {
-        self.with(|a| a.cache(depth as u64, hit));
+        self.pending(move |p| {
+            let at = row(&mut p.cache, depth as u64, u64::eq);
+            let stat = &mut p.cache[at].1;
+            *if hit { &mut stat.hits } else { &mut stat.misses } += 1;
+        });
     }
 
     fn heartbeat(&self, hb: Heartbeat) {
-        self.with(|a| a.heartbeat(hb.completed));
+        let mut a = self.lock();
+        self.pending(|p| a.merge(p, Some(hb)));
     }
 }
 
@@ -274,6 +460,9 @@ pub struct MetricsReport {
     /// Peak MSV residency: the sum of each worker's peak, the rule of
     /// `ExecStats::peak_msv` (exact for one worker).
     pub msv_peak_residency: u64,
+    /// Live MSVs: the sum of each worker's residency after its latest MSV
+    /// event.
+    pub msv_resident: u64,
     /// Deepest trie depth any MSV reached.
     pub msv_peak_depth: u64,
     /// Prefix-cache behavior per reuse depth.
@@ -283,6 +472,14 @@ pub struct MetricsReport {
     /// Sum of the heartbeats' `completed` deltas: the trials they claim
     /// finished.
     pub heartbeat_completed: u64,
+    /// Deepest of the workers' latest heartbeat depths.
+    pub heartbeat_depth: u64,
+    /// Resident amplitude bytes: the sum of the workers' latest heartbeat
+    /// gauges.
+    pub resident_bytes: u64,
+    /// The sum of each worker's peak resident-bytes gauge: exact for one
+    /// worker and an upper bound for several.
+    pub peak_resident_bytes: u64,
     /// Whether a sum (a counter, a kernel cell, the heartbeat total or the
     /// workers' peaks) passed `u64::MAX`. Such a sum stops there, and
     /// [`MetricsReport::cross_check`] fails.
@@ -564,6 +761,8 @@ mod tests {
         let run = |order: [usize; 2]| {
             let rec = AggregatingRecorder::new();
             let rec = &rec;
+            // A worker's events reach the digest at its closing heartbeat.
+            let beat = || rec.heartbeat(Heartbeat { completed: 1, depth: 0, resident_bytes: 0 });
             let workers: [&(dyn Fn() + Sync); 2] = [
                 // Peak 3, ending at its root.
                 &|| {
@@ -572,11 +771,13 @@ mod tests {
                     rec.msv(MsvEvent::Fork, 2, 3);
                     rec.msv(MsvEvent::Drop, 2, 2);
                     rec.msv(MsvEvent::Drop, 1, 1);
+                    beat();
                 },
                 // Peak 2, still holding a fork at its last event.
                 &|| {
                     rec.msv(MsvEvent::Create, 0, 1);
                     rec.msv(MsvEvent::Fork, 1, 2);
+                    beat();
                 },
             ];
             for worker in order {
@@ -721,6 +922,7 @@ mod tests {
                         rec.counter("ops", 1);
                         rec.kernel("p", KernelClass::Diag1, 0, 1, 10);
                     }
+                    rec.heartbeat(Heartbeat::default());
                 });
             }
         });

@@ -93,8 +93,10 @@ struct Sink {
 }
 
 impl Sink {
-    fn push_line(&mut self, line: &str) {
-        self.buffer.push_str(line);
+    /// Format one event line straight into the buffer.
+    fn line(&mut self, event: std::fmt::Arguments<'_>) {
+        // Writing into a `String` cannot fail.
+        let _ = std::fmt::Write::write_fmt(&mut self.buffer, event);
         self.buffer.push('\n');
         if self.buffer.len() >= FLUSH_THRESHOLD {
             drain(self);
@@ -130,7 +132,7 @@ impl JsonlRecorder {
                 workers: Vec::new(),
             }),
         };
-        recorder.line(&format!(
+        recorder.line(format_args!(
             "{{\"ev\":\"meta\",\"version\":{TRACE_VERSION},\"git_rev\":\"{}\",\"seed\":{},\
              \"qubits\":{},\"strategy\":\"{}\"}}",
             escape(&meta.git_rev),
@@ -151,8 +153,8 @@ impl JsonlRecorder {
         Ok(JsonlRecorder::with_sink(SinkWriter::File(std::io::BufWriter::new(file)), meta))
     }
 
-    fn line(&self, line: &str) {
-        self.sink.lock().expect("trace sink poisoned").push_line(line);
+    fn line(&self, event: std::fmt::Arguments<'_>) {
+        self.sink.lock().expect("trace sink poisoned").line(event);
     }
 }
 
@@ -172,13 +174,13 @@ impl Recorder for JsonlRecorder {
     }
 
     fn span(&self, path: &'static str, start_ns: u64, end_ns: u64) {
-        self.line(&format!(
+        self.line(format_args!(
             "{{\"ev\":\"span\",\"path\":\"{path}\",\"start_ns\":{start_ns},\"end_ns\":{end_ns}}}"
         ));
     }
 
     fn kernel(&self, phase: &'static str, class: KernelClass, layer: u64, count: u64, ns: u64) {
-        self.line(&format!(
+        self.line(format_args!(
             "{{\"ev\":\"kernel\",\"phase\":\"{phase}\",\"class\":\"{}\",\"layer\":{layer},\
              \"count\":{count},\"ns\":{ns}}}",
             class.name()
@@ -186,13 +188,13 @@ impl Recorder for JsonlRecorder {
     }
 
     fn counter(&self, name: &'static str, delta: u64) {
-        self.line(&format!("{{\"ev\":\"counter\",\"name\":\"{name}\",\"delta\":{delta}}}"));
+        self.line(format_args!("{{\"ev\":\"counter\",\"name\":\"{name}\",\"delta\":{delta}}}"));
     }
 
     fn msv(&self, event: MsvEvent, depth: usize, residency: usize) {
         let mut sink = self.sink.lock().expect("trace sink poisoned");
         let worker = worker_number(&mut sink.workers);
-        sink.push_line(&format!(
+        sink.line(format_args!(
             "{{\"ev\":\"msv\",\"kind\":\"{}\",\"depth\":{depth},\"residency\":{residency},\
              \"worker\":{worker}}}",
             event.name()
@@ -200,11 +202,11 @@ impl Recorder for JsonlRecorder {
     }
 
     fn cache(&self, depth: usize, hit: bool) {
-        self.line(&format!("{{\"ev\":\"cache\",\"depth\":{depth},\"hit\":{hit}}}"));
+        self.line(format_args!("{{\"ev\":\"cache\",\"depth\":{depth},\"hit\":{hit}}}"));
     }
 
     fn heartbeat(&self, hb: crate::recorder::Heartbeat) {
-        self.line(&format!(
+        self.line(format_args!(
             "{{\"ev\":\"heartbeat\",\"completed\":{},\"depth\":{},\"resident\":{}}}",
             hb.completed, hb.depth, hb.resident_bytes
         ));

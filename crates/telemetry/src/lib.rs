@@ -18,11 +18,15 @@
 //!   budget-gated by the `telemetry` bench).
 //! * [`AggregatingRecorder`] — the one digest of the recorder stream:
 //!   counters, kernel time per `(phase, kernel class)`, span totals, MSV
-//!   residency per worker, per-depth prefix-cache lookups and heartbeat
-//!   totals. It folds live recorder calls (`qsim profile`) and, through
+//!   residency and heartbeat gauges per worker, per-depth prefix-cache
+//!   lookups and heartbeat totals. It folds live recorder calls (`qsim
+//!   profile`, and the live plane below) and, through
 //!   [`AggregatingRecorder::record_event`], the events of a trace (`qsim
-//!   report`) alike. Snapshots ([`MetricsReport`]) render as a
-//!   Prometheus-style text page, JSON, or folded stacks for flamegraph
+//!   report`) alike. Kernel, MSV and cache calls take no lock: each thread
+//!   adds them into its own pending table, merged into the digest at that
+//!   thread's next heartbeat (or when it calls
+//!   [`AggregatingRecorder::report`]). Snapshots ([`MetricsReport`]) render
+//!   as a Prometheus-style text page, JSON, or folded stacks for flamegraph
 //!   tooling, and check the stream's conservation laws
 //!   ([`MetricsReport::cross_check`]).
 //! * [`JsonlRecorder`] — a buffered streaming sink writing one JSON object
@@ -37,15 +41,15 @@
 //! * [`TeeRecorder`] — fan out one instrumentation stream to two sinks
 //!   (e.g. aggregate *and* trace in the same run), timing on the first
 //!   side that keeps a clock.
-//! * [`LiveRecorder`] — the live plane: all-atomic in-flight aggregation of
-//!   progress [`Heartbeat`]s and counters into a versioned
-//!   [`LiveSnapshot`], published atomically, when made by
+//! * [`LiveRecorder`] — the live plane: a publisher of that digest. It
+//!   forwards every event to an [`AggregatingRecorder`] and maps its report
+//!   onto a versioned [`LiveSnapshot`], published atomically, when made by
 //!   [`LiveRecorder::create`], as `live.json` + Prometheus text for `qsim
 //!   top` and CI to tail. [`LiveSnapshot::parse`] reads `live.json` back,
 //!   and [`LiveSnapshot::reconcile`] holds a final snapshot bitwise to the
-//!   executor's counters. The live recorder counts kernel events per
-//!   thread, keeps no time for them, and is the sink the `telemetry`
-//!   bench's always-on overhead gate times.
+//!   executor's counters. The live recorder keeps no time for kernel
+//!   events, and is the sink the `telemetry` bench's always-on overhead
+//!   gates time.
 //!
 //! The crate is intentionally dependency-free (std only) and knows nothing
 //! about circuits or states: executors translate their domain events into

@@ -1,19 +1,21 @@
-//! The live snapshot plane: in-flight aggregation of executor progress
-//! into a versioned [`LiveSnapshot`], atomically published to disk.
+//! The live snapshot plane: the recorder stream's one digest, published
+//! in flight as a versioned [`LiveSnapshot`].
 //!
-//! [`LiveRecorder`] is a [`Recorder`] whose counters are `AtomicU64`s, so
-//! executor threads update them without locks and a concurrent reader can
-//! take a racy-but-coherent [`LiveSnapshot`] at any moment (the *final*
+//! [`LiveRecorder`] is a [`Recorder`] that keeps no counter of its own: it
+//! forwards every event to an [`AggregatingRecorder`], the digest `qsim
+//! profile` and `qsim report` fold through, and [`LiveRecorder::snapshot`]
+//! maps that digest's [`MetricsReport`](crate::MetricsReport) onto the
+//! `live.json` keys. Kernel, MSV and cache events take no lock there: each
+//! thread adds them into its own pending table, which merges into the
+//! digest at that thread's next heartbeat (executors heartbeat after every
+//! trial and once more after their walk's last drop). So a snapshot taken
+//! mid-run lags each worker by at most one trial, and the *final*
 //! snapshot, taken after the run returns, is exact — the live matrix test
-//! reconciles it bitwise against `ExecStats`). The heartbeat and MSV gauges
-//! are kept per worker thread, in a table locked once per heartbeat, and
-//! the snapshot sums them, so a parallel run's final gauges do not depend
-//! on which worker reported last. Kernel and MSV events take no lock and
-//! touch no shared counter: each thread keeps its kernel count and MSV
-//! residency since its last heartbeat, and the heartbeat folds them in.
-//! The recorder counts and keeps no time for the executors (its
-//! [`Recorder::now_ns`] reads 0); its own clock only stamps `elapsed_ns`
-//! and paces publishing.
+//! reconciles it bitwise against `ExecStats`. The heartbeat and MSV gauges
+//! are kept per worker thread and summed, so a parallel run's final gauges
+//! do not depend on which worker reported last. The recorder keeps no time
+//! for the executors (its [`Recorder::now_ns`] reads 0); the digest's clock
+//! only stamps `elapsed_ns` and paces publishing.
 //!
 //! A recorder made by [`LiveRecorder::create`] also publishes: on each
 //! heartbeat past a configurable interval it atomically rewrites
@@ -29,15 +31,14 @@
 //! end of every `--live` run, and the live matrix test pins it across the
 //! shipped benchmark catalog.
 
-use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::thread::ThreadId;
 
-use crate::clock::Clock;
+use crate::aggregate::AggregatingRecorder;
 use crate::json::{escape, Json};
 use crate::jsonl::TraceMeta;
+use crate::names;
 use crate::recorder::{Heartbeat, KernelClass, MsvEvent, Recorder};
 
 /// Version stamped into every published [`LiveSnapshot`].
@@ -46,15 +47,13 @@ use crate::recorder::{Heartbeat, KernelClass, MsvEvent, Recorder};
 /// - 1: initial flat schema (22 keys, see [`LiveSnapshot::render_json`]).
 pub const LIVE_VERSION: u64 = 1;
 
-/// Relaxed is enough everywhere in this module: each field is an
-/// independent monotone counter or gauge, and cross-field coherence for
-/// the final snapshot comes from the executor having returned (a
-/// happens-before edge via thread join / program order).
+/// Relaxed is enough for the publishing state's two counters: each is
+/// independent, and the election only needs one winner.
 const ORD: Ordering = Ordering::Relaxed;
 
-/// A point-in-time view of a run, either mid-flight (racy-coherent) or
-/// final (exact). Publishes as one flat JSON object, which
-/// [`LiveSnapshot::parse`] checks key by key.
+/// A point-in-time view of a run, either mid-flight (each worker's events
+/// up to its latest heartbeat) or final (exact). Publishes as one flat
+/// JSON object, which [`LiveSnapshot::parse`] checks key by key.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LiveSnapshot {
     /// Snapshot schema version ([`LIVE_VERSION`]).
@@ -150,30 +149,35 @@ fn sum(a: u64, b: u64) -> u128 {
 impl LiveSnapshot {
     /// Every numeric field with its `live.json` key, in publish order
     /// (`strategy`, the one string field, follows `version`).
-    fn gauges(&self) -> [(&'static str, u64); 21] {
+    fn gauges_mut(&mut self) -> [(&'static str, &mut u64); 21] {
         [
-            ("version", self.version),
-            ("qubits", self.qubits),
-            ("seed", self.seed),
-            ("elapsed_ns", self.elapsed_ns),
-            ("heartbeats", self.heartbeats),
-            ("trials_done", self.trials_done),
-            ("trials_total", self.trials_total),
-            ("depth", self.depth),
-            ("passes", self.passes),
-            ("ops", self.ops),
-            ("fused_ops", self.fused_ops),
-            ("amplitude_passes", self.amplitude_passes),
-            ("credited_passes", self.credited_passes),
-            ("store_hits", self.store_hits),
-            ("store_misses", self.store_misses),
-            ("cache_hits", self.cache_hits),
-            ("cache_misses", self.cache_misses),
-            ("msv_resident", self.msv_resident),
-            ("msv_peak", self.msv_peak),
-            ("resident_bytes", self.resident_bytes),
-            ("peak_resident_bytes", self.peak_resident_bytes),
+            ("version", &mut self.version),
+            ("qubits", &mut self.qubits),
+            ("seed", &mut self.seed),
+            ("elapsed_ns", &mut self.elapsed_ns),
+            ("heartbeats", &mut self.heartbeats),
+            ("trials_done", &mut self.trials_done),
+            ("trials_total", &mut self.trials_total),
+            ("depth", &mut self.depth),
+            ("passes", &mut self.passes),
+            ("ops", &mut self.ops),
+            ("fused_ops", &mut self.fused_ops),
+            ("amplitude_passes", &mut self.amplitude_passes),
+            ("credited_passes", &mut self.credited_passes),
+            ("store_hits", &mut self.store_hits),
+            ("store_misses", &mut self.store_misses),
+            ("cache_hits", &mut self.cache_hits),
+            ("cache_misses", &mut self.cache_misses),
+            ("msv_resident", &mut self.msv_resident),
+            ("msv_peak", &mut self.msv_peak),
+            ("resident_bytes", &mut self.resident_bytes),
+            ("peak_resident_bytes", &mut self.peak_resident_bytes),
         ]
+    }
+
+    /// [`LiveSnapshot::gauges_mut`], read.
+    fn gauges(&self) -> [(&'static str, u64); 21] {
+        self.clone().gauges_mut().map(|(key, value)| (key, *value))
     }
 
     /// Render as one flat JSON object (the `live.json` payload).
@@ -221,34 +225,13 @@ impl LiveSnapshot {
                 "unsupported live snapshot version {version} (reader supports {LIVE_VERSION})"
             ));
         }
-        Ok(LiveSnapshot {
-            version,
-            strategy: v
-                .get("strategy")
-                .and_then(Json::as_str)
-                .ok_or("field \"strategy\" is not a string")?
-                .to_owned(),
-            qubits: uint(&v, "qubits")?,
-            seed: uint(&v, "seed")?,
-            elapsed_ns: uint(&v, "elapsed_ns")?,
-            heartbeats: uint(&v, "heartbeats")?,
-            trials_done: uint(&v, "trials_done")?,
-            trials_total: uint(&v, "trials_total")?,
-            depth: uint(&v, "depth")?,
-            passes: uint(&v, "passes")?,
-            ops: uint(&v, "ops")?,
-            fused_ops: uint(&v, "fused_ops")?,
-            amplitude_passes: uint(&v, "amplitude_passes")?,
-            credited_passes: uint(&v, "credited_passes")?,
-            store_hits: uint(&v, "store_hits")?,
-            store_misses: uint(&v, "store_misses")?,
-            cache_hits: uint(&v, "cache_hits")?,
-            cache_misses: uint(&v, "cache_misses")?,
-            msv_resident: uint(&v, "msv_resident")?,
-            msv_peak: uint(&v, "msv_peak")?,
-            resident_bytes: uint(&v, "resident_bytes")?,
-            peak_resident_bytes: uint(&v, "peak_resident_bytes")?,
-        })
+        let strategy = v.get("strategy").and_then(Json::as_str);
+        let strategy = strategy.ok_or("field \"strategy\" is not a string")?.to_owned();
+        let mut snapshot = LiveSnapshot { strategy, ..LiveSnapshot::default() };
+        for (key, value) in snapshot.gauges_mut() {
+            *value = uint(&v, key)?;
+        }
+        Ok(snapshot)
     }
 
     /// Read and parse a snapshot file.
@@ -366,49 +349,21 @@ impl LiveSnapshot {
     }
 }
 
-/// A [`Recorder`] aggregating the live-plane vocabulary, and publishing
-/// it when made by [`LiveRecorder::create`] (see the module docs above).
+/// A [`Recorder`] that forwards every event to its digest and reads its
+/// [`LiveSnapshot`] off the digest's report, publishing it when made by
+/// [`LiveRecorder::create`] (see the module docs above).
 #[derive(Debug)]
 pub struct LiveRecorder {
-    clock: Clock,
-    strategy: String,
-    qubits: u64,
-    seed: u64,
-    heartbeats: AtomicU64,
-    trials_done: AtomicU64,
+    meta: TraceMeta,
     trials_total: u64,
-    workers: Mutex<Vec<WorkerGauges>>,
-    passes: AtomicU64,
-    ops: AtomicU64,
-    fused_ops: AtomicU64,
-    amplitude_passes: AtomicU64,
-    credited_passes: AtomicU64,
-    store_hits: AtomicU64,
-    store_misses: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    /// Distinguishes this recorder's entry in [`SINCE_HEARTBEAT`].
-    id: u64,
+    digest: AggregatingRecorder,
     publishing: Option<Publishing>,
-}
-
-/// The heartbeat and MSV gauges of one worker thread. A parallel run hands
-/// one recorder to every worker, and each worker reports its own
-/// executor's gauges.
-#[derive(Debug)]
-struct WorkerGauges {
-    thread: ThreadId,
-    depth: u64,
-    resident_bytes: u64,
-    peak_resident_bytes: u64,
-    msv_resident: u64,
-    msv_peak: u64,
 }
 
 /// Where and how often a live recorder publishes its snapshots. Mid-run
 /// publish errors are sticky and surface on [`Recorder::flush`]; the run
 /// itself is never interrupted by a full disk or a vanished directory.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Publishing {
     dir: PathBuf,
     interval_ns: u64,
@@ -419,50 +374,14 @@ struct Publishing {
     error: Mutex<Option<std::io::Error>>,
 }
 
-/// One thread's events for one live recorder since the thread's last
-/// heartbeat to it.
-#[derive(Clone, Copy, Debug)]
-struct SinceHeartbeat {
-    recorder: u64,
-    /// Kernel applications.
-    passes: u64,
-    /// `(latest, peak)` MSV residency, once an MSV event arrived.
-    msv: Option<(u64, u64)>,
-}
-
-static NEXT_RECORDER_ID: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// This thread's events since its last heartbeat, per live recorder.
-    /// Executors heartbeat after every trial and once more after their
-    /// walk's last drop, so the folded counts and gauges lag by at most one
-    /// trial.
-    static SINCE_HEARTBEAT: RefCell<Vec<SinceHeartbeat>> = const { RefCell::new(Vec::new()) };
-}
-
 impl LiveRecorder {
     /// A live recorder for a run described by `meta`, executing
     /// `trials_total` trials.
     pub fn new(meta: &TraceMeta, trials_total: u64) -> Self {
         LiveRecorder {
-            clock: Clock::new(),
-            strategy: meta.strategy.clone(),
-            qubits: meta.qubits,
-            seed: meta.seed,
-            heartbeats: AtomicU64::new(0),
-            trials_done: AtomicU64::new(0),
+            meta: meta.clone(),
             trials_total,
-            workers: Mutex::new(Vec::new()),
-            passes: AtomicU64::new(0),
-            ops: AtomicU64::new(0),
-            fused_ops: AtomicU64::new(0),
-            amplitude_passes: AtomicU64::new(0),
-            credited_passes: AtomicU64::new(0),
-            store_hits: AtomicU64::new(0),
-            store_misses: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            id: NEXT_RECORDER_ID.fetch_add(1, ORD),
+            digest: AggregatingRecorder::new(),
             publishing: None,
         }
     }
@@ -484,65 +403,44 @@ impl LiveRecorder {
         interval_ns: u64,
     ) -> std::io::Result<Self> {
         std::fs::create_dir_all(dir)?;
-        let live = LiveRecorder {
-            publishing: Some(Publishing {
-                dir: dir.to_path_buf(),
-                interval_ns,
-                last_publish_ns: AtomicU64::new(0),
-                tmp_seq: AtomicU64::new(0),
-                error: Mutex::new(None),
-            }),
-            ..LiveRecorder::new(meta, trials_total)
-        };
+        let publishing =
+            Publishing { dir: dir.to_path_buf(), interval_ns, ..Publishing::default() };
+        let live =
+            LiveRecorder { publishing: Some(publishing), ..LiveRecorder::new(meta, trials_total) };
         live.publish()?;
         Ok(live)
     }
 
-    /// Take a snapshot. Mid-run it is racy-but-coherent (each field
-    /// individually valid); after the run returns it is exact.
+    /// Take a snapshot: the digest's report (with the calling thread's own
+    /// events merged) under the `live.json` keys. Mid-run each worker's
+    /// events arrive at its heartbeats; after the run returns it is exact.
     pub fn snapshot(&self) -> LiveSnapshot {
-        let workers = self.workers.lock().expect("worker gauges poisoned");
-        let total = |gauge: fn(&WorkerGauges) -> u64| {
-            workers.iter().map(gauge).fold(0, u64::saturating_add)
-        };
+        let report = self.digest.report();
+        let (cache_hits, cache_misses) = report.cache_totals();
         LiveSnapshot {
             version: LIVE_VERSION,
-            strategy: self.strategy.clone(),
-            qubits: self.qubits,
-            seed: self.seed,
-            elapsed_ns: self.clock.now_ns(),
-            heartbeats: self.heartbeats.load(ORD),
-            trials_done: self.trials_done.load(ORD),
+            strategy: self.meta.strategy.clone(),
+            qubits: self.meta.qubits,
+            seed: self.meta.seed,
+            elapsed_ns: self.digest.now_ns(),
+            heartbeats: report.heartbeats,
+            trials_done: report.heartbeat_completed,
             trials_total: self.trials_total,
-            depth: workers.iter().map(|w| w.depth).max().unwrap_or(0),
-            passes: self.passes.load(ORD),
-            ops: self.ops.load(ORD),
-            fused_ops: self.fused_ops.load(ORD),
-            amplitude_passes: self.amplitude_passes.load(ORD),
-            credited_passes: self.credited_passes.load(ORD),
-            store_hits: self.store_hits.load(ORD),
-            store_misses: self.store_misses.load(ORD),
-            cache_hits: self.cache_hits.load(ORD),
-            cache_misses: self.cache_misses.load(ORD),
-            msv_resident: total(|w| w.msv_resident),
-            msv_peak: total(|w| w.msv_peak),
-            resident_bytes: total(|w| w.resident_bytes),
-            peak_resident_bytes: total(|w| w.peak_resident_bytes),
+            depth: report.heartbeat_depth,
+            passes: report.total_kernel_count(),
+            ops: report.counter(names::OPS),
+            fused_ops: report.counter(names::FUSED_OPS),
+            amplitude_passes: report.counter(names::AMPLITUDE_PASSES),
+            credited_passes: report.counter(names::MSVSTORE_CREDITED_PASSES),
+            store_hits: report.counter(names::MSVSTORE_HIT),
+            store_misses: report.counter(names::MSVSTORE_MISS),
+            cache_hits,
+            cache_misses,
+            msv_resident: report.msv_resident,
+            msv_peak: report.msv_peak_residency,
+            resident_bytes: report.resident_bytes,
+            peak_resident_bytes: report.peak_resident_bytes,
         }
-    }
-
-    /// Update the calling thread's events since its last heartbeat.
-    fn since_heartbeat(&self, update: impl FnOnce(&mut SinceHeartbeat)) {
-        SINCE_HEARTBEAT.with_borrow_mut(|pending| {
-            match pending.iter_mut().find(|p| p.recorder == self.id) {
-                Some(entry) => update(entry),
-                None => {
-                    let mut entry = SinceHeartbeat { recorder: self.id, passes: 0, msv: None };
-                    update(&mut entry);
-                    pending.push(entry);
-                }
-            }
-        });
     }
 
     /// Atomically rewrite both snapshot files from the current state; a
@@ -562,7 +460,7 @@ impl LiveRecorder {
         let Some(publishing) = &self.publishing else {
             return;
         };
-        let now = self.clock.now_ns();
+        let now = self.digest.now_ns();
         let last = publishing.last_publish_ns.load(ORD);
         if now.saturating_sub(last) < publishing.interval_ns {
             return;
@@ -590,76 +488,28 @@ fn write_atomic(path: &Path, seq: u64, content: &str) -> std::io::Result<()> {
 }
 
 impl Recorder for LiveRecorder {
-    fn span(&self, _path: &'static str, _start_ns: u64, _end_ns: u64) {}
+    fn span(&self, path: &'static str, start_ns: u64, end_ns: u64) {
+        self.digest.span(path, start_ns, end_ns);
+    }
 
-    fn kernel(&self, _phase: &'static str, _class: KernelClass, _layer: u64, count: u64, _ns: u64) {
-        self.since_heartbeat(|pending| pending.passes = pending.passes.wrapping_add(count));
+    fn kernel(&self, phase: &'static str, class: KernelClass, layer: u64, count: u64, ns: u64) {
+        self.digest.kernel(phase, class, layer, count, ns);
     }
 
     fn counter(&self, name: &'static str, delta: u64) {
-        match name {
-            crate::names::OPS => self.ops.fetch_add(delta, ORD),
-            crate::names::FUSED_OPS => self.fused_ops.fetch_add(delta, ORD),
-            crate::names::AMPLITUDE_PASSES => self.amplitude_passes.fetch_add(delta, ORD),
-            crate::names::MSVSTORE_CREDITED_PASSES => self.credited_passes.fetch_add(delta, ORD),
-            crate::names::MSVSTORE_HIT => self.store_hits.fetch_add(delta, ORD),
-            crate::names::MSVSTORE_MISS => self.store_misses.fetch_add(delta, ORD),
-            _ => return,
-        };
+        self.digest.counter(name, delta);
     }
 
-    fn msv(&self, _event: MsvEvent, _depth: usize, residency: usize) {
-        let residency = residency as u64;
-        self.since_heartbeat(|pending| {
-            let peak = pending.msv.map_or(residency, |(_, peak)| peak.max(residency));
-            pending.msv = Some((residency, peak));
-        });
+    fn msv(&self, event: MsvEvent, depth: usize, residency: usize) {
+        self.digest.msv(event, depth, residency);
     }
 
-    fn cache(&self, _depth: usize, hit: bool) {
-        if hit {
-            self.cache_hits.fetch_add(1, ORD);
-        } else {
-            self.cache_misses.fetch_add(1, ORD);
-        }
+    fn cache(&self, depth: usize, hit: bool) {
+        self.digest.cache(depth, hit);
     }
 
     fn heartbeat(&self, hb: Heartbeat) {
-        self.heartbeats.fetch_add(1, ORD);
-        self.trials_done.fetch_add(hb.completed, ORD);
-        let pending = SINCE_HEARTBEAT.with_borrow_mut(|pending| {
-            let at = pending.iter().position(|p| p.recorder == self.id)?;
-            Some(pending.swap_remove(at))
-        });
-        let (passes, msv) = pending.map_or((0, None), |p| (p.passes, p.msv));
-        if passes > 0 {
-            self.passes.fetch_add(passes, ORD);
-        }
-        let thread = std::thread::current().id();
-        let mut workers = self.workers.lock().expect("worker gauges poisoned");
-        let at = match workers.iter().position(|w| w.thread == thread) {
-            Some(at) => at,
-            None => {
-                workers.push(WorkerGauges {
-                    thread,
-                    depth: 0,
-                    resident_bytes: 0,
-                    peak_resident_bytes: 0,
-                    msv_resident: 0,
-                    msv_peak: 0,
-                });
-                workers.len() - 1
-            }
-        };
-        let worker = &mut workers[at];
-        worker.depth = hb.depth;
-        worker.resident_bytes = hb.resident_bytes;
-        worker.peak_resident_bytes = worker.peak_resident_bytes.max(hb.resident_bytes);
-        if let Some((latest, peak)) = msv {
-            worker.msv_resident = latest;
-            worker.msv_peak = worker.msv_peak.max(peak);
-        }
-        drop(workers);
+        self.digest.heartbeat(hb);
         self.maybe_publish();
     }
 
@@ -902,13 +752,17 @@ mod tests {
         let run = |order: [usize; 2]| {
             let live = LiveRecorder::new(&meta(), 3);
             let live = &live;
-            // A worker's events reach `passes` at its own next heartbeat.
+            // A worker's events reach `passes` at its own next heartbeat:
+            // until then another thread's snapshot does not see them.
             let folds = |events: &[(KernelClass, u64)]| {
                 let before = live.snapshot().passes;
                 for &(class, count) in events {
                     live.kernel("reuse/shared", class, 1, count, 0);
                 }
-                assert_eq!(live.snapshot().passes, before, "folded before the heartbeat");
+                let elsewhere = std::thread::scope(|scope| {
+                    scope.spawn(|| live.snapshot().passes).join().expect("snapshot thread")
+                });
+                assert_eq!(elsewhere, before, "folded before the heartbeat");
                 live.heartbeat(hb);
                 let added: u64 = events.iter().map(|&(_, count)| count).sum();
                 assert_eq!(live.snapshot().passes, before + added);

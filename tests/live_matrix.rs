@@ -21,8 +21,8 @@ use noisy_qsim::noise::TrialGenerator;
 use noisy_qsim::redsim::exec::ExecStats;
 use noisy_qsim::redsim::{self, testkit, CacheOutcome, RunSpec, Walk};
 use noisy_qsim::telemetry::{
-    names, AggregatingRecorder, ExpectedStats, KernelClass, LiveRecorder, LiveSnapshot, MsvEvent,
-    Recorder, TeeRecorder, TraceMeta,
+    names, AggregatingRecorder, ExpectedStats, Heartbeat, KernelClass, LiveRecorder, LiveSnapshot,
+    MsvEvent, Recorder, TeeRecorder, TraceMeta,
 };
 
 const TRIALS: usize = 64;
@@ -292,5 +292,68 @@ fn a_tee_times_kernels_on_whichever_side_keeps_a_clock() {
         assert_eq!(report.total_kernel_count(), stats.amplitude_passes, "{name}");
         assert!(report.total_kernel_ns() > 0, "{name}, live first {live_first}: kernels untimed");
         assert_eq!(live.snapshot().passes, stats.amplitude_passes, "{name}");
+    }
+}
+
+/// Takes a snapshot of `live` at every heartbeat, on the heartbeating
+/// worker's thread, and holds each to the laws of a coherent snapshot and
+/// to its own `live.json` round trip.
+struct MidRunProbe<'a> {
+    live: &'a LiveRecorder,
+    label: &'a str,
+    snapshots: AtomicU64,
+}
+
+impl Recorder for MidRunProbe<'_> {
+    fn span(&self, _: &'static str, _: u64, _: u64) {}
+
+    fn kernel(&self, _: &'static str, _: KernelClass, _: u64, _: u64, _: u64) {}
+
+    fn counter(&self, _: &'static str, _: u64) {}
+
+    fn msv(&self, _: MsvEvent, _: usize, _: usize) {}
+
+    fn cache(&self, _: usize, _: bool) {}
+
+    fn heartbeat(&self, _: Heartbeat) {
+        let label = self.label;
+        let snapshot = self.live.snapshot();
+        let mut problems = snapshot.cross_check();
+        if snapshot.finished() {
+            // The last worker's final heartbeat precedes its end-of-run
+            // counters, so a snapshot taken there reads finished with
+            // those counters still to come: only pass conservation may
+            // fail, and only because `amplitude_passes` is short.
+            let short = snapshot.passes + snapshot.credited_passes > snapshot.amplitude_passes;
+            problems.retain(|p| !(short && p.starts_with("passes (")));
+        }
+        assert!(problems.is_empty(), "{label}: mid-run snapshot incoherent: {problems:?}");
+        let view = LiveSnapshot::parse(&snapshot.render_json())
+            .unwrap_or_else(|e| panic!("{label}: mid-run snapshot rejected: {e}"));
+        assert_eq!(view, snapshot, "{label}: mid-run live.json round trip");
+        self.snapshots.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+#[test]
+fn mid_run_snapshots_stay_coherent_across_workers() {
+    let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/benchmarks"));
+    let benchmarks = testkit::yorktown_benchmarks(root);
+    for (name, layered, model) in benchmarks.iter().take(4) {
+        let set =
+            TrialGenerator::new(layered, model).expect("native circuit").generate(TRIALS, SEED);
+        for walk in [Walk::Baseline, Walk::Reuse] {
+            let spec = RunSpec { threads: 3, ..RunSpec::new(walk) };
+            let label = format!("{name} / {}", spec.name());
+            let live = LiveRecorder::new(&meta(spec.name(), layered.n_qubits()), TRIALS as u64);
+            let probe = MidRunProbe { live: &live, label: &label, snapshots: AtomicU64::new(0) };
+            let stats = redsim::run(layered, set.trials(), &spec, &TeeRecorder::new(&live, &probe))
+                .expect("parallel run")
+                .stats;
+            assert_eq!(probe.snapshots.load(Ordering::Relaxed), TRIALS as u64, "{label}");
+            let fin = live.snapshot();
+            assert_eq!(fin.cross_check(), Vec::<String>::new(), "{label}: final snapshot");
+            assert_eq!(fin.amplitude_passes, stats.amplitude_passes, "{label}");
+        }
     }
 }
