@@ -6,10 +6,11 @@
 //! Each row times one kernel class swept across every valid target on an
 //! `n`-qubit random state, in `--reps` rotated rounds
 //! (`redsim_bench::timing`) of one side per compiled kernel copy this CPU
-//! runs (`portable_ms`, `avx2_ms`; `null` when the CPU lacks AVX2) and one
-//! dense side. Times are medians; `specialized_ms`, `dense_ms` and
-//! `speedup` (the median per-round dense/specialized ratio) are measured
-//! on the detected copy, named by the top-level `kernel_path`.
+//! runs (`portable_ms`, `avx2_ms`, `avx512_ms`; `null` when the CPU lacks
+//! AVX2, or AVX-512F) and one dense side. Times are medians;
+//! `specialized_ms`, `dense_ms` and `speedup` (the median per-round
+//! dense/specialized ratio) are measured on the detected path, named by the
+//! top-level `kernel_path`.
 //! `mean_speedup` is the mean of the rows' speedups, with its 95 %
 //! bootstrap interval (`mean_speedup_lo`, `mean_speedup_hi`). Pass
 //! `--check RATIO` (e.g. `--check 1.2`) to exit non-zero unless the
@@ -18,8 +19,9 @@
 //!
 //! The class rows are followed by `dense2` rows that time the dense kernel
 //! itself at fixed `(low, high)` placements, in nanoseconds per amplitude
-//! on every copy (`portable_amp_ns`, `avx2_amp_ns`), so a faster dense
-//! kernel shows as a fall there rather than only as lower speedups above.
+//! on every copy (`portable_amp_ns`, `avx2_amp_ns`, `avx512_amp_ns`), so a
+//! faster dense kernel shows as a fall there rather than only as lower
+//! speedups above.
 //! They take no part in `mean_speedup`.
 //!
 //! Usage: `kernels [--qubits N] [--reps ROUNDS] [--seed N] [--out PATH] [--check RATIO] [--record] [--quiet]`
@@ -40,10 +42,14 @@ struct Row {
     portable_ms: f64,
     /// `NaN` (rendered `null`) when this CPU lacks AVX2.
     avx2_ms: f64,
+    /// `NaN` (rendered `null`) when this CPU lacks AVX-512F.
+    avx512_ms: f64,
     /// Per-round dense/specialized ratios on the detected path.
     speedups: Vec<f64>,
     /// Median per-round portable/AVX2 ratio; `NaN` without AVX2.
     avx2_speedup: f64,
+    /// Median per-round portable/AVX-512 ratio; `NaN` without AVX-512F.
+    avx512_speedup: f64,
 }
 
 /// Time one side per sweep in `sweeps` over `reps` rotated rounds, each
@@ -59,20 +65,27 @@ fn time_sweeps(state: &StateVector, reps: usize, sweeps: &[(&[FusedOp], KernelPa
     })
 }
 
-/// The portable and AVX2 columns of `rounds`, whose first sides run the
-/// copies of [`KernelPath::supported`] in order (portable first, the
-/// detected copy last); no AVX2 column on a CPU without it.
-fn per_copy(rounds: &Rounds) -> (Vec<f64>, Option<Vec<f64>>) {
-    (rounds.column(0), (KernelPath::supported().len() > 1).then(|| rounds.column(1)))
+/// `stat` of the portable, AVX2 and AVX-512 columns of `rounds`, whose
+/// first sides run the copies of [`KernelPath::supported`] in order; `NaN`
+/// (rendered `null`) for a copy this CPU cannot run.
+fn per_copy(rounds: &Rounds, stat: impl Fn(&[f64]) -> f64) -> [f64; 3] {
+    let supported = KernelPath::supported();
+    [KernelPath::Portable, KernelPath::Avx2, KernelPath::Avx512].map(|path| {
+        supported
+            .iter()
+            .position(|&p| p == path)
+            .map_or(f64::NAN, |side| stat(&rounds.column(side)))
+    })
 }
 
 /// Applications of the one op per timed sweep of a placement row.
 const PLACEMENT_APPLIES: usize = 16;
 
 /// The `(low, high)` placements of the `dense2` rows on a 16-qubit state:
-/// operand 0 in both roles and with its neighbour, two operands ≥ 1, and
-/// the highest pair.
-const DENSE2_PLACEMENTS: [(usize, usize); 5] = [(0, 1), (0, 9), (9, 0), (3, 9), (14, 15)];
+/// operand 0 in both roles and with its neighbour, two operands ≥ 1, the
+/// highest pair, and operand 1 in both roles.
+const DENSE2_PLACEMENTS: [(usize, usize); 7] =
+    [(0, 1), (0, 9), (9, 0), (3, 9), (14, 15), (1, 9), (9, 1)];
 
 /// One `dense2` placement: nanoseconds per amplitude on each copy.
 struct PlacementRow {
@@ -81,6 +94,8 @@ struct PlacementRow {
     portable_ns: f64,
     /// `NaN` (rendered `null`) when this CPU lacks AVX2.
     avx2_ns: f64,
+    /// `NaN` (rendered `null`) when this CPU lacks AVX-512F.
+    avx512_ns: f64,
 }
 
 /// Time `Dense2 { m, low, high }` on every supported copy, in
@@ -95,14 +110,9 @@ fn placement_row(
     let ops = vec![FusedOp::Dense2 { m: *m, low, high }; PLACEMENT_APPLIES];
     let ns_per_ms = 1e6 / (PLACEMENT_APPLIES << state.n_qubits()) as f64;
     let sweeps: Vec<_> = KernelPath::supported().iter().map(|&path| (&ops[..], path)).collect();
-    let (portable, avx2) = per_copy(&time_sweeps(state, reps, &sweeps));
-    let ns = |ms: &[f64]| median(ms) * ns_per_ms;
-    PlacementRow {
-        low,
-        high,
-        portable_ns: ns(&portable),
-        avx2_ns: avx2.as_deref().map_or(f64::NAN, ns),
-    }
+    let [portable_ns, avx2_ns, avx512_ns] =
+        per_copy(&time_sweeps(state, reps, &sweeps), |ms| median(ms) * ns_per_ms);
+    PlacementRow { low, high, portable_ns, avx2_ns, avx512_ns }
 }
 
 /// Time a specialized sweep on every supported kernel copy, and the dense
@@ -119,16 +129,21 @@ fn row(
         KernelPath::supported().iter().map(|&path| (specialized, path)).collect();
     sweeps.push((dense, KernelPath::detected()));
     let rounds = time_sweeps(state, reps, &sweeps);
-    let (portable, avx2) = per_copy(&rounds);
+    let [portable_ms, avx2_ms, avx512_ms] = per_copy(&rounds, median);
+    let portable = rounds.column(0);
+    let [_, avx2_speedup, avx512_speedup] =
+        per_copy(&rounds, |copy| median(&ratios(&portable, copy)));
     let (detected, dense) = (rounds.column(sweeps.len() - 2), rounds.column(sweeps.len() - 1));
     Row {
         kernel,
         specialized_ms: median(&detected),
         dense_ms: median(&dense),
-        portable_ms: median(&portable),
-        avx2_ms: avx2.as_deref().map_or(f64::NAN, median),
+        portable_ms,
+        avx2_ms,
+        avx512_ms,
         speedups: ratios(&dense, &detected),
-        avx2_speedup: avx2.as_deref().map_or(f64::NAN, |avx2| median(&ratios(&portable, avx2))),
+        avx2_speedup,
+        avx512_speedup,
     }
 }
 
@@ -267,6 +282,8 @@ fn main() {
                             ("portable_ms", json::number(row.portable_ms)),
                             ("avx2_ms", json::number(row.avx2_ms)),
                             ("avx2_speedup", json::number(row.avx2_speedup)),
+                            ("avx512_ms", json::number(row.avx512_ms)),
+                            ("avx512_speedup", json::number(row.avx512_speedup)),
                         ])
                     })
                     .chain(placements.iter().map(|row| {
@@ -276,6 +293,7 @@ fn main() {
                             ("high", row.high.to_string()),
                             ("portable_amp_ns", json::number(row.portable_ns)),
                             ("avx2_amp_ns", json::number(row.avx2_ns)),
+                            ("avx512_amp_ns", json::number(row.avx512_ns)),
                         ])
                     })),
             ),
@@ -295,6 +313,8 @@ fn main() {
             "Portable",
             "AVX2",
             "AVX2 gain",
+            "AVX-512",
+            "AVX-512 gain",
         ]);
         for row in &rows {
             table.row([
@@ -305,6 +325,8 @@ fn main() {
                 format!("{:.3} ms", row.portable_ms),
                 format!("{:.3} ms", row.avx2_ms),
                 format!("{:.2}x", row.avx2_speedup),
+                format!("{:.3} ms", row.avx512_ms),
+                format!("{:.2}x", row.avx512_speedup),
             ]);
         }
         println!(
@@ -316,12 +338,13 @@ fn main() {
             "mean speedup {:.2}x (95% interval {:.2} … {:.2}x)",
             mean_speedup.point, mean_speedup.lo, mean_speedup.hi
         );
-        let mut table = Table::new(["dense2 (low, high)", "Portable", "AVX2"]);
+        let mut table = Table::new(["dense2 (low, high)", "Portable", "AVX2", "AVX-512"]);
         for row in &placements {
             table.row([
                 format!("({}, {})", row.low, row.high),
                 format!("{:.3} ns/amp", row.portable_ns),
                 format!("{:.3} ns/amp", row.avx2_ns),
+                format!("{:.3} ns/amp", row.avx512_ns),
             ]);
         }
         println!("{table}");

@@ -1,4 +1,5 @@
-//! The amplitude kernels, behind one dispatch compiled twice.
+//! The amplitude kernels, behind one dispatch compiled twice, plus one
+//! AVX-512F body.
 //!
 //! Every kernel body in this module is `#[inline(always)]` and reachable
 //! only through [`run`], which enters one of two compiled copies of the
@@ -22,6 +23,18 @@
 //! keeps the plain body: it is the only path on CPUs without AVX2, and the
 //! one Miri interprets.
 //!
+//! A third path is not a third copy. On a CPU that also reports AVX-512F
+//! ([`KernelPath::Avx512`]), [`run`] sends `dense2` with higher operand ≥ 3
+//! to one more `#[target_feature]` function, `dense2_quads`, four groups
+//! per set of four 512-bit vectors, and every other kernel straight to the
+//! AVX2 copy. AVX-512F has no `addsub`, so it forms `m·a` as
+//! `add(m.re·a, ims·swap(a))`, `ims` holding `−m.im` in the real lanes:
+//! IEEE 754 defines `x − y` as `x + (−y)` and `(−u)·v` is exactly `−(u·v)`,
+//! so that is `C64`'s product bit for bit. rustc's `avx512f` implies `fma`,
+//! so here the agreement rests on rustc never contracting alone; CI
+//! disassembles the binary and fails on any FMA instruction in this
+//! module.
+//!
 //! The agreement holds for every result that is not a NaN. An infinite or
 //! NaN operand can give NaNs whose bits differ between the copies: LLVM
 //! treats floating-point addition and multiplication as commutative and
@@ -44,7 +57,7 @@ use crate::{FusedOp, Matrix2, Matrix4, Pauli, StateVecError, C64};
 ///
 /// [`StateVector::apply_fused`](crate::StateVector::apply_fused) and every
 /// other `apply_*` method use [`KernelPath::detected`]; the `_on` variants
-/// choose a copy explicitly, for tests and benchmarks. Both copies produce
+/// choose a path explicitly, for tests and benchmarks. Every path produces
 /// bit-identical amplitudes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum KernelPath {
@@ -52,36 +65,47 @@ pub enum KernelPath {
     Portable,
     /// Compiled with AVX2 enabled; runs only on x86_64 CPUs that report it.
     Avx2,
+    /// The AVX2 copy, with `dense2` on 512-bit vectors where the higher
+    /// operand is at least 3; runs only on x86_64 CPUs that report AVX2 and
+    /// AVX-512F.
+    Avx512,
 }
 
 impl KernelPath {
-    /// The copy this process uses: [`KernelPath::Avx2`] when the CPU
-    /// reports AVX2, otherwise [`KernelPath::Portable`]. Detected once per
-    /// process.
+    /// The copy this process uses: [`KernelPath::Avx512`] when the CPU
+    /// reports AVX2 and AVX-512F, [`KernelPath::Avx2`] when it reports AVX2
+    /// alone, otherwise [`KernelPath::Portable`]. Detected once per process.
     pub fn detected() -> KernelPath {
         static DETECTED: OnceLock<KernelPath> = OnceLock::new();
         *DETECTED.get_or_init(|| {
             #[cfg(target_arch = "x86_64")]
             if std::arch::is_x86_feature_detected!("avx2") {
+                if std::arch::is_x86_feature_detected!("avx512f") {
+                    return KernelPath::Avx512;
+                }
                 return KernelPath::Avx2;
             }
             KernelPath::Portable
         })
     }
 
-    /// Every copy this CPU can run, portable first.
+    /// Every copy this CPU can run, portable first and the detected copy
+    /// last.
     pub fn supported() -> &'static [KernelPath] {
         match KernelPath::detected() {
             KernelPath::Portable => &[KernelPath::Portable],
             KernelPath::Avx2 => &[KernelPath::Portable, KernelPath::Avx2],
+            KernelPath::Avx512 => &[KernelPath::Portable, KernelPath::Avx2, KernelPath::Avx512],
         }
     }
 
-    /// Short lowercase name (`"portable"`, `"avx2"`) for reports.
+    /// Short lowercase name (`"portable"`, `"avx2"`, `"avx512"`) for
+    /// reports.
     pub fn name(self) -> &'static str {
         match self {
             KernelPath::Portable => "portable",
             KernelPath::Avx2 => "avx2",
+            KernelPath::Avx512 => "avx512",
         }
     }
 }
@@ -102,6 +126,9 @@ pub(crate) enum Kernel<'a> {
 ///
 /// Returns [`StateVecError::KernelPathUnavailable`] if this CPU cannot run
 /// `path`.
+// Inlined into `apply_fused_on` and `apply_pauli_on`, so a pass enters its
+// kernel copy with one call.
+#[inline]
 pub(crate) fn run(
     amps: &mut [C64],
     kernel: Kernel<'_>,
@@ -110,14 +137,31 @@ pub(crate) fn run(
     match path {
         KernelPath::Portable => portable(amps, kernel),
         #[cfg(target_arch = "x86_64")]
-        KernelPath::Avx2 if KernelPath::detected() == KernelPath::Avx2 => {
-            // SAFETY: `KernelPath::detected()` returns `Avx2` only after
-            // `is_x86_feature_detected!("avx2")` held on this CPU, which is
-            // the one requirement for calling a function compiled with
-            // `#[target_feature(enable = "avx2")]`.
+        KernelPath::Avx512 if KernelPath::detected() == KernelPath::Avx512 => match kernel {
+            Kernel::Fused(FusedOp::Dense2 { m, low, high }) if (*low).max(*high) >= 3 => {
+                // SAFETY: `KernelPath::detected()` returns `Avx512` only
+                // after `is_x86_feature_detected!` held for "avx2" and
+                // "avx512f" on this CPU, which is the one requirement for
+                // calling a function compiled with
+                // `#[target_feature(enable = "avx2,avx512f")]`.
+                unsafe { dense2_quads(amps, m, *low, *high) }
+            }
+            // SAFETY: `Avx512` is detected only where
+            // `is_x86_feature_detected!("avx2")` held, the one requirement
+            // for calling `avx2` (see the arm below).
+            _ => unsafe { avx2(amps, kernel) },
+        },
+        #[cfg(target_arch = "x86_64")]
+        KernelPath::Avx2 if KernelPath::detected() != KernelPath::Portable => {
+            // SAFETY: `KernelPath::detected()` returns `Avx2` or `Avx512`
+            // only after `is_x86_feature_detected!("avx2")` held on this
+            // CPU, which is the one requirement for calling a function
+            // compiled with `#[target_feature(enable = "avx2")]`.
             unsafe { avx2(amps, kernel) }
         }
-        KernelPath::Avx2 => return Err(StateVecError::KernelPathUnavailable { path }),
+        KernelPath::Avx2 | KernelPath::Avx512 => {
+            return Err(StateVecError::KernelPathUnavailable { path });
+        }
     }
     Ok(())
 }
@@ -556,7 +600,8 @@ fn dense2(amps: &mut [C64], m: &Matrix4, low: usize, high: usize) {
 }
 
 // The vendored `Complex` has no `#[repr(C)]`: pin the layout the vector
-// loads and stores of `dense2_pairs` assume, `re` then `im` in 16 bytes.
+// loads and stores of `dense2_pairs` and `dense2_quads` assume, `re` then
+// `im` in 16 bytes.
 #[cfg(target_arch = "x86_64")]
 const _: () = assert!(
     size_of::<C64>() == 16
@@ -661,6 +706,125 @@ fn dense2_pairs(amps: &mut [C64], m: &Matrix4, low: usize, high: usize) {
         store(x1, highs(b0, b1));
         store(y0, lows(c0, c1));
         store(y1, highs(c0, c1));
+    });
+}
+
+/// [`dense2`] on 512-bit vectors, four groups of four amplitudes at a
+/// time: vector `a_k` holds local amplitude `k` of four groups. Each output
+/// is `((t_r0 + t_r1) + t_r2) + t_r3` with
+/// `t_rk = add(m.re·a_k, ims·swap(a_k))`, `ims` holding `−m.im` in the real
+/// lanes and `m.im` in the imaginary ones. IEEE 754 defines `x − y` as
+/// `x + (−y)`, and `(−u)·v` is exactly `−(u·v)`, so the real lane is
+/// `m.re·a.re − m.im·a.im` bit for bit and this body writes the bits of
+/// [`dense2`], as [`dense2_pairs`] does, with no FMA. The higher operand
+/// must be at least 3 (so the register holds at least sixteen amplitudes);
+/// [`run`] sends the lower placements to [`dense2_pairs`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512f")]
+fn dense2_quads(amps: &mut [C64], m: &Matrix4, low: usize, high: usize) {
+    use std::arch::x86_64::{
+        __m512d, __m512i, _mm512_add_pd, _mm512_loadu_pd, _mm512_mask_blend_pd, _mm512_mul_pd,
+        _mm512_permute_pd, _mm512_permutex2var_pd, _mm512_set1_pd, _mm512_setr_epi64,
+        _mm512_storeu_pd,
+    };
+    debug_assert!(low.max(high) >= 3);
+    let load = |quad: &[C64; 4]| {
+        // SAFETY: `quad` is 64 readable bytes holding eight `f64`s (layout
+        // pinned above); an unaligned load has no alignment requirement.
+        unsafe { _mm512_loadu_pd(quad.as_ptr().cast()) }
+    };
+    let store = |quad: &mut [C64; 4], v: __m512d| {
+        // SAFETY: `quad` is 64 writable bytes holding eight `f64`s (layout
+        // pinned above); an unaligned store has no alignment requirement.
+        unsafe { _mm512_storeu_pd(quad.as_mut_ptr().cast(), v) }
+    };
+    // `m.re` of every entry in all eight lanes, and `−m.im` in the real
+    // (even) lanes beside `m.im` in the imaginary ones.
+    let entry = |r: usize, k: usize| {
+        let C64 { re, im } = m.0[r][k];
+        (
+            _mm512_set1_pd(re),
+            _mm512_mask_blend_pd(0b0101_0101, _mm512_set1_pd(im), _mm512_set1_pd(-im)),
+        )
+    };
+    let row = |r: usize| [entry(r, 0), entry(r, 1), entry(r, 2), entry(r, 3)];
+    let coef = [row(0), row(1), row(2), row(3)];
+    let product = |a: [__m512d; 4]| -> [__m512d; 4] {
+        // `(a.im, a.re)` of every amplitude.
+        let s = [
+            _mm512_permute_pd::<0b0101_0101>(a[0]),
+            _mm512_permute_pd::<0b0101_0101>(a[1]),
+            _mm512_permute_pd::<0b0101_0101>(a[2]),
+            _mm512_permute_pd::<0b0101_0101>(a[3]),
+        ];
+        let row = |r: usize| {
+            let t = |k: usize| {
+                let (re, ims) = coef[r][k];
+                _mm512_add_pd(_mm512_mul_pd(re, a[k]), _mm512_mul_pd(ims, s[k]))
+            };
+            _mm512_add_pd(_mm512_add_pd(_mm512_add_pd(t(0), t(1)), t(2)), t(3))
+        };
+        [row(0), row(1), row(2), row(3)]
+    };
+    #[inline(always)]
+    fn quads(run: &mut [C64]) -> &mut [[C64; 4]] {
+        run.as_chunks_mut::<4>().0
+    }
+    if low.min(high) >= 2 {
+        // Four neighbouring groups share every run: one load per local
+        // index.
+        local_quads!(amps, low, high, |r0, r1, r2, r3| {
+            let (r0, r1, r2, r3) = (quads(r0), quads(r1), quads(r2), quads(r3));
+            for p in 0..r0.len() {
+                let out = product([load(&r0[p]), load(&r1[p]), load(&r2[p]), load(&r3[p])]);
+                store(&mut r0[p], out[0]);
+                store(&mut r1[p], out[1]);
+                store(&mut r2[p], out[2]);
+                store(&mut r3[p], out[3]);
+            }
+        });
+        return;
+    }
+    // Operand 0 or 1 and the other, `o ≥ 3`: eight neighbours with bit `o`
+    // fixed (two loads) hold both values of the lowest bit for four groups.
+    // Transpose them into one vector with the lowest bit clear and one with
+    // it set, for bit `o` clear (`b`) and set (`c`), and back after the
+    // product. Lane indices count `f64`s, 8–15 from the second operand.
+    let lowest_is_low = low < high;
+    let idx = |i: [i64; 8]| -> __m512i {
+        _mm512_setr_epi64(i[0], i[1], i[2], i[3], i[4], i[5], i[6], i[7])
+    };
+    let (clear, set, first, second) = if low.min(high) == 0 {
+        (
+            idx([0, 1, 4, 5, 8, 9, 12, 13]),
+            idx([2, 3, 6, 7, 10, 11, 14, 15]),
+            idx([0, 1, 8, 9, 2, 3, 10, 11]),
+            idx([4, 5, 12, 13, 6, 7, 14, 15]),
+        )
+    } else {
+        let (lows, highs) = (idx([0, 1, 2, 3, 8, 9, 10, 11]), idx([4, 5, 6, 7, 12, 13, 14, 15]));
+        (lows, highs, lows, highs)
+    };
+    #[inline(always)]
+    fn eights(run: &mut [C64]) -> &mut [[[C64; 4]; 2]] {
+        quads(run).as_chunks_mut::<2>().0
+    }
+    pair_runs!(amps, low.max(high), |lo, hi| {
+        for ([x0, x1], [y0, y1]) in eights(lo).iter_mut().zip(eights(hi)) {
+            let (u, v) = (load(x0), load(x1));
+            let (b0, b1) = (_mm512_permutex2var_pd(u, clear, v), _mm512_permutex2var_pd(u, set, v));
+            let (u, v) = (load(y0), load(y1));
+            let (c0, c1) = (_mm512_permutex2var_pd(u, clear, v), _mm512_permutex2var_pd(u, set, v));
+            // Local index `2·bit(high) + bit(low)`: the lowest bit is `low`
+            // or `high`.
+            let a = if lowest_is_low { [b0, b1, c0, c1] } else { [b0, c0, b1, c1] };
+            let [o0, o1, o2, o3] = product(a);
+            let (b0, b1, c0, c1) = if lowest_is_low { (o0, o1, o2, o3) } else { (o0, o2, o1, o3) };
+            store(x0, _mm512_permutex2var_pd(b0, first, b1));
+            store(x1, _mm512_permutex2var_pd(b0, second, b1));
+            store(y0, _mm512_permutex2var_pd(c0, first, c1));
+            store(y1, _mm512_permutex2var_pd(c0, second, c1));
+        }
     });
 }
 
@@ -898,17 +1062,27 @@ mod tests {
 
     #[test]
     fn unsupported_copies_are_typed_errors() {
-        let mut amps = state(2).amplitudes().to_vec();
-        let op = FusedOp::Cx { control: 0, target: 1 };
-        assert_eq!(KernelPath::supported()[0], KernelPath::Portable);
-        assert!(KernelPath::supported().contains(&KernelPath::detected()));
-        if KernelPath::detected() == KernelPath::Portable {
-            let before = amps.clone();
-            let got = run(&mut amps, Kernel::Fused(&op), KernelPath::Avx2);
-            assert_eq!(got, Err(StateVecError::KernelPathUnavailable { path: KernelPath::Avx2 }));
-            assert_eq!(amps, before, "a refused path must not touch the state");
+        let mut amps = state(4).amplitudes().to_vec();
+        // The 512-bit body's smallest placement, and a kernel every copy
+        // runs through its one dispatch.
+        let ops = [
+            FusedOp::Dense2 { m: Matrix4::cx(), low: 0, high: 3 },
+            FusedOp::Cx { control: 0, target: 1 },
+        ];
+        let all = [KernelPath::Portable, KernelPath::Avx2, KernelPath::Avx512];
+        let supported = KernelPath::supported();
+        assert_eq!(supported, &all[..supported.len()], "portable first, then in order");
+        assert_eq!(supported.last(), Some(&KernelPath::detected()));
+        for &path in all.iter().filter(|path| !supported.contains(path)) {
+            for op in &ops {
+                let before = amps.clone();
+                let got = run(&mut amps, Kernel::Fused(op), path);
+                assert_eq!(got, Err(StateVecError::KernelPathUnavailable { path }));
+                assert_eq!(amps, before, "a refused path must not touch the state");
+            }
         }
         assert_eq!(KernelPath::Portable.name(), "portable");
         assert_eq!(KernelPath::Avx2.name(), "avx2");
+        assert_eq!(KernelPath::Avx512.name(), "avx512");
     }
 }

@@ -22,6 +22,9 @@
 //! `live.json` (and a Prometheus text exposition, `live.prom`) in a target
 //! directory via the write-temp-then-rename idiom — the file-based
 //! precursor to a `qsim serve` HTTP endpoint. `qsim top` tails that file.
+//! A snapshot that reads finished is published only by
+//! [`Recorder::flush`], after the run's end-of-run counters have arrived,
+//! so every frame on disk passes [`LiveSnapshot::cross_check`].
 //!
 //! The reader sits beside the writer: [`LiveSnapshot::parse`] checks a
 //! published `live.json` strictly, [`LiveSnapshot::cross_check`] holds any
@@ -407,7 +410,7 @@ impl LiveRecorder {
             Publishing { dir: dir.to_path_buf(), interval_ns, ..Publishing::default() };
         let live =
             LiveRecorder { publishing: Some(publishing), ..LiveRecorder::new(meta, trials_total) };
-        live.publish()?;
+        live.publish(&live.snapshot())?;
         Ok(live)
     }
 
@@ -443,19 +446,22 @@ impl LiveRecorder {
         }
     }
 
-    /// Atomically rewrite both snapshot files from the current state; a
-    /// recorder that does not publish writes nothing.
-    fn publish(&self) -> std::io::Result<()> {
+    /// Atomically rewrite both snapshot files from `snapshot`; a recorder
+    /// that does not publish writes nothing.
+    fn publish(&self, snapshot: &LiveSnapshot) -> std::io::Result<()> {
         let Some(publishing) = &self.publishing else {
             return Ok(());
         };
-        let snapshot = self.snapshot();
         let seq = publishing.tmp_seq.fetch_add(1, ORD);
         write_atomic(&publishing.dir.join("live.json"), seq, &snapshot.render_json())?;
         write_atomic(&publishing.dir.join("live.prom"), seq, &snapshot.render_prometheus())
     }
 
-    /// Publish once the interval has passed since the last publish.
+    /// Publish once the interval has passed since the last publish, unless
+    /// the snapshot reads finished: the walks record their end-of-run
+    /// counters after the last heartbeat, so that frame would fail pass
+    /// conservation. [`Recorder::flush`] publishes the finished frame, once
+    /// those counters are in.
     fn maybe_publish(&self) {
         let Some(publishing) = &self.publishing else {
             return;
@@ -469,7 +475,11 @@ impl LiveRecorder {
         if publishing.last_publish_ns.compare_exchange(last, now, ORD, ORD).is_err() {
             return;
         }
-        if let Err(e) = self.publish() {
+        let snapshot = self.snapshot();
+        if snapshot.finished() {
+            return;
+        }
+        if let Err(e) = self.publish(&snapshot) {
             publishing.error.lock().expect("publish error slot poisoned").get_or_insert(e);
         }
     }
@@ -522,7 +532,7 @@ impl Recorder for LiveRecorder {
         if let Some(e) = publishing.error.lock().expect("publish error slot poisoned").take() {
             return Err(e);
         }
-        self.publish()
+        self.publish(&self.snapshot())
     }
 }
 

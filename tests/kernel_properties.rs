@@ -209,30 +209,48 @@ proptest! {
     #[test]
     fn dense2_copies_agree_bitwise_on_any_finite_matrix(
         n in 2usize..11,
-        role in 0usize..3,
+        role in 0usize..6,
         a in 0usize..10,
         b in 0usize..9,
+        flip in any::<bool>(),
         entries in collection::vec(arb_edge_c64(), 16),
         amps in collection::vec(arb_edge_c64(), 1024),
     ) {
-        if !KernelPath::supported().contains(&KernelPath::Avx2) {
-            return Ok(());
-        }
-        // Operand 0 as `low`, as `high`, or anywhere: it is the placement
-        // where the copies' loops differ most.
-        let other = 1 + b % (n - 1);
-        let (low, high) = match role {
-            0 => (0, other),
-            1 => (other, 0),
-            _ => (a % n, (a % n + other) % n),
+        // Two distinct operands, then either one as `low`. The roles reach
+        // every loop of every copy's body, the 512-bit one's included.
+        let (n, p, q) = match role {
+            // Operand 0 or 1 beside one ≥ 3: the transposing loop.
+            0 if n >= 4 => (n, a % 2, 3 + b % (n - 3)),
+            // Both operands ≥ 2: one load per run.
+            1 if n >= 4 => {
+                let p = 2 + a % (n - 3);
+                (n, p, p + 1 + b % (n - 1 - p))
+            }
+            // (0, 1), (0, 2) and (1, 2), which stay on the 256-bit body.
+            2 if n >= 3 => {
+                let [p, q] = [[0, 1], [0, 2], [1, 2]][a % 3];
+                (n, p, q)
+            }
+            // The smallest register the 512-bit body takes.
+            3 => (4, 0, 3),
+            // Operand 0 beside any other.
+            4 => (n, 0, 1 + b % (n - 1)),
+            // Anywhere.
+            _ => (n, a % n, (a % n + 1 + b % (n - 1)) % n),
         };
+        let (low, high) = if flip { (q, p) } else { (p, q) };
         let m = Matrix4(std::array::from_fn(|r| std::array::from_fn(|k| entries[4 * r + k])));
         let op = FusedOp::Dense2 { m, low, high };
         let start = StateVector::from_amplitudes(&amps[..1 << n]).unwrap();
         let mut portable = start.clone();
         portable.apply_fused_on(&op, KernelPath::Portable).unwrap();
-        let mut avx2 = start;
-        avx2.apply_fused_on(&op, KernelPath::Avx2).unwrap();
-        prop_assert!(bits(&avx2) == bits(&portable), "n = {n}, (low, high) = ({low}, {high})");
+        for &path in &KernelPath::supported()[1..] {
+            let mut copy = start.clone();
+            copy.apply_fused_on(&op, path).unwrap();
+            prop_assert!(
+                bits(&copy) == bits(&portable),
+                "{path:?}: n = {n}, (low, high) = ({low}, {high})"
+            );
+        }
     }
 }

@@ -357,3 +357,64 @@ fn mid_run_snapshots_stay_coherent_across_workers() {
         }
     }
 }
+
+/// Loads the published `live.json` from disk at every heartbeat (the tee
+/// hands the live recorder each heartbeat first, so at interval 0 it has
+/// published by then) and holds every frame to the laws of a coherent
+/// snapshot, with no exception for the last heartbeat.
+struct DiskProbe<'a> {
+    file: &'a Path,
+    label: &'a str,
+    frames: AtomicU64,
+}
+
+impl Recorder for DiskProbe<'_> {
+    fn span(&self, _: &'static str, _: u64, _: u64) {}
+
+    fn kernel(&self, _: &'static str, _: KernelClass, _: u64, _: u64, _: u64) {}
+
+    fn counter(&self, _: &'static str, _: u64) {}
+
+    fn msv(&self, _: MsvEvent, _: usize, _: usize) {}
+
+    fn cache(&self, _: usize, _: bool) {}
+
+    fn heartbeat(&self, _: Heartbeat) {
+        let label = self.label;
+        let frame = LiveSnapshot::load(self.file)
+            .unwrap_or_else(|e| panic!("{label}: published frame rejected: {e}"));
+        let problems = frame.cross_check();
+        assert!(problems.is_empty(), "{label}: published frame incoherent: {problems:?}");
+        self.frames.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+#[test]
+fn every_published_frame_passes_the_cross_check() {
+    let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/benchmarks"));
+    let dir = std::env::temp_dir().join(format!("live_matrix_frames_{}", std::process::id()));
+    let file = dir.join("live.json");
+    let benchmarks = testkit::yorktown_benchmarks(root);
+    for (name, layered, model) in benchmarks.iter().take(4) {
+        let set =
+            TrialGenerator::new(layered, model).expect("native circuit").generate(TRIALS, SEED);
+        for walk in [Walk::Baseline, Walk::Reuse] {
+            for threads in [1, 3] {
+                let spec = RunSpec { threads, ..RunSpec::new(walk) };
+                let label = format!("{name} / {} / {threads} thread(s)", spec.name());
+                let meta = meta(spec.name(), layered.n_qubits());
+                let live = LiveRecorder::create(&dir, &meta, TRIALS as u64, 0).expect("publishes");
+                let probe = DiskProbe { file: &file, label: &label, frames: AtomicU64::new(0) };
+                let tee = TeeRecorder::new(&live, &probe);
+                let stats = redsim::run(layered, set.trials(), &spec, &tee).expect("run").stats;
+                assert_eq!(probe.frames.load(Ordering::Relaxed), TRIALS as u64, "{label}");
+                live.flush().expect("final frame");
+                let fin = LiveSnapshot::load(&file).expect("final frame parses");
+                assert!(fin.finished(), "{label}: the flushed frame reads finished");
+                assert_eq!(fin.cross_check(), Vec::<String>::new(), "{label}: final frame");
+                assert_eq!(fin.amplitude_passes, stats.amplitude_passes, "{label}");
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).expect("remove the publish directory");
+}
